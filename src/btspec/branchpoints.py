@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices
 from .specfun import interval_branch_constants
-from .spectrum import diagonalize
+from .spectrum import _components, diagonalize
 from .sweep import BranchSweep, _match_sorted
 
 IM_FLOOR = 1e-9
@@ -93,25 +93,13 @@ def detect(sweep: BranchSweep, im_floor: float = IM_FLOOR,
 def _cluster_by_value(lam_row: np.ndarray, branches: list[int],
                       radius: float = 0.5) -> list[list[int]]:
     """Group branches whose eigenvalues just above the transition coincide
-    up to conjugation (union-find on |lam_b - lam_c| or |lam_b - conj(lam_c)|)."""
-    parent = {b: b for b in branches}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ii, b in enumerate(branches):
-        for c in branches[ii + 1:]:
-            d = min(abs(lam_row[b] - lam_row[c]),
-                    abs(lam_row[b] - np.conj(lam_row[c])))
-            if d <= radius:
-                parent[find(b)] = find(c)
-    groups: dict[int, list[int]] = {}
-    for b in branches:
-        groups.setdefault(find(b), []).append(b)
-    return [sorted(v) for v in groups.values()]
+    up to conjugation (components of |lam_b - lam_c| or |lam_b - conj(lam_c)|
+    within radius)."""
+    v = lam_row[branches]
+    near = np.minimum(np.abs(v[:, None] - v[None, :]),
+                      np.abs(v[:, None] - np.conj(v)[None, :])) <= radius
+    return [sorted(branches[i] for i in comp)
+            for comp in _components(np.argwhere(np.triu(near, 1)), len(branches))]
 
 
 def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
@@ -168,7 +156,11 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
 
 
 def _pair_diagnostics(mat, B, g_star, point, ref_eigs) -> dict:
-    """Bilinear-norm minimum and principal angle of the merging rows at g_star."""
+    """Bilinear-norm minimum and principal angle of the merging rows at g_star.
+
+    A pure +-m sphere row has a vanishing bilinear self-product; its norm is
+    its product with the twin row of the bit-identical eigenvalue.
+    """
     spec = diagonalize(mat, B, g_star)
     if ref_eigs is not None:
         sigma = _match_sorted(spec.eigenvalues, ref_eigs)
@@ -177,7 +169,8 @@ def _pair_diagnostics(mat, B, g_star, point, ref_eigs) -> dict:
         center = point.meta.get("value", 0)
         rows = list(np.argsort(np.abs(spec.eigenvalues - center))[:len(point.branches)])
     X = spec.X[rows]
-    vv = np.abs(np.einsum("ik,kl,il->i", X, mat.W, X))
+    w = spec.eigenvalues
+    vv = [np.max(np.abs(spec.X[r] @ mat.W @ spec.X[w == w[r]].T)) for r in rows]
     angles = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):

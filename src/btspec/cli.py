@@ -90,6 +90,14 @@ class RunConfig:
     resolution: int = 201
     outdir: str = "."
 
+    def __post_init__(self):
+        if self.walkers < 0:
+            raise ConfigError("walkers must be >= 0 (0 turns Monte Carlo off)")
+        if self.resolution < 1:
+            raise ConfigError("resolution must be >= 1")
+        if self.n_branches is not None and self.n_branches < 1:
+            raise ConfigError("n_branches must be >= 1")
+
     def signal_mode(self) -> str:
         """'si' or 'dimensionless'; raises unless exactly one group is set."""
         si = all(getattr(self, k) not in (None, []) for k in _SI_KEYS) \
@@ -192,8 +200,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.g_max is None or cfg.g_max <= 0 or cfg.g_step <= 0:
         raise ConfigError("sweep requires positive g_max and g_step")
     mat, B = _build_operator(cfg)
-    sweep = run_sweep(mat, B, cfg.g_max, step=cfg.g_step)
     n_out = cfg.n_branches or min(mat.N, 17)
+    if n_out > mat.N:
+        raise ConfigError(f"n_branches={n_out} exceeds the basis size {mat.N}")
+    sweep = run_sweep(mat, B, cfg.g_max, step=cfg.g_step)
     points = find_branch_points(mat, B, sweep, max_branch=n_out)
 
     os.makedirs(cfg.outdir, exist_ok=True)

@@ -8,6 +8,16 @@ returns an arbitrary mixture, so degenerate pairs are re-orthogonalized by an
 explicit 2x2 linear transform before normalizing; this also converts the
 complex-conjugate (m, -m) sphere pairs into bilinear-orthonormal combinations.
 
+Lambda is diagonal, so Lambda + i*gbar*B splits exactly into independent
+blocks: the connected components of the nonzero pattern of B (the m sectors
+of the z-gradient sphere, the cos/sin sectors of the disk and the cylinder; a
+tilted sphere gradient couples everything into one block).  Each block is
+solved on its own, and each raw row of X is zero outside its block.  Blocks
+whose Lambda and B entries are bit-identical, such as the +m and -m sphere
+sectors, are solved once and the result is copied to the twin.  The
+partition is computed at the first solve with a given B and reused while the
+same B object is passed again, so B must not be modified in place.
+
 Near a branch point the bilinear self-product <v, v> vanishes and no
 normalization exists; such rows are flagged 'near branch point' and left with
 unit 2-norm instead of being rescaled.
@@ -32,7 +42,8 @@ class Spectrum:
     """Eigenvalues (dimensionless R^2 lambda_j) and coefficient rows at one gbar.
 
     X is None for an eigenvalues-only computation.  vv holds |<v_j, v_j>|
-    before rescaling (the normalization 'condition number'); near_branch marks
+    before rescaling (the normalization 'condition number'; 0 for a raw pure
+    +-m sphere row, which normalize pairs with its twin); near_branch marks
     rows whose bilinear norm collapsed; degenerate_class labels exact
     eigenvalue clusters (-1 for simple eigenvalues).
     """
@@ -54,20 +65,39 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
                 eigvals_only: bool = False) -> Spectrum:
     """Raw spectrum of Lambda + i*gbar*B, sorted by (Re, Im).
 
-    Rows of X are left eigenvectors (unit 2-norm, not yet bilinear-normalized).
+    The matrix is solved one independent block at a time (see the module
+    docstring); twin blocks are solved once.  Rows of X are left eigenvectors
+    (unit 2-norm, not yet bilinear-normalized) and are zero outside their
+    block.  A LAPACK failure raises NumericalError naming gbar and the size of
+    the failing block.
     """
-    M = mat.bloch_torrey(B, gbar)
-    try:
-        if eigvals_only:
-            w = sla.eigvals(M, check_finite=False)
-            X = None
+    N = mat.N
+    w = np.empty(N, dtype=complex)
+    X = None if eigvals_only else np.zeros((N, N), dtype=complex)
+    solved: list[tuple] = []
+    start = 0
+    for k, (ix, twin, lam_b, B_b) in enumerate(_blocks(mat.lam, B)):
+        if twin < k:
+            solved.append(solved[twin])
         else:
-            w, vl = sla.eig(M, left=True, right=False, check_finite=False)
-            X = vl.conj().T
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise NumericalError(
-            f"eigensolver failed at gbar={gbar} (N={mat.N}, "
-            f"norm={np.linalg.norm(M):.3e})") from exc
+            M = np.diag(lam_b).astype(complex)
+            M += 1j * gbar * B_b
+            try:
+                if eigvals_only:
+                    solved.append((sla.eigvals(M, check_finite=False), None))
+                else:
+                    wb, vl = sla.eig(M, left=True, right=False, check_finite=False)
+                    solved.append((wb, vl.conj().T))
+            except sla.LinAlgError as exc:
+                raise NumericalError(
+                    f"eigensolver failed at gbar={gbar} on a block of size "
+                    f"{len(ix)} (N={N}, norm={np.linalg.norm(M):.3e})") from exc
+        wb, xb = solved[-1]
+        stop = start + len(ix)
+        w[start:stop] = wb
+        if X is not None:
+            X[start:stop, ix] = xb
+        start = stop
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     if X is not None:
@@ -75,21 +105,71 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     return Spectrum(gbar=float(gbar), eigenvalues=w, X=X)
 
 
+# One-entry identity cache (lam, B, blocks): a sweep passes the same B to
+# every solve, and the partition costs about as much as the block solves.
+_partition: tuple = (None, None, [])
+
+
+def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
+    """Independent blocks of diag(lam) + i*g*B as (ix, twin, lam_b, B_b).
+
+    ix holds the basis indices of one connected component of B's nonzero
+    pattern, ordered by their smallest index; twin is the position of the
+    first block with bit-identical (lam[ix], B[ix, ix]), its own position when
+    none precedes it.  lam_b and B_b are the block's entries (None for a
+    twin, which copies its result).
+    """
+    global _partition
+    if _partition[0] is lam and _partition[1] is B:
+        return _partition[2]
+    nonzero = B != 0
+    pairs = np.argwhere(np.triu(nonzero | nonzero.T, 1))
+    blocks: list[tuple] = []
+    first: dict[bytes, int] = {}
+    for comp in _components(pairs, len(lam)):
+        ix = np.array(comp)
+        lam_b, B_b = lam[ix], B[np.ix_(ix, ix)]
+        twin = first.setdefault(lam_b.tobytes() + B_b.tobytes(), len(blocks))
+        if twin < len(blocks):
+            lam_b = B_b = None
+        blocks.append((ix, twin, lam_b, B_b))
+    _partition = (lam, B, blocks)
+    return blocks
+
+
+def _components(pairs, n) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with the given edges,
+    each sorted and ordered by its smallest node (union-find)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b1, b2 in pairs:
+        parent[find(int(b1))] = find(int(b2))
+    groups: dict[int, list[int]] = {}
+    for b in range(n):
+        groups.setdefault(find(b), []).append(b)
+    return list(groups.values())
+
+
 def _degenerate_classes(w: np.ndarray, rtol: float = DEGENERATE_RTOL) -> np.ndarray:
-    """Cluster eigenvalues (already sorted by Re) whose mutual distance is
-    below rtol * scale; returns -1 for singletons, else a class id."""
-    N = len(w)
-    cid = -np.ones(N, dtype=int)
-    next_id = 0
-    i = 0
-    while i < N:
-        j = i + 1
-        while j < N and abs(w[j] - w[j - 1]) <= rtol * max(1.0, abs(w[j])):
-            j += 1
-        if j - i > 1:
-            cid[i:j] = next_id
-            next_id += 1
-        i = j
+    """Cluster eigenvalues whose mutual distance is below rtol * scale;
+    returns -1 for singletons, else a class id (in order of first member).
+
+    All pairs are compared, not only neighbours in the (Re, Im) order: the
+    conjugate of a complex degenerate pair can sort between its two members
+    when their real parts differ in the last bits.
+    """
+    scale = np.maximum(1.0, np.abs(w))
+    close = np.abs(w[:, None] - w[None, :]) <= rtol * np.maximum.outer(scale, scale)
+    cid = -np.ones(len(w), dtype=int)
+    comps = _components(np.argwhere(np.triu(close, 1)), len(w))
+    for c, members in enumerate(m for m in comps if len(m) > 1):
+        cid[members] = c
     return cid
 
 

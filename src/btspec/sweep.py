@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .matrices import OperatorMatrices
-from .spectrum import Spectrum, diagonalize
+from .spectrum import Spectrum, _components, diagonalize
 
 EXACT_DEGENERACY_TOL = 1e-9
 # Below this relative split a swapped labeling is numerically invisible;
@@ -91,31 +91,9 @@ def match_step(prev: Spectrum, next_: Spectrum, W: np.ndarray | None = None):
     rel = np.abs(c_swp - c_now) / (c_now + c_swp + 1e-300)
     cand = np.argwhere(np.triu((rel <= TIE_REL) & (c_now + c_swp > 0), k=1))
     for comp in _components(cand, len(wp)):
-        _resolve_component(comp, sigma, wp, wn, prev, next_, W, info)
+        if len(comp) > 1:
+            _resolve_component(comp, sigma, wp, wn, prev, next_, W, info)
     return sigma, info
-
-
-def _components(pairs, n) -> list[list[int]]:
-    """Connected components of the tie graph (only components of size > 1)."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b1, b2 in pairs:
-        parent[find(int(b1))] = find(int(b2))
-    groups: dict[int, list[int]] = {}
-    for b1, b2 in pairs:
-        for b in (int(b1), int(b2)):
-            groups.setdefault(find(b), [])
-    for b in range(n):
-        r = find(b)
-        if r in groups:
-            groups[r].append(b)
-    return [sorted(v) for v in groups.values() if len(v) > 1]
 
 
 def _resolve_component(comp, sigma, wp, wn, prev, next_, W, info):

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+import scipy.linalg as sla
 
 from btspec import cli
+from btspec import spectrum as sp
 from btspec.errors import ConfigError
 
 
@@ -193,3 +195,31 @@ n_branches = 13
     firsts = sorted(p["g_star"] for p in doc["branch_points"])
     assert firsts, "no branch point found"
     assert abs(firsts[0] - 18.06) < 0.05
+
+
+def _fail_eigensolves(monkeypatch):
+    def fail(*args, **kwargs):
+        raise sla.LinAlgError("injected LAPACK failure")
+    monkeypatch.setattr(sp.sla, "eigvals", fail)
+    monkeypatch.setattr(sp.sla, "eig", fail)
+
+
+@pytest.mark.parametrize("command, cfg_text, extra", [
+    ("sweep", DISK_SWEEP, ["--set", "N=10", "--set", "n_branches=50"]),
+    ("fieldmap", SPHERE_SI, ["--set", "resolution=0", "--j", "1", "--g", "5.63"]),
+    ("signal", SPHERE_SI, ["--set", "walkers=-5"]),
+], ids=["n_branches_above_basis", "resolution_zero", "negative_walkers"])
+def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
+                                             cfg_text, extra):
+    # a solve would end in exit 4, so exit 2 shows the check came first
+    _fail_eigensolves(monkeypatch)
+    cfgp = write_cfg(tmp_path / "c.cfg", cfg_text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfgp, "--out", str(out)] + extra) == 2
+    assert not out.exists()
+
+
+def test_lapack_failure_exits_4(tmp_path, monkeypatch):
+    _fail_eigensolves(monkeypatch)
+    cfgp = write_cfg(tmp_path / "d.cfg", DISK_SWEEP)
+    assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 4

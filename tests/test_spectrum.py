@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
 from btspec import basis as bas
 from btspec import matrices as mx
 from btspec import spectrum as sp
+from btspec.errors import NumericalError
 
 
 def normalized(m, B, g):
@@ -70,18 +73,92 @@ def test_preserved_pair_degeneracy(sphere60):
         assert np.sum(gaps < 1e-8) >= 10
 
 
-def test_reduced_operator_consistency(sphere60):
-    # the m = 0 sector of the full operator is the reduced operator
+def _block_case(name, sphere60, cylinder60, disk60):
+    """(mat, B, expected number of blocks, (mat, B) of the dense oracle)."""
     m, B = sphere60
-    m0 = [i for i, ix in enumerate(m.basis.indices) if ix.m == 0]
-    red_b = bas.build_reduced_sphere_basis(len(m0))
-    red = mx.assemble_reduced_sphere(red_b)
-    Br = mx.gradient_matrix(red)
-    for g in (2.0, 11.0):
-        w_full = sp.diagonalize(m, B, g, eigvals_only=True).eigenvalues
-        w_red = sp.diagonalize(red, Br, g, eigvals_only=True).eigenvalues
-        for v in w_red:
-            assert np.min(np.abs(w_full - v)) < 1e-8 * max(1.0, abs(v))
+    if name == "sphere_z":
+        return m, B, len({ix.m for ix in m.basis.indices}), (m, B)
+    if name == "sphere_z_unequal_twins":
+        # same Lambda in the m = +-1 blocks but different B: not twins
+        m1 = [i for i, ix in enumerate(m.basis.indices) if ix.m == 1]
+        Bu = B.copy()
+        Bu[np.ix_(m1, m1)] *= 1.5
+        return m, Bu, len({ix.m for ix in m.basis.indices}), (m, Bu)
+    if name == "sphere_tilted":
+        Bt = mx.gradient_matrix_sphere(m, 0.3, 0.0)
+        return m, Bt, 1, (m, Bt)
+    if name == "sphere_reduced":
+        # the m = 0 sector of the full operator is the reduced operator, so
+        # its eigenvalues are found in the full dense spectrum
+        m0 = [i for i, ix in enumerate(m.basis.indices) if ix.m == 0]
+        red = mx.assemble_reduced_sphere(bas.build_reduced_sphere_basis(len(m0)))
+        return red, mx.gradient_matrix(red), 1, (m, B)
+    if name == "cylinder":
+        Bc = mx.gradient_matrix_cylinder(cylinder60, 0.9)
+        return cylinder60, Bc, 2, (cylinder60, Bc)
+    if name == "disk":
+        return disk60[0], disk60[1], 2, disk60
+    mi = mx.assemble_interval(bas.build_interval_basis(20))
+    Bi = mx.gradient_matrix(mi)
+    return mi, Bi, 1, (mi, Bi)
+
+
+@pytest.mark.parametrize("name", ["sphere_z", "sphere_z_unequal_twins",
+                                  "sphere_tilted", "sphere_reduced",
+                                  "cylinder", "disk", "interval"])
+def test_block_solve_matches_dense(name, sphere60, cylinder60, disk60):
+    m, B, n_blocks, (m_ref, B_ref) = _block_case(name, sphere60, cylinder60, disk60)
+    blocks = sp._blocks(m.lam, B)
+    assert len(blocks) == n_blocks
+    label = np.empty(m.N, dtype=int)
+    for k, (ix, *_) in enumerate(blocks):
+        label[ix] = k
+    # the partition is exact: B has no entry between different blocks
+    assert np.all(B[label[:, None] != label[None, :]] == 0)
+    for g in (0.0, 2.0, 7.0, 11.0, 15.0):
+        w = sp.diagonalize(m, B, g, eigvals_only=True).eigenvalues
+        pool = sla.eigvals(m_ref.bloch_torrey(B_ref, g))
+        d = np.abs(w[:, None] - pool[None, :])
+        r, c = linear_sum_assignment(d)
+        assert np.all(d[r, c] <= 1e-10 * np.maximum(1.0, np.abs(w[r]))), g
+        s = sp.diagonalize(m, B, g)
+        assert sp.residual(m, B, s) < 1e-9
+        # every raw row is zero outside its block
+        lead = np.argmax(np.abs(s.X), axis=1)
+        assert np.all(s.X[label[None, :] != label[lead][:, None]] == 0)
+        if name == "sphere_z":
+            # the +m and -m sectors are solved once: bit-identical eigenvalues
+            ms = np.array([ix.m for ix in m.basis.indices])[lead]
+            for mv in range(1, ms.max() + 1):
+                assert np.array_equal(w[ms == mv], w[ms == -mv])
+        if name == "sphere_z_unequal_twins":
+            continue  # a pure m = 1 row has no -1 partner to normalize with
+        # pure +-m rows have a zero bilinear self-product and are paired by
+        # the alpha = pi/4 branch of orthogonalize_pair
+        sn = sp.normalize(s, m.W)
+        assert not sn.near_branch.any()
+        G = sn.X @ m.W @ sn.X.T
+        assert np.abs(G - np.eye(m.N)).max() < 1e-7
+
+
+def test_lapack_failure_names_gbar_and_block(sphere60, monkeypatch):
+    m, B = sphere60
+    size = max(len(ix) for ix, *_ in sp._blocks(m.lam, B))
+    assert size < m.N
+
+    def failing(solver):
+        def solve(a, *args, **kwargs):
+            if len(a) == size:
+                raise sla.LinAlgError("injected LAPACK failure")
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(sp.sla, "eigvals", failing(sla.eigvals))
+    monkeypatch.setattr(sp.sla, "eig", failing(sla.eig))
+    for only in (True, False):
+        with pytest.raises(NumericalError,
+                           match=rf"gbar=3\.5 on a block of size {size} "):
+            sp.diagonalize(m, B, 3.5, eigvals_only=only)
 
 
 def test_near_branch_point_flagging(sphere60):
