@@ -38,9 +38,7 @@ from .matrices import (
     gradient_matrix,
     gradient_matrix_cylinder,
     gradient_matrix_sphere,
-    load_matrices,
     operator_for,
-    save_matrices,
 )
 from .montecarlo import WalkConfig, mc_signal
 from .signal import (

@@ -42,14 +42,6 @@ class BasisIndex:
     l: int | None = None
     m: int | None = None
 
-    def label(self) -> str:
-        parts = []
-        for name in ("n", "k", "l", "m"):
-            v = getattr(self, name)
-            if v is not None:
-                parts.append(f"{name}{v}")
-        return ",".join(parts)
-
 
 @dataclass(frozen=True)
 class BasisSet:

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices
 from .specfun import interval_branch_constants
-from .spectrum import _components, diagonalize
-from .sweep import BranchSweep, _match_sorted
+from .spectrum import _components, block_labels, diagonalize
+from .sweep import BranchSweep, _assign
 
 IM_FLOOR = 1e-9
 IM_SIGNAL = 1e-6
@@ -49,8 +49,9 @@ def detect(sweep: BranchSweep, im_floor: float = IM_FLOOR,
     """Coarse branch points from real-to-complex transitions of tracked branches.
 
     Branches transitioning inside the same grid interval are clustered when
-    their eigenvalues (or conjugates) coincide just above the transition; each
-    cluster yields one BranchPoint with bracket equal to the grid interval.
+    they are conjugate partners or bit-identical twins just above the
+    transition (see _cluster_by_value); each cluster yields one BranchPoint
+    with bracket equal to the grid interval.
 
     max_branch restricts the scan to the first branches; the top of a
     truncated spectrum is not converged and can produce spurious transitions,
@@ -91,40 +92,38 @@ def detect(sweep: BranchSweep, im_floor: float = IM_FLOOR,
 
 
 def _cluster_by_value(lam_row: np.ndarray, branches: list[int],
-                      radius: float = 0.5) -> list[list[int]]:
-    """Group branches whose eigenvalues just above the transition coincide
-    up to conjugation (components of |lam_b - lam_c| or |lam_b - conj(lam_c)|
-    within radius)."""
+                      rtol: float = 1e-6) -> list[list[int]]:
+    """Group branches whose eigenvalues just above the transition are
+    conjugate partners (the merged pair of one block) or equal (the same pair
+    in a bit-identical twin block), to rtol * max(1, |lambda|)."""
     v = lam_row[branches]
+    scale = np.maximum(1.0, np.abs(v))
     near = np.minimum(np.abs(v[:, None] - v[None, :]),
-                      np.abs(v[:, None] - np.conj(v)[None, :])) <= radius
+                      np.abs(v[:, None] - np.conj(v)[None, :])) \
+        <= rtol * np.maximum.outer(scale, scale)
     return [sorted(branches[i] for i in comp)
             for comp in _components(np.argwhere(np.triu(near, 1)), len(branches))]
 
 
 def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
-           ref_eigs: np.ndarray | None = None,
+           ref_eigs: np.ndarray,
            width: float = 1e-5, im_threshold: float = IM_SIGNAL) -> BranchPoint:
     """Bisect the coarse bracket on the indicator max|Im lambda| over the
     participating branches, down to the requested bracket width.
 
-    ref_eigs are branch-ordered eigenvalues at the bracket's lower end used to
-    identify the participating eigenvalues at trial points (defaults to the
-    coarse metadata).  The final point records the minimal bilinear norm of
-    the merging pair and their principal angle as consistency metadata.
+    ref_eigs are branch-ordered eigenvalues at the bracket's lower end (branch
+    j starts at basis mode j, as in run_sweep); they identify the
+    participating eigenvalues at trial points, matched inside each exact
+    block.  The final point records the minimal bilinear norm of the merging
+    pair and their principal angle as consistency metadata.
     """
     lo, hi = point.bracket
     branches = list(point.branches)
+    block = block_labels(mat, B)[:len(ref_eigs)]
 
     def indicator(gval: float) -> float:
         spec = diagonalize(mat, B, gval, eigvals_only=True)
-        if ref_eigs is not None:
-            sigma = _match_sorted(spec.eigenvalues, ref_eigs)
-            vals = spec.eigenvalues[sigma][branches]
-        else:
-            center = point.meta.get("value", np.mean(ref_eigs) if ref_eigs is not None else 0)
-            d = np.abs(spec.eigenvalues - center)
-            vals = spec.eigenvalues[np.argsort(d)[:len(branches)]]
+        vals = spec.eigenvalues[_assign(ref_eigs, block, spec)[branches]]
         return float(np.max(np.abs(vals.imag)))
 
     f_lo, f_hi = indicator(lo), indicator(hi)
@@ -148,26 +147,21 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     g_star = 0.5 * (lo + hi)
 
     meta = dict(point.meta)
-    meta.update(_pair_diagnostics(mat, B, g_star, point, ref_eigs))
+    meta.update(_pair_diagnostics(mat, B, g_star, branches, ref_eigs, block))
     meta["coarse"] = False
     meta["width"] = hi - lo
     return BranchPoint(g_star=g_star, order=point.order,
                        branches=point.branches, bracket=(lo, hi), meta=meta)
 
 
-def _pair_diagnostics(mat, B, g_star, point, ref_eigs) -> dict:
+def _pair_diagnostics(mat, B, g_star, branches, ref_eigs, block) -> dict:
     """Bilinear-norm minimum and principal angle of the merging rows at g_star.
 
     A pure +-m sphere row has a vanishing bilinear self-product; its norm is
     its product with the twin row of the bit-identical eigenvalue.
     """
     spec = diagonalize(mat, B, g_star)
-    if ref_eigs is not None:
-        sigma = _match_sorted(spec.eigenvalues, ref_eigs)
-        rows = [int(sigma[b]) for b in point.branches]
-    else:
-        center = point.meta.get("value", 0)
-        rows = list(np.argsort(np.abs(spec.eigenvalues - center))[:len(point.branches)])
+    rows = list(_assign(ref_eigs, block, spec)[branches])
     X = spec.X[rows]
     w = spec.eigenvalues
     vv = [np.max(np.abs(spec.X[r] @ mat.W @ spec.X[w == w[r]].T)) for r in rows]
@@ -206,8 +200,8 @@ def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
         refined = refine(mat, B, coarse, ref_eigs=ref, width=width)
         # re-derive the merged value at g_star for classification
         spec = diagonalize(mat, B, refined.g_star, eigvals_only=True)
-        sigma = _match_sorted(spec.eigenvalues, ref)
-        vals = spec.eigenvalues[sigma][list(refined.branches)]
+        sigma = _assign(ref, sweep.block, spec)
+        vals = spec.eigenvalues[sigma[list(refined.branches)]]
         center = complex(np.mean(vals))
         order = classify_order(mat, B, refined.g_star, center)
         meta = dict(refined.meta)

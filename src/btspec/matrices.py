@@ -14,7 +14,6 @@ for distinct orders, but a floor is asserted to catch zero-table corruption.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .basis import BasisSet, build_basis
 from .errors import DomainError, MatrixAssemblyError
 
 _MIN_DENOM_SQ = 1e-12
-_MAGIC = b"BTSPECM1"
 
 
 @dataclass(frozen=True)
@@ -42,10 +40,6 @@ class OperatorMatrices:
     @property
     def N(self) -> int:
         return len(self.lam)
-
-    @property
-    def Lambda(self) -> np.ndarray:
-        return np.diag(self.lam)
 
     def bloch_torrey(self, B: np.ndarray, gbar: float) -> np.ndarray:
         """Dense matrix Lambda + i*gbar*B."""
@@ -280,9 +274,15 @@ def gradient_matrix_sphere(mat: OperatorMatrices, theta_g: float, phi_g: float) 
 
 
 def gradient_matrix_cylinder(mat: OperatorMatrices, eta: float) -> np.ndarray:
-    """Gradient in the xz plane at angle eta from the x axis: cos(eta) B^x + sin(eta) B^z."""
+    """Gradient in the xz plane at angle eta from the x axis: cos(eta) B^x + sin(eta) B^z.
+
+    Weights below 1e-15 are rounding residues of an axis direction
+    (cos(pi/2) is 6.1e-17) and are dropped, so that an axis gradient keeps
+    the exact block structure of B^x or B^z.
+    """
     _expect(mat, "cylinder")
-    return np.cos(eta) * mat.Bx + np.sin(eta) * mat.Bz
+    cx, cz = (0.0 if abs(c) < 1e-15 else c for c in (np.cos(eta), np.sin(eta)))
+    return cx * mat.Bx + cz * mat.Bz
 
 
 def gradient_matrix(mat: OperatorMatrices, theta_g: float | None = None,
@@ -306,44 +306,3 @@ def gradient_matrix(mat: OperatorMatrices, theta_g: float | None = None,
 def operator_for(geometry: str, N: int, R: float = 1.0, H: float = 1.0) -> OperatorMatrices:
     """Build basis and matrices in one call."""
     return assemble_operator(build_basis(geometry, N, R=R, H=H))
-
-
-def save_matrices(path, mat: OperatorMatrices):
-    """Debug dump, little-endian: magic 'BTSPECM1', geometry as 16 NUL-padded
-    ASCII bytes, uint32 N, float64 R (always 1: internal units), float64
-    aspect H/R, then the Lambda diagonal as N float64, then for each of
-    B^x, B^y, B^z a uint8 presence flag followed (if present) by N*N
-    complex128 row-major, then W as N*N complex128 row-major."""
-    N = mat.N
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<16sIdd", mat.basis.geometry.encode(), N, 1.0,
-                            float(mat.basis.aspect)))
-        f.write(np.ascontiguousarray(mat.lam, dtype="<f8").tobytes())
-        for B in (mat.Bx, mat.By, mat.Bz):
-            if B is None:
-                f.write(struct.pack("<B", 0))
-            else:
-                f.write(struct.pack("<B", 1))
-                f.write(np.ascontiguousarray(B, dtype="<c16").tobytes())
-        f.write(np.ascontiguousarray(mat.W.astype(complex), dtype="<c16").tobytes())
-
-
-def load_matrices(path) -> dict:
-    """Read back a save_matrices dump into plain arrays (no BasisSet)."""
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ValueError("not a btspec matrix dump")
-        geom_raw, N, R, aspect = struct.unpack("<16sIdd", f.read(36))
-        geometry = geom_raw.rstrip(b"\x00").decode()
-        lam = np.frombuffer(f.read(8 * N), dtype="<f8")
-        Bs = []
-        for _ in range(3):
-            present, = struct.unpack("<B", f.read(1))
-            if present:
-                Bs.append(np.frombuffer(f.read(16 * N * N), dtype="<c16").reshape(N, N))
-            else:
-                Bs.append(None)
-        W = np.frombuffer(f.read(16 * N * N), dtype="<c16").reshape(N, N)
-    return {"geometry": geometry, "N": N, "R": R, "aspect": aspect,
-            "lam": lam, "Bx": Bs[0], "By": Bs[1], "Bz": Bs[2], "W": W}

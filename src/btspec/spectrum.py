@@ -12,11 +12,14 @@ Lambda is diagonal, so Lambda + i*gbar*B splits exactly into independent
 blocks: the connected components of the nonzero pattern of B (the m sectors
 of the z-gradient sphere, the cos/sin sectors of the disk and the cylinder; a
 tilted sphere gradient couples everything into one block).  Each block is
-solved on its own, and each raw row of X is zero outside its block.  Blocks
-whose Lambda and B entries are bit-identical, such as the +m and -m sphere
-sectors, are solved once and the result is copied to the twin.  The
-partition is computed at the first solve with a given B and reused while the
-same B object is passed again, so B must not be modified in place.
+solved on its own, each eigenvalue row is labeled with its block, and each
+raw row of X is zero outside its block.  Eigenvalues of different blocks
+cross freely and never merge, so branch tracking and branch-point detection
+work inside one block at a time.  Blocks whose Lambda and B entries are
+bit-identical, such as the +m and -m sphere sectors, are solved once and the
+result is copied to the twin.  The partition is computed at the first solve
+with a given B and reused while the same B object is passed again, so B must
+not be modified in place.
 
 Near a branch point the bilinear self-product <v, v> vanishes and no
 normalization exists; such rows are flagged 'near branch point' and left with
@@ -41,16 +44,18 @@ NEAR_BRANCH_TOL = 1e-6
 class Spectrum:
     """Eigenvalues (dimensionless R^2 lambda_j) and coefficient rows at one gbar.
 
-    X is None for an eigenvalues-only computation.  vv holds |<v_j, v_j>|
-    before rescaling (the normalization 'condition number'; 0 for a raw pure
-    +-m sphere row, which normalize pairs with its twin); near_branch marks
-    rows whose bilinear norm collapsed; degenerate_class labels exact
-    eigenvalue clusters (-1 for simple eigenvalues).
+    X is None for an eigenvalues-only computation.  block[j] is the exact
+    block of row j (see block_labels; None means one block).  vv holds
+    |<v_j, v_j>| before rescaling (the normalization 'condition number'; 0
+    for a raw pure +-m sphere row, which normalize pairs with its twin);
+    near_branch marks rows whose bilinear norm collapsed; degenerate_class
+    labels exact eigenvalue clusters (-1 for simple eigenvalues).
     """
 
     gbar: float
     eigenvalues: np.ndarray
     X: np.ndarray | None = None
+    block: np.ndarray | None = None
     vv: np.ndarray | None = None
     near_branch: np.ndarray | None = None
     degenerate_class: np.ndarray | None = None
@@ -68,11 +73,12 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     The matrix is solved one independent block at a time (see the module
     docstring); twin blocks are solved once.  Rows of X are left eigenvectors
     (unit 2-norm, not yet bilinear-normalized) and are zero outside their
-    block.  A LAPACK failure raises NumericalError naming gbar and the size of
-    the failing block.
+    block; Spectrum.block holds each row's block label.  A LAPACK failure
+    raises NumericalError naming gbar and the size of the failing block.
     """
     N = mat.N
     w = np.empty(N, dtype=complex)
+    block = np.empty(N, dtype=int)
     X = None if eigvals_only else np.zeros((N, N), dtype=complex)
     solved: list[tuple] = []
     start = 0
@@ -95,6 +101,7 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
         wb, xb = solved[-1]
         stop = start + len(ix)
         w[start:stop] = wb
+        block[start:stop] = k
         if X is not None:
             X[start:stop, ix] = xb
         start = stop
@@ -102,7 +109,16 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     w = w[order]
     if X is not None:
         X = X[order]
-    return Spectrum(gbar=float(gbar), eigenvalues=w, X=X)
+    return Spectrum(gbar=float(gbar), eigenvalues=w, X=X, block=block[order])
+
+
+def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:
+    """Exact block of each basis function under Lambda + i*gbar*B: the
+    label that diagonalize gives the eigenvalue rows of that block."""
+    label = np.empty(mat.N, dtype=int)
+    for k, (ix, *_) in enumerate(_blocks(mat.lam, B)):
+        label[ix] = k
+    return label
 
 
 # One-entry identity cache (lam, B, blocks): a sweep passes the same B to
@@ -229,7 +245,7 @@ def normalize(spec: Spectrum, W: np.ndarray,
     X = spec.X.copy()
     N = len(w)
     cid = _degenerate_classes(w)
-    vv_raw = np.abs(np.einsum("ik,kl,il->i", X, W, X))
+    vv_raw = np.abs(np.einsum("ik,ik->i", X @ W, X))
     near = np.zeros(N, dtype=bool)
     done = np.zeros(N, dtype=bool)
 
@@ -271,8 +287,9 @@ def normalize(spec: Spectrum, W: np.ndarray,
                 X[j] = X[j] / nrm
         X[j] = X[j] * _sign_fix(X[j])
 
-    return Spectrum(gbar=spec.gbar, eigenvalues=w, X=X, vv=vv_raw,
-                    near_branch=near, degenerate_class=cid, normalized=True)
+    return Spectrum(gbar=spec.gbar, eigenvalues=w, X=X, block=spec.block,
+                    vv=vv_raw, near_branch=near, degenerate_class=cid,
+                    normalized=True)
 
 
 def _sign_fix(row: np.ndarray) -> float:

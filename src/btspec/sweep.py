@@ -1,7 +1,10 @@
 """Eigenvalue branch tracking over a gradient-strength grid.
 
-Branches are labeled by continuity from gbar = 0, where they coincide with
-the ordered Laplacian eigenvalues.  Consecutive grid points are matched by an
+Branches are labeled by continuity from gbar = 0, where branch j is basis
+mode j (the j-th ordered Laplacian eigenvalue).  Branch j stays in the exact
+block of that mode for the whole sweep, because different blocks of
+Lambda + i*gbar*B never couple (see spectrum), so every assignment of values
+to branches runs inside one block.  Consecutive grid points are matched by an
 optimal assignment on squared eigenvalue displacement (Hungarian method)
 against a linear prediction from the two previous points, which keeps
 identities through crossings and through slowly splitting near-parallel
@@ -20,27 +23,28 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .matrices import OperatorMatrices
-from .spectrum import Spectrum, _components, diagonalize
+from .spectrum import Spectrum, _components, block_labels, diagonalize
 
-EXACT_DEGENERACY_TOL = 1e-9
-# Below this relative split a swapped labeling is numerically invisible;
-# such ties are kept in index order instead of spending eigenvectors.
-EFFECTIVE_DEGENERACY_TOL = 1e-5
 TIE_REL = 0.05
 OVERLAP_MARGIN = 0.2
+# Candidate values closer than this (relative) are numerically one value:
+# an overlap tie between them is not an ambiguity.
+DISTINCT_REL = 1e-5
 
 
 @dataclass
 class BranchSweep:
     """Branch-ordered eigenvalues lambda_j(gbar) on an adaptively refined grid.
 
-    eigenvalues[i, j] is branch j at g_grid[i]; branch j starts at the j-th
-    ordered Laplacian eigenvalue.  refinements and ambiguities log the
-    adaptive insertions and unresolved assignment ties.
+    eigenvalues[i, j] is branch j at g_grid[i]; branch j starts at basis mode
+    j, the j-th ordered Laplacian eigenvalue, and block[j] is the exact block
+    of that mode, which the branch never leaves.  refinements and ambiguities
+    log the adaptive insertions and unresolved assignment ties.
     """
 
     g_grid: np.ndarray
     eigenvalues: np.ndarray
+    block: np.ndarray
     permutations: list = field(default_factory=list)
     refinements: list = field(default_factory=list)
     ambiguities: list = field(default_factory=list)
@@ -60,37 +64,54 @@ class BranchSweep:
         return self.eigenvalues[i]
 
 
-def match_step(prev: Spectrum, next_: Spectrum, W: np.ndarray | None = None):
-    """Permutation sigma minimizing sum |lambda_prev[b] - lambda_next[sigma(b)]|^2.
+def _labels(spec: Spectrum) -> np.ndarray:
+    """Block label of each row; a spectrum built without labels is one block."""
+    return np.zeros(spec.N, dtype=int) if spec.block is None else spec.block
 
-    Returns (sigma, info).  info['tie_groups'] lists branch pairs whose
-    assignment is cost-degenerate; exact degeneracies (equal next-values) are
-    left in index order, a freshly formed conjugate pair is ordered Im > 0
-    first, and remaining ties are broken by the bilinear overlap
-    |<v_prev, W v_next>| when both spectra carry eigenvectors (plain Hermitian
-    overlap when W is None).  Pairs that stay ambiguous are reported with
-    kind='unresolved'.
+
+def _assign(target: np.ndarray, block: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """Row of spec assigned to each target value (target j in block[j]):
+    minimal total squared displacement, each block on its own."""
+    out = np.empty(len(target), dtype=int)
+    rows_block = _labels(spec)
+    for k in np.unique(block):
+        r = np.flatnonzero(block == k)
+        c = np.flatnonzero(rows_block == k)
+        diff = target[r][:, None] - spec.eigenvalues[c][None, :]
+        i, j = linear_sum_assignment(diff.real**2 + diff.imag**2)
+        out[r[i]] = c[j]
+    return out
+
+
+def match_step(prev: Spectrum, next_: Spectrum, W: np.ndarray | None = None):
+    """Permutation sigma minimizing sum |lambda_prev[b] - lambda_next[sigma(b)]|^2
+    with every branch b matched inside its block (Spectrum.block).
+
+    Returns (sigma, info).  info['tie_groups'] lists same-block branch groups
+    whose assignment is cost-degenerate: a freshly formed conjugate pair is
+    ordered Im > 0 first, and remaining ties are broken by the bilinear
+    overlap |<v_prev, W v_next>| when both spectra carry eigenvectors.  Groups
+    that stay ambiguous are reported with kind='unresolved'.
     """
     wp, wn = prev.eigenvalues, next_.eigenvalues
-    if len(wp) != len(wn):
-        raise ValueError("spectra have different sizes")
+    bp = _labels(prev)
+    if not np.array_equal(np.sort(bp), np.sort(_labels(next_))):
+        raise ValueError("spectra have different block sizes")
+    sigma = _assign(wp, bp, next_)
     diff = wp[:, None] - wn[None, :]
     cost = diff.real**2 + diff.imag**2
-    rows, cols = linear_sum_assignment(cost)
-    sigma = np.empty_like(cols)
-    sigma[rows] = cols
-    info = {"cost": float(cost[rows, cols].sum()), "tie_groups": [],
-            "swapped_pairs": []}
+    info = {"cost": float(cost[np.arange(len(wp)), sigma].sum()),
+            "tie_groups": []}
 
     # Swap ties, vectorized: relative cost change of exchanging the
-    # assignments of two branches.
+    # assignments of two branches of one block.
     d = cost[np.arange(len(wp)), sigma]
     c_now = d[:, None] + d[None, :]
     cs = cost[:, sigma]
     c_swp = cs + cs.T
     rel = np.abs(c_swp - c_now) / (c_now + c_swp + 1e-300)
-    cand = np.argwhere(np.triu((rel <= TIE_REL) & (c_now + c_swp > 0), k=1))
-    for comp in _components(cand, len(wp)):
+    tie = (rel <= TIE_REL) & (c_now + c_swp > 0) & (bp[:, None] == bp[None, :])
+    for comp in _components(np.argwhere(np.triu(tie, k=1)), len(wp)):
         if len(comp) > 1:
             _resolve_component(comp, sigma, wp, wn, prev, next_, W, info)
     return sigma, info
@@ -100,32 +121,14 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_, W, info):
     cols = sigma[comp]
     vals = wn[cols]
     scale = max(1.0, float(np.max(np.abs(vals))))
-    spread = np.max(np.abs(vals[:, None] - vals[None, :]))
-    exact_tol = EXACT_DEGENERACY_TOL if prev.X is not None else EFFECTIVE_DEGENERACY_TOL
-    if spread <= exact_tol * scale:
-        if next_.X is not None:
-            # Inside an (almost) exactly degenerate cluster the previous
-            # step's eigenvectors are arbitrary mixtures, so anchor the
-            # labels to the gbar = 0 basis content of the same branch
-            # indices instead (branch j descends from basis mode j).
-            anchor = W[comp] if W is not None else np.eye(len(wp))[comp]
-            ov = np.abs(anchor @ next_.X[cols].T)
-            r_idx, c_idx = linear_sum_assignment(-ov)
-            new_cols = cols[c_idx[np.argsort(r_idx)]]
-            for pos, branch in enumerate(comp):
-                sigma[branch] = new_cols[pos]
-        return  # degenerate at working precision: not an ambiguity
     if np.all(np.abs(wp[comp].imag) <= 1e-9) and \
             _is_conjugate_family(vals, scale):
         # real branches merged into conjugate pairs: deterministic order,
         # Im > 0 to the lower branch index within each real-part group
         # (real parts quantized so conjugate twins share the primary key)
         rank = np.lexsort((-vals.imag, np.round(vals.real / (1e-6 * scale))))
-        before = cols.copy()
         for pos, branch in enumerate(comp):
             sigma[branch] = cols[rank[pos]]
-        if not np.array_equal(sigma[comp], before):
-            info["swapped_pairs"].extend(int(b) for b in comp)
         info["tie_groups"].append({"branches": tuple(int(b) for b in comp),
                                    "kind": "conjugate_pair",
                                    "candidates": "cost-equal assignments, "
@@ -136,13 +139,9 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_, W, info):
                                    "kind": "unresolved"})
         return
     # maximize total overlap within the component (Hungarian on -|overlap|)
-    a = prev.X[comp]
-    b = next_.X[cols]
-    ov = np.abs(a @ W @ b.T) if W is not None else np.abs(a @ np.conj(b).T)
+    ov = np.abs(prev.X[comp] @ W @ next_.X[cols].T)
     r_idx, c_idx = linear_sum_assignment(-ov)
     new_cols = cols[c_idx[np.argsort(r_idx)]]
-    if not np.array_equal(new_cols, cols):
-        info["swapped_pairs"].extend(int(b) for b in comp)
     for pos, branch in enumerate(comp):
         sigma[branch] = new_cols[pos]
     # ambiguity: a row whose best and runner-up overlaps are comparable while
@@ -154,7 +153,7 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_, W, info):
             continue
         c0, c1 = order[0], order[1]
         close = ov[r, c0] - ov[r, c1] <= OVERLAP_MARGIN * (ov[r, c0] + ov[r, c1] + 1e-300)
-        if close and abs(vals[c0] - vals[c1]) > EFFECTIVE_DEGENERACY_TOL * scale:
+        if close and abs(vals[c0] - vals[c1]) > DISTINCT_REL * scale:
             resolved = False
     info["tie_groups"].append({"branches": tuple(int(b) for b in comp),
                                "kind": "overlap_resolved" if resolved
@@ -198,25 +197,20 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
         raise ValueError("g_max must be positive")
     n_grid = int(np.ceil(g_max / step))
     grid = list(np.linspace(0.0, g_max, n_grid + 1))
+    block = block_labels(mat, B)
 
-    sweep_g: list[float] = []
-    rows: list[np.ndarray] = []
+    # At gbar = 0 the matrix is diagonal: branch j is basis mode j, with
+    # eigenvalue lam[j] and eigenvector e_j.  Vector-chained matching is
+    # needed while degenerate families are still splitting, since labels
+    # inside a family are only defined by eigenvector content.
+    sweep_g: list[float] = [grid[0]]
+    rows: list[np.ndarray] = [mat.lam.astype(complex)]
     perms: list[np.ndarray] = []
     refinements: list[dict] = []
     ambiguities: list[dict] = []
-
-    first = diagonalize(mat, B, grid[0], eigvals_only=True)
-    order0 = np.argsort(first.eigenvalues.real)
-    sweep_g.append(grid[0])
-    rows.append(first.eigenvalues[order0])
-
-    # Vector-chained matching is needed while degenerate families are still
-    # splitting: labels inside a family are only defined by eigenvector
-    # content.  At gbar = 0 the eigenvectors are exactly the basis vectors.
-    prev_vec: Spectrum | None = Spectrum(
-        gbar=grid[0], eigenvalues=rows[0],
-        X=np.eye(mat.N, dtype=complex)) if grid[0] == 0.0 else None
-    vector_mode = prev_vec is not None
+    prev_vec = Spectrum(gbar=grid[0], eigenvalues=rows[0],
+                        X=np.eye(mat.N, dtype=complex))
+    vector_mode = True
 
     pending = grid[1:]
     while pending:
@@ -224,16 +218,19 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
         pred = _predict(sweep_g, rows, g_next)
         if not vector_mode:
             nxt = diagonalize(mat, B, g_next, eigvals_only=True)
-            sigma, info = match_step(Spectrum(gbar=g_next, eigenvalues=pred), nxt)
+            sigma, info = match_step(
+                Spectrum(gbar=g_next, eigenvalues=pred, block=block), nxt)
             ties = info["tie_groups"]
             if ties:
                 # re-run this step with eigenvectors; the previous point was
                 # tie-free, so aligning its vectors by value is unambiguous
-                prev_vec = _aligned_vector_spectrum(mat, B, sweep_g[-1], rows[-1])
+                prev_vec = _aligned_vector_spectrum(mat, B, sweep_g[-1],
+                                                    rows[-1], block)
                 vector_mode = True
         if vector_mode:
             nxt = diagonalize(mat, B, g_next)
-            pred_spec = Spectrum(gbar=g_next, eigenvalues=pred, X=prev_vec.X)
+            pred_spec = Spectrum(gbar=g_next, eigenvalues=pred, X=prev_vec.X,
+                                 block=block)
             sigma, info = match_step(pred_spec, nxt, W=mat.W)
             ties = info["tie_groups"]
         unresolved = [t for t in ties if t["kind"] == "unresolved"]
@@ -264,6 +261,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     sweep = BranchSweep(
         g_grid=np.array(sweep_g),
         eigenvalues=np.vstack(rows),
+        block=block,
         permutations=perms,
         refinements=refinements,
         ambiguities=ambiguities,
@@ -272,13 +270,14 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
             "N": mat.N,
             "step": step,
             "min_step": min_step,
-            "tiebreak": "slope-predicted squared displacement, eigenvector "
-                        "overlap on ties, Im>0 to lower index through branch "
-                        "points",
+            "tiebreak": "per exact block: slope-predicted squared "
+                        "displacement, eigenvector overlap on ties, Im>0 to "
+                        "lower index through branch points",
         },
     )
     if n_branches is not None:
         sweep.eigenvalues = sweep.eigenvalues[:, :n_branches]
+        sweep.block = sweep.block[:n_branches]
     return sweep
 
 
@@ -294,18 +293,8 @@ def _predict(sweep_g, rows, g_next) -> np.ndarray:
     return rows[-1] + slope * (g_next - sweep_g[-1])
 
 
-def _aligned_vector_spectrum(mat, B, g, target_row) -> Spectrum:
+def _aligned_vector_spectrum(mat, B, g, target_row, block) -> Spectrum:
     """Diagonalize with vectors at g and permute rows onto target_row order."""
     spec = diagonalize(mat, B, g)
-    order = _match_sorted(spec.eigenvalues, target_row)
+    order = _assign(target_row, block, spec)
     return Spectrum(gbar=g, eigenvalues=spec.eigenvalues[order], X=spec.X[order])
-
-
-def _match_sorted(w_raw: np.ndarray, w_target: np.ndarray) -> np.ndarray:
-    """Permutation aligning a raw eigenvalue list onto a target ordering."""
-    diff = w_target[:, None] - w_raw[None, :]
-    cost = diff.real**2 + diff.imag**2
-    rows, cols = linear_sum_assignment(cost)
-    out = np.empty(len(w_raw), dtype=int)
-    out[rows] = cols
-    return out

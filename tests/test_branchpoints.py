@@ -4,6 +4,7 @@ import pytest
 from btspec import basis as bas
 from btspec import branchpoints as bp
 from btspec import matrices as mx
+from btspec import spectrum as sp
 from btspec import sweep as sw
 from btspec.errors import ConvergenceError
 
@@ -109,3 +110,10 @@ def test_cylinder_tuned_angle_first_point():
     assert points, "no branch point detected below 19.2"
     first = min(p.g_star for p in points)
     assert abs(first - 18.5) < 0.1
+    # every point merges branches of one exact block (or of bit-identical
+    # twin blocks): branches of decoupled sectors cross, they never merge
+    blocks = sp._blocks(m.lam, B)
+    for p in points:
+        assert p.order >= 2, p
+        twins = {blocks[s.block[b]][1] for b in p.branches}
+        assert len(twins) == 1, p

@@ -41,7 +41,10 @@ def test_residuals_are_small(sphere60):
 def test_bilinear_orthonormality(sphere60):
     m, B = sphere60
     for g in (0.0, 2.0, 15.0):
-        s = normalized(m, B, g)
+        raw = sp.diagonalize(m, B, g)
+        s = sp.normalize(raw, m.W)
+        vv = np.abs(np.diag(raw.X @ m.W @ raw.X.T))
+        assert np.allclose(s.vv, vv, rtol=1e-12, atol=1e-15)
         ok = ~s.near_branch
         G = s.X @ m.W @ s.X.T
         dev = np.abs(G - np.eye(m.N))[np.ix_(ok, ok)]
@@ -126,6 +129,8 @@ def test_block_solve_matches_dense(name, sphere60, cylinder60, disk60):
         # every raw row is zero outside its block
         lead = np.argmax(np.abs(s.X), axis=1)
         assert np.all(s.X[label[None, :] != label[lead][:, None]] == 0)
+        assert np.array_equal(s.block, label[lead])
+        assert np.array_equal(sp.block_labels(m, B), label)
         if name == "sphere_z":
             # the +m and -m sectors are solved once: bit-identical eigenvalues
             ms = np.array([ix.m for ix in m.basis.indices])[lead]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from btspec import basis as bas
+from btspec import branchpoints as bp
 from btspec import matrices as mx
 from btspec import spectrum as sp
 from btspec import sweep as sw
@@ -121,6 +122,29 @@ def test_crossing_keeps_identities(sphere60):
     assert np.min(np.abs(w_red - lam_tracked)) < 1e-8
 
 
+def test_tilted_sphere_matches_z_sweep(sphere60):
+    """A tilted gradient is a rotation of z: one block instead of one per m,
+    with the degenerate m-families of gbar = 0 inside it.  Tracking them by
+    eigenvector content alone must give the z-sweep branches and points."""
+    m, Bz = sphere60
+    Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
+    assert len(set(sp.block_labels(m, Bt))) == 1
+    sz = sw.run_sweep(m, Bz, 16.0, step=0.05)
+    st = sw.run_sweep(m, Bt, 16.0, step=0.05)
+    gz = np.round(sz.g_grid, 12)
+    common = np.intersect1d(gz, np.round(st.g_grid, 12))
+    assert len(common) >= 321
+    iz = np.searchsorted(gz, common)
+    it = np.searchsorted(np.round(st.g_grid, 12), common)
+    assert np.max(np.abs(st.eigenvalues[it, :17] - sz.eigenvalues[iz, :17])) < 1e-8
+    pz = bp.find_branch_points(m, Bz, sz, max_branch=17)
+    pt = bp.find_branch_points(m, Bt, st, max_branch=17)
+    assert len(pz) == len(pt) == 3
+    for a, b in zip(pz, pt):
+        assert abs(a.g_star - b.g_star) < 1e-6
+        assert a.order == b.order
+
+
 def test_merge_clusters_respect_m(sphere333_sweep, sphere333):
     m, _ = sphere333
     sweep, points = sphere333_sweep
@@ -140,10 +164,10 @@ def test_refinement_stability_under_step_halving(disk60):
         v1 = s1.values_at(g)[:10]
         v2 = s2.values_at(g)[:10]
         # labels inside numerically indistinguishable clusters (split below
-        # the effective-degeneracy tolerance) may differ; the curves
-        # themselves must agree, and a genuine mis-assignment of separated
-        # branches would show up at the size of their gap
-        tol = sw.EFFECTIVE_DEGENERACY_TOL * np.maximum(1.0, np.abs(v1))
+        # 1e-5 relative) may differ; the curves themselves must agree, and a
+        # genuine mis-assignment of separated branches would show up at the
+        # size of their gap
+        tol = 1e-5 * np.maximum(1.0, np.abs(v1))
         assert np.all(np.abs(v1 - v2) < 2 * tol)
 
 
