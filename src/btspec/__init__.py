@@ -54,7 +54,6 @@ from .signal import (
 from .specfun import (
     AIRY_DERIV_FIRST_ZERO,
     ZeroTable,
-    bessel_j,
     interval_branch_constants,
     zeros_dJ,
     zeros_dj_spherical,

@@ -4,7 +4,8 @@ Below a branch point the participating eigenvalues are real (PT symmetry);
 above it they carry opposite imaginary parts.  The detector scans tracked
 branches for that departure of |Im lambda| from the solver noise floor, the
 refiner bisects on the same indicator, and the classifier counts how many
-eigenvalues share the merged value at the refined location.
+eigenvalues of the point's own blocks share the merged value at the refined
+location.
 
 The interval operator admits a closed form: g_k = sqrt(3) * (27/4) * j_k^2
 with J_{-2/3}(j_k) = 0, exposed here as the analytic route.
@@ -155,7 +156,9 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
 
 
 def _pair_diagnostics(mat, B, g_star, branches, ref_eigs, block) -> dict:
-    """Bilinear-norm minimum and principal angle of the merging rows at g_star.
+    """Bilinear-norm minimum and principal angle of the merging rows at g_star
+    (the angle is None for a single-branch point, whose partner lies beyond
+    the tracked branches).
 
     A pure +-m sphere row has a vanishing bilinear self-product; its norm is
     its product with the twin row of the bit-identical eigenvalue.
@@ -171,16 +174,24 @@ def _pair_diagnostics(mat, B, g_star, branches, ref_eigs, block) -> dict:
             ca = abs(np.vdot(X[a], X[b])) / (np.linalg.norm(X[a]) * np.linalg.norm(X[b]))
             angles.append(np.arccos(min(1.0, ca)))
     return {"vv_min": float(np.min(vv)),
-            "min_principal_angle": float(np.min(angles)) if angles else 0.0,
+            "min_principal_angle": float(np.min(angles)) if angles else None,
             "gap_min": float(np.min(np.abs(np.diff(np.sort(spec.eigenvalues[rows].real)))))
             if len(rows) > 1 else 0.0}
 
 
 def classify_order(mat: OperatorMatrices, B: np.ndarray, g_star: float,
-                   value: complex, radius: float = CLUSTER_RADIUS) -> int:
-    """Number of eigenvalues within `radius` of the merged value at g_star."""
+                   value: complex, blocks,
+                   radius: float = CLUSTER_RADIUS) -> int:
+    """Number of eigenvalues within `radius` of the merged value at g_star,
+    counted only in `blocks`, the exact blocks of the point's branches.
+
+    Eigenvalues of other blocks can pass nearby, but they are decoupled and
+    do not take part in the merge.  Bit-identical twin blocks (the +-m
+    sphere sectors) count when the point's branches lie in both.
+    """
     spec = diagonalize(mat, B, g_star, eigvals_only=True)
-    return int(np.sum(np.abs(spec.eigenvalues - value) <= radius))
+    near = np.abs(spec.eigenvalues - value) <= radius
+    return int(np.sum(near & np.isin(spec.block, list(blocks))))
 
 
 def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
@@ -203,7 +214,8 @@ def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
         sigma = _assign(ref, sweep.block, spec)
         vals = spec.eigenvalues[sigma[list(refined.branches)]]
         center = complex(np.mean(vals))
-        order = classify_order(mat, B, refined.g_star, center)
+        order = classify_order(mat, B, refined.g_star, center,
+                               blocks={sweep.block[b] for b in refined.branches})
         meta = dict(refined.meta)
         meta["value"] = center
         out.append(BranchPoint(g_star=refined.g_star, order=order,

@@ -31,7 +31,8 @@ from .matrices import gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signal
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
-from .spectrum import diagonalize, normalize, spectrum_at_negative_g
+from .spectrum import (diagonalize, normalize, slowest_pair,
+                       spectrum_at_negative_g)
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
@@ -258,17 +259,8 @@ def cmd_signal(cfg: RunConfig) -> int:
     spec_m = spectrum_at_negative_g(spec, mat.W)
     coeffs = compute_coefficients(spec, mat.W)
 
-    # slowest branch: smallest real part; prefer the Im > 0 member of a
-    # complex-conjugate pair, with its partner for the two-mode formula
-    order = np.argsort(spec.eigenvalues.real)
-    i1 = int(order[0])
-    complex_pair = abs(spec.eigenvalues[i1].imag) > 1e-8
-    if complex_pair and spec.eigenvalues[i1].imag < 0:
-        alt = int(order[1])
-        if spec.eigenvalues[alt].imag > 1e-8:
-            i1 = alt
+    i1, i2 = slowest_pair(spec)  # i2 is None unless the slowest is complex
     lam1 = spec.eigenvalues[i1]
-    i2 = _conjugate_partner(spec.eigenvalues, i1) if complex_pair else None
 
     mc_dir = _unit_direction(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -282,7 +274,7 @@ def cmd_signal(cfg: RunConfig) -> int:
             Ss = signal_spectral(spec, spec_m, coeffs, tb)
             two = ("", "")
             one_s = ""
-            if not complex_pair:
+            if i2 is None:
                 one_s = _fmt(signal_one_mode(lam1.real, coeffs.C[i1, i1].real, tb).real)
             else:
                 tw = signal_two_mode(lam1, coeffs.C[i1, i1].real,
@@ -302,12 +294,6 @@ def cmd_signal(cfg: RunConfig) -> int:
                 mc_cols[0], mc_cols[1], mc_cols[2]]) + "\n")
     print(f"wrote {path}")
     return 0
-
-
-def _conjugate_partner(w: np.ndarray, i: int) -> int:
-    d = np.abs(w - np.conj(w[i]))
-    d[i] = np.inf
-    return int(np.argmin(d))
 
 
 def _unit_direction(cfg: RunConfig) -> tuple:

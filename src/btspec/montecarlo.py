@@ -6,6 +6,11 @@ phi = gbar * integral of the gradient-projected position, with the sign
 flipped between the two pulses.  The signal is the sample mean of e^{-i phi}.
 This route shares nothing with the matrix formalism and serves as its
 physical cross-check at statistical accuracy.
+
+Each step reuses preallocated buffers: the normal draws fill one buffer,
+which becomes the new positions in place, and the two position buffers swap
+roles after the step.  Reflection works in place on the few walkers that
+left the domain (about 5% per step at the default dt).
 """
 
 from __future__ import annotations
@@ -67,15 +72,27 @@ def mc_signal(cfg: WalkConfig):
     e = np.asarray(cfg.direction)
 
     pos = _initial_positions(cfg, rng)
+    new = np.empty_like(pos)
     phase = np.zeros(cfg.walkers)
     proj = pos @ e
+    new_proj = np.empty_like(proj)
+    incr = np.empty_like(proj)
     for pulse_sign in (1.0, -1.0):
+        c = pulse_sign * cfg.gbar * 0.5
         for _ in range(n_steps):
-            new = pos + sigma * rng.standard_normal((cfg.walkers, 3))
-            new = _reflect(cfg, pos, new)
-            new_proj = new @ e
-            phase += pulse_sign * cfg.gbar * 0.5 * (proj + new_proj) * dt
-            pos, proj = new, new_proj
+            rng.standard_normal(out=new)
+            new *= sigma
+            new += pos
+            _reflect(cfg, pos, new)
+            np.matmul(new, e, out=new_proj)
+            # (proj + new_proj) * c * dt in this order: fixed-seed results
+            # are pinned bit for bit (tests/test_montecarlo.py)
+            np.add(proj, new_proj, out=incr)
+            incr *= c
+            incr *= dt
+            phase += incr
+            pos, new = new, pos
+            proj, new_proj = new_proj, proj
 
     vals = np.exp(-1j * phase)
     S = vals.mean()
@@ -101,6 +118,7 @@ def _initial_positions(cfg: WalkConfig, rng) -> np.ndarray:
 
 
 def _reflect(cfg: WalkConfig, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Reflect the steps old -> new off the boundary, in place on `new`."""
     if cfg.geometry == "free":
         return new
     if cfg.geometry == "sphere":
@@ -110,13 +128,18 @@ def _reflect(cfg: WalkConfig, old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 def _reflect_sphere(old: np.ndarray, new: np.ndarray, max_iter: int = 10) -> np.ndarray:
     """Specular reflection across the tangent plane at the exit point,
-    iterated for the rare multi-bounce steps."""
-    cur_old, cur_new = old.copy(), new.copy()
+    iterated for the rare multi-bounce steps.
+
+    Works in place on `new` and only on the rows that left the unit sphere:
+    each bounce handles the rows still outside and writes them back into
+    `new`.  Rows still outside after max_iter bounces (numerically stuck at
+    the boundary) are clamped inside.  Returns `new`."""
+    rows = np.flatnonzero(np.einsum("ij,ij->i", new, new) > 1.0)
+    o, nw = old[rows], new[rows]
     for _ in range(max_iter):
-        out = np.einsum("ij,ij->i", cur_new, cur_new) > 1.0
-        if not out.any():
-            break
-        o, d = cur_old[out], cur_new[out] - cur_old[out]
+        if rows.size == 0:
+            return new
+        d = nw - o
         # smallest s in (0, 1] with |o + s d| = 1
         a = np.einsum("ij,ij->i", d, d)
         b = 2.0 * np.einsum("ij,ij->i", o, d)
@@ -126,31 +149,33 @@ def _reflect_sphere(old: np.ndarray, new: np.ndarray, max_iter: int = 10) -> np.
         s = np.clip(s, 0.0, 1.0)
         p = o + s[:, None] * d
         nvec = p  # outward normal of the unit sphere
-        rest = cur_new[out] - p
+        rest = nw - p
         rest -= 2.0 * np.einsum("ij,ij->i", rest, nvec)[:, None] * nvec
-        cur_old[out] = p
-        cur_new[out] = p + rest
-    else:
-        # pathological walkers (numerically stuck at the boundary): clamp
-        r = np.sqrt(np.einsum("ij,ij->i", cur_new, cur_new))
-        bad = r > 1.0
-        cur_new[bad] /= r[bad, None] * (1 + 1e-12)
-    return cur_new
+        nw = p + rest
+        new[rows] = nw
+        out = np.einsum("ij,ij->i", nw, nw) > 1.0
+        rows, o, nw = rows[out], p[out], nw[out]
+    r = np.sqrt(np.einsum("ij,ij->i", nw, nw))
+    bad = r > 1.0
+    new[rows[bad]] = nw[bad] / (r[bad, None] * (1 + 1e-12))
+    return new
 
 
 def _reflect_cylinder(old: np.ndarray, new: np.ndarray, h: float,
                       max_iter: int = 16) -> np.ndarray:
     """Specular reflection off the side wall r = 1 and the caps z = +-h/2,
     taking the earliest boundary crossing each iteration (corners resolve
-    over successive iterations)."""
+    over successive iterations).
+
+    Works in place on `new` and only on the rows that left the cylinder, as
+    _reflect_sphere does; rows still outside after max_iter bounces are
+    clamped inside.  Returns `new`."""
     half = h / 2.0
-    cur_old, cur_new = old.copy(), new.copy()
+    rows = np.flatnonzero(_outside_cylinder(new, half))
+    o, nw = old[rows], new[rows]
     for _ in range(max_iter):
-        r2 = cur_new[:, 0] ** 2 + cur_new[:, 1] ** 2
-        out = (r2 > 1.0) | (np.abs(cur_new[:, 2]) > half)
-        if not out.any():
-            break
-        o, nw = cur_old[out], cur_new[out]
+        if rows.size == 0:
+            return new
         d = nw - o
         s_side = _side_crossing(o, d)
         s_top = _cap_crossing(o[:, 2], d[:, 2], half)
@@ -167,16 +192,24 @@ def _reflect_cylinder(old: np.ndarray, new: np.ndarray, h: float,
         nvec[hit_side] /= np.maximum(nrm, 1e-300)[:, None]
         nvec[~hit_side, 2] = np.sign(p[~hit_side, 2])
         rest -= 2.0 * np.einsum("ij,ij->i", rest, nvec)[:, None] * nvec
-        cur_old[out] = p
-        cur_new[out] = p + rest
-    else:
-        x, y, z = cur_new[:, 0], cur_new[:, 1], cur_new[:, 2]
-        r = np.sqrt(x * x + y * y)
-        bad = r > 1.0
-        cur_new[bad, 0] /= r[bad] * (1 + 1e-12)
-        cur_new[bad, 1] /= r[bad] * (1 + 1e-12)
-        cur_new[:, 2] = np.clip(z, -half * (1 - 1e-12), half * (1 - 1e-12))
-    return cur_new
+        nw = p + rest
+        new[rows] = nw
+        out = _outside_cylinder(nw, half)
+        rows, o, nw = rows[out], p[out], nw[out]
+    x, y, z = nw[:, 0], nw[:, 1], nw[:, 2]
+    r = np.sqrt(x * x + y * y)
+    bad = r > 1.0
+    nw[bad, 0] /= r[bad] * (1 + 1e-12)
+    nw[bad, 1] /= r[bad] * (1 + 1e-12)
+    nw[:, 2] = np.clip(z, -half * (1 - 1e-12), half * (1 - 1e-12))
+    new[rows] = nw
+    return new
+
+
+def _outside_cylinder(pos: np.ndarray, half: float) -> np.ndarray:
+    """Rows outside the side wall r = 1 or beyond a cap |z| = half."""
+    r2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
+    return (r2 > 1.0) | (np.abs(pos[:, 2]) > half)
 
 
 def _side_crossing(o: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Three routes are implemented and kept deliberately independent so they can
 cross-check each other:
 
 * signal_matrix: S = [exp(-tbar (Lambda + i gbar B)) exp(-tbar (Lambda - i gbar B))]_{0,0}
-  via scaling-and-squaring matrix exponentials (no eigendecomposition);
+  via scaling-and-squaring matrix exponentials on the exact block of the
+  constant mode (no eigendecomposition);
 * signal_spectral: the double sum over eigenmode pairs with coefficients
   C_{jj'} = mu_j^(-g) Gamma_{jj'} mu_j'^(g) from a normalized Spectrum;
 * one-mode / two-mode closed forms for the slowest branch.
@@ -22,7 +23,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigError, NumericalError
 from .matrices import OperatorMatrices
-from .spectrum import Spectrum
+from .spectrum import Spectrum, block_labels
 
 # First zero of Ai'(z); leading constant of the high-gradient asymptotics.
 from .specfun import AIRY_DERIV_FIRST_ZERO
@@ -94,16 +95,28 @@ def signal_matrix(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     The first pulse applies exp(-tbar(Lambda + i gbar B)) to the uniform
     state, the second exp(-tbar(Lambda - i gbar B)); with row-vector evolution
     the signal is the (0,0) entry of their product in pulse order.
+
+    Lambda is diagonal and B is exactly zero between the blocks of
+    spectrum.block_labels, so both exponentials are block-diagonal and the
+    (0,0) entry only involves the block of the constant mode (basis mode 0;
+    the m = 0 block of the z-gradient sphere, 35 of 333 modes).  The two
+    expm are taken on that block alone; a matrix with one block (tilted
+    sphere) keeps its full size.  This is still the expm route: it uses the
+    block partition of B but no eigendecomposition, so it stays independent
+    of the eigensolver it cross-checks.
     """
-    M = mat.bloch_torrey(B, gbar)
+    label = block_labels(mat, B)
+    ix = np.flatnonzero(label == label[0])
+    lam = mat.lam[ix]
+    M = np.diag(lam) + 1j * gbar * B[np.ix_(ix, ix)]
     try:
         Ep = sla.expm(-tbar * M)
-        Em = sla.expm(-tbar * (2 * np.diag(mat.lam) - M))  # Lambda - i g B
+        Em = sla.expm(-tbar * (2 * np.diag(lam) - M))  # Lambda - i g B
     except (ValueError, sla.LinAlgError) as exc:  # pragma: no cover
         raise NumericalError(
             f"matrix exponential failed (gbar={gbar}, tbar={tbar}, "
             f"norm={np.linalg.norm(M):.3e})") from exc
-    return complex((Ep @ Em)[0, 0])
+    return complex(Ep[0] @ Em[:, 0])
 
 
 def signal_spectral(spec_plus: Spectrum, spec_minus: Spectrum,

@@ -1,4 +1,4 @@
-"""Bessel functions and the zero tables that seed the Laplacian bases.
+"""Certified zero tables of Bessel functions that seed the Laplacian bases.
 
 Everything downstream (basis enumeration, matrix elements, the analytic
 interval branch-point formula) reduces to three families of positive zeros:
@@ -22,40 +22,6 @@ AIRY_DERIV_FIRST_ZERO = -1.018792971647471
 
 _SCAN_STEP = 0.25
 _BISECT_TOL = 1e-13
-
-
-def bessel_j(nu, z):
-    """Bessel function J_nu(z) for integer nu >= 0 or nu = -2/3.
-
-    Only the orders actually used by the supported geometries are accepted;
-    anything else raises DomainError.
-    """
-    if not _supported_order(nu):
-        raise DomainError(f"unsupported Bessel order nu={nu!r}")
-    return special.jv(float(nu), z)
-
-
-def bessel_dj(nu, z):
-    """First derivative of J_nu(z), same order restrictions as bessel_j."""
-    if not _supported_order(nu):
-        raise DomainError(f"unsupported Bessel order nu={nu!r}")
-    return special.jvp(float(nu), z, 1)
-
-
-def spherical_j(n, z):
-    """Spherical Bessel function j_n(z)."""
-    return special.spherical_jn(int(n), z)
-
-
-def spherical_dj(n, z):
-    """First derivative of the spherical Bessel function j_n(z)."""
-    return special.spherical_jn(int(n), z, derivative=True)
-
-
-def _supported_order(nu) -> bool:
-    if abs(nu - (-2.0 / 3.0)) < 1e-12:
-        return True
-    return float(nu).is_integer() and nu >= 0
 
 
 @dataclass(frozen=True)
@@ -187,19 +153,6 @@ def _certify(f, zeros, tol, h=1e-6):
             raise ConvergenceError(f"|f({z})| = {abs(f(z)):.3e} >= {tol}")
         if f(z - h) * f(z + h) > 0:
             raise ConvergenceError(f"no sign change across zero {z}")
-
-
-def mcmahon_dJ(n: int, k: int) -> float:
-    """McMahon-type asymptotic estimate of the k-th positive zero of J_n'.
-
-    Two-term expansion; used for sanity brackets on high-k zeros, not for the
-    zeros themselves.  The classical numbering counts the trivial zero of J_0'
-    at the origin, so the k-th positive zero is its (k+1)-th for n = 0.
-    """
-    mu = 4.0 * n * n
-    kk = k + 1 if n == 0 else k
-    beta = (kk + 0.5 * n - 0.75) * np.pi
-    return beta - (mu + 3.0) / (8.0 * beta)
 
 
 # Zero tables are cheap but requested repeatedly by the basis builders.

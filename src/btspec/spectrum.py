@@ -315,6 +315,24 @@ def spectrum_at_negative_g(spec: Spectrum, W: np.ndarray) -> Spectrum:
     return replace(spec, gbar=-spec.gbar, eigenvalues=np.conj(spec.eigenvalues), X=X)
 
 
+def slowest_pair(spec: Spectrum) -> tuple[int, int | None]:
+    """Rows of the slowest branch and of its conjugate partner.
+
+    The slowest branch has the smallest Re lambda.  When it is complex
+    (|Im| > 1e-8), the first row returned is its Im > 0 member and the
+    second the nearest eigenvalue to its conjugate; when it is real, the
+    partner is None.
+    """
+    w = spec.eigenvalues
+    i1 = int(np.argmin(w.real))
+    if abs(w[i1].imag) <= 1e-8:
+        return i1, None
+    d = np.abs(w - np.conj(w[i1]))
+    d[i1] = np.inf
+    i2 = int(np.argmin(d))
+    return (i1, i2) if w[i1].imag > 0 else (i2, i1)
+
+
 def residual(mat: OperatorMatrices, B: np.ndarray, spec: Spectrum) -> float:
     """max_j ||X_j M - lambda_j X_j|| / ||M||, a solver quality metric."""
     if spec.X is None:

@@ -46,16 +46,6 @@ def _report(name, items):
     return failures
 
 
-def slowest_pair(s):
-    order = np.argsort(s.eigenvalues.real)
-    i1 = int(order[0])
-    if abs(s.eigenvalues[i1].imag) > 1e-8 and s.eigenvalues[i1].imag < 0:
-        i1 = int(order[1])
-    d = np.abs(s.eigenvalues - np.conj(s.eigenvalues[i1]))
-    d[i1] = np.inf
-    return i1, int(np.argmin(d))
-
-
 # ---------------------------------------------------------------- criterion 1
 def test_criterion_1_laplacian_tables():
     t0 = time.perf_counter()
@@ -298,7 +288,7 @@ def _closed_form_grid(m, B, g, tbars, two_mode):
     S_dropped, and the regime estimate sum_dropped |T| / sum_kept |T|."""
     s = sp.normalize(sp.diagonalize(m, B, g), m.W)
     co = sig.compute_coefficients(s, m.W)
-    i1, i2 = slowest_pair(s)
+    i1, i2 = sp.slowest_pair(s)
     keep = [i1, i2] if two_mode else [i1]
     kept = np.zeros(co.C.shape, dtype=bool)
     kept[np.ix_(keep, keep)] = True

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from btspec import basis as bas
 from btspec import branchpoints as bp
@@ -78,7 +79,8 @@ def test_classify_order_counts_cluster(disk60):
     s = sw.run_sweep(m, B, 5.0, step=0.05)
     p = bp.find_branch_points(m, B, s)[0]
     value = p.meta["value"]
-    assert bp.classify_order(m, B, p.g_star, value) == 2
+    blocks = {s.block[b] for b in p.branches}
+    assert bp.classify_order(m, B, p.g_star, value, blocks) == 2
 
 
 def test_crossings_are_not_branch_points(sphere333_sweep):
@@ -117,3 +119,21 @@ def test_cylinder_tuned_angle_first_point():
         assert p.order >= 2, p
         twins = {blocks[s.block[b]][1] for b in p.branches}
         assert len(twins) == 1, p
+    # the order counts the merging eigenvalues of the point's own blocks,
+    # here solved block by block with LAPACK directly: each point is one
+    # pair, although branches of the decoupled l = 1 and l = 2 sectors merge
+    # within 1e-3 of each other near 18.45
+    for p in points:
+        own = []
+        for k in {s.block[b] for b in p.branches}:
+            ix = blocks[k][0]
+            M = np.diag(m.lam[ix]) + 1j * p.g_star * B[np.ix_(ix, ix)]
+            own.append(sla.eigvals(M))
+        own = np.concatenate(own)
+        merging = int(np.sum(np.abs(own - p.meta["value"]) <= bp.CLUSTER_RADIUS))
+        assert p.order == merging == 2, p
+        # a single-branch point has no pair of rows to measure an angle on
+        if len(p.branches) == 1:
+            assert p.meta["min_principal_angle"] is None, p
+        else:
+            assert p.meta["min_principal_angle"] >= 0.0, p

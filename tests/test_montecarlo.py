@@ -78,6 +78,27 @@ def test_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("cfg, expected", [
+    (mc.WalkConfig(geometry="sphere", gbar=5.0, tbar=0.2, walkers=2000,
+                   seed=17),
+     ((0.9402747836858778 + 0.0008963696745435628j), 0.007613819604339525)),
+    (mc.WalkConfig(geometry="cylinder", gbar=5.0, tbar=0.2, walkers=2000,
+                   aspect=1.5, direction=(0.6, 0.0, 0.8), seed=18),
+     ((0.9399912730364475 + 0.014246648543059088j), 0.007624682793674559)),
+    (mc.WalkConfig(geometry="free", gbar=2.0, tbar=0.2, walkers=2000,
+                   seed=19),
+     ((0.9791674417360354 + 0.0003533417293841308j), 0.004541564818690385)),
+    (mc.WalkConfig(geometry="sphere", gbar=15.0, tbar=0.2, walkers=2000,
+                   direction=(1.0, 2.0, 3.0), seed=20),
+     ((0.5636756181964632 + 0.01914508439122821j), 0.01846949356895285)),
+], ids=["sphere", "cylinder", "free", "sphere-tilted"])
+def test_fixed_seed_values_are_pinned(cfg, expected):
+    # exact fixed-seed values, compared with ==: any change to the Philox
+    # draws, their order, the reflection or the floating-point order of a
+    # step fails here
+    assert mc.mc_signal(cfg) == expected
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         mc.WalkConfig(geometry="cube", gbar=1.0, tbar=0.1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from btspec import matrices as mx
 from btspec import signal as sig
@@ -10,16 +11,6 @@ from btspec.errors import ConfigError
 def coeffs_at(m, B, g):
     s = sp.normalize(sp.diagonalize(m, B, g), m.W)
     return s, sig.compute_coefficients(s, m.W)
-
-
-def slowest_pair(s):
-    order = np.argsort(s.eigenvalues.real)
-    i1 = int(order[0])
-    if abs(s.eigenvalues[i1].imag) > 1e-8 and s.eigenvalues[i1].imag < 0:
-        i1 = int(order[1])
-    d = np.abs(s.eigenvalues - np.conj(s.eigenvalues[i1]))
-    d[i1] = np.inf
-    return i1, int(np.argmin(d))
 
 
 def test_pulse_plan_dimensionless_conversion():
@@ -53,11 +44,11 @@ def test_zero_gradient_signal_is_one(sphere60):
 def test_coefficient_reference_values(sphere100):
     m, B = sphere100
     s2, co2 = coeffs_at(m, B, 2.0)
-    i1, _ = slowest_pair(s2)
+    i1, _ = sp.slowest_pair(s2)
     assert abs(co2.C[i1, i1].real - 1.14) < 0.01
     assert abs(s2.eigenvalues[i1] - 0.188) < 0.002
     s15, co15 = coeffs_at(m, B, 15.0)
-    i1, i2 = slowest_pair(s15)
+    i1, i2 = sp.slowest_pair(s15)
     lam1 = s15.eigenvalues[i1]
     assert abs(lam1.real - 4.67) < 0.02 and abs(lam1.imag - 6.68) < 0.02
     assert abs(co15.C[i1, i1].real - 1.12) < 0.01
@@ -97,6 +88,36 @@ def test_route_agreement(sphere60, cylinder60):
                     assert abs(Ss - Sm) / abs(Sm) < 1e-6
 
 
+def _signal_full_expm(mat, B, g, tb):
+    """The (0,0) entry of the two-pulse evolution with expm of the full matrix."""
+    M = mat.bloch_torrey(B, g)
+    Ep = sla.expm(-tb * M)
+    Em = sla.expm(-tb * (2 * np.diag(mat.lam) - M))
+    return complex((Ep @ Em)[0, 0])
+
+
+@pytest.mark.parametrize("g", [2.0, 15.0])
+@pytest.mark.parametrize("case", ["sphere-z", "sphere-tilted", "cylinder-eta0.9"])
+def test_signal_matrix_block_matches_full_expm(case, g, sphere60, cylinder60):
+    """signal_matrix takes expm on the block of the constant mode only; the
+    full-matrix expm is the oracle."""
+    if case == "sphere-z":
+        mat, B = sphere60
+    elif case == "sphere-tilted":
+        mat = sphere60[0]
+        B = mx.gradient_matrix_sphere(mat, 0.3, 0.2)
+    else:
+        mat = cylinder60
+        B = mx.gradient_matrix_cylinder(mat, 0.9)
+    label = sp.block_labels(mat, B)
+    size = int(np.sum(label == label[0]))
+    # a tilted sphere gradient couples everything into one block
+    assert (size == mat.N) == (case == "sphere-tilted")
+    for tb in (0.05, 0.2, 1.0):
+        ref = _signal_full_expm(mat, B, g, tb)
+        assert abs(sig.signal_matrix(mat, B, g, tb) - ref) <= 1e-13 * abs(ref)
+
+
 def test_signal_magnitude_bounded(sphere60):
     m, B = sphere60
     for g in (0.5, 5.0, 20.0):
@@ -119,7 +140,7 @@ def test_two_mode_collapse_to_real():
 def test_two_mode_matches_explicit_four_term_sum(sphere100):
     m, B = sphere100
     s, co = coeffs_at(m, B, 15.0)
-    i1, i2 = slowest_pair(s)
+    i1, i2 = sp.slowest_pair(s)
     lam1, lam2 = s.eigenvalues[i1], s.eigenvalues[i2]
     for tb in (0.1, 0.3, 0.8):
         two = sig.signal_two_mode(lam1, co.C[i1, i1].real, co.C[i1, i2], tb)
@@ -134,7 +155,7 @@ def test_two_mode_oscillation_period(sphere100):
     # the oscillating factor has period pi / Im(lam1) in tbar
     m, B = sphere100
     s, co = coeffs_at(m, B, 15.0)
-    i1, i2 = slowest_pair(s)
+    i1, i2 = sp.slowest_pair(s)
     lam1 = s.eigenvalues[i1]
     period = np.pi / lam1.imag
     tb = 0.2
@@ -189,7 +210,6 @@ def test_small_gradient_quadratic_law(sphere60):
 
 
 def test_signal_smooth_across_branch_point_with_diverging_coefficients(sphere60):
-    import scipy.linalg as sla
     m, B = sphere60
     # locate the first branch point precisely
     M0 = np.diag(m.lam).astype(complex)
