@@ -21,6 +21,7 @@ from .basis import (
 from .branchpoints import (
     BranchPoint,
     classify_order,
+    cylinder_branch_points,
     detect,
     find_branch_points,
     interval_branch_points_analytic,
@@ -35,6 +36,7 @@ from .matrices import (
     assemble_operator,
     assemble_reduced_sphere,
     assemble_sphere,
+    cylinder_factors,
     gradient_matrix,
     gradient_matrix_cylinder,
     gradient_matrix_sphere,
@@ -60,6 +62,7 @@ from .specfun import (
 )
 from .spectrum import (
     Spectrum,
+    canonical_order,
     diagonalize,
     normalize,
     orthogonalize_pair,

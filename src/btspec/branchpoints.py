@@ -7,6 +7,10 @@ refiner bisects on the same indicator, and the classifier counts how many
 eigenvalues of the point's own blocks share the merged value at the refined
 location.
 
+The capped cylinder is swept as its disk and interval factors
+(cylinder_branch_points): its branches are sums of factor branches and its
+points are the factors' points.
+
 The interval operator admits a closed form: g_k = sqrt(3) * (27/4) * j_k^2
 with J_{-2/3}(j_k) = 0, exposed here as the analytic route.
 """
@@ -18,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrices import OperatorMatrices
+from .matrices import OperatorMatrices, _cylinder_weights, cylinder_factors
 from .specfun import interval_branch_constants
 from .spectrum import _components, block_labels, diagonalize
-from .sweep import BranchSweep, _assign
+from .sweep import BranchSweep, _assign, run_sweep
 
 IM_FLOOR = 1e-9
 IM_SIGNAL = 1e-6
@@ -222,6 +226,81 @@ def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
                                branches=refined.branches,
                                bracket=refined.bracket, meta=meta))
     return out
+
+
+def cylinder_branch_points(mat: OperatorMatrices, eta: float, g_max: float,
+                           step: float = 0.05, n_branches: int | None = None
+                           ) -> tuple[BranchSweep, list[BranchPoint]]:
+    """Branch sweep and branch points of the capped cylinder from its factors.
+
+    On the cylinder's tensor-product basis, Lambda + i*gbar*(cos(eta) B^x +
+    sin(eta) B^z) is the Kronecker sum of the disk operator at gbar*cos(eta)
+    and the interval operator at gbar*sin(eta) (Grebenkov, Rev. Mod. Phys. 79,
+    1077 (2007)).  Its eigenvalues are the sums mu_a + nu_b, exactly on this
+    basis, and it branches exactly where one factor does.  Each factor is
+    swept (run_sweep) and its points found (find_branch_points) over the same
+    gbar grid; cylinder branch j is the pair (a[j], b[j]) of
+    matrices.cylinder_factors, valued mu_a[j] + nu_b[j] on the grid points
+    both factor sweeps share.
+
+    Each factor point becomes one cylinder point per mode of the other
+    factor, holding the first n_branches cylinder branches that pair the
+    point's factor branches with that mode.  g_star, bracket, order and the
+    principal angle are the factor point's (the angle is None for a single
+    branch); the value adds the partner's eigenvalue at g_star, and vv_min
+    multiplies the factor's vv_min by the partner row's bilinear norm.
+    """
+    disk, interval, a, b = cylinder_factors(mat.basis)
+    n = mat.N if n_branches is None else n_branches
+    a, b = a[:n], b[:n]
+    cx, cz = _cylinder_weights(eta)
+    factors = (("disk", disk, cx * disk.Bx, a), ("interval", interval, cz * interval.Bz, b))
+    sweeps = [run_sweep(f, B, g_max, step=step) for _, f, B, _ in factors]
+
+    points = []
+    for k, (_, f, B, idx) in enumerate(factors):
+        _, f_o, B_o, idx_o = factors[1 - k]
+        for p in find_branch_points(f, B, sweeps[k], max_branch=int(idx.max()) + 1):
+            w, vv = _branch_rows(f_o, B_o, sweeps[1 - k], p.g_star)
+            mine = np.isin(idx, p.branches)
+            for q in np.unique(idx_o[mine]):
+                js = tuple(int(j) for j in np.flatnonzero(mine & (idx_o == q)))
+                meta = dict(p.meta, value=p.meta["value"] + w[q],
+                            vv_min=p.meta["vv_min"] * vv[q])
+                if len(js) == 1:
+                    meta["min_principal_angle"] = None
+                points.append(BranchPoint(g_star=p.g_star, order=p.order,
+                                          branches=js, bracket=p.bracket, meta=meta))
+    points.sort(key=lambda p: (p.g_star, p.branches))
+
+    grid = np.intersect1d(sweeps[0].g_grid, sweeps[1].g_grid)
+    mu, nu = (s.eigenvalues[np.isin(s.g_grid, grid)] for s in sweeps)
+    n_int_blocks = int(sweeps[1].block.max()) + 1
+    refinements, ambiguities = [], []
+    for (name, _, _, idx), s in zip(factors, sweeps):
+        refinements += [{"factor": name, **r} for r in s.refinements]
+        for amb in s.ambiguities:
+            js = tuple(int(j) for j in np.flatnonzero(np.isin(idx, amb["branches"])))
+            if js:
+                ambiguities.append({**amb, "factor": name, "branches": js})
+    sweep = BranchSweep(
+        g_grid=grid, eigenvalues=mu[:, a] + nu[:, b],
+        block=sweeps[0].block[a] * n_int_blocks + sweeps[1].block[b],
+        metadata={**sweeps[0].metadata, "geometry": "cylinder", "N": mat.N,
+                  "route": "disk x interval factors on their shared grid",
+                  "factors": {"disk": disk.N, "interval": interval.N}},
+        refinements=refinements, ambiguities=ambiguities)
+    return sweep, points
+
+
+def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: float):
+    """Eigenvalue and bilinear norm |<x, x>| of every tracked branch at g,
+    matched from the sweep's values at its last grid point at or below g."""
+    i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
+    spec = diagonalize(mat, B, g)
+    rows = _assign(sweep.eigenvalues[i], sweep.block, spec)
+    X = spec.X[rows]
+    return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X @ mat.W, X))
 
 
 def interval_branch_points_analytic(count: int) -> np.ndarray:

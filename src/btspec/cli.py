@@ -24,15 +24,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .branchpoints import find_branch_points
+from .branchpoints import cylinder_branch_points, find_branch_points
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
 from .fieldmap import export_projection
 from .matrices import gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signal
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
-from .spectrum import (diagonalize, normalize, slowest_pair,
-                       spectrum_at_negative_g)
+from .spectrum import (canonical_order, diagonalize, normalize,
+                       slowest_pair, spectrum_at_negative_g)
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
@@ -204,8 +204,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     n_out = cfg.n_branches or min(mat.N, 17)
     if n_out > mat.N:
         raise ConfigError(f"n_branches={n_out} exceeds the basis size {mat.N}")
-    sweep = run_sweep(mat, B, cfg.g_max, step=cfg.g_step)
-    points = find_branch_points(mat, B, sweep, max_branch=n_out)
+    if cfg.geometry == "cylinder":
+        # B goes unused: the cylinder is swept as its disk and interval
+        # factors, which cylinder_branch_points derives from mat
+        eta = cfg.direction_kwargs().get("eta", 0.0)
+        sweep, points = cylinder_branch_points(mat, eta, cfg.g_max,
+                                               step=cfg.g_step, n_branches=n_out)
+    else:
+        sweep = run_sweep(mat, B, cfg.g_max, step=cfg.g_step)
+        points = find_branch_points(mat, B, sweep, max_branch=n_out)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     branches_path = os.path.join(cfg.outdir, "branches.csv")
@@ -317,9 +324,7 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
             f"need N >= {5 * j}")
     mat, B = _build_operator(cfg)
     spec = normalize(diagonalize(mat, B, g), mat.W)
-    # canonical row order: Re ascending, Im > 0 first inside conjugate pairs
-    rank = np.lexsort((-spec.eigenvalues.imag,
-                       np.round(spec.eigenvalues.real / 1e-6)))
+    rank = canonical_order(spec.eigenvalues)
     from dataclasses import replace
     spec = replace(spec, eigenvalues=spec.eigenvalues[rank], X=spec.X[rank],
                    vv=spec.vv[rank], near_branch=spec.near_branch[rank],

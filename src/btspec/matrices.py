@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .basis import BasisSet, build_basis
+from .basis import BasisIndex, BasisSet, build_basis
 from .errors import DomainError, MatrixAssemblyError
 
 _MIN_DENOM_SQ = 1e-12
@@ -222,26 +222,40 @@ def assemble_interval(basis: BasisSet) -> OperatorMatrices:
     return OperatorMatrices(basis, basis.eigenvalues.copy(), None, None, B, W)
 
 
+def cylinder_factors(basis: BasisSet):
+    """Disk and interval operators whose tensor product holds the cylinder basis.
+
+    Returns (disk, interval, a, b): the disk operator on the distinct
+    (n, k, l) of the basis, the interval operator of length h on its distinct
+    m, and the index maps that make cylinder mode j the product of disk mode
+    a[j] and interval mode b[j] (= m).  The Laplacian eigenvalue of mode j is
+    disk.lam[a[j]] + interval.lam[b[j]], bit for bit.
+    """
+    _expect(basis, "cylinder")
+    idx = basis.indices
+    # every (n, k, l) of the basis also appears with m = 0, in disk order
+    disk_rows = [j for j, ix in enumerate(idx) if ix.m == 0]
+    pos = {(idx[j].n, idx[j].k, idx[j].l): i for i, j in enumerate(disk_rows)}
+    disk = assemble_disk(BasisSet(
+        geometry="disk",
+        indices=tuple(BasisIndex(n=idx[j].n, k=idx[j].k, l=idx[j].l) for j in disk_rows),
+        eigenvalues=basis.eigenvalues[disk_rows]))
+    a = np.array([pos[ix.n, ix.k, ix.l] for ix in idx])
+    b = np.array([ix.m for ix in idx])
+    interval = operator_for("interval", int(b.max()) + 1, H=basis.aspect)
+    return disk, interval, a, b
+
+
 def assemble_cylinder(basis: BasisSet) -> OperatorMatrices:
     """Capped cylinder: disk blocks repeated over m for B^{x,y}, and the
-    interval matrix stretched by the aspect ratio h = H/R for B^z."""
-    _expect(basis, "cylinder")
-    N = len(basis)
-    idx = basis.indices
-    h = basis.aspect
-    alphas = [_alpha_disk(ix.n, ix.k) for ix in idx]
-    Bx = np.zeros((N, N), dtype=complex)
-    By = np.zeros((N, N), dtype=complex)
-    Bz = np.zeros((N, N), dtype=complex)
-    for a in range(N):
-        ia = idx[a]
-        for b in range(N):
-            ib = idx[b]
-            if ia.m == ib.m:
-                Bx[a, b], By[a, b] = _disk_xy(ia, alphas[a], ib, alphas[b])
-            if ia.n == ib.n and ia.k == ib.k and ia.l == ib.l:
-                Bz[a, b] = h * b_element_interval(ia.m, ib.m)
-    W = np.eye(N)
+    interval matrix stretched by the aspect ratio h = H/R for B^z, each
+    gathered from its factor (cylinder_factors)."""
+    disk, interval, a, b = cylinder_factors(basis)
+    same_m = b[:, None] == b[None, :]
+    Bx = np.where(same_m, disk.Bx[np.ix_(a, a)], 0)
+    By = np.where(same_m, disk.By[np.ix_(a, a)], 0)
+    Bz = np.where(a[:, None] == a[None, :], interval.Bz[np.ix_(b, b)], 0)
+    W = np.eye(len(basis))
     return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, Bz, W)
 
 
@@ -281,8 +295,13 @@ def gradient_matrix_cylinder(mat: OperatorMatrices, eta: float) -> np.ndarray:
     the exact block structure of B^x or B^z.
     """
     _expect(mat, "cylinder")
-    cx, cz = (0.0 if abs(c) < 1e-15 else c for c in (np.cos(eta), np.sin(eta)))
+    cx, cz = _cylinder_weights(eta)
     return cx * mat.Bx + cz * mat.Bz
+
+
+def _cylinder_weights(eta: float) -> tuple[float, float]:
+    """(cos(eta), sin(eta)) with rounding residues below 1e-15 set to 0."""
+    return tuple(0.0 if abs(c) < 1e-15 else c for c in (np.cos(eta), np.sin(eta)))
 
 
 def gradient_matrix(mat: OperatorMatrices, theta_g: float | None = None,

@@ -134,7 +134,13 @@ def _reflect_sphere(old: np.ndarray, new: np.ndarray, max_iter: int = 10) -> np.
     each bounce handles the rows still outside and writes them back into
     `new`.  Rows still outside after max_iter bounces (numerically stuck at
     the boundary) are clamped inside.  Returns `new`."""
-    rows = np.flatnonzero(np.einsum("ij,ij->i", new, new) > 1.0)
+    # Column-wise squares find the candidates cheaply; the exact test on
+    # them keeps einsum's summation order, on which fixed seeds depend.
+    r2 = np.square(new[:, 0])
+    r2 += np.square(new[:, 1])
+    r2 += np.square(new[:, 2])
+    rows = np.flatnonzero(r2 > 1.0 - 1e-12)
+    rows = rows[np.einsum("ij,ij->i", new[rows], new[rows]) > 1.0]
     o, nw = old[rows], new[rows]
     for _ in range(max_iter):
         if rows.size == 0:

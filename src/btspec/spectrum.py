@@ -315,6 +315,16 @@ def spectrum_at_negative_g(spec: Spectrum, W: np.ndarray) -> Spectrum:
     return replace(spec, gbar=-spec.gbar, eigenvalues=np.conj(spec.eigenvalues), X=X)
 
 
+def canonical_order(w: np.ndarray, quantum: float = 1e-6) -> np.ndarray:
+    """Row order by Re ascending, Im > 0 first inside conjugate pairs.
+
+    Real parts are rounded to multiples of quantum, so that the members of a
+    conjugate pair, whose real parts differ in the last bits, share the
+    primary key.
+    """
+    return np.lexsort((-w.imag, np.round(w.real / quantum)))
+
+
 def slowest_pair(spec: Spectrum) -> tuple[int, int | None]:
     """Rows of the slowest branch and of its conjugate partner.
 

@@ -23,13 +23,18 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .matrices import OperatorMatrices
-from .spectrum import Spectrum, _components, block_labels, diagonalize
+from .spectrum import (Spectrum, _components, block_labels,
+                       canonical_order, diagonalize)
 
 TIE_REL = 0.05
 OVERLAP_MARGIN = 0.2
 # Candidate values closer than this (relative) are numerically one value:
 # an overlap tie between them is not an ambiguity.
 DISTINCT_REL = 1e-5
+# Two branches whose values agree this closely (relative) both in the
+# prediction and at the next step are exactly degenerate (the +-m pairs of a
+# tilted sphere): swapping them changes no value, so it is no tie.
+SAME_REL = 1e-10
 
 
 @dataclass
@@ -111,10 +116,18 @@ def match_step(prev: Spectrum, next_: Spectrum, W: np.ndarray | None = None):
     c_swp = cs + cs.T
     rel = np.abs(c_swp - c_now) / (c_now + c_swp + 1e-300)
     tie = (rel <= TIE_REL) & (c_now + c_swp > 0) & (bp[:, None] == bp[None, :])
-    for comp in _components(np.argwhere(np.triu(tie, k=1)), len(wp)):
+    pairs = np.argwhere(np.triu(tie, k=1))
+    pairs = pairs[~(_equal(wp, pairs) & _equal(wn[sigma], pairs))]
+    for comp in _components(pairs, len(wp)):
         if len(comp) > 1:
             _resolve_component(comp, sigma, wp, wn, prev, next_, W, info)
     return sigma, info
+
+
+def _equal(w: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Whether w[i] and w[j] agree to SAME_REL, for each row (i, j) of pairs."""
+    wi, wj = w[pairs[:, 0]], w[pairs[:, 1]]
+    return np.abs(wi - wj) <= SAME_REL * np.maximum(1.0, np.maximum(abs(wi), abs(wj)))
 
 
 def _resolve_component(comp, sigma, wp, wn, prev, next_, W, info):
@@ -125,8 +138,7 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_, W, info):
             _is_conjugate_family(vals, scale):
         # real branches merged into conjugate pairs: deterministic order,
         # Im > 0 to the lower branch index within each real-part group
-        # (real parts quantized so conjugate twins share the primary key)
-        rank = np.lexsort((-vals.imag, np.round(vals.real / (1e-6 * scale))))
+        rank = canonical_order(vals, 1e-6 * scale)
         for pos, branch in enumerate(comp):
             sigma[branch] = cols[rank[pos]]
         info["tie_groups"].append({"branches": tuple(int(b) for b in comp),

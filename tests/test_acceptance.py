@@ -179,17 +179,13 @@ def test_criterion_4_cylinder_tuning(cylinder321):
     items = []
     # tuned angle: both factors branch together near 18.5
     eta_star = np.arctan(18.06 / 3.76)
-    B = mx.gradient_matrix_cylinder(m, eta_star)
-    s = sw.run_sweep(m, B, 19.2, step=0.1)
-    pts = bp.find_branch_points(m, B, s, max_branch=13)
+    _, pts = bp.cylinder_branch_points(m, eta_star, 19.2, step=0.1, n_branches=13)
     first = min((p.g_star for p in pts), default=np.nan)
     items.append(("eta = atan(18.06/3.76): first point 18.5 +- 0.1",
                   abs(first - 18.5) <= 0.1, f"{first:.4f}"))
     # generic angles: disk and interval points rescale by 1/cos, 1/sin
     for eta, g_max in ((np.pi / 4, 26.6), (np.pi / 3, 21.6)):
-        B = mx.gradient_matrix_cylinder(m, eta)
-        s = sw.run_sweep(m, B, g_max, step=0.1)
-        pts = bp.find_branch_points(m, B, s, max_branch=13)
+        _, pts = bp.cylinder_branch_points(m, eta, g_max, step=0.1, n_branches=13)
         got = np.array(sorted(p.g_star for p in pts))
         for label, ref in (("disk", 3.76 / np.cos(eta)),
                            ("interval", 18.06 / np.sin(eta))):
@@ -432,8 +428,7 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
                   worst < 1e-8, f"worst {worst:.2e}"))
 
     s15 = sp.normalize(sp.diagonalize(m, B, 15.0), m.W)
-    rank = np.lexsort((-s15.eigenvalues.imag,
-                       np.round(s15.eigenvalues.real / 1e-6)))
+    rank = sp.canonical_order(s15.eigenvalues)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-0.7, 0.7, size=(300, 3))
     pts = pts[np.sum(pts**2, axis=1) < 0.95]

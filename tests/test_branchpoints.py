@@ -137,3 +137,46 @@ def test_cylinder_tuned_angle_first_point():
             assert p.meta["min_principal_angle"] is None, p
         else:
             assert p.meta["min_principal_angle"] >= 0.0, p
+
+    # the factor route (disk x interval) finds the same points: the distinct
+    # g* values of both routes agree each way within 1e-3 relative
+    _, fpts = bp.cylinder_branch_points(m, eta, 19.2, step=0.1, n_branches=13)
+    gd = np.unique([p.g_star for p in points])
+    gf = np.unique([p.g_star for p in fpts])
+    for x, y in ((gd, gf), (gf, gd)):
+        assert np.max(np.min(np.abs(x[:, None] - y[None, :]), axis=1) / x) <= 1e-3
+
+
+def test_cylinder_factor_route_values_are_kron_eigenvalues():
+    """The tensor-closure matrix of the two factors, built with np.kron,
+    holds the dense cylinder matrix on the basis rows.  Every branch value
+    the factor route reports is one of its eigenvalues, and each point's
+    value has exactly `order` of its eigenvalues within CLUSTER_RADIUS."""
+    m = mx.assemble_cylinder(bas.build_cylinder_basis(40))
+    disk, interval, a, b = mx.cylinder_factors(m.basis)
+    rows = a * interval.N + b
+    n_points = 0
+    for eta in (0.0, 0.9, np.pi / 2):
+        s, points = bp.cylinder_branch_points(m, eta, 15.0, step=0.5)
+        # branch j starts at basis mode j, which pins the pairing (a[j], b[j])
+        assert np.array_equal(s.eigenvalues[0], m.lam)
+        cx, cz = mx._cylinder_weights(eta)
+
+        def kron(g):
+            return (np.kron(disk.bloch_torrey(cx * disk.Bx, g), np.eye(interval.N))
+                    + np.kron(np.eye(disk.N), interval.bloch_torrey(cz * interval.Bz, g)))
+
+        B = mx.gradient_matrix_cylinder(m, eta)
+        for g in (2.0, 7.0, 15.0):
+            K = kron(g)
+            assert np.allclose(K[np.ix_(rows, rows)], m.bloch_torrey(B, g),
+                               rtol=0, atol=1e-13)
+            w = sla.eigvals(K)
+            vals = s.eigenvalues[np.flatnonzero(s.g_grid == g)[0]]
+            dist = np.min(np.abs(vals[:, None] - w[None, :]), axis=1)
+            assert np.all(dist <= 1e-10 * np.maximum(1.0, np.abs(vals))), (eta, g)
+        for p in points:
+            w = sla.eigvals(kron(p.g_star))
+            assert np.sum(np.abs(w - p.meta["value"]) <= bp.CLUSTER_RADIUS) == p.order, p
+        n_points += len(points)
+    assert n_points == 12  # disk points 3.76, 9.39, 13.88 (eta = 0) and 6.05

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from btspec import basis as bas
 from btspec import cli
+from btspec import matrices as mx
 from btspec import spectrum as sp
 from btspec.errors import ConfigError
 
@@ -195,6 +198,44 @@ n_branches = 13
     firsts = sorted(p["g_star"] for p in doc["branch_points"])
     assert firsts, "no branch point found"
     assert abs(firsts[0] - 18.06) < 0.05
+
+
+def test_cylinder_sweep_solves_factor_blocks_only(tmp_path, monkeypatch):
+    """The tuned cylinder sweep of the benchmark (N=200) runs on its disk and
+    interval factors: no LAPACK solve is wider than the disk factor's largest
+    block, and it reports the ten order-2 points near 18.447, the interval
+    merges (1, 6) and (2, 7) next to the disk merge included."""
+    sizes = []
+    for name in ("eigvals", "eig"):
+        def counted(M, *args, _solve=getattr(sp.sla, name), **kwargs):
+            sizes.append(len(M))
+            return _solve(M, *args, **kwargs)
+        monkeypatch.setattr(sp.sla, name, counted)
+    cfgp = write_cfg(tmp_path / "c.cfg", """
+geometry = cylinder
+aspect = 1
+N = 200
+eta_deg = 78.23931266613657
+g_max = 19.2
+g_step = 0.1
+n_branches = 13
+""")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+    disk = mx.cylinder_factors(bas.build_cylinder_basis(200))[0]
+    Bd = np.cos(np.deg2rad(78.23931266613657)) * disk.Bx
+    largest = max(len(ix) for ix, *_ in sp._blocks(disk.lam, Bd))
+    assert largest == 31
+    assert sizes and max(sizes) <= largest
+    doc = json.loads((out / "branchpoints.json").read_text())
+    assert doc["metadata"]["factors"] == {"disk": 57, "interval": 5}
+    points = doc["branch_points"]
+    assert len(points) == 10
+    g_rule = 18.06 / np.sin(np.arctan(18.06 / 3.76))
+    for p in points:
+        assert p["order"] == 2 and abs(p["g_star"] - g_rule) <= 0.005 * g_rule, p
+    tuples = {tuple(p["branches"]) for p in points}
+    assert {(1, 6), (2, 7)} <= tuples
 
 
 def _fail_eigensolves(monkeypatch):

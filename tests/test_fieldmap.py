@@ -15,7 +15,7 @@ def normalized(m, B, g):
 
 def canonical(s):
     """Rows sorted by Re, Im > 0 first inside conjugate pairs."""
-    rank = np.lexsort((-s.eigenvalues.imag, np.round(s.eigenvalues.real / 1e-6)))
+    rank = sp.canonical_order(s.eigenvalues)
     return sp.Spectrum(gbar=s.gbar, eigenvalues=s.eigenvalues[rank],
                        X=s.X[rank], vv=s.vv[rank], near_branch=s.near_branch[rank],
                        degenerate_class=s.degenerate_class[rank], normalized=True)

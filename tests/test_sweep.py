@@ -145,6 +145,24 @@ def test_tilted_sphere_matches_z_sweep(sphere60):
         assert a.order == b.order
 
 
+def test_tilted_sphere_chains_few_eigenvectors(sphere60, monkeypatch):
+    """Swapping two exactly degenerate branches (the +-m pairs inside the
+    tilted block) changes no value, so it is no tie: the tilted sweep needs
+    eigenvectors about as often as the z sweep (37), not on every step."""
+    m, _ = sphere60
+    Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
+    with_vectors = []
+    solve = sw.diagonalize
+
+    def counted(mat, B, gbar, eigvals_only=False):
+        with_vectors.append(not eigvals_only)
+        return solve(mat, B, gbar, eigvals_only=eigvals_only)
+
+    monkeypatch.setattr(sw, "diagonalize", counted)
+    sw.run_sweep(m, Bt, 16.0, step=0.05)
+    assert sum(with_vectors) <= 50
+
+
 def test_merge_clusters_respect_m(sphere333_sweep, sphere333):
     m, _ = sphere333
     sweep, points = sphere333_sweep
