@@ -15,7 +15,6 @@ from .basis import (
     build_cylinder_basis,
     build_disk_basis,
     build_interval_basis,
-    build_reduced_sphere_basis,
     build_sphere_basis,
 )
 from .branchpoints import (
@@ -34,7 +33,6 @@ from .matrices import (
     assemble_disk,
     assemble_interval,
     assemble_operator,
-    assemble_reduced_sphere,
     assemble_sphere,
     cylinder_factors,
     gradient_matrix,

@@ -33,8 +33,8 @@ GEOMETRIES = ("sphere", "sphere_reduced", "cylinder", "disk", "interval")
 class BasisIndex:
     """Multi-index of one Laplacian mode; unused slots are None.
 
-    sphere: (n, k, m); cylinder: (n, k, l, m); disk: (n, k, l);
-    interval: (m); reduced sphere: (n, k).
+    sphere and reduced sphere (its m = 0 sector): (n, k, m);
+    cylinder: (n, k, l, m); disk: (n, k, l); interval: (m).
     """
 
     n: int | None = None
@@ -136,6 +136,12 @@ def build_sphere_basis(N: int) -> BasisSet:
     constant mode (n=k=m=0) carries alpha_00 = 0.  Each (n, k) family is
     (2n+1)-fold degenerate in m.
     """
+    return _sphere_basis(N, "sphere")
+
+
+def _sphere_basis(N: int, geometry: str) -> BasisSet:
+    """The sphere basis, or for 'sphere_reduced' its axisymmetric m = 0
+    sector with a cutoff of its own N entries."""
     if N < 1:
         raise DomainError("N >= 1 required")
 
@@ -144,41 +150,18 @@ def build_sphere_basis(N: int) -> BasisSet:
         out = [(0.0, (0, 0, 0), BasisIndex(n=0, k=0, m=0))]
         n = 0
         while True:
-            zeros = _zeros_upto_spherical(n, zmax)
+            zeros = _zeros_upto("dj_spherical", n, zmax)
             if n > 0 and zeros.size == 0:
                 break
             for j, a in enumerate(zeros):
                 k = j + 1 if n == 0 else j
-                for m in range(-n, n + 1):
+                for m in range(-n, n + 1) if geometry == "sphere" else (0,):
                     out.append((a * a, (n, k, _m_rank(m)), BasisIndex(n=n, k=k, m=m)))
             n += 1
         return out
 
     idxs, lams = _collect(generate, N)
-    return BasisSet(geometry="sphere", indices=idxs, eigenvalues=lams)
-
-
-def build_reduced_sphere_basis(N: int) -> BasisSet:
-    """Axisymmetric (m = 0) sector of the sphere basis."""
-    if N < 1:
-        raise DomainError("N >= 1 required")
-
-    def generate(cut):
-        zmax = np.sqrt(cut)
-        out = [(0.0, (0, 0), BasisIndex(n=0, k=0))]
-        n = 0
-        while True:
-            zeros = _zeros_upto_spherical(n, zmax)
-            if n > 0 and zeros.size == 0:
-                break
-            for j, a in enumerate(zeros):
-                k = j + 1 if n == 0 else j
-                out.append((a * a, (n, k), BasisIndex(n=n, k=k)))
-            n += 1
-        return out
-
-    idxs, lams = _collect(generate, N)
-    return BasisSet(geometry="sphere_reduced", indices=idxs, eigenvalues=lams)
+    return BasisSet(geometry=geometry, indices=idxs, eigenvalues=lams)
 
 
 def build_disk_basis(N: int) -> BasisSet:
@@ -191,7 +174,7 @@ def build_disk_basis(N: int) -> BasisSet:
         out = [(0.0, (0, 0, 1), BasisIndex(n=0, k=0, l=1))]
         n = 0
         while True:
-            zeros = _zeros_upto_J(n, zmax)
+            zeros = _zeros_upto("dJ", n, zmax)
             if n > 0 and zeros.size == 0:
                 break
             for j, a in enumerate(zeros):
@@ -235,7 +218,7 @@ def build_cylinder_basis(N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:
         zmax = np.sqrt(cut)
         n = 0
         while True:
-            zeros = _zeros_upto_J(n, zmax)
+            zeros = _zeros_upto("dJ", n, zmax)
             alphas = [(0, 0.0)] if n == 0 else []
             alphas += [((j + 1 if n == 0 else j), a) for j, a in enumerate(zeros)]
             if not alphas:
@@ -261,19 +244,11 @@ def build_cylinder_basis(N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:
     return BasisSet(geometry="cylinder", indices=idxs, eigenvalues=lams, aspect=h)
 
 
-def _zeros_upto_spherical(n: int, zmax: float) -> np.ndarray:
+def _zeros_upto(kind: str, n: int, zmax: float) -> np.ndarray:
+    """Zeros <= zmax of kind 'dJ' or 'dj_spherical' and order n."""
     count = max(4, int(zmax / np.pi) + 2)
     while True:
-        z = specfun.cached_zeros_dj_spherical(n, count)
-        if z[-1] > zmax:
-            return z[z <= zmax]
-        count *= 2
-
-
-def _zeros_upto_J(n: int, zmax: float) -> np.ndarray:
-    count = max(4, int(zmax / np.pi) + 2)
-    while True:
-        z = specfun.cached_zeros_dJ(n, count)
+        z = specfun.cached_zeros(kind, n, count)
         if z[-1] > zmax:
             return z[z <= zmax]
         count *= 2
@@ -281,10 +256,8 @@ def _zeros_upto_J(n: int, zmax: float) -> np.ndarray:
 
 def build_basis(geometry: str, N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:
     """Dispatch on geometry name; see the individual builders."""
-    if geometry == "sphere":
-        return build_sphere_basis(N)
-    if geometry == "sphere_reduced":
-        return build_reduced_sphere_basis(N)
+    if geometry in ("sphere", "sphere_reduced"):
+        return _sphere_basis(N, geometry)
     if geometry == "cylinder":
         return build_cylinder_basis(N, R=R, H=H)
     if geometry == "disk":

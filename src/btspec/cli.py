@@ -260,8 +260,15 @@ def cmd_signal(cfg: RunConfig) -> int:
     plans = cfg.pulse_plans()
     if not plans:
         raise ConfigError("no pulse durations given (deltas_ms or tbars empty)")
-    mat, B = _build_operator(cfg)
     gbar = plans[0].gbar
+    # the walks are checked before any work; sphere_reduced is the m = 0
+    # sector of the same ball, so it walks in the sphere along z
+    walk_geometry = "sphere" if cfg.geometry == "sphere_reduced" else cfg.geometry
+    walks = [WalkConfig(geometry=walk_geometry, gbar=gbar, tbar=plan.tbar,
+                        walkers=cfg.walkers, aspect=cfg.geometry_aspect(),
+                        direction=_unit_direction(cfg), seed=cfg.seed)
+             if cfg.walkers > 0 else None for plan in plans]
+    mat, B = _build_operator(cfg)
     spec = normalize(diagonalize(mat, B, gbar), mat.W)
     spec_m = spectrum_at_negative_g(spec, mat.W)
     coeffs = compute_coefficients(spec, mat.W)
@@ -269,13 +276,12 @@ def cmd_signal(cfg: RunConfig) -> int:
     i1, i2 = slowest_pair(spec)  # i2 is None unless the slowest is complex
     lam1 = spec.eigenvalues[i1]
 
-    mc_dir = _unit_direction(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, "signal.csv")
     with open(path, "w", newline="") as f:
         f.write("delta,S_matrix_re,S_matrix_im,S_spectral_re,S_spectral_im,"
                 "S_onemode,S_twomode_re,S_twomode_im,S_mc_re,S_mc_im,mc_stderr\n")
-        for plan in plans:
+        for plan, walk in zip(plans, walks):
             tb = plan.tbar
             Sm = signal_matrix(mat, B, gbar, tb)
             Ss = signal_spectral(spec, spec_m, coeffs, tb)
@@ -288,11 +294,8 @@ def cmd_signal(cfg: RunConfig) -> int:
                                      coeffs.C[i1, i2], tb)
                 two = (_fmt(tw.real), _fmt(tw.imag))
             mc_cols = ("", "", "")
-            if cfg.walkers > 0:
-                wc = WalkConfig(geometry=cfg.geometry, gbar=gbar, tbar=tb,
-                                walkers=cfg.walkers, aspect=cfg.geometry_aspect(),
-                                direction=mc_dir, seed=cfg.seed)
-                Smc, err = mc_signal(wc)
+            if walk is not None:
+                Smc, err = mc_signal(walk)
                 mc_cols = (_fmt(Smc.real), _fmt(Smc.imag), _fmt(err))
             delta = plan.delta if cfg.signal_mode() == "si" else tb
             f.write(",".join([

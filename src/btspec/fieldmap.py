@@ -16,7 +16,7 @@ from scipy.special import gammaln, jv, lpmv, spherical_jn
 
 from .basis import BasisSet
 from .errors import DomainError
-from .matrices import _alpha_disk, _alpha_sphere, beta_disk, beta_sphere
+from .matrices import _alpha, beta_disk, beta_sphere
 from .spectrum import Spectrum
 
 
@@ -61,8 +61,7 @@ def basis_function(basis: BasisSet, i: int, pts: np.ndarray) -> np.ndarray:
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     g = basis.geometry
     if g in ("sphere", "sphere_reduced"):
-        m = ix.m if g == "sphere" else 0
-        return _sphere_mode(ix.n, ix.k, m, x, y, z)
+        return _sphere_mode(ix.n, ix.k, ix.m, x, y, z)
     if g == "disk":
         return _disk_mode(ix.n, ix.k, ix.l, x, y)
     if g == "cylinder":
@@ -76,7 +75,7 @@ def basis_function(basis: BasisSet, i: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _sphere_mode(n, k, m, x, y, z):
-    alpha = _alpha_sphere(n, k)
+    alpha = _alpha("dj_spherical", n, k)
     r = np.sqrt(x * x + y * y + z * z)
     if alpha == 0.0:
         return np.full_like(r, np.sqrt(3.0 / (4.0 * np.pi)), dtype=complex)
@@ -89,7 +88,7 @@ def _sphere_mode(n, k, m, x, y, z):
 
 
 def _disk_mode(n, k, l, x, y):
-    alpha = _alpha_disk(n, k)
+    alpha = _alpha("dJ", n, k)
     r = np.sqrt(x * x + y * y)
     if alpha == 0.0:
         return np.full_like(r, 1.0 / np.sqrt(np.pi), dtype=complex)

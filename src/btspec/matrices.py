@@ -48,16 +48,12 @@ class OperatorMatrices:
         return M
 
 
-def _alpha_sphere(n: int, k: int) -> float:
+def _alpha(kind: str, n: int, k: int) -> float:
+    """alpha_nk from the zeros of kind 'dj_spherical' (sphere) or 'dJ' (disk);
+    for n = 0, k = 0 is the constant mode with alpha_00 = 0."""
     if n == 0:
-        return 0.0 if k == 0 else specfun.cached_zeros_dj_spherical(0, k)[k - 1]
-    return specfun.cached_zeros_dj_spherical(n, k + 1)[k]
-
-
-def _alpha_disk(n: int, k: int) -> float:
-    if n == 0:
-        return 0.0 if k == 0 else specfun.cached_zeros_dJ(0, k)[k - 1]
-    return specfun.cached_zeros_dJ(n, k + 1)[k]
+        return 0.0 if k == 0 else specfun.cached_zeros(kind, 0, k)[k - 1]
+    return specfun.cached_zeros(kind, n, k + 1)[k]
 
 
 def beta_sphere(n: int, alpha: float) -> float:
@@ -85,7 +81,8 @@ def _check_denom(a: float, a2: float) -> float:
 
 
 def b_element_sphere(n: int, a: float, n2: int, a2: float) -> float:
-    """Reduced-sphere element B_{nk,n'k'} between radial-angular modes.
+    """z element B_{nk0,n'k'0} between m = 0 sphere modes; assemble_sphere
+    scales it for the other m.
 
     Nonzero only for n' = n +- 1.  a, a2 are alpha_nk, alpha_n'k'.
     """
@@ -118,28 +115,16 @@ def b_element_interval(m: int, m2: int) -> float:
     return sign * c * (m * m + m2 * m2) / (np.pi**2 * (m * m - m2 * m2) ** 2)
 
 
-def assemble_reduced_sphere(basis: BasisSet) -> OperatorMatrices:
-    """Matrices of the axisymmetric sphere operator; the gradient axis is z."""
-    _expect(basis, "sphere_reduced")
-    N = len(basis)
-    alphas = [_alpha_sphere(ix.n, ix.k) for ix in basis.indices]
-    B = np.zeros((N, N), dtype=complex)
-    for a in range(N):
-        ia = basis.indices[a]
-        for b in range(N):
-            ib = basis.indices[b]
-            if abs(ia.n - ib.n) == 1:
-                B[a, b] = b_element_sphere(ia.n, alphas[a], ib.n, alphas[b])
-    W = np.eye(N)
-    return OperatorMatrices(basis, basis.eigenvalues.copy(), None, None, B, W)
-
-
 def assemble_sphere(basis: BasisSet) -> OperatorMatrices:
-    """Full sphere operator with B^x, B^y, B^z and the non-identity W."""
-    _expect(basis, "sphere")
+    """Full sphere operator with B^x, B^y, B^z and the non-identity W.
+
+    On a 'sphere_reduced' basis (the m = 0 sector) B^x and B^y are None: the
+    sector is closed under z only, and its W is the identity.
+    """
+    _expect(basis, "sphere", "sphere_reduced")
     N = len(basis)
     idx = basis.indices
-    alphas = [_alpha_sphere(ix.n, ix.k) for ix in idx]
+    alphas = [_alpha("dj_spherical", ix.n, ix.k) for ix in idx]
     Bx = np.zeros((N, N), dtype=complex)
     By = np.zeros((N, N), dtype=complex)
     Bz = np.zeros((N, N), dtype=complex)
@@ -174,6 +159,8 @@ def assemble_sphere(basis: BasisSet) -> OperatorMatrices:
                     c = np.sqrt((na - ma - 1) * (na - ma)) / na
                     Bx[a, b] += 0.5 * base * c
                     By[a, b] -= 0.5j * base * c
+    if basis.geometry == "sphere_reduced":
+        Bx = By = None
     return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, Bz, W)
 
 
@@ -182,7 +169,7 @@ def assemble_disk(basis: BasisSet) -> OperatorMatrices:
     _expect(basis, "disk")
     N = len(basis)
     idx = basis.indices
-    alphas = [_alpha_disk(ix.n, ix.k) for ix in idx]
+    alphas = [_alpha("dJ", ix.n, ix.k) for ix in idx]
     Bx = np.zeros((N, N), dtype=complex)
     By = np.zeros((N, N), dtype=complex)
     for a in range(N):
@@ -263,7 +250,7 @@ def assemble_operator(basis: BasisSet) -> OperatorMatrices:
     """Dispatch on the basis geometry."""
     table = {
         "sphere": assemble_sphere,
-        "sphere_reduced": assemble_reduced_sphere,
+        "sphere_reduced": assemble_sphere,
         "cylinder": assemble_cylinder,
         "disk": assemble_disk,
         "interval": assemble_interval,
@@ -274,10 +261,10 @@ def assemble_operator(basis: BasisSet) -> OperatorMatrices:
         raise DomainError(f"unknown geometry {basis.geometry!r}") from None
 
 
-def _expect(basis_or_mat, geometry: str):
+def _expect(basis_or_mat, *geometries: str):
     basis = basis_or_mat.basis if isinstance(basis_or_mat, OperatorMatrices) else basis_or_mat
-    if basis.geometry != geometry:
-        raise DomainError(f"expected a {geometry} basis, got {basis.geometry}")
+    if basis.geometry not in geometries:
+        raise DomainError(f"expected a {' or '.join(geometries)} basis, got {basis.geometry}")
 
 
 def gradient_matrix_sphere(mat: OperatorMatrices, theta_g: float, phi_g: float) -> np.ndarray:

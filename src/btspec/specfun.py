@@ -3,8 +3,9 @@
 Everything downstream (basis enumeration, matrix elements, the analytic
 interval branch-point formula) reduces to three families of positive zeros:
 zeros of J_n'(z), zeros of the spherical j_n'(z), and zeros of J_{-2/3}(z).
-Zeros are located by scanning for certified sign changes and polishing with
-bisection + Newton, so every returned zero carries a verified bracket.
+Each table comes from one array routine: a sign-change scan of the whole
+grid in one ufunc call, then bisection + Newton on all brackets at once, so
+every returned zero carries a verified bracket and is certified on return.
 """
 
 from __future__ import annotations
@@ -49,57 +50,62 @@ class ZeroTable:
         return len(self.zeros)
 
 
-def _refine_zero(f, a, b, fa, fb, df=None):
-    """Bisection to ~1e-13 followed by a few clipped Newton steps.
-
-    (a, b) must be a certified sign-change bracket: fa * fb < 0.
-    """
-    if fa * fb >= 0:
-        raise ConvergenceError(f"bracket [{a}, {b}] has no sign change")
-    while b - a > _BISECT_TOL * max(1.0, abs(b)):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            a = b = m
-            break
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    x = 0.5 * (a + b)
-    if df is not None:
-        for _ in range(3):
-            d = df(x)
-            if d == 0.0:
-                break
-            step = f(x) / d
-            y = x - step
-            if not (a - 1e-9 <= y <= b + 1e-9):
-                break
-            x = y
-    return x
-
-
 def _scan_zeros(f, count, start, step=_SCAN_STEP, df=None, max_scan=1e5):
-    """First `count` positive zeros of f by sign-change scanning from `start`."""
-    zeros = []
+    """First `count` positive zeros of the ufunc f from `start` on.
+
+    Sign changes are sought on the grid start, start + step, ... built as a
+    running sum (np.cumsum), so its points do not depend on how it is split
+    into chunks; a grid point on an exact zero moves on by step / 7 and the
+    grid continues from there.  All brackets are then bisected together until
+    b - a <= 1e-13 * max(1, |b|) each, and polished by up to three Newton
+    steps (with df) that must stay inside the bracket.  The table is
+    certified (_certify) before it is returned.
+    """
     a = start
     fa = f(a)
     while fa == 0.0:  # do not start exactly on a zero (or in underflow)
         a += step / 7.0
         fa = f(a)
-    while len(zeros) < count:
-        b = a + step
-        if b > max_scan:
+    chunk = int(count * np.pi / step) + 64  # zeros lie about pi apart
+    found, parts = 0, []
+    while found < count:
+        x = np.cumsum(np.r_[a, np.full(chunk, step)])
+        x = x[: 1 + np.count_nonzero(x[1:] <= max_scan)]
+        if len(x) == 1:
             raise ConvergenceError("zero scan exceeded search range")
-        fb = f(b)
-        if fb == 0.0:
-            b += step / 7.0
-            fb = f(b)
-        if fa * fb < 0:
-            zeros.append(_refine_zero(f, a, b, fa, fb, df=df))
-        a, fa = b, fb
-    return np.array(zeros[:count])
+        fx = np.r_[fa, f(x[1:])]
+        hit = np.flatnonzero(fx[1:] == 0.0)
+        if hit.size:
+            x, fx = x[: hit[0] + 2], fx[: hit[0] + 2]
+            x[-1] += step / 7.0
+            fx[-1] = f(x[-1])
+        s = np.flatnonzero(fx[:-1] * fx[1:] < 0)
+        parts.append((x[s], x[s + 1], fx[s]))
+        found += s.size
+        a, fa = x[-1], fx[-1]
+    lo, hi, flo = (np.concatenate(v)[:count] for v in zip(*parts))
+
+    act = np.arange(count)
+    while (act := act[hi[act] - lo[act]
+                      > _BISECT_TOL * np.maximum(1.0, np.abs(hi[act]))]).size:
+        mid = 0.5 * (lo[act] + hi[act])
+        fm = f(mid)
+        left = flo[act] * fm < 0
+        on = left | (fm == 0.0)  # an exact zero closes its bracket
+        hi[act[on]] = mid[on]
+        lo[act[~left]], flo[act[~left]] = mid[~left], fm[~left]
+    x = 0.5 * (lo + hi)
+    if df is not None:
+        act = np.arange(count)
+        for _ in range(3):
+            d = df(x[act])
+            act, d = act[d != 0.0], d[d != 0.0]
+            y = x[act] - f(x[act]) / d
+            ok = (lo[act] - 1e-9 <= y) & (y <= hi[act] + 1e-9)
+            act = act[ok]
+            x[act] = y[ok]
+    _certify(f, x, 1e-10)
+    return x
 
 
 def zeros_dJ(n: int, count: int) -> ZeroTable:
@@ -115,7 +121,6 @@ def zeros_dJ(n: int, count: int) -> ZeroTable:
     # All zeros of J_n' exceed n; starting at 0.9n skips the region where
     # J_n underflows to an exact 0.0 for large orders.
     table = _scan_zeros(f, count, start=max(1e-6, 0.9 * n), df=df)
-    _certify(f, table, 1e-10)
     return ZeroTable(kind="dJ", order=float(n), zeros=table)
 
 
@@ -125,7 +130,6 @@ def zeros_dj_spherical(n: int, count: int) -> ZeroTable:
         raise DomainError("require n >= 0 and count >= 1")
     f = lambda z: special.spherical_jn(n, z, derivative=True)
     table = _scan_zeros(f, count, start=max(1e-6, 0.9 * n))
-    _certify(f, table, 1e-10)
     return ZeroTable(kind="dj_spherical", order=float(n), zeros=table)
 
 
@@ -137,7 +141,6 @@ def zeros_J_minus_two_thirds(count: int) -> ZeroTable:
     df = lambda z: special.jvp(-2.0 / 3.0, z, 1)
     # J_{-2/3} diverges like z^{-2/3} at 0+; start past the singularity.
     table = _scan_zeros(f, count, start=0.05, df=df)
-    _certify(f, table, 1e-10)
     return ZeroTable(kind="J", order=-2.0 / 3.0, zeros=table)
 
 
@@ -148,28 +151,22 @@ def interval_branch_constants(count: int) -> np.ndarray:
 
 def _certify(f, zeros, tol, h=1e-6):
     """Each zero must satisfy |f(z)| < tol and show a sign change across it."""
-    for z in zeros:
-        if abs(f(z)) >= tol:
-            raise ConvergenceError(f"|f({z})| = {abs(f(z)):.3e} >= {tol}")
-        if f(z - h) * f(z + h) > 0:
-            raise ConvergenceError(f"no sign change across zero {z}")
+    bad = (np.abs(f(zeros)) >= tol) | (f(zeros - h) * f(zeros + h) > 0)
+    if bad.any():
+        raise ConvergenceError(f"zeros {zeros[bad]} fail |f| < {tol} or "
+                               "show no sign change across them")
 
 
 # Zero tables are cheap but requested repeatedly by the basis builders.
 _cache: dict = {}
 
 
-def cached_zeros_dJ(n: int, count: int) -> np.ndarray:
-    key = ("dJ", n)
+def cached_zeros(kind: str, n: int, count: int) -> np.ndarray:
+    """First `count` zeros of kind 'dJ' (zeros_dJ) or 'dj_spherical'
+    (zeros_dj_spherical) of order n, from a table kept per (kind, n)."""
+    key = (kind, n)
     have = _cache.get(key)
     if have is None or len(have) < count:
-        _cache[key] = zeros_dJ(n, max(count, 16)).zeros
-    return _cache[key][:count]
-
-
-def cached_zeros_dj_spherical(n: int, count: int) -> np.ndarray:
-    key = ("dj", n)
-    have = _cache.get(key)
-    if have is None or len(have) < count:
-        _cache[key] = zeros_dj_spherical(n, max(count, 16)).zeros
+        make = zeros_dJ if kind == "dJ" else zeros_dj_spherical
+        _cache[key] = make(n, max(count, 16)).zeros
     return _cache[key][:count]

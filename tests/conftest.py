@@ -41,8 +41,7 @@ def sphere333_sweep(sphere333):
 
 @pytest.fixture(scope="session")
 def reduced700():
-    b = bas.build_reduced_sphere_basis(700)
-    m = mx.assemble_reduced_sphere(b)
+    m = mx.operator_for("sphere_reduced", 700)
     return m, mx.gradient_matrix(m)
 
 

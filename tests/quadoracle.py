@@ -11,12 +11,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, jv, lpmv, spherical_jn
 
-from btspec.matrices import _alpha_disk, _alpha_sphere, beta_disk, beta_sphere
+from btspec.matrices import _alpha, beta_disk, beta_sphere
 
 
 def _sphere_u(ix, pts_r, pts_xi, pts_phi):
     n, m = ix.n, ix.m if ix.m is not None else 0
-    alpha = _alpha_sphere(n, ix.k)
+    alpha = _alpha("dj_spherical", n, ix.k)
     if alpha == 0.0:
         return np.full(pts_r.shape, np.sqrt(3.0 / (4 * np.pi)), dtype=complex)
     ratio = np.exp(gammaln(n + m + 1) - gammaln(n - m + 1))
@@ -63,7 +63,7 @@ def reduced_sphere_matrix_by_quadrature(basis, nr=120, nxi=80):
 
 def _disk_u(ix, pts_r, pts_th):
     n, l = ix.n, ix.l
-    alpha = _alpha_disk(n, ix.k)
+    alpha = _alpha("dJ", n, ix.k)
     if alpha == 0.0:
         return np.full(pts_r.shape, 1.0 / np.sqrt(np.pi), dtype=complex)
     norm = np.sqrt(2.0 - (n == 0)) / np.sqrt(np.pi) * beta_disk(n, alpha) / jv(n, alpha)

@@ -372,7 +372,7 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
     for mat in (m, mcyl,
                 mx.assemble_disk(bas.build_disk_basis(20)),
                 mx.assemble_interval(bas.build_interval_basis(15)),
-                mx.assemble_reduced_sphere(bas.build_reduced_sphere_basis(15))):
+                mx.operator_for("sphere_reduced", 15)):
         for Bi in (mat.Bx, mat.By, mat.Bz):
             if Bi is not None:
                 worst = max(worst, float(np.max(np.abs(Bi - np.conj(Bi.T)))))
@@ -397,10 +397,9 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
     qx, qy = qo.disk_matrices_by_quadrature(bd)
     worst = max(worst, float(np.max(np.abs(mdk.Bx - qx))),
                 float(np.max(np.abs(mdk.By - qy))))
-    br8 = bas.build_reduced_sphere_basis(8)
-    mr8 = mx.assemble_reduced_sphere(br8)
+    mr8 = mx.operator_for("sphere_reduced", 8)
     worst = max(worst, float(np.max(np.abs(
-        mr8.Bz - qo.reduced_sphere_matrix_by_quadrature(br8)))))
+        mr8.Bz - qo.reduced_sphere_matrix_by_quadrature(mr8.basis)))))
     bi8 = bas.build_interval_basis(8)
     mi8 = mx.assemble_interval(bi8)
     worst = max(worst, float(np.max(np.abs(

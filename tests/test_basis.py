@@ -55,7 +55,7 @@ def test_cylinder_trivial_and_six():
 
 
 def test_reduced_sphere_first_three():
-    b = bas.build_reduced_sphere_basis(3)
+    b = bas.build_basis("sphere_reduced", 3)
     assert np.allclose(b.eigenvalues, [0.0, 4.333, 11.17], atol=5e-4)
     assert [(ix.n, ix.k) for ix in b.indices] == [(0, 0), (1, 0), (2, 0)]
 
@@ -125,9 +125,8 @@ def test_build_stability():
 
 
 def test_eigenvalues_nondecreasing_everywhere():
-    for build in (bas.build_sphere_basis, bas.build_reduced_sphere_basis,
-                  bas.build_disk_basis):
-        ev = build(50).eigenvalues
+    for geometry in ("sphere", "sphere_reduced", "disk"):
+        ev = bas.build_basis(geometry, 50).eigenvalues
         assert np.all(np.diff(ev) >= -1e-12)
 
 

@@ -249,7 +249,10 @@ def _fail_eigensolves(monkeypatch):
     ("sweep", DISK_SWEEP, ["--set", "N=10", "--set", "n_branches=50"]),
     ("fieldmap", SPHERE_SI, ["--set", "resolution=0", "--j", "1", "--g", "5.63"]),
     ("signal", SPHERE_SI, ["--set", "walkers=-5"]),
-], ids=["n_branches_above_basis", "resolution_zero", "negative_walkers"])
+    ("signal", DISK_SWEEP, ["--set", "gbar=2", "--set", "tbars=0.1",
+                            "--set", "walkers=1000"]),
+], ids=["n_branches_above_basis", "resolution_zero", "negative_walkers",
+        "disk_has_no_walker"])
 def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
                                              cfg_text, extra):
     # a solve would end in exit 4, so exit 2 shows the check came first
@@ -258,6 +261,21 @@ def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfgp, "--out", str(out)] + extra) == 2
     assert not out.exists()
+
+
+def test_reduced_sphere_signal_walks_in_the_sphere(tmp_path):
+    # the m = 0 sector holds the constant mode, so the sphere walker along z
+    # measures its signal
+    out = tmp_path / "out"
+    assert cli.main(["signal", "--out", str(out), "--set", "geometry=sphere_reduced",
+                     "--set", "N=40", "--set", "gbar=5", "--set", "tbars=0.2",
+                     "--set", "walkers=20000"]) == 0
+    lines = (out / "signal.csv").read_text().strip().split("\n")
+    row = {k: float(v) if v else None
+           for k, v in zip(lines[0].split(","), lines[1].split(","))}
+    S_matrix = complex(row["S_matrix_re"], row["S_matrix_im"])
+    S_mc = complex(row["S_mc_re"], row["S_mc_im"])
+    assert abs(S_mc - S_matrix) < 3 * row["mc_stderr"]
 
 
 def test_lapack_failure_exits_4(tmp_path, monkeypatch):

@@ -25,9 +25,8 @@ def test_sphere_elements_match_quadrature(sphere10):
 
 
 def test_reduced_sphere_elements_match_quadrature():
-    b = bas.build_reduced_sphere_basis(8)
-    m = mx.assemble_reduced_sphere(b)
-    q = qo.reduced_sphere_matrix_by_quadrature(b)
+    m = mx.operator_for("sphere_reduced", 8)
+    q = qo.reduced_sphere_matrix_by_quadrature(m.basis)
     assert np.max(np.abs(m.Bz - q)) < 1e-10
 
 
@@ -70,7 +69,7 @@ def test_cylinder_assembly_equals_loop_reference(N, H):
     b = bas.build_cylinder_basis(N, R=1.0, H=H)
     m = mx.assemble_cylinder(b)
     idx = b.indices
-    al = [mx._alpha_disk(ix.n, ix.k) for ix in idx]
+    al = [mx._alpha("dJ", ix.n, ix.k) for ix in idx]
     Bx, By, Bz = (np.zeros((len(b), len(b)), dtype=complex) for _ in range(3))
     for i, ia in enumerate(idx):
         for j, ib in enumerate(idx):
@@ -85,7 +84,7 @@ def test_cylinder_assembly_equals_loop_reference(N, H):
 def test_hermiticity_everywhere():
     mats = [
         mx.assemble_sphere(bas.build_sphere_basis(30)),
-        mx.assemble_reduced_sphere(bas.build_reduced_sphere_basis(20)),
+        mx.operator_for("sphere_reduced", 20),
         mx.assemble_disk(bas.build_disk_basis(20)),
         mx.assemble_interval(bas.build_interval_basis(15)),
         mx.assemble_cylinder(bas.build_cylinder_basis(25)),
@@ -120,12 +119,13 @@ def test_sphere_Bz_restricted_to_m0_equals_reduced(sphere10):
     b, m = sphere10
     m0 = [i for i, ix in enumerate(b.indices) if ix.m == 0]
     sub = m.Bz[np.ix_(m0, m0)]
-    red_basis = bas.build_reduced_sphere_basis(len(m0))
-    red = mx.assemble_reduced_sphere(red_basis)
-    # same (n,k) content in the same order
-    assert [(ix.n, ix.k) for ix in red_basis.indices] == \
-        [(b.indices[i].n, b.indices[i].k) for i in m0]
-    assert np.max(np.abs(sub - red.Bz)) < 1e-14
+    red = mx.operator_for("sphere_reduced", len(m0))
+    # the reduced basis is the sphere's m = 0 sector, index for index
+    assert red.basis.indices == tuple(b.indices[i] for i in m0)
+    assert np.array_equal(red.lam, m.lam[m0])
+    assert np.array_equal(red.Bz, sub)
+    assert np.array_equal(red.W, m.W[np.ix_(m0, m0)])
+    assert red.Bx is None and red.By is None
 
 
 def test_sphere_diagonal_of_B_vanishes(sphere10):
@@ -165,8 +165,7 @@ def test_entry_bounds():
 
 def test_reduced_first_element_value():
     # independently derived: B(00,10) = integral of u_0 z u_1 over the ball
-    b = bas.build_reduced_sphere_basis(4)
-    m = mx.assemble_reduced_sphere(b)
+    m = mx.operator_for("sphere_reduced", 4)
     assert abs(m.Bz[0, 1].real - 0.4448045478941) < 1e-10
     assert np.max(np.abs(m.Bz - m.Bz.T)) < 1e-15  # symmetric formula
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
+import scanoracle as so
 from btspec import specfun
-from btspec.errors import DomainError
+from btspec.errors import ConvergenceError, DomainError
 
 
 def test_j_minus_two_thirds_first_root():
@@ -111,3 +114,40 @@ def test_large_order_scan_does_not_pick_underflow_zeros():
     assert z[0] > 60.0
     z = specfun.zeros_dJ(40, 2).zeros
     assert z[0] > 40.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 120), count=st.integers(1, 40))
+@example(n=0, count=40)
+def test_zero_tables_equal_scalar_scan(n, count):
+    # the array scan must reproduce the scalar loop bit for bit; from the
+    # n = 0 start 1e-6 the running-sum grid differs from start + i * step
+    assert np.array_equal(specfun.zeros_dJ(n, count).zeros, so.zeros_dJ(n, count))
+    assert np.array_equal(specfun.zeros_dj_spherical(n, count).zeros,
+                          so.zeros_dj_spherical(n, count))
+
+
+def test_J_minus_two_thirds_equals_scalar_scan():
+    assert np.array_equal(specfun.zeros_J_minus_two_thirds(12).zeros,
+                          so.zeros_J_minus_two_thirds(12))
+
+
+def test_scan_steps_past_a_grid_point_on_a_zero():
+    # 0.5, 0.75, 1.0: the grid hits the zero exactly and moves on by step/7
+    f = lambda z: z - 1.0
+    z = specfun._scan_zeros(f, 1, start=0.5, df=lambda z: np.ones_like(z))
+    assert z.tolist() == [1.0]
+    assert np.array_equal(z, so.scan_zeros(f, 1, start=0.5, df=lambda z: 1.0))
+
+
+def test_scan_beyond_range_raises():
+    with pytest.raises(ConvergenceError):
+        specfun._scan_zeros(lambda z: np.cos(z), 5, start=0.1, max_scan=10.0)
+
+
+def test_certify_rejects_an_offset_table():
+    f = lambda z: special.jvp(3, z, 1)
+    z = specfun.zeros_dJ(3, 6).zeros
+    specfun._certify(f, z, 1e-10)
+    with pytest.raises(ConvergenceError):
+        specfun._certify(f, z + 1e-3, 1e-10)

@@ -94,7 +94,7 @@ def _block_case(name, sphere60, cylinder60, disk60):
         # the m = 0 sector of the full operator is the reduced operator, so
         # its eigenvalues are found in the full dense spectrum
         m0 = [i for i, ix in enumerate(m.basis.indices) if ix.m == 0]
-        red = mx.assemble_reduced_sphere(bas.build_reduced_sphere_basis(len(m0)))
+        red = mx.operator_for("sphere_reduced", len(m0))
         return red, mx.gradient_matrix(red), 1, (m, B)
     if name == "cylinder":
         Bc = mx.gradient_matrix_cylinder(cylinder60, 0.9)

@@ -115,7 +115,7 @@ def test_crossing_keeps_identities(sphere60):
     assert np.max(np.abs(s.eigenvalues[win][:, 5] - s.eigenvalues[win][:, 6])) < 1e-8
     # after the crossing the m=0 branch agrees with the reduced operator
     m0 = [i for i, ix in enumerate(m.basis.indices) if ix.m == 0]
-    red = mx.assemble_reduced_sphere(bas.build_reduced_sphere_basis(len(m0)))
+    red = mx.operator_for("sphere_reduced", len(m0))
     Br = mx.gradient_matrix(red)
     w_red = sp.diagonalize(red, Br, 10.0, eigvals_only=True).eigenvalues
     lam_tracked = s.eigenvalues[-1, 4]
