@@ -28,7 +28,7 @@ from .branchpoints import cylinder_branch_points, find_branch_points
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
 from .fieldmap import export_projection
 from .matrices import gradient_matrix, operator_for
-from .montecarlo import WalkConfig, mc_signal
+from .montecarlo import WalkConfig, mc_signals
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
 from .spectrum import (canonical_order, diagonalize, normalize,
@@ -267,7 +267,7 @@ def cmd_signal(cfg: RunConfig) -> int:
     walks = [WalkConfig(geometry=walk_geometry, gbar=gbar, tbar=plan.tbar,
                         walkers=cfg.walkers, aspect=cfg.geometry_aspect(),
                         direction=_unit_direction(cfg), seed=cfg.seed)
-             if cfg.walkers > 0 else None for plan in plans]
+             for plan in plans] if cfg.walkers > 0 else []
     mat, B = _build_operator(cfg)
     spec = normalize(diagonalize(mat, B, gbar), mat.W)
     spec_m = spectrum_at_negative_g(spec, mat.W)
@@ -275,33 +275,33 @@ def cmd_signal(cfg: RunConfig) -> int:
 
     i1, i2 = slowest_pair(spec)  # i2 is None unless the slowest is complex
     lam1 = spec.eigenvalues[i1]
+    rows = []
+    for plan in plans:
+        tb = plan.tbar
+        Sm = signal_matrix(mat, B, gbar, tb)
+        Ss = signal_spectral(spec, spec_m, coeffs, tb)
+        if i2 is None:
+            one = signal_one_mode(lam1.real, coeffs.C[i1, i1].real, tb).real
+            modes = [_fmt(one), "", ""]
+        else:
+            tw = signal_two_mode(lam1, coeffs.C[i1, i1].real, coeffs.C[i1, i2], tb)
+            modes = ["", _fmt(tw.real), _fmt(tw.imag)]
+        delta = plan.delta if cfg.signal_mode() == "si" else tb
+        rows.append([_fmt(delta), _fmt(Sm.real), _fmt(Sm.imag),
+                     _fmt(Ss.real), _fmt(Ss.imag)] + modes)
+    # the walks run concurrently; drop the operator and spectra first (B and
+    # its blocks stay in spectrum's one-entry partition cache)
+    del mat, B, spec, spec_m, coeffs
+    mc = [(_fmt(S.real), _fmt(S.imag), _fmt(err)) for S, err in mc_signals(walks)]
+    for row, cols in zip(rows, mc or [("", "", "")] * len(rows)):
+        row.extend(cols)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, "signal.csv")
     with open(path, "w", newline="") as f:
         f.write("delta,S_matrix_re,S_matrix_im,S_spectral_re,S_spectral_im,"
                 "S_onemode,S_twomode_re,S_twomode_im,S_mc_re,S_mc_im,mc_stderr\n")
-        for plan, walk in zip(plans, walks):
-            tb = plan.tbar
-            Sm = signal_matrix(mat, B, gbar, tb)
-            Ss = signal_spectral(spec, spec_m, coeffs, tb)
-            two = ("", "")
-            one_s = ""
-            if i2 is None:
-                one_s = _fmt(signal_one_mode(lam1.real, coeffs.C[i1, i1].real, tb).real)
-            else:
-                tw = signal_two_mode(lam1, coeffs.C[i1, i1].real,
-                                     coeffs.C[i1, i2], tb)
-                two = (_fmt(tw.real), _fmt(tw.imag))
-            mc_cols = ("", "", "")
-            if walk is not None:
-                Smc, err = mc_signal(walk)
-                mc_cols = (_fmt(Smc.real), _fmt(Smc.imag), _fmt(err))
-            delta = plan.delta if cfg.signal_mode() == "si" else tb
-            f.write(",".join([
-                _fmt(delta), _fmt(Sm.real), _fmt(Sm.imag),
-                _fmt(Ss.real), _fmt(Ss.imag), one_s, two[0], two[1],
-                mc_cols[0], mc_cols[1], mc_cols[2]]) + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
     print(f"wrote {path}")
     return 0
 

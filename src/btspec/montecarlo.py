@@ -15,6 +15,8 @@ left the domain (about 5% per step at the default dt).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +96,36 @@ def mc_signal(cfg: WalkConfig):
             pos, new = new, pos
             proj, new_proj = new_proj, proj
 
-    vals = np.exp(-1j * phase)
+    del pos, new, proj, new_proj, incr
+    vals = -1j * phase
+    np.exp(vals, out=vals)
     S = vals.mean()
     stderr = float(np.sqrt(np.sum(np.abs(vals - S) ** 2)
                            / (cfg.walkers * max(1, cfg.walkers - 1))))
     return complex(S), stderr
+
+
+def mc_signals(cfgs: list) -> list:
+    """[mc_signal(c) for c in cfgs], run concurrently with the same bits.
+
+    Each walk owns its generator and buffers, and numpy releases the GIL in
+    its draws and ufuncs.  A pool of one thread per usable core runs the
+    walks longest (largest tbar) first.  A failed walk re-raises and cancels
+    the walks not yet started.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].tbar)
+    results = [None] * len(cfgs)
+    pool = ThreadPoolExecutor(max_workers=cores)
+    try:
+        # the module global mc_signal, so a wrapper installed on it sees every walk
+        futures = [(i, pool.submit(mc_signal, cfgs[i])) for i in order]
+        for i, fut in futures:
+            results[i] = fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
 
 
 def _initial_positions(cfg: WalkConfig, rng) -> np.ndarray:

@@ -7,8 +7,9 @@ import scipy.linalg as sla
 from btspec import basis as bas
 from btspec import cli
 from btspec import matrices as mx
+from btspec import montecarlo as mc
 from btspec import spectrum as sp
-from btspec.errors import ConfigError
+from btspec.errors import ConfigError, NumericalError
 
 
 def write_cfg(path, text):
@@ -278,7 +279,36 @@ def test_reduced_sphere_signal_walks_in_the_sphere(tmp_path):
     assert abs(S_mc - S_matrix) < 3 * row["mc_stderr"]
 
 
+def _count_walks(monkeypatch, fail_below=0.0):
+    calls, real = [], mc.mc_signal
+
+    def walk(cfg):
+        calls.append(cfg.tbar)
+        if cfg.tbar < fail_below:
+            raise NumericalError("injected walk failure")
+        return real(cfg)
+    monkeypatch.setattr(mc, "mc_signal", walk)
+    return calls
+
+
 def test_lapack_failure_exits_4(tmp_path, monkeypatch):
     _fail_eigensolves(monkeypatch)
     cfgp = write_cfg(tmp_path / "d.cfg", DISK_SWEEP)
     assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
+    # a failed eigensolve ends a signal run before any walk starts
+    walks = _count_walks(monkeypatch)
+    cfgp = write_cfg(tmp_path / "s.cfg", SPHERE_SI)
+    out = tmp_path / "s"
+    assert cli.main(["signal", "--config", cfgp, "--out", str(out),
+                     "--set", "walkers=200"]) == 4
+    assert walks == [] and not (out / "signal.csv").exists()
+
+
+def test_failed_walk_exits_4_without_output(tmp_path, monkeypatch):
+    # tbar = 0.115 (5 ms) fails, tbar = 0.46 (20 ms) is the longest walk
+    walks = _count_walks(monkeypatch, fail_below=0.2)
+    cfgp = write_cfg(tmp_path / "s.cfg", SPHERE_SI)
+    out = tmp_path / "out"
+    assert cli.main(["signal", "--config", cfgp, "--out", str(out),
+                     "--set", "walkers=200"]) == 4
+    assert min(walks) < 0.2 and not (out / "signal.csv").exists()

@@ -1,10 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from btspec import montecarlo as mc
 from btspec import signal as sig
-from btspec.errors import ConfigError
+from btspec.errors import ConfigError, NumericalError
 
 
 def test_zero_gradient_gives_unity():
@@ -115,3 +117,63 @@ def test_direction_normalized():
     cfg = mc.WalkConfig(geometry="sphere", gbar=1.0, tbar=0.1,
                         direction=(0.0, 0.0, 2.0))
     assert cfg.direction == (0.0, 0.0, 1.0)
+
+
+# more walks than cores, all three geometries, two equal tbars
+CONCURRENT = [
+    mc.WalkConfig(geometry="sphere", gbar=5.0, tbar=0.1, walkers=1500, seed=31),
+    mc.WalkConfig(geometry="cylinder", gbar=5.0, tbar=0.15, walkers=1500,
+                  aspect=1.5, direction=(0.6, 0.0, 0.8), seed=32),
+    mc.WalkConfig(geometry="free", gbar=2.0, tbar=0.05, walkers=1500, seed=33),
+    mc.WalkConfig(geometry="sphere", gbar=8.0, tbar=0.15, walkers=1500,
+                  direction=(1.0, 2.0, 3.0), seed=34),
+    mc.WalkConfig(geometry="sphere", gbar=2.0, tbar=0.2, walkers=1500, seed=35),
+]
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_concurrent_walks_equal_serial_ones(monkeypatch, cores):
+    serial = [mc.mc_signal(c) for c in CONCURRENT]
+    _cores(monkeypatch, cores)
+    assert mc.mc_signals(CONCURRENT) == serial
+    assert mc.mc_signals([]) == []
+
+
+def test_walks_start_longest_first(monkeypatch):
+    # one worker runs the walks in submission order, through the module global
+    _cores(monkeypatch, 1)
+    ran = []
+    monkeypatch.setattr(mc, "mc_signal",
+                        lambda c: ran.append(c.seed) or (c.seed, 0.0))
+    assert mc.mc_signals(CONCURRENT) == [(c.seed, 0.0) for c in CONCURRENT]
+    assert ran == [35, 32, 34, 31, 33]
+
+
+def test_failed_walk_reraises_and_cancels_the_rest(monkeypatch):
+    _cores(monkeypatch, 1)
+    cancelled = threading.Event()
+
+    class Pool(mc.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            if cancel_futures:
+                cancelled.set()
+            super().shutdown(wait=wait)
+    ran = []
+
+    def walk(c):
+        ran.append(c.seed)
+        if c.seed == 35:  # the longest walk, run first
+            raise NumericalError("injected walk failure")
+        cancelled.wait(5.0)  # holds the worker until the pending walks are cancelled
+        return 0j, 0.0
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(mc, "mc_signal", walk)
+    with pytest.raises(NumericalError):
+        mc.mc_signals(CONCURRENT)
+    # the worker may have taken the next walk (seed 32) before the cancel
+    assert ran[0] == 35 and set(ran) <= {35, 32}

@@ -151,3 +151,13 @@ def test_certify_rejects_an_offset_table():
     specfun._certify(f, z, 1e-10)
     with pytest.raises(ConvergenceError):
         specfun._certify(f, z + 1e-3, 1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["dJ", "dj_spherical"]), n=st.integers(0, 120),
+       count=st.integers(1, 64))
+def test_longer_table_prefix_equals_a_short_scan(kind, n, count):
+    # cached_zeros scans at least 16 zeros and serves shorter requests with a
+    # prefix of its table, which must equal a scan for exactly `count` zeros
+    make = specfun.zeros_dJ if kind == "dJ" else specfun.zeros_dj_spherical
+    assert np.array_equal(make(n, 64).zeros[:count], make(n, count).zeros)
