@@ -19,7 +19,6 @@ from .basis import (
 )
 from .branchpoints import (
     BranchPoint,
-    classify_order,
     cylinder_branch_points,
     detect,
     find_branch_points,
@@ -64,6 +63,7 @@ from .spectrum import (
     diagonalize,
     normalize,
     orthogonalize_pair,
+    own_blocks,
     spectrum_at_negative_g,
 )
 from .sweep import BranchSweep, match_step, run_sweep

@@ -68,19 +68,6 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
-    def classes(self):
-        """Yield (class_id, slice) for each degeneracy class in order."""
-        cid = self.class_id
-        start = 0
-        for i in range(1, len(cid) + 1):
-            if i == len(cid) or cid[i] != cid[start]:
-                yield cid[start], slice(start, i)
-                start = i
-
 
 def _group_classes(ev: np.ndarray) -> np.ndarray:
     cid = np.zeros(len(ev), dtype=int)

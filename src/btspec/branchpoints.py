@@ -2,10 +2,10 @@
 
 Below a branch point the participating eigenvalues are real (PT symmetry);
 above it they carry opposite imaginary parts.  The detector scans tracked
-branches for that departure of |Im lambda| from the solver noise floor, the
-refiner bisects on the same indicator, and the classifier counts how many
-eigenvalues of the point's own blocks share the merged value at the refined
-location.
+branches for that departure of |Im lambda| from the solver noise floor.  The
+refiner bisects on the same indicator, solving only the exact blocks of the
+point's branches, and counts how many eigenvalues of those blocks share the
+merged value at the refined location.
 
 The capped cylinder is swept as its disk and interval factors
 (cylinder_branch_points): its branches are sums of factor branches and its
@@ -24,12 +24,15 @@ import numpy as np
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices, _cylinder_weights, cylinder_factors
 from .specfun import interval_branch_constants
-from .spectrum import _components, block_labels, diagonalize
+from .spectrum import _components, block_labels, diagonalize, own_blocks
 from .sweep import BranchSweep, _assign, run_sweep
 
 IM_FLOOR = 1e-9
 IM_SIGNAL = 1e-6
 CLUSTER_RADIUS = 1e-3
+# Tighter than the 1e-5 reporting requirement, so that the square-root
+# splitting of the merging pair stays inside CLUSTER_RADIUS at g_star.
+BRACKET_WIDTH = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,7 @@ class BranchPoint:
     meta: dict = field(default_factory=dict)
 
 
-def detect(sweep: BranchSweep, im_floor: float = IM_FLOOR,
-           im_signal: float = IM_SIGNAL,
-           max_branch: int | None = None) -> list[BranchPoint]:
+def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoint]:
     """Coarse branch points from real-to-complex transitions of tracked branches.
 
     Branches transitioning inside the same grid interval are clustered when
@@ -73,10 +74,10 @@ def detect(sweep: BranchSweep, im_floor: float = IM_FLOOR,
         im = np.abs(lam[:, b].imag)
         real_state = True
         for i in range(n_g):
-            if real_state and im[i] > im_signal and i > 0 and im[i - 1] < im_floor:
+            if real_state and im[i] > IM_SIGNAL and i > 0 and im[i - 1] < IM_FLOOR:
                 transitions.append((i, b))
                 real_state = False
-            elif not real_state and im[i] < im_floor:
+            elif not real_state and im[i] < IM_FLOOR:
                 real_state = True
     points = []
     by_interval: dict[int, list[int]] = {}
@@ -111,120 +112,85 @@ def _cluster_by_value(lam_row: np.ndarray, branches: list[int],
 
 
 def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
-           ref_eigs: np.ndarray,
-           width: float = 1e-5, im_threshold: float = IM_SIGNAL) -> BranchPoint:
+           ref_eigs: np.ndarray) -> BranchPoint:
     """Bisect the coarse bracket on the indicator max|Im lambda| over the
-    participating branches, down to the requested bracket width.
+    participating branches down to BRACKET_WIDTH, then classify the point.
 
-    ref_eigs are branch-ordered eigenvalues at the bracket's lower end (branch
-    j starts at basis mode j, as in run_sweep); they identify the
-    participating eigenvalues at trial points, matched inside each exact
-    block.  The final point records the minimal bilinear norm of the merging
-    pair and their principal angle as consistency metadata.
+    All solves run on the branches' own exact blocks and their twins
+    (spectrum.own_blocks), whose rows are the full spectrum's rows.  ref_eigs
+    are the branch-ordered eigenvalues of every basis mode at the bracket's
+    lower end (branch j starts at basis mode j, as in run_sweep); they
+    identify the participating eigenvalues at trial points, matched inside
+    each exact block.  One solve with eigenvectors at g_star gives the merged
+    value, the order (the eigenvalues of the branches' own blocks within
+    CLUSTER_RADIUS of the value), the minimal bilinear norm of the merging
+    rows and their principal angle (None for a single-branch point, whose
+    partner lies beyond the tracked branches).
     """
     lo, hi = point.bracket
-    branches = list(point.branches)
-    block = block_labels(mat, B)[:len(ref_eigs)]
+    sub, B_sub, ix = own_blocks(mat, B, point.branches)
+    target = ref_eigs[ix]
+    block = block_labels(sub, B_sub)
+    pos = np.searchsorted(ix, point.branches)
+
+    def rows_at(gval: float, eigvals_only: bool = True):
+        spec = diagonalize(sub, B_sub, gval, eigvals_only=eigvals_only)
+        return spec, _assign(target, block, spec)[pos]
 
     def indicator(gval: float) -> float:
-        spec = diagonalize(mat, B, gval, eigvals_only=True)
-        vals = spec.eigenvalues[_assign(ref_eigs, block, spec)[branches]]
-        return float(np.max(np.abs(vals.imag)))
+        spec, rows = rows_at(gval)
+        return float(np.max(np.abs(spec.eigenvalues[rows].imag)))
 
     f_lo, f_hi = indicator(lo), indicator(hi)
-    if not (f_lo <= im_threshold < f_hi):
+    if not (f_lo <= IM_SIGNAL < f_hi):
         # non-monotone or mis-bracketed: split and look again
         mid = 0.5 * (lo + hi)
         f_mid = indicator(mid)
-        if f_lo <= im_threshold < f_mid:
+        if f_lo <= IM_SIGNAL < f_mid:
             hi, f_hi = mid, f_mid
-        elif f_mid <= im_threshold < f_hi:
+        elif f_mid <= IM_SIGNAL < f_hi:
             lo, f_lo = mid, f_mid
         else:
             raise ConvergenceError(
                 f"indicator not bracketed on [{lo}, {hi}]: {f_lo}, {f_mid}, {f_hi}")
-    while hi - lo > width:
+    while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        if indicator(mid) > im_threshold:
+        if indicator(mid) > IM_SIGNAL:
             hi = mid
         else:
             lo = mid
     g_star = 0.5 * (lo + hi)
 
-    meta = dict(point.meta)
-    meta.update(_pair_diagnostics(mat, B, g_star, branches, ref_eigs, block))
-    meta["coarse"] = False
-    meta["width"] = hi - lo
-    return BranchPoint(g_star=g_star, order=point.order,
-                       branches=point.branches, bracket=(lo, hi), meta=meta)
-
-
-def _pair_diagnostics(mat, B, g_star, branches, ref_eigs, block) -> dict:
-    """Bilinear-norm minimum and principal angle of the merging rows at g_star
-    (the angle is None for a single-branch point, whose partner lies beyond
-    the tracked branches).
-
-    A pure +-m sphere row has a vanishing bilinear self-product; its norm is
-    its product with the twin row of the bit-identical eigenvalue.
-    """
-    spec = diagonalize(mat, B, g_star)
-    rows = list(_assign(ref_eigs, block, spec)[branches])
-    X = spec.X[rows]
-    w = spec.eigenvalues
-    vv = [np.max(np.abs(spec.X[r] @ mat.W @ spec.X[w == w[r]].T)) for r in rows]
-    angles = []
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            ca = abs(np.vdot(X[a], X[b])) / (np.linalg.norm(X[a]) * np.linalg.norm(X[b]))
-            angles.append(np.arccos(min(1.0, ca)))
-    return {"vv_min": float(np.min(vv)),
-            "min_principal_angle": float(np.min(angles)) if angles else None,
-            "gap_min": float(np.min(np.abs(np.diff(np.sort(spec.eigenvalues[rows].real)))))
-            if len(rows) > 1 else 0.0}
-
-
-def classify_order(mat: OperatorMatrices, B: np.ndarray, g_star: float,
-                   value: complex, blocks,
-                   radius: float = CLUSTER_RADIUS) -> int:
-    """Number of eigenvalues within `radius` of the merged value at g_star,
-    counted only in `blocks`, the exact blocks of the point's branches.
-
-    Eigenvalues of other blocks can pass nearby, but they are decoupled and
-    do not take part in the merge.  Bit-identical twin blocks (the +-m
-    sphere sectors) count when the point's branches lie in both.
-    """
-    spec = diagonalize(mat, B, g_star, eigvals_only=True)
-    near = np.abs(spec.eigenvalues - value) <= radius
-    return int(np.sum(near & np.isin(spec.block, list(blocks))))
+    spec, rows = rows_at(g_star, eigvals_only=False)
+    w, X = spec.eigenvalues, spec.X
+    value = complex(np.mean(w[rows]))
+    near = np.abs(w - value) <= CLUSTER_RADIUS
+    order = int(np.sum(near & np.isin(spec.block, block[pos])))
+    # a pure +-m row pairs with the twin row of its bit-identical eigenvalue
+    vv = [np.max(np.abs(X[r] @ sub.W @ X[w == w[r]].T)) for r in rows]
+    angles = [np.arccos(min(1.0, abs(np.vdot(X[a], X[b]))
+                            / (np.linalg.norm(X[a]) * np.linalg.norm(X[b]))))
+              for i, a in enumerate(rows) for b in rows[i + 1:]]
+    meta = dict(point.meta, coarse=False, value=value, width=hi - lo,
+                vv_min=float(np.min(vv)),
+                min_principal_angle=float(np.min(angles)) if angles else None,
+                gap_min=float(np.min(np.abs(np.diff(np.sort(w[rows].real)))))
+                if len(rows) > 1 else 0.0)
+    return BranchPoint(g_star=g_star, order=order, branches=point.branches,
+                       bracket=(lo, hi), meta=meta)
 
 
 def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
-                       width: float = 1e-8,
                        max_branch: int | None = None) -> list[BranchPoint]:
-    """Detect, refine and classify all branch points of a finished sweep.
+    """Detect and refine all branch points of a finished sweep.
 
-    The default refinement width 1e-8 is tighter than the 1e-5 reporting
-    requirement so that the square-root splitting of the merging pair stays
-    inside the order-classification cluster radius at g_star.  max_branch is
-    forwarded to detect() to keep the scan off the truncation edge.
+    max_branch is forwarded to detect() to keep the scan off the truncation
+    edge.
     """
     out = []
     for coarse in detect(sweep, max_branch=max_branch):
         i_lo = int(np.argmin(np.abs(sweep.g_grid - coarse.bracket[0])))
-        ref = sweep.eigenvalues[i_lo]
-        refined = refine(mat, B, coarse, ref_eigs=ref, width=width)
-        # re-derive the merged value at g_star for classification
-        spec = diagonalize(mat, B, refined.g_star, eigvals_only=True)
-        sigma = _assign(ref, sweep.block, spec)
-        vals = spec.eigenvalues[sigma[list(refined.branches)]]
-        center = complex(np.mean(vals))
-        order = classify_order(mat, B, refined.g_star, center,
-                               blocks={sweep.block[b] for b in refined.branches})
-        meta = dict(refined.meta)
-        meta["value"] = center
-        out.append(BranchPoint(g_star=refined.g_star, order=order,
-                               branches=refined.branches,
-                               bracket=refined.bracket, meta=meta))
+        out.append(refine(mat, B, coarse, ref_eigs=sweep.eigenvalues[i_lo]))
     return out
 
 

@@ -23,7 +23,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigError, NumericalError
 from .matrices import OperatorMatrices
-from .spectrum import Spectrum, block_labels
+from .spectrum import Spectrum, own_blocks
 
 # First zero of Ai'(z); leading constant of the high-gradient asymptotics.
 from .specfun import AIRY_DERIV_FIRST_ZERO
@@ -96,22 +96,20 @@ def signal_matrix(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     state, the second exp(-tbar(Lambda - i gbar B)); with row-vector evolution
     the signal is the (0,0) entry of their product in pulse order.
 
-    Lambda is diagonal and B is exactly zero between the blocks of
-    spectrum.block_labels, so both exponentials are block-diagonal and the
-    (0,0) entry only involves the block of the constant mode (basis mode 0;
-    the m = 0 block of the z-gradient sphere, 35 of 333 modes).  The two
-    expm are taken on that block alone; a matrix with one block (tilted
+    Lambda is diagonal and B is exactly zero between its exact blocks, so
+    both exponentials are block-diagonal and the (0,0) entry only involves
+    the block of the constant mode (basis mode 0; the m = 0 block of the
+    z-gradient sphere, 35 of 333 modes).  The two expm are taken on that
+    block alone (spectrum.own_blocks); a matrix with one block (tilted
     sphere) keeps its full size.  This is still the expm route: it uses the
     block partition of B but no eigendecomposition, so it stays independent
     of the eigensolver it cross-checks.
     """
-    label = block_labels(mat, B)
-    ix = np.flatnonzero(label == label[0])
-    lam = mat.lam[ix]
-    M = np.diag(lam) + 1j * gbar * B[np.ix_(ix, ix)]
+    sub, B_sub, _ = own_blocks(mat, B, [0])
+    M = sub.bloch_torrey(B_sub, gbar)
     try:
         Ep = sla.expm(-tbar * M)
-        Em = sla.expm(-tbar * (2 * np.diag(lam) - M))  # Lambda - i g B
+        Em = sla.expm(-tbar * (2 * np.diag(sub.lam) - M))  # Lambda - i g B
     except (ValueError, sla.LinAlgError) as exc:  # pragma: no cover
         raise NumericalError(
             f"matrix exponential failed (gbar={gbar}, tbar={tbar}, "
@@ -120,21 +118,15 @@ def signal_matrix(mat: OperatorMatrices, B: np.ndarray, gbar: float,
 
 
 def signal_spectral(spec_plus: Spectrum, spec_minus: Spectrum,
-                    coeffs: SignalCoefficients, tbar: float,
-                    re_cutoff: float | None = None) -> complex:
+                    coeffs: SignalCoefficients, tbar: float) -> complex:
     """Spectral expansion S = sum_{jj'} C_{jj'} exp(-tbar (lam_j^(-g) + lam_j'^(g))).
 
     spec_minus supplies the -g eigenvalues (conjugates of spec_plus for the
-    symmetric geometries here).  re_cutoff optionally drops modes with
-    Re lambda above the cutoff from both sums.
+    symmetric geometries here).
     """
-    lam_p = spec_plus.eigenvalues
-    lam_m = spec_minus.eigenvalues
-    keep_p = slice(None) if re_cutoff is None else lam_p.real <= re_cutoff
-    keep_m = slice(None) if re_cutoff is None else lam_m.real <= re_cutoff
-    em = np.exp(-tbar * lam_m[keep_m])
-    ep = np.exp(-tbar * lam_p[keep_p])
-    return complex(em @ coeffs.C[keep_m][:, keep_p] @ ep)
+    em = np.exp(-tbar * spec_minus.eigenvalues)
+    ep = np.exp(-tbar * spec_plus.eigenvalues)
+    return complex(em @ coeffs.C @ ep)
 
 
 def signal_one_mode(lam1: complex, C11: complex, tbar: float) -> complex:

@@ -38,7 +38,6 @@ class ZeroTable:
     kind: str
     order: float
     zeros: np.ndarray
-    tolerance: float = 1e-12
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=float)

@@ -121,6 +121,29 @@ def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:
     return label
 
 
+def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
+    """The operator restricted to the exact blocks that hold `modes`.
+
+    Returns (sub, B_sub, ix): sub carries Lambda, W and the basis on the
+    sorted basis modes ix of those blocks and of their bit-identical twins,
+    B_sub = B[ix, ix], and sub mode i is basis mode ix[i].  The twins belong
+    to the restriction because a pure +-m sphere row has a vanishing bilinear
+    self-product: its norm is its product with the twin row.  diagonalize(sub,
+    B_sub, g) solves the same blocks as the full solve, so its rows are the
+    full spectrum's rows of these blocks, bit for bit and in the same order.
+    """
+    blocks = _blocks(mat.lam, B)
+    label = block_labels(mat, B)
+    twins = {blocks[label[j]][1] for j in modes}
+    ix = np.sort(np.concatenate([b[0] for b in blocks if b[1] in twins]))
+    basis = replace(mat.basis, indices=tuple(mat.basis.indices[i] for i in ix),
+                    eigenvalues=mat.basis.eigenvalues[ix],
+                    class_id=mat.basis.class_id[ix])
+    sub = OperatorMatrices(basis, mat.lam[ix], None, None, None,
+                           mat.W[np.ix_(ix, ix)])
+    return sub, B[np.ix_(ix, ix)], ix
+
+
 # One-entry identity cache (lam, B, blocks): a sweep passes the same B to
 # every solve, and the partition costs about as much as the block solves.
 _partition: tuple = (None, None, [])
@@ -227,13 +250,12 @@ def orthogonalize_pair(vj: np.ndarray, vjp: np.ndarray, C: np.ndarray):
     return new_j, new_jp
 
 
-def normalize(spec: Spectrum, W: np.ndarray,
-              near_branch_tol: float = NEAR_BRANCH_TOL) -> Spectrum:
+def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
     """Bilinear normalization and sign fixing of a raw spectrum.
 
     Degenerate classes are orthogonalized pairwise first (greedy, in index
     order, driven by the off-diagonal Gram entries); rows whose bilinear norm
-    stays below near_branch_tol are flagged and kept unit-2-norm.  The sign of
+    stays below NEAR_BRANCH_TOL are flagged and kept unit-2-norm.  The sign of
     each row is fixed to make the constant-mode projection X[j, 0] have a
     positive real part (falling back to the largest coefficient when that
     projection is negligible).
@@ -275,7 +297,7 @@ def normalize(spec: Spectrum, W: np.ndarray,
         if done[j] or near[j]:
             continue
         vvj = X[j] @ W @ X[j]
-        if abs(vvj) < near_branch_tol:
+        if abs(vvj) < NEAR_BRANCH_TOL:
             near[j] = True
             continue
         X[j] = X[j] / np.sqrt(vvj + 0j)

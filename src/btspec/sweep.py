@@ -11,7 +11,7 @@ identities through crossings and through slowly splitting near-parallel
 branches.  Residual displacement ties are broken by eigenvector overlap; a
 real pair turning into a complex-conjugate pair is ordered with the Im > 0
 member on the lower branch index.  Steps whose matching stays ambiguous are
-bisected down to min_step and the surviving ambiguity is recorded rather
+bisected down to MIN_STEP and the surviving ambiguity is recorded rather
 than suppressed.
 """
 
@@ -35,6 +35,10 @@ DISTINCT_REL = 1e-5
 # prediction and at the next step are exactly degenerate (the +-m pairs of a
 # tilted sphere): swapping them changes no value, so it is no tie.
 SAME_REL = 1e-10
+# A step is bisected, down to MIN_STEP, when a matched value moves further
+# than REFINE_DISPLACEMENT or its matching stays ambiguous.
+MIN_STEP = 1e-5
+REFINE_DISPLACEMENT = 0.5
 
 
 @dataclass
@@ -58,10 +62,6 @@ class BranchSweep:
     @property
     def n_branches(self) -> int:
         return self.eigenvalues.shape[1]
-
-    def branch(self, j: int) -> np.ndarray:
-        """Eigenvalue curve of branch j (0-based) over the grid."""
-        return self.eigenvalues[:, j]
 
     def values_at(self, g: float) -> np.ndarray:
         """Branch-ordered eigenvalues at the grid point nearest to g."""
@@ -194,15 +194,13 @@ def _is_conjugate_family(vals: np.ndarray, scale: float) -> bool:
 
 
 def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
-              step: float = 0.05, min_step: float = 1e-5,
-              n_branches: int | None = None,
-              refine_displacement: float = 0.5) -> BranchSweep:
+              step: float = 0.05) -> BranchSweep:
     """Track eigenvalue branches from gbar = 0 to g_max.
 
     Eigenvalues only are computed at each grid point; eigenvectors are pulled
     in lazily when a displacement tie survives the slope-prediction matching.
-    A step whose maximal matched displacement exceeds refine_displacement, or
-    whose matching stays ambiguous, is bisected until min_step; leftover
+    A step whose maximal matched displacement exceeds REFINE_DISPLACEMENT, or
+    whose matching stays ambiguous, is bisected until MIN_STEP; leftover
     ambiguities are logged with both candidate assignments.
     """
     if g_max <= 0:
@@ -248,7 +246,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
         unresolved = [t for t in ties if t["kind"] == "unresolved"]
         max_disp = float(np.max(np.abs(rows[-1] - nxt.eigenvalues[sigma])))
         gap = g_next - sweep_g[-1]
-        if (unresolved or max_disp > refine_displacement) and gap > 2 * min_step:
+        if (unresolved or max_disp > REFINE_DISPLACEMENT) and gap > 2 * MIN_STEP:
             g_mid = 0.5 * (sweep_g[-1] + g_next)
             refinements.append({"inserted": g_mid,
                                 "reason": "tie" if unresolved else "displacement",
@@ -270,7 +268,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
             else:
                 vector_mode, prev_vec = False, None
 
-    sweep = BranchSweep(
+    return BranchSweep(
         g_grid=np.array(sweep_g),
         eigenvalues=np.vstack(rows),
         block=block,
@@ -281,16 +279,12 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
             "geometry": mat.basis.geometry,
             "N": mat.N,
             "step": step,
-            "min_step": min_step,
+            "min_step": MIN_STEP,
             "tiebreak": "per exact block: slope-predicted squared "
                         "displacement, eigenvector overlap on ties, Im>0 to "
                         "lower index through branch points",
         },
     )
-    if n_branches is not None:
-        sweep.eigenvalues = sweep.eigenvalues[:, :n_branches]
-        sweep.block = sweep.block[:n_branches]
-    return sweep
 
 
 def _predict(sweep_g, rows, g_next) -> np.ndarray:

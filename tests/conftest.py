@@ -17,6 +17,13 @@ def sphere60():
 
 
 @pytest.fixture(scope="session")
+def sphere60_sweep13(sphere60):
+    """z-gradient sweep to gbar = 13, past the m = +-1 point at 11.98."""
+    m, B = sphere60
+    return sw.run_sweep(m, B, 13.0, step=0.05)
+
+
+@pytest.fixture(scope="session")
 def sphere100():
     b = bas.build_sphere_basis(100)
     m = mx.assemble_sphere(b)

@@ -74,13 +74,44 @@ def test_sphere_below_three_is_empty():
     assert bp.detect(s) == []
 
 
-def test_classify_order_counts_cluster(disk60):
+def test_order_counts_own_block_cluster(disk60):
+    """The order counts the eigenvalues of the point's own blocks within
+    CLUSTER_RADIUS of its value; here they are solved with LAPACK directly."""
     m, B = disk60
     s = sw.run_sweep(m, B, 5.0, step=0.05)
     p = bp.find_branch_points(m, B, s)[0]
-    value = p.meta["value"]
-    blocks = {s.block[b] for b in p.branches}
-    assert bp.classify_order(m, B, p.g_star, value, blocks) == 2
+    blocks = sp._blocks(m.lam, B)
+    own = np.concatenate([
+        sla.eigvals(np.diag(m.lam[ix]) + 1j * p.g_star * B[np.ix_(ix, ix)])
+        for ix in (blocks[k][0] for k in {s.block[b] for b in p.branches})])
+    assert p.order == int(np.sum(np.abs(own - p.meta["value"]) <= bp.CLUSTER_RADIUS)) == 2
+
+
+def test_refine_solves_only_the_point_blocks(sphere60, sphere60_sweep13, monkeypatch):
+    """Each point is refined on the m sectors of its branches and their -m
+    twins alone, with one eigenvector solve at g_star and no other solve."""
+    m, B = sphere60
+    am = np.abs([q.m for q in m.basis.indices])
+    solves = []
+    real_refine, real_diagonalize = bp.refine, bp.diagonalize
+
+    def refine(*args, **kwargs):
+        solves.append([])
+        return real_refine(*args, **kwargs)
+
+    def diagonalize(mat, B, gbar, eigvals_only=False):
+        solves[-1].append((mat.N, eigvals_only))
+        return real_diagonalize(mat, B, gbar, eigvals_only)
+
+    monkeypatch.setattr(bp, "refine", refine)
+    monkeypatch.setattr(bp, "diagonalize", diagonalize)
+    points = bp.find_branch_points(m, B, sphere60_sweep13, max_branch=17)
+    assert len(points) == len(solves) >= 3
+    for p, calls in zip(points, solves):
+        size = int(np.sum(np.isin(am, am[list(p.branches)])))
+        assert size < m.N
+        assert {n for n, _ in calls} == {size}, p
+        assert [only for _, only in calls].count(False) == 1, p
 
 
 def test_crossings_are_not_branch_points(sphere333_sweep):

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from btspec import basis as bas
+from btspec import branchpoints as bp
 from btspec import matrices as mx
 from btspec import spectrum as sp
 from btspec.errors import NumericalError
@@ -144,6 +145,52 @@ def test_block_solve_matches_dense(name, sphere60, cylinder60, disk60):
         assert not sn.near_branch.any()
         G = sn.X @ m.W @ sn.X.T
         assert np.abs(G - np.eye(m.N)).max() < 1e-7
+
+
+@pytest.mark.parametrize("name", ["sphere_z", "disk", "cylinder", "sphere_tilted"])
+def test_own_blocks_restriction_is_exact(name, sphere60, cylinder60, disk60):
+    """The operator restricted to the blocks of some modes and their twins
+    solves the same blocks as the full solve, so its rows equal the full
+    spectrum's rows of those blocks bit for bit (compared with ==)."""
+    m, B = {"sphere_z": sphere60, "disk": disk60,
+            "cylinder": (cylinder60, mx.gradient_matrix_cylinder(cylinder60, np.pi / 4)),
+            "sphere_tilted": (sphere60[0], mx.gradient_matrix_sphere(sphere60[0], 0.3, 0.0)),
+            }[name]
+    label = sp.block_labels(m, B)
+    twin = np.array([t for _, t, *_ in sp._blocks(m.lam, B)])
+    for modes in ([0], [2], [0, 7]):
+        sub, B_sub, ix = sp.own_blocks(m, B, modes)
+        keep = np.isin(twin[label], twin[label[modes]])
+        assert np.array_equal(ix, np.flatnonzero(keep))
+        assert np.array_equal(B_sub, B[np.ix_(ix, ix)])
+        if name == "sphere_tilted":
+            assert sub.N == m.N  # one block: the whole operator
+        if name == "sphere_z":
+            # a +-m sector comes with its twin
+            mq = np.array([q.m for q in m.basis.indices])
+            assert set(mq[ix]) == set(mq[modes]) | set(-mq[modes])
+        for g in (2.0, 7.0, 12.0):
+            for only in (True, False):
+                full = sp.diagonalize(m, B, g, eigvals_only=only)
+                part = sp.diagonalize(sub, B_sub, g, eigvals_only=only)
+                rows = np.flatnonzero(np.isin(full.block, label[ix]))
+                assert np.array_equal(part.eigenvalues, full.eigenvalues[rows])
+                if not only:
+                    assert np.array_equal(part.X, full.X[np.ix_(rows, ix)])
+                    assert np.all(full.X[np.ix_(rows, ~keep)] == 0)
+
+
+def test_point_with_a_cut_twin_pair_keeps_the_twin(sphere60, sphere60_sweep13):
+    """max_branch = 3 keeps one member of the m = +-1 pair merging at 11.98:
+    the point has the single branch 2, and the norm of its pure +-m row is
+    its product with the twin row, which own_blocks keeps."""
+    m, B = sphere60
+    points = bp.find_branch_points(m, B, sphere60_sweep13, max_branch=3)
+    p = next(p for p in points if p.branches == (2,))
+    assert abs(p.g_star - 11.98) < 0.01
+    assert p.order == 2
+    assert p.meta["vv_min"] > 0
+    assert p.meta["min_principal_angle"] is None
 
 
 def test_lapack_failure_names_gbar_and_block(sphere60, monkeypatch):
