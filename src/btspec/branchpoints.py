@@ -135,7 +135,7 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
 
     def rows_at(gval: float, eigvals_only: bool = True):
         spec = diagonalize(sub, B_sub, gval, eigvals_only=eigvals_only)
-        return spec, _assign(target, block, spec)[pos]
+        return spec, _match_blocks(target, block, spec)[pos]
 
     def indicator(gval: float) -> float:
         spec, rows = rows_at(gval)
@@ -168,8 +168,7 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     order = int(np.sum(near & np.isin(spec.block, block[pos])))
     # a pure +-m row pairs with the twin row of its bit-identical eigenvalue
     vv = [np.max(np.abs(X[r] @ sub.W @ X[w == w[r]].T)) for r in rows]
-    angles = [np.arccos(min(1.0, abs(np.vdot(X[a], X[b]))
-                            / (np.linalg.norm(X[a]) * np.linalg.norm(X[b]))))
+    angles = [_principal_angle(X[a], X[b])
               for i, a in enumerate(rows) for b in rows[i + 1:]]
     meta = dict(point.meta, coarse=False, value=value, width=hi - lo,
                 vv_min=float(np.min(vv)),
@@ -178,6 +177,26 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
                 if len(rows) > 1 else 0.0)
     return BranchPoint(g_star=g_star, order=order, branches=point.branches,
                        bracket=(lo, hi), meta=meta)
+
+
+def _match_blocks(target: np.ndarray, block: np.ndarray, spec) -> np.ndarray:
+    """Row of spec assigned to each target value (target j in exact block
+    block[j]): minimal total squared displacement, each block on its own."""
+    out = np.empty(len(target), dtype=int)
+    for k in np.unique(block):
+        r, c = np.flatnonzero(block == k), np.flatnonzero(spec.block == k)
+        out[r] = c[_assign(target[r], spec.eigenvalues[c])]
+    return out
+
+
+def _principal_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Angle between the complex lines of a and b, as 2 arcsin(|a^ - e^{i phi}
+    b^| / 2) of the unit vectors with the phase phi = -arg(a^H b) that aligns
+    b^ with a^.  An arccos of |a^H b| loses half the digits of a small angle:
+    a rounding of 1e-16 in the cosine is 1e-16 / angle^2 relative in it."""
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    phase = np.exp(-1j * np.angle(np.vdot(a, b)))
+    return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(a - phase * b) / 2.0)))
 
 
 def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
@@ -264,7 +283,7 @@ def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: fl
     matched from the sweep's values at its last grid point at or below g."""
     i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
     spec = diagonalize(mat, B, g)
-    rows = _assign(sweep.eigenvalues[i], sweep.block, spec)
+    rows = _match_blocks(sweep.eigenvalues[i], sweep.block, spec)
     X = spec.X[rows]
     return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X @ mat.W, X))
 

@@ -12,12 +12,14 @@ Lambda is diagonal, so Lambda + i*gbar*B splits exactly into independent
 blocks: the connected components of the nonzero pattern of B (the m sectors
 of the z-gradient sphere, the cos/sin sectors of the disk and the cylinder; a
 tilted sphere gradient couples everything into one block).  Each block is
-solved on its own, each eigenvalue row is labeled with its block, and each
-raw row of X is zero outside its block.  Eigenvalues of different blocks
-cross freely and never merge, so branch tracking and branch-point detection
-work inside one block at a time.  Blocks whose Lambda and B entries are
-bit-identical, such as the +m and -m sphere sectors, are solved once and the
-result is copied to the twin.  The partition is computed at the first solve
+solved on its own by one block solve (_solve_block); diagonalize labels each
+eigenvalue row with its block, and each raw row of X is zero outside its
+block.  Eigenvalues of different blocks cross freely and never merge, so
+branch tracking and branch-point detection work inside one block at a time:
+the branch tracker (sweep) calls the block solve directly, one distinct
+block at a time.  Blocks whose Lambda and B entries are bit-identical, such
+as the +m and -m sphere sectors, are solved once and the result is copied to
+the twin.  The partition is computed at the first solve
 with a given B and reused while the same B object is passed again, so B must
 not be modified in place.
 
@@ -45,7 +47,8 @@ class Spectrum:
     """Eigenvalues (dimensionless R^2 lambda_j) and coefficient rows at one gbar.
 
     X is None for an eigenvalues-only computation.  block[j] is the exact
-    block of row j (see block_labels; None means one block).  vv holds
+    block of row j in block_labels' numbering, set by diagonalize (None for
+    a spectrum assembled by hand, which carries no block).  vv holds
     |<v_j, v_j>| before rescaling (the normalization 'condition number'; 0
     for a raw pure +-m sphere row, which normalize pairs with its twin);
     near_branch marks rows whose bilinear norm collapsed; degenerate_class
@@ -83,21 +86,8 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     solved: list[tuple] = []
     start = 0
     for k, (ix, twin, lam_b, B_b) in enumerate(_blocks(mat.lam, B)):
-        if twin < k:
-            solved.append(solved[twin])
-        else:
-            M = np.diag(lam_b).astype(complex)
-            M += 1j * gbar * B_b
-            try:
-                if eigvals_only:
-                    solved.append((sla.eigvals(M, check_finite=False), None))
-                else:
-                    wb, vl = sla.eig(M, left=True, right=False, check_finite=False)
-                    solved.append((wb, vl.conj().T))
-            except sla.LinAlgError as exc:
-                raise NumericalError(
-                    f"eigensolver failed at gbar={gbar} on a block of size "
-                    f"{len(ix)} (N={N}, norm={np.linalg.norm(M):.3e})") from exc
+        solved.append(solved[twin] if twin < k else
+                      _solve_block(lam_b, B_b, gbar, eigvals_only))
         wb, xb = solved[-1]
         stop = start + len(ix)
         w[start:stop] = wb
@@ -110,6 +100,27 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     if X is not None:
         X = X[order]
     return Spectrum(gbar=float(gbar), eigenvalues=w, X=X, block=block[order])
+
+
+def _solve_block(lam_b: np.ndarray, B_b: np.ndarray, gbar: float,
+                 eigvals_only: bool) -> tuple:
+    """Eigenvalues, sorted by (Re, Im), and left-eigenvector rows (None when
+    eigvals_only) of one exact block diag(lam_b) + i*gbar*B_b.  A LAPACK
+    failure raises NumericalError naming gbar and the block size."""
+    M = np.diag(lam_b).astype(complex)
+    M += 1j * gbar * B_b
+    try:
+        if eigvals_only:
+            w, X = sla.eigvals(M, check_finite=False), None
+        else:
+            w, vl = sla.eig(M, left=True, right=False, check_finite=False)
+            X = vl.conj().T
+    except sla.LinAlgError as exc:
+        raise NumericalError(
+            f"eigensolver failed at gbar={gbar} on a block of size "
+            f"{len(lam_b)} (norm={np.linalg.norm(M):.3e})") from exc
+    order = np.lexsort((w.imag, w.real))
+    return w[order], None if X is None else X[order]
 
 
 def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:

@@ -211,3 +211,16 @@ def test_cylinder_factor_route_values_are_kron_eigenvalues():
             assert np.sum(np.abs(w - p.meta["value"]) <= bp.CLUSTER_RADIUS) == p.order, p
         n_points += len(points)
     assert n_points == 12  # disk points 3.76, 9.39, 13.88 (eta = 0) and 6.05
+
+
+def test_principal_angle_is_exact_for_small_angles():
+    """Two unit vectors at 1e-7 rad, the second times a phase: the half-angle
+    form keeps the angle to 1e-12 relative, where an arccos of the cosine,
+    rounded near 1, is off by about 1%."""
+    angle = 1e-7
+    a = np.array([1.0, 0.0, 0.0], dtype=complex)
+    b = np.exp(0.7j) * np.array([np.cos(angle), np.sin(angle), 0.0])
+    assert abs(bp._principal_angle(a, b) - angle) <= 1e-12 * angle
+    assert abs(bp._principal_angle(3.0 * b, 2j * a) - angle) <= 1e-12 * angle
+    arccos = np.arccos(min(1.0, abs(np.vdot(a, b))))
+    assert abs(arccos - angle) > 1e-3 * angle

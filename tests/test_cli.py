@@ -312,3 +312,19 @@ def test_failed_walk_exits_4_without_output(tmp_path, monkeypatch):
     assert cli.main(["signal", "--config", cfgp, "--out", str(out),
                      "--set", "walkers=200"]) == 4
     assert min(walks) < 0.2 and not (out / "signal.csv").exists()
+
+
+def test_import_leaves_out_scipy_optimize():
+    """scipy.optimize (about 0.25 s) loads only when a sweep matches
+    branches, not with the package."""
+    import os
+    import subprocess
+    import sys
+
+    import btspec
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btspec.__file__)))
+    code = "import sys, btspec.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -20,7 +20,7 @@ def test_match_conjugate_pair_formation():
     prev = sp.Spectrum(gbar=5.0, eigenvalues=np.array([2.4, 2.6, 9.0], dtype=complex))
     nxt = sp.Spectrum(gbar=5.05, eigenvalues=np.array([2.5 - 0.2j, 2.5 + 0.2j, 9.01 + 0j]))
     sigma, info = sw.match_step(prev, nxt)
-    # Im > 0 goes to the lower branch index; both candidates recorded
+    # Im > 0 goes to the lower branch index; the tie is recorded
     assert nxt.eigenvalues[sigma[0]].imag > 0
     assert nxt.eigenvalues[sigma[1]].imag < 0
     kinds = [t["kind"] for t in info["tie_groups"]]
@@ -76,8 +76,11 @@ def test_sweep_grid_and_permutation_validity():
     s = sw.run_sweep(m, B, 3.0, step=0.1)
     assert s.g_grid[0] == 0.0 and s.g_grid[-1] == 3.0
     assert np.all(np.diff(s.g_grid) > 0)
-    for sigma in s.permutations:
-        assert np.array_equal(np.sort(sigma), np.arange(m.N))
+    # every row is a permutation of the full spectrum, bit for bit, although
+    # the tracker solves its blocks itself and some of them with vectors
+    for g, row in zip(s.g_grid[1:], s.eigenvalues[1:]):
+        w = sp.diagonalize(m, B, g, eigvals_only=True).eigenvalues
+        assert np.array_equal(np.sort(row), np.sort(w))
     # branch 0 starts at the constant mode and rises
     assert s.eigenvalues[0, 0] == 0.0
     assert s.eigenvalues[-1, 0].real > 0.1
@@ -145,22 +148,87 @@ def test_tilted_sphere_matches_z_sweep(sphere60):
         assert a.order == b.order
 
 
+def _eig_orders(monkeypatch):
+    """Orders of the LAPACK eigenvector solves made from now on."""
+    orders = []
+    solve = sp.sla.eig
+
+    def counted(M, *args, **kwargs):
+        orders.append(len(M))
+        return solve(M, *args, **kwargs)
+
+    monkeypatch.setattr(sp.sla, "eig", counted)
+    return orders
+
+
 def test_tilted_sphere_chains_few_eigenvectors(sphere60, monkeypatch):
     """Swapping two exactly degenerate branches (the +-m pairs inside the
-    tilted block) changes no value, so it is no tie: the tilted sweep needs
-    eigenvectors about as often as the z sweep (37), not on every step."""
+    tilted block) changes no value, so it is no tie: the summed order of the
+    eigenvector solves stays within the whole-spectrum tracker's 2838."""
     m, _ = sphere60
     Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
-    with_vectors = []
-    solve = sw.diagonalize
-
-    def counted(mat, B, gbar, eigvals_only=False):
-        with_vectors.append(not eigvals_only)
-        return solve(mat, B, gbar, eigvals_only=eigvals_only)
-
-    monkeypatch.setattr(sw, "diagonalize", counted)
+    orders = _eig_orders(monkeypatch)
     sw.run_sweep(m, Bt, 16.0, step=0.05)
-    assert sum(with_vectors) <= 50
+    assert 0 < sum(orders) <= 2838
+
+
+def test_z_sphere_solves_only_tied_blocks_with_eigenvectors(sphere60, monkeypatch):
+    """Only a block with a tie is solved with eigenvectors: the summed order
+    of the eigenvector solves stays within the whole-spectrum tracker's 1443,
+    and no solve is wider than the widest block."""
+    m, B = sphere60
+    orders = _eig_orders(monkeypatch)
+    sw.run_sweep(m, B, 16.0, step=0.05)
+    assert 0 < sum(orders) <= 1443
+    assert max(orders) <= max(len(ix) for ix, *_ in sp._blocks(m.lam, B))
+
+
+def test_overlap_form_pairs_twin_blocks(sphere60):
+    """On a |m| = 1 block of the z sphere W[ix, ix] vanishes (W pairs m with
+    -m), so the tracker passes W[ix, iy] with iy the twin block's modes.
+    Under that form a cost tie is resolved by eigenvector continuity; under
+    W[ix, ix] it stays unresolved."""
+    m, B = sphere60
+    t = next(t for t in sw._tracks(m, B) if abs(m.basis.indices[t.ix[0]].m) == 1)
+    assert len(t.copies) == 2 and not np.any(m.W[np.ix_(t.ix, t.ix)])
+    a, b = t.solve(2.0, False), t.solve(2.01, False)
+    assert np.all(np.abs(b.eigenvalues[:2].imag) < 1e-12)
+    # the previous branches 0 and 1 carry the vectors of rows 1 and 0, and
+    # both are predicted at the midpoint of the next two values: a cost tie
+    swap = np.arange(len(t.ix))
+    swap[:2] = [1, 0]
+    pred = b.eigenvalues.copy()
+    pred[:2] = b.eigenvalues[:2].mean()
+    prev = sp.Spectrum(gbar=2.01, eigenvalues=pred, X=a.X[swap])
+    sigma, info = sw.match_step(prev, b, W=t.W)
+    assert [g["kind"] for g in info["tie_groups"]] == ["overlap_resolved"]
+    assert np.array_equal(sigma, swap)
+    _, info = sw.match_step(prev, b, W=m.W[np.ix_(t.ix, t.ix)])
+    assert [g["kind"] for g in info["tie_groups"]] == ["unresolved"]
+
+
+def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
+    """An unresolved tie of one block's branches 0 and 2 at gbar = 0.05 is
+    reported as the basis modes of the block and of its twin, which copies
+    its result."""
+    m, B = sphere60
+    t = next(t for t in sw._tracks(m, B) if abs(m.basis.indices[t.ix[0]].m) == 1)
+    assert sum(len(u.ix) == len(t.ix) for u in sw._tracks(m, B)) == 1
+    match = sw.match_step
+
+    def tied(prev, next_, W=None):
+        sigma, info = match(prev, next_, W)
+        if len(prev.eigenvalues) == len(t.ix) and next_.gbar == 0.05:
+            info["tie_groups"].append({"branches": (0, 2), "kind": "unresolved"})
+        return sigma, info
+
+    monkeypatch.setattr(sw, "match_step", tied)
+    s = sw.run_sweep(m, B, 0.1, step=0.05)
+    # the tie at 0.05 is bisected down to MIN_STEP, then kept and logged
+    assert s.refinements and all(r["reason"] == "tie" for r in s.refinements)
+    want = sorted((int(ix[0]), int(ix[2])) for ix in t.copies)
+    assert len(want) == 2
+    assert [(a["g"], a["branches"]) for a in s.ambiguities] == [(0.05, w) for w in want]
 
 
 def test_merge_clusters_respect_m(sphere333_sweep, sphere333):
