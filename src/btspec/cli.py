@@ -9,6 +9,12 @@ and the conversion happens once, here.
 Output directory precedence: --out flag, then the BTSPEC_OUTDIR environment
 variable, then the config key outdir, then the current directory.
 
+signal and fieldmap solve eigenvectors only on the exact blocks they read
+(spectrum.own_blocks): the spectral and one-/two-mode signal routes on the
+constant mode's block, the only one with mu_j = X[j, 0] != 0; a fieldmap on
+row j's block and the constant mode's block, whose column 0 the sign rule
+reads.  A one-block operator (tilted sphere, reduced sphere) is solved whole.
+
 Exit codes: 0 success, 2 configuration error, 3 domain error, 4 numerical
 failure.
 """
@@ -31,8 +37,8 @@ from .matrices import gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signals
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
-from .spectrum import (canonical_order, diagonalize, normalize,
-                       slowest_pair, spectrum_at_negative_g)
+from .spectrum import (block_labels, canonical_order, diagonalize, normalize,
+                       own_blocks, slowest_pair, spectrum_at_negative_g)
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
@@ -126,14 +132,9 @@ class RunConfig:
         return self.aspect
 
     def direction_kwargs(self) -> dict:
-        kw = {}
-        if self.eta_deg is not None:
-            kw["eta"] = np.deg2rad(self.eta_deg)
-        if self.theta_deg is not None:
-            kw["theta_g"] = np.deg2rad(self.theta_deg)
-        if self.phi_deg is not None:
-            kw["phi_g"] = np.deg2rad(self.phi_deg)
-        return kw
+        angles = {"eta": self.eta_deg, "theta_g": self.theta_deg,
+                  "phi_g": self.phi_deg}
+        return {k: np.deg2rad(a) for k, a in angles.items() if a is not None}
 
 
 def parse_config(path: str) -> dict:
@@ -174,10 +175,9 @@ def build_config(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, val = (s.strip() for s in item.split("=", 1))
         data[key] = _convert(key, val, "--set")
-    if "geometry" not in data:
-        raise ConfigError("config key 'geometry' is required")
-    if "N" not in data:
-        raise ConfigError("config key 'N' is required")
+    for key in ("geometry", "N"):
+        if key not in data:
+            raise ConfigError(f"config key {key!r} is required")
     cfg = RunConfig(**data)
     if args.out:
         cfg.outdir = args.out
@@ -191,10 +191,8 @@ def _fmt(x) -> str:
 
 
 def _build_operator(cfg: RunConfig):
-    aspect = cfg.geometry_aspect()
-    mat = operator_for(cfg.geometry, cfg.N, R=1.0, H=aspect)
-    B = gradient_matrix(mat, **cfg.direction_kwargs())
-    return mat, B
+    mat = operator_for(cfg.geometry, cfg.N, R=1.0, H=cfg.geometry_aspect())
+    return mat, gradient_matrix(mat, **cfg.direction_kwargs())
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -218,14 +216,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     branches_path = os.path.join(cfg.outdir, "branches.csv")
     with open(branches_path, "w", newline="") as f:
         f.write("g,branch_j,re_lambda,im_lambda,flags\n")
-        amb_by_g = {}
-        for a in sweep.ambiguities:
-            for b in a.get("branches", ()):
-                amb_by_g.setdefault((a["g"], b), "ambiguous")
+        ambiguous = {(a["g"], b) for a in sweep.ambiguities
+                     for b in a.get("branches", ())}
         for i, g in enumerate(sweep.g_grid):
             for j in range(n_out):
                 lam = sweep.eigenvalues[i, j]
-                flag = amb_by_g.get((g, j), "")
+                flag = "ambiguous" if (g, j) in ambiguous else ""
                 f.write(f"{_fmt(g)},{j + 1},{_fmt(lam.real)},{_fmt(lam.imag)},{flag}\n")
 
     bp_path = os.path.join(cfg.outdir, "branchpoints.json")
@@ -269,9 +265,11 @@ def cmd_signal(cfg: RunConfig) -> int:
                         direction=_unit_direction(cfg), seed=cfg.seed)
              for plan in plans] if cfg.walkers > 0 else []
     mat, B = _build_operator(cfg)
-    spec = normalize(diagonalize(mat, B, gbar), mat.W)
-    spec_m = spectrum_at_negative_g(spec, mat.W)
-    coeffs = compute_coefficients(spec, mat.W)
+    # only the constant mode's block has mu_j = X[j, 0] != 0
+    sub, B_sub, _ = own_blocks(mat, B, [0])
+    spec = normalize(diagonalize(sub, B_sub, gbar), sub.W)
+    spec_m = spectrum_at_negative_g(spec, sub.W)
+    coeffs = compute_coefficients(spec, sub.W)
 
     i1, i2 = slowest_pair(spec)  # i2 is None unless the slowest is complex
     lam1 = spec.eigenvalues[i1]
@@ -291,7 +289,7 @@ def cmd_signal(cfg: RunConfig) -> int:
                      _fmt(Ss.real), _fmt(Ss.imag)] + modes)
     # the walks run concurrently; drop the operator and spectra first (B and
     # its blocks stay in spectrum's one-entry partition cache)
-    del mat, B, spec, spec_m, coeffs
+    del mat, B, sub, B_sub, spec, spec_m, coeffs
     mc = [(_fmt(S.real), _fmt(S.imag), _fmt(err)) for S, err in mc_signals(walks)]
     for row, cols in zip(rows, mc or [("", "", "")] * len(rows)):
         row.extend(cols)
@@ -326,13 +324,15 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
             f"truncation N={cfg.N} too small for branch index {j}; "
             f"need N >= {5 * j}")
     mat, B = _build_operator(cfg)
-    spec = normalize(diagonalize(mat, B, g), mat.W)
-    rank = canonical_order(spec.eigenvalues)
-    from dataclasses import replace
-    spec = replace(spec, eigenvalues=spec.eigenvalues[rank], X=spec.X[rank],
-                   vv=spec.vv[rank], near_branch=spec.near_branch[rank],
-                   degenerate_class=spec.degenerate_class[rank])
-    grid = export_projection(spec, mat.basis, j, resolution=cfg.resolution)
+    # rank all blocks' values; restricting keeps the full spectrum's row
+    # order, so canonical row r is row k of the included blocks
+    w = diagonalize(mat, B, g, eigvals_only=True)
+    r = canonical_order(w.eigenvalues)[j - 1]
+    labels = block_labels(mat, B)
+    sub, B_sub, ix = own_blocks(mat, B, [0, np.argmax(labels == w.block[r])])
+    k = np.count_nonzero(np.isin(w.block[:r], labels[ix]))
+    spec = normalize(diagonalize(sub, B_sub, g), sub.W)
+    grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     stem = f"field_j{j}_g{_num_tag(g)}"
@@ -356,6 +356,7 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
             "lambda_re": grid.eigenvalue.real,
             "lambda_im": grid.eigenvalue.imag,
             "near_branch_point": grid.flagged,
+            "vv": float(spec.vv[k]),
             "plane": grid.plane,
         }, f, indent=1, sort_keys=True)
     print(f"wrote {csv_path} and {side_path}")
@@ -363,8 +364,7 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
 
 
 def _num_tag(x: float) -> str:
-    s = ("%g" % x)
-    return s.replace("-", "m").replace(".", "p")
+    return ("%g" % x).replace("-", "m").replace(".", "p")
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,11 @@ cross-check each other:
   C_{jj'} = mu_j^(-g) Gamma_{jj'} mu_j'^(g) from a normalized Spectrum;
 * one-mode / two-mode closed forms for the slowest branch.
 
+mu_j = X[j, 0] is zero outside the exact block of the constant mode, so the
+spectral route and the closed forms need only that block's rows: btspec
+signal normalizes the spectrum of spectrum.own_blocks(mat, B, [0]), and the
+slowest row there is the slowest row that carries weight (C_11 != 0).
+
 All quantities are dimensionless: gbar = gamma*G/D0 * R^3, tbar = D0*delta/R^2,
 eigenvalues R^2*lambda.  PulsePlan converts SI inputs once at the boundary.
 """

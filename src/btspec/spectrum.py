@@ -23,9 +23,16 @@ the twin.  The partition is computed at the first solve
 with a given B and reused while the same B object is passed again, so B must
 not be modified in place.
 
+own_blocks restricts the operator to the blocks that hold given modes (and
+their twins); a solve of the restriction returns the full solve's rows of
+those blocks in the same order, so a command solves only the blocks its
+output reads (the signal the constant mode's block, a fieldmap row j's).
+
 Near a branch point the bilinear self-product <v, v> vanishes and no
 normalization exists; such rows are flagged 'near branch point' and left with
-unit 2-norm instead of being rescaled.
+unit 2-norm instead of being rescaled.  The sign of each row makes
+Re X[j, 0] > 0, with a tie-proof rule for rows without constant-mode
+projection (_sign_fix), so a full and a restricted solve give one sign.
 """
 
 from __future__ import annotations
@@ -268,8 +275,8 @@ def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
     order, driven by the off-diagonal Gram entries); rows whose bilinear norm
     stays below NEAR_BRANCH_TOL are flagged and kept unit-2-norm.  The sign of
     each row is fixed to make the constant-mode projection X[j, 0] have a
-    positive real part (falling back to the largest coefficient when that
-    projection is negligible).
+    positive real part (falling back to the first of the largest
+    coefficients when that projection is negligible; see _sign_fix).
     """
     if spec.X is None:
         raise ValueError("normalize() needs eigenvectors; run diagonalize "
@@ -326,11 +333,14 @@ def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
 
 
 def _sign_fix(row: np.ndarray) -> float:
-    """+-1 making Re(X[j,0]) > 0, or the largest coefficient's real part when
-    the constant-mode projection is negligible."""
+    """+-1 making Re(X[j,0]) > 0, or, when the constant-mode projection is
+    negligible, the real part of the first coefficient within 1e-8 relative
+    of the largest.  The tolerance matters for a +-m sphere pair row, whose
+    two largest coefficients agree to rounding with opposite signs: its sign
+    must not follow their last bits."""
     ref = row[0]
     if abs(ref) < 1e-12:
-        ref = row[np.argmax(np.abs(row))]
+        ref = row[np.argmax(np.abs(row) >= (1 - 1e-8) * np.abs(row).max())]
     if ref.real < 0 or (abs(ref.real) < 1e-300 and ref.imag < 0):
         return -1.0
     return 1.0

@@ -6,8 +6,10 @@ import scipy.linalg as sla
 
 from btspec import basis as bas
 from btspec import cli
+from btspec import fieldmap as fm
 from btspec import matrices as mx
 from btspec import montecarlo as mc
+from btspec import signal as sg
 from btspec import spectrum as sp
 from btspec.errors import ConfigError, NumericalError
 
@@ -152,6 +154,9 @@ def test_fieldmap_command(tmp_path):
     # just past the first branch point the eigenvalue is complex
     assert abs(side["lambda_im"]) > 0.1
     assert side["j"] == 1 and side["plane"] == "xz"
+    # |<v, v>| of the unit-2-norm row, the normalization's condition number
+    assert 0 < side["vv"] <= 1
+    assert (side["vv"] < sp.NEAR_BRANCH_TOL) == side["near_branch_point"]
     lines = (out / "field_j1_g5p63.csv").read_text().strip().split("\n")
     assert lines[0] == "x,z,re_v,im_v,inside_flag"
     assert len(lines) == 1 + 31 * 31
@@ -328,3 +333,157 @@ def test_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# Restricted routes against the full-N route.  Each case is (geometry,
+# direction config keys, the same direction as gradient_matrix keywords);
+# the oracle solves and normalizes the whole operator.
+ROUTE_GEOMETRIES = {
+    "z_sphere": ("sphere", [], {}),
+    "tilted_sphere": ("sphere", ["theta_deg=40", "phi_deg=30"],
+                      {"theta_g": np.deg2rad(40), "phi_g": np.deg2rad(30)}),
+    "sphere_reduced": ("sphere_reduced", [], {}),
+    "disk": ("disk", [], {}),
+    "cylinder": ("cylinder", [], {}),
+    "oblique_cylinder": ("cylinder", ["eta_deg=78.23931266613657"],
+                         {"eta": np.deg2rad(78.23931266613657)}),
+}
+
+
+def _full_operator(geometry, kw, N):
+    mat = mx.operator_for(geometry, N)
+    return mat, mx.gradient_matrix(mat, **kw)
+
+
+def _run(command, sets, out, extra=()):
+    args = [command, "--out", str(out)]
+    for item in sets:
+        args += ["--set", item]
+    assert cli.main(args + list(extra)) == 0
+
+
+@pytest.mark.parametrize("gbar", [2.0, 8.0])
+@pytest.mark.parametrize("name", ROUTE_GEOMETRIES)
+def test_signal_on_constant_mode_block_matches_full_route(tmp_path, name, gbar):
+    geometry, sets, kw = ROUTE_GEOMETRIES[name]
+    N, tbars = 60, (0.05, 0.3)
+    _run("signal", [f"geometry={geometry}", f"N={N}", f"gbar={gbar}",
+                    "tbars=0.05,0.3"] + sets, tmp_path)
+    lines = (tmp_path / "signal.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+    mat, B = _full_operator(geometry, kw, N)
+    spec = sp.normalize(sp.diagonalize(mat, B, gbar), mat.W)
+    spec_m = sp.spectrum_at_negative_g(spec, mat.W)
+    co = sg.compute_coefficients(spec, mat.W)
+    i1, i2 = sp.slowest_pair(spec)
+    # the global slowest row carries weight, so both routes pick it
+    assert abs(spec.X[i1, 0]) > 1e-12
+    lam1 = spec.eigenvalues[i1]
+    for tb, row in zip(tbars, rows):
+        S = sg.signal_spectral(spec, spec_m, co, tb)
+        got = complex(float(row["S_spectral_re"]), float(row["S_spectral_im"]))
+        assert abs(got - S) <= 1e-12 * abs(S)
+        if i2 is None:
+            one = sg.signal_one_mode(lam1.real, co.C[i1, i1].real, tb).real
+            assert row["S_twomode_re"] == ""
+            assert abs(float(row["S_onemode"]) - one) <= 1e-12 * abs(one)
+        else:
+            two = sg.signal_two_mode(lam1, co.C[i1, i1].real, co.C[i1, i2], tb)
+            got = complex(float(row["S_twomode_re"]), float(row["S_twomode_im"]))
+            assert row["S_onemode"] == ""
+            assert abs(got - two) <= 1e-12 * abs(two)
+
+
+@pytest.mark.parametrize("name", ROUTE_GEOMETRIES)
+def test_fieldmap_rows_match_full_route(tmp_path, monkeypatch, name):
+    """Rows j = 1..N/5 exported from the restricted route equal the full
+    route's canonical rows: the same eigenvalue and flag, and the same
+    coefficients to 1e-12, zero outside the restriction."""
+    geometry, sets, kw = ROUTE_GEOMETRIES[name]
+    N = 60
+    mat, B = _full_operator(geometry, kw, N)
+    position = {idx: i for i, idx in enumerate(mat.basis.indices)}
+    seen = []
+
+    def export(spec, basis, j, **kwargs):
+        seen.append((spec, basis, j))
+        return fm.export_projection(spec, basis, j, **kwargs)
+    monkeypatch.setattr(cli, "export_projection", export)
+    sets = [f"geometry={geometry}", f"N={N}", "resolution=1"] + sets
+    for g in (5.63, 12.0):
+        full = sp.normalize(sp.diagonalize(mat, B, g), mat.W)
+        rank = sp.canonical_order(full.eigenvalues)
+        for j in range(1, N // 5 + 1):
+            seen.clear()
+            _run("fieldmap", sets, tmp_path, ["--j", str(j), "--g", str(g)])
+            (spec, basis, k), = seen
+            r = rank[j - 1]
+            assert spec.eigenvalues[k - 1] == full.eigenvalues[r]
+            assert spec.near_branch[k - 1] == full.near_branch[r]
+            ix = [position[i] for i in basis.indices]
+            row = np.zeros(mat.N, dtype=complex)
+            row[ix] = spec.X[k - 1]
+            assert np.max(np.abs(row - full.X[r])) <= 1e-12 * np.max(np.abs(full.X[r]))
+
+
+def test_fieldmap_csv_of_pair_row_matches_full_route(tmp_path):
+    """A +-m row of the N=333 sphere (j=4 at gbar=12, modes n=2, m=+-1):
+    the CSV from the restricted route matches the full route's export."""
+    out = tmp_path / "out"
+    _run("fieldmap", ["geometry=sphere", "N=333", "resolution=41"], out,
+         ["--j", "4", "--g", "12"])
+    grid = np.loadtxt(out / "field_j4_g12.csv", delimiter=",", skiprows=1)
+    v = grid[:, 2] + 1j * grid[:, 3]
+
+    mat, B = _full_operator("sphere", {}, 333)
+    full = sp.normalize(sp.diagonalize(mat, B, 12.0), mat.W)
+    r = sp.canonical_order(full.eigenvalues)[3]
+    x = full.X[r]
+    assert abs(x[0]) < 1e-12  # no constant-mode projection: an |m| >= 1 row
+    top = np.sort(np.abs(x))[-2:]
+    assert top[1] - top[0] <= 1e-12 * top[1]  # its +-m coefficients tie
+    one = sp.Spectrum(gbar=12.0, eigenvalues=full.eigenvalues[[r]], X=x[None],
+                      near_branch=full.near_branch[[r]])
+    ref = fm.export_projection(one, mat.basis, 1, resolution=41)
+    v_ref = np.where(ref.inside, ref.values, 0).ravel()
+    assert np.array_equal(grid[:, 4].astype(bool), ref.inside.ravel())
+    assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+
+
+def test_signal_and_fieldmap_solve_only_the_blocks_they_read(tmp_path, monkeypatch):
+    """On the z sphere at N=100, no eigenvector solve is wider than the
+    blocks a command reads, and normalize sees only their rows."""
+    vector_solves, normalized_rows = [], []
+
+    def solve(lam_b, B_b, gbar, eigvals_only, _solve=sp._solve_block):
+        if not eigvals_only:
+            vector_solves.append(len(lam_b))
+        return _solve(lam_b, B_b, gbar, eigvals_only)
+
+    def normalize(spec, W, _normalize=sp.normalize):
+        normalized_rows.append(spec.N)
+        return _normalize(spec, W)
+    monkeypatch.setattr(sp, "_solve_block", solve)
+    monkeypatch.setattr(cli, "normalize", normalize)
+    mat, B = _full_operator("sphere", {}, 100)
+    labels = sp.block_labels(mat, B)
+    width = {k: np.count_nonzero(labels == k) for k in np.unique(labels)}
+
+    _run("signal", ["geometry=sphere", "N=100", "gbar=8", "tbars=0.2"], tmp_path)
+    read = len(sp.own_blocks(mat, B, [0])[2])
+    assert read == width[labels[0]] < mat.N // 4
+    assert vector_solves and max(vector_solves) <= read
+    assert normalized_rows == [read]
+
+    vector_solves.clear()
+    normalized_rows.clear()
+    _run("fieldmap", ["geometry=sphere", "N=100", "resolution=1"], tmp_path,
+         ["--j", "4", "--g", "12"])
+    w = sp.diagonalize(mat, B, 12.0, eigvals_only=True)
+    k = w.block[sp.canonical_order(w.eigenvalues)[3]]
+    assert k != labels[0]  # row 4 lies outside the constant mode's block
+    read = sp.own_blocks(mat, B, [0, np.argmax(labels == k)])[2]
+    assert set(vector_solves) <= {width[labels[0]], width[k]}
+    assert normalized_rows == [len(read)] and len(read) < mat.N // 2

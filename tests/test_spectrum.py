@@ -316,3 +316,17 @@ def test_sign_convention_reproducible(sphere60):
     mu = a.X[ok, 0]
     big = np.abs(mu) > 1e-12
     assert np.all(mu[big].real > 0)
+    # a +-m pair row: its two largest coefficients agree to rounding with
+    # opposite signs, and either one may be the larger by an ulp
+    c, c_up = 0.6, np.nextafter(0.6, 1.0)
+    for row in ([0, c, -c_up], [0, c_up, -c]):
+        row = np.array(row, dtype=complex)
+        assert (row[1] * sp._sign_fix(row)).real > 0
+    # the rows of a restriction to exact blocks are the full route's rows
+    labels = sp.block_labels(m, B)
+    for k in np.unique(labels):
+        sub, B_sub, ix = sp.own_blocks(m, B, [0, np.argmax(labels == k)])
+        r = normalized(sub, B_sub, 3.0)
+        rows = np.isin(a.block, labels[ix])
+        assert np.array_equal(r.eigenvalues, a.eigenvalues[rows])
+        assert np.max(np.abs(r.X - a.X[np.ix_(rows, ix)])) <= 1e-12
