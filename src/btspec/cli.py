@@ -22,6 +22,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -37,8 +38,8 @@ from .matrices import gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signals
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
-from .spectrum import (block_labels, canonical_order, diagonalize, normalize,
-                       own_blocks, slowest_pair, spectrum_at_negative_g)
+from .spectrum import (bilinear_gram, block_labels, canonical_order, diagonalize,
+                       normalize, own_blocks, slowest_pair, spectrum_at_negative_g)
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
@@ -190,6 +191,38 @@ def _fmt(x) -> str:
     return "%.17g" % x
 
 
+def _write_csv(path: str, header: str, line: str, chunks) -> None:
+    """Write header, then every row tuple of every chunk with one %-format
+    per line and one write per chunk, so only a chunk is held as text."""
+    with open(path, "w", newline="") as f:
+        f.write(header)
+        for rows in chunks:
+            f.write("".join([line % row for row in rows]))
+
+
+def _write_branches(path: str, sweep, n_out: int) -> None:
+    """branches.csv: branches 1..n_out, one chunk per grid point."""
+    ambiguous = {(a["g"], b) for a in sweep.ambiguities for b in a.get("branches", ())}
+    chunks = ([(g, j + 1, lam.real, lam.imag, "ambiguous" if (g, j) in ambiguous else "")
+               for j, lam in enumerate(row[:n_out].tolist())]
+              for g, row in zip(sweep.g_grid.tolist(), sweep.eigenvalues))
+    _write_csv(path, "g,branch_j,re_lambda,im_lambda,flags\n",
+               "%.17g,%d,%.17g,%.17g,%s\n", chunks)
+
+
+def _write_field(path: str, grid) -> None:
+    """Fieldmap CSV of a FieldGrid, one chunk per grid row; 0 outside.  The
+    axis values are formatted once, not once per cell."""
+    zs = [_fmt(z) for z in grid.axis2.tolist()]
+
+    def rows(x, v, inside):
+        v = np.where(inside, v, 0)
+        return zip(itertools.repeat(_fmt(x)), zs, v.real.tolist(), v.imag.tolist(),
+                   inside.tolist())
+    chunks = itertools.starmap(rows, zip(grid.axis1.tolist(), grid.values, grid.inside))
+    _write_csv(path, "x,z,re_v,im_v,inside_flag\n", "%s,%s,%.17g,%.17g,%d\n", chunks)
+
+
 def _build_operator(cfg: RunConfig):
     mat = operator_for(cfg.geometry, cfg.N, R=1.0, H=cfg.geometry_aspect())
     return mat, gradient_matrix(mat, **cfg.direction_kwargs())
@@ -214,15 +247,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     os.makedirs(cfg.outdir, exist_ok=True)
     branches_path = os.path.join(cfg.outdir, "branches.csv")
-    with open(branches_path, "w", newline="") as f:
-        f.write("g,branch_j,re_lambda,im_lambda,flags\n")
-        ambiguous = {(a["g"], b) for a in sweep.ambiguities
-                     for b in a.get("branches", ())}
-        for i, g in enumerate(sweep.g_grid):
-            for j in range(n_out):
-                lam = sweep.eigenvalues[i, j]
-                flag = "ambiguous" if (g, j) in ambiguous else ""
-                f.write(f"{_fmt(g)},{j + 1},{_fmt(lam.real)},{_fmt(lam.imag)},{flag}\n")
+    _write_branches(branches_path, sweep, n_out)
 
     bp_path = os.path.join(cfg.outdir, "branchpoints.json")
     doc = {
@@ -331,21 +356,14 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
     labels = block_labels(mat, B)
     sub, B_sub, ix = own_blocks(mat, B, [0, np.argmax(labels == w.block[r])])
     k = np.count_nonzero(np.isin(w.block[:r], labels[ix]))
-    spec = normalize(diagonalize(sub, B_sub, g), sub.W)
+    raw = diagonalize(sub, B_sub, g)
+    spec = normalize(raw, sub.W)
     grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     stem = f"field_j{j}_g{_num_tag(g)}"
     csv_path = os.path.join(cfg.outdir, stem + ".csv")
-    with open(csv_path, "w", newline="") as f:
-        f.write("x,z,re_v,im_v,inside_flag\n")
-        for a, x in enumerate(grid.axis1):
-            for b, z in enumerate(grid.axis2):
-                v = grid.values[a, b]
-                inside = int(grid.inside[a, b])
-                re = _fmt(v.real) if inside else "0"
-                im = _fmt(v.imag) if inside else "0"
-                f.write(f"{_fmt(x)},{_fmt(z)},{re},{im},{inside}\n")
+    _write_field(csv_path, grid)
     side_path = os.path.join(cfg.outdir, stem + ".json")
     with open(side_path, "w") as f:
         json.dump({
@@ -357,10 +375,23 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
             "lambda_im": grid.eigenvalue.imag,
             "near_branch_point": grid.flagged,
             "vv": float(spec.vv[k]),
+            "vv_pair": _pair_conditioning(raw, spec, k, sub.W),
             "plane": grid.plane,
         }, f, indent=1, sort_keys=True)
     print(f"wrote {csv_path} and {side_path}")
     return 0
+
+
+def _pair_conditioning(raw, spec, k: int, W) -> float | None:
+    """sqrt|det C| of the raw bilinear Gram C of row k and the other row of
+    its two-row degenerate class, which normalize orthogonalizes it with
+    (|<v+, v->| for a pure +-m pair, whose vv is 0); None for a simple
+    eigenvalue or a class of three or more rows."""
+    c = spec.degenerate_class[k]
+    pair = np.flatnonzero(spec.degenerate_class == c)
+    if c < 0 or len(pair) != 2:
+        return None
+    return float(np.sqrt(abs(np.linalg.det(bilinear_gram(raw.X[pair], W)))))
 
 
 def _num_tag(x: float) -> str:

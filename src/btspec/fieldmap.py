@@ -5,10 +5,17 @@ each geometry, normalized to unit L2 norm over the domain (lengths in units
 of R).  The sphere uses the complex e^{i m phi} basis whose bilinear overlap
 matrix W is non-trivial; the cylinder/disk/interval use real bases.  Points
 outside the domain evaluate to NaN and are reported in the grid mask.
+
+Each mode is a product of 1-D factors (_mode_factors): j_n(alpha r) P_n^m(xi)
+e^{i m phi} on the sphere, J_n(alpha rho) cos or sin(n theta) on the disk,
+times cos(pi m (z + h/2) / h) on the cylinder; the interval has only the last.
+Each factor is evaluated once, on the distinct values of its coordinate among
+the inside points, and radial factors are summed per angular group.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,61 +48,46 @@ class FieldGrid:
 
 
 def inside_mask(basis: BasisSet, pts: np.ndarray) -> np.ndarray:
-    """Boolean mask of points inside the domain (pts shape (P, 3), units of R)."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    """Boolean mask of points inside the domain (pts shape (..., 3), units of R)."""
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     g = basis.geometry
     if g in ("sphere", "sphere_reduced"):
         return x * x + y * y + z * z < 1.0
-    if g == "cylinder":
-        return (x * x + y * y < 1.0) & (np.abs(z) < basis.aspect / 2.0)
-    if g == "disk":
-        return x * x + y * y < 1.0
-    if g == "interval":
-        return np.abs(z) < basis.aspect / 2.0
-    raise DomainError(f"unknown geometry {g!r}")
+    if g not in ("cylinder", "disk", "interval"):
+        raise DomainError(f"unknown geometry {g!r}")
+    in_disk = x * x + y * y < 1.0 if g != "interval" else True
+    return in_disk & (np.abs(z) < basis.aspect / 2.0 if g != "disk" else True)
 
 
-def basis_function(basis: BasisSet, i: int, pts: np.ndarray) -> np.ndarray:
-    """Values of the i-th Laplacian mode at pts (P, 3); no inside masking."""
-    ix = basis.indices[i]
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+def _mode_factors(basis: BasisSet, ix) -> tuple:
+    """1-D factors (coordinate, key) whose product is one mode, radial first."""
     g = basis.geometry
     if g in ("sphere", "sphere_reduced"):
-        return _sphere_mode(ix.n, ix.k, ix.m, x, y, z)
-    if g == "disk":
-        return _disk_mode(ix.n, ix.k, ix.l, x, y)
-    if g == "cylinder":
-        h = basis.aspect
-        zfac = np.sqrt((2.0 - (ix.m == 0)) / h) * np.cos(np.pi * ix.m * (z + h / 2) / h)
-        return _disk_mode(ix.n, ix.k, ix.l, x, y) * zfac
-    if g == "interval":
-        H = basis.aspect
-        return np.sqrt((2.0 - (ix.m == 0)) / H) * np.cos(np.pi * ix.m * (z + H / 2) / H)
-    raise DomainError(f"unknown geometry {g!r}")
+        m = ix.m or 0
+        return (("r", (ix.n, ix.k)), ("xi", (ix.n, m))) + ((("phi", m),) if m else ())
+    z = (("z", (ix.m, basis.aspect)),) if g != "disk" else ()
+    return z if g == "interval" else (("rho", (ix.n, ix.k)), ("theta", (ix.n, ix.l))) + z
 
 
-def _sphere_mode(n, k, m, x, y, z):
-    alpha = _alpha("dj_spherical", n, k)
-    r = np.sqrt(x * x + y * y + z * z)
-    if alpha == 0.0:
-        return np.full_like(r, np.sqrt(3.0 / (4.0 * np.pi)), dtype=complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xi = np.where(r > 0, z / np.maximum(r, 1e-300), 1.0)
-    phi = np.arctan2(y, x)
-    ratio = np.exp(gammaln(n + m + 1) - gammaln(n - m + 1))
-    norm = beta_sphere(n, alpha) / (spherical_jn(n, alpha) * np.sqrt(2 * np.pi * ratio))
-    return norm * spherical_jn(n, alpha * r) * lpmv(m, n, xi) * np.exp(1j * m * phi)
-
-
-def _disk_mode(n, k, l, x, y):
-    alpha = _alpha("dJ", n, k)
-    r = np.sqrt(x * x + y * y)
-    if alpha == 0.0:
-        return np.full_like(r, 1.0 / np.sqrt(np.pi), dtype=complex)
-    th = np.arctan2(y, x)
-    norm = np.sqrt(2.0 - (n == 0)) / np.sqrt(np.pi) * beta_disk(n, alpha) / jv(n, alpha)
-    ang = np.cos(n * th) if l == 1 else np.sin(n * th)
-    return norm * jv(n, alpha * r) * ang
+def _factor(coord: str, key, u: np.ndarray) -> np.ndarray:
+    """Values of one 1-D factor at the coordinate values u."""
+    if coord == "r":
+        n, alpha = key[0], _alpha("dj_spherical", *key)
+        return beta_sphere(n, alpha) / spherical_jn(n, alpha) * spherical_jn(n, alpha * u)
+    if coord == "xi":
+        n, m = key
+        ratio = np.exp(gammaln(n + m + 1) - gammaln(n - m + 1))
+        return lpmv(m, n, u) / np.sqrt(2 * np.pi * ratio)
+    if coord == "phi":
+        return np.exp(1j * key * u)
+    if coord == "rho":
+        n, alpha = key[0], _alpha("dJ", *key)
+        return np.sqrt((2.0 - (n == 0)) / np.pi) * beta_disk(n, alpha) / jv(n, alpha) \
+            * jv(n, alpha * u)
+    if coord == "theta":
+        return np.cos(key[0] * u) if key[1] == 1 else np.sin(key[0] * u)
+    m, h = key
+    return np.sqrt((2.0 - (m == 0)) / h) * np.cos(np.pi * m * (u + h / 2) / h)
 
 
 def eval_eigenfunction(x_row: np.ndarray, basis: BasisSet,
@@ -105,10 +97,36 @@ def eval_eigenfunction(x_row: np.ndarray, basis: BasisSet,
     if pts.shape[1] != 3:
         raise DomainError("points must have shape (P, 3)")
     mask = inside_mask(basis, pts)
-    out = np.zeros(len(pts), dtype=complex)
-    for k in np.flatnonzero(np.abs(x_row) > 0):
-        out += x_row[k] * basis_function(basis, k, pts)
-    out[~mask] = np.nan + 1j * np.nan
+    x, y, z = pts[mask].T
+    r = np.sqrt(x * x + y * y + z * z)
+    raw = {  # coordinates, each computed only when a factor reads it
+        "r": lambda: r, "z": lambda: z, "rho": lambda: np.sqrt(x * x + y * y),
+        "phi": lambda: np.arctan2(y, x), "theta": lambda: np.arctan2(y, x),
+        "xi": lambda: np.where(r > 0, z / np.maximum(r, 1e-300), 1.0)}
+    groups: dict[tuple, dict] = {}  # angular factors -> {radial factor: coefficient}
+    for i in np.flatnonzero(np.abs(x_row) > 0):
+        radial, *angular = _mode_factors(basis, basis.indices[i])
+        groups.setdefault(tuple(angular), {})[radial] = x_row[i]
+    uses = Counter(f for angular, terms in groups.items() for f in (*angular, *terms))
+    # coordinate -> (distinct values, index of each inside point into them)
+    coords = {c: np.unique(raw[c](), return_inverse=True) for c in {c for c, _ in uses}}
+    kept: dict[tuple, np.ndarray] = {}
+
+    def factor(f):  # at the distinct values; kept until its last use
+        vals = kept.pop(f) if f in kept else _factor(*f, coords[f[0]][0])
+        uses[f] -= 1
+        if uses[f]:
+            kept[f] = vals
+        return vals
+    inner = np.zeros(len(r), dtype=complex)
+    for angular, terms in groups.items():
+        (coord, _), *_ = terms
+        term = sum((c * factor(f) for f, c in terms.items()), 0j)[coords[coord][1]]
+        for f in angular:
+            term *= factor(f)[coords[f[0]][1]]
+        inner += term
+    out = np.full(len(pts), np.nan + 1j * np.nan)
+    out[mask] = inner
     return out
 
 
@@ -124,44 +142,26 @@ def export_projection(spec: Spectrum, basis: BasisSet, j: int,
         raise DomainError("spectrum carries no eigenvectors")
     if not 1 <= j <= spec.N:
         raise DomainError(f"eigenfunction index {j} outside 1..{spec.N}")
-    row = spec.X[j - 1]
-    ax1, ax2 = _section_axes(basis, resolution, plane)
-    A1, A2 = np.meshgrid(ax1, ax2, indexing="ij")
-    pts = np.zeros((A1.size, 3))
-    if plane == "xz":
-        pts[:, 0], pts[:, 2] = A1.ravel(), A2.ravel()
-    elif plane == "xy":
-        pts[:, 0], pts[:, 1] = A1.ravel(), A2.ravel()
-    else:
+    if plane not in ("xz", "xy"):
         raise DomainError("plane must be 'xz' or 'xy'")
-    vals = eval_eigenfunction(row, basis, pts).reshape(A1.shape)
-    inside = inside_mask(basis, pts).reshape(A1.shape)
-    flagged = bool(spec.near_branch[j - 1]) if spec.near_branch is not None else False
-    return FieldGrid(axis1=ax1, axis2=ax2, values=vals, inside=inside,
-                     plane=plane, j=j, gbar=spec.gbar,
-                     eigenvalue=complex(spec.eigenvalues[j - 1]),
-                     flagged=flagged,
+    ax1, ax2 = _section_axes(basis, resolution, plane)
+    pts = np.zeros((ax1.size, ax2.size, 3))
+    pts[..., 0], pts[..., 2 if plane == "xz" else 1] = ax1[:, None], ax2
+    inside = inside_mask(basis, pts)
+    vals = eval_eigenfunction(spec.X[j - 1], basis, pts.reshape(-1, 3)).reshape(inside.shape)
+    return FieldGrid(axis1=ax1, axis2=ax2, values=vals, inside=inside, plane=plane,
+                     j=j, gbar=spec.gbar, eigenvalue=complex(spec.eigenvalues[j - 1]),
+                     flagged=spec.near_branch is not None and bool(spec.near_branch[j - 1]),
                      meta={"geometry": basis.geometry, "N": spec.N})
 
 
 def _axis(lo: float, hi: float, resolution: int) -> np.ndarray:
     # a 1-point axis samples the box center
-    if resolution == 1:
-        return np.array([0.5 * (lo + hi)])
-    return np.linspace(lo, hi, resolution)
+    return np.linspace(lo, hi, resolution) if resolution > 1 else np.array([0.5 * (lo + hi)])
 
 
 def _section_axes(basis: BasisSet, resolution: int, plane: str):
-    g = basis.geometry
-    if g in ("sphere", "sphere_reduced", "disk"):
-        return _axis(-1.0, 1.0, resolution), _axis(-1.0, 1.0, resolution)
-    if g == "cylinder":
-        ax1 = _axis(-1.0, 1.0, resolution)
-        half = basis.aspect / 2.0
-        ax2 = (_axis(-half, half, resolution) if plane == "xz"
-               else _axis(-1.0, 1.0, resolution))
-        return ax1, ax2
-    if g == "interval":
-        half = basis.aspect / 2.0
-        return np.zeros(1), _axis(-half, half, resolution)
-    raise DomainError(f"unknown geometry {g!r}")
+    g, half = basis.geometry, basis.aspect / 2.0
+    along_z = g == "interval" or (g == "cylinder" and plane == "xz")
+    return (np.zeros(1) if g == "interval" else _axis(-1.0, 1.0, resolution),
+            _axis(-half, half, resolution) if along_z else _axis(-1.0, 1.0, resolution))

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,6 +159,7 @@ def test_fieldmap_command(tmp_path):
     # |<v, v>| of the unit-2-norm row, the normalization's condition number
     assert 0 < side["vv"] <= 1
     assert (side["vv"] < sp.NEAR_BRANCH_TOL) == side["near_branch_point"]
+    assert side["vv_pair"] is None  # a simple eigenvalue has no partner
     lines = (out / "field_j1_g5p63.csv").read_text().strip().split("\n")
     assert lines[0] == "x,z,re_v,im_v,inside_flag"
     assert len(lines) == 1 + 31 * 31
@@ -430,10 +433,13 @@ def test_fieldmap_rows_match_full_route(tmp_path, monkeypatch, name):
 
 def test_fieldmap_csv_of_pair_row_matches_full_route(tmp_path):
     """A +-m row of the N=333 sphere (j=4 at gbar=12, modes n=2, m=+-1):
-    the CSV from the restricted route matches the full route's export."""
+    the CSV from the restricted route matches the full route's export, and
+    the sidecar's vv_pair gives the conditioning that vv (0) cannot."""
     out = tmp_path / "out"
     _run("fieldmap", ["geometry=sphere", "N=333", "resolution=41"], out,
          ["--j", "4", "--g", "12"])
+    side = json.loads((out / "field_j4_g12.json").read_text())
+    assert side["vv"] == 0.0 and not side["near_branch_point"]
     grid = np.loadtxt(out / "field_j4_g12.csv", delimiter=",", skiprows=1)
     v = grid[:, 2] + 1j * grid[:, 3]
 
@@ -450,6 +456,14 @@ def test_fieldmap_csv_of_pair_row_matches_full_route(tmp_path):
     v_ref = np.where(ref.inside, ref.values, 0).ravel()
     assert np.array_equal(grid[:, 4].astype(bool), ref.inside.ravel())
     assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+
+    # |<v+, v->| of the raw pair, the sqrt|det| of its bilinear Gram
+    raw = sp.diagonalize(mat, B, 12.0)
+    pair = np.flatnonzero(full.degenerate_class == full.degenerate_class[r])
+    assert len(pair) == 2 and r in pair
+    C = sp.bilinear_gram(raw.X[pair], mat.W)
+    assert abs(C[0, 0]) == abs(C[1, 1]) == 0.0
+    assert 0 < side["vv_pair"] == pytest.approx(abs(C[0, 1]), rel=1e-10)
 
 
 def test_signal_and_fieldmap_solve_only_the_blocks_they_read(tmp_path, monkeypatch):
@@ -487,3 +501,71 @@ def test_signal_and_fieldmap_solve_only_the_blocks_they_read(tmp_path, monkeypat
     read = sp.own_blocks(mat, B, [0, np.argmax(labels == k)])[2]
     assert set(vector_solves) <= {width[labels[0]], width[k]}
     assert normalized_rows == [len(read)] and len(read) < mat.N // 2
+
+
+def _fmt(x):
+    return "%.17g" % x
+
+
+def _old_branches_csv(path, sweep, n_out):
+    """The per-cell writer that branches.csv had before the bulk writer."""
+    with open(path, "w", newline="") as f:
+        f.write("g,branch_j,re_lambda,im_lambda,flags\n")
+        ambiguous = {(a["g"], b) for a in sweep.ambiguities
+                     for b in a.get("branches", ())}
+        for i, g in enumerate(sweep.g_grid):
+            for j in range(n_out):
+                lam = sweep.eigenvalues[i, j]
+                flag = "ambiguous" if (g, j) in ambiguous else ""
+                f.write(f"{_fmt(g)},{j + 1},{_fmt(lam.real)},{_fmt(lam.imag)},{flag}\n")
+
+
+def _old_field_csv(path, grid):
+    """The per-cell writer that the fieldmap CSV had before the bulk writer."""
+    with open(path, "w", newline="") as f:
+        f.write("x,z,re_v,im_v,inside_flag\n")
+        for a, x in enumerate(grid.axis1):
+            for b, z in enumerate(grid.axis2):
+                v = grid.values[a, b]
+                inside = int(grid.inside[a, b])
+                re = _fmt(v.real) if inside else "0"
+                im = _fmt(v.imag) if inside else "0"
+                f.write(f"{_fmt(x)},{_fmt(z)},{re},{im},{inside}\n")
+
+
+def test_bulk_csv_writers_match_per_cell_writers(tmp_path, sphere60, sphere60_sweep13):
+    """branches.csv and the fieldmap CSV are byte-identical to the per-cell
+    writers: outside cells, a -0 inside value, the interval's 1-point axis
+    and ambiguous flag rows included."""
+    sweep = replace(sphere60_sweep13, ambiguities=[
+        {"g": sphere60_sweep13.g_grid[3], "branches": (0, 2)},
+        {"g": sphere60_sweep13.g_grid[-1], "note": "no branches"}])
+    crafted = SimpleNamespace(
+        g_grid=np.array([0.0, 0.1, 1e-300, 2.5]),
+        eigenvalues=np.array([[complex(-0.0, 0.0), complex(1.5, -0.0), 1e300 + 1e-17j],
+                              [0.1 + 0.2j, -3.0 + 0j, np.pi + 1j]] * 2),
+        ambiguities=[{"g": 1e-300, "branches": (1,)}])
+    for k, (sw, n_out) in enumerate([(sweep, 17), (crafted, 2), (crafted, 3)]):
+        new, old = tmp_path / f"new{k}.csv", tmp_path / f"old{k}.csv"
+        cli._write_branches(str(new), sw, n_out)
+        _old_branches_csv(str(old), sw, n_out)
+        assert new.read_bytes() == old.read_bytes()
+    assert b"ambiguous" in (tmp_path / "new0.csv").read_bytes()
+
+    m, B = sphere60
+    s = sp.normalize(sp.diagonalize(m, B, 5.63), m.W)
+    mi = mx.operator_for("interval", 12)
+    si = sp.normalize(sp.diagonalize(mi, mx.gradient_matrix(mi), 1.0), mi.W)
+    values = np.array([[np.nan, complex(-0.0, 0.5), complex(1e-300, -0.0), np.nan]])
+    grids = [fm.export_projection(s, m.basis, 1, resolution=41),
+             fm.export_projection(si, mi.basis, 1, resolution=31),
+             fm.FieldGrid(axis1=np.zeros(1), axis2=np.array([-0.5, -0.0, 0.25, 0.5]),
+                          values=values, inside=~np.isnan(values.real), plane="xz",
+                          j=1, gbar=1.0, eigenvalue=1.0)]
+    assert grids[1].axis1.shape == (1,)
+    for k, grid in enumerate(grids):
+        new, old = tmp_path / f"fnew{k}.csv", tmp_path / f"fold{k}.csv"
+        cli._write_field(str(new), grid)
+        _old_field_csv(str(old), grid)
+        assert new.read_bytes() == old.read_bytes()
+    assert b",-0,0.5,1\n" in (tmp_path / "fnew2.csv").read_bytes()

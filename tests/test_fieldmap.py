@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+import quadoracle as qo
+
 from btspec import basis as bas
 from btspec import fieldmap as fm
 from btspec import matrices as mx
@@ -195,3 +197,101 @@ def test_interval_and_disk_projections():
     s = canonical(normalized(md, mx.gradient_matrix(md), 1.0))
     grid = fm.export_projection(s, bd, 1, resolution=21, plane="xy")
     assert grid.inside.sum() > 0
+
+
+ORACLE_CASES = {
+    "z_sphere": ("sphere", {}),
+    "tilted_sphere": ("sphere", {"theta_g": 0.7, "phi_g": 0.5}),
+    "sphere_reduced": ("sphere_reduced", {}),
+    "disk": ("disk", {}),
+    "cylinder": ("cylinder", {"eta": 1.1}),
+    "interval": ("interval", {}),
+}
+
+
+def _oracle_points(half, rng):
+    """Random points over and around the domain, the origin, the z axis
+    (xi = +-1), points just inside the boundary and points outside."""
+    unit = rng.normal(size=(20, 3))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    eps = 1e-12
+    special = [[0, 0, 0], [0, 0, 0.3], [0, 0, -0.3], [0, 0, half * (1 - eps)],
+               [1 - eps, 0, 0], [0, -(1 - eps), 0.1], [0.3, 0, -half * (1 - eps)],
+               [1, 0, 0], [0, 0, 1.5], [0, 0, half], [2, 2, 2]]
+    return np.vstack([rng.uniform(-1.2, 1.2, size=(300, 3)), special,
+                      unit * (1 - eps), unit * 1.01])
+
+
+def _oracle_modes(basis, pts):
+    """Mode values U[i, p] from quadoracle's eigenfunctions and the explicit
+    cosine z-factor, and the inside mask, both computed independently."""
+    x, y, z = pts.T
+    h = basis.aspect
+    g = basis.geometry
+    rho, th = np.sqrt(x**2 + y**2), np.arctan2(y, x)
+    r = np.sqrt(x**2 + y**2 + z**2)
+    if g in ("sphere", "sphere_reduced"):
+        xi = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
+        inside = x**2 + y**2 + z**2 < 1
+        return np.array([qo._sphere_u(ix, r, xi, th) for ix in basis.indices]), inside
+    zfac = [np.sqrt((2.0 - (ix.m == 0)) / h) * np.cos(np.pi * ix.m * (z + h / 2) / h)
+            for ix in basis.indices] if g != "disk" else [1.0] * len(basis)
+    inside_z = np.abs(z) < h / 2
+    if g == "interval":
+        return np.array(zfac, dtype=complex), inside_z
+    U = np.array([qo._disk_u(ix, rho, th) * zf for ix, zf in zip(basis.indices, zfac)])
+    return U, (x**2 + y**2 < 1) & (inside_z if g == "cylinder" else True)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_eval_matches_per_mode_oracle(name):
+    """The factored evaluation equals the per-mode sum of the explicit modes
+    to 1e-13 max|v| for every row of a normalized spectrum (all m sectors)
+    and a random complex and real row, with the same NaN mask."""
+    geometry, kw = ORACLE_CASES[name]
+    m = mx.operator_for(geometry, 12 if geometry == "interval" else 40, H=1.3)
+    s = normalized(m, mx.gradient_matrix(m, **kw), 3.0)
+    rng = np.random.default_rng(11)
+    pts = _oracle_points(m.basis.aspect / 2, rng)
+    U, inside = _oracle_modes(m.basis, pts)
+    random_row = rng.normal(size=m.N) + 1j * rng.normal(size=m.N)
+    random_row[::4] = 0
+    if geometry == "sphere":
+        msup = np.array([ix.m for ix in m.basis.indices])
+        assert any(np.abs(row[msup != 0]).max() > 0.1 for row in s.X)
+    for row in [*s.X, random_row, random_row.real]:
+        v = fm.eval_eigenfunction(row, m.basis, pts)
+        assert np.array_equal(np.isnan(v), ~inside)
+        ref = row @ U[:, inside]
+        assert np.max(np.abs(v[inside] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kw", [{}, {"theta_g": 0.7, "phi_g": 0.5}])
+def test_factors_evaluated_once_per_distinct_coordinate(sphere60, monkeypatch, kw):
+    """On a 201x201 sphere section, j_n(alpha_nk r) is evaluated once per
+    distinct (n, k) and distinct inside radius (plus one value j_n(alpha_nk)
+    for its normalization), and P_n^m once per distinct (n, m); the tilted
+    row, which has every m, shares each radial factor among its m groups."""
+    m, _ = sphere60
+    s = canonical(normalized(m, mx.gradient_matrix(m, **kw), 5.63))
+    radial, legendre = [], []
+
+    def spherical_jn(n, x, _f=fm.spherical_jn):
+        radial.append(np.size(x))
+        return _f(n, x)
+
+    def lpmv(order, degree, x, _f=fm.lpmv):
+        legendre.append((degree, order))
+        return _f(order, degree, x)
+    monkeypatch.setattr(fm, "spherical_jn", spherical_jn)
+    monkeypatch.setattr(fm, "lpmv", lpmv)
+    grid = fm.export_projection(s, m.basis, 1, resolution=201)
+    modes = [m.basis.indices[i] for i in np.flatnonzero(np.abs(s.X[0]) > 0)]
+    nk = {(ix.n, ix.k) for ix in modes}
+    A1, A2 = np.meshgrid(grid.axis1, grid.axis2, indexing="ij")
+    radii = len(np.unique(np.sqrt(A1 * A1 + A2 * A2)[grid.inside]))
+    assert radii < grid.inside.sum() // 4
+    assert sum(radial) <= len(nk) * (radii + 1)
+    assert sorted(legendre) == sorted({(ix.n, ix.m) for ix in modes})
+    if kw:
+        assert len(modes) > 2 * len(nk)  # radial factors shared by several m
