@@ -163,10 +163,17 @@ def _convert(key: str, val: str, where: str):
     typ = _KEY_TYPES[key]
     try:
         if typ == "floatlist":
-            return [float(x) for x in val.split(",") if x.strip()]
-        return typ(val)
+            return [_finite(float(x), key) for x in val.split(",") if x.strip()]
+        return _finite(typ(val), key) if typ is float else typ(val)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {val!r}") from exc
+
+
+def _finite(x: float, name: str) -> float:
+    """x, or ConfigError when x is NaN or infinite."""
+    if not np.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {x}")
+    return x
 
 
 def build_config(args) -> RunConfig:
@@ -426,7 +433,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         if args.command == "signal":
             return cmd_signal(cfg)
-        return cmd_fieldmap(cfg, args.j, args.g)
+        return cmd_fieldmap(cfg, args.j, _finite(args.g, "--g"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,10 @@ Lambda is diagonal, so Lambda + i*gbar*B splits exactly into independent
 blocks: the connected components of the nonzero pattern of B (the m sectors
 of the z-gradient sphere, the cos/sin sectors of the disk and the cylinder; a
 tilted sphere gradient couples everything into one block).  Each block is
-solved on its own by one block solve (_solve_block); diagonalize labels each
+solved on its own by one block solve (_solve_block), which is one direct
+LAPACK geev call (_geev) with the workspace size cached per block order and
+vector mode: bit for bit the result of scipy.linalg.eigvals / eig without
+their per-call checks and workspace query.  diagonalize labels each
 eigenvalue row with its block, and each raw row of X is zero outside its
 block.  Eigenvalues of different blocks cross freely and never merge, so
 branch tracking and branch-point detection work inside one block at a time:
@@ -112,22 +115,41 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
 def _solve_block(lam_b: np.ndarray, B_b: np.ndarray, gbar: float,
                  eigvals_only: bool) -> tuple:
     """Eigenvalues, sorted by (Re, Im), and left-eigenvector rows (None when
-    eigvals_only) of one exact block diag(lam_b) + i*gbar*B_b.  A LAPACK
-    failure raises NumericalError naming gbar and the block size."""
-    M = np.diag(lam_b).astype(complex)
+    eigvals_only) of one exact block diag(lam_b) + i*gbar*B_b.  A nonzero
+    LAPACK return code raises NumericalError naming gbar and the block size."""
+    M = np.diag(lam_b).astype(complex, order="F")
     M += 1j * gbar * B_b
-    try:
-        if eigvals_only:
-            w, X = sla.eigvals(M, check_finite=False), None
-        else:
-            w, vl = sla.eig(M, left=True, right=False, check_finite=False)
-            X = vl.conj().T
-    except sla.LinAlgError as exc:
+    w, vl, info = _geev(M, not eigvals_only)
+    if info != 0:
+        M = np.diag(lam_b) + 1j * gbar * B_b  # geev has overwritten M
         raise NumericalError(
             f"eigensolver failed at gbar={gbar} on a block of size "
-            f"{len(lam_b)} (norm={np.linalg.norm(M):.3e})") from exc
+            f"{len(lam_b)} (LAPACK geev info={info}, "
+            f"norm={np.linalg.norm(M):.3e})")
     order = np.lexsort((w.imag, w.real))
-    return w[order], None if X is None else X[order]
+    return w[order], None if eigvals_only else vl.conj().T[order]
+
+
+_zgeev, _zgeev_lwork = sla.get_lapack_funcs(("geev", "geev_lwork"), dtype=complex)
+# geev workspace size by (order, left vectors): queried once, as sla.eig does
+# on every call.  A different lwork can change the blocked Hessenberg
+# reduction, and with it the bits of the result.
+_lwork: dict = {}
+
+
+def _geev(M: np.ndarray, vectors: bool) -> tuple:
+    """(w, vl, info) of LAPACK geev on the complex Fortran-ordered matrix M,
+    which it overwrites: eigenvalues, left eigenvectors as columns (computed
+    only when `vectors`) and the return code.  It is the only LAPACK call of
+    the block solves, and the values are bit for bit those of sla.eigvals(M)
+    and sla.eig(M, left=True, right=False)."""
+    key = (len(M), vectors)
+    if key not in _lwork:
+        work, _ = _zgeev_lwork(len(M), compute_vl=vectors, compute_vr=False)
+        _lwork[key] = int(work.real)
+    w, vl, _, info = _zgeev(M, lwork=_lwork[key], compute_vl=vectors,
+                            compute_vr=False, overwrite_a=True)
+    return w, vl, info
 
 
 def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:

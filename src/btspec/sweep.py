@@ -4,8 +4,10 @@ Branch j starts at gbar = 0 as basis mode j and never leaves that mode's
 exact block, since the blocks of Lambda + i*gbar*B never couple (see
 spectrum).  The tracker keeps one state per distinct block on a shared grid
 (a bit-identical twin block copies its twin) and matches each block on its
-own: a Hungarian assignment on squared displacement from a linear
-prediction keeps identities through crossings, ties are broken by
+own: the assignment of least squared displacement from a linear
+prediction keeps identities through crossings.  When every branch has its
+own strictly nearest value that assignment is read off directly; only a
+contended step runs scipy's Hungarian solver.  Ties are broken by
 eigenvector overlap (solving only the tied block with vectors), and a real
 pair turning complex is ordered Im > 0 first.  A step ambiguous in any block
 is bisected for all, down to MIN_STEP; what stays ambiguous is recorded.
@@ -59,8 +61,18 @@ class BranchSweep:
 
 
 def _hungarian(cost: np.ndarray) -> np.ndarray:
-    """Column assigned to each row of a square cost matrix (minimal sum)."""
-    import scipy.optimize  # on first use: it adds 0.25 s to `import btspec`
+    """Column assigned to each row of a square cost matrix (minimal sum).
+
+    When every row has a strict minimum and no two rows share its column,
+    that assignment is the unique optimum and is returned as is; only a
+    contended matrix goes to scipy's solver (scipy.optimize, about 0.2 s to
+    load, is imported at that first call)."""
+    low = cost <= cost.min(axis=1, keepdims=True)  # all False in a NaN row
+    # one entry per row and per column: low is a permutation matrix
+    if np.count_nonzero(low) == len(cost) and low.any(axis=0).all() \
+            and low.any(axis=1).all():
+        return low.argmax(axis=1)
+    import scipy.optimize
     return scipy.optimize.linear_sum_assignment(cost)[1]
 
 
@@ -210,7 +222,6 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
     sweep_g, rows = [pending.pop(0)], [mat.lam.astype(complex)]
     refinements, ambiguities, tracks = [], [], _tracks(mat, B)
-    import scipy.optimize  # noqa: F401  (loaded here, not in the first match)
     while pending:
         g_next = pending.pop(0)
         pred = rows[-1]  # linear extrapolation from the last two points

@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from btspec import basis as bas
 from btspec import cli
@@ -215,11 +214,11 @@ def test_cylinder_sweep_solves_factor_blocks_only(tmp_path, monkeypatch):
     block, and it reports the ten order-2 points near 18.447, the interval
     merges (1, 6) and (2, 7) next to the disk merge included."""
     sizes = []
-    for name in ("eigvals", "eig"):
-        def counted(M, *args, _solve=getattr(sp.sla, name), **kwargs):
-            sizes.append(len(M))
-            return _solve(M, *args, **kwargs)
-        monkeypatch.setattr(sp.sla, name, counted)
+
+    def counted(M, vectors, _geev=sp._geev):
+        sizes.append(len(M))
+        return _geev(M, vectors)
+    monkeypatch.setattr(sp, "_geev", counted)
     cfgp = write_cfg(tmp_path / "c.cfg", """
 geometry = cylinder
 aspect = 1
@@ -248,10 +247,8 @@ n_branches = 13
 
 
 def _fail_eigensolves(monkeypatch):
-    def fail(*args, **kwargs):
-        raise sla.LinAlgError("injected LAPACK failure")
-    monkeypatch.setattr(sp.sla, "eigvals", fail)
-    monkeypatch.setattr(sp.sla, "eig", fail)
+    """Every LAPACK solve from now on reports no convergence (info = 1)."""
+    monkeypatch.setattr(sp, "_geev", lambda M, vectors: (np.zeros(len(M)), None, 1))
 
 
 @pytest.mark.parametrize("command, cfg_text, extra", [
@@ -266,6 +263,25 @@ def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
                                              cfg_text, extra):
     # a solve would end in exit 4, so exit 2 shows the check came first
     _fail_eigensolves(monkeypatch)
+    cfgp = write_cfg(tmp_path / "c.cfg", cfg_text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfgp, "--out", str(out)] + extra) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg_text, extra", [
+    ("sweep", DISK_SWEEP, ["--set", "g_max=nan"]),
+    ("sweep", DISK_SWEEP, ["--set", "g_max=inf"]),
+    ("sweep", DISK_SWEEP.replace("g_step = 0.05", "g_step = nan"), []),
+    ("signal", SPHERE_SI, ["--set", "deltas_ms=5, nan"]),
+    ("signal", "geometry = sphere\nN = 40\ntbars = 0.2\ngbar = nan\n", []),
+    ("fieldmap", SPHERE_SI, ["--j", "1", "--g", "nan"]),
+    ("fieldmap", SPHERE_SI, ["--j", "1", "--g=-inf"]),
+], ids=["g_max_nan", "g_max_inf", "g_step_file_nan", "deltas_nan",
+        "gbar_file_nan", "fieldmap_g_nan", "fieldmap_g_minus_inf"])
+def test_non_finite_number_exits_2(tmp_path, command, cfg_text, extra):
+    """NaN and +-inf, in the config file, in --set or in --g, are config
+    errors (exit 2, no output), not tracebacks or LAPACK failures."""
     cfgp = write_cfg(tmp_path / "c.cfg", cfg_text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfgp, "--out", str(out)] + extra) == 2
@@ -323,8 +339,8 @@ def test_failed_walk_exits_4_without_output(tmp_path, monkeypatch):
 
 
 def test_import_leaves_out_scipy_optimize():
-    """scipy.optimize (about 0.25 s) loads only when a sweep matches
-    branches, not with the package."""
+    """scipy.optimize (about 0.2 s) loads only when a sweep meets a
+    contended assignment (see sweep._hungarian), not with the package."""
     import os
     import subprocess
     import sys

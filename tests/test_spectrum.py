@@ -197,20 +197,71 @@ def test_lapack_failure_names_gbar_and_block(sphere60, monkeypatch):
     m, B = sphere60
     size = max(len(ix) for ix, *_ in sp._blocks(m.lam, B))
     assert size < m.N
+    geev = sp._geev
 
-    def failing(solver):
-        def solve(a, *args, **kwargs):
-            if len(a) == size:
-                raise sla.LinAlgError("injected LAPACK failure")
-            return solver(a, *args, **kwargs)
-        return solve
+    def failing(M, vectors):
+        w, vl, info = geev(M, vectors)
+        return w, vl, 1 if len(M) == size else info
 
-    monkeypatch.setattr(sp.sla, "eigvals", failing(sla.eigvals))
-    monkeypatch.setattr(sp.sla, "eig", failing(sla.eig))
+    monkeypatch.setattr(sp, "_geev", failing)
     for only in (True, False):
         with pytest.raises(NumericalError,
                            match=rf"gbar=3\.5 on a block of size {size} "):
             sp.diagonalize(m, B, 3.5, eigvals_only=only)
+
+
+@pytest.mark.parametrize("info", [1, -4], ids=["no_convergence", "illegal_argument"])
+def test_nonzero_geev_info_raises(monkeypatch, info):
+    """Neither return code of geev passes silently: no convergence (info > 0)
+    and an illegal argument (info < 0) both raise NumericalError."""
+    monkeypatch.setattr(sp, "_geev", lambda M, vectors: (np.zeros(len(M)), None, info))
+    lam, B_b = np.array([1.0, 2.0, 3.0]), np.ones((3, 3))
+    for only in (True, False):
+        with pytest.raises(NumericalError, match=rf"gbar=2\.0 on a block of size 3 "
+                                                 rf"\(LAPACK geev info={info},"):
+            sp._solve_block(lam, B_b, 2.0, only)
+
+
+def test_nan_gbar_raises_numerical_error(sphere60):
+    """A NaN gradient strength is an illegal argument to LAPACK (info < 0):
+    it raises NumericalError, not scipy's ValueError."""
+    m, B = sphere60
+    with pytest.raises(NumericalError, match="gbar=nan on a block of size"):
+        sp.diagonalize(m, B, float("nan"), eigvals_only=True)
+
+
+def _distinct_blocks(name, sphere60):
+    if name == "disk_factor":
+        disk = mx.cylinder_factors(bas.build_cylinder_basis(60))[0]
+        return disk.lam, np.cos(np.deg2rad(78.23931266613657)) * disk.Bx
+    m, B = sphere60
+    if name == "sphere_tilted":
+        B = mx.gradient_matrix_sphere(m, 0.3, 0.2)
+    return m.lam, B
+
+
+@pytest.mark.parametrize("name", ["sphere_z", "sphere_tilted", "disk_factor"])
+def test_block_solve_is_bit_identical_to_scipy(name, sphere60):
+    """The direct geev call gives bit for bit (tolerance 0) the values and
+    left vectors of sla.eigvals and sla.eig(left=True, right=False), on
+    every distinct block at several gbar."""
+    lam, B = _distinct_blocks(name, sphere60)
+    blocks = [(lam_b, B_b) for ix, twin, lam_b, B_b in sp._blocks(lam, B)
+              if lam_b is not None]
+    assert len(blocks) > 1 or name == "sphere_tilted"
+    for g in (0.0, 0.7, 4.73, 11.98, 25.0):
+        for lam_b, B_b in blocks:
+            M = np.diag(lam_b).astype(complex)
+            M += 1j * g * B_b
+            w, X = sp._solve_block(lam_b, B_b, g, True)
+            ref = sla.eigvals(M, check_finite=False)
+            order = np.lexsort((ref.imag, ref.real))
+            assert X is None and np.array_equal(w, ref[order])
+            w, X = sp._solve_block(lam_b, B_b, g, False)
+            ref, vl = sla.eig(M, left=True, right=False, check_finite=False)
+            order = np.lexsort((ref.imag, ref.real))
+            assert np.array_equal(w, ref[order])
+            assert np.array_equal(X, vl.conj().T[order])
 
 
 def test_near_branch_point_flagging(sphere60):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from btspec import basis as bas
 from btspec import branchpoints as bp
@@ -14,6 +15,58 @@ def test_match_identity():
     sigma, info = sw.match_step(s, s)
     assert np.array_equal(sigma, [0, 1, 2])
     assert info["cost"] == 0.0
+
+
+def _assignment_cases():
+    rng = np.random.default_rng(7)
+    yield np.array([[3.5]])
+    yield np.array([[0.0, 1.0], [1.0, 0.0]])
+    yield np.array([[1.0, 0.0], [0.0, 1.0]])
+    yield np.array([[1.0, 1.0], [0.0, 2.0]])  # row 0 has no strict minimum
+    yield np.array([[0.0, 1.0], [0.0, 2.0]])  # both rows want column 0
+    for n in (2, 3, 5, 16):
+        for _ in range(100):
+            c = rng.random((n, n))
+            yield c
+            yield -c  # an overlap matrix, negated
+            near = 1 + c  # a permutation of small costs: the usual step
+            near[np.arange(n), rng.permutation(n)] = rng.random(n)
+            yield near
+            yield rng.integers(0, 3, (n, n)).astype(float)  # integer ties
+            yield -rng.integers(0, 3, (n, n)).astype(float)
+
+
+def test_assignment_early_exit_matches_solver():
+    """The strict-minimum shortcut returns exactly linear_sum_assignment's
+    columns, and contended matrices reach the solver."""
+    kinds = {True: 0, False: 0}
+    for cost in _assignment_cases():
+        cols = sw._hungarian(cost)
+        assert np.array_equal(cols, linear_sum_assignment(cost)[1]), cost
+        low = cost == cost.min(axis=1, keepdims=True)
+        kinds[np.count_nonzero(low) == len(set(cost.argmin(axis=1))) == len(cost)] += 1
+    assert min(kinds.values()) > 400
+
+
+def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
+    """The tuned cylinder sweep of the benchmark (N=200), run on its disk and
+    interval factors, has no contended assignment: it finds its ten points
+    without loading scipy.optimize.  (At N=40 and N=100 some steps contend.)"""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+    code = ("import sys, numpy as np\n"
+            "from btspec import basis, branchpoints, matrices\n"
+            "mat = matrices.assemble_operator(basis.build_cylinder_basis(200))\n"
+            "sweep, points = branchpoints.cylinder_branch_points(\n"
+            "    mat, np.deg2rad(78.23931266613657), 19.2, step=0.1, n_branches=13)\n"
+            "print(len(points), 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["10", "False"]
 
 
 def test_match_conjugate_pair_formation():
@@ -151,13 +204,14 @@ def test_tilted_sphere_matches_z_sweep(sphere60):
 def _eig_orders(monkeypatch):
     """Orders of the LAPACK eigenvector solves made from now on."""
     orders = []
-    solve = sp.sla.eig
+    geev = sp._geev
 
-    def counted(M, *args, **kwargs):
-        orders.append(len(M))
-        return solve(M, *args, **kwargs)
+    def counted(M, vectors):
+        if vectors:
+            orders.append(len(M))
+        return geev(M, vectors)
 
-    monkeypatch.setattr(sp.sla, "eig", counted)
+    monkeypatch.setattr(sp, "_geev", counted)
     return orders
 
 
