@@ -13,6 +13,10 @@ downstream, so it is pinned precisely:
   cylinder/disk (l = 1 before l = 2);
 * a truncation that would split a degenerate family is extended to the end of
   the family, so requesting N entries may return slightly more.
+
+Candidates lie under an eigenvalue cutoff that starts from a Weyl estimate
+of the N-th eigenvalue and doubles only if short, each pass taking the zeros
+of all orders from one scan (specfun.zeros_upto).
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ class BasisSet:
 
     class_id[i] groups entries whose eigenvalues coincide to DEGENERACY_RTOL;
     classes are contiguous in the ordering and never cut by the truncation.
+    alpha[i] is the Bessel zero alpha_nk of mode i (0 for the constant mode;
+    on the cylinder that of its disk factor), and pi*m/H on the interval.
     """
 
     geometry: str
@@ -56,6 +62,7 @@ class BasisSet:
     eigenvalues: np.ndarray
     aspect: float = 1.0  # H/R for cylinder; 1 elsewhere
     class_id: np.ndarray | None = None
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -100,20 +107,28 @@ def _cut_at_class_boundary(entries, N):
     return entries[:M]
 
 
-def _collect(generate, N):
-    """Generate candidates under a growing eigenvalue cutoff until the first N
-    entries (plus any degeneracy-class completion) are guaranteed present."""
-    cut = 10.0
+def _collect(generate, N, cut):
+    """Generate candidates (eigenvalue, sort key, BasisIndex, alpha) under the
+    cutoff `cut`, doubled until the first N entries (plus any degeneracy-class
+    completion) are guaranteed present; returns their indices, eigenvalues
+    and alphas."""
     while True:
         entries = sorted(generate(cut), key=lambda e: (e[0], e[1]))
         # Safe only if we can see past the N-th entry's class: demand a strict
         # eigenvalue increase after position N and headroom below the cutoff.
         if len(entries) > N and entries[-1][0] > entries[N - 1][0] * (1 + 1e-9) + 1.0:
-            picked = _cut_at_class_boundary(entries, N)
-            lams = np.array([e[0] for e in picked])
-            idxs = tuple(e[2] for e in picked)
-            return idxs, lams
+            lams, _, idxs, alphas = zip(*_cut_at_class_boundary(entries, N))
+            return idxs, np.array(lams), np.array(alphas)
         cut *= 2.0
+
+
+def _radial(kind: str, cut: float):
+    """(n, k, alpha_nk) of the constant mode (0, 0, 0.0) and of every zero
+    alpha_nk <= sqrt(cut) of kind 'dj_spherical' or 'dJ' (k from 1 for n = 0)."""
+    yield 0, 0, 0.0
+    for n, zeros in enumerate(specfun.zeros_upto(kind, np.sqrt(cut))):
+        for j, a in enumerate(zeros.tolist()):
+            yield n, (j + 1 if n == 0 else j), a
 
 
 def build_sphere_basis(N: int) -> BasisSet:
@@ -133,22 +148,14 @@ def _sphere_basis(N: int, geometry: str) -> BasisSet:
         raise DomainError("N >= 1 required")
 
     def generate(cut):
-        zmax = np.sqrt(cut)
-        out = [(0.0, (0, 0, 0), BasisIndex(n=0, k=0, m=0))]
-        n = 0
-        while True:
-            zeros = _zeros_upto("dj_spherical", n, zmax)
-            if n > 0 and zeros.size == 0:
-                break
-            for j, a in enumerate(zeros):
-                k = j + 1 if n == 0 else j
-                for m in range(-n, n + 1) if geometry == "sphere" else (0,):
-                    out.append((a * a, (n, k, _m_rank(m)), BasisIndex(n=n, k=k, m=m)))
-            n += 1
-        return out
+        return [(a * a, (n, k, _m_rank(m)), BasisIndex(n=n, k=k, m=m), a)
+                for n, k, a in _radial("dj_spherical", cut)
+                for m in (range(-n, n + 1) if geometry == "sphere" else (0,))]
 
-    idxs, lams = _collect(generate, N)
-    return BasisSet(geometry=geometry, indices=idxs, eigenvalues=lams)
+    # Weyl: N(lam) ~ 2 lam^1.5 / (9 pi) for the ball, ~ lam / 8 for its m = 0 sector
+    weyl = 8.0 * N if geometry == "sphere_reduced" else (4.5 * np.pi * N) ** (2 / 3)
+    idxs, lams, alphas = _collect(generate, N, 10.0 + weyl)
+    return BasisSet(geometry=geometry, indices=idxs, eigenvalues=lams, alpha=alphas)
 
 
 def build_disk_basis(N: int) -> BasisSet:
@@ -157,22 +164,11 @@ def build_disk_basis(N: int) -> BasisSet:
         raise DomainError("N >= 1 required")
 
     def generate(cut):
-        zmax = np.sqrt(cut)
-        out = [(0.0, (0, 0, 1), BasisIndex(n=0, k=0, l=1))]
-        n = 0
-        while True:
-            zeros = _zeros_upto("dJ", n, zmax)
-            if n > 0 and zeros.size == 0:
-                break
-            for j, a in enumerate(zeros):
-                k = j + 1 if n == 0 else j
-                for l in (1, 2) if n > 0 else (1,):
-                    out.append((a * a, (n, k, l), BasisIndex(n=n, k=k, l=l)))
-            n += 1
-        return out
+        return [(a * a, (n, k, l), BasisIndex(n=n, k=k, l=l), a)
+                for n, k, a in _radial("dJ", cut) for l in ((1, 2) if n else (1,))]
 
-    idxs, lams = _collect(generate, N)
-    return BasisSet(geometry="disk", indices=idxs, eigenvalues=lams)
+    idxs, lams, alphas = _collect(generate, N, 10.0 + 4.0 * N)  # Weyl: N(lam) ~ lam / 4
+    return BasisSet(geometry="disk", indices=idxs, eigenvalues=lams, alpha=alphas)
 
 
 def build_interval_basis(N: int, H: float = 1.0) -> BasisSet:
@@ -183,9 +179,10 @@ def build_interval_basis(N: int, H: float = 1.0) -> BasisSet:
     if H <= 0:
         raise DomainError("H > 0 required")
     ms = np.arange(N)
-    lams = (np.pi * ms / H) ** 2
+    alphas = np.pi * ms / H
     idxs = tuple(BasisIndex(m=int(m)) for m in ms)
-    return BasisSet(geometry="interval", indices=idxs, eigenvalues=lams, aspect=H)
+    return BasisSet(geometry="interval", indices=idxs, eigenvalues=alphas ** 2,
+                    aspect=H, alpha=alphas)
 
 
 def build_cylinder_basis(N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:
@@ -202,43 +199,19 @@ def build_cylinder_basis(N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:
 
     def generate(cut):
         out = []
-        zmax = np.sqrt(cut)
-        n = 0
-        while True:
-            zeros = _zeros_upto("dJ", n, zmax)
-            alphas = [(0, 0.0)] if n == 0 else []
-            alphas += [((j + 1 if n == 0 else j), a) for j, a in enumerate(zeros)]
-            if not alphas:
-                break
-            emitted = False
-            for k, a in alphas:
-                base = a * a
-                if base > cut:
-                    continue
-                m = 0
-                while base + (np.pi * m / h) ** 2 <= cut:
-                    lam = base + (np.pi * m / h) ** 2
-                    for l in (1, 2) if n > 0 else (1,):
-                        out.append((lam, (n, k, l, m), BasisIndex(n=n, k=k, l=l, m=m)))
-                    emitted = True
-                    m += 1
-            if not emitted:
-                break
-            n += 1
+        for n, k, a in _radial("dJ", cut):
+            base, m = a * a, 0
+            while base + (np.pi * m / h) ** 2 <= cut:
+                lam = base + (np.pi * m / h) ** 2
+                for l in (1, 2) if n > 0 else (1,):
+                    out.append((lam, (n, k, l, m), BasisIndex(n=n, k=k, l=l, m=m), a))
+                m += 1
         return out
 
-    idxs, lams = _collect(generate, N)
-    return BasisSet(geometry="cylinder", indices=idxs, eigenvalues=lams, aspect=h)
-
-
-def _zeros_upto(kind: str, n: int, zmax: float) -> np.ndarray:
-    """Zeros <= zmax of kind 'dJ' or 'dj_spherical' and order n."""
-    count = max(4, int(zmax / np.pi) + 2)
-    while True:
-        z = specfun.cached_zeros(kind, n, count)
-        if z[-1] > zmax:
-            return z[z <= zmax]
-        count *= 2
+    # Weyl: N(lam) ~ h lam^1.5 / (6 pi) for the cylinder of volume pi h
+    idxs, lams, alphas = _collect(generate, N, 10.0 + (6.0 * np.pi * N / h) ** (2 / 3))
+    return BasisSet(geometry="cylinder", indices=idxs, eigenvalues=lams, aspect=h,
+                    alpha=alphas)
 
 
 def build_basis(geometry: str, N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:

@@ -23,7 +23,7 @@ from scipy.special import gammaln, jv, lpmv, spherical_jn
 
 from .basis import BasisSet
 from .errors import DomainError
-from .matrices import _alpha, beta_disk, beta_sphere
+from .matrices import beta_disk, beta_sphere
 from .spectrum import Spectrum
 
 
@@ -59,20 +59,21 @@ def inside_mask(basis: BasisSet, pts: np.ndarray) -> np.ndarray:
     return in_disk & (np.abs(z) < basis.aspect / 2.0 if g != "disk" else True)
 
 
-def _mode_factors(basis: BasisSet, ix) -> tuple:
-    """1-D factors (coordinate, key) whose product is one mode, radial first."""
-    g = basis.geometry
+def _mode_factors(basis: BasisSet, i: int) -> tuple:
+    """1-D factors (coordinate, key) whose product is mode i, radial first;
+    a radial key is (n, alpha_nk)."""
+    g, ix, alpha = basis.geometry, basis.indices[i], basis.alpha[i]
     if g in ("sphere", "sphere_reduced"):
         m = ix.m or 0
-        return (("r", (ix.n, ix.k)), ("xi", (ix.n, m))) + ((("phi", m),) if m else ())
+        return (("r", (ix.n, alpha)), ("xi", (ix.n, m))) + ((("phi", m),) if m else ())
     z = (("z", (ix.m, basis.aspect)),) if g != "disk" else ()
-    return z if g == "interval" else (("rho", (ix.n, ix.k)), ("theta", (ix.n, ix.l))) + z
+    return z if g == "interval" else (("rho", (ix.n, alpha)), ("theta", (ix.n, ix.l))) + z
 
 
 def _factor(coord: str, key, u: np.ndarray) -> np.ndarray:
     """Values of one 1-D factor at the coordinate values u."""
     if coord == "r":
-        n, alpha = key[0], _alpha("dj_spherical", *key)
+        n, alpha = key
         return beta_sphere(n, alpha) / spherical_jn(n, alpha) * spherical_jn(n, alpha * u)
     if coord == "xi":
         n, m = key
@@ -81,7 +82,7 @@ def _factor(coord: str, key, u: np.ndarray) -> np.ndarray:
     if coord == "phi":
         return np.exp(1j * key * u)
     if coord == "rho":
-        n, alpha = key[0], _alpha("dJ", *key)
+        n, alpha = key
         return np.sqrt((2.0 - (n == 0)) / np.pi) * beta_disk(n, alpha) / jv(n, alpha) \
             * jv(n, alpha * u)
     if coord == "theta":
@@ -105,7 +106,7 @@ def eval_eigenfunction(x_row: np.ndarray, basis: BasisSet,
         "xi": lambda: np.where(r > 0, z / np.maximum(r, 1e-300), 1.0)}
     groups: dict[tuple, dict] = {}  # angular factors -> {radial factor: coefficient}
     for i in np.flatnonzero(np.abs(x_row) > 0):
-        radial, *angular = _mode_factors(basis, basis.indices[i])
+        radial, *angular = _mode_factors(basis, i)
         groups.setdefault(tuple(angular), {})[radial] = x_row[i]
     uses = Counter(f for angular, terms in groups.items() for f in (*angular, *terms))
     # coordinate -> (distinct values, index of each inside point into them)

@@ -8,8 +8,10 @@ is row-vector sided: X (Lambda + i*gbar*B) = Lambda^(g) X, with
 B_ab = integral(u_a * (x/R) * u_b^*).
 
 Closed-form matrix elements follow the delta_{n,n'+-1} selection rules of the
-separable bases; off-diagonal denominators (alpha^2 - alpha'^2)^2 never vanish
-for distinct orders, but a floor is asserted to catch zero-table corruption.
+separable bases, with the zeros alpha taken from the basis (BasisSet.alpha);
+the sphere's are filled from index arrays over the allowed pairs only.
+Off-diagonal denominators (alpha^2 - alpha'^2)^2 never vanish for distinct
+orders, but a floor is asserted to catch zero-table corruption.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .basis import BasisIndex, BasisSet, build_basis
 from .errors import DomainError, MatrixAssemblyError
 
@@ -46,14 +47,6 @@ class OperatorMatrices:
         M = np.diag(self.lam).astype(complex)
         M += 1j * gbar * B
         return M
-
-
-def _alpha(kind: str, n: int, k: int) -> float:
-    """alpha_nk from the zeros of kind 'dj_spherical' (sphere) or 'dJ' (disk);
-    for n = 0, k = 0 is the constant mode with alpha_00 = 0."""
-    if n == 0:
-        return 0.0 if k == 0 else specfun.cached_zeros(kind, 0, k)[k - 1]
-    return specfun.cached_zeros(kind, n, k + 1)[k]
 
 
 def beta_sphere(n: int, alpha: float) -> float:
@@ -118,50 +111,53 @@ def b_element_interval(m: int, m2: int) -> float:
 def assemble_sphere(basis: BasisSet) -> OperatorMatrices:
     """Full sphere operator with B^x, B^y, B^z and the non-identity W.
 
-    On a 'sphere_reduced' basis (the m = 0 sector) B^x and B^y are None: the
-    sector is closed under z only, and its W is the identity.
+    Filled from index arrays over the pairs the selection rules allow
+    (|n - n'| = 1 with |m - m'| <= 1 for B, (n, k, +-m) for W), by the
+    floating-point operations of b_element_sphere and its m scaling, in the
+    same order, so bit for bit.  On a 'sphere_reduced' basis (the m = 0
+    sector) B^x and B^y are None: the sector is closed under z only, and its
+    W is the identity.
     """
     _expect(basis, "sphere", "sphere_reduced")
     N = len(basis)
-    idx = basis.indices
-    alphas = [_alpha("dj_spherical", ix.n, ix.k) for ix in idx]
-    Bx = np.zeros((N, N), dtype=complex)
-    By = np.zeros((N, N), dtype=complex)
-    Bz = np.zeros((N, N), dtype=complex)
+    n, k, m = (np.array([getattr(ix, q) for ix in basis.indices]) for q in "nkm")
+    al = basis.alpha
+    beta = np.array([beta_sphere(*p) for p in zip(n.tolist(), al.tolist())])
+    Bx, By, Bz = (np.zeros((N, N), dtype=complex) for _ in range(3))
     W = np.zeros((N, N))
-    for a in range(N):
-        na, ka, ma = idx[a].n, idx[a].k, idx[a].m
-        for b in range(N):
-            nb, kb, mb = idx[b].n, idx[b].k, idx[b].m
-            if na == nb and ka == kb and ma == -mb:
-                W[a, b] = (-1.0) ** ma
-            if abs(na - nb) != 1:
-                continue
-            base = b_element_sphere(na, alphas[a], nb, alphas[b])
-            if ma == mb and abs(ma) <= min(na, nb):
-                nmax = max(na, nb)
-                Bz[a, b] = base * np.sqrt(1.0 - (ma / nmax) ** 2)
-            if nb == na + 1:
-                if mb == ma - 1:
-                    c = np.sqrt((na - ma + 1) * (na - ma + 2)) / (na + 1)
-                    Bx[a, b] += 0.5 * base * c
-                    By[a, b] += 0.5j * base * c
-                if mb == ma + 1:
-                    c = np.sqrt((na + ma + 1) * (na + ma + 2)) / (na + 1)
-                    Bx[a, b] -= 0.5 * base * c
-                    By[a, b] += 0.5j * base * c
-            elif nb == na - 1:
-                if mb == ma - 1:
-                    c = np.sqrt((na + ma - 1) * (na + ma)) / na
-                    Bx[a, b] -= 0.5 * base * c
-                    By[a, b] -= 0.5j * base * c
-                if mb == ma + 1:
-                    c = np.sqrt((na - ma - 1) * (na - ma)) / na
-                    Bx[a, b] += 0.5 * base * c
-                    By[a, b] -= 0.5j * base * c
+    pos = {key: i for i, key in enumerate(zip(n.tolist(), k.tolist(), m.tolist()))}
+    a = np.arange(N)
+    b = np.array([pos[key] for key in zip(n.tolist(), k.tolist(), (-m).tolist())])
+    W[a, b] = np.where(m % 2, -1.0, 1.0)  # (-1)^m
+    a, b = np.nonzero((np.abs(n[:, None] - n) == 1) & (np.abs(m[:, None] - m) <= 1))
+    na, nb, ma, mb, sq = n[a], n[b], m[a], m[b], al * al
+    d = _pow2(sq[a] - sq[b])
+    if (bad := np.flatnonzero(d < _MIN_DENOM_SQ)).size:
+        _check_denom(al[a[bad[0]]], al[b[bad[0]]])  # raises, naming the pair
+    num = sq[a] + sq[b] - na * (nb + 1) - nb * (na + 1) + 1
+    pref = (na + nb + 1) / ((2 * na + 1) * (2 * nb + 1))
+    base = pref * beta[a] * beta[b] * num / d
+    z = (ma == mb) & (np.abs(ma) <= np.minimum(na, nb))
+    r = ma[z] / np.maximum(na, nb)[z]
+    Bz[a[z], b[z]] = base[z] * np.sqrt(1.0 - _pow2(r))
+    s = mb - ma  # +-1: the x and y elements, with the m-ladder coefficient c
+    xy = s != 0
+    a, b, na, ma, s, base = a[xy], b[xy], na[xy], ma[xy], s[xy], base[xy]
+    up = nb[xy] > na
+    t = np.where(up, na + s * ma, na - s * ma)
+    c = np.sqrt(np.where(up, (t + 1) * (t + 2), (t - 1) * t)) / np.where(up, na + 1, na)
+    v = 0.5 * base * c
+    Bx[a, b] += np.where(up, -s, s) * v
+    By.imag[a, b] += np.where(up, 1, -1) * v
     if basis.geometry == "sphere_reduced":
         Bx = By = None
     return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, Bz, W)
+
+
+def _pow2(v: np.ndarray) -> np.ndarray:
+    """Python's x ** 2 (libm pow) of each element, as the scalar formulas
+    square; numpy's square differs from it in the last bit for ~0.1% of values."""
+    return np.array([x ** 2 for x in v.tolist()])
 
 
 def assemble_disk(basis: BasisSet) -> OperatorMatrices:
@@ -169,7 +165,7 @@ def assemble_disk(basis: BasisSet) -> OperatorMatrices:
     _expect(basis, "disk")
     N = len(basis)
     idx = basis.indices
-    alphas = [_alpha("dJ", ix.n, ix.k) for ix in idx]
+    alphas = basis.alpha
     Bx = np.zeros((N, N), dtype=complex)
     By = np.zeros((N, N), dtype=complex)
     for a in range(N):
@@ -226,7 +222,7 @@ def cylinder_factors(basis: BasisSet):
     disk = assemble_disk(BasisSet(
         geometry="disk",
         indices=tuple(BasisIndex(n=idx[j].n, k=idx[j].k, l=idx[j].l) for j in disk_rows),
-        eigenvalues=basis.eigenvalues[disk_rows]))
+        eigenvalues=basis.eigenvalues[disk_rows], alpha=basis.alpha[disk_rows]))
     a = np.array([pos[ix.n, ix.k, ix.l] for ix in idx])
     b = np.array([ix.m for ix in idx])
     interval = operator_for("interval", int(b.max()) + 1, H=basis.aspect)

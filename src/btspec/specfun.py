@@ -3,9 +3,12 @@
 Everything downstream (basis enumeration, matrix elements, the analytic
 interval branch-point formula) reduces to three families of positive zeros:
 zeros of J_n'(z), zeros of the spherical j_n'(z), and zeros of J_{-2/3}(z).
-Each table comes from one array routine: a sign-change scan of the whole
-grid in one ufunc call, then bisection + Newton on all brackets at once, so
-every returned zero carries a verified bracket and is certified on return.
+All tables come from one array routine over any number of orders: a
+sign-change scan of every order's grid in one ufunc call, then bisection +
+Newton on all brackets at once, so every returned zero carries a verified
+bracket and is certified on return.  A basis takes the zeros of all orders
+below its cutoff from one pass (zeros_upto); zeros_dJ and zeros_dj_spherical
+are one-order calls of the same routine, with the same zeros bit for bit.
 """
 
 from __future__ import annotations
@@ -49,62 +52,109 @@ class ZeroTable:
         return len(self.zeros)
 
 
-def _scan_zeros(f, count, start, step=_SCAN_STEP, df=None, max_scan=1e5):
-    """First `count` positive zeros of the ufunc f from `start` on.
+def _scan_zeros(f, orders, starts, count=None, upto=np.inf, df=None,
+                step=_SCAN_STEP, max_scan=1e5):
+    """Positive zeros of the ufunc f(n, z) for each order n of `orders`: the
+    first `count` from that order's start on, or all up to `upto`.
 
-    Sign changes are sought on the grid start, start + step, ... built as a
-    running sum (np.cumsum), so its points do not depend on how it is split
-    into chunks; a grid point on an exact zero moves on by step / 7 and the
-    grid continues from there.  All brackets are then bisected together until
-    b - a <= 1e-13 * max(1, |b|) each, and polished by up to three Newton
-    steps (with df) that must stay inside the bracket.  The table is
-    certified (_certify) before it is returned.
+    Each order's sign changes are sought on its grid start, start + step, ...
+    built as a running sum (np.cumsum along its row), so its points do not
+    depend on how the grid is split into passes; a grid point on an exact
+    zero moves on by step / 7 and the grid continues from there.  One f call
+    per pass evaluates all orders' grids; all brackets are then bisected
+    together until b - a <= 1e-13 * max(1, |b|) each, and polished by up to
+    three Newton steps (with df) that must stay inside the bracket.  So each
+    zero is that of a scan of its order alone, bit for bit.  The zeros are
+    certified (_certify) and returned as one ascending array per order.
     """
-    a = start
-    fa = f(a)
-    while fa == 0.0:  # do not start exactly on a zero (or in underflow)
-        a += step / 7.0
-        fa = f(a)
-    chunk = int(count * np.pi / step) + 64  # zeros lie about pi apart
-    found, parts = 0, []
-    while found < count:
-        x = np.cumsum(np.r_[a, np.full(chunk, step)])
-        x = x[: 1 + np.count_nonzero(x[1:] <= max_scan)]
-        if len(x) == 1:
+    n = np.asarray(orders)
+    a = np.array(starts, dtype=float)
+    fa = f(n, a)
+    while (z := fa == 0.0).any():  # do not start on a zero (or in underflow)
+        a[z] += step / 7.0
+        fa[z] = f(n[z], a[z])
+    found = np.zeros(len(n), dtype=int)
+    want = np.inf if count is None else count
+    parts = [(np.zeros(0, dtype=int), *np.zeros((3, 0)))]
+    act = np.arange(len(n))
+    while (act := act[(found[act] < want) & (a[act] <= upto)]).size:
+        chunk = (int(count * np.pi / step) + 64 if count is not None  # zeros lie
+                 else int((upto - a[act].min()) / step) + 2)          # about pi apart
+        x = np.cumsum(np.c_[a[act], np.full((act.size, chunk), step)], axis=1)
+        # a row's points: up to max_scan and up to the first one past upto
+        keep = (x[:, 1:] <= max_scan) & (x[:, :-1] <= upto)
+        size = 1 + keep.sum(axis=1)
+        if (size == 1).any():
             raise ConvergenceError("zero scan exceeded search range")
-        fx = np.r_[fa, f(x[1:])]
-        hit = np.flatnonzero(fx[1:] == 0.0)
-        if hit.size:
-            x, fx = x[: hit[0] + 2], fx[: hit[0] + 2]
-            x[-1] += step / 7.0
-            fx[-1] = f(x[-1])
-        s = np.flatnonzero(fx[:-1] * fx[1:] < 0)
-        parts.append((x[s], x[s + 1], fx[s]))
-        found += s.size
-        a, fa = x[-1], fx[-1]
-    lo, hi, flo = (np.concatenate(v)[:count] for v in zip(*parts))
+        fx = np.zeros_like(x)
+        fx[:, 0] = fa[act]
+        r, c = np.nonzero(keep)
+        fx[r, c + 1] = f(n[act][r], x[r, c + 1])
+        hit = keep & (fx[:, 1:] == 0.0)
+        r = np.flatnonzero(hit.any(axis=1))
+        if r.size:  # a row ends on its first exact zero, moved on by step / 7
+            size[r] = np.argmax(hit[r], axis=1) + 2
+            x[r, size[r] - 1] += step / 7.0
+            fx[r, size[r] - 1] = f(n[act][r], x[r, size[r] - 1])
+        r, c = np.nonzero((np.arange(chunk) < size[:, None] - 1)
+                          & (fx[:, :-1] * fx[:, 1:] < 0))
+        parts.append((act[r], x[r, c], x[r, c + 1], fx[r, c]))
+        found += np.bincount(act[r], minlength=len(n))
+        last = (np.arange(act.size), size - 1)
+        a[act], fa[act] = x[last], fx[last]
+    row, lo, hi, flo = (np.concatenate(v) for v in zip(*parts))
+    o = np.argsort(row, kind="stable")  # by order, then along its grid
+    o = o[np.arange(len(o)) - np.searchsorted(row[o], row[o]) < want]  # first `count`
+    row, lo, hi, flo = row[o], lo[o], hi[o], flo[o]
+    nb = n[row]
 
-    act = np.arange(count)
+    act = np.arange(len(row))
     while (act := act[hi[act] - lo[act]
                       > _BISECT_TOL * np.maximum(1.0, np.abs(hi[act]))]).size:
         mid = 0.5 * (lo[act] + hi[act])
-        fm = f(mid)
+        fm = f(nb[act], mid)
         left = flo[act] * fm < 0
         on = left | (fm == 0.0)  # an exact zero closes its bracket
         hi[act[on]] = mid[on]
         lo[act[~left]], flo[act[~left]] = mid[~left], fm[~left]
     x = 0.5 * (lo + hi)
     if df is not None:
-        act = np.arange(count)
+        act = np.arange(len(row))
         for _ in range(3):
-            d = df(x[act])
+            d = df(nb[act], x[act])
             act, d = act[d != 0.0], d[d != 0.0]
-            y = x[act] - f(x[act]) / d
+            y = x[act] - f(nb[act], x[act]) / d
             ok = (lo[act] - 1e-9 <= y) & (y <= hi[act] + 1e-9)
             act = act[ok]
             x[act] = y[ok]
-    _certify(f, x, 1e-10)
-    return x
+    _certify(lambda z: f(nb, z), x, 1e-10)
+    below = x <= upto
+    return np.split(x[below], np.cumsum(np.bincount(row[below], minlength=len(n)))[:-1])
+
+
+# The two families that seed the Laplacian bases, as ufuncs f(n, z) with the
+# derivative df used for the Newton polish (None: bisection only).
+_KINDS = {
+    "dJ": (lambda n, z: special.jvp(n, z, 1), lambda n, z: special.jvp(n, z, 2)),
+    "dj_spherical": (lambda n, z: special.spherical_jn(n, z, derivative=True), None),
+}
+
+
+def _scan_kind(kind: str, orders, **stop) -> list:
+    f, df = _KINDS[kind]
+    # All zeros of J_n' and j_n' exceed n; starting at 0.9n skips the region
+    # where they underflow to an exact 0.0 for large orders.
+    return _scan_zeros(f, orders, np.maximum(1e-6, 0.9 * np.asarray(orders)),
+                       df=df, **stop)
+
+
+def zeros_upto(kind: str, zmax: float) -> list:
+    """Zeros <= zmax of kind 'dJ' (J_n') or 'dj_spherical' (j_n') of all
+    orders n = 0, 1, ... in one pass: element n is order n's ascending array,
+    and the list ends before the first order n > 0 with none (every zero of
+    order n exceeds n, so all higher orders have none either)."""
+    tables = _scan_kind(kind, np.arange(int(zmax) + 2), upto=zmax)
+    return tables[:next(i for i, t in enumerate(tables) if i and not t.size)]
 
 
 def zeros_dJ(n: int, count: int) -> ZeroTable:
@@ -113,33 +163,27 @@ def zeros_dJ(n: int, count: int) -> ZeroTable:
     For n = 0 the trivial zero at z = 0 is excluded; alpha_00 = 0 is a basis
     convention, not a member of this table.
     """
-    if n < 0 or count < 1:
-        raise DomainError("require n >= 0 and count >= 1")
-    f = lambda z: special.jvp(n, z, 1)
-    df = lambda z: special.jvp(n, z, 2)
-    # All zeros of J_n' exceed n; starting at 0.9n skips the region where
-    # J_n underflows to an exact 0.0 for large orders.
-    table = _scan_zeros(f, count, start=max(1e-6, 0.9 * n), df=df)
-    return ZeroTable(kind="dJ", order=float(n), zeros=table)
+    return _one_order("dJ", n, count)
 
 
 def zeros_dj_spherical(n: int, count: int) -> ZeroTable:
     """First `count` positive zeros of the derivative j_n'(z)."""
+    return _one_order("dj_spherical", n, count)
+
+
+def _one_order(kind: str, n: int, count: int) -> ZeroTable:
     if n < 0 or count < 1:
         raise DomainError("require n >= 0 and count >= 1")
-    f = lambda z: special.spherical_jn(n, z, derivative=True)
-    table = _scan_zeros(f, count, start=max(1e-6, 0.9 * n))
-    return ZeroTable(kind="dj_spherical", order=float(n), zeros=table)
+    return ZeroTable(kind=kind, order=float(n), zeros=_scan_kind(kind, [n], count=count)[0])
 
 
 def zeros_J_minus_two_thirds(count: int) -> ZeroTable:
     """First `count` positive zeros of J_{-2/3}(z)."""
     if count < 1:
         raise DomainError("require count >= 1")
-    f = lambda z: special.jv(-2.0 / 3.0, z)
-    df = lambda z: special.jvp(-2.0 / 3.0, z, 1)
     # J_{-2/3} diverges like z^{-2/3} at 0+; start past the singularity.
-    table = _scan_zeros(f, count, start=0.05, df=df)
+    table = _scan_zeros(special.jv, [-2.0 / 3.0], [0.05], count=count,
+                        df=lambda n, z: special.jvp(n, z, 1))[0]
     return ZeroTable(kind="J", order=-2.0 / 3.0, zeros=table)
 
 
@@ -155,17 +199,3 @@ def _certify(f, zeros, tol, h=1e-6):
         raise ConvergenceError(f"zeros {zeros[bad]} fail |f| < {tol} or "
                                "show no sign change across them")
 
-
-# Zero tables are cheap but requested repeatedly by the basis builders.
-_cache: dict = {}
-
-
-def cached_zeros(kind: str, n: int, count: int) -> np.ndarray:
-    """First `count` zeros of kind 'dJ' (zeros_dJ) or 'dj_spherical'
-    (zeros_dj_spherical) of order n, from a table kept per (kind, n)."""
-    key = (kind, n)
-    have = _cache.get(key)
-    if have is None or len(have) < count:
-        make = zeros_dJ if kind == "dJ" else zeros_dj_spherical
-        _cache[key] = make(n, max(count, 16)).zeros
-    return _cache[key][:count]

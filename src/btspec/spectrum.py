@@ -40,6 +40,7 @@ projection (_sign_fix), so a full and a restricted solve give one sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,7 +117,11 @@ def _solve_block(lam_b: np.ndarray, B_b: np.ndarray, gbar: float,
                  eigvals_only: bool) -> tuple:
     """Eigenvalues, sorted by (Re, Im), and left-eigenvector rows (None when
     eigvals_only) of one exact block diag(lam_b) + i*gbar*B_b.  A nonzero
-    LAPACK return code raises NumericalError naming gbar and the block size."""
+    LAPACK return code, or a non-finite gbar (refused first: LAPACK's xerbla
+    prints to stdout), raises NumericalError naming gbar and the block size."""
+    if not math.isfinite(gbar):
+        raise NumericalError(f"eigensolver refused gbar={gbar} on a block of size "
+                             f"{len(lam_b)}: not finite")
     M = np.diag(lam_b).astype(complex, order="F")
     M += 1j * gbar * B_b
     w, vl, info = _geev(M, not eigvals_only)
@@ -178,7 +183,7 @@ def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
     ix = np.sort(np.concatenate([b[0] for b in blocks if b[1] in twins]))
     basis = replace(mat.basis, indices=tuple(mat.basis.indices[i] for i in ix),
                     eigenvalues=mat.basis.eigenvalues[ix],
-                    class_id=mat.basis.class_id[ix])
+                    class_id=mat.basis.class_id[ix], alpha=mat.basis.alpha[ix])
     sub = OperatorMatrices(basis, mat.lam[ix], None, None, None,
                            mat.W[np.ix_(ix, ix)])
     return sub, B[np.ix_(ix, ix)], ix
@@ -196,7 +201,7 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
     pattern, ordered by their smallest index; twin is the position of the
     first block with bit-identical (lam[ix], B[ix, ix]), its own position when
     none precedes it.  lam_b and B_b are the block's entries (None for a
-    twin, which copies its result).
+    twin, which copies its result).  A non-finite entry raises NumericalError.
     """
     global _partition
     if _partition[0] is lam and _partition[1] is B:
@@ -208,6 +213,9 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
     for comp in _components(pairs, len(lam)):
         ix = np.array(comp)
         lam_b, B_b = lam[ix], B[np.ix_(ix, ix)]
+        if not (np.isfinite(lam_b).all() and np.isfinite(B_b).all()):
+            raise NumericalError(f"non-finite entries of Lambda or B on a block "
+                                 f"of size {len(ix)}")
         twin = first.setdefault(lam_b.tobytes() + B_b.tobytes(), len(blocks))
         if twin < len(blocks):
             lam_b = B_b = None

@@ -11,7 +11,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, jv, lpmv, spherical_jn
 
-from btspec.matrices import _alpha, beta_disk, beta_sphere
+from btspec.matrices import beta_disk, beta_sphere
+from setuporacle import alpha as _alpha
 
 
 def _sphere_u(ix, pts_r, pts_xi, pts_phi):

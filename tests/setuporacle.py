@@ -1,0 +1,198 @@
+"""Per-order reference for the cold set-up of btspec.basis and btspec.matrices.
+
+The bases are enumerated order by order under a cutoff that starts at 10 and
+doubles, each order's zeros requested from a table kept per (kind, order)
+and rescanned at every doubling; the sphere matrices are filled by a plain
+double loop over all (a, b) pairs, one b_element_sphere call per pair with
+|n - n'| = 1.  It is the slow, obviously sequential route that the
+multi-order zero scan and the index-array assembly must equal bit for bit
+(tests/test_matrices.py).
+"""
+
+import numpy as np
+
+from btspec import specfun
+from btspec.basis import BasisIndex, _cut_at_class_boundary, _m_rank
+from btspec.matrices import _disk_xy, b_element_interval, b_element_sphere
+
+_cache: dict = {}
+
+
+def cached_zeros(kind, n, count):
+    """First `count` zeros of kind 'dJ' or 'dj_spherical' and order n."""
+    key = (kind, n)
+    have = _cache.get(key)
+    if have is None or len(have) < count:
+        make = specfun.zeros_dJ if kind == "dJ" else specfun.zeros_dj_spherical
+        _cache[key] = make(n, max(count, 16)).zeros
+    return _cache[key][:count]
+
+
+def zeros_upto(kind, n, zmax):
+    """Zeros <= zmax of kind 'dJ' or 'dj_spherical' and order n."""
+    count = max(4, int(zmax / np.pi) + 2)
+    while True:
+        z = cached_zeros(kind, n, count)
+        if z[-1] > zmax:
+            return z[z <= zmax]
+        count *= 2
+
+
+def alpha(kind, n, k):
+    """alpha_nk; for n = 0, k = 0 is the constant mode with alpha_00 = 0."""
+    if n == 0:
+        return 0.0 if k == 0 else cached_zeros(kind, 0, k)[k - 1]
+    return cached_zeros(kind, n, k + 1)[k]
+
+
+def _collect(generate, N):
+    cut = 10.0
+    while True:
+        entries = sorted(generate(cut), key=lambda e: (e[0], e[1]))
+        if len(entries) > N and entries[-1][0] > entries[N - 1][0] * (1 + 1e-9) + 1.0:
+            picked = _cut_at_class_boundary(entries, N)
+            return tuple(e[2] for e in picked), np.array([e[0] for e in picked])
+        cut *= 2.0
+
+
+def _sphere(N, geometry):
+    def generate(cut):
+        zmax = np.sqrt(cut)
+        out = [(0.0, (0, 0, 0), BasisIndex(n=0, k=0, m=0))]
+        n = 0
+        while True:
+            zeros = zeros_upto("dj_spherical", n, zmax)
+            if n > 0 and zeros.size == 0:
+                break
+            for j, a in enumerate(zeros):
+                k = j + 1 if n == 0 else j
+                for m in range(-n, n + 1) if geometry == "sphere" else (0,):
+                    out.append((a * a, (n, k, _m_rank(m)), BasisIndex(n=n, k=k, m=m)))
+            n += 1
+        return out
+    return _collect(generate, N)
+
+
+def _disk(N):
+    def generate(cut):
+        zmax = np.sqrt(cut)
+        out = [(0.0, (0, 0, 1), BasisIndex(n=0, k=0, l=1))]
+        n = 0
+        while True:
+            zeros = zeros_upto("dJ", n, zmax)
+            if n > 0 and zeros.size == 0:
+                break
+            for j, a in enumerate(zeros):
+                k = j + 1 if n == 0 else j
+                for l in (1, 2) if n > 0 else (1,):
+                    out.append((a * a, (n, k, l), BasisIndex(n=n, k=k, l=l)))
+            n += 1
+        return out
+    return _collect(generate, N)
+
+
+def _cylinder(N, h):
+    def generate(cut):
+        out = []
+        zmax = np.sqrt(cut)
+        n = 0
+        while True:
+            zeros = zeros_upto("dJ", n, zmax)
+            alphas = [(0, 0.0)] if n == 0 else []
+            alphas += [((j + 1 if n == 0 else j), a) for j, a in enumerate(zeros)]
+            if not alphas:
+                break
+            emitted = False
+            for k, a in alphas:
+                base = a * a
+                if base > cut:
+                    continue
+                m = 0
+                while base + (np.pi * m / h) ** 2 <= cut:
+                    lam = base + (np.pi * m / h) ** 2
+                    for l in (1, 2) if n > 0 else (1,):
+                        out.append((lam, (n, k, l, m), BasisIndex(n=n, k=k, l=l, m=m)))
+                    emitted = True
+                    m += 1
+            if not emitted:
+                break
+            n += 1
+        return out
+    return _collect(generate, N)
+
+
+def build(geometry, N, h=1.0):
+    """(indices, eigenvalues, alphas) of the basis, enumerated order by order."""
+    if geometry in ("sphere", "sphere_reduced"):
+        idx, lams = _sphere(N, geometry)
+    else:
+        idx, lams = _disk(N) if geometry == "disk" else _cylinder(N, h)
+    kind = "dj_spherical" if geometry.startswith("sphere") else "dJ"
+    return idx, lams, np.array([alpha(kind, ix.n, ix.k) for ix in idx])
+
+
+def sphere_matrices(idx):
+    """(Bx, By, Bz, W) of the sphere by the loop over all (a, b) pairs."""
+    N = len(idx)
+    alphas = [alpha("dj_spherical", ix.n, ix.k) for ix in idx]
+    Bx = np.zeros((N, N), dtype=complex)
+    By = np.zeros((N, N), dtype=complex)
+    Bz = np.zeros((N, N), dtype=complex)
+    W = np.zeros((N, N))
+    for a in range(N):
+        na, ka, ma = idx[a].n, idx[a].k, idx[a].m
+        for b in range(N):
+            nb, kb, mb = idx[b].n, idx[b].k, idx[b].m
+            if na == nb and ka == kb and ma == -mb:
+                W[a, b] = (-1.0) ** ma
+            if abs(na - nb) != 1:
+                continue
+            base = b_element_sphere(na, alphas[a], nb, alphas[b])
+            if ma == mb and abs(ma) <= min(na, nb):
+                nmax = max(na, nb)
+                Bz[a, b] = base * np.sqrt(1.0 - (ma / nmax) ** 2)
+            if nb == na + 1:
+                if mb == ma - 1:
+                    c = np.sqrt((na - ma + 1) * (na - ma + 2)) / (na + 1)
+                    Bx[a, b] += 0.5 * base * c
+                    By[a, b] += 0.5j * base * c
+                if mb == ma + 1:
+                    c = np.sqrt((na + ma + 1) * (na + ma + 2)) / (na + 1)
+                    Bx[a, b] -= 0.5 * base * c
+                    By[a, b] += 0.5j * base * c
+            elif nb == na - 1:
+                if mb == ma - 1:
+                    c = np.sqrt((na + ma - 1) * (na + ma)) / na
+                    Bx[a, b] -= 0.5 * base * c
+                    By[a, b] -= 0.5j * base * c
+                if mb == ma + 1:
+                    c = np.sqrt((na - ma - 1) * (na - ma)) / na
+                    Bx[a, b] += 0.5 * base * c
+                    By[a, b] -= 0.5j * base * c
+    return Bx, By, Bz, W
+
+
+def disk_matrices(idx):
+    """(Bx, By) of the disk by the loop over all (a, b) pairs."""
+    N = len(idx)
+    alphas = [alpha("dJ", ix.n, ix.k) for ix in idx]
+    Bx = np.zeros((N, N), dtype=complex)
+    By = np.zeros((N, N), dtype=complex)
+    for a in range(N):
+        for b in range(N):
+            Bx[a, b], By[a, b] = _disk_xy(idx[a], alphas[a], idx[b], alphas[b])
+    return Bx, By
+
+
+def cylinder_matrices(idx, h):
+    """(Bx, By, Bz) of the capped cylinder by the loop over all (a, b) pairs."""
+    N = len(idx)
+    alphas = [alpha("dJ", ix.n, ix.k) for ix in idx]
+    Bx, By, Bz = (np.zeros((N, N), dtype=complex) for _ in range(3))
+    for i, ia in enumerate(idx):
+        for j, ib in enumerate(idx):
+            if ia.m == ib.m:
+                Bx[i, j], By[i, j] = _disk_xy(ia, alphas[i], ib, alphas[j])
+            if (ia.n, ia.k, ia.l) == (ib.n, ib.k, ib.l):
+                Bz[i, j] = h * b_element_interval(ia.m, ib.m)
+    return Bx, By, Bz

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadoracle as qo
+import setuporacle as so
 from btspec import basis as bas
 from btspec import matrices as mx
 from btspec.errors import DomainError, MatrixAssemblyError
@@ -69,7 +74,7 @@ def test_cylinder_assembly_equals_loop_reference(N, H):
     b = bas.build_cylinder_basis(N, R=1.0, H=H)
     m = mx.assemble_cylinder(b)
     idx = b.indices
-    al = [mx._alpha("dJ", ix.n, ix.k) for ix in idx]
+    al = [so.alpha("dJ", ix.n, ix.k) for ix in idx]
     Bx, By, Bz = (np.zeros((len(b), len(b)), dtype=complex) for _ in range(3))
     for i, ia in enumerate(idx):
         for j, ib in enumerate(idx):
@@ -200,9 +205,49 @@ def test_cylinder_block_structure():
 def test_denominator_guard():
     with pytest.raises(MatrixAssemblyError):
         mx.b_element_sphere(0, 2.0, 1, 2.0 + 1e-9)
+    # the index-array assembly checks every |n - n'| = 1 pair: give mode
+    # (1, 0, 0) the alpha of mode (2, 0, 0), as a corrupted table would
+    b = bas.build_sphere_basis(10)
+    pos = {(ix.n, ix.k, ix.m): i for i, ix in enumerate(b.indices)}
+    alpha = b.alpha.copy()
+    alpha[pos[1, 0, 0]] = alpha[pos[2, 0, 0]] + 1e-9
+    with pytest.raises(MatrixAssemblyError):
+        mx.assemble_sphere(replace(b, alpha=alpha))
 
 
 def test_geometry_mismatch_rejected():
     b = bas.build_disk_basis(5)
     with pytest.raises(DomainError):
         mx.assemble_sphere(b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(geometry=st.sampled_from(["sphere", "sphere_reduced", "disk", "cylinder",
+                                 "tall_cylinder"]),
+       N=st.integers(1, 400))
+@example(geometry="sphere", N=400)
+@example(geometry="sphere_reduced", N=400)
+def test_set_up_equals_per_order_oracle(geometry, N):
+    """Basis and matrices from the multi-order zero scan and the index-array
+    sphere assembly equal, bit for bit, the per-order requests and the pair
+    loop they replace (tests/setuporacle.py)."""
+    h = 2.5 if geometry == "tall_cylinder" else 1.0
+    g = "cylinder" if geometry == "tall_cylinder" else geometry
+    m = mx.operator_for(g, N, H=h)
+    idx, lams, alphas = so.build(g, N, h)
+    assert m.basis.indices == idx
+    assert m.basis.eigenvalues.tobytes() == lams.tobytes()
+    assert m.basis.alpha.tobytes() == alphas.tobytes()
+    assert m.lam.tobytes() == lams.tobytes()
+    if g == "sphere":
+        ref = so.sphere_matrices(idx)
+    elif g == "sphere_reduced":
+        ref = (None, None, *so.sphere_matrices(idx)[2:])
+    elif g == "disk":
+        ref = (*so.disk_matrices(idx), None, np.eye(len(idx)))
+    else:
+        ref = (*so.cylinder_matrices(idx, h), np.eye(len(idx)))
+    for got, want in zip((m.Bx, m.By, m.Bz, m.W), ref):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

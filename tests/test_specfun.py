@@ -114,6 +114,11 @@ def test_large_order_scan_does_not_pick_underflow_zeros():
     assert z[0] > 60.0
     z = specfun.zeros_dJ(40, 2).zeros
     assert z[0] > 40.0
+    # the same in a multi-order pass, whose starts are 0.9 n too
+    for kind in ("dJ", "dj_spherical"):
+        tables = specfun.zeros_upto(kind, 70.0)
+        assert len(tables) > 60
+        assert all(t[0] > n for n, t in enumerate(tables) if n)
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,16 +138,28 @@ def test_J_minus_two_thirds_equals_scalar_scan():
 
 
 def test_scan_steps_past_a_grid_point_on_a_zero():
-    # 0.5, 0.75, 1.0: the grid hits the zero exactly and moves on by step/7
-    f = lambda z: z - 1.0
-    z = specfun._scan_zeros(f, 1, start=0.5, df=lambda z: np.ones_like(z))
-    assert z.tolist() == [1.0]
-    assert np.array_equal(z, so.scan_zeros(f, 1, start=0.5, df=lambda z: 1.0))
+    # 0.5, 0.75, 1.0: the grid of order 0 hits its zero 1.0 exactly, and those
+    # of orders 1 and 2 hit 1.25 and 1.5, all in one multi-order pass; each
+    # moves on by step/7, and its next zero (2.2 + n) is bracketed on the
+    # shifted grid.  Order 3 never hits.  Each row must equal the scalar scan
+    # of its order.
+    c = np.array([1.0, 1.25, 1.5, 1.1])
+    f = lambda n, z: (z - c[n]) * (2.2 + n - z)
+    df = lambda n, z: 2.2 + n + c[n] - 2 * z
+    orders = np.arange(4)
+    tables = specfun._scan_zeros(f, orders, np.full(4, 0.5), count=2, df=df)
+    assert [t[0] for t in tables] == c.tolist()
+    for n, t in zip(orders, tables):
+        ref = so.scan_zeros(lambda z: f(n, z), 2, start=0.5, df=lambda z: df(n, z))
+        assert np.array_equal(t, ref)
+    # a pass up to a cutoff sees the same grids
+    below = specfun._scan_zeros(f, orders, np.full(4, 0.5), upto=3.0, df=df)
+    assert all(np.array_equal(b, t[t <= 3.0]) for b, t in zip(below, tables))
 
 
 def test_scan_beyond_range_raises():
     with pytest.raises(ConvergenceError):
-        specfun._scan_zeros(lambda z: np.cos(z), 5, start=0.1, max_scan=10.0)
+        specfun._scan_zeros(lambda n, z: np.cos(z), [0], [0.1], count=5, max_scan=10.0)
 
 
 def test_certify_rejects_an_offset_table():
@@ -157,7 +174,31 @@ def test_certify_rejects_an_offset_table():
 @given(kind=st.sampled_from(["dJ", "dj_spherical"]), n=st.integers(0, 120),
        count=st.integers(1, 64))
 def test_longer_table_prefix_equals_a_short_scan(kind, n, count):
-    # cached_zeros scans at least 16 zeros and serves shorter requests with a
-    # prefix of its table, which must equal a scan for exactly `count` zeros
+    # a scan's grid does not depend on how many zeros it is asked for, so the
+    # prefix of a longer table equals a scan for exactly `count` zeros
     make = specfun.zeros_dJ if kind == "dJ" else specfun.zeros_dj_spherical
     assert np.array_equal(make(n, 64).zeros[:count], make(n, count).zeros)
+
+
+def test_order_arrays_equal_per_order_calls():
+    # a multi-order pass evaluates each kind with an array of orders; every
+    # value must equal the call for its order alone, bit for bit
+    rng = np.random.default_rng(5)
+    n, z = rng.integers(0, 130, 5000), rng.uniform(1e-6, 150.0, 5000)
+    for f in (lambda n, z: special.spherical_jn(n, z, derivative=True),
+              lambda n, z: special.jvp(n, z, 1), lambda n, z: special.jvp(n, z, 2)):
+        one = np.array([f(int(a), float(b)) for a, b in zip(n, z)])
+        assert f(n, z).tobytes() == one.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["dJ", "dj_spherical"]), zmax=st.floats(0.5, 90.0))
+@example(kind="dJ", zmax=3.8317059702075125)  # on the first zero of J_0'
+def test_multi_order_pass_equals_one_order_scans(kind, zmax):
+    make = specfun.zeros_dJ if kind == "dJ" else specfun.zeros_dj_spherical
+    tables = specfun.zeros_upto(kind, zmax)
+    assert all(t.size for t in tables[1:])
+    for n, t in enumerate(tables):
+        one = make(n, len(t) + 1).zeros
+        assert np.array_equal(t, one[one <= zmax])
+    assert make(len(tables), 1).zeros[0] > zmax  # the list ends at the first empty order

@@ -230,6 +230,23 @@ def test_nan_gbar_raises_numerical_error(sphere60):
         sp.diagonalize(m, B, float("nan"), eigvals_only=True)
 
 
+@pytest.mark.parametrize("case", ["gbar_nan", "gbar_inf", "B_inf"])
+def test_non_finite_input_never_reaches_lapack(sphere60, capfd, case):
+    """A NaN or infinite gbar, or an infinite entry of B, raises
+    NumericalError naming the block size before any geev call, so LAPACK's
+    xerbla prints nothing to the process's stdout (fd 1)."""
+    m, B = sphere60
+    g = {"gbar_nan": float("nan"), "gbar_inf": float("inf")}.get(case, 2.0)
+    if case == "B_inf":
+        B = B.copy()
+        B[0, 1] = B[1, 0] = np.inf
+    match = "on a block of size" if case == "B_inf" else f"gbar={g} on a block of size"
+    for only in (True, False):
+        with pytest.raises(NumericalError, match=match):
+            sp.diagonalize(m, B, g, eigvals_only=only)
+    assert capfd.readouterr().out == ""
+
+
 def _distinct_blocks(name, sphere60):
     if name == "disk_factor":
         disk = mx.cylinder_factors(bas.build_cylinder_basis(60))[0]
