@@ -54,8 +54,6 @@ from .specfun import (
     AIRY_DERIV_FIRST_ZERO,
     ZeroTable,
     interval_branch_constants,
-    zeros_dJ,
-    zeros_dj_spherical,
 )
 from .spectrum import (
     Spectrum,

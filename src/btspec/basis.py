@@ -8,9 +8,9 @@ The enumeration order is what defines the branch index j used everywhere
 downstream, so it is pinned precisely:
 
 * eigenvalues ascending;
-* ties inside a degenerate eigenvalue broken by (n, k, m-rank) for the sphere
-  with m-rank ordering (0, -1, +1, -2, +2, ...), and by (n, k, l, m) for the
-  cylinder/disk (l = 1 before l = 2);
+* ties inside a degenerate eigenvalue broken by (n, k, m, l) for the sphere
+  and by (n, k, l, m) for the cylinder/disk, with l = 1 (cos) before l = 2
+  (sin);
 * a truncation that would split a degenerate family is extended to the end of
   the family, so requesting N entries may return slightly more.
 
@@ -37,7 +37,8 @@ GEOMETRIES = ("sphere", "sphere_reduced", "cylinder", "disk", "interval")
 class BasisIndex:
     """Multi-index of one Laplacian mode; unused slots are None.
 
-    sphere and reduced sphere (its m = 0 sector): (n, k, m);
+    sphere: (n, k, l, m) with m >= 0 and l = 1 (cos m phi) or 2 (sin m phi,
+    m > 0 only); reduced sphere (its m = 0 sector): (n, k, 1, 0);
     cylinder: (n, k, l, m); disk: (n, k, l); interval: (m).
     """
 
@@ -84,11 +85,6 @@ def _group_classes(ev: np.ndarray) -> np.ndarray:
     return cid
 
 
-def _m_rank(m: int) -> int:
-    # ordering 0, -1, +1, -2, +2, ...
-    return 2 * abs(m) - (1 if m < 0 else 0)
-
-
 def _cut_at_class_boundary(entries, N):
     """entries: list of (eigenvalue, sort_key, BasisIndex), sorted.
 
@@ -132,11 +128,12 @@ def _radial(kind: str, cut: float):
 
 
 def build_sphere_basis(N: int) -> BasisSet:
-    """First N entries of the ordered sphere basis (modes u_{nkm}).
+    """First N entries of the ordered sphere basis (real modes u_{nklm}).
 
     Eigenvalues alpha_nk^2 with alpha_nk the positive zeros of j_n'; the
     constant mode (n=k=m=0) carries alpha_00 = 0.  Each (n, k) family is
-    (2n+1)-fold degenerate in m.
+    (2n+1)-fold degenerate: m = 0 and the cos/sin pair (l = 1, 2) of each
+    m = 1..n.
     """
     return _sphere_basis(N, "sphere")
 
@@ -148,9 +145,10 @@ def _sphere_basis(N: int, geometry: str) -> BasisSet:
         raise DomainError("N >= 1 required")
 
     def generate(cut):
-        return [(a * a, (n, k, _m_rank(m)), BasisIndex(n=n, k=k, m=m), a)
+        return [(a * a, (n, k, m, l), BasisIndex(n=n, k=k, l=l, m=m), a)
                 for n, k, a in _radial("dj_spherical", cut)
-                for m in (range(-n, n + 1) if geometry == "sphere" else (0,))]
+                for m in (range(n + 1) if geometry == "sphere" else (0,))
+                for l in ((1, 2) if m else (1,))]
 
     # Weyl: N(lam) ~ 2 lam^1.5 / (9 pi) for the ball, ~ lam / 8 for its m = 0 sector
     weyl = 8.0 * N if geometry == "sphere_reduced" else (4.5 * np.pi * N) ** (2 / 3)

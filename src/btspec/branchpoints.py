@@ -116,12 +116,11 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     """Bisect the coarse bracket on the indicator max|Im lambda| over the
     participating branches down to BRACKET_WIDTH, then classify the point.
 
-    All solves run on the branches' own exact blocks and their twins
-    (spectrum.own_blocks), whose rows are the full spectrum's rows.  ref_eigs
-    are the branch-ordered eigenvalues of every basis mode at the bracket's
-    lower end (branch j starts at basis mode j, as in run_sweep); they
-    identify the participating eigenvalues at trial points, matched inside
-    each exact block.  One solve with eigenvectors at g_star gives the merged
+    All solves run on the branches' own exact blocks (spectrum.own_blocks),
+    whose rows are the full spectrum's rows.  ref_eigs are the branch-ordered
+    eigenvalues of every basis mode at the bracket's lower end (branch j
+    starts at basis mode j, as in run_sweep); they identify the participating
+    eigenvalues at trial points, matched inside each exact block.  One solve with eigenvectors at g_star gives the merged
     value, the order (the eigenvalues of the branches' own blocks within
     CLUSTER_RADIUS of the value), the minimal bilinear norm of the merging
     rows and their principal angle (None for a single-branch point, whose
@@ -166,8 +165,7 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     value = complex(np.mean(w[rows]))
     near = np.abs(w - value) <= CLUSTER_RADIUS
     order = int(np.sum(near & np.isin(spec.block, block[pos])))
-    # a pure +-m row pairs with the twin row of its bit-identical eigenvalue
-    vv = [np.max(np.abs(X[r] @ sub.W @ X[w == w[r]].T)) for r in rows]
+    vv = [abs(X[r] @ X[r]) for r in rows]
     angles = [_principal_angle(X[a], X[b])
               for i, a in enumerate(rows) for b in rows[i + 1:]]
     meta = dict(point.meta, coarse=False, value=value, width=hi - lo,
@@ -285,7 +283,7 @@ def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: fl
     spec = diagonalize(mat, B, g)
     rows = _match_blocks(sweep.eigenvalues[i], sweep.block, spec)
     X = spec.X[rows]
-    return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X @ mat.W, X))
+    return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X, X))
 
 
 def interval_branch_points_analytic(count: int) -> np.ndarray:

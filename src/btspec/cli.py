@@ -26,7 +26,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,39 +38,14 @@ from .matrices import gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signals
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
-from .spectrum import (bilinear_gram, block_labels, canonical_order, diagonalize,
-                       normalize, own_blocks, slowest_pair, spectrum_at_negative_g)
+from .spectrum import (block_labels, canonical_order, diagonalize, normalize,
+                       own_blocks, slowest_pair, spectrum_at_negative_g)
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
 
 _SI_KEYS = ("gamma", "D0", "G_mT_per_m", "deltas_ms")
 _DIMLESS_KEYS = ("gbar", "tbars")
-
-_KEY_TYPES = {
-    "geometry": str,
-    "R_um": float,
-    "H_um": float,
-    "aspect": float,
-    "gamma": float,
-    "D0": float,
-    "G_mT_per_m": float,
-    "deltas_ms": "floatlist",
-    "gbar": float,
-    "tbars": "floatlist",
-    "eta_deg": float,
-    "theta_deg": float,
-    "phi_deg": float,
-    "N": int,
-    "g_max": float,
-    "g_step": float,
-    "n_branches": int,
-    "walkers": int,
-    "seed": int,
-    "resolution": int,
-    "outdir": str,
-}
-
 
 @dataclass
 class RunConfig:
@@ -138,6 +113,11 @@ class RunConfig:
         return {k: np.deg2rad(a) for k, a in angles.items() if a is not None}
 
 
+# key -> declared type of its RunConfig field ('str', 'int', 'float' or 'list',
+# a list being comma-separated floats); annotations are strings here
+_KEY_TYPES = {f.name: f.type.split(" |")[0] for f in fields(RunConfig)}
+
+
 def parse_config(path: str) -> dict:
     """Flat key = value file into a typed dict; unknown keys are errors."""
     out = {}
@@ -162,9 +142,11 @@ def _convert(key: str, val: str, where: str):
         raise ConfigError(f"{where}: unknown key {key!r}")
     typ = _KEY_TYPES[key]
     try:
-        if typ == "floatlist":
+        if typ == "list":
             return [_finite(float(x), key) for x in val.split(",") if x.strip()]
-        return _finite(typ(val), key) if typ is float else typ(val)
+        if typ == "float":
+            return _finite(float(val), key)
+        return int(val) if typ == "int" else val
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {val!r}") from exc
 
@@ -299,9 +281,9 @@ def cmd_signal(cfg: RunConfig) -> int:
     mat, B = _build_operator(cfg)
     # only the constant mode's block has mu_j = X[j, 0] != 0
     sub, B_sub, _ = own_blocks(mat, B, [0])
-    spec = normalize(diagonalize(sub, B_sub, gbar), sub.W)
-    spec_m = spectrum_at_negative_g(spec, sub.W)
-    coeffs = compute_coefficients(spec, sub.W)
+    spec = normalize(diagonalize(sub, B_sub, gbar))
+    spec_m = spectrum_at_negative_g(spec)
+    coeffs = compute_coefficients(spec)
 
     i1, i2 = slowest_pair(spec)  # i2 is None unless the slowest is complex
     lam1 = spec.eigenvalues[i1]
@@ -364,7 +346,7 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
     sub, B_sub, ix = own_blocks(mat, B, [0, np.argmax(labels == w.block[r])])
     k = np.count_nonzero(np.isin(w.block[:r], labels[ix]))
     raw = diagonalize(sub, B_sub, g)
-    spec = normalize(raw, sub.W)
+    spec = normalize(raw)
     grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution)
 
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -382,23 +364,23 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
             "lambda_im": grid.eigenvalue.imag,
             "near_branch_point": grid.flagged,
             "vv": float(spec.vv[k]),
-            "vv_pair": _pair_conditioning(raw, spec, k, sub.W),
+            "vv_pair": _pair_conditioning(raw, spec, k),
             "plane": grid.plane,
         }, f, indent=1, sort_keys=True)
     print(f"wrote {csv_path} and {side_path}")
     return 0
 
 
-def _pair_conditioning(raw, spec, k: int, W) -> float | None:
+def _pair_conditioning(raw, spec, k: int) -> float | None:
     """sqrt|det C| of the raw bilinear Gram C of row k and the other row of
-    its two-row degenerate class, which normalize orthogonalizes it with
-    (|<v+, v->| for a pure +-m pair, whose vv is 0); None for a simple
-    eigenvalue or a class of three or more rows."""
+    its two-row degenerate class, which normalize orthogonalizes it with;
+    None for a simple eigenvalue or a class of three or more rows."""
     c = spec.degenerate_class[k]
     pair = np.flatnonzero(spec.degenerate_class == c)
     if c < 0 or len(pair) != 2:
         return None
-    return float(np.sqrt(abs(np.linalg.det(bilinear_gram(raw.X[pair], W)))))
+    rows = raw.X[pair]
+    return float(np.sqrt(abs(np.linalg.det(rows @ rows.T))))
 
 
 def _num_tag(x: float) -> str:

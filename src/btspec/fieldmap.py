@@ -2,13 +2,14 @@
 
 v_j(x) = sum_k X[j, k] u_k(x) with the explicit Laplacian eigenfunctions of
 each geometry, normalized to unit L2 norm over the domain (lengths in units
-of R).  The sphere uses the complex e^{i m phi} basis whose bilinear overlap
-matrix W is non-trivial; the cylinder/disk/interval use real bases.  Points
-outside the domain evaluate to NaN and are reported in the grid mask.
+of R).  Every basis is real.  Points outside the domain evaluate to NaN and
+are reported in the grid mask.
 
 Each mode is a product of 1-D factors (_mode_factors): j_n(alpha r) P_n^m(xi)
-e^{i m phi} on the sphere, J_n(alpha rho) cos or sin(n theta) on the disk,
-times cos(pi m (z + h/2) / h) on the cylinder; the interval has only the last.
+times cos or sin(m phi) (none for m = 0) on the sphere, J_n(alpha rho) cos or
+sin(n phi) on the disk, times cos(pi m (z + h/2) / h) on the cylinder; the
+interval has only the last.  The sphere and the disk share the azimuthal
+factor, of phi = arctan2(y, x).
 Each factor is evaluated once, on the distinct values of its coordinate among
 the inside points, and radial factors are summed per angular group.
 """
@@ -61,13 +62,13 @@ def inside_mask(basis: BasisSet, pts: np.ndarray) -> np.ndarray:
 
 def _mode_factors(basis: BasisSet, i: int) -> tuple:
     """1-D factors (coordinate, key) whose product is mode i, radial first;
-    a radial key is (n, alpha_nk)."""
+    a radial key is (n, alpha_nk), an azimuthal one (order, l)."""
     g, ix, alpha = basis.geometry, basis.indices[i], basis.alpha[i]
     if g in ("sphere", "sphere_reduced"):
-        m = ix.m or 0
-        return (("r", (ix.n, alpha)), ("xi", (ix.n, m))) + ((("phi", m),) if m else ())
+        return (("r", (ix.n, alpha)), ("xi", (ix.n, ix.m))) \
+            + ((("phi", (ix.m, ix.l)),) if ix.m else ())
     z = (("z", (ix.m, basis.aspect)),) if g != "disk" else ()
-    return z if g == "interval" else (("rho", (ix.n, alpha)), ("theta", (ix.n, ix.l))) + z
+    return z if g == "interval" else (("rho", (ix.n, alpha)), ("phi", (ix.n, ix.l))) + z
 
 
 def _factor(coord: str, key, u: np.ndarray) -> np.ndarray:
@@ -75,17 +76,15 @@ def _factor(coord: str, key, u: np.ndarray) -> np.ndarray:
     if coord == "r":
         n, alpha = key
         return beta_sphere(n, alpha) / spherical_jn(n, alpha) * spherical_jn(n, alpha * u)
-    if coord == "xi":
+    if coord == "xi":  # with the sqrt(2) of a cos/sin pair member
         n, m = key
         ratio = np.exp(gammaln(n + m + 1) - gammaln(n - m + 1))
-        return lpmv(m, n, u) / np.sqrt(2 * np.pi * ratio)
-    if coord == "phi":
-        return np.exp(1j * key * u)
+        return lpmv(m, n, u) / np.sqrt(2 * np.pi * ratio / (2.0 - (m == 0)))
     if coord == "rho":
         n, alpha = key
         return np.sqrt((2.0 - (n == 0)) / np.pi) * beta_disk(n, alpha) / jv(n, alpha) \
             * jv(n, alpha * u)
-    if coord == "theta":
+    if coord == "phi":
         return np.cos(key[0] * u) if key[1] == 1 else np.sin(key[0] * u)
     m, h = key
     return np.sqrt((2.0 - (m == 0)) / h) * np.cos(np.pi * m * (u + h / 2) / h)
@@ -102,7 +101,7 @@ def eval_eigenfunction(x_row: np.ndarray, basis: BasisSet,
     r = np.sqrt(x * x + y * y + z * z)
     raw = {  # coordinates, each computed only when a factor reads it
         "r": lambda: r, "z": lambda: z, "rho": lambda: np.sqrt(x * x + y * y),
-        "phi": lambda: np.arctan2(y, x), "theta": lambda: np.arctan2(y, x),
+        "phi": lambda: np.arctan2(y, x),
         "xi": lambda: np.where(r > 0, z / np.maximum(r, 1e-300), 1.0)}
     groups: dict[tuple, dict] = {}  # angular factors -> {radial factor: coefficient}
     for i in np.flatnonzero(np.abs(x_row) > 0):

@@ -1,11 +1,12 @@
 """Dense operator matrices in the truncated Laplacian basis.
 
-For each geometry this assembles the diagonal Laplacian matrix Lambda, the
+For each geometry this assembles the diagonal Laplacian matrix Lambda and the
 coordinate-multiplication matrices B^x, B^y, B^z (dimensionless: lengths in
-units of R), and the bilinear overlap matrix W with entries
-W_ab = integral(u_a * u_b) without conjugation.  The eigenproblem downstream
-is row-vector sided: X (Lambda + i*gbar*B) = Lambda^(g) X, with
-B_ab = integral(u_a * (x/R) * u_b^*).
+units of R).  Every basis is real (the sphere's and the disk's angular
+factors are cos and sin), so each B is a real symmetric float64 matrix,
+B_ab = integral(u_a * (x/R) * u_b), and the modes are orthonormal under the
+bilinear form integral(u_a * u_b).  The eigenproblem downstream is
+row-vector sided: X (Lambda + i*gbar*B) = Lambda^(g) X.
 
 Closed-form matrix elements follow the delta_{n,n'+-1} selection rules of the
 separable bases, with the zeros alpha taken from the basis (BasisSet.alpha);
@@ -36,7 +37,6 @@ class OperatorMatrices:
     Bx: np.ndarray | None
     By: np.ndarray | None
     Bz: np.ndarray | None
-    W: np.ndarray
 
     @property
     def N(self) -> int:
@@ -109,26 +109,23 @@ def b_element_interval(m: int, m2: int) -> float:
 
 
 def assemble_sphere(basis: BasisSet) -> OperatorMatrices:
-    """Full sphere operator with B^x, B^y, B^z and the non-identity W.
+    """Full sphere operator with B^x, B^y and B^z in the real cos/sin basis.
 
     Filled from index arrays over the pairs the selection rules allow
-    (|n - n'| = 1 with |m - m'| <= 1 for B, (n, k, +-m) for W), by the
-    floating-point operations of b_element_sphere and its m scaling, in the
-    same order, so bit for bit.  On a 'sphere_reduced' basis (the m = 0
-    sector) B^x and B^y are None: the sector is closed under z only, and its
-    W is the identity.
+    (|n - n'| = 1, |m - m'| <= 1), by the floating-point operations of
+    b_element_sphere and its m scaling, in the same order, so bit for bit.
+    B^z couples modes of equal (m, l); B^x couples cos to cos and sin to sin,
+    and B^y cos to sin, across m' = m +- 1, each with the m-ladder
+    coefficient of the complex harmonics and a factor sqrt(2) when one mode
+    has m = 0.  On a 'sphere_reduced' basis (the m = 0 sector) B^x and B^y
+    are None: the sector is closed under z only.
     """
     _expect(basis, "sphere", "sphere_reduced")
     N = len(basis)
-    n, k, m = (np.array([getattr(ix, q) for ix in basis.indices]) for q in "nkm")
+    n, l, m = (np.array([getattr(ix, q) for ix in basis.indices]) for q in "nlm")
     al = basis.alpha
     beta = np.array([beta_sphere(*p) for p in zip(n.tolist(), al.tolist())])
-    Bx, By, Bz = (np.zeros((N, N), dtype=complex) for _ in range(3))
-    W = np.zeros((N, N))
-    pos = {key: i for i, key in enumerate(zip(n.tolist(), k.tolist(), m.tolist()))}
-    a = np.arange(N)
-    b = np.array([pos[key] for key in zip(n.tolist(), k.tolist(), (-m).tolist())])
-    W[a, b] = np.where(m % 2, -1.0, 1.0)  # (-1)^m
+    Bx, By, Bz = (np.zeros((N, N)) for _ in range(3))
     a, b = np.nonzero((np.abs(n[:, None] - n) == 1) & (np.abs(m[:, None] - m) <= 1))
     na, nb, ma, mb, sq = n[a], n[b], m[a], m[b], al * al
     d = _pow2(sq[a] - sq[b])
@@ -137,21 +134,25 @@ def assemble_sphere(basis: BasisSet) -> OperatorMatrices:
     num = sq[a] + sq[b] - na * (nb + 1) - nb * (na + 1) + 1
     pref = (na + nb + 1) / ((2 * na + 1) * (2 * nb + 1))
     base = pref * beta[a] * beta[b] * num / d
-    z = (ma == mb) & (np.abs(ma) <= np.minimum(na, nb))
+    same_l = l[a] == l[b]
+    z = (ma == mb) & same_l
     r = ma[z] / np.maximum(na, nb)[z]
     Bz[a[z], b[z]] = base[z] * np.sqrt(1.0 - _pow2(r))
     s = mb - ma  # +-1: the x and y elements, with the m-ladder coefficient c
     xy = s != 0
-    a, b, na, ma, s, base = a[xy], b[xy], na[xy], ma[xy], s[xy], base[xy]
+    a, b, na, ma, mb, s, base = a[xy], b[xy], na[xy], ma[xy], mb[xy], s[xy], base[xy]
     up = nb[xy] > na
     t = np.where(up, na + s * ma, na - s * ma)
     c = np.sqrt(np.where(up, (t + 1) * (t + 2), (t - 1) * t)) / np.where(up, na + 1, na)
-    v = 0.5 * base * c
-    Bx[a, b] += np.where(up, -s, s) * v
-    By.imag[a, b] += np.where(up, 1, -1) * v
+    v = np.where(up, -s, s) * (0.5 * base * c) * np.where(ma * mb, 1.0, np.sqrt(2.0))
+    x = same_l[xy]
+    Bx[a[x], b[x]] = v[x]
+    # cos_m sin_{m+1} carries +v, sin_m cos_{m+1} -v: the sign of the lower-m mode
+    lower_l = np.where(s > 0, l[a], l[b])[~x]
+    By[a[~x], b[~x]] = np.where(lower_l == 1, v[~x], -v[~x])
     if basis.geometry == "sphere_reduced":
         Bx = By = None
-    return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, Bz, W)
+    return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, Bz)
 
 
 def _pow2(v: np.ndarray) -> np.ndarray:
@@ -166,13 +167,11 @@ def assemble_disk(basis: BasisSet) -> OperatorMatrices:
     N = len(basis)
     idx = basis.indices
     alphas = basis.alpha
-    Bx = np.zeros((N, N), dtype=complex)
-    By = np.zeros((N, N), dtype=complex)
+    Bx, By = np.zeros((N, N)), np.zeros((N, N))
     for a in range(N):
         for b in range(N):
             Bx[a, b], By[a, b] = _disk_xy(idx[a], alphas[a], idx[b], alphas[b])
-    W = np.eye(N)
-    return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, None, W)
+    return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, None)
 
 
 def _disk_xy(ia, aa, ib, ab):
@@ -197,12 +196,11 @@ def assemble_interval(basis: BasisSet) -> OperatorMatrices:
     _expect(basis, "interval")
     N = len(basis)
     ms = [ix.m for ix in basis.indices]
-    B = np.zeros((N, N), dtype=complex)
+    B = np.zeros((N, N))
     for a in range(N):
         for b in range(N):
             B[a, b] = basis.aspect * b_element_interval(ms[a], ms[b])
-    W = np.eye(N)
-    return OperatorMatrices(basis, basis.eigenvalues.copy(), None, None, B, W)
+    return OperatorMatrices(basis, basis.eigenvalues.copy(), None, None, B)
 
 
 def cylinder_factors(basis: BasisSet):
@@ -238,8 +236,7 @@ def assemble_cylinder(basis: BasisSet) -> OperatorMatrices:
     Bx = np.where(same_m, disk.Bx[np.ix_(a, a)], 0)
     By = np.where(same_m, disk.By[np.ix_(a, a)], 0)
     Bz = np.where(a[:, None] == a[None, :], interval.Bz[np.ix_(b, b)], 0)
-    W = np.eye(len(basis))
-    return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, Bz, W)
+    return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, Bz)
 
 
 def assemble_operator(basis: BasisSet) -> OperatorMatrices:

@@ -77,7 +77,7 @@ class SignalCoefficients:
     C: np.ndarray
 
 
-def compute_coefficients(spec: Spectrum, W: np.ndarray) -> SignalCoefficients:
+def compute_coefficients(spec: Spectrum) -> SignalCoefficients:
     """Signal coefficients from a normalized spectrum at +gbar.
 
     Uses mu_j = X[j, 0], Gamma = conj(X) X^T, and the conjugation identity

@@ -7,8 +7,7 @@ All tables come from one array routine over any number of orders: a
 sign-change scan of every order's grid in one ufunc call, then bisection +
 Newton on all brackets at once, so every returned zero carries a verified
 bracket and is certified on return.  A basis takes the zeros of all orders
-below its cutoff from one pass (zeros_upto); zeros_dJ and zeros_dj_spherical
-are one-order calls of the same routine, with the same zeros bit for bit.
+below its cutoff from one pass (zeros_upto).
 """
 
 from __future__ import annotations
@@ -155,26 +154,6 @@ def zeros_upto(kind: str, zmax: float) -> list:
     order n exceeds n, so all higher orders have none either)."""
     tables = _scan_kind(kind, np.arange(int(zmax) + 2), upto=zmax)
     return tables[:next(i for i, t in enumerate(tables) if i and not t.size)]
-
-
-def zeros_dJ(n: int, count: int) -> ZeroTable:
-    """First `count` positive zeros of d/dz J_n(z).
-
-    For n = 0 the trivial zero at z = 0 is excluded; alpha_00 = 0 is a basis
-    convention, not a member of this table.
-    """
-    return _one_order("dJ", n, count)
-
-
-def zeros_dj_spherical(n: int, count: int) -> ZeroTable:
-    """First `count` positive zeros of the derivative j_n'(z)."""
-    return _one_order("dj_spherical", n, count)
-
-
-def _one_order(kind: str, n: int, count: int) -> ZeroTable:
-    if n < 0 or count < 1:
-        raise DomainError("require n >= 0 and count >= 1")
-    return ZeroTable(kind=kind, order=float(n), zeros=_scan_kind(kind, [n], count=count)[0])
 
 
 def zeros_J_minus_two_thirds(count: int) -> ZeroTable:

@@ -2,40 +2,42 @@
 
 Rows of the coefficient matrix X are left eigenvectors of Lambda + i*gbar*B,
 so that X (Lambda + i*gbar*B) = Lambda^(g) X and the eigenfunction j is
-v_j = sum_k X[j, k] u_k.  Normalization uses the bilinear form (no complex
-conjugation): diag(X W X^T) = 1.  Within a degenerate eigenvalue the solver
-returns an arbitrary mixture, so degenerate pairs are re-orthogonalized by an
-explicit 2x2 linear transform before normalizing; this also converts the
-complex-conjugate (m, -m) sphere pairs into bilinear-orthonormal combinations.
+v_j = sum_k X[j, k] u_k.  The bases are real, so normalization uses the
+bilinear form (no complex conjugation) of the coefficients: diag(X X^T) = 1.
+Within a degenerate eigenvalue the solver can return an arbitrary mixture, so
+degenerate pairs of one block are re-orthogonalized by an explicit 2x2 linear
+transform before normalizing.
 
 Lambda is diagonal, so Lambda + i*gbar*B splits exactly into independent
-blocks: the connected components of the nonzero pattern of B (the m sectors
-of the z-gradient sphere, the cos/sin sectors of the disk and the cylinder; a
-tilted sphere gradient couples everything into one block).  Each block is
-solved on its own by one block solve (_solve_block), which is one direct
-LAPACK geev call (_geev) with the workspace size cached per block order and
-vector mode: bit for bit the result of scipy.linalg.eigvals / eig without
-their per-call checks and workspace query.  diagonalize labels each
+blocks: the connected components of the nonzero pattern of B (the (m, l)
+sectors of the z-gradient sphere; the cos/sin sectors of a sphere gradient in
+the xz plane, of the disk and of the cylinder; any other sphere gradient
+couples everything into one block).  Each block is solved on its own by one
+block solve (_solve_block), which is one direct LAPACK geev call (_geev) with
+the workspace size cached per block order and vector mode: bit for bit the
+result of scipy.linalg.eigvals / eig without their per-call checks and
+workspace query.  diagonalize labels each
 eigenvalue row with its block, and each raw row of X is zero outside its
 block.  Eigenvalues of different blocks cross freely and never merge, so
 branch tracking and branch-point detection work inside one block at a time:
 the branch tracker (sweep) calls the block solve directly, one distinct
 block at a time.  Blocks whose Lambda and B entries are bit-identical, such
-as the +m and -m sphere sectors, are solved once and the result is copied to
-the twin.  The partition is computed at the first solve
-with a given B and reused while the same B object is passed again, so B must
-not be modified in place.
+as the cos and sin sectors of one m of the z-gradient sphere, are solved once
+and the result is copied to the twin.  The partition is computed at the first
+solve with a given B and reused while the same B object is passed again, so B
+must not be modified in place.
 
-own_blocks restricts the operator to the blocks that hold given modes (and
-their twins); a solve of the restriction returns the full solve's rows of
-those blocks in the same order, so a command solves only the blocks its
-output reads (the signal the constant mode's block, a fieldmap row j's).
+own_blocks restricts the operator to the blocks that hold given modes; a
+solve of the restriction returns the full solve's rows of those blocks in the
+same order, so a command solves only the blocks its output reads (the signal
+the constant mode's block, a fieldmap row j's).
 
 Near a branch point the bilinear self-product <v, v> vanishes and no
 normalization exists; such rows are flagged 'near branch point' and left with
 unit 2-norm instead of being rescaled.  The sign of each row makes
-Re X[j, 0] > 0, with a tie-proof rule for rows without constant-mode
-projection (_sign_fix), so a full and a restricted solve give one sign.
+Re X[j, 0] > 0 (Im X[j, 0] > 0 when the real part is rounding noise), with a
+tie-proof rule for rows without constant-mode projection (_sign_fix), so a
+full and a restricted solve give one sign.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ class Spectrum:
     X is None for an eigenvalues-only computation.  block[j] is the exact
     block of row j in block_labels' numbering, set by diagonalize (None for
     a spectrum assembled by hand, which carries no block).  vv holds
-    |<v_j, v_j>| before rescaling (the normalization 'condition number'; 0
-    for a raw pure +-m sphere row, which normalize pairs with its twin);
+    |<v_j, v_j>| before rescaling (the normalization 'condition number');
     near_branch marks rows whose bilinear norm collapsed; degenerate_class
     labels exact eigenvalue clusters (-1 for simple eigenvalues).
     """
@@ -169,23 +170,19 @@ def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:
 def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
     """The operator restricted to the exact blocks that hold `modes`.
 
-    Returns (sub, B_sub, ix): sub carries Lambda, W and the basis on the
-    sorted basis modes ix of those blocks and of their bit-identical twins,
-    B_sub = B[ix, ix], and sub mode i is basis mode ix[i].  The twins belong
-    to the restriction because a pure +-m sphere row has a vanishing bilinear
-    self-product: its norm is its product with the twin row.  diagonalize(sub,
-    B_sub, g) solves the same blocks as the full solve, so its rows are the
-    full spectrum's rows of these blocks, bit for bit and in the same order.
+    Returns (sub, B_sub, ix): sub carries Lambda and the basis on the sorted
+    basis modes ix of those blocks, B_sub = B[ix, ix], and sub mode i is
+    basis mode ix[i].  diagonalize(sub, B_sub, g) solves the same blocks as
+    the full solve, so its rows are the full spectrum's rows of these blocks,
+    bit for bit and in the same order.
     """
     blocks = _blocks(mat.lam, B)
     label = block_labels(mat, B)
-    twins = {blocks[label[j]][1] for j in modes}
-    ix = np.sort(np.concatenate([b[0] for b in blocks if b[1] in twins]))
+    ix = np.sort(np.concatenate([blocks[k][0] for k in {label[j] for j in modes}]))
     basis = replace(mat.basis, indices=tuple(mat.basis.indices[i] for i in ix),
                     eigenvalues=mat.basis.eigenvalues[ix],
                     class_id=mat.basis.class_id[ix], alpha=mat.basis.alpha[ix])
-    sub = OperatorMatrices(basis, mat.lam[ix], None, None, None,
-                           mat.W[np.ix_(ix, ix)])
+    sub = OperatorMatrices(basis, mat.lam[ix], None, None, None)
     return sub, B[np.ix_(ix, ix)], ix
 
 
@@ -260,11 +257,6 @@ def _degenerate_classes(w: np.ndarray, rtol: float = DEGENERATE_RTOL) -> np.ndar
     return cid
 
 
-def bilinear_gram(rows: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Gram matrix <v_a, v_b> = rows W rows^T (transpose, no conjugation)."""
-    return rows @ W @ rows.T
-
-
 def orthogonalize_pair(vj: np.ndarray, vjp: np.ndarray, C: np.ndarray):
     """Bilinear-orthonormal combinations of two degenerate coefficient rows.
 
@@ -298,7 +290,7 @@ def orthogonalize_pair(vj: np.ndarray, vjp: np.ndarray, C: np.ndarray):
     return new_j, new_jp
 
 
-def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
+def normalize(spec: Spectrum) -> Spectrum:
     """Bilinear normalization and sign fixing of a raw spectrum.
 
     Degenerate classes are orthogonalized pairwise first (greedy, in index
@@ -306,7 +298,8 @@ def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
     stays below NEAR_BRANCH_TOL are flagged and kept unit-2-norm.  The sign of
     each row is fixed to make the constant-mode projection X[j, 0] have a
     positive real part (falling back to the first of the largest
-    coefficients when that projection is negligible; see _sign_fix).
+    coefficients when that projection is negligible, and to the imaginary
+    part when the real part is rounding noise; see _sign_fix).
     """
     if spec.X is None:
         raise ValueError("normalize() needs eigenvectors; run diagonalize "
@@ -315,13 +308,13 @@ def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
     X = spec.X.copy()
     N = len(w)
     cid = _degenerate_classes(w)
-    vv_raw = np.abs(np.einsum("ik,ik->i", X @ W, X))
+    vv_raw = np.abs(np.einsum("ik,ik->i", X, X))
     near = np.zeros(N, dtype=bool)
     done = np.zeros(N, dtype=bool)
 
     for c in np.unique(cid[cid >= 0]):
         members = np.flatnonzero(cid == c)
-        gram = bilinear_gram(X[members], W)
+        gram = X[members] @ X[members].T  # bilinear: transpose, no conjugate
         for ai in range(len(members)):
             for bi in range(ai + 1, len(members)):
                 a, b = members[ai], members[bi]
@@ -334,7 +327,7 @@ def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
                               [gram[bi, ai], gram[bi, bi]]])
                 try:
                     X[a], X[b] = orthogonalize_pair(X[a], X[b], C)
-                    check = bilinear_gram(X[[a, b]], W)
+                    check = X[[a, b]] @ X[[a, b]].T
                     if np.max(np.abs(check - np.eye(2))) > 1e-8:
                         raise OrthogonalizationError("pair Gram not identity")
                     done[a] = done[b] = True
@@ -344,7 +337,7 @@ def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
     for j in range(N):
         if done[j] or near[j]:
             continue
-        vvj = X[j] @ W @ X[j]
+        vvj = X[j] @ X[j]
         if abs(vvj) < NEAR_BRANCH_TOL:
             near[j] = True
             continue
@@ -363,28 +356,25 @@ def normalize(spec: Spectrum, W: np.ndarray) -> Spectrum:
 
 
 def _sign_fix(row: np.ndarray) -> float:
-    """+-1 making Re(X[j,0]) > 0, or, when the constant-mode projection is
-    negligible, the real part of the first coefficient within 1e-8 relative
-    of the largest.  The tolerance matters for a +-m sphere pair row, whose
-    two largest coefficients agree to rounding with opposite signs: its sign
-    must not follow their last bits."""
+    """+-1 making Re(ref) > 0 for ref = X[j,0], or, when the constant-mode
+    projection is negligible, the first coefficient within 1e-8 relative of
+    the largest (two coefficients can agree in magnitude to rounding: the
+    sign must not follow their last bits).  A real part within 1e-12 of |ref|
+    is rounding noise on an imaginary ref, and Im(ref) > 0 decides instead."""
     ref = row[0]
     if abs(ref) < 1e-12:
         ref = row[np.argmax(np.abs(row) >= (1 - 1e-8) * np.abs(row).max())]
-    if ref.real < 0 or (abs(ref.real) < 1e-300 and ref.imag < 0):
-        return -1.0
-    return 1.0
+    tie = abs(ref.real) <= 1e-12 * abs(ref)
+    return -1.0 if (ref.imag if tie else ref.real) < 0 else 1.0
 
 
-def spectrum_at_negative_g(spec: Spectrum, W: np.ndarray) -> Spectrum:
-    """Spectrum at -gbar from the one at +gbar via B_{-g} = (B_g)^*.
-
-    Eigenvalues conjugate; coefficients map as X -> conj(X) W so that the
-    reconstructed eigenfunctions are the pointwise conjugates (W re-expresses
-    the conjugated basis functions in the original basis; it is the identity
-    for real bases).
+def spectrum_at_negative_g(spec: Spectrum) -> Spectrum:
+    """Spectrum at -gbar from the one at +gbar: B is real, so the operator at
+    -gbar is the complex conjugate of the one at +gbar.  Eigenvalues and
+    coefficients conjugate, and the eigenfunctions are the pointwise
+    conjugates.
     """
-    X = None if spec.X is None else np.conj(spec.X) @ W
+    X = None if spec.X is None else np.conj(spec.X)
     return replace(spec, gbar=-spec.gbar, eigenvalues=np.conj(spec.eigenvalues), X=X)
 
 

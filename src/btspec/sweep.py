@@ -8,8 +8,9 @@ own: the assignment of least squared displacement from a linear
 prediction keeps identities through crossings.  When every branch has its
 own strictly nearest value that assignment is read off directly; only a
 contended step runs scipy's Hungarian solver.  Ties are broken by
-eigenvector overlap (solving only the tied block with vectors), and a real
-pair turning complex is ordered Im > 0 first.  A step ambiguous in any block
+eigenvector overlap (solving only the tied block with vectors); a real
+pair turning complex is ordered Im > 0 first, and a conjugate pair turning
+real gives its Im > 0 branch the smaller value.  A step ambiguous in any block
 is bisected for all, down to MIN_STEP; what stays ambiguous is recorded.
 """
 
@@ -29,8 +30,9 @@ OVERLAP_MARGIN = 0.2
 # an overlap tie between them is not an ambiguity.
 DISTINCT_REL = 1e-5
 # Two branches whose values agree this closely (relative) both in the
-# prediction and at the next step are exactly degenerate (the +-m pairs of a
-# tilted sphere): swapping them changes no value, so it is no tie.
+# prediction and at the next step are exactly degenerate (the |m| >= 1 pairs
+# about the axis of a tilted sphere gradient): swapping them changes no
+# value, so it is no tie.
 SAME_REL = 1e-10
 # A step is bisected, down to MIN_STEP, when a matched value moves further
 # than REFINE_DISPLACEMENT or its matching stays ambiguous.
@@ -82,14 +84,14 @@ def _assign(target: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _hungarian(diff.real**2 + diff.imag**2)
 
 
-def match_step(prev: Spectrum, next_: Spectrum, W: np.ndarray | None = None):
+def match_step(prev: Spectrum, next_: Spectrum):
     """Permutation sigma minimizing sum |lambda_prev[b] - lambda_next[sigma(b)]|^2
     over the branches b of one exact block.
 
     Returns (sigma, info).  info['tie_groups'] lists the cost-degenerate
     groups: a fresh conjugate pair is ordered Im > 0 first; other ties are
-    broken by the overlap |<v_prev, W v_next>| (W: the block's overlap form,
-    see _Track) if both spectra carry eigenvectors, else kind='unresolved'."""
+    broken by the bilinear overlap |<v_prev, v_next>| if both spectra carry
+    eigenvectors, else kind='unresolved'."""
     wp, wn = prev.eigenvalues, next_.eigenvalues
     diff = np.subtract.outer(wp, wn)
     cost = diff.real**2 + diff.imag**2
@@ -109,7 +111,7 @@ def match_step(prev: Spectrum, next_: Spectrum, W: np.ndarray | None = None):
         keep = ~(_equal(wp[i], wp[j]) & _equal(wns[i], wns[j]))
         for comp in _components(zip(i[keep], j[keep]), len(wp)):
             if len(comp) > 1:
-                kind = _resolve_component(comp, sigma, wp, wn, prev, next_, W)
+                kind = _resolve_component(comp, sigma, wp, wn, prev, next_)
                 info["tie_groups"].append({"branches": tuple(int(b) for b in comp),
                                            "kind": kind})
     return sigma, info
@@ -120,7 +122,7 @@ def _equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) <= SAME_REL * np.maximum(1.0, np.maximum(abs(a), abs(b)))
 
 
-def _resolve_component(comp, sigma, wp, wn, prev, next_, W) -> str:
+def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
     """Reorder sigma on one cost-tied group of branches; returns its kind."""
     cols = sigma[comp]
     vals = wn[cols]
@@ -130,18 +132,27 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_, W) -> str:
         # Im > 0 to the lower branch index within each real-part group
         sigma[comp] = cols[canonical_order(vals, 1e-6 * scale)]
         return "conjugate_pair"
-    if prev.X is None or next_.X is None:
-        return "unresolved"
-    # maximize total overlap within the component (Hungarian on -|overlap|)
-    ov = np.abs(prev.X[comp] @ W @ next_.X[cols].T)
-    sigma[comp] = cols[_hungarian(-ov)]
-    # ambiguity: a row whose best and runner-up overlaps are comparable while
-    # the two candidate next-values are visibly distinct
-    c0, c1 = np.argsort(ov, axis=1)[:, ::-1][:, :2].T
-    b0, b1 = (ov[np.arange(len(comp)), c] for c in (c0, c1))
-    close = b0 - b1 <= OVERLAP_MARGIN * (b0 + b1 + 1e-300)
-    distinct = np.abs(vals[c0] - vals[c1]) > DISTINCT_REL * scale
-    return "unresolved" if np.any(close & distinct) else "overlap_resolved"
+    kind = "unresolved"
+    if prev.X is not None and next_.X is not None:
+        # maximize total overlap within the component (Hungarian on -|overlap|)
+        ov = np.abs(prev.X[comp] @ next_.X[cols].T)
+        sigma[comp] = cols[_hungarian(-ov)]
+        # ambiguity: a row whose best and runner-up overlaps are comparable
+        # while the two candidate next-values are visibly distinct
+        c0, c1 = np.argsort(ov, axis=1)[:, ::-1][:, :2].T
+        b0, b1 = (ov[np.arange(len(comp)), c] for c in (c0, c1))
+        close = b0 - b1 <= OVERLAP_MARGIN * (b0 + b1 + 1e-300)
+        distinct = np.abs(vals[c0] - vals[c1]) > DISTINCT_REL * scale
+        kind = "unresolved" if np.any(close & distinct) else "overlap_resolved"
+    if len(comp) == 2 and np.all(np.abs(vals.imag) <= 1e-9) \
+            and _is_conjugate_family(wp[comp], scale):
+        # a conjugate pair rejoining the real axis: PT symmetry gives both
+        # members the same overlap with each real vector, so only rounding
+        # would choose.  Im > 0 goes to the smaller real value, mirroring
+        # the split rule: a pair that splits and rejoins keeps its order.
+        low = cols[np.argsort(vals.real)]
+        sigma[comp] = low if wp[comp[0]].imag > 0 else low[::-1]
+    return kind
 
 
 def _is_conjugate_family(vals: np.ndarray, scale: float) -> bool:
@@ -162,16 +173,13 @@ def _is_conjugate_family(vals: np.ndarray, scale: float) -> bool:
 @dataclass
 class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
-    blocks sharing its result (ix, then its twins), its entries, the overlap
-    form W[ix, iy] with iy a twin's modes (ix without one: W pairs +-m sphere
-    modes, so W[ix, ix] vanishes there), and in vector mode the eigenvectors
-    at the last accepted point (else None)."""
+    blocks sharing its result (ix, then its twins), its entries, and in vector
+    mode the eigenvectors at the last accepted point (else None)."""
 
     ix: np.ndarray
     copies: list
     lam: np.ndarray
     B: np.ndarray
-    W: np.ndarray
     vec: np.ndarray | None
 
     def solve(self, g: float, eigvals_only: bool) -> Spectrum:
@@ -189,8 +197,7 @@ class _Track:
             spec = self.solve(g_prev, False)
             self.vec = spec.X[_assign(prev, spec.eigenvalues)]
         nxt = self.solve(g, False)
-        sigma, info = match_step(Spectrum(gbar=g, eigenvalues=pred, X=self.vec),
-                                 nxt, W=self.W)
+        sigma, info = match_step(Spectrum(gbar=g, eigenvalues=pred, X=self.vec), nxt)
         ties = info["tie_groups"]
         return nxt.eigenvalues[sigma], ties, nxt.X[sigma] if ties else None
 
@@ -203,8 +210,7 @@ def _tracks(mat: OperatorMatrices, B: np.ndarray) -> list[_Track]:
     for k, (ix, twin, lam_b, B_b) in enumerate(blocks):
         if twin == k:
             copies = [jx for jx, t, *_ in blocks if t == k]
-            tracks.append(_Track(ix, copies, lam_b, B_b, mat.W[np.ix_(ix, copies[-1])],
-                                 np.eye(len(ix), dtype=complex)))
+            tracks.append(_Track(ix, copies, lam_b, B_b, np.eye(len(ix), dtype=complex)))
     return tracks
 
 

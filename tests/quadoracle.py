@@ -1,7 +1,7 @@
 """Independent quadrature oracle for matrix elements.
 
-Evaluates the explicit Laplacian eigenfunctions pointwise on tensor-product
-Gauss-Legendre / trapezoid grids and integrates u_a * coord * conj(u_b)
+Evaluates the explicit (real) Laplacian eigenfunctions pointwise on
+tensor-product Gauss-Legendre / trapezoid grids and integrates u_a * coord * u_b
 directly.  Deliberately does not import btspec.fieldmap or reuse the
 closed-form matrix elements: this is the independent route the closed forms
 are checked against.
@@ -16,18 +16,22 @@ from setuporacle import alpha as _alpha
 
 
 def _sphere_u(ix, pts_r, pts_xi, pts_phi):
-    n, m = ix.n, ix.m if ix.m is not None else 0
+    """Real harmonic: j_n P_n^m times sqrt(2) cos(m phi) (l = 1) or
+    sqrt(2) sin(m phi) (l = 2) for m > 0, no phi factor for m = 0."""
+    n, m = ix.n, ix.m
     alpha = _alpha("dj_spherical", n, ix.k)
     if alpha == 0.0:
-        return np.full(pts_r.shape, np.sqrt(3.0 / (4 * np.pi)), dtype=complex)
+        return np.full(pts_r.shape, np.sqrt(3.0 / (4 * np.pi)))
     ratio = np.exp(gammaln(n + m + 1) - gammaln(n - m + 1))
     norm = beta_sphere(n, alpha) / (spherical_jn(n, alpha) * np.sqrt(2 * np.pi * ratio))
-    return norm * spherical_jn(n, alpha * pts_r) * lpmv(m, n, pts_xi) \
-        * np.exp(1j * m * pts_phi)
+    ang = np.ones_like(pts_phi) if m == 0 else \
+        np.sqrt(2.0) * (np.cos(m * pts_phi) if ix.l == 1 else np.sin(m * pts_phi))
+    return norm * spherical_jn(n, alpha * pts_r) * lpmv(m, n, pts_xi) * ang
 
 
 def sphere_matrices_by_quadrature(basis, nr=90, nxi=60, nphi=96):
-    """(Bx, By, Bz, W) of the full sphere by direct numerical integration."""
+    """(Bx, By, Bz, G) of the full sphere by direct numerical integration;
+    G is the overlap integral(u_a u_b), the identity for an orthonormal basis."""
     xr, wr = leggauss(nr)
     r = 0.5 * (xr + 1)
     wr = 0.5 * wr
@@ -42,11 +46,8 @@ def sphere_matrices_by_quadrature(basis, nr=90, nxi=60, nphi=96):
         "y": (R * sin_t * np.sin(PHI)).ravel(),
         "z": (R * XI).ravel(),
     }
-    out = {}
-    for key, c in coords.items():
-        out[key] = (U * (c * WT)) @ np.conj(U).T
-    W = (U * WT) @ U.T
-    return out["x"], out["y"], out["z"], W
+    out = {key: (U * (c * WT)) @ U.T for key, c in coords.items()}
+    return out["x"], out["y"], out["z"], (U * WT) @ U.T
 
 
 def reduced_sphere_matrix_by_quadrature(basis, nr=120, nxi=80):
@@ -59,14 +60,14 @@ def reduced_sphere_matrix_by_quadrature(basis, nr=120, nxi=80):
     U = np.array([_sphere_u(ix, R, XI, np.zeros_like(R)).ravel()
                   for ix in basis.indices])
     z = (R * XI).ravel()
-    return (U * (z * WT)) @ np.conj(U).T
+    return (U * (z * WT)) @ U.T
 
 
 def _disk_u(ix, pts_r, pts_th):
     n, l = ix.n, ix.l
     alpha = _alpha("dJ", n, ix.k)
     if alpha == 0.0:
-        return np.full(pts_r.shape, 1.0 / np.sqrt(np.pi), dtype=complex)
+        return np.full(pts_r.shape, 1.0 / np.sqrt(np.pi))
     norm = np.sqrt(2.0 - (n == 0)) / np.sqrt(np.pi) * beta_disk(n, alpha) / jv(n, alpha)
     ang = np.cos(n * pts_th) if l == 1 else np.sin(n * pts_th)
     return norm * jv(n, alpha * pts_r) * ang
@@ -82,8 +83,8 @@ def disk_matrices_by_quadrature(basis, nr=120, nth=128):
     U = np.array([_disk_u(ix, R, TH).ravel() for ix in basis.indices])
     x = (R * np.cos(TH)).ravel()
     y = (R * np.sin(TH)).ravel()
-    Bx = (U * (x * WT)) @ np.conj(U).T
-    By = (U * (y * WT)) @ np.conj(U).T
+    Bx = (U * (x * WT)) @ U.T
+    By = (U * (y * WT)) @ U.T
     return Bx, By
 
 
@@ -117,7 +118,7 @@ def cylinder_matrices_by_quadrature(basis, nr=90, nth=96, nz=90):
     x = (R * np.cos(TH)).ravel()
     y = (R * np.sin(TH)).ravel()
     zc = Z.ravel()
-    Bx = (U * (x * WT)) @ np.conj(U).T
-    By = (U * (y * WT)) @ np.conj(U).T
-    Bz = (U * (zc * WT)) @ np.conj(U).T
+    Bx = (U * (x * WT)) @ U.T
+    By = (U * (y * WT)) @ U.T
+    Bz = (U * (zc * WT)) @ U.T
     return Bx, By, Bz

@@ -12,7 +12,7 @@ multi-order zero scan and the index-array assembly must equal bit for bit
 import numpy as np
 
 from btspec import specfun
-from btspec.basis import BasisIndex, _cut_at_class_boundary, _m_rank
+from btspec.basis import BasisIndex, _cut_at_class_boundary
 from btspec.matrices import _disk_xy, b_element_interval, b_element_sphere
 
 _cache: dict = {}
@@ -23,8 +23,7 @@ def cached_zeros(kind, n, count):
     key = (kind, n)
     have = _cache.get(key)
     if have is None or len(have) < count:
-        make = specfun.zeros_dJ if kind == "dJ" else specfun.zeros_dj_spherical
-        _cache[key] = make(n, max(count, 16)).zeros
+        _cache[key] = specfun._scan_kind(kind, [n], count=max(count, 16))[0]
     return _cache[key][:count]
 
 
@@ -58,7 +57,7 @@ def _collect(generate, N):
 def _sphere(N, geometry):
     def generate(cut):
         zmax = np.sqrt(cut)
-        out = [(0.0, (0, 0, 0), BasisIndex(n=0, k=0, m=0))]
+        out = [(0.0, (0, 0, 0, 1), BasisIndex(n=0, k=0, l=1, m=0))]
         n = 0
         while True:
             zeros = zeros_upto("dj_spherical", n, zmax)
@@ -66,8 +65,9 @@ def _sphere(N, geometry):
                 break
             for j, a in enumerate(zeros):
                 k = j + 1 if n == 0 else j
-                for m in range(-n, n + 1) if geometry == "sphere" else (0,):
-                    out.append((a * a, (n, k, _m_rank(m)), BasisIndex(n=n, k=k, m=m)))
+                for m in range(n + 1) if geometry == "sphere" else (0,):
+                    for l in (1, 2) if m else (1,):
+                        out.append((a * a, (n, k, m, l), BasisIndex(n=n, k=k, l=l, m=m)))
             n += 1
         return out
     return _collect(generate, N)
@@ -132,52 +132,45 @@ def build(geometry, N, h=1.0):
 
 
 def sphere_matrices(idx):
-    """(Bx, By, Bz, W) of the sphere by the loop over all (a, b) pairs."""
+    """(Bx, By, Bz) of the real-harmonic sphere by the loop over all (a, b)
+    pairs: the complex-harmonic elements between m, m' >= 0, with a sqrt(2)
+    for m = 0 and, for B^y (cos to sin), the sign of the lower-m mode."""
     N = len(idx)
     alphas = [alpha("dj_spherical", ix.n, ix.k) for ix in idx]
-    Bx = np.zeros((N, N), dtype=complex)
-    By = np.zeros((N, N), dtype=complex)
-    Bz = np.zeros((N, N), dtype=complex)
-    W = np.zeros((N, N))
+    Bx, By, Bz = (np.zeros((N, N)) for _ in range(3))
     for a in range(N):
-        na, ka, ma = idx[a].n, idx[a].k, idx[a].m
+        na, la, ma = idx[a].n, idx[a].l, idx[a].m
         for b in range(N):
-            nb, kb, mb = idx[b].n, idx[b].k, idx[b].m
-            if na == nb and ka == kb and ma == -mb:
-                W[a, b] = (-1.0) ** ma
-            if abs(na - nb) != 1:
+            nb, lb, mb = idx[b].n, idx[b].l, idx[b].m
+            if abs(na - nb) != 1 or abs(ma - mb) > 1:
                 continue
             base = b_element_sphere(na, alphas[a], nb, alphas[b])
-            if ma == mb and abs(ma) <= min(na, nb):
-                nmax = max(na, nb)
-                Bz[a, b] = base * np.sqrt(1.0 - (ma / nmax) ** 2)
-            if nb == na + 1:
-                if mb == ma - 1:
-                    c = np.sqrt((na - ma + 1) * (na - ma + 2)) / (na + 1)
-                    Bx[a, b] += 0.5 * base * c
-                    By[a, b] += 0.5j * base * c
-                if mb == ma + 1:
-                    c = np.sqrt((na + ma + 1) * (na + ma + 2)) / (na + 1)
-                    Bx[a, b] -= 0.5 * base * c
-                    By[a, b] += 0.5j * base * c
-            elif nb == na - 1:
-                if mb == ma - 1:
-                    c = np.sqrt((na + ma - 1) * (na + ma)) / na
-                    Bx[a, b] -= 0.5 * base * c
-                    By[a, b] -= 0.5j * base * c
-                if mb == ma + 1:
-                    c = np.sqrt((na - ma - 1) * (na - ma)) / na
-                    Bx[a, b] += 0.5 * base * c
-                    By[a, b] -= 0.5j * base * c
-    return Bx, By, Bz, W
+            if ma == mb:
+                if la == lb:
+                    Bz[a, b] = base * np.sqrt(1.0 - (ma / max(na, nb)) ** 2)
+                continue
+            if nb == na + 1 and mb == ma - 1:
+                v = 0.5 * base * (np.sqrt((na - ma + 1) * (na - ma + 2)) / (na + 1))
+            elif nb == na + 1:
+                v = -(0.5 * base * (np.sqrt((na + ma + 1) * (na + ma + 2)) / (na + 1)))
+            elif mb == ma - 1:
+                v = -(0.5 * base * (np.sqrt((na + ma - 1) * (na + ma)) / na))
+            else:
+                v = 0.5 * base * (np.sqrt((na - ma - 1) * (na - ma)) / na)
+            if ma == 0 or mb == 0:
+                v *= np.sqrt(2.0)
+            if la == lb:
+                Bx[a, b] = v
+            else:
+                By[a, b] = v if (la if ma < mb else lb) == 1 else -v
+    return Bx, By, Bz
 
 
 def disk_matrices(idx):
     """(Bx, By) of the disk by the loop over all (a, b) pairs."""
     N = len(idx)
     alphas = [alpha("dJ", ix.n, ix.k) for ix in idx]
-    Bx = np.zeros((N, N), dtype=complex)
-    By = np.zeros((N, N), dtype=complex)
+    Bx, By = np.zeros((N, N)), np.zeros((N, N))
     for a in range(N):
         for b in range(N):
             Bx[a, b], By[a, b] = _disk_xy(idx[a], alphas[a], idx[b], alphas[b])
@@ -188,7 +181,7 @@ def cylinder_matrices(idx, h):
     """(Bx, By, Bz) of the capped cylinder by the loop over all (a, b) pairs."""
     N = len(idx)
     alphas = [alpha("dJ", ix.n, ix.k) for ix in idx]
-    Bx, By, Bz = (np.zeros((N, N), dtype=complex) for _ in range(3))
+    Bx, By, Bz = (np.zeros((N, N)) for _ in range(3))
     for i, ia in enumerate(idx):
         for j, ib in enumerate(idx):
             if ia.m == ib.m:

@@ -97,34 +97,37 @@ def test_criterion_2_sphere_branch_points(sphere333, sphere333_sweep):
         ok = abs(best.g_star - ref) <= tol and best.order == order_ref
         items.append((f"g* = {ref} +- {tol}, order {order_ref}", ok,
                       f"nearest detected {best.g_star:.4f} order {best.order}"))
-    # Tracker-free check of the second point: B^z conserves m, so the +1 and
-    # -1 blocks are exact sub-problems that each see an order-2 merge at the
-    # same gbar; together they make the order-4 point of the full matrix.
-    # The blocks come from the same basis and assembly as the sweep.
+    # Tracker-free check of the second point: B^z conserves (m, l), so the
+    # m = 1 cos (l = 1) and sin (l = 2) blocks are exact sub-problems that
+    # each see an order-2 merge at the same gbar; together they make the
+    # order-4 point of the full matrix.  The blocks come from the same basis
+    # and assembly as the sweep.
     m, B = sphere333
     ms = np.array([ix.m for ix in m.basis.indices])
+    ls = np.array([ix.l for ix in m.basis.indices])
     coupling, g_block = 0.0, []
-    for mval in (1, -1):
-        sel, rest = np.flatnonzero(ms == mval), np.flatnonzero(ms != mval)
+    for lval in (1, 2):
+        mask = (ms == 1) & (ls == lval)
+        sel, rest = np.flatnonzero(mask), np.flatnonzero(~mask)
         coupling = max(coupling, float(np.max(np.abs(B[np.ix_(sel, rest)]))))
         g_block.append(_bisect_branch_point(m.lam[sel], B[np.ix_(sel, sel)],
                                             11.5, 12.5))
-    g_plus, g_minus = g_block
-    second = min(points, key=lambda p: abs(p.g_star - g_plus))
-    items.append(("m = +-1 blocks decoupled exactly", coupling == 0.0,
+    g_cos, g_sin = g_block
+    second = min(points, key=lambda p: abs(p.g_star - g_cos))
+    items.append(("m = 1 cos and sin blocks decoupled exactly", coupling == 0.0,
                   f"max off-block |B| {coupling:.1e}"))
-    items.append(("m = +1 and m = -1 block bisections agree to 1e-9",
-                  abs(g_plus - g_minus) <= 1e-9,
-                  f"{g_plus:.6f} and {g_minus:.6f}"))
+    items.append(("m = 1 cos and sin block bisections agree to 1e-9",
+                  abs(g_cos - g_sin) <= 1e-9,
+                  f"{g_cos:.6f} and {g_sin:.6f}"))
     items.append(("block bisection matches the detected second point to 1e-4",
-                  abs(second.g_star - g_plus) <= 1e-4,
-                  f"bisection {g_plus:.6f}, detected {second.g_star:.6f}"))
+                  abs(second.g_star - g_cos) <= 1e-4,
+                  f"bisection {g_cos:.6f}, detected {second.g_star:.6f}"))
     failures = _report("criterion 2", items)
     assert not failures, (
         "\n".join(failures)
         + "\nEvidence for the 11.9855 pin: the |m| = 1 merge of the four "
           "branches from 4.33/11.17, found by bisection on the decoupled "
-          "m = +1 block (its coupling to the rest of B^z is exactly 0), sits "
+          "m = 1 cos block (its coupling to the rest of B^z is exactly 0), sits "
           "at 11.98513, 11.98548 and 11.98550 for N = 150, 333 and 700.  The "
           "bisection shares the basis and the assembly with the sweep; the "
           "assembly matches direct quadrature (criterion 8).  The earlier pin "
@@ -202,8 +205,8 @@ def test_criterion_5_reference_values(sphere333, sphere333_sweep):
     sweep, _ = sphere333_sweep
     items = []
     # branch 1 identified by continuity from the sweep
-    s2 = sp.normalize(sp.diagonalize(m, B, 2.0), m.W)
-    co2 = sig.compute_coefficients(s2, m.W)
+    s2 = sp.normalize(sp.diagonalize(m, B, 2.0))
+    co2 = sig.compute_coefficients(s2)
     r1 = int(np.argmin(np.abs(s2.eigenvalues - sweep.values_at(2.0)[0])))
     lam1 = s2.eigenvalues[r1]
     items.append(("gbar=2: R^2 lam1 = 0.188 +- 0.002",
@@ -211,8 +214,8 @@ def test_criterion_5_reference_values(sphere333, sphere333_sweep):
     items.append(("gbar=2: C11 = 1.14 +- 0.01",
                   abs(co2.C[r1, r1].real - 1.14) <= 0.01,
                   f"{co2.C[r1, r1].real:.4f}"))
-    s15 = sp.normalize(sp.diagonalize(m, B, 15.0), m.W)
-    co15 = sig.compute_coefficients(s15, m.W)
+    s15 = sp.normalize(sp.diagonalize(m, B, 15.0))
+    co15 = sig.compute_coefficients(s15)
     lam_sweep = sweep.values_at(15.0)[:2]
     r1 = int(np.argmin(np.abs(s15.eigenvalues - lam_sweep[0])))
     r2 = int(np.argmin(np.abs(s15.eigenvalues - lam_sweep[1])))
@@ -240,9 +243,9 @@ def test_criterion_6_route_equivalence(sphere60, cylinder60):
     Bc = mx.gradient_matrix_cylinder(mc_cyl, np.pi / 4)
     for mat, Bdir, tag in ((m, B, "sphere"), (mc_cyl, Bc, "cylinder")):
         for g in (0.0, 2.0, 15.0):
-            s = sp.normalize(sp.diagonalize(mat, Bdir, g), mat.W)
-            co = sig.compute_coefficients(s, mat.W)
-            sm = sp.spectrum_at_negative_g(s, mat.W)
+            s = sp.normalize(sp.diagonalize(mat, Bdir, g))
+            co = sig.compute_coefficients(s)
+            sm = sp.spectrum_at_negative_g(s)
             for tb in (0.01, 0.1, 0.5, 1.0):
                 Sm = sig.signal_matrix(mat, Bdir, g, tb)
                 Ss = sig.signal_spectral(s, sm, co, tb)
@@ -282,8 +285,8 @@ def _closed_form_grid(m, B, g, tbars, two_mode):
     conjugate pair (two-mode) and drops the rest.  Per tbar returns the closed
     form's relative error, the relative residual of S_matrix - S_closed -
     S_dropped, and the regime estimate sum_dropped |T| / sum_kept |T|."""
-    s = sp.normalize(sp.diagonalize(m, B, g), m.W)
-    co = sig.compute_coefficients(s, m.W)
+    s = sp.normalize(sp.diagonalize(m, B, g))
+    co = sig.compute_coefficients(s)
     i1, i2 = sp.slowest_pair(s)
     keep = [i1, i2] if two_mode else [i1]
     kept = np.zeros(co.C.shape, dtype=bool)
@@ -361,11 +364,11 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
     for mat, Bd, gs in ((m, B, (0.0, 2.0, 15.0)),
                         (mcyl, mx.gradient_matrix_cylinder(mcyl, np.pi / 4), (5.0,))):
         for g in gs:
-            s = sp.normalize(sp.diagonalize(mat, Bd, g), mat.W)
+            s = sp.normalize(sp.diagonalize(mat, Bd, g))
             ok = ~s.near_branch
-            G = s.X @ mat.W @ s.X.T
+            G = s.X @ s.X.T
             worst = max(worst, float(np.abs(G - np.eye(mat.N))[np.ix_(ok, ok)].max()))
-    items.append(("XWX^T = identity to 1e-7 away from flags", worst < 1e-7,
+    items.append(("XX^T = identity to 1e-7 away from flags", worst < 1e-7,
                   f"worst {worst:.2e}"))
 
     worst = 0.0
@@ -381,11 +384,11 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
     worst = 0.0
     b10 = bas.build_sphere_basis(10)
     m10 = mx.assemble_sphere(b10)
-    qx, qy, qz, qw = qo.sphere_matrices_by_quadrature(b10)
+    qx, qy, qz, overlap = qo.sphere_matrices_by_quadrature(b10)
     worst = max(worst, float(np.max(np.abs(m10.Bx - qx))),
                 float(np.max(np.abs(m10.By - qy))),
                 float(np.max(np.abs(m10.Bz - qz))),
-                float(np.max(np.abs(m10.W - qw))))
+                float(np.max(np.abs(overlap - np.eye(len(b10))))))
     b9 = bas.build_cylinder_basis(9)
     m9 = mx.assemble_cylinder(b9)
     qx, qy, qz = qo.cylinder_matrices_by_quadrature(b9)
@@ -426,7 +429,7 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
     items.append(("sphere spectrum invariant under gradient direction to 1e-8",
                   worst < 1e-8, f"worst {worst:.2e}"))
 
-    s15 = sp.normalize(sp.diagonalize(m, B, 15.0), m.W)
+    s15 = sp.normalize(sp.diagonalize(m, B, 15.0))
     rank = sp.canonical_order(s15.eigenvalues)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-0.7, 0.7, size=(300, 3))
@@ -443,8 +446,8 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
     gs = np.arange(g1 - 0.06, g1 + 0.06, 0.0025)
     S = np.array([sig.signal_matrix(m, B, g, 0.2).real for g in gs])
     d2 = float(np.max(np.abs(np.diff(S, 2))))
-    s_near = sp.normalize(sp.diagonalize(m, B, g1 - 1e-4), m.W)
-    co = sig.compute_coefficients(s_near, m.W)
+    s_near = sp.normalize(sp.diagonalize(m, B, g1 - 1e-4))
+    co = sig.compute_coefficients(s_near)
     order = np.argsort(s_near.eigenvalues.real)
     i1, i2 = int(order[0]), int(order[1])
     C11 = co.C[i1, i1].real

@@ -16,14 +16,14 @@ def test_sphere_constant_mode():
     assert len(b) == 1
     assert b.eigenvalues[0] == 0.0
     ix = b.indices[0]
-    assert (ix.n, ix.k, ix.m) == (0, 0, 0)
+    assert (ix.n, ix.k, ix.l, ix.m) == (0, 0, 1, 0)
 
 
 def test_sphere_first_four():
     b = bas.build_sphere_basis(4)
     assert np.allclose(b.eigenvalues, [0.0, 4.333, 4.333, 4.333], atol=5e-4)
-    labels = [(ix.n, ix.k, ix.m) for ix in b.indices]
-    assert labels == [(0, 0, 0), (1, 0, 0), (1, 0, -1), (1, 0, 1)]
+    labels = [(ix.n, ix.k, ix.l, ix.m) for ix in b.indices]
+    assert labels == [(0, 0, 1, 0), (1, 0, 1, 0), (1, 0, 1, 1), (1, 0, 2, 1)]
 
 
 def test_sphere_table_of_17():
@@ -31,9 +31,10 @@ def test_sphere_table_of_17():
     assert len(b) == 17
     for lam, ref in zip(b.eigenvalues, SPHERE_17):
         assert abs(lam - ref) <= 0.005
-    # m ordering convention (0, -1, +1, -2, +2, ...) inside each family
-    fam2 = [(ix.n, ix.m) for ix in b.indices[4:9]]
-    assert fam2 == [(2, 0), (2, -1), (2, 1), (2, -2), (2, 2)]
+    # (m, l) ordering convention inside each family: m ascending, cos (l = 1)
+    # before sin (l = 2)
+    fam2 = [(ix.n, ix.m, ix.l) for ix in b.indices[4:9]]
+    assert fam2 == [(2, 0, 1), (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)]
 
 
 def test_cylinder_table_of_13():

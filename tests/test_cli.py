@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -53,6 +54,27 @@ def test_parse_config_rejects_unknown_and_bad(tmp_path):
     p = write_cfg(tmp_path / "bad3.cfg", "geometry sphere\n")
     with pytest.raises(ConfigError):
         cli.parse_config(p)
+
+
+def test_every_config_field_is_a_set_key(monkeypatch, tmp_path):
+    """Each RunConfig field is accepted by --set and converted to its
+    declared type; an unknown key still exits 2."""
+    monkeypatch.delenv(cli.ENV_OUTDIR, raising=False)
+    ints = ("N", "n_branches", "walkers", "seed", "resolution")
+    samples = {"geometry": "sphere", "outdir": "out", "deltas_ms": [1.0, 2.5],
+               "tbars": [1.0, 2.5], **dict.fromkeys(ints, 7)}
+    fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert set(samples) <= set(fields) and len(fields) == 21
+    want = {name: samples.get(name, 2.5) for name in fields}  # the rest: floats
+    text = {k: "1, 2.5" if isinstance(v, list) else str(v) for k, v in want.items()}
+    args = SimpleNamespace(config=None, out=None,
+                           set=[f"{k}={v}" for k, v in text.items()])
+    cfg = cli.build_config(args)
+    for name, value in want.items():
+        got = getattr(cfg, name)
+        assert got == value and type(got) is type(value), name
+    assert cli.main(["signal", "--set", "geometry=sphere", "--set", "N=5",
+                     "--set", "bogus=1", "--out", str(tmp_path)]) == 2
 
 
 def test_signal_mode_exclusivity(tmp_path):
@@ -393,9 +415,9 @@ def test_signal_on_constant_mode_block_matches_full_route(tmp_path, name, gbar):
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
     mat, B = _full_operator(geometry, kw, N)
-    spec = sp.normalize(sp.diagonalize(mat, B, gbar), mat.W)
-    spec_m = sp.spectrum_at_negative_g(spec, mat.W)
-    co = sg.compute_coefficients(spec, mat.W)
+    spec = sp.normalize(sp.diagonalize(mat, B, gbar))
+    spec_m = sp.spectrum_at_negative_g(spec)
+    co = sg.compute_coefficients(spec)
     i1, i2 = sp.slowest_pair(spec)
     # the global slowest row carries weight, so both routes pick it
     assert abs(spec.X[i1, 0]) > 1e-12
@@ -432,7 +454,7 @@ def test_fieldmap_rows_match_full_route(tmp_path, monkeypatch, name):
     monkeypatch.setattr(cli, "export_projection", export)
     sets = [f"geometry={geometry}", f"N={N}", "resolution=1"] + sets
     for g in (5.63, 12.0):
-        full = sp.normalize(sp.diagonalize(mat, B, g), mat.W)
+        full = sp.normalize(sp.diagonalize(mat, B, g))
         rank = sp.canonical_order(full.eigenvalues)
         for j in range(1, N // 5 + 1):
             seen.clear()
@@ -448,24 +470,27 @@ def test_fieldmap_rows_match_full_route(tmp_path, monkeypatch, name):
 
 
 def test_fieldmap_csv_of_pair_row_matches_full_route(tmp_path):
-    """A +-m row of the N=333 sphere (j=4 at gbar=12, modes n=2, m=+-1):
-    the CSV from the restricted route matches the full route's export, and
-    the sidecar's vv_pair gives the conditioning that vv (0) cannot."""
+    """A member of an exactly degenerate cos/sin pair of the N=333 sphere
+    (j=4 at gbar=12, n=2, m=1): the CSV from the restricted route matches
+    the full route's export.  The row lies in one (m, l) sector, so its own
+    bilinear norm vv conditions it; its twin lies in another block, outside
+    the restriction, and the sidecar has no vv_pair."""
     out = tmp_path / "out"
     _run("fieldmap", ["geometry=sphere", "N=333", "resolution=41"], out,
          ["--j", "4", "--g", "12"])
     side = json.loads((out / "field_j4_g12.json").read_text())
-    assert side["vv"] == 0.0 and not side["near_branch_point"]
+    assert side["vv"] > sp.NEAR_BRANCH_TOL and not side["near_branch_point"]
+    assert side["vv_pair"] is None
     grid = np.loadtxt(out / "field_j4_g12.csv", delimiter=",", skiprows=1)
     v = grid[:, 2] + 1j * grid[:, 3]
 
     mat, B = _full_operator("sphere", {}, 333)
-    full = sp.normalize(sp.diagonalize(mat, B, 12.0), mat.W)
+    full = sp.normalize(sp.diagonalize(mat, B, 12.0))
     r = sp.canonical_order(full.eigenvalues)[3]
     x = full.X[r]
     assert abs(x[0]) < 1e-12  # no constant-mode projection: an |m| >= 1 row
-    top = np.sort(np.abs(x))[-2:]
-    assert top[1] - top[0] <= 1e-12 * top[1]  # its +-m coefficients tie
+    sectors = {(mat.basis.indices[i].m, mat.basis.indices[i].l) for i in np.flatnonzero(x)}
+    assert len(sectors) == 1 and min(sectors)[0] == 1
     one = sp.Spectrum(gbar=12.0, eigenvalues=full.eigenvalues[[r]], X=x[None],
                       near_branch=full.near_branch[[r]])
     ref = fm.export_projection(one, mat.basis, 1, resolution=41)
@@ -473,13 +498,15 @@ def test_fieldmap_csv_of_pair_row_matches_full_route(tmp_path):
     assert np.array_equal(grid[:, 4].astype(bool), ref.inside.ravel())
     assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
 
-    # |<v+, v->| of the raw pair, the sqrt|det| of its bilinear Gram
+    # in the full route the twin shares the degenerate class, with a bilinear
+    # product of exactly 0: each row normalizes on its own
     raw = sp.diagonalize(mat, B, 12.0)
     pair = np.flatnonzero(full.degenerate_class == full.degenerate_class[r])
     assert len(pair) == 2 and r in pair
-    C = sp.bilinear_gram(raw.X[pair], mat.W)
-    assert abs(C[0, 0]) == abs(C[1, 1]) == 0.0
-    assert 0 < side["vv_pair"] == pytest.approx(abs(C[0, 1]), rel=1e-10)
+    C = raw.X[pair] @ raw.X[pair].T
+    assert C[0, 1] == C[1, 0] == 0.0
+    i = list(pair).index(r)
+    assert side["vv"] == pytest.approx(abs(C[i, i]), rel=1e-10)
 
 
 def test_signal_and_fieldmap_solve_only_the_blocks_they_read(tmp_path, monkeypatch):
@@ -492,9 +519,9 @@ def test_signal_and_fieldmap_solve_only_the_blocks_they_read(tmp_path, monkeypat
             vector_solves.append(len(lam_b))
         return _solve(lam_b, B_b, gbar, eigvals_only)
 
-    def normalize(spec, W, _normalize=sp.normalize):
+    def normalize(spec, _normalize=sp.normalize):
         normalized_rows.append(spec.N)
-        return _normalize(spec, W)
+        return _normalize(spec)
     monkeypatch.setattr(sp, "_solve_block", solve)
     monkeypatch.setattr(cli, "normalize", normalize)
     mat, B = _full_operator("sphere", {}, 100)
@@ -569,9 +596,9 @@ def test_bulk_csv_writers_match_per_cell_writers(tmp_path, sphere60, sphere60_sw
     assert b"ambiguous" in (tmp_path / "new0.csv").read_bytes()
 
     m, B = sphere60
-    s = sp.normalize(sp.diagonalize(m, B, 5.63), m.W)
+    s = sp.normalize(sp.diagonalize(m, B, 5.63))
     mi = mx.operator_for("interval", 12)
-    si = sp.normalize(sp.diagonalize(mi, mx.gradient_matrix(mi), 1.0), mi.W)
+    si = sp.normalize(sp.diagonalize(mi, mx.gradient_matrix(mi), 1.0))
     values = np.array([[np.nan, complex(-0.0, 0.5), complex(1e-300, -0.0), np.nan]])
     grids = [fm.export_projection(s, m.basis, 1, resolution=41),
              fm.export_projection(si, mi.basis, 1, resolution=31),

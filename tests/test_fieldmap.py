@@ -12,7 +12,7 @@ from btspec.errors import DomainError
 
 
 def normalized(m, B, g):
-    return sp.normalize(sp.diagonalize(m, B, g), m.W)
+    return sp.normalize(sp.diagonalize(m, B, g))
 
 
 def canonical(s):
@@ -112,33 +112,43 @@ def test_bilinear_normalization_by_quadrature(sphere60):
 
 
 def test_azimuthal_factor_preserved(sphere60):
-    """The +-m eigenspace is preserved under a z gradient: each degenerate
-    pair span contains a pure e^{i m phi} representative, whose ratio to
-    e^{i m phi} is phi-independent."""
+    """A z gradient preserves the (m, l) sectors: every normalized row lies in
+    one sector, and on a circle of fixed (r, theta) an m = 1 cos row is
+    proportional to cos(phi) and its sin twin to sin(phi)."""
     m, B = sphere60
     s = normalized(m, B, 2.0)
-    msup = np.array([ix.m for ix in m.basis.indices])
-    cid = s.degenerate_class
-    pair = None
-    for c in np.unique(cid[cid >= 0]):
-        rows = np.flatnonzero(cid == c)
-        if len(rows) == 2 and np.abs(s.X[rows][:, msup == 1]).max() > 0.1:
-            pair = rows
-            break
-    assert pair is not None
-    span = s.X[pair]
-    U, svals, _ = np.linalg.svd(span[:, msup == 1])
-    assert svals[1] < 1e-8 * svals[0]  # rank one: a pure m=+1 member exists
-    v_pure = U[:, 0].conj() @ span
-    assert np.max(np.abs(v_pure[msup != 1])) < 1e-8
+    sector = np.array([3 * ix.m + ix.l for ix in m.basis.indices])
+    own = sector[np.argmax(np.abs(s.X), axis=1)]
+    assert all(not np.any(row[sector != k]) for row, k in zip(s.X, own))
     r_, th_ = 0.6, 1.1
     phis = np.array([0.3, 1.0, 2.2, 4.0])
     pts = np.stack([r_ * np.sin(th_) * np.cos(phis),
                     r_ * np.sin(th_) * np.sin(phis),
                     np.full(4, r_ * np.cos(th_))], axis=1)
-    v = fm.eval_eigenfunction(v_pure, m.basis, pts)
-    ratios = v / np.exp(1j * phis)
-    assert np.max(np.abs(ratios - ratios[0])) < 1e-8
+    for l, ang in ((1, np.cos), (2, np.sin)):
+        v = fm.eval_eigenfunction(s.X[np.flatnonzero(own == 3 + l)[0]], m.basis, pts)
+        ratios = v / ang(phis)
+        assert abs(ratios[0]) > 0.01
+        assert np.max(np.abs(ratios - ratios[0])) < 1e-8
+
+
+def test_cos_member_of_each_pair_comes_first(sphere60):
+    """In each exactly degenerate |m| >= 1 pair of canonical rows the cos
+    member (l = 1, even in y) comes first and has a nonzero xz section; the
+    sin member vanishes on y = 0."""
+    m, B = sphere60
+    s = canonical(normalized(m, B, 3.0))
+    idx = m.basis.indices
+    lead = [idx[i] for i in np.argmax(np.abs(s.X), axis=1)]
+    w = s.eigenvalues
+    pairs = [j for j in range(16) if w[j] == w[j + 1] and lead[j].m >= 1]
+    assert len(pairs) >= 4 and any(lead[j].m % 2 for j in pairs)
+    for j in pairs:
+        assert (lead[j].l, lead[j + 1].l) == (1, 2) and lead[j].m == lead[j + 1].m
+        cos, sin = (fm.export_projection(s, m.basis, k, resolution=41).values
+                    for k in (j + 1, j + 2))
+        assert np.nanmax(np.abs(cos)) > 0.1
+        assert np.nanmax(np.abs(sin)) < 1e-12
 
 
 def test_neumann_condition_soft(sphere60):

@@ -22,11 +22,12 @@ def sphere10():
 
 def test_sphere_elements_match_quadrature(sphere10):
     b, m = sphere10
-    qx, qy, qz, qw = qo.sphere_matrices_by_quadrature(b)
+    qx, qy, qz, overlap = qo.sphere_matrices_by_quadrature(b)
     assert np.max(np.abs(m.Bx - qx)) < QUAD_TOL
     assert np.max(np.abs(m.By - qy)) < QUAD_TOL
     assert np.max(np.abs(m.Bz - qz)) < QUAD_TOL
-    assert np.max(np.abs(m.W - qw)) < QUAD_TOL
+    # the real harmonics are orthonormal under integral(u_a u_b)
+    assert np.max(np.abs(overlap - np.eye(len(b)))) < QUAD_TOL
 
 
 def test_reduced_sphere_elements_match_quadrature():
@@ -75,7 +76,7 @@ def test_cylinder_assembly_equals_loop_reference(N, H):
     m = mx.assemble_cylinder(b)
     idx = b.indices
     al = [so.alpha("dJ", ix.n, ix.k) for ix in idx]
-    Bx, By, Bz = (np.zeros((len(b), len(b)), dtype=complex) for _ in range(3))
+    Bx, By, Bz = (np.zeros((len(b), len(b))) for _ in range(3))
     for i, ia in enumerate(idx):
         for j, ib in enumerate(idx):
             if ia.m == ib.m:
@@ -101,23 +102,34 @@ def test_hermiticity_everywhere():
 
 
 def test_sphere_component_reality():
-    m = mx.assemble_sphere(bas.build_sphere_basis(30))
-    assert np.max(np.abs(m.Bx.imag)) == 0.0
-    assert np.max(np.abs(m.Bz.imag)) == 0.0
-    assert np.max(np.abs(m.By.real)) == 0.0
+    # every basis is real, so every B is a real (float64) symmetric matrix
+    mats = [mx.assemble_sphere(bas.build_sphere_basis(30)),
+            mx.assemble_disk(bas.build_disk_basis(20)),
+            mx.assemble_interval(bas.build_interval_basis(15)),
+            mx.assemble_cylinder(bas.build_cylinder_basis(25))]
+    for m in mats:
+        for B in (m.Bx, m.By, m.Bz):
+            if B is not None:
+                assert B.dtype == np.float64
+                assert np.max(np.abs(B - B.T)) < 1e-15
 
 
-def test_sphere_W_structure(sphere10):
+def test_sphere_sector_couplings(sphere10):
+    """B^z keeps (m, l); B^x couples cos to cos and sin to sin, and B^y cos
+    to sin, across m' = m +- 1, with no entry at m = m'."""
     b, m = sphere10
-    N = len(b)
-    assert np.max(np.abs(m.W @ m.W - np.eye(N))) < 1e-15
-    lam = np.diag(m.lam)
-    assert np.max(np.abs(m.W @ lam - lam @ m.W)) < 1e-12
-    # specific entry: (1,0,1) x (1,0,-1) -> (-1)^1 = -1
-    idx = {(ix.n, ix.k, ix.m): i for i, ix in enumerate(b.indices)}
-    assert m.W[idx[(1, 0, 1)], idx[(1, 0, -1)]] == -1.0
-    assert m.W[idx[(1, 0, 1)], idx[(1, 0, 1)]] == 0.0
-    assert m.W[idx[(0, 0, 0)], idx[(0, 0, 0)]] == 1.0
+    l = np.array([ix.l for ix in b.indices])
+    mm = np.array([ix.m for ix in b.indices])
+    same_l, dm = l[:, None] == l, np.abs(mm[:, None] - mm)
+    assert not np.any(m.Bz[~(same_l & (dm == 0))])
+    assert not np.any(m.Bx[~(same_l & (dm == 1))])
+    assert not np.any(m.By[~(~same_l & (dm == 1))])
+    assert np.any(m.By) and np.all(l[mm == 0] == 1)
+    # cos(phi) sin(phi) sin(2 phi) / pi: the sin_1 - cos_2 and cos_1 - sin_2
+    # y elements are opposite multiples of their x counterpart
+    idx = {(ix.n, ix.k, ix.l, ix.m): i for i, ix in enumerate(b.indices)}
+    c1, s1, c2, s2 = idx[1, 0, 1, 1], idx[1, 0, 2, 1], idx[2, 0, 1, 2], idx[2, 0, 2, 2]
+    assert m.By[c1, s2] == m.Bx[c1, c2] == m.Bx[s1, s2] == -m.By[s1, c2] != 0
 
 
 def test_sphere_Bz_restricted_to_m0_equals_reduced(sphere10):
@@ -129,7 +141,6 @@ def test_sphere_Bz_restricted_to_m0_equals_reduced(sphere10):
     assert red.basis.indices == tuple(b.indices[i] for i in m0)
     assert np.array_equal(red.lam, m.lam[m0])
     assert np.array_equal(red.Bz, sub)
-    assert np.array_equal(red.W, m.W[np.ix_(m0, m0)])
     assert red.Bx is None and red.By is None
 
 
@@ -208,9 +219,9 @@ def test_denominator_guard():
     # the index-array assembly checks every |n - n'| = 1 pair: give mode
     # (1, 0, 0) the alpha of mode (2, 0, 0), as a corrupted table would
     b = bas.build_sphere_basis(10)
-    pos = {(ix.n, ix.k, ix.m): i for i, ix in enumerate(b.indices)}
+    pos = {(ix.n, ix.k, ix.l, ix.m): i for i, ix in enumerate(b.indices)}
     alpha = b.alpha.copy()
-    alpha[pos[1, 0, 0]] = alpha[pos[2, 0, 0]] + 1e-9
+    alpha[pos[1, 0, 1, 0]] = alpha[pos[2, 0, 1, 0]] + 1e-9
     with pytest.raises(MatrixAssemblyError):
         mx.assemble_sphere(replace(b, alpha=alpha))
 
@@ -242,12 +253,12 @@ def test_set_up_equals_per_order_oracle(geometry, N):
     if g == "sphere":
         ref = so.sphere_matrices(idx)
     elif g == "sphere_reduced":
-        ref = (None, None, *so.sphere_matrices(idx)[2:])
+        ref = (None, None, so.sphere_matrices(idx)[2])
     elif g == "disk":
-        ref = (*so.disk_matrices(idx), None, np.eye(len(idx)))
+        ref = (*so.disk_matrices(idx), None)
     else:
-        ref = (*so.cylinder_matrices(idx, h), np.eye(len(idx)))
-    for got, want in zip((m.Bx, m.By, m.Bz, m.W), ref):
+        ref = so.cylinder_matrices(idx, h)
+    for got, want in zip((m.Bx, m.By, m.Bz), ref):
         assert (got is None) == (want is None)
         if got is not None:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -9,8 +9,8 @@ from btspec.errors import ConfigError
 
 
 def coeffs_at(m, B, g):
-    s = sp.normalize(sp.diagonalize(m, B, g), m.W)
-    return s, sig.compute_coefficients(s, m.W)
+    s = sp.normalize(sp.diagonalize(m, B, g))
+    return s, sig.compute_coefficients(s)
 
 
 def test_pulse_plan_dimensionless_conversion():
@@ -32,7 +32,7 @@ def test_zero_gradient_signal_is_one(sphere60):
     for tb in (0.01, 0.3, 2.0):
         assert abs(sig.signal_matrix(m, B, 0.0, tb) - 1.0) < 1e-12
     s, co = coeffs_at(m, B, 0.0)
-    sm = sp.spectrum_at_negative_g(s, m.W)
+    sm = sp.spectrum_at_negative_g(s)
     assert abs(sig.signal_spectral(s, sm, co, 0.7) - 1.0) < 1e-10
     # only the constant-mode coefficient survives at g = 0
     assert abs(co.C[0, 0] - 1.0) < 1e-12
@@ -80,7 +80,7 @@ def test_route_agreement(sphere60, cylinder60):
     for mat, Bdir in ((m, B), (mc, Bc)):
         for g in (0.0, 2.0, 15.0):
             s, co = coeffs_at(mat, Bdir, g)
-            sm = sp.spectrum_at_negative_g(s, mat.W)
+            sm = sp.spectrum_at_negative_g(s)
             for tb in (0.01, 0.1, 0.5, 1.0):
                 Sm = sig.signal_matrix(mat, Bdir, g, tb)
                 Ss = sig.signal_spectral(s, sm, co, tb)

@@ -9,6 +9,16 @@ from btspec import specfun
 from btspec.errors import ConvergenceError, DomainError
 
 
+def dJ(n, count):
+    """First `count` zeros of J_n', from a one-order pass of the scan."""
+    return specfun._scan_kind("dJ", [n], count=count)[0]
+
+
+def dj(n, count):
+    """First `count` zeros of j_n', from a one-order pass of the scan."""
+    return specfun._scan_kind("dj_spherical", [n], count=count)[0]
+
+
 def test_j_minus_two_thirds_first_root():
     # root near 1.2430; plugging into sqrt(3)*(27/4)*j^2 must give ~18.06
     j1 = specfun.interval_branch_constants(1)[0]
@@ -26,46 +36,46 @@ def test_interval_constants_against_paper_values():
 
 
 def test_zeros_dJ_table_values():
-    assert abs(specfun.zeros_dJ(1, 1).zeros[0] - 1.8412) < 1e-4
-    assert abs(specfun.zeros_dJ(0, 1).zeros[0] - 3.8317) < 1e-4
-    assert abs(specfun.zeros_dJ(2, 1).zeros[0] - 3.0542) < 1e-4
+    assert abs(dJ(1, 1)[0] - 1.8412) < 1e-4
+    assert abs(dJ(0, 1)[0] - 3.8317) < 1e-4
+    assert abs(dJ(2, 1)[0] - 3.0542) < 1e-4
     # squares quoted in the eigenvalue table
-    assert abs(specfun.zeros_dJ(1, 1).zeros[0] ** 2 - 3.390) < 5e-3
-    assert abs(specfun.zeros_dJ(0, 1).zeros[0] ** 2 - 14.68) < 5e-3
-    assert abs(specfun.zeros_dJ(2, 1).zeros[0] ** 2 - 9.33) < 5e-3
+    assert abs(dJ(1, 1)[0] ** 2 - 3.390) < 5e-3
+    assert abs(dJ(0, 1)[0] ** 2 - 14.68) < 5e-3
+    assert abs(dJ(2, 1)[0] ** 2 - 9.33) < 5e-3
 
 
 def test_zeros_dj_spherical_table_values():
-    assert abs(specfun.zeros_dj_spherical(1, 1).zeros[0] - 2.0816) < 1e-4
-    assert abs(specfun.zeros_dj_spherical(2, 1).zeros[0] - 3.3421) < 1e-4
-    assert abs(specfun.zeros_dj_spherical(0, 1).zeros[0] - 4.4934) < 1e-4
-    assert abs(specfun.zeros_dj_spherical(1, 1).zeros[0] ** 2 - 4.333) < 5e-3
-    assert abs(specfun.zeros_dj_spherical(2, 1).zeros[0] ** 2 - 11.17) < 5e-3
-    assert abs(specfun.zeros_dj_spherical(0, 1).zeros[0] ** 2 - 20.19) < 5e-3
+    assert abs(dj(1, 1)[0] - 2.0816) < 1e-4
+    assert abs(dj(2, 1)[0] - 3.3421) < 1e-4
+    assert abs(dj(0, 1)[0] - 4.4934) < 1e-4
+    assert abs(dj(1, 1)[0] ** 2 - 4.333) < 5e-3
+    assert abs(dj(2, 1)[0] ** 2 - 11.17) < 5e-3
+    assert abs(dj(0, 1)[0] ** 2 - 20.19) < 5e-3
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
 def test_zeros_dJ_against_scipy(n):
     # independent zero finder in scipy.special as the oracle
-    ours = specfun.zeros_dJ(n, 20).zeros
+    ours = dJ(n, 20)
     ref = special.jnp_zeros(n, 20)
     assert np.max(np.abs(ours - ref)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 8])
 def test_certified_zeros_spherical(n):
-    tab = specfun.zeros_dj_spherical(n, 12)
+    tab = dj(n, 12)
     f = lambda z: special.spherical_jn(n, z, derivative=True)
     h = 1e-6
-    for z in tab.zeros:
+    for z in tab:
         assert abs(f(z)) < 1e-10
         assert f(z - h) * f(z + h) < 0
-    assert np.all(np.diff(tab.zeros) > 0)
+    assert np.all(np.diff(tab) > 0)
 
 
 def test_consecutive_dJ_zero_separation_exceeds_one():
     for n in (0, 1, 4):
-        z = specfun.zeros_dJ(n, 15).zeros
+        z = dJ(n, 15)
         assert np.all(np.diff(z) > 1.0)
 
 
@@ -84,7 +94,7 @@ def mcmahon_dJ(n: int, k: int) -> float:
 def test_mcmahon_brackets_high_zeros():
     # for k >= 10 the zero lies within +-0.5 of the two-term McMahon estimate
     for n in (0, 2, 6):
-        z = specfun.zeros_dJ(n, 16).zeros
+        z = dJ(n, 16)
         for k in range(10, 17):
             assert abs(z[k - 1] - mcmahon_dJ(n, k)) < 0.5
 
@@ -102,17 +112,15 @@ def test_zero_table_invariants():
     with pytest.raises(ValueError):
         specfun.ZeroTable(kind="dJ", order=0.0, zeros=np.array([-1.0, 1.0]))
     with pytest.raises(DomainError):
-        specfun.zeros_dJ(-1, 3)
-    with pytest.raises(DomainError):
-        specfun.zeros_dJ(0, 0)
+        specfun.interval_branch_constants(0)
 
 
 def test_large_order_scan_does_not_pick_underflow_zeros():
     # j_n underflows to 0.0 near the origin for large n; the scanner must not
     # report zeros there
-    z = specfun.zeros_dj_spherical(60, 2).zeros
+    z = dj(60, 2)
     assert z[0] > 60.0
-    z = specfun.zeros_dJ(40, 2).zeros
+    z = dJ(40, 2)
     assert z[0] > 40.0
     # the same in a multi-order pass, whose starts are 0.9 n too
     for kind in ("dJ", "dj_spherical"):
@@ -127,8 +135,8 @@ def test_large_order_scan_does_not_pick_underflow_zeros():
 def test_zero_tables_equal_scalar_scan(n, count):
     # the array scan must reproduce the scalar loop bit for bit; from the
     # n = 0 start 1e-6 the running-sum grid differs from start + i * step
-    assert np.array_equal(specfun.zeros_dJ(n, count).zeros, so.zeros_dJ(n, count))
-    assert np.array_equal(specfun.zeros_dj_spherical(n, count).zeros,
+    assert np.array_equal(dJ(n, count), so.zeros_dJ(n, count))
+    assert np.array_equal(dj(n, count),
                           so.zeros_dj_spherical(n, count))
 
 
@@ -164,7 +172,7 @@ def test_scan_beyond_range_raises():
 
 def test_certify_rejects_an_offset_table():
     f = lambda z: special.jvp(3, z, 1)
-    z = specfun.zeros_dJ(3, 6).zeros
+    z = dJ(3, 6)
     specfun._certify(f, z, 1e-10)
     with pytest.raises(ConvergenceError):
         specfun._certify(f, z + 1e-3, 1e-10)
@@ -176,8 +184,8 @@ def test_certify_rejects_an_offset_table():
 def test_longer_table_prefix_equals_a_short_scan(kind, n, count):
     # a scan's grid does not depend on how many zeros it is asked for, so the
     # prefix of a longer table equals a scan for exactly `count` zeros
-    make = specfun.zeros_dJ if kind == "dJ" else specfun.zeros_dj_spherical
-    assert np.array_equal(make(n, 64).zeros[:count], make(n, count).zeros)
+    make = dJ if kind == "dJ" else dj
+    assert np.array_equal(make(n, 64)[:count], make(n, count))
 
 
 def test_order_arrays_equal_per_order_calls():
@@ -195,10 +203,10 @@ def test_order_arrays_equal_per_order_calls():
 @given(kind=st.sampled_from(["dJ", "dj_spherical"]), zmax=st.floats(0.5, 90.0))
 @example(kind="dJ", zmax=3.8317059702075125)  # on the first zero of J_0'
 def test_multi_order_pass_equals_one_order_scans(kind, zmax):
-    make = specfun.zeros_dJ if kind == "dJ" else specfun.zeros_dj_spherical
+    make = dJ if kind == "dJ" else dj
     tables = specfun.zeros_upto(kind, zmax)
     assert all(t.size for t in tables[1:])
     for n, t in enumerate(tables):
-        one = make(n, len(t) + 1).zeros
+        one = make(n, len(t) + 1)
         assert np.array_equal(t, one[one <= zmax])
-    assert make(len(tables), 1).zeros[0] > zmax  # the list ends at the first empty order
+    assert make(len(tables), 1)[0] > zmax  # the list ends at the first empty order

@@ -11,7 +11,7 @@ from btspec.errors import NumericalError
 
 
 def normalized(m, B, g):
-    return sp.normalize(sp.diagonalize(m, B, g), m.W)
+    return sp.normalize(sp.diagonalize(m, B, g))
 
 
 def test_zero_gradient_reproduces_basis(sphere60):
@@ -43,11 +43,11 @@ def test_bilinear_orthonormality(sphere60):
     m, B = sphere60
     for g in (0.0, 2.0, 15.0):
         raw = sp.diagonalize(m, B, g)
-        s = sp.normalize(raw, m.W)
-        vv = np.abs(np.diag(raw.X @ m.W @ raw.X.T))
+        s = sp.normalize(raw)
+        vv = np.abs(np.diag(raw.X @ raw.X.T))
         assert np.allclose(s.vv, vv, rtol=1e-12, atol=1e-15)
         ok = ~s.near_branch
-        G = s.X @ m.W @ s.X.T
+        G = s.X @ s.X.T
         dev = np.abs(G - np.eye(m.N))[np.ix_(ok, ok)]
         assert dev.max() < 1e-7
         # off-diagonal example quoted for g = 2
@@ -69,7 +69,7 @@ def test_pt_conjugation_closure(sphere60, cylinder60):
 
 
 def test_preserved_pair_degeneracy(sphere60):
-    # +-m pairs stay exactly degenerate under a z gradient
+    # the cos/sin pairs of each m >= 1 stay exactly degenerate under a z gradient
     m, B = sphere60
     for g in (4.0, 15.0):
         w = np.sort_complex(sp.diagonalize(m, B, g, eigvals_only=True).eigenvalues)
@@ -80,17 +80,23 @@ def test_preserved_pair_degeneracy(sphere60):
 def _block_case(name, sphere60, cylinder60, disk60):
     """(mat, B, expected number of blocks, (mat, B) of the dense oracle)."""
     m, B = sphere60
+    sectors = len({(ix.m, ix.l) for ix in m.basis.indices})
     if name == "sphere_z":
-        return m, B, len({ix.m for ix in m.basis.indices}), (m, B)
+        return m, B, sectors, (m, B)
     if name == "sphere_z_unequal_twins":
-        # same Lambda in the m = +-1 blocks but different B: not twins
-        m1 = [i for i, ix in enumerate(m.basis.indices) if ix.m == 1]
+        # same Lambda in the m = 1 cos and sin blocks but different B: not twins
+        s1 = [i for i, ix in enumerate(m.basis.indices) if (ix.m, ix.l) == (1, 2)]
         Bu = B.copy()
-        Bu[np.ix_(m1, m1)] *= 1.5
-        return m, Bu, len({ix.m for ix in m.basis.indices}), (m, Bu)
+        Bu[np.ix_(s1, s1)] *= 1.5
+        return m, Bu, sectors, (m, Bu)
     if name == "sphere_tilted":
-        Bt = mx.gradient_matrix_sphere(m, 0.3, 0.0)
+        Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
         return m, Bt, 1, (m, Bt)
+    if name == "sphere_xz":
+        # a gradient in the xz plane keeps the mirror symmetry y -> -y: the
+        # cos (even) and sin (odd) modes form two blocks
+        Bt = mx.gradient_matrix_sphere(m, 0.3, 0.0)
+        return m, Bt, 2, (m, Bt)
     if name == "sphere_reduced":
         # the m = 0 sector of the full operator is the reduced operator, so
         # its eigenvalues are found in the full dense spectrum
@@ -108,7 +114,7 @@ def _block_case(name, sphere60, cylinder60, disk60):
 
 
 @pytest.mark.parametrize("name", ["sphere_z", "sphere_z_unequal_twins",
-                                  "sphere_tilted", "sphere_reduced",
+                                  "sphere_tilted", "sphere_xz", "sphere_reduced",
                                   "cylinder", "disk", "interval"])
 def test_block_solve_matches_dense(name, sphere60, cylinder60, disk60):
     m, B, n_blocks, (m_ref, B_ref) = _block_case(name, sphere60, cylinder60, disk60)
@@ -133,42 +139,41 @@ def test_block_solve_matches_dense(name, sphere60, cylinder60, disk60):
         assert np.array_equal(s.block, label[lead])
         assert np.array_equal(sp.block_labels(m, B), label)
         if name == "sphere_z":
-            # the +m and -m sectors are solved once: bit-identical eigenvalues
-            ms = np.array([ix.m for ix in m.basis.indices])[lead]
+            # the cos and sin sectors of one m are solved once: bit-identical
+            # eigenvalues
+            ms, ls = (np.array([getattr(ix, q) for ix in m.basis.indices])[lead]
+                      for q in "ml")
             for mv in range(1, ms.max() + 1):
-                assert np.array_equal(w[ms == mv], w[ms == -mv])
-        if name == "sphere_z_unequal_twins":
-            continue  # a pure m = 1 row has no -1 partner to normalize with
-        # pure +-m rows have a zero bilinear self-product and are paired by
-        # the alpha = pi/4 branch of orthogonalize_pair
-        sn = sp.normalize(s, m.W)
+                assert np.array_equal(w[(ms == mv) & (ls == 1)], w[(ms == mv) & (ls == 2)])
+        # every row normalizes on its own: degenerate cos/sin rows lie in
+        # different blocks, so their bilinear product is exactly 0
+        sn = sp.normalize(s)
         assert not sn.near_branch.any()
-        G = sn.X @ m.W @ sn.X.T
+        G = sn.X @ sn.X.T
         assert np.abs(G - np.eye(m.N)).max() < 1e-7
 
 
 @pytest.mark.parametrize("name", ["sphere_z", "disk", "cylinder", "sphere_tilted"])
 def test_own_blocks_restriction_is_exact(name, sphere60, cylinder60, disk60):
-    """The operator restricted to the blocks of some modes and their twins
-    solves the same blocks as the full solve, so its rows equal the full
-    spectrum's rows of those blocks bit for bit (compared with ==)."""
+    """The operator restricted to the blocks of some modes solves the same
+    blocks as the full solve, so its rows equal the full spectrum's rows of
+    those blocks bit for bit (compared with ==)."""
     m, B = {"sphere_z": sphere60, "disk": disk60,
             "cylinder": (cylinder60, mx.gradient_matrix_cylinder(cylinder60, np.pi / 4)),
-            "sphere_tilted": (sphere60[0], mx.gradient_matrix_sphere(sphere60[0], 0.3, 0.0)),
+            "sphere_tilted": (sphere60[0], mx.gradient_matrix_sphere(sphere60[0], 0.3, 0.2)),
             }[name]
     label = sp.block_labels(m, B)
-    twin = np.array([t for _, t, *_ in sp._blocks(m.lam, B)])
     for modes in ([0], [2], [0, 7]):
         sub, B_sub, ix = sp.own_blocks(m, B, modes)
-        keep = np.isin(twin[label], twin[label[modes]])
+        keep = np.isin(label, label[modes])
         assert np.array_equal(ix, np.flatnonzero(keep))
         assert np.array_equal(B_sub, B[np.ix_(ix, ix)])
         if name == "sphere_tilted":
             assert sub.N == m.N  # one block: the whole operator
         if name == "sphere_z":
-            # a +-m sector comes with its twin
-            mq = np.array([q.m for q in m.basis.indices])
-            assert set(mq[ix]) == set(mq[modes]) | set(-mq[modes])
+            # a cos or sin sector of one m comes alone, without its twin
+            ml = [(q.m, q.l) for q in m.basis.indices]
+            assert {ml[i] for i in ix} == {ml[i] for i in modes}
         for g in (2.0, 7.0, 12.0):
             for only in (True, False):
                 full = sp.diagonalize(m, B, g, eigvals_only=only)
@@ -180,17 +185,20 @@ def test_own_blocks_restriction_is_exact(name, sphere60, cylinder60, disk60):
                     assert np.all(full.X[np.ix_(rows, ~keep)] == 0)
 
 
-def test_point_with_a_cut_twin_pair_keeps_the_twin(sphere60, sphere60_sweep13):
-    """max_branch = 3 keeps one member of the m = +-1 pair merging at 11.98:
-    the point has the single branch 2, and the norm of its pure +-m row is
-    its product with the twin row, which own_blocks keeps."""
+def test_point_with_a_cut_twin_pair_has_its_own_norm(sphere60, sphere60_sweep13):
+    """max_branch = 3 keeps one member of the m = 1 cos/sin pair merging at
+    11.98: the point has the single branch 2 (the cos member), refined on its
+    own block alone, and vv_min is its row's own bilinear self-product."""
     m, B = sphere60
     points = bp.find_branch_points(m, B, sphere60_sweep13, max_branch=3)
     p = next(p for p in points if p.branches == (2,))
+    assert (m.basis.indices[2].m, m.basis.indices[2].l) == (1, 1)
     assert abs(p.g_star - 11.98) < 0.01
     assert p.order == 2
     assert p.meta["vv_min"] > 0
     assert p.meta["min_principal_angle"] is None
+    _, _, ix = sp.own_blocks(m, B, p.branches)
+    assert {m.basis.indices[i].l for i in ix} == {1}
 
 
 def test_lapack_failure_names_gbar_and_block(sphere60, monkeypatch):
@@ -317,32 +325,45 @@ def test_orthogonalize_pair_trivial_cases():
 def test_orthogonalize_pair_random_grams():
     # property: for random rows, re-orthogonalization yields Gram = identity
     rng = np.random.default_rng(42)
-    W = np.eye(8)
     for _ in range(50):
         rows = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-        C = sp.bilinear_gram(rows, W)
+        C = rows @ rows.T  # bilinear Gram: transpose, no conjugate
         if abs(np.linalg.det(C)) < 1e-6:
             continue
         a, b = sp.orthogonalize_pair(rows[0], rows[1], C)
-        G = sp.bilinear_gram(np.array([a, b]), W)
+        G = np.array([a, b]) @ np.array([a, b]).T
         assert np.max(np.abs(G - np.eye(2))) < 1e-10
 
 
 def test_orthogonalize_pair_antidiagonal_gram():
-    # the +-m sphere pair at g = 0 has Gram [[0, s], [s, 0]]
-    u1 = np.array([1.0, 0.0], dtype=complex)
-    u2 = np.array([0.0, 1.0], dtype=complex)
-    W = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    C = sp.bilinear_gram(np.array([u1, u2]), W)
+    # cos +- i sin (the e^{+-i m phi} harmonics in the real basis) have the
+    # bilinear Gram [[0, 2], [2, 0]]
+    u1 = np.array([1.0, 1j])
+    u2 = np.array([1.0, -1j])
+    C = np.array([u1, u2]) @ np.array([u1, u2]).T
+    assert np.array_equal(C, [[0, 2], [2, 0]])
     a, b = sp.orthogonalize_pair(u1, u2, C)
-    G = sp.bilinear_gram(np.array([a, b]), W)
+    G = np.array([a, b]) @ np.array([a, b]).T
     assert np.max(np.abs(G - np.eye(2))) < 1e-12
+
+
+def test_sign_fix_ignores_rounding_noise_in_the_real_part():
+    """A purely imaginary reference coefficient with a real part of rounding
+    noise (+-1e-18, or 0) gets Im > 0, whatever the sign of the noise; this
+    holds for X[j, 0] and for the largest-coefficient fallback."""
+    for re in (1e-18, -1e-18, 0.0, -0.0):
+        for im in (0.347, -0.347):
+            for row in ([complex(re, im), 0.5, 0.1], [0, complex(re, im), 0.1]):
+                row = np.array(row, dtype=complex)
+                assert sp._sign_fix(row) * im > 0
+    # a real part above 1e-12 relative still decides
+    assert sp._sign_fix(np.array([complex(-1e-11, 0.347), 0.5])) == -1.0
 
 
 def test_negative_g_spectrum(sphere60):
     m, B = sphere60
     s = normalized(m, B, 7.0)
-    sm = sp.spectrum_at_negative_g(s, m.W)
+    sm = sp.spectrum_at_negative_g(s)
     assert sm.gbar == -7.0
     assert np.allclose(sm.eigenvalues, np.conj(s.eigenvalues))
     # reconstructed -g eigenfunctions satisfy the -g eigenproblem
@@ -350,12 +371,12 @@ def test_negative_g_spectrum(sphere60):
     R = sm.X @ Mneg - sm.eigenvalues[:, None] * sm.X
     assert np.max(np.abs(R)) < 1e-9 * np.linalg.norm(Mneg)
     # Gamma via conjugation route equals the closed form conj(X) X^T
-    G1 = sm.X @ m.W @ s.X.T
+    G1 = sm.X @ s.X.T
     G2 = np.conj(s.X) @ s.X.T
     assert np.max(np.abs(G1 - G2)) < 1e-8
     # identity at g = 0
     s0 = normalized(m, B, 0.0)
-    s0m = sp.spectrum_at_negative_g(s0, m.W)
+    s0m = sp.spectrum_at_negative_g(s0)
     assert np.allclose(s0m.eigenvalues, s0.eigenvalues)
 
 
@@ -382,10 +403,13 @@ def test_sign_convention_reproducible(sphere60):
     assert np.array_equal(a.X, b.X)
     ok = ~a.near_branch
     mu = a.X[ok, 0]
-    big = np.abs(mu) > 1e-12
-    assert np.all(mu[big].real > 0)
-    # a +-m pair row: its two largest coefficients agree to rounding with
-    # opposite signs, and either one may be the larger by an ulp
+    mu = mu[np.abs(mu) > 1e-12]
+    # Re mu > 0, or Im mu > 0 where Re mu is rounding noise on an imaginary mu
+    tie = np.abs(mu.real) <= 1e-12 * np.abs(mu)
+    assert np.all(np.where(tie, mu.imag, mu.real) > 0)
+    assert tie.any() and not tie.all()
+    # a row whose two largest coefficients agree to rounding with opposite
+    # signs, either one the larger by an ulp
     c, c_up = 0.6, np.nextafter(0.6, 1.0)
     for row in ([0, c, -c_up], [0, c_up, -c]):
         row = np.array(row, dtype=complex)

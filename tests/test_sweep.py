@@ -164,10 +164,11 @@ def test_crossing_keeps_identities(sphere60):
     still matches the reduced operator afterwards."""
     m, B = sphere60
     s = sw.run_sweep(m, B, 10.0, step=0.05)
-    # branches 4,5,6 (0-based) descend from 11.17: 200, 20(-1), 201
+    # branches 4,5,6 (0-based) descend from 11.17: n = 2 with m = 0, then
+    # the m = 1 cos and sin modes
     win = (s.g_grid > 8.8) & (s.g_grid < 9.8)
     assert np.max(np.abs(s.eigenvalues[win][:, [4, 5, 6]].imag)) < 1e-9
-    # the +-1 pair stays exactly degenerate through the crossing
+    # the m = 1 cos/sin pair stays exactly degenerate through the crossing
     assert np.max(np.abs(s.eigenvalues[win][:, 5] - s.eigenvalues[win][:, 6])) < 1e-8
     # after the crossing the m=0 branch agrees with the reduced operator
     m0 = [i for i, ix in enumerate(m.basis.indices) if ix.m == 0]
@@ -179,7 +180,7 @@ def test_crossing_keeps_identities(sphere60):
 
 
 def test_tilted_sphere_matches_z_sweep(sphere60):
-    """A tilted gradient is a rotation of z: one block instead of one per m,
+    """A tilted gradient is a rotation of z: one block instead of one per (m, l),
     with the degenerate m-families of gbar = 0 inside it.  Tracking them by
     eigenvector content alone must give the z-sweep branches and points."""
     m, Bz = sphere60
@@ -216,8 +217,8 @@ def _eig_orders(monkeypatch):
 
 
 def test_tilted_sphere_chains_few_eigenvectors(sphere60, monkeypatch):
-    """Swapping two exactly degenerate branches (the +-m pairs inside the
-    tilted block) changes no value, so it is no tie: the summed order of the
+    """Swapping two exactly degenerate branches (the |m| >= 1 pairs about the
+    gradient axis, inside the tilted block) changes no value, so it is no tie: the summed order of the
     eigenvector solves stays within the whole-spectrum tracker's 2838."""
     m, _ = sphere60
     Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
@@ -237,14 +238,29 @@ def test_z_sphere_solves_only_tied_blocks_with_eigenvectors(sphere60, monkeypatc
     assert max(orders) <= max(len(ix) for ix, *_ in sp._blocks(m.lam, B))
 
 
-def test_overlap_form_pairs_twin_blocks(sphere60):
-    """On a |m| = 1 block of the z sphere W[ix, ix] vanishes (W pairs m with
-    -m), so the tracker passes W[ix, iy] with iy the twin block's modes.
-    Under that form a cost tie is resolved by eigenvector continuity; under
-    W[ix, ix] it stays unresolved."""
+def test_rejoining_pair_gives_im_positive_the_smaller_value():
+    """A conjugate pair rejoining the real axis is a cost tie that overlaps
+    cannot break; the Im > 0 branch takes the smaller real value, whatever
+    the order of the values, and the step stays unresolved (bisected)."""
+    lo, hi = 5 - 1e-4, 5 + 1e-4
+    for pair in ([5 + 1e-4j, 5 - 1e-4j], [5 - 1e-4j, 5 + 1e-4j]):
+        prev = sp.Spectrum(gbar=1.0, eigenvalues=np.array(pair))
+        for vals in ([lo, hi], [hi, lo]):
+            nxt = sp.Spectrum(gbar=1.0, eigenvalues=np.array(vals, dtype=complex))
+            sigma, info = sw.match_step(prev, nxt)
+            want = [lo, hi] if pair[0].imag > 0 else [hi, lo]
+            assert nxt.eigenvalues[sigma].real.tolist() == want
+            assert [g["kind"] for g in info["tie_groups"]] == ["unresolved"]
+
+
+def test_overlap_resolves_a_cost_tie_on_a_cos_block(sphere60):
+    """On the m = 1 cos block of the z sphere (its sin twin copies it) the
+    overlap form is the block's own bilinear product: a cost tie is resolved
+    by eigenvector continuity, and stays unresolved without eigenvectors."""
     m, B = sphere60
-    t = next(t for t in sw._tracks(m, B) if abs(m.basis.indices[t.ix[0]].m) == 1)
-    assert len(t.copies) == 2 and not np.any(m.W[np.ix_(t.ix, t.ix)])
+    t = next(t for t in sw._tracks(m, B) if m.basis.indices[t.ix[0]].m == 1)
+    assert len(t.copies) == 2
+    assert [m.basis.indices[ix[0]].l for ix in t.copies] == [1, 2]
     a, b = t.solve(2.0, False), t.solve(2.01, False)
     assert np.all(np.abs(b.eigenvalues[:2].imag) < 1e-12)
     # the previous branches 0 and 1 carry the vectors of rows 1 and 0, and
@@ -254,10 +270,10 @@ def test_overlap_form_pairs_twin_blocks(sphere60):
     pred = b.eigenvalues.copy()
     pred[:2] = b.eigenvalues[:2].mean()
     prev = sp.Spectrum(gbar=2.01, eigenvalues=pred, X=a.X[swap])
-    sigma, info = sw.match_step(prev, b, W=t.W)
+    sigma, info = sw.match_step(prev, b)
     assert [g["kind"] for g in info["tie_groups"]] == ["overlap_resolved"]
     assert np.array_equal(sigma, swap)
-    _, info = sw.match_step(prev, b, W=m.W[np.ix_(t.ix, t.ix)])
+    _, info = sw.match_step(sp.Spectrum(gbar=2.01, eigenvalues=pred), b)
     assert [g["kind"] for g in info["tie_groups"]] == ["unresolved"]
 
 
@@ -266,12 +282,12 @@ def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
     reported as the basis modes of the block and of its twin, which copies
     its result."""
     m, B = sphere60
-    t = next(t for t in sw._tracks(m, B) if abs(m.basis.indices[t.ix[0]].m) == 1)
+    t = next(t for t in sw._tracks(m, B) if m.basis.indices[t.ix[0]].m == 1)
     assert sum(len(u.ix) == len(t.ix) for u in sw._tracks(m, B)) == 1
     match = sw.match_step
 
-    def tied(prev, next_, W=None):
-        sigma, info = match(prev, next_, W)
+    def tied(prev, next_):
+        sigma, info = match(prev, next_)
         if len(prev.eigenvalues) == len(t.ix) and next_.gbar == 0.05:
             info["tie_groups"].append({"branches": (0, 2), "kind": "unresolved"})
         return sigma, info
