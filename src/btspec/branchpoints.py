@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices, _cylinder_weights, cylinder_factors
 from .specfun import interval_branch_constants
-from .spectrum import _components, block_labels, diagonalize, own_blocks
-from .sweep import BranchSweep, _assign, run_sweep
+from .spectrum import Spectrum, _components, block_labels, diagonalize, own_blocks
+from .sweep import BranchSweep, _assign, match_step, run_sweep
 
 IM_FLOOR = 1e-9
 IM_SIGNAL = 1e-6
@@ -177,13 +177,15 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
                        bracket=(lo, hi), meta=meta)
 
 
-def _match_blocks(target: np.ndarray, block: np.ndarray, spec) -> np.ndarray:
+def _match_blocks(target: np.ndarray, block: np.ndarray, spec,
+                  match=_assign) -> np.ndarray:
     """Row of spec assigned to each target value (target j in exact block
-    block[j]): minimal total squared displacement, each block on its own."""
+    block[j]) by match(targets, values) -> index into values, each block on
+    its own; by default the minimal total squared displacement."""
     out = np.empty(len(target), dtype=int)
     for k in np.unique(block):
         r, c = np.flatnonzero(block == k), np.flatnonzero(spec.block == k)
-        out[r] = c[_assign(target[r], spec.eigenvalues[c])]
+        out[r] = c[match(target[r], spec.eigenvalues[c])]
     return out
 
 
@@ -278,10 +280,16 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float, g_max: float,
 
 def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: float):
     """Eigenvalue and bilinear norm |<x, x>| of every tracked branch at g,
-    matched from the sweep's values at its last grid point at or below g."""
+    matched from the sweep's values at its last grid point at or below g by
+    the sweep's own step (match_step): a pair that splits in between meets
+    its real values as exact conjugates, an exact cost tie, and its Im > 0
+    member goes to the lower branch index, as in the sweep."""
     i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
     spec = diagonalize(mat, B, g)
-    rows = _match_blocks(sweep.eigenvalues[i], sweep.block, spec)
+
+    def match(target, values):
+        return match_step(Spectrum(g, target), Spectrum(g, values))[0]
+    rows = _match_blocks(sweep.eigenvalues[i], sweep.block, spec, match)
     X = spec.X[rows]
     return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X, X))
 

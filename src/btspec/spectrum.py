@@ -12,20 +12,28 @@ Lambda is diagonal, so Lambda + i*gbar*B splits exactly into independent
 blocks: the connected components of the nonzero pattern of B (the (m, l)
 sectors of the z-gradient sphere; the cos/sin sectors of a sphere gradient in
 the xz plane, of the disk and of the cylinder; any other sphere gradient
-couples everything into one block).  Each block is solved on its own by one
-block solve (_solve_block), which is one direct LAPACK geev call (_geev) with
-the workspace size cached per block order and vector mode: bit for bit the
-result of scipy.linalg.eigvals / eig without their per-call checks and
-workspace query.  diagonalize labels each
+couples everything into one block).  The gradient coordinate is odd under
+inversion, so B couples only modes of opposite parity and its nonzero graph
+is bipartite: with the parity p of a 2-colouring and the phases d = i^p,
+diag(d)^-1 (Lambda + i*gbar*B) diag(d) = Lambda + gbar*K, where
+K = (p_j - p_k) B_jk is real and skew-symmetric.  Each block is solved in
+this real form by one block solve (_solve_block), which is one direct real
+LAPACK geev call (_geev) with the workspace size cached per block order and
+vector mode: bit for bit the result of scipy.linalg.eigvals / eig on the
+real matrix, without their per-call checks and workspace query.  A real
+eigenvalue comes back with Im exactly 0 and a complex one with its exact
+conjugate (PT symmetry; Bender, Rep. Prog. Phys. 70, 947 (2007)).  A left
+eigenvector z of the real form is the row z diag(d)^-1 of the original
+operator.  diagonalize labels each
 eigenvalue row with its block, and each raw row of X is zero outside its
 block.  Eigenvalues of different blocks cross freely and never merge, so
 branch tracking and branch-point detection work inside one block at a time:
 the branch tracker (sweep) calls the block solve directly, one distinct
 block at a time.  Blocks whose Lambda and B entries are bit-identical, such
 as the cos and sin sectors of one m of the z-gradient sphere, are solved once
-and the result is copied to the twin.  The partition is computed at the first
-solve with a given B and reused while the same B object is passed again, so B
-must not be modified in place.
+and the result is copied to the twin.  The partition, the colouring and K
+are computed at the first solve with a given B and reused while the same B
+object is passed again, so B must not be modified in place.
 
 own_blocks restricts the operator to the blocks that hold given modes; a
 solve of the restriction returns the full solve's rows of those blocks in the
@@ -97,9 +105,12 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     X = None if eigvals_only else np.zeros((N, N), dtype=complex)
     solved: list[tuple] = []
     start = 0
-    for k, (ix, twin, lam_b, B_b) in enumerate(_blocks(mat.lam, B)):
-        solved.append(solved[twin] if twin < k else
-                      _solve_block(lam_b, B_b, gbar, eigvals_only))
+    for k, (ix, twin, lam_b, K, d) in enumerate(_blocks(mat.lam, B)):
+        if twin < k:
+            solved.append(solved[twin])
+        else:
+            wb, zb = _solve_block(lam_b, K, gbar, eigvals_only)
+            solved.append((wb, None if zb is None else zb / d))
         wb, xb = solved[-1]
         stop = start + len(ix)
         w[start:stop] = wb
@@ -114,20 +125,22 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     return Spectrum(gbar=float(gbar), eigenvalues=w, X=X, block=block[order])
 
 
-def _solve_block(lam_b: np.ndarray, B_b: np.ndarray, gbar: float,
+def _solve_block(lam_b: np.ndarray, K: np.ndarray, gbar: float,
                  eigvals_only: bool) -> tuple:
     """Eigenvalues, sorted by (Re, Im), and left-eigenvector rows (None when
-    eigvals_only) of one exact block diag(lam_b) + i*gbar*B_b.  A nonzero
-    LAPACK return code, or a non-finite gbar (refused first: LAPACK's xerbla
-    prints to stdout), raises NumericalError naming gbar and the block size."""
+    eigvals_only) of one exact block in its real form diag(lam_b) + gbar*K.
+    The rows are in the real form's basis: row z is the row z / d of the
+    original operator (d from _blocks).  A nonzero LAPACK return code, or a
+    non-finite gbar (refused first: LAPACK's xerbla prints to stdout),
+    raises NumericalError naming gbar and the block size."""
     if not math.isfinite(gbar):
         raise NumericalError(f"eigensolver refused gbar={gbar} on a block of size "
                              f"{len(lam_b)}: not finite")
-    M = np.diag(lam_b).astype(complex, order="F")
-    M += 1j * gbar * B_b
+    M = gbar * K  # Fortran-ordered, like K; K's diagonal is exactly zero
+    np.fill_diagonal(M, lam_b)
     w, vl, info = _geev(M, not eigvals_only)
     if info != 0:
-        M = np.diag(lam_b) + 1j * gbar * B_b  # geev has overwritten M
+        M = np.diag(lam_b) + gbar * K  # geev has overwritten M
         raise NumericalError(
             f"eigensolver failed at gbar={gbar} on a block of size "
             f"{len(lam_b)} (LAPACK geev info={info}, "
@@ -136,7 +149,7 @@ def _solve_block(lam_b: np.ndarray, B_b: np.ndarray, gbar: float,
     return w[order], None if eigvals_only else vl.conj().T[order]
 
 
-_zgeev, _zgeev_lwork = sla.get_lapack_funcs(("geev", "geev_lwork"), dtype=complex)
+_dgeev, _dgeev_lwork = sla.get_lapack_funcs(("geev", "geev_lwork"), dtype=float)
 # geev workspace size by (order, left vectors): queried once, as sla.eig does
 # on every call.  A different lwork can change the blocked Hessenberg
 # reduction, and with it the bits of the result.
@@ -144,18 +157,25 @@ _lwork: dict = {}
 
 
 def _geev(M: np.ndarray, vectors: bool) -> tuple:
-    """(w, vl, info) of LAPACK geev on the complex Fortran-ordered matrix M,
-    which it overwrites: eigenvalues, left eigenvectors as columns (computed
-    only when `vectors`) and the return code.  It is the only LAPACK call of
-    the block solves, and the values are bit for bit those of sla.eigvals(M)
-    and sla.eig(M, left=True, right=False)."""
+    """(w, vl, info) of LAPACK geev on the real Fortran-ordered matrix M,
+    which it overwrites: the complex eigenvalues wr + i*wi, the complex left
+    eigenvectors as columns (computed only when `vectors`; a conjugate pair,
+    stored by LAPACK as the real columns j, j+1 with wi[j] > 0, becomes
+    vl[:, j] +- i*vl[:, j+1]) and the return code.  It is the only LAPACK
+    call of the block solves, and the values are bit for bit those of
+    sla.eigvals(M) and sla.eig(M, left=True, right=False)."""
     key = (len(M), vectors)
     if key not in _lwork:
-        work, _ = _zgeev_lwork(len(M), compute_vl=vectors, compute_vr=False)
-        _lwork[key] = int(work.real)
-    w, vl, _, info = _zgeev(M, lwork=_lwork[key], compute_vl=vectors,
-                            compute_vr=False, overwrite_a=True)
-    return w, vl, info
+        work, _ = _dgeev_lwork(len(M), compute_vl=vectors, compute_vr=False)
+        _lwork[key] = int(work)
+    wr, wi, vl, _, info = _dgeev(M, lwork=_lwork[key], compute_vl=vectors,
+                                 compute_vr=False, overwrite_a=True)
+    if vectors and info == 0:
+        vl = vl.astype(complex)
+        j = np.flatnonzero(wi > 0)
+        vl.imag[:, j] = vl.real[:, j + 1]
+        vl[:, j + 1] = vl[:, j].conj()
+    return wr + 1j * wi, vl, info
 
 
 def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:
@@ -192,33 +212,65 @@ _partition: tuple = (None, None, [])
 
 
 def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
-    """Independent blocks of diag(lam) + i*g*B as (ix, twin, lam_b, B_b).
+    """Independent blocks of diag(lam) + i*g*B as (ix, twin, lam_b, K, d).
 
     ix holds the basis indices of one connected component of B's nonzero
-    pattern, ordered by their smallest index; twin is the position of the
-    first block with bit-identical (lam[ix], B[ix, ix]), its own position when
-    none precedes it.  lam_b and B_b are the block's entries (None for a
-    twin, which copies its result).  A non-finite entry raises NumericalError.
+    pattern, sorted, and the blocks are ordered by their smallest index; twin
+    is the position of the first block with bit-identical (lam[ix],
+    B[ix, ix]), its own position when none precedes it.  lam_b are the
+    block's diagonal entries, K the Fortran-ordered real skew-symmetric
+    (p_j - p_k) B_jk of its real form and d = i^p its phases, with p the
+    parity of the 2-colouring of _colouring (all three None for a twin,
+    which copies its result).  A non-finite entry, or a nonzero pattern that
+    is not bipartite, raises NumericalError.
     """
     global _partition
     if _partition[0] is lam and _partition[1] is B:
         return _partition[2]
     nonzero = B != 0
-    pairs = np.argwhere(np.triu(nonzero | nonzero.T, 1))
+    comps, parity = _colouring(nonzero | nonzero.T)
     blocks: list[tuple] = []
     first: dict[bytes, int] = {}
-    for comp in _components(pairs, len(lam)):
-        ix = np.array(comp)
+    for ix in comps:
         lam_b, B_b = lam[ix], B[np.ix_(ix, ix)]
         if not (np.isfinite(lam_b).all() and np.isfinite(B_b).all()):
             raise NumericalError(f"non-finite entries of Lambda or B on a block "
                                  f"of size {len(ix)}")
         twin = first.setdefault(lam_b.tobytes() + B_b.tobytes(), len(blocks))
         if twin < len(blocks):
-            lam_b = B_b = None
-        blocks.append((ix, twin, lam_b, B_b))
+            blocks.append((ix, twin, None, None, None))
+            continue
+        p = parity[ix]
+        K = np.asfortranarray(np.subtract.outer(p, p) * B_b)
+        blocks.append((ix, twin, lam_b, K, np.where(p == 1, 1j, 1 + 0j)))
     _partition = (lam, B, blocks)
     return blocks
+
+
+def _colouring(adj: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Connected components of the graph with the symmetric boolean
+    adjacency matrix adj, each sorted and ordered by its smallest node, and
+    the 0/1 parity of a 2-colouring: a breadth-first walk from each
+    component's smallest node gives a node the parity of its distance.  An
+    edge between two nodes of one parity (an odd cycle, or a nonzero
+    diagonal entry) raises NumericalError."""
+    n = len(adj)
+    comp = np.full(n, -1)
+    parity = np.zeros(n, dtype=np.int8)
+    comps = []
+    for start in range(n):
+        if comp[start] >= 0:
+            continue
+        comp[start], front, level = len(comps), [start], 0
+        while len(front):
+            level ^= 1
+            front = np.flatnonzero(adj[front].any(axis=0) & (comp < 0))
+            comp[front], parity[front] = len(comps), level
+        comps.append(np.flatnonzero(comp == len(comps)))
+    if np.any(adj & (parity[:, None] == parity[None, :])):
+        raise NumericalError("B's nonzero pattern has an odd cycle: no phases "
+                             "make its blocks real")
+    return comps, parity
 
 
 def _components(pairs, n) -> list[list[int]]:
@@ -412,6 +464,6 @@ def residual(mat: OperatorMatrices, B: np.ndarray, spec: Spectrum) -> float:
         raise ValueError("residual needs eigenvectors")
     M = mat.bloch_torrey(B, spec.gbar)
     R = spec.X @ M - spec.eigenvalues[:, None] * spec.X
-    scale = np.linalg.norm(M)
+    scale = np.linalg.norm(M) or 1.0  # the zero operator (N = 1 at gbar = 0)
     rownorm = np.linalg.norm(R, axis=1) / np.maximum(np.linalg.norm(spec.X, axis=1), 1e-300)
     return float(np.max(rownorm) / scale)

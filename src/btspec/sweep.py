@@ -6,8 +6,11 @@ spectrum).  The tracker keeps one state per distinct block on a shared grid
 (a bit-identical twin block copies its twin) and matches each block on its
 own: the assignment of least squared displacement from a linear
 prediction keeps identities through crossings.  When every branch has its
-own strictly nearest value that assignment is read off directly; only a
-contended step runs scipy's Hungarian solver.  Ties are broken by
+own strictly nearest value, or finds a free one among its exactly nearest
+values (a fresh conjugate pair is an exact tie), that assignment is read
+off directly; only a contended step runs scipy's Hungarian solver.  The
+blocks are solved in their real form (see spectrum), so a real value has
+Im exactly 0 and a complex one its exact conjugate.  Ties are broken by
 eigenvector overlap (solving only the tied block with vectors); a real
 pair turning complex is ordered Im > 0 first, and a conjugate pair turning
 real gives its Im > 0 branch the smaller value.  A step ambiguous in any block
@@ -63,17 +66,33 @@ class BranchSweep:
 
 
 def _hungarian(cost: np.ndarray) -> np.ndarray:
-    """Column assigned to each row of a square cost matrix (minimal sum).
+    """Column assigned to each row of a square cost matrix (minimal sum),
+    bit for bit the columns of scipy's linear_sum_assignment.
 
     When every row has a strict minimum and no two rows share its column,
-    that assignment is the unique optimum and is returned as is; only a
-    contended matrix goes to scipy's solver (scipy.optimize, about 0.2 s to
-    load, is imported at that first call)."""
+    that assignment is the unique optimum and is returned as is.  Otherwise
+    each row in turn takes the lowest-index free column among its exact
+    minima (a conjugate pair is an exact tie for a real prediction): this is
+    what scipy's shortest augmenting path solver does for a row whose minima
+    are not all taken, and it leaves the column potentials at zero, so when
+    every row succeeds the result is scipy's.  Only a row that finds all its
+    minima taken sends the matrix to scipy's solver (scipy.optimize, about
+    0.2 s to load, is imported at that first call)."""
     low = cost <= cost.min(axis=1, keepdims=True)  # all False in a NaN row
     # one entry per row and per column: low is a permutation matrix
     if np.count_nonzero(low) == len(cost) and low.any(axis=0).all() \
             and low.any(axis=1).all():
         return low.argmax(axis=1)
+    if np.isfinite(cost).all():
+        cols = np.empty(len(cost), dtype=np.intp)
+        free = np.ones(len(cost), dtype=bool)
+        for i, row in enumerate(low):
+            j = np.argmax(row & free)
+            if not (row[j] and free[j]):
+                break
+            cols[i], free[j] = j, False
+        else:
+            return cols
     import scipy.optimize
     return scipy.optimize.linear_sum_assignment(cost)[1]
 
@@ -173,18 +192,20 @@ def _is_conjugate_family(vals: np.ndarray, scale: float) -> bool:
 @dataclass
 class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
-    blocks sharing its result (ix, then its twins), its entries, and in vector
-    mode the eigenvectors at the last accepted point (else None)."""
+    blocks sharing its result (ix, then its twins), its real form (lam, K)
+    and phases d (see spectrum._blocks), and in vector mode the eigenvectors
+    at the last accepted point (else None)."""
 
     ix: np.ndarray
     copies: list
     lam: np.ndarray
-    B: np.ndarray
+    K: np.ndarray
+    d: np.ndarray
     vec: np.ndarray | None
 
     def solve(self, g: float, eigvals_only: bool) -> Spectrum:
-        w, X = _solve_block(self.lam, self.B, g, eigvals_only)
-        return Spectrum(gbar=g, eigenvalues=w, X=X)
+        w, Z = _solve_block(self.lam, self.K, g, eigvals_only)
+        return Spectrum(gbar=g, eigenvalues=w, X=None if Z is None else Z / self.d)
 
     def step(self, pred: np.ndarray, g_prev: float, prev: np.ndarray, g: float):
         """Values at g, tie groups and the vector state to keep on acceptance."""
@@ -207,10 +228,10 @@ def _tracks(mat: OperatorMatrices, B: np.ndarray) -> list[_Track]:
     branch j has eigenvector e_j): splitting degenerate families need it."""
     blocks = _blocks(mat.lam, B)
     tracks = []
-    for k, (ix, twin, lam_b, B_b) in enumerate(blocks):
+    for k, (ix, twin, lam_b, K, d) in enumerate(blocks):
         if twin == k:
             copies = [jx for jx, t, *_ in blocks if t == k]
-            tracks.append(_Track(ix, copies, lam_b, B_b, np.eye(len(ix), dtype=complex)))
+            tracks.append(_Track(ix, copies, lam_b, K, d, np.eye(len(ix), dtype=complex)))
     return tracks
 
 

@@ -213,6 +213,21 @@ def test_cylinder_factor_route_values_are_kron_eigenvalues():
     assert n_points == 12  # disk points 3.76, 9.39, 13.88 (eta = 0) and 6.05
 
 
+def test_cylinder_pair_members_follow_the_split_rule():
+    """On the tuned cylinder of the benchmark (N=200), the disk pair (0, 1)
+    splits at 18.4488, just below the interval point at 18.4522.  There the
+    disk's branch rows meet the pair's exact conjugates from real values, a
+    cost tie, and Im > 0 goes to the lower branch, as in the sweep: the
+    interval point's cylinder branches (0, 5) (disk mode 0) carry Im > 0 and
+    (1, 6) (disk mode 1) Im < 0."""
+    m = mx.operator_for("cylinder", 200)
+    _, points = bp.cylinder_branch_points(m, np.deg2rad(78.23931266613657), 19.2,
+                                          step=0.1, n_branches=13)
+    im = {p.branches: p.meta["value"].imag for p in points}
+    assert im[(0, 5)] == pytest.approx(0.0333933, abs=1e-6)
+    assert im[(1, 6)] == pytest.approx(-0.0333933, abs=1e-6)
+
+
 def test_principal_angle_is_exact_for_small_angles():
     """Two unit vectors at 1e-7 rad, the second times a phase: the half-angle
     form keeps the angle to 1e-12 relative, where an arccos of the cosine,

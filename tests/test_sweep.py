@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -34,18 +36,48 @@ def _assignment_cases():
             yield near
             yield rng.integers(0, 3, (n, n)).astype(float)  # integer ties
             yield -rng.integers(0, 3, (n, n)).astype(float)
+            yield _fresh_pair_cost(rng, n)
+            tied = near.copy()  # a second exact minimum in each of two rows
+            for i in rng.choice(n, min(n, 2), replace=False):
+                tied[i, rng.integers(n)] = tied[i].min()
+            yield tied
 
 
-def test_assignment_early_exit_matches_solver():
-    """The strict-minimum shortcut returns exactly linear_sum_assignment's
-    columns, and contended matrices reach the solver."""
-    kinds = {True: 0, False: 0}
+def _fresh_pair_cost(rng, n):
+    """Squared distances from n real predictions to values of which two
+    are a fresh conjugate pair x +- iy near two neighbouring predictions:
+    both of those rows have two exactly equal minima."""
+    pred = np.sort(rng.random(n)) * n
+    vals = (pred + 1e-3 * rng.standard_normal(n)).astype(complex)
+    k = rng.integers(n - 1)
+    x, y = 0.5 * (vals[k].real + vals[k + 1].real), 1e-3 * rng.random()
+    vals[k], vals[k + 1] = x + 1j * y, x - 1j * y
+    diff = np.subtract.outer(pred, vals[rng.permutation(n)])
+    return diff.real**2 + diff.imag**2
+
+
+def test_assignment_early_exit_matches_solver(monkeypatch):
+    """Both shortcuts return exactly linear_sum_assignment's columns: a
+    strict minimum per row in distinct columns, and each row in turn taking
+    the lowest free column among its exact minima.  More than 400 cases
+    take each route: the strict shortcut, the exact-tie shortcut (without
+    scipy.optimize) and the solver."""
+    import scipy.optimize
+    solved = []
+
+    def counted(cost):
+        solved.append(cost)
+        return linear_sum_assignment(cost)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    kinds = {"strict": 0, "ties": 0, "solver": 0}
     for cost in _assignment_cases():
+        before = len(solved)
         cols = sw._hungarian(cost)
         assert np.array_equal(cols, linear_sum_assignment(cost)[1]), cost
         low = cost == cost.min(axis=1, keepdims=True)
-        kinds[np.count_nonzero(low) == len(set(cost.argmin(axis=1))) == len(cost)] += 1
-    assert min(kinds.values()) > 400
+        strict = np.count_nonzero(low) == len(set(cost.argmin(axis=1))) == len(cost)
+        kinds["strict" if strict else "solver" if len(solved) > before else "ties"] += 1
+    assert min(kinds.values()) > 400, kinds
 
 
 def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
@@ -225,6 +257,28 @@ def test_tilted_sphere_chains_few_eigenvectors(sphere60, monkeypatch):
     orders = _eig_orders(monkeypatch)
     sw.run_sweep(m, Bt, 16.0, step=0.05)
     assert 0 < sum(orders) <= 2838
+
+
+def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
+    """The z sphere sweep at N=60 to gbar = 12 makes exactly these block
+    solves, by (block order, with vectors): the counts of the complex
+    solver that the real form replaced, so the real form is faster per
+    solve and does not solve less."""
+    m, B = sphere60
+    calls = Counter()
+    geev = sp._geev
+
+    def counted(M, vectors):
+        calls[len(M), vectors] += 1
+        return geev(M, vectors)
+
+    monkeypatch.setattr(sp, "_geev", counted)
+    sw.run_sweep(m, B, 12.0)
+    assert dict(calls) == {
+        (1, False): 263, (2, False): 263, (3, False): 263, (5, False): 263,
+        (7, False): 263, (9, False): 263, (12, False): 248,
+        (1, True): 1, (2, True): 1, (3, True): 1, (5, True): 1, (7, True): 1,
+        (9, True): 3, (12, True): 34}
 
 
 def test_z_sphere_solves_only_tied_blocks_with_eigenvectors(sphere60, monkeypatch):
