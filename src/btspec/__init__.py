@@ -60,7 +60,6 @@ from .spectrum import (
     canonical_order,
     diagonalize,
     normalize,
-    orthogonalize_pair,
     own_blocks,
     spectrum_at_negative_g,
 )

@@ -20,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices, _cylinder_weights, cylinder_factors
 from .specfun import interval_branch_constants
-from .spectrum import Spectrum, _components, block_labels, diagonalize, own_blocks
+from .spectrum import (Spectrum, _components, _degenerate_classes, block_labels,
+                       diagonalize, own_blocks)
 from .sweep import BranchSweep, _assign, match_step, run_sweep
 
 IM_FLOOR = 1e-9
@@ -122,9 +124,9 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     starts at basis mode j, as in run_sweep); they identify the participating
     eigenvalues at trial points, matched inside each exact block.  One solve with eigenvectors at g_star gives the merged
     value, the order (the eigenvalues of the branches' own blocks within
-    CLUSTER_RADIUS of the value), the minimal bilinear norm of the merging
-    rows and their principal angle (None for a single-branch point, whose
-    partner lies beyond the tracked branches).
+    CLUSTER_RADIUS of the value) and the conditioning of the merging rows
+    (_class_conditioning; no angle for a single-branch point, whose partner
+    lies beyond the tracked branches).
     """
     lo, hi = point.bracket
     sub, B_sub, ix = own_blocks(mat, B, point.branches)
@@ -165,12 +167,9 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     value = complex(np.mean(w[rows]))
     near = np.abs(w - value) <= CLUSTER_RADIUS
     order = int(np.sum(near & np.isin(spec.block, block[pos])))
-    vv = [abs(X[r] @ X[r]) for r in rows]
-    angles = [_principal_angle(X[a], X[b])
-              for i, a in enumerate(rows) for b in rows[i + 1:]]
+    vv_min, angle = _class_conditioning(w[rows], X[rows])
     meta = dict(point.meta, coarse=False, value=value, width=hi - lo,
-                vv_min=float(np.min(vv)),
-                min_principal_angle=float(np.min(angles)) if angles else None,
+                vv_min=vv_min, min_principal_angle=angle,
                 gap_min=float(np.min(np.abs(np.diff(np.sort(w[rows].real)))))
                 if len(rows) > 1 else 0.0)
     return BranchPoint(g_star=g_star, order=order, branches=point.branches,
@@ -189,14 +188,19 @@ def _match_blocks(target: np.ndarray, block: np.ndarray, spec,
     return out
 
 
-def _principal_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between the complex lines of a and b, as 2 arcsin(|a^ - e^{i phi}
-    b^| / 2) of the unit vectors with the phase phi = -arg(a^H b) that aligns
-    b^ with a^.  An arccos of |a^H b| loses half the digits of a small angle:
-    a rounding of 1e-16 in the cosine is 1e-16 / angle^2 relative in it."""
-    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    phase = np.exp(-1j * np.angle(np.vdot(a, b)))
-    return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(a - phase * b) / 2.0)))
+def _class_conditioning(w: np.ndarray, X: np.ndarray) -> tuple[float, float | None]:
+    """(vv_min, min_principal_angle) of the rows X, eigenvalues w, taken per
+    degenerate class (a simple eigenvalue is a class of one), so that no
+    mixture of a degenerate eigenspace changes them: the smallest singular
+    value of a class's bilinear Gram on a Hermitian-orthonormal basis of it,
+    and the smallest principal angle between two classes (None for one)."""
+    cid = _degenerate_classes(w)
+    classes = ([X[cid == c].T for c in np.unique(cid[cid >= 0])]
+               + [x[:, None] for x in X[cid < 0]])
+    vv = min(sla.svdvals(q.T @ q).min() for q in map(sla.orth, classes))
+    angles = [sla.subspace_angles(a, b).min()
+              for i, a in enumerate(classes) for b in classes[i + 1:]]
+    return float(vv), float(min(angles)) if angles else None
 
 
 def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,

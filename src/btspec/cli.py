@@ -373,8 +373,8 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
 
 def _pair_conditioning(raw, spec, k: int) -> float | None:
     """sqrt|det C| of the raw bilinear Gram C of row k and the other row of
-    its two-row degenerate class, which normalize orthogonalizes it with;
-    None for a simple eigenvalue or a class of three or more rows."""
+    its two-row degenerate class (normalize maps them to C^(-1/2) X_c); None
+    for a simple eigenvalue or a class of three or more rows."""
     c = spec.degenerate_class[k]
     pair = np.flatnonzero(spec.degenerate_class == c)
     if c < 0 or len(pair) != 2:

@@ -21,9 +21,5 @@ class MatrixAssemblyError(RuntimeError):
     """Matrix elements could not be assembled (e.g. corrupted zero table)."""
 
 
-class OrthogonalizationError(RuntimeError):
-    """Degenerate-pair orthogonalization failed for both formulations."""
-
-
 class NumericalError(RuntimeError):
     """Generic numerical failure propagated with diagnostics."""

@@ -5,8 +5,8 @@ so that X (Lambda + i*gbar*B) = Lambda^(g) X and the eigenfunction j is
 v_j = sum_k X[j, k] u_k.  The bases are real, so normalization uses the
 bilinear form (no complex conjugation) of the coefficients: diag(X X^T) = 1.
 Within a degenerate eigenvalue the solver can return an arbitrary mixture, so
-degenerate pairs of one block are re-orthogonalized by an explicit 2x2 linear
-transform before normalizing.
+each degenerate class is made bilinear-orthonormal in one step by Loewdin's
+symmetric orthogonalization before normalizing (see normalize).
 
 Lambda is diagonal, so Lambda + i*gbar*B splits exactly into independent
 blocks: the connected components of the nonzero pattern of B (the (m, l)
@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NumericalError, OrthogonalizationError
+from .errors import NumericalError
 from .matrices import OperatorMatrices
 
 DEGENERATE_RTOL = 1e-8
@@ -309,49 +309,20 @@ def _degenerate_classes(w: np.ndarray, rtol: float = DEGENERATE_RTOL) -> np.ndar
     return cid
 
 
-def orthogonalize_pair(vj: np.ndarray, vjp: np.ndarray, C: np.ndarray):
-    """Bilinear-orthonormal combinations of two degenerate coefficient rows.
-
-    C is the 2x2 Gram of (vj, vjp) under the bilinear form.  Solves for the
-    formal rotation angle and rescalings; when C11 ~ C22 makes the direct
-    expressions singular, the stabilized variant
-    A^2 = (C11+C22)/2 + C12/sin(2a) is used.  Raises OrthogonalizationError if
-    neither produces an orthonormal pair (e.g. exactly at a branch point).
-    """
-    C11, C12, C22 = C[0, 0], C[0, 1], C[1, 1]
-    if abs(C12) < 1e-14 * max(1.0, abs(C11), abs(C22)):
-        alpha = 0.0 + 0.0j
-    elif abs(C11 - C22) < 1e-12 * max(abs(C11), abs(C22), abs(C12)):
-        alpha = np.pi / 4 + 0.0j
-    else:
-        alpha = 0.5 * np.arctan(2.0 * C12 / (C11 - C22) + 0.0j)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cos2a = ca * ca - sa * sa
-    if abs(cos2a) > 0.25:
-        A2 = (C11 * ca**2 - C22 * sa**2) / cos2a
-        B2 = (C22 * ca**2 - C11 * sa**2) / cos2a
-    else:
-        sin2a = 2.0 * sa * ca
-        A2 = 0.5 * (C11 + C22) + C12 / sin2a
-        B2 = 0.5 * (C11 + C22) - C12 / sin2a
-    if min(abs(A2), abs(B2)) < 1e-12:
-        raise OrthogonalizationError("degenerate pair has a vanishing combination")
-    A, Bc = np.sqrt(A2 + 0j), np.sqrt(B2 + 0j)
-    new_j = (ca * vj + sa * vjp) / A
-    new_jp = (-sa * vj + ca * vjp) / Bc
-    return new_j, new_jp
-
-
 def normalize(spec: Spectrum) -> Spectrum:
     """Bilinear normalization and sign fixing of a raw spectrum.
 
-    Degenerate classes are orthogonalized pairwise first (greedy, in index
-    order, driven by the off-diagonal Gram entries); rows whose bilinear norm
-    stays below NEAR_BRANCH_TOL are flagged and kept unit-2-norm.  The sign of
-    each row is fixed to make the constant-mode projection X[j, 0] have a
-    positive real part (falling back to the first of the largest
-    coefficients when that projection is negligible, and to the imaginary
-    part when the real part is rounding noise; see _sign_fix).
+    The rows X_c of each degenerate class, of any size, become G^(-1/2) X_c
+    with G = X_c X_c^T (Loewdin's symmetric orthogonalization, J. Chem. Phys.
+    18, 365 (1950), in the bilinear form): sqrtm(G) is a function of the
+    symmetric G, hence symmetric, so the new rows have Gram identity.  A
+    simple row is divided by sqrt(x . x).  A class whose Gram has a singular
+    value below NEAR_BRANCH_TOL, and a simple row with |x . x| below it, are
+    flagged and kept unit-2-norm.  The sign of each row is fixed to make the
+    constant-mode projection X[j, 0] have a positive real part (falling back
+    to the first of the largest coefficients when that projection is
+    negligible, and to the imaginary part when the real part is rounding
+    noise; see _sign_fix).
     """
     if spec.X is None:
         raise ValueError("normalize() needs eigenvectors; run diagonalize "
@@ -362,44 +333,23 @@ def normalize(spec: Spectrum) -> Spectrum:
     cid = _degenerate_classes(w)
     vv_raw = np.abs(np.einsum("ik,ik->i", X, X))
     near = np.zeros(N, dtype=bool)
-    done = np.zeros(N, dtype=bool)
 
     for c in np.unique(cid[cid >= 0]):
-        members = np.flatnonzero(cid == c)
-        gram = X[members] @ X[members].T  # bilinear: transpose, no conjugate
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                a, b = members[ai], members[bi]
-                if done[a] or done[b]:
-                    continue
-                if abs(gram[ai, bi]) <= 1e-10 * max(1.0, abs(gram[ai, ai]),
-                                                    abs(gram[bi, bi])):
-                    continue
-                C = np.array([[gram[ai, ai], gram[ai, bi]],
-                              [gram[bi, ai], gram[bi, bi]]])
-                try:
-                    X[a], X[b] = orthogonalize_pair(X[a], X[b], C)
-                    check = X[[a, b]] @ X[[a, b]].T
-                    if np.max(np.abs(check - np.eye(2))) > 1e-8:
-                        raise OrthogonalizationError("pair Gram not identity")
-                    done[a] = done[b] = True
-                except OrthogonalizationError:
-                    near[a] = near[b] = True
+        rows = cid == c
+        gram = X[rows] @ X[rows].T  # bilinear: transpose, no conjugate
+        if sla.svdvals(gram).min() < NEAR_BRANCH_TOL:
+            near[rows] = True
+        else:
+            X[rows] = sla.solve(sla.sqrtm(gram), X[rows])
 
     for j in range(N):
-        if done[j] or near[j]:
-            continue
-        vvj = X[j] @ X[j]
-        if abs(vvj) < NEAR_BRANCH_TOL:
-            near[j] = True
-            continue
-        X[j] = X[j] / np.sqrt(vvj + 0j)
-
-    for j in range(N):
+        if cid[j] < 0:
+            vvj = X[j] @ X[j]
+            near[j] = abs(vvj) < NEAR_BRANCH_TOL
+            if not near[j]:
+                X[j] = X[j] / np.sqrt(vvj + 0j)
         if near[j]:
-            nrm = np.linalg.norm(X[j])
-            if nrm > 0:
-                X[j] = X[j] / nrm
+            X[j] = X[j] / (np.linalg.norm(X[j]) or 1.0)
         X[j] = X[j] * _sign_fix(X[j])
 
     return Spectrum(gbar=spec.gbar, eigenvalues=w, X=X, block=spec.block,

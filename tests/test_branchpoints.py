@@ -229,13 +229,30 @@ def test_cylinder_pair_members_follow_the_split_rule():
 
 
 def test_principal_angle_is_exact_for_small_angles():
-    """Two unit vectors at 1e-7 rad, the second times a phase: the half-angle
-    form keeps the angle to 1e-12 relative, where an arccos of the cosine,
-    rounded near 1, is off by about 1%."""
+    """Two unit vectors at 1e-7 rad, the second times a phase, in classes of
+    their own: the class angle, taken from the sine, keeps the angle to
+    1e-12 relative, where an arccos of the cosine, rounded near 1, is off by
+    about 1%."""
     angle = 1e-7
     a = np.array([1.0, 0.0, 0.0], dtype=complex)
     b = np.exp(0.7j) * np.array([np.cos(angle), np.sin(angle), 0.0])
-    assert abs(bp._principal_angle(a, b) - angle) <= 1e-12 * angle
-    assert abs(bp._principal_angle(3.0 * b, 2j * a) - angle) <= 1e-12 * angle
+    w = np.array([1.0, 2.0])
+    assert abs(bp._class_conditioning(w, np.array([a, b]))[1] - angle) <= 1e-12 * angle
+    assert abs(bp._class_conditioning(w, np.array([3.0 * b, 2j * a]))[1] - angle) \
+        <= 1e-12 * angle
     arccos = np.arccos(min(1.0, abs(np.vdot(a, b))))
     assert abs(arccos - angle) > 1e-3 * angle
+
+
+def test_class_conditioning_ignores_the_mixture_of_a_class():
+    """Any invertible mixture of a degenerate class's rows, as an
+    eigensolver may return it, gives the same vv_min and angle."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    w = np.array([1.0, 1.0, 1.5])
+    ref = bp._class_conditioning(w, X)
+    for _ in range(5):
+        T = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        Y = np.vstack([T @ X[:2], X[2:]])
+        got = bp._class_conditioning(w, Y)
+        assert got == pytest.approx(ref, rel=1e-10)

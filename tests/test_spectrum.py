@@ -376,17 +376,30 @@ def test_near_branch_point_flagging(sphere60):
     assert not s2.near_branch.any()
 
 
-def test_orthogonalize_pair_trivial_cases():
+def _one_class(rows) -> sp.Spectrum:
+    """normalize of a hand-built spectrum whose rows form one degenerate class."""
+    rows = np.asarray(rows, dtype=complex)
+    s = sp.normalize(sp.Spectrum(gbar=1.0, eigenvalues=np.full(len(rows), 2.0 + 0j),
+                                 X=rows))
+    assert (s.degenerate_class == 0).all() and not s.near_branch.any()
+    return s
+
+
+def test_normalize_class_trivial_grams():
+    # rows with bilinear Gram identity (a complex rotation of real orthonormal
+    # rows) are kept, and with Gram 2 * identity are divided by sqrt(2)
     rng = np.random.default_rng(0)
-    v1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    v2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    out1, out2 = sp.orthogonalize_pair(v1, v2, np.eye(2, dtype=complex))
-    assert np.allclose(out1, v1) and np.allclose(out2, v2)
-    out1, out2 = sp.orthogonalize_pair(v1, v2, 2.0 * np.eye(2, dtype=complex))
-    assert np.allclose(out1, v1 / np.sqrt(2)) and np.allclose(out2, v2 / np.sqrt(2))
+    q = np.linalg.qr(rng.standard_normal((6, 2)))[0].T
+    t = 0.4 + 0.3j
+    rows = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]) @ q
+    assert np.allclose(rows @ rows.T, np.eye(2))
+    for scale in (1.0, np.sqrt(2.0)):
+        out = _one_class(scale * rows).X
+        for o, v in zip(out, rows):
+            assert np.allclose(o, v * sp._sign_fix(v))
 
 
-def test_orthogonalize_pair_random_grams():
+def test_normalize_class_random_grams():
     # property: for random rows, re-orthogonalization yields Gram = identity
     rng = np.random.default_rng(42)
     for _ in range(50):
@@ -394,21 +407,31 @@ def test_orthogonalize_pair_random_grams():
         C = rows @ rows.T  # bilinear Gram: transpose, no conjugate
         if abs(np.linalg.det(C)) < 1e-6:
             continue
-        a, b = sp.orthogonalize_pair(rows[0], rows[1], C)
-        G = np.array([a, b]) @ np.array([a, b]).T
-        assert np.max(np.abs(G - np.eye(2))) < 1e-10
+        X = _one_class(rows).X
+        assert np.max(np.abs(X @ X.T - np.eye(2))) < 1e-10
 
 
-def test_orthogonalize_pair_antidiagonal_gram():
+def test_normalize_class_antidiagonal_gram():
     # cos +- i sin (the e^{+-i m phi} harmonics in the real basis) have the
     # bilinear Gram [[0, 2], [2, 0]]
     u1 = np.array([1.0, 1j])
     u2 = np.array([1.0, -1j])
     C = np.array([u1, u2]) @ np.array([u1, u2]).T
     assert np.array_equal(C, [[0, 2], [2, 0]])
-    a, b = sp.orthogonalize_pair(u1, u2, C)
-    G = np.array([a, b]) @ np.array([a, b]).T
-    assert np.max(np.abs(G - np.eye(2))) < 1e-12
+    X = _one_class([u1, u2]).X
+    assert np.max(np.abs(X @ X.T - np.eye(2))) < 1e-12
+
+
+def test_normalize_three_row_class():
+    """A class of three rows is orthonormalized as one: no pair is left
+    with a bilinear product between its rows."""
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    X = _one_class(rows).X
+    assert np.max(np.abs(X @ X.T - np.eye(3))) < 1e-10
+    # the rows span the class's eigenspace: X = T rows for an invertible T
+    T = np.linalg.lstsq(rows.T, X.T, rcond=None)[0].T
+    assert np.allclose(T @ rows, X, rtol=0, atol=1e-12)
 
 
 def test_sign_fix_ignores_rounding_noise_in_the_real_part():
