@@ -348,6 +348,7 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
     raw = diagonalize(sub, B_sub, g)
     spec = normalize(raw)
     grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution)
+    c = spec.degenerate_class[k]
 
     os.makedirs(cfg.outdir, exist_ok=True)
     stem = f"field_j{j}_g{_num_tag(g)}"
@@ -365,6 +366,7 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
             "near_branch_point": grid.flagged,
             "vv": float(spec.vv[k]),
             "vv_pair": _pair_conditioning(raw, spec, k),
+            "class_size": int(np.count_nonzero(spec.degenerate_class == c)) if c >= 0 else 1,
             "plane": grid.plane,
         }, f, indent=1, sort_keys=True)
     print(f"wrote {csv_path} and {side_path}")

@@ -6,15 +6,20 @@ spectrum).  The tracker keeps one state per distinct block on a shared grid
 (a bit-identical twin block copies its twin) and matches each block on its
 own: the assignment of least squared displacement from a linear
 prediction keeps identities through crossings.  When every branch has its
-own strictly nearest value, or finds a free one among its exactly nearest
-values (a fresh conjugate pair is an exact tie), that assignment is read
-off directly; only a contended step runs scipy's Hungarian solver.  The
-blocks are solved in their real form (see spectrum), so a real value has
-Im exactly 0 and a complex one its exact conjugate.  Ties are broken by
-eigenvector overlap (solving only the tied block with vectors); a real
-pair turning complex is ordered Im > 0 first, and a conjugate pair turning
-real gives its Im > 0 branch the smaller value.  A step ambiguous in any block
-is bisected for all, down to MIN_STEP; what stays ambiguous is recorded.
+own strictly nearest value, that assignment is read off directly.
+Otherwise an in-package port of scipy's shortest augmenting path solver
+(Crouse, IEEE TAES 52, 1679 (2016)) gives scipy's columns bit for bit:
+each branch in turn takes a free value among its exactly nearest ones (a
+fresh conjugate pair is an exact tie) or, when all are taken, searches for
+an augmenting path.  Only a step whose nearest values collide more than
+once, as in the degenerate families of a tilted sphere, goes to scipy's
+C solver.  The blocks are solved in their real form (see spectrum), so a
+real value has Im exactly 0 and a complex one its exact conjugate.  Ties
+are broken by eigenvector overlap (solving only the tied block with
+vectors); a real pair turning complex is ordered Im > 0 first, and a
+conjugate pair turning real gives its Im > 0 branch the smaller value.  A
+step ambiguous in any block is bisected for all, down to MIN_STEP; what
+stays ambiguous is recorded.
 """
 
 from __future__ import annotations
@@ -71,30 +76,99 @@ def _hungarian(cost: np.ndarray) -> np.ndarray:
 
     When every row has a strict minimum and no two rows share its column,
     that assignment is the unique optimum and is returned as is.  Otherwise
-    each row in turn takes the lowest-index free column among its exact
-    minima (a conjugate pair is an exact tie for a real prediction): this is
-    what scipy's shortest augmenting path solver does for a row whose minima
-    are not all taken, and it leaves the column potentials at zero, so when
-    every row succeeds the result is scipy's.  Only a row that finds all its
-    minima taken sends the matrix to scipy's solver (scipy.optimize, about
-    0.2 s to load, is imported at that first call)."""
+    _lsap runs scipy's shortest augmenting path algorithm (Crouse 2016).
+    A row whose exact minima are not all taken ends its search at the first
+    Dijkstra step (a conjugate pair is an exact tie for a real prediction);
+    a row that finds them all taken needs a full search, about 50 us per
+    row in numpy.  At that first full search, a matrix whose row minima
+    collide more than once (n - len(unique(argmin)) > 1) goes to scipy's C
+    solver instead, since many of its rows would search.  Every contended
+    matrix of the z-sphere sweeps (N = 100, 333 and 700, and sphere_reduced
+    at N = 300) has exactly one collision; a tilted sphere's have mostly 25
+    to 94.  So z-sphere sweeps never load scipy.optimize (0.13-0.19 s and
+    17 MB, imported at the first scipy call).  A non-finite cost goes to
+    scipy too, which rejects NaN and -inf."""
     low = cost <= cost.min(axis=1, keepdims=True)  # all False in a NaN row
     # one entry per row and per column: low is a permutation matrix
     if np.count_nonzero(low) == len(cost) and low.any(axis=0).all() \
             and low.any(axis=1).all():
         return low.argmax(axis=1)
     if np.isfinite(cost).all():
-        cols = np.empty(len(cost), dtype=np.intp)
-        free = np.ones(len(cost), dtype=bool)
-        for i, row in enumerate(low):
-            j = np.argmax(row & free)
-            if not (row[j] and free[j]):
-                break
-            cols[i], free[j] = j, False
-        else:
+        cols = _lsap(cost, max_collisions=1)
+        if cols is not None:
             return cols
     import scipy.optimize
     return scipy.optimize.linear_sum_assignment(cost)[1]
+
+
+def _lsap(cost: np.ndarray, max_collisions: int | None = None) -> np.ndarray | None:
+    """Column assigned to each row of a square, finite cost matrix: scipy's
+    shortest augmenting path solver (Crouse, IEEE TAES 52, 1679 (2016)) with
+    its arithmetic, scan order and tie-breaking, so the same columns bit for
+    bit.  Returns None, before any search, when that search would be needed
+    and more than max_collisions rows share a row minimum column."""
+    n = len(cost)
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains non-finite entries")
+    u, v = np.zeros(n), np.zeros(n)
+    col4row, row4col, path = (np.full(n, -1) for _ in range(3))
+    free = np.ones(n, dtype=bool)
+    low = cost == cost.min(axis=1, keepdims=True)  # minima of cost - v while v = 0
+    searched = False
+    for cur in range(n):
+        # the first Dijkstra step: the lowest-index free column among the
+        # row's exact minima of cost - v ends the search at once
+        if searched:
+            r = cost[cur] - v
+            low[cur] = r == r.min()
+        j = np.argmax(low[cur] & free)
+        if low[cur, j] and free[j]:
+            u[cur] = cost[cur, j] - v[j]
+            row4col[j], col4row[cur], free[j] = cur, j, False
+            continue
+        if not searched and max_collisions is not None \
+                and n - len(np.unique(cost.argmin(axis=1))) > max_collisions:
+            return None
+        searched = True
+        # Dijkstra over the columns from row cur, scanned as scipy scans
+        # them: from the last, a taken column swapped in for each one reached
+        remaining = np.arange(n - 1, -1, -1)
+        spc, sr, sc = np.full(n, np.inf), [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            sr.append(i)
+            r = min_val + cost[i, remaining] - u[i] - v[remaining]
+            better = r < spc[remaining]
+            path[remaining[better]] = i
+            spc[remaining[better]] = r[better]
+            s = spc[remaining]
+            min_val = s.min()
+            at = s == min_val
+            sinks = np.flatnonzero(at & free[remaining])
+            # the last free column at the minimum, else the first column there
+            index = sinks[-1] if len(sinks) else np.argmax(at)
+            j = remaining[index]
+            sc.append(j)
+            if free[j]:
+                sink = j
+            else:
+                i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+        # dual update and augmentation along the path
+        u[cur] += min_val
+        for i in sr[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in sc:
+            v[j] -= min_val - spc[j]
+        j, free[sink] = sink, False
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def _assign(target: np.ndarray, values: np.ndarray) -> np.ndarray:

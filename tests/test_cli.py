@@ -181,6 +181,7 @@ def test_fieldmap_command(tmp_path):
     assert 0 < side["vv"] <= 1
     assert (side["vv"] < sp.NEAR_BRANCH_TOL) == side["near_branch_point"]
     assert side["vv_pair"] is None  # a simple eigenvalue has no partner
+    assert side["class_size"] == 1
     lines = (out / "field_j1_g5p63.csv").read_text().strip().split("\n")
     assert lines[0] == "x,z,re_v,im_v,inside_flag"
     assert len(lines) == 1 + 31 * 31
@@ -361,8 +362,10 @@ def test_failed_walk_exits_4_without_output(tmp_path, monkeypatch):
 
 
 def test_import_leaves_out_scipy_optimize():
-    """scipy.optimize (about 0.2 s) loads only when a sweep meets a
-    contended assignment (see sweep._hungarian), not with the package."""
+    """scipy.optimize (0.13-0.19 s and 17 MB of peak memory) is not loaded
+    with the package: only an assignment whose row minima collide more than
+    once (a degenerate family, such as a tilted sphere's) loads it, at its
+    first call (see sweep._hungarian)."""
     import os
     import subprocess
     import sys
@@ -469,6 +472,29 @@ def test_fieldmap_rows_match_full_route(tmp_path, monkeypatch, name):
             assert np.max(np.abs(row - full.X[r])) <= 1e-12 * np.max(np.abs(full.X[r]))
 
 
+@pytest.mark.parametrize("name", ["z_sphere", "tilted_sphere"])
+def test_fieldmap_sidecar_reports_class_size(tmp_path, name):
+    """class_size is the size of row j's degenerate class among the rows the
+    fieldmap solves.  The tilted sphere is one block, so its +-m pairs are
+    classes of two, as on the full operator; a z-sphere row's twin lies in
+    another block, so every z-sphere row is alone in its class."""
+    geometry, sets, kw = ROUTE_GEOMETRIES[name]
+    N, g = 60, 12.0
+    mat, B = _full_operator(geometry, kw, N)
+    full = sp.normalize(sp.diagonalize(mat, B, g))
+    rank = sp.canonical_order(full.eigenvalues)
+    sizes = []
+    for j in range(1, N // 5 + 1):
+        _run("fieldmap", [f"geometry={geometry}", f"N={N}", "resolution=1"] + sets,
+             tmp_path, ["--j", str(j), "--g", str(g)])
+        side = json.loads((tmp_path / f"field_j{j}_g12.json").read_text())
+        c = full.degenerate_class[rank[j - 1]]
+        in_full = int(np.count_nonzero(full.degenerate_class == c)) if c >= 0 else 1
+        assert side["class_size"] == (in_full if name == "tilted_sphere" else 1)
+        sizes.append(in_full)
+    assert 1 in sizes and 2 in sizes
+
+
 def test_fieldmap_csv_of_pair_row_matches_full_route(tmp_path):
     """A member of an exactly degenerate cos/sin pair of the N=333 sphere
     (j=4 at gbar=12, n=2, m=1): the CSV from the restricted route matches
@@ -480,7 +506,7 @@ def test_fieldmap_csv_of_pair_row_matches_full_route(tmp_path):
          ["--j", "4", "--g", "12"])
     side = json.loads((out / "field_j4_g12.json").read_text())
     assert side["vv"] > sp.NEAR_BRANCH_TOL and not side["near_branch_point"]
-    assert side["vv_pair"] is None
+    assert side["vv_pair"] is None and side["class_size"] == 1
     grid = np.loadtxt(out / "field_j4_g12.csv", delimiter=",", skiprows=1)
     v = grid[:, 2] + 1j * grid[:, 3]
 

@@ -2,6 +2,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from btspec import basis as bas
@@ -41,27 +44,53 @@ def _assignment_cases():
             for i in rng.choice(n, min(n, 2), replace=False):
                 tied[i, rng.integers(n)] = tied[i].min()
             yield tied
+            yield _crossing_cost(rng, n)
 
 
-def _fresh_pair_cost(rng, n):
-    """Squared distances from n real predictions to values of which two
-    are a fresh conjugate pair x +- iy near two neighbouring predictions:
-    both of those rows have two exactly equal minima."""
+def _fresh_pair_cost(rng, n, pairs=1):
+    """Squared distances from n real predictions to values of which some
+    (up to `pairs` pairs) are fresh conjugate pairs x +- iy near two
+    neighbouring predictions: both of those rows have two exactly equal
+    minima."""
     pred = np.sort(rng.random(n)) * n
     vals = (pred + 1e-3 * rng.standard_normal(n)).astype(complex)
-    k = rng.integers(n - 1)
-    x, y = 0.5 * (vals[k].real + vals[k + 1].real), 1e-3 * rng.random()
-    vals[k], vals[k + 1] = x + 1j * y, x - 1j * y
+    for k in rng.choice(n - 1, min(pairs, n - 1), replace=False):
+        x, y = 0.5 * (vals[k].real + vals[k + 1].real), 1e-3 * rng.random()
+        vals[k], vals[k + 1] = x + 1j * y, x - 1j * y
     diff = np.subtract.outer(pred, vals[rng.permutation(n)])
     return diff.real**2 + diff.imag**2
 
 
+def _crossing_cost(rng, n):
+    """Squared distances from n real predictions to values of which one
+    moved past its neighbour: two rows share their nearest value (one
+    collision), as at a contended step of a z-sphere sweep."""
+    pred = np.sort(rng.random(n)) * n
+    vals = pred + 1e-3 * rng.standard_normal(n)
+    k = rng.integers(n - 1)
+    vals[k] = pred[k + 1] + 0.1 * (pred[k + 1] - pred[k]) * rng.random()
+    return np.subtract.outer(pred, vals[rng.permutation(n)]) ** 2
+
+
+def _fresh_rows_fit(cost):
+    """Whether each row in turn finds a free column among its exact minima,
+    which is the first step of the augmenting path search from that row."""
+    free = np.ones(len(cost), dtype=bool)
+    for row in cost == cost.min(axis=1, keepdims=True):
+        j = np.argmax(row & free)
+        if not (row[j] and free[j]):
+            return False
+        free[j] = False
+    return True
+
+
 def test_assignment_early_exit_matches_solver(monkeypatch):
-    """Both shortcuts return exactly linear_sum_assignment's columns: a
-    strict minimum per row in distinct columns, and each row in turn taking
-    the lowest free column among its exact minima.  More than 400 cases
-    take each route: the strict shortcut, the exact-tie shortcut (without
-    scipy.optimize) and the solver."""
+    """Every route returns exactly linear_sum_assignment's columns: a strict
+    minimum per row in distinct columns; each row in turn taking a free
+    column among its exact minima (the first step of each row's search);
+    the in-package augmenting path search, when one row minimum column is
+    shared (one collision); and scipy's solver, when more are.  More than
+    400 cases take each route, and only the last one calls scipy."""
     import scipy.optimize
     solved = []
 
@@ -69,21 +98,96 @@ def test_assignment_early_exit_matches_solver(monkeypatch):
         solved.append(cost)
         return linear_sum_assignment(cost)
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
-    kinds = {"strict": 0, "ties": 0, "solver": 0}
+    kinds = {"strict": 0, "fresh_rows": 0, "search": 0, "scipy": 0}
     for cost in _assignment_cases():
         before = len(solved)
         cols = sw._hungarian(cost)
         assert np.array_equal(cols, linear_sum_assignment(cost)[1]), cost
         low = cost == cost.min(axis=1, keepdims=True)
-        strict = np.count_nonzero(low) == len(set(cost.argmin(axis=1))) == len(cost)
-        kinds["strict" if strict else "solver" if len(solved) > before else "ties"] += 1
+        n, argmins = len(cost), len(set(cost.argmin(axis=1)))
+        strict = np.count_nonzero(low) == argmins == n
+        route = ("strict" if strict else "fresh_rows" if _fresh_rows_fit(cost)
+                 else "search" if n - argmins <= 1 else "scipy")
+        assert (len(solved) > before) == (route == "scipy"), (route, cost)
+        kinds[route] += 1
     assert min(kinds.values()) > 400, kinds
+
+
+@st.composite
+def _cost_matrices(draw):
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "ties", "negated_ties", "signed_zeros",
+                                 "conjugate_pairs", "sparse"]))
+    if kind == "sparse":  # one repeated value with a few others: hypothesis' fill
+        return draw(arrays(np.float64, (n, n), elements=st.floats(-2, 2, allow_nan=False)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.standard_normal((n, n))
+    if kind == "conjugate_pairs":
+        return _fresh_pair_cost(rng, n, draw(st.integers(1, 20)))
+    ties = rng.integers(0, 3, (n, n)).astype(float)
+    # negated ties hold -0.0 where the ties hold 0.0
+    return {"ties": ties, "negated_ties": -ties,
+            "signed_zeros": np.where(ties == 2, -0.0, ties)}[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=_cost_matrices())
+def test_lsap_port_matches_scipy(cost):
+    """The in-package search, called without the routing rule, returns
+    linear_sum_assignment's columns bit for bit."""
+    assert np.array_equal(sw._lsap(cost), linear_sum_assignment(cost)[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lsap_rejects_non_finite_cost(bad):
+    """A non-finite cost raises ValueError in the in-package search; a NaN
+    one raises it from _hungarian too, as linear_sum_assignment does."""
+    cost = np.array([[1.0, 2.0], [0.5, 1.0]])
+    cost[1, 1] = bad
+    with pytest.raises(ValueError):
+        sw._lsap(cost)
+    if np.isnan(bad):
+        with pytest.raises(ValueError):
+            sw._hungarian(cost)
+
+
+def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere60):
+    """The z sphere sweep at N=60 to gbar = 13 meets 33 contended steps, each
+    with one collision: it runs without loading scipy.optimize, and gives
+    the same grid, values and logs as with scipy's solver for every step."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+    out = tmp_path / "sweep.pkl"
+    code = ("import pickle, sys\n"
+            "from btspec import basis, matrices, sweep\n"
+            "m = matrices.assemble_sphere(basis.build_sphere_basis(60))\n"
+            "s = sweep.run_sweep(m, matrices.gradient_matrix_sphere(m, 0.0, 0.0), 13.0)\n"
+            f"pickle.dump(s, open({str(out)!r}, 'wb'))\n"
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.split() == ["False"]
+    with open(out, "rb") as f:
+        ours = pickle.load(f)
+    monkeypatch.setattr(sw, "_hungarian", lambda c: linear_sum_assignment(c)[1])
+    m, B = sphere60
+    ref = sw.run_sweep(m, B, 13.0)
+    assert np.array_equal(ours.g_grid, ref.g_grid)
+    assert np.array_equal(ours.eigenvalues, ref.eigenvalues)
+    assert ours.refinements == ref.refinements
+    assert ours.ambiguities == ref.ambiguities
 
 
 def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
     """The tuned cylinder sweep of the benchmark (N=200), run on its disk and
-    interval factors, has no contended assignment: it finds its ten points
-    without loading scipy.optimize.  (At N=40 and N=100 some steps contend.)"""
+    interval factors, has no contended assignment (nor have those at N=40
+    and N=100): it finds its ten points without loading scipy.optimize."""
     import os
     import subprocess
     import sys
