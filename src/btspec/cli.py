@@ -301,8 +301,9 @@ def cmd_signal(cfg: RunConfig) -> int:
         delta = plan.delta if cfg.signal_mode() == "si" else tb
         rows.append([_fmt(delta), _fmt(Sm.real), _fmt(Sm.imag),
                      _fmt(Ss.real), _fmt(Ss.imag)] + modes)
-    # the walks run concurrently; drop the operator and spectra first (B and
-    # its blocks stay in spectrum's one-entry partition cache)
+    # the walks are all alive at once (one shared stream); drop the operator
+    # and spectra first (B and its blocks stay in spectrum's one-entry
+    # partition cache)
     del mat, B, sub, B_sub, spec, spec_m, coeffs
     mc = [(_fmt(S.real), _fmt(S.imag), _fmt(err)) for S, err in mc_signals(walks)]
     for row, cols in zip(rows, mc or [("", "", "")] * len(rows)):

@@ -7,16 +7,23 @@ flipped between the two pulses.  The signal is the sample mean of e^{-i phi}.
 This route shares nothing with the matrix formalism and serves as its
 physical cross-check at statistical accuracy.
 
-Each step reuses preallocated buffers: the normal draws fill one buffer,
-which becomes the new positions in place, and the two position buffers swap
-roles after the step.  Reflection works in place on the few walkers that
-left the domain (about 5% per step at the default dt).
+Walks that share every input of `_initial_positions` (geometry, walker
+count, seed, and the cylinder's aspect) draw the same Philox stream: the
+same initial positions, then the same standard normals step after step,
+which each walk scales by its own sqrt(2 dt).  Such a group is run on one
+stream.  One producer thread fills step-sized normal buffers, at most two in
+flight, and the calling thread advances every still-active walk with each
+buffer in lockstep.  A walk owns only its positions, projections and phases;
+the step's new positions and projections go into a spare buffer pair shared
+by the group, which trades places with the walk's own pair after the step.
+Reflection works in place on the few walkers that left the domain (about 5%
+per step at the default dt).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,66 +72,159 @@ def mc_signal(cfg: WalkConfig):
 
     Deterministic for a fixed seed (counter-based Philox generator, single
     pass over walkers).  The phase integral uses the trapezoidal rule on the
-    projected positions.
+    projected positions.  A group of one walk: its draws are made by the
+    producer thread while it steps.
     """
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    n_steps = max(1, int(np.ceil(cfg.tbar / cfg.dt)))
-    dt = cfg.tbar / n_steps
-    sigma = np.sqrt(2.0 * dt)
-    e = np.asarray(cfg.direction)
-
-    pos = _initial_positions(cfg, rng)
-    new = np.empty_like(pos)
-    phase = np.zeros(cfg.walkers)
-    proj = pos @ e
-    new_proj = np.empty_like(proj)
-    incr = np.empty_like(proj)
-    for pulse_sign in (1.0, -1.0):
-        c = pulse_sign * cfg.gbar * 0.5
-        for _ in range(n_steps):
-            rng.standard_normal(out=new)
-            new *= sigma
-            new += pos
-            _reflect(cfg, pos, new)
-            np.matmul(new, e, out=new_proj)
-            # (proj + new_proj) * c * dt in this order: fixed-seed results
-            # are pinned bit for bit (tests/test_montecarlo.py)
-            np.add(proj, new_proj, out=incr)
-            incr *= c
-            incr *= dt
-            phase += incr
-            pos, new = new, pos
-            proj, new_proj = new_proj, proj
-
-    del pos, new, proj, new_proj, incr
-    vals = -1j * phase
-    np.exp(vals, out=vals)
-    S = vals.mean()
-    stderr = float(np.sqrt(np.sum(np.abs(vals - S) ** 2)
-                           / (cfg.walkers * max(1, cfg.walkers - 1))))
-    return complex(S), stderr
+    return _walk_group([cfg])[0]
 
 
 def mc_signals(cfgs: list) -> list:
-    """[mc_signal(c) for c in cfgs], run concurrently with the same bits.
+    """[mc_signal(c) for c in cfgs], with the same bits and fewer draws.
 
-    Each walk owns its generator and buffers, and numpy releases the GIL in
-    its draws and ufuncs.  A pool of one thread per usable core runs the
-    walks longest (largest tbar) first.  A failed walk re-raises and cancels
-    the walks not yet started.
+    The walks are grouped by `_stream_key`; each group runs on one shared
+    stream (`_walk_group`), one group after another.  `btspec signal` gives
+    all its walks one seed, so they form one group and the normals of each
+    step are drawn once, not once per walk.  A failure in a walk's step or
+    in the producer re-raises here, after the producer thread has ended.
     """
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].tbar)
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_stream_key(cfg), []).append(i)
     results = [None] * len(cfgs)
-    pool = ThreadPoolExecutor(max_workers=cores)
+    for members in groups.values():
+        group = _walk_group([cfgs[i] for i in members])
+        for i, res in zip(members, group):
+            results[i] = res
+    return results
+
+
+def _stream_key(cfg: WalkConfig) -> tuple:
+    """Every input of `_initial_positions`: walks equal in it draw one stream."""
+    return (cfg.geometry, cfg.walkers, cfg.seed,
+            cfg.aspect if cfg.geometry == "cylinder" else None)
+
+
+def _fill(rng, out: np.ndarray) -> None:
+    """One step's standard normals for every walker, in place."""
+    rng.standard_normal(out=out)
+
+
+class _Draws:
+    """The step-sized normal fills of one generator, made ahead by a producer
+    thread into two buffers.
+
+    `take()` returns the next filled buffer; `give_back(buf)` returns it for
+    refilling once every walk has read it.  `close()` stops the producer
+    early if needed and joins it.
+    """
+
+    def __init__(self, rng, shape: tuple, count: int):
+        self._free = queue.SimpleQueue()
+        self._full = queue.SimpleQueue()
+        for _ in range(2):
+            self._free.put(np.empty(shape))
+        self._thread = threading.Thread(target=self._produce, args=(rng, count),
+                                        name="btspec-mc-draws", daemon=True)
+        self._thread.start()
+
+    def _produce(self, rng, count: int) -> None:
+        try:
+            for _ in range(count):
+                buf = self._free.get()
+                if buf is None:  # the consumer stopped early
+                    return
+                _fill(rng, buf)
+                self._full.put(buf)
+        except BaseException as exc:  # handed to the consumer, which re-raises it
+            self._full.put(exc)
+
+    def take(self) -> np.ndarray:
+        item = self._full.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def give_back(self, buf: np.ndarray) -> None:
+        self._free.put(buf)
+
+    def close(self) -> None:
+        # FIFO: the producer reaches the None after at most the two buffers
+        self._free.put(None)
+        self._thread.join()
+
+
+class _Walk:
+    """One walk's constants and its own positions, projections and phases."""
+
+    def __init__(self, cfg: WalkConfig, pos: np.ndarray):
+        self.cfg = cfg
+        self.n_steps = max(1, int(np.ceil(cfg.tbar / cfg.dt)))
+        self.dt = cfg.tbar / self.n_steps
+        self.sigma = np.sqrt(2.0 * self.dt)
+        self.e = np.asarray(cfg.direction)
+        self.pos = pos
+        self.proj = pos @ self.e
+        self.phase = np.zeros(cfg.walkers)
+
+    def result(self):
+        """(S, stderr) from the phases; drops the walk's buffers first."""
+        phase, n = self.phase, self.cfg.walkers
+        self.pos = self.proj = self.phase = None
+        vals = -1j * phase
+        del phase
+        np.exp(vals, out=vals)
+        S = vals.mean()
+        stderr = float(np.sqrt(np.sum(np.abs(vals - S) ** 2)
+                               / (n * max(1, n - 1))))
+        return complex(S), stderr
+
+
+def _walk_group(cfgs: list) -> list:
+    """[mc_signal(c) for c in cfgs] for walks with one `_stream_key`.
+
+    One generator draws the initial positions, then one normal buffer per
+    step of the longest walk; every walk still running takes its step from
+    the same buffer, in input order.  A walk of n steps per pulse reads the
+    first 2n buffers, exactly the draws its own generator would make.
+    """
+    rng = np.random.Generator(np.random.Philox(cfgs[0].seed))
+    pos0 = _initial_positions(cfgs[0], rng)
+    walks = [_Walk(cfg, pos0.copy() if i + 1 < len(cfgs) else pos0)
+             for i, cfg in enumerate(cfgs)]
+    del pos0
+    # the spare pair: each step writes here, then trades it for the walk's own
+    new = np.empty_like(walks[0].pos)
+    new_proj = np.empty(cfgs[0].walkers)
+    results = [None] * len(walks)
+    n_fills = 2 * max(w.n_steps for w in walks)
+    draws = _Draws(rng, new.shape, n_fills)
     try:
-        # the module global mc_signal, so a wrapper installed on it sees every walk
-        futures = [(i, pool.submit(mc_signal, cfgs[i])) for i in order]
-        for i, fut in futures:
-            results[i] = fut.result()
+        for k in range(n_fills):
+            z = draws.take()
+            for i, w in enumerate(walks):
+                if k >= 2 * w.n_steps:
+                    continue
+                cfg = w.cfg
+                pulse_sign = 1.0 if k < w.n_steps else -1.0
+                c = pulse_sign * cfg.gbar * 0.5
+                np.multiply(z, w.sigma, out=new)
+                new += w.pos
+                _reflect(cfg, w.pos, new)
+                np.matmul(new, w.e, out=new_proj)
+                # (proj + new_proj) * c * dt in this order, in the old
+                # projections' buffer: fixed-seed results are pinned bit for
+                # bit (tests/test_montecarlo.py)
+                w.proj += new_proj
+                w.proj *= c
+                w.proj *= w.dt
+                w.phase += w.proj
+                w.pos, new = new, w.pos
+                w.proj, new_proj = new_proj, w.proj
+                if k + 1 == 2 * w.n_steps:
+                    results[i] = w.result()
+            draws.give_back(z)
     finally:
-        pool.shutdown(cancel_futures=True)
+        draws.close()
     return results
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -327,22 +328,25 @@ def test_reduced_sphere_signal_walks_in_the_sphere(tmp_path):
 
 
 def _count_walks(monkeypatch, fail_below=0.0):
-    calls, real = [], mc.mc_signal
+    """Record the tbar of every walk step; fail the steps of walks with
+    tbar < fail_below."""
+    steps, real = [], mc._reflect
 
-    def walk(cfg):
-        calls.append(cfg.tbar)
+    def reflect(cfg, old, new):
+        steps.append(cfg.tbar)
         if cfg.tbar < fail_below:
             raise NumericalError("injected walk failure")
-        return real(cfg)
-    monkeypatch.setattr(mc, "mc_signal", walk)
-    return calls
+        return real(cfg, old, new)
+    monkeypatch.setattr(mc, "_reflect", reflect)
+    return steps
 
 
 def test_lapack_failure_exits_4(tmp_path, monkeypatch):
     _fail_eigensolves(monkeypatch)
     cfgp = write_cfg(tmp_path / "d.cfg", DISK_SWEEP)
     assert cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 4
-    # a failed eigensolve ends a signal run before any walk starts
+    # a failed eigensolve ends a signal run before any walk steps (the seam
+    # is live: test_failed_walk_exits_4_without_output)
     walks = _count_walks(monkeypatch)
     cfgp = write_cfg(tmp_path / "s.cfg", SPHERE_SI)
     out = tmp_path / "s"
@@ -352,13 +356,38 @@ def test_lapack_failure_exits_4(tmp_path, monkeypatch):
 
 
 def test_failed_walk_exits_4_without_output(tmp_path, monkeypatch):
-    # tbar = 0.115 (5 ms) fails, tbar = 0.46 (20 ms) is the longest walk
+    # tbar = 0.115 (5 ms) fails at its first step, tbar = 0.46 (20 ms) is
+    # the longest walk
+    baseline = threading.active_count()
     walks = _count_walks(monkeypatch, fail_below=0.2)
     cfgp = write_cfg(tmp_path / "s.cfg", SPHERE_SI)
     out = tmp_path / "out"
     assert cli.main(["signal", "--config", cfgp, "--out", str(out),
                      "--set", "walkers=200"]) == 4
     assert min(walks) < 0.2 and not (out / "signal.csv").exists()
+    assert threading.active_count() == baseline
+
+
+def test_readme_si_walks_draw_each_step_once(tmp_path, monkeypatch):
+    """The README SI plan (delta = 2, 5, 10, 20 ms) walks 47, 116, 231 and
+    461 steps per pulse on one stream: 922 step-sized normal fills, where
+    walking each on its own generator makes 2 * 855 = 1710."""
+    fills, real_fill = [], mc._fill
+    monkeypatch.setattr(mc, "_fill",
+                        lambda rng, out: fills.append(out.shape) or real_fill(rng, out))
+    groups, real_group = [], mc._walk_group
+    monkeypatch.setattr(mc, "_walk_group",
+                        lambda cfgs: groups.append(cfgs) or real_group(cfgs))
+    cfgp = write_cfg(tmp_path / "s.cfg", SPHERE_SI.replace(
+        "deltas_ms = 5, 20", "deltas_ms = 2, 5, 10, 20"))
+    assert cli.main(["signal", "--config", cfgp, "--out", str(tmp_path / "o"),
+                     "--set", "walkers=200"]) == 0
+    assert len(groups) == 1 and len(groups[0]) == 4
+    assert len(fills) == 922 and set(fills) == {(200, 3)}
+    fills.clear()
+    for cfg in groups[0]:
+        mc.mc_signal(cfg)
+    assert len(fills) == 1710
 
 
 def test_import_leaves_out_scipy_optimize():

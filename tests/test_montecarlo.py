@@ -1,7 +1,10 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from btspec import montecarlo as mc
@@ -119,7 +122,8 @@ def test_direction_normalized():
     assert cfg.direction == (0.0, 0.0, 1.0)
 
 
-# more walks than cores, all three geometries, two equal tbars
+# all three geometries, two equal tbars; the first and last walks share a
+# stream (sphere, 1500 walkers, seed 31), the others have one each
 CONCURRENT = [
     mc.WalkConfig(geometry="sphere", gbar=5.0, tbar=0.1, walkers=1500, seed=31),
     mc.WalkConfig(geometry="cylinder", gbar=5.0, tbar=0.15, walkers=1500,
@@ -127,53 +131,109 @@ CONCURRENT = [
     mc.WalkConfig(geometry="free", gbar=2.0, tbar=0.05, walkers=1500, seed=33),
     mc.WalkConfig(geometry="sphere", gbar=8.0, tbar=0.15, walkers=1500,
                   direction=(1.0, 2.0, 3.0), seed=34),
-    mc.WalkConfig(geometry="sphere", gbar=2.0, tbar=0.2, walkers=1500, seed=35),
+    mc.WalkConfig(geometry="sphere", gbar=2.0, tbar=0.2, walkers=1500, seed=31),
 ]
 
 
-def _cores(monkeypatch, n):
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(n)))
+def _count_fills(monkeypatch, fail_at=None):
+    """Count the producer's step-sized fills; fail the fill number fail_at."""
+    fills, real = [], mc._fill
+
+    def fill(rng, out):
+        fills.append(len(fills) + 1)
+        if fills[-1] == fail_at:
+            raise NumericalError("injected draw failure")
+        real(rng, out)
+    monkeypatch.setattr(mc, "_fill", fill)
+    return fills
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_concurrent_walks_equal_serial_ones(monkeypatch, cores):
+def test_concurrent_walks_equal_serial_ones():
     serial = [mc.mc_signal(c) for c in CONCURRENT]
-    _cores(monkeypatch, cores)
     assert mc.mc_signals(CONCURRENT) == serial
+    # a switch interval of 1 us interleaves the producer and the walks as
+    # finely as the interpreter allows: a buffer read while being refilled
+    # would change the bits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert mc.mc_signals(CONCURRENT) == serial
+    finally:
+        sys.setswitchinterval(interval)
     assert mc.mc_signals([]) == []
 
 
-def test_walks_start_longest_first(monkeypatch):
-    # one worker runs the walks in submission order, through the module global
-    _cores(monkeypatch, 1)
-    ran = []
-    monkeypatch.setattr(mc, "mc_signal",
-                        lambda c: ran.append(c.seed) or (c.seed, 0.0))
-    assert mc.mc_signals(CONCURRENT) == [(c.seed, 0.0) for c in CONCURRENT]
-    assert ran == [35, 32, 34, 31, 33]
+def test_walks_on_one_stream_draw_once(monkeypatch):
+    # steps per pulse: 100, 150, 50, 150, 200; the seed-31 pair draws the
+    # 400 fills of its longer walk once
+    fills = _count_fills(monkeypatch)
+    mc.mc_signals(CONCURRENT)
+    assert len(fills) == 400 + 300 + 100 + 300
+    fills.clear()
+    for c in CONCURRENT:
+        mc.mc_signal(c)
+    assert len(fills) == 200 + 300 + 100 + 300 + 400
 
 
 def test_failed_walk_reraises_and_cancels_the_rest(monkeypatch):
-    _cores(monkeypatch, 1)
-    cancelled = threading.Event()
+    baseline = threading.active_count()
+    fills = _count_fills(monkeypatch)
+    steps, real = [], mc._reflect
+    failing = CONCURRENT[4]
 
-    class Pool(mc.ThreadPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait=False, cancel_futures=cancel_futures)
-            if cancel_futures:
-                cancelled.set()
-            super().shutdown(wait=wait)
-    ran = []
-
-    def walk(c):
-        ran.append(c.seed)
-        if c.seed == 35:  # the longest walk, run first
+    def reflect(cfg, old, new):
+        steps.append(cfg.seed)
+        if cfg is failing and steps.count(31) == 10:  # its 5th step
             raise NumericalError("injected walk failure")
-        cancelled.wait(5.0)  # holds the worker until the pending walks are cancelled
-        return 0j, 0.0
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(mc, "mc_signal", walk)
-    with pytest.raises(NumericalError):
+        return real(cfg, old, new)
+    monkeypatch.setattr(mc, "_reflect", reflect)
+    with pytest.raises(NumericalError, match="injected walk failure"):
         mc.mc_signals(CONCURRENT)
-    # the worker may have taken the next walk (seed 32) before the cancel
-    assert ran[0] == 35 and set(ran) <= {35, 32}
+    # the producer is joined, the walks of its stream stop at that step,
+    # and no other stream starts
+    assert threading.active_count() == baseline
+    assert steps == [31] * 10
+    # two buffers: the failing step holds the 5th, the other may hold the 6th
+    assert len(fills) in (5, 6)
+
+
+def test_failed_draw_reraises_and_stops_the_walks(monkeypatch):
+    baseline = threading.active_count()
+    fills = _count_fills(monkeypatch, fail_at=3)
+    steps, real = [], mc._reflect
+    monkeypatch.setattr(mc, "_reflect",
+                        lambda cfg, old, new: steps.append(cfg.seed) or real(cfg, old, new))
+    with pytest.raises(NumericalError, match="injected draw failure"):
+        mc.mc_signals(CONCURRENT)
+    assert threading.active_count() == baseline
+    # the two fills before the failure step both seed-31 walks
+    assert fills == [1, 2, 3] and steps == [31] * 4
+
+
+_walks = st.builds(
+    mc.WalkConfig,
+    geometry=st.sampled_from(["sphere", "cylinder", "free"]),
+    gbar=st.floats(0.0, 20.0),
+    tbar=st.sampled_from([0.01, 0.03]) | st.floats(0.002, 0.05),
+    # few values, so that lists often hold walks on one stream
+    walkers=st.sampled_from([40, 500]),
+    dt=st.sampled_from([1e-3, 6e-4]),
+    aspect=st.sampled_from([1.0, 1.5]),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda d: max(map(abs, d)) > 0.1),
+    seed=st.sampled_from([1, 2]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfgs=st.lists(_walks, min_size=1, max_size=5))
+@example(cfgs=[  # two sphere walks on one stream; two cylinders on two
+    mc.WalkConfig(geometry="sphere", gbar=4.0, tbar=0.02, walkers=40, seed=1),
+    mc.WalkConfig(geometry="cylinder", gbar=4.0, tbar=0.02, walkers=40,
+                  aspect=1.5, seed=1),
+    mc.WalkConfig(geometry="sphere", gbar=9.0, tbar=0.01, walkers=40,
+                  direction=(1.0, 0.0, 0.0), seed=1),
+    mc.WalkConfig(geometry="cylinder", gbar=4.0, tbar=0.02, walkers=40, seed=1),
+])
+def test_grouped_walks_equal_separate_ones(cfgs):
+    assert mc.mc_signals(cfgs) == [mc.mc_signal(c) for c in cfgs]
