@@ -148,16 +148,18 @@ def _count_fills(monkeypatch, fail_at=None):
     return fills
 
 
-def test_concurrent_walks_equal_serial_ones():
-    serial = [mc.mc_signal(c) for c in CONCURRENT]
-    assert mc.mc_signals(CONCURRENT) == serial
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_concurrent_walks_equal_serial_ones(copies):
+    # each copy of the list adds one more walk to every stream
+    serial = [mc.mc_signal(c) for c in CONCURRENT] * copies
+    assert mc.mc_signals(CONCURRENT * copies) == serial
     # a switch interval of 1 us interleaves the producer and the walks as
     # finely as the interpreter allows: a buffer read while being refilled
     # would change the bits
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert mc.mc_signals(CONCURRENT) == serial
+        assert mc.mc_signals(CONCURRENT * copies) == serial
     finally:
         sys.setswitchinterval(interval)
     assert mc.mc_signals([]) == []
