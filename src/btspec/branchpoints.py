@@ -2,10 +2,10 @@
 
 Below a branch point the participating eigenvalues are real (PT symmetry);
 above it they carry opposite imaginary parts.  The detector scans tracked
-branches for that departure of |Im lambda| from the solver noise floor.  The
-refiner bisects on the same indicator, solving only the exact blocks of the
-point's branches, and counts how many eigenvalues of those blocks share the
-merged value at the refined location.
+branches for a real value (spectrum.is_real) followed by a non-real one.  The
+refiner bisects on whether all the point's branches are real, solving only
+the exact blocks of the point's branches, and counts how many eigenvalues of
+those blocks share the merged value at the refined location.
 
 The capped cylinder is swept as its disk and interval factors
 (cylinder_branch_points): its branches are sums of factor branches and its
@@ -25,12 +25,10 @@ import scipy.linalg as sla
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices, _cylinder_weights, cylinder_factors
 from .specfun import interval_branch_constants
-from .spectrum import (Spectrum, _components, _degenerate_classes, block_labels,
-                       diagonalize, own_blocks)
+from .spectrum import (Spectrum, _degenerate_classes, block_labels, diagonalize,
+                       is_real, own_blocks)
 from .sweep import BranchSweep, _assign, match_step, run_sweep
 
-IM_FLOOR = 1e-9
-IM_SIGNAL = 1e-6
 CLUSTER_RADIUS = 1e-3
 # Tighter than the 1e-5 reporting requirement, so that the square-root
 # splitting of the merging pair stays inside CLUSTER_RADIUS at g_star.
@@ -56,10 +54,12 @@ class BranchPoint:
 def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoint]:
     """Coarse branch points from real-to-complex transitions of tracked branches.
 
-    Branches transitioning inside the same grid interval are clustered when
-    they are conjugate partners or bit-identical twins just above the
-    transition (see _cluster_by_value); each cluster yields one BranchPoint
-    with bracket equal to the grid interval.
+    A branch transitions in (g[i-1], g[i]] when it is real (spectrum.is_real)
+    at g[i-1] and not at g[i].  Branches transitioning inside the same grid
+    interval are clustered when their values at g[i] are conjugate partners
+    (the merged pair of one block) or equal (the same pair in a bit-identical
+    twin block), to 1e-6 * max(1, |lambda|); each cluster yields one
+    BranchPoint with bracket equal to the grid interval.
 
     max_branch restricts the scan to the first branches; the top of a
     truncated spectrum is not converged and can produce spurious transitions,
@@ -67,56 +67,35 @@ def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoin
     branches they trust (a few times smaller than the truncation size).
     """
     g = sweep.g_grid
-    lam = sweep.eigenvalues
-    if max_branch is not None:
-        lam = lam[:, :max_branch]
-    n_g, n_b = lam.shape
-    transitions = []  # (interval index i: transition in (g[i-1], g[i]], branch)
-    for b in range(n_b):
-        im = np.abs(lam[:, b].imag)
-        real_state = True
-        for i in range(n_g):
-            if real_state and im[i] > IM_SIGNAL and i > 0 and im[i - 1] < IM_FLOOR:
-                transitions.append((i, b))
-                real_state = False
-            elif not real_state and im[i] < IM_FLOOR:
-                real_state = True
+    lam = sweep.eigenvalues[:, :max_branch]
+    real = is_real(lam)
+    steps, branches = np.nonzero(real[:-1] & ~real[1:])
     points = []
-    by_interval: dict[int, list[int]] = {}
-    for i, b in transitions:
-        by_interval.setdefault(i, []).append(b)
-    for i, branches in sorted(by_interval.items()):
-        for cluster in _cluster_by_value(lam[i], branches):
-            vals = lam[i, cluster]
+    for i in np.unique(steps) + 1:
+        bs = branches[steps == i - 1]
+        v = lam[i, bs]
+        # conjugate partners coincide once folded onto Im >= 0
+        cid = _degenerate_classes(v.real + 1j * np.abs(v.imag), rtol=1e-6)
+        cid[cid < 0] = -1 - np.flatnonzero(cid < 0)  # a singleton is its own class
+        for c in dict.fromkeys(cid.tolist()):  # in the order of first members
+            cluster = bs[cid == c]
             points.append(BranchPoint(
                 g_star=0.5 * (g[i - 1] + g[i]),
                 order=len(cluster),
                 branches=tuple(int(b) for b in cluster),
                 bracket=(float(g[i - 1]), float(g[i])),
                 meta={"coarse": True,
-                      "value": complex(np.mean(vals.real) + 0j)},
+                      "value": complex(np.mean(lam[i, cluster].real) + 0j)},
             ))
     return points
 
 
-def _cluster_by_value(lam_row: np.ndarray, branches: list[int],
-                      rtol: float = 1e-6) -> list[list[int]]:
-    """Group branches whose eigenvalues just above the transition are
-    conjugate partners (the merged pair of one block) or equal (the same pair
-    in a bit-identical twin block), to rtol * max(1, |lambda|)."""
-    v = lam_row[branches]
-    scale = np.maximum(1.0, np.abs(v))
-    near = np.minimum(np.abs(v[:, None] - v[None, :]),
-                      np.abs(v[:, None] - np.conj(v)[None, :])) \
-        <= rtol * np.maximum.outer(scale, scale)
-    return [sorted(branches[i] for i in comp)
-            for comp in _components(np.argwhere(np.triu(near, 1)), len(branches))]
-
-
 def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
            ref_eigs: np.ndarray) -> BranchPoint:
-    """Bisect the coarse bracket on the indicator max|Im lambda| over the
-    participating branches down to BRACKET_WIDTH, then classify the point.
+    """Bisect the coarse bracket on whether the participating branches are
+    all real (spectrum.is_real) down to BRACKET_WIDTH, then classify the
+    point.  A bracket that is not real at its lower end and complex at its
+    upper end raises ConvergenceError.
 
     All solves run on the branches' own exact blocks (spectrum.own_blocks),
     whose rows are the full spectrum's rows.  ref_eigs are the branch-ordered
@@ -138,25 +117,15 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
         spec = diagonalize(sub, B_sub, gval, eigvals_only=eigvals_only)
         return spec, _match_blocks(target, block, spec)[pos]
 
-    def indicator(gval: float) -> float:
+    def split(gval: float) -> bool:
         spec, rows = rows_at(gval)
-        return float(np.max(np.abs(spec.eigenvalues[rows].imag)))
+        return not is_real(spec.eigenvalues[rows]).all()
 
-    f_lo, f_hi = indicator(lo), indicator(hi)
-    if not (f_lo <= IM_SIGNAL < f_hi):
-        # non-monotone or mis-bracketed: split and look again
-        mid = 0.5 * (lo + hi)
-        f_mid = indicator(mid)
-        if f_lo <= IM_SIGNAL < f_mid:
-            hi, f_hi = mid, f_mid
-        elif f_mid <= IM_SIGNAL < f_hi:
-            lo, f_lo = mid, f_mid
-        else:
-            raise ConvergenceError(
-                f"indicator not bracketed on [{lo}, {hi}]: {f_lo}, {f_mid}, {f_hi}")
+    if split(lo) or not split(hi):
+        raise ConvergenceError(f"no real-to-complex transition on [{lo}, {hi}]")
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        if indicator(mid) > IM_SIGNAL:
+        if split(mid):
             hi = mid
         else:
             lo = mid

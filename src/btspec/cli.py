@@ -95,10 +95,8 @@ class RunConfig:
 
     def pulse_plans(self) -> list[PulsePlan]:
         if self.signal_mode() == "si":
-            R = self.R_um * 1e-6
-            H = self.H_um * 1e-6 if self.H_um else None
             return [PulsePlan(delta=d * 1e-3, D0=self.D0, gamma=self.gamma,
-                              G=self.G_mT_per_m * 1e-3, R=R, H=H)
+                              G=self.G_mT_per_m * 1e-3, R=self.R_um * 1e-6)
                     for d in self.deltas_ms]
         return [PulsePlan.dimensionless(self.gbar, t) for t in self.tbars]
 

@@ -39,7 +39,7 @@ class PulsePlan:
     """Physical PGSE parameters for two back-to-back opposite pulses of
     duration delta each; derived dimensionless gbar and tbar are properties.
 
-    Units: delta [s], D0 [m^2/s], gamma [rad/T/s], G [T/m], R and H [m].
+    Units: delta [s], D0 [m^2/s], gamma [rad/T/s], G [T/m], R [m].
     """
 
     delta: float
@@ -47,7 +47,6 @@ class PulsePlan:
     gamma: float
     G: float
     R: float
-    H: float | None = None
 
     def __post_init__(self):
         if min(self.delta, self.D0, self.gamma, self.R) < 0 or self.G < 0:

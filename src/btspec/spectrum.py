@@ -22,7 +22,8 @@ LAPACK geev call (_geev) with the workspace size cached per block order and
 vector mode: bit for bit the result of scipy.linalg.eigvals / eig on the
 real matrix, without their per-call checks and workspace query.  A real
 eigenvalue comes back with Im exactly 0 and a complex one with its exact
-conjugate (PT symmetry; Bender, Rep. Prog. Phys. 70, 947 (2007)).  A left
+conjugate (PT symmetry; Bender, Rep. Prog. Phys. 70, 947 (2007)), so
+realness is decided by one rule, is_real: |Im lambda| <= REAL_TOL.  A left
 eigenvector z of the real form is the row z diag(d)^-1 of the original
 operator.  diagonalize labels each
 eigenvalue row with its block, and each raw row of X is zero outside its
@@ -61,6 +62,16 @@ from .matrices import OperatorMatrices
 
 DEGENERATE_RTOL = 1e-8
 NEAR_BRANCH_TOL = 1e-6
+# Realness of an eigenvalue (absolute): a real eigenvalue of the real form
+# has Im exactly 0, a pair split by rounding in a degenerate family of the
+# tilted sphere at most 1.6e-14 relative, and a genuine conjugate pair of
+# the swept grids |Im| >= 1e-4.
+REAL_TOL = 1e-6
+
+
+def is_real(w) -> np.ndarray:
+    """Whether each eigenvalue in w is real: |Im w| <= REAL_TOL."""
+    return np.abs(np.imag(w)) <= REAL_TOL
 
 
 @dataclass(frozen=True)
@@ -206,8 +217,9 @@ def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
     return sub, B[np.ix_(ix, ix)], ix
 
 
-# One-entry identity cache (lam, B, blocks): a sweep passes the same B to
-# every solve, and the partition costs about as much as the block solves.
+# One-entry cache (copies of lam and B, blocks), reused while the arrays
+# passed hold the same values: a sweep passes the same B to every solve, and
+# the partition costs about as much as the block solves.
 _partition: tuple = (None, None, [])
 
 
@@ -225,7 +237,8 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
     is not bipartite, raises NumericalError.
     """
     global _partition
-    if _partition[0] is lam and _partition[1] is B:
+    if _partition[0] is not None and np.array_equal(_partition[0], lam) \
+            and np.array_equal(_partition[1], B):
         return _partition[2]
     nonzero = B != 0
     comps, parity = _colouring(nonzero | nonzero.T)
@@ -243,7 +256,7 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
         p = parity[ix]
         K = np.asfortranarray(np.subtract.outer(p, p) * B_b)
         blocks.append((ix, twin, lam_b, K, np.where(p == 1, 1j, 1 + 0j)))
-    _partition = (lam, B, blocks)
+    _partition = (lam.copy(), B.copy(), blocks)
     return blocks
 
 
@@ -393,14 +406,14 @@ def canonical_order(w: np.ndarray, quantum: float = 1e-6) -> np.ndarray:
 def slowest_pair(spec: Spectrum) -> tuple[int, int | None]:
     """Rows of the slowest branch and of its conjugate partner.
 
-    The slowest branch has the smallest Re lambda.  When it is complex
-    (|Im| > 1e-8), the first row returned is its Im > 0 member and the
+    The slowest branch has the smallest Re lambda.  When it is not real
+    (is_real), the first row returned is its Im > 0 member and the
     second the nearest eigenvalue to its conjugate; when it is real, the
     partner is None.
     """
     w = spec.eigenvalues
     i1 = int(np.argmin(w.real))
-    if abs(w[i1].imag) <= 1e-8:
+    if is_real(w[i1]):
         return i1, None
     d = np.abs(w - np.conj(w[i1]))
     d[i1] = np.inf

@@ -14,7 +14,8 @@ fresh conjugate pair is an exact tie) or, when all are taken, searches for
 an augmenting path.  Only a step whose nearest values collide more than
 once, as in the degenerate families of a tilted sphere, goes to scipy's
 C solver.  The blocks are solved in their real form (see spectrum), so a
-real value has Im exactly 0 and a complex one its exact conjugate.  Ties
+real value has Im exactly 0 and a complex one its exact conjugate: realness
+is spectrum.is_real, and conjugacy is exact equality.  Ties
 are broken by eigenvector overlap (solving only the tied block with
 vectors); a real pair turning complex is ordered Im > 0 first, and a
 conjugate pair turning real gives its Im > 0 branch the smaller value.  A
@@ -30,7 +31,7 @@ import numpy as np
 
 from .matrices import OperatorMatrices
 from .spectrum import (Spectrum, _blocks, _components, _solve_block,
-                       block_labels, canonical_order)
+                       block_labels, canonical_order, is_real)
 
 TIE_REL = 0.05
 OVERLAP_MARGIN = 0.2
@@ -220,7 +221,7 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
     cols = sigma[comp]
     vals = wn[cols]
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.all(np.abs(wp[comp].imag) <= 1e-9) and _is_conjugate_family(vals, scale):
+    if is_real(wp[comp]).all() and _is_conjugate_family(vals):
         # real branches merged into conjugate pairs: deterministic order,
         # Im > 0 to the lower branch index within each real-part group
         sigma[comp] = cols[canonical_order(vals, 1e-6 * scale)]
@@ -237,8 +238,7 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
         close = b0 - b1 <= OVERLAP_MARGIN * (b0 + b1 + 1e-300)
         distinct = np.abs(vals[c0] - vals[c1]) > DISTINCT_REL * scale
         kind = "unresolved" if np.any(close & distinct) else "overlap_resolved"
-    if len(comp) == 2 and np.all(np.abs(vals.imag) <= 1e-9) \
-            and _is_conjugate_family(wp[comp], scale):
+    if len(comp) == 2 and is_real(vals).all() and _is_conjugate_family(wp[comp]):
         # a conjugate pair rejoining the real axis: PT symmetry gives both
         # members the same overlap with each real vector, so only rounding
         # would choose.  Im > 0 goes to the smaller real value, mirroring
@@ -248,19 +248,11 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
     return kind
 
 
-def _is_conjugate_family(vals: np.ndarray, scale: float) -> bool:
-    """True when vals form conjugate pairs (reals self-paired) with at least
-    one genuinely complex member."""
-    unused = list(range(len(vals)))
-    while unused:
-        i = unused.pop(0)
-        if abs(vals[i].imag) > 1e-9 * scale:
-            j = next((j for j in unused
-                      if abs(vals[i] - np.conj(vals[j])) <= 1e-6 * scale), None)
-            if j is None:
-                return False
-            unused.remove(j)
-    return bool(np.any(np.abs(vals.imag) > 1e-9))
+def _is_conjugate_family(vals: np.ndarray) -> bool:
+    """True when vals has a non-real member (spectrum.is_real) and its
+    non-real members are closed under exact conjugation."""
+    z = np.sort_complex(vals[~is_real(vals)])
+    return len(z) > 0 and np.array_equal(z, np.sort_complex(z.conj()))
 
 
 @dataclass

@@ -122,12 +122,26 @@ def test_crossings_are_not_branch_points(sphere333_sweep):
 
 
 def test_refine_rejects_transitionless_bracket(interval40, interval_sweep):
+    """A bracket real at both ends (below the point at 18.06), and one whose
+    lower end is already complex, hold no real-to-complex transition."""
     m, B = interval40
-    fake = bp.BranchPoint(g_star=5.0, order=2, branches=(0, 1),
-                          bracket=(4.0, 6.0), meta={})
-    i_lo = int(np.argmin(np.abs(interval_sweep.g_grid - 4.0)))
-    with pytest.raises(ConvergenceError):
-        bp.refine(m, B, fake, ref_eigs=interval_sweep.eigenvalues[i_lo])
+    for lo, hi in ((4.0, 6.0), (18.5, 19.5)):
+        fake = bp.BranchPoint(g_star=0.5 * (lo + hi), order=2, branches=(0, 1),
+                              bracket=(lo, hi), meta={})
+        i_lo = int(np.argmin(np.abs(interval_sweep.g_grid - lo)))
+        with pytest.raises(ConvergenceError):
+            bp.refine(m, B, fake, ref_eigs=interval_sweep.eigenvalues[i_lo])
+
+
+def test_detect_counts_a_value_within_the_real_tolerance_as_real():
+    """A pair at 3 +- 5e-7i is real by spectrum.is_real (|Im| <= REAL_TOL),
+    so the pair that is complex at the next grid point splits in between."""
+    lam = np.array([[1.0, 4.0], [2.0, 3.5], [3 + 5e-7j, 3 - 5e-7j],
+                    [3 + 1e-3j, 3 - 1e-3j]])
+    s = sw.BranchSweep(g_grid=np.arange(4.0), eigenvalues=lam,
+                       block=np.zeros(2, dtype=int))
+    assert [(p.order, p.branches, p.bracket) for p in bp.detect(s)] \
+        == [(2, (0, 1), (2.0, 3.0))]
 
 
 def test_cylinder_tuned_angle_first_point():

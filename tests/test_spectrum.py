@@ -338,6 +338,39 @@ def test_real_form_matches_the_complex_solve(geometry, N, g, theta, phi):
     assert sp.residual(m, B, spec) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(geometry=st.sampled_from(["sphere", "tilted_sphere", "disk", "interval",
+                                 "cylinder"]),
+       N=st.integers(1, 40), g=st.floats(0.0, 30.0),
+       theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi))
+def test_non_real_eigenvalues_come_with_their_exact_conjugates(geometry, N, g,
+                                                               theta, phi):
+    """Every eigenvalue that is not real (spectrum.is_real) has its exact
+    conjugate, as often as itself, in its own block: the z sphere, a sphere
+    gradient in a random direction, the disk, the interval and the cylinder
+    at a random gradient angle."""
+    m = _small_operator("sphere" if geometry == "tilted_sphere" else geometry, N)
+    direction = {"tilted_sphere": {"theta_g": theta, "phi_g": phi},
+                 "cylinder": {"eta": theta}}.get(geometry, {})
+    spec = sp.diagonalize(m, mx.gradient_matrix(m, **direction), g, eigvals_only=True)
+    for k in np.unique(spec.block):
+        w = spec.eigenvalues[spec.block == k]
+        z = w[~sp.is_real(w)]
+        for v in z:
+            assert np.count_nonzero(z == v.conjugate()) == np.count_nonzero(z == v)
+
+
+def test_block_cache_follows_values_not_identity():
+    """B scaled in place after a solve is partitioned again: 2B at gbar = 3
+    gives the spectrum of B at gbar = 6, bit for bit."""
+    m = mx.operator_for("sphere", 60)
+    B = mx.gradient_matrix(m).copy()
+    want = sp.diagonalize(m, B, 6.0).eigenvalues
+    sp.diagonalize(m, B, 3.0)
+    B *= 2
+    assert sp.diagonalize(m, B, 3.0).eigenvalues.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 0)], [(1, 1)]],
                          ids=["triangle", "diagonal"])
 def test_odd_cycle_raises(edges):
