@@ -58,7 +58,7 @@ def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoin
     at g[i-1] and not at g[i].  Branches transitioning inside the same grid
     interval are clustered when their values at g[i] are conjugate partners
     (the merged pair of one block) or equal (the same pair in a bit-identical
-    twin block), to 1e-6 * max(1, |lambda|); each cluster yields one
+    twin block), as decided by spectrum.same_value; each cluster yields one
     BranchPoint with bracket equal to the grid interval.
 
     max_branch restricts the scan to the first branches; the top of a
@@ -75,7 +75,7 @@ def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoin
         bs = branches[steps == i - 1]
         v = lam[i, bs]
         # conjugate partners coincide once folded onto Im >= 0
-        cid = _degenerate_classes(v.real + 1j * np.abs(v.imag), rtol=1e-6)
+        cid = _degenerate_classes(v.real + 1j * np.abs(v.imag))
         cid[cid < 0] = -1 - np.flatnonzero(cid < 0)  # a singleton is its own class
         for c in dict.fromkeys(cid.tolist()):  # in the order of first members
             cluster = bs[cid == c]

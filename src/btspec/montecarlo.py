@@ -57,6 +57,8 @@ class WalkConfig:
             raise ConfigError(f"unsupported geometry {self.geometry!r}")
         if self.walkers < 1 or self.tbar <= 0 or self.dt <= 0:
             raise ConfigError("walkers >= 1 and positive tbar, dt required")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.geometry != "free" and np.sqrt(2 * self.dt) >= _MAX_STEP_FRACTION:
             raise ConfigError(
                 f"time step too coarse: sqrt(2 dt) = {np.sqrt(2*self.dt):.4f} "

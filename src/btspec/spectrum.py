@@ -23,7 +23,10 @@ vector mode: bit for bit the result of scipy.linalg.eigvals / eig on the
 real matrix, without their per-call checks and workspace query.  A real
 eigenvalue comes back with Im exactly 0 and a complex one with its exact
 conjugate (PT symmetry; Bender, Rep. Prog. Phys. 70, 947 (2007)), so
-realness is decided by one rule, is_real: |Im lambda| <= REAL_TOL.  A left
+realness is decided by one rule, is_real: |Im lambda| <= REAL_TOL.  Whether
+two eigenvalues are one value (a degenerate class, a tie that is no tie, a
+shared real part) is decided by one rule too, same_value: |a - b| <=
+DEGENERATE_RTOL * max(1, |a|, |b|).  A left
 eigenvector z of the real form is the row z diag(d)^-1 of the original
 operator.  diagonalize labels each
 eigenvalue row with its block, and each raw row of X is zero outside its
@@ -33,8 +36,9 @@ the branch tracker (sweep) calls the block solve directly, one distinct
 block at a time.  Blocks whose Lambda and B entries are bit-identical, such
 as the cos and sin sectors of one m of the z-gradient sphere, are solved once
 and the result is copied to the twin.  The partition, the colouring and K
-are computed at the first solve with a given B and reused while the same B
-object is passed again, so B must not be modified in place.
+are computed at the first solve with given Lambda and B and reused while
+the arrays passed hold the same values: the cache keeps its own copies, so a
+B modified in place is partitioned anew.
 
 own_blocks restricts the operator to the blocks that hold given modes; a
 solve of the restriction returns the full solve's rows of those blocks in the
@@ -60,6 +64,9 @@ import scipy.linalg as sla
 from .errors import NumericalError
 from .matrices import OperatorMatrices
 
+# Sameness of two eigenvalues (relative, same_value): twin copies are
+# bit-identical, and rounding splits a degenerate family of the tilted
+# sphere by at most 1.6e-14 relative.
 DEGENERATE_RTOL = 1e-8
 NEAR_BRANCH_TOL = 1e-6
 # Realness of an eigenvalue (absolute): a real eigenvalue of the real form
@@ -72,6 +79,13 @@ REAL_TOL = 1e-6
 def is_real(w) -> np.ndarray:
     """Whether each eigenvalue in w is real: |Im w| <= REAL_TOL."""
     return np.abs(np.imag(w)) <= REAL_TOL
+
+
+def same_value(a, b) -> np.ndarray:
+    """Whether a and b are one eigenvalue, elementwise (broadcasting):
+    |a - b| <= DEGENERATE_RTOL * max(1, |a|, |b|)."""
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return np.abs(a - b) <= DEGENERATE_RTOL * scale
 
 
 @dataclass(frozen=True)
@@ -232,7 +246,7 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
     B[ix, ix]), its own position when none precedes it.  lam_b are the
     block's diagonal entries, K the Fortran-ordered real skew-symmetric
     (p_j - p_k) B_jk of its real form and d = i^p its phases, with p the
-    parity of the 2-colouring of _colouring (all three None for a twin,
+    parity of the 2-colouring of _components (all three None for a twin,
     which copies its result).  A non-finite entry, or a nonzero pattern that
     is not bipartite, raises NumericalError.
     """
@@ -241,7 +255,11 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
             and np.array_equal(_partition[1], B):
         return _partition[2]
     nonzero = B != 0
-    comps, parity = _colouring(nonzero | nonzero.T)
+    adj = nonzero | nonzero.T
+    comps, parity = _components(adj)
+    if np.any(adj & (parity[:, None] == parity[None, :])):
+        raise NumericalError("B's nonzero pattern has an odd cycle: no phases "
+                             "make its blocks real")
     blocks: list[tuple] = []
     first: dict[bytes, int] = {}
     for ix in comps:
@@ -260,13 +278,11 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
     return blocks
 
 
-def _colouring(adj: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _components(adj: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Connected components of the graph with the symmetric boolean
     adjacency matrix adj, each sorted and ordered by its smallest node, and
-    the 0/1 parity of a 2-colouring: a breadth-first walk from each
-    component's smallest node gives a node the parity of its distance.  An
-    edge between two nodes of one parity (an odd cycle, or a nonzero
-    diagonal entry) raises NumericalError."""
+    the 0/1 parity of each node's distance from its component's smallest
+    node (a breadth-first walk): a 2-colouring when the graph is bipartite."""
     n = len(adj)
     comp = np.full(n, -1)
     parity = np.zeros(n, dtype=np.int8)
@@ -280,43 +296,19 @@ def _colouring(adj: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
             front = np.flatnonzero(adj[front].any(axis=0) & (comp < 0))
             comp[front], parity[front] = len(comps), level
         comps.append(np.flatnonzero(comp == len(comps)))
-    if np.any(adj & (parity[:, None] == parity[None, :])):
-        raise NumericalError("B's nonzero pattern has an odd cycle: no phases "
-                             "make its blocks real")
     return comps, parity
 
 
-def _components(pairs, n) -> list[list[int]]:
-    """Connected components of the graph on 0..n-1 with the given edges,
-    each sorted and ordered by its smallest node (union-find)."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b1, b2 in pairs:
-        parent[find(int(b1))] = find(int(b2))
-    groups: dict[int, list[int]] = {}
-    for b in range(n):
-        groups.setdefault(find(b), []).append(b)
-    return list(groups.values())
-
-
-def _degenerate_classes(w: np.ndarray, rtol: float = DEGENERATE_RTOL) -> np.ndarray:
-    """Cluster eigenvalues whose mutual distance is below rtol * scale;
-    returns -1 for singletons, else a class id (in order of first member).
+def _degenerate_classes(w: np.ndarray) -> np.ndarray:
+    """Cluster eigenvalues that are one value (same_value), chained; returns
+    -1 for singletons, else a class id (in order of first member).
 
     All pairs are compared, not only neighbours in the (Re, Im) order: the
     conjugate of a complex degenerate pair can sort between its two members
     when their real parts differ in the last bits.
     """
-    scale = np.maximum(1.0, np.abs(w))
-    close = np.abs(w[:, None] - w[None, :]) <= rtol * np.maximum.outer(scale, scale)
+    comps, _ = _components(same_value(w[:, None], w[None, :]))
     cid = -np.ones(len(w), dtype=int)
-    comps = _components(np.argwhere(np.triu(close, 1)), len(w))
     for c, members in enumerate(m for m in comps if len(m) > 1):
         cid[members] = c
     return cid
@@ -393,14 +385,19 @@ def spectrum_at_negative_g(spec: Spectrum) -> Spectrum:
     return replace(spec, gbar=-spec.gbar, eigenvalues=np.conj(spec.eigenvalues), X=X)
 
 
-def canonical_order(w: np.ndarray, quantum: float = 1e-6) -> np.ndarray:
+def canonical_order(w: np.ndarray) -> np.ndarray:
     """Row order by Re ascending, Im > 0 first inside conjugate pairs.
 
-    Real parts are rounded to multiples of quantum, so that the members of a
-    conjugate pair, whose real parts differ in the last bits, share the
-    primary key.
+    Real parts that are one value (same_value), chained along the sorted
+    real parts, share the primary key: the members of a conjugate pair,
+    whose real parts can differ in the last bits, sort together whatever
+    those bits are.
     """
-    return np.lexsort((-w.imag, np.round(w.real / quantum)))
+    by_re = np.argsort(w.real, kind="stable")
+    re = w.real[by_re]
+    key = np.empty(len(w), dtype=int)
+    key[by_re] = np.cumsum(np.r_[False, ~same_value(re[1:], re[:-1])])
+    return np.lexsort((-w.imag, key))
 
 
 def slowest_pair(spec: Spectrum) -> tuple[int, int | None]:

@@ -15,12 +15,12 @@ an augmenting path.  Only a step whose nearest values collide more than
 once, as in the degenerate families of a tilted sphere, goes to scipy's
 C solver.  The blocks are solved in their real form (see spectrum), so a
 real value has Im exactly 0 and a complex one its exact conjugate: realness
-is spectrum.is_real, and conjugacy is exact equality.  Ties
-are broken by eigenvector overlap (solving only the tied block with
-vectors); a real pair turning complex is ordered Im > 0 first, and a
-conjugate pair turning real gives its Im > 0 branch the smaller value.  A
-step ambiguous in any block is bisected for all, down to MIN_STEP; what
-stays ambiguous is recorded.
+is spectrum.is_real, sameness spectrum.same_value, and conjugacy is exact
+equality.  Ties are broken by eigenvector overlap (solving only the tied
+block with vectors); a real pair turning complex is ordered Im > 0 first,
+and a conjugate pair turning real gives its Im > 0 branch the smaller
+value.  A step ambiguous in any block is bisected for all, down to
+MIN_STEP; what stays ambiguous is recorded.
 """
 
 from __future__ import annotations
@@ -31,18 +31,13 @@ import numpy as np
 
 from .matrices import OperatorMatrices
 from .spectrum import (Spectrum, _blocks, _components, _solve_block,
-                       block_labels, canonical_order, is_real)
+                       block_labels, canonical_order, is_real, same_value)
 
 TIE_REL = 0.05
 OVERLAP_MARGIN = 0.2
 # Candidate values closer than this (relative) are numerically one value:
 # an overlap tie between them is not an ambiguity.
 DISTINCT_REL = 1e-5
-# Two branches whose values agree this closely (relative) both in the
-# prediction and at the next step are exactly degenerate (the |m| >= 1 pairs
-# about the axis of a tilted sphere gradient): swapping them changes no
-# value, so it is no tie.
-SAME_REL = 1e-10
 # A step is bisected, down to MIN_STEP, when a matched value moves further
 # than REFINE_DISPLACEMENT or its matching stays ambiguous.
 MIN_STEP = 1e-5
@@ -200,10 +195,13 @@ def match_step(prev: Spectrum, next_: Spectrum):
     # The mask is symmetric with a true diagonal, so counts show pairs.
     tie = (1 - TIE_REL) * (cs + cs.T) <= (1 + TIE_REL) * np.add.outer(d, d)
     if np.count_nonzero(tie) > len(wp):
-        i, j = np.nonzero(np.triu(tie, 1))
-        wns = wn[sigma]  # exactly degenerate pairs (also zero costs) drop out
-        keep = ~(_equal(wp[i], wp[j]) & _equal(wns[i], wns[j]))
-        for comp in _components(zip(i[keep], j[keep]), len(wp)):
+        # two branches that are one value (spectrum.same_value) both in the
+        # prediction and at the next step are exactly degenerate (the
+        # |m| >= 1 pairs about the axis of a tilted sphere gradient; also
+        # zero costs): swapping them changes no value, so it is no tie
+        wns = wn[sigma]
+        tie &= ~(same_value(wp[:, None], wp) & same_value(wns[:, None], wns))
+        for comp in _components(tie)[0]:
             if len(comp) > 1:
                 kind = _resolve_component(comp, sigma, wp, wn, prev, next_)
                 info["tie_groups"].append({"branches": tuple(int(b) for b in comp),
@@ -211,20 +209,14 @@ def match_step(prev: Spectrum, next_: Spectrum):
     return sigma, info
 
 
-def _equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether a and b agree to SAME_REL, elementwise."""
-    return np.abs(a - b) <= SAME_REL * np.maximum(1.0, np.maximum(abs(a), abs(b)))
-
-
 def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
     """Reorder sigma on one cost-tied group of branches; returns its kind."""
     cols = sigma[comp]
     vals = wn[cols]
-    scale = max(1.0, float(np.max(np.abs(vals))))
     if is_real(wp[comp]).all() and _is_conjugate_family(vals):
         # real branches merged into conjugate pairs: deterministic order,
         # Im > 0 to the lower branch index within each real-part group
-        sigma[comp] = cols[canonical_order(vals, 1e-6 * scale)]
+        sigma[comp] = cols[canonical_order(vals)]
         return "conjugate_pair"
     kind = "unresolved"
     if prev.X is not None and next_.X is not None:
@@ -236,6 +228,7 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
         c0, c1 = np.argsort(ov, axis=1)[:, ::-1][:, :2].T
         b0, b1 = (ov[np.arange(len(comp)), c] for c in (c0, c1))
         close = b0 - b1 <= OVERLAP_MARGIN * (b0 + b1 + 1e-300)
+        scale = max(1.0, float(np.max(np.abs(vals))))
         distinct = np.abs(vals[c0] - vals[c1]) > DISTINCT_REL * scale
         kind = "unresolved" if np.any(close & distinct) else "overlap_resolved"
     if len(comp) == 2 and is_real(vals).all() and _is_conjugate_family(wp[comp]):

@@ -279,10 +279,11 @@ def _fail_eigensolves(monkeypatch):
     ("sweep", DISK_SWEEP, ["--set", "N=10", "--set", "n_branches=50"]),
     ("fieldmap", SPHERE_SI, ["--set", "resolution=0", "--j", "1", "--g", "5.63"]),
     ("signal", SPHERE_SI, ["--set", "walkers=-5"]),
+    ("signal", SPHERE_SI, ["--set", "walkers=200", "--set", "seed=-1"]),
     ("signal", DISK_SWEEP, ["--set", "gbar=2", "--set", "tbars=0.1",
                             "--set", "walkers=1000"]),
 ], ids=["n_branches_above_basis", "resolution_zero", "negative_walkers",
-        "disk_has_no_walker"])
+        "negative_seed", "disk_has_no_walker"])
 def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
                                              cfg_text, extra):
     # a solve would end in exit 4, so exit 2 shows the check came first

@@ -386,6 +386,78 @@ def test_odd_cycle_raises(edges):
         sp._blocks(lam, B)
 
 
+def _reachable_partition(adj):
+    """Components by brute force: the rows of the transitive closure of
+    adj (with every node reaching itself), as sorted tuples."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    return sorted({tuple(np.flatnonzero(row)) for row in reach})
+
+
+@st.composite
+def _graphs(draw, bipartite=False):
+    """A symmetric boolean adjacency on 1 to 30 nodes; when bipartite, an
+    edge only joins nodes of opposite random sides."""
+    n = draw(st.integers(1, 30))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        if not bipartite or side[i] != side[j]:
+            adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(adj=_graphs())
+def test_components_are_the_reachability_classes(adj):
+    """_components partitions the nodes as brute-force reachability does,
+    with sorted members and the components ordered by smallest node."""
+    comps, _ = sp._components(adj)
+    assert [tuple(c) for c in comps] == _reachable_partition(adj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(adj=_graphs(bipartite=True))
+def test_components_two_colour_a_bipartite_graph(adj):
+    """On a bipartite graph every edge joins nodes of opposite parity, and
+    each component's smallest node has parity 0."""
+    comps, parity = sp._components(adj)
+    i, j = np.nonzero(adj)
+    assert np.all(parity[i] != parity[j])
+    assert all(parity[c[0]] == 0 for c in comps)
+
+
+_values = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_values, rel=st.floats(-3e-8, 3e-8), offset=st.sampled_from([0, 1e-9, 1e-8, 1]))
+def test_same_value_is_symmetric_and_makes_the_classes(a, rel, offset):
+    """same_value(a, b) == same_value(b, a), and two values form one
+    degenerate class exactly when they are the same value."""
+    b = a * (1 + rel) + offset * 1j
+    same = bool(sp.same_value(a, b))
+    assert same == bool(sp.same_value(b, a))
+    cid = sp._degenerate_classes(np.array([a, b]))
+    assert cid.tolist() == ([0, 0] if same else [-1, -1])
+
+
+@pytest.mark.parametrize("x", [9.0538445, 9.0538445 + 1e-15])
+def test_canonical_order_keeps_a_straddling_family_together(x):
+    """Two conjugate pairs whose real parts are two ulps apart are one
+    real-part group, also when those parts straddle a multiple of 1e-6
+    (x = 9.0538445): the Im > 0 members come first."""
+    y = np.nextafter(np.nextafter(x, np.inf), np.inf)
+    w = np.array([x + 0.3j, x - 0.3j, y + 0.3j, y - 0.3j])
+    assert sp.canonical_order(w).tolist() == [0, 2, 1, 3]
+
+
 def test_near_branch_point_flagging(sphere60):
     m, B = sphere60
     # refine the first branch point to ~1e-12, where the bilinear norm of the
