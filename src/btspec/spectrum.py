@@ -84,7 +84,7 @@ def is_real(w) -> np.ndarray:
 def same_value(a, b) -> np.ndarray:
     """Whether a and b are one eigenvalue, elementwise (broadcasting):
     |a - b| <= DEGENERATE_RTOL * max(1, |a|, |b|)."""
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    scale = np.maximum(np.maximum(np.abs(a), 1.0), np.abs(b))
     return np.abs(a - b) <= DEGENERATE_RTOL * scale
 
 
@@ -282,21 +282,25 @@ def _components(adj: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Connected components of the graph with the symmetric boolean
     adjacency matrix adj, each sorted and ordered by its smallest node, and
     the 0/1 parity of each node's distance from its component's smallest
-    node (a breadth-first walk): a 2-colouring when the graph is bipartite."""
+    node: a 2-colouring when the graph is bipartite.  A breadth-first walk
+    over neighbour lists, O(n + edges) Python steps: a singleton is cheap."""
     n = len(adj)
-    comp = np.full(n, -1)
-    parity = np.zeros(n, dtype=np.int8)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(*(ix.tolist() for ix in np.nonzero(adj))):
+        nbrs[a].append(b)
+    parity = [-1] * n
     comps = []
     for start in range(n):
-        if comp[start] >= 0:
+        if parity[start] >= 0:
             continue
-        comp[start], front, level = len(comps), [start], 0
-        while len(front):
-            level ^= 1
-            front = np.flatnonzero(adj[front].any(axis=0) & (comp < 0))
-            comp[front], parity[front] = len(comps), level
-        comps.append(np.flatnonzero(comp == len(comps)))
-    return comps, parity
+        parity[start], members = 0, [start]
+        for a in members:  # members grows while it is walked: breadth first
+            for b in nbrs[a]:
+                if parity[b] < 0:
+                    parity[b] = parity[a] ^ 1
+                    members.append(b)
+        comps.append(np.array(sorted(members)))
+    return comps, np.array(parity, dtype=np.int8)
 
 
 def _degenerate_classes(w: np.ndarray) -> np.ndarray:

@@ -199,13 +199,16 @@ def match_step(prev: Spectrum, next_: Spectrum):
         # prediction and at the next step are exactly degenerate (the
         # |m| >= 1 pairs about the axis of a tilted sphere gradient; also
         # zero costs): swapping them changes no value, so it is no tie
+        i, j = np.nonzero(tie)
         wns = wn[sigma]
-        tie &= ~(same_value(wp[:, None], wp) & same_value(wns[:, None], wns))
-        for comp in _components(tie)[0]:
-            if len(comp) > 1:
-                kind = _resolve_component(comp, sigma, wp, wn, prev, next_)
-                info["tie_groups"].append({"branches": tuple(int(b) for b in comp),
-                                           "kind": kind})
+        tie[i, j] = ~(same_value(wp[i], wp[j]) & same_value(wns[i], wns[j]))
+        # that clears the diagonal: walk only the branches tied to another
+        tied = np.flatnonzero(tie.any(axis=1))
+        for comp in _components(tie[np.ix_(tied, tied)])[0]:
+            comp = tied[comp]
+            kind = _resolve_component(comp, sigma, wp, wn, prev, next_)
+            info["tie_groups"].append({"branches": tuple(int(b) for b in comp),
+                                       "kind": kind})
     return sigma, info
 
 
