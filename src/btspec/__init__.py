@@ -34,9 +34,8 @@ from .matrices import (
     assemble_operator,
     assemble_sphere,
     cylinder_factors,
+    gradient_direction,
     gradient_matrix,
-    gradient_matrix_cylinder,
-    gradient_matrix_sphere,
     operator_for,
 )
 from .montecarlo import WalkConfig, mc_signal

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConvergenceError
-from .matrices import OperatorMatrices, _cylinder_weights, cylinder_factors
+from .matrices import OperatorMatrices, cylinder_factors, gradient_direction
 from .specfun import interval_branch_constants
 from .spectrum import (Spectrum, _degenerate_classes, block_labels, diagonalize,
                        is_real, own_blocks)
@@ -186,16 +186,17 @@ def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
     return out
 
 
-def cylinder_branch_points(mat: OperatorMatrices, eta: float, g_max: float,
+def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: float,
                            step: float = 0.05, n_branches: int | None = None
                            ) -> tuple[BranchSweep, list[BranchPoint]]:
     """Branch sweep and branch points of the capped cylinder from its factors.
 
-    On the cylinder's tensor-product basis, Lambda + i*gbar*(cos(eta) B^x +
-    sin(eta) B^z) is the Kronecker sum of the disk operator at gbar*cos(eta)
-    and the interval operator at gbar*sin(eta) (Grebenkov, Rev. Mod. Phys. 79,
-    1077 (2007)).  Its eigenvalues are the sums mu_a + nu_b, exactly on this
-    basis, and it branches exactly where one factor does.  Each factor is
+    For the direction e = matrices.gradient_direction at eta (None: x), on
+    the cylinder's tensor-product basis Lambda + i*gbar*(e_x B^x + e_z B^z)
+    is the Kronecker sum of the disk operator at gbar*e_x and the interval
+    operator at gbar*e_z (Grebenkov, Rev. Mod. Phys. 79, 1077 (2007)).  Its
+    eigenvalues are the sums mu_a + nu_b, exactly on this basis, and it
+    branches exactly where one factor does.  Each factor is
     swept (run_sweep) and its points found (find_branch_points) over the same
     gbar grid; cylinder branch j is the pair (a[j], b[j]) of
     matrices.cylinder_factors, valued mu_a[j] + nu_b[j] on the grid points
@@ -211,7 +212,7 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float, g_max: float,
     disk, interval, a, b = cylinder_factors(mat.basis)
     n = mat.N if n_branches is None else n_branches
     a, b = a[:n], b[:n]
-    cx, cz = _cylinder_weights(eta)
+    cx, _, cz = gradient_direction("cylinder", eta=eta)
     factors = (("disk", disk, cx * disk.Bx, a), ("interval", interval, cz * interval.Bz, b))
     sweeps = [run_sweep(f, B, g_max, step=step) for _, f, B, _ in factors]
 

@@ -34,7 +34,7 @@ from . import __version__
 from .branchpoints import cylinder_branch_points, find_branch_points
 from .errors import ConfigError, ConvergenceError, DomainError, NumericalError
 from .fieldmap import export_projection
-from .matrices import gradient_matrix, operator_for
+from .matrices import gradient_direction, gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signals
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
@@ -101,14 +101,23 @@ class RunConfig:
         return [PulsePlan.dimensionless(self.gbar, t) for t in self.tbars]
 
     def geometry_aspect(self) -> float:
-        if self.geometry == "cylinder" and self.R_um and self.H_um:
-            return self.H_um / self.R_um
-        return self.aspect
+        """H_um/R_um if H_um is set, else aspect; ConfigError for a domain key
+        the geometry does not read, or an aspect != 1 other than H_um/R_um."""
+        h = self.aspect
+        if self.H_um is not None:
+            if self.geometry != "cylinder" or not self.R_um:
+                raise ConfigError("only the cylinder reads H_um, with a nonzero R_um")
+            h = self.H_um / self.R_um
+            if self.aspect not in (1.0, h):
+                raise ConfigError(f"aspect {self.aspect} is not H_um/R_um = {h}")
+        if h != 1.0 and self.geometry not in ("cylinder", "interval"):
+            raise ConfigError(f"a {self.geometry} has no aspect; got {h}")
+        return h
 
-    def direction_kwargs(self) -> dict:
-        angles = {"eta": self.eta_deg, "theta_g": self.theta_deg,
-                  "phi_g": self.phi_deg}
-        return {k: np.deg2rad(a) for k, a in angles.items() if a is not None}
+    def angles(self) -> dict:
+        """The angles that are set, in radians, as gradient_direction keywords."""
+        deg = {"theta_g": self.theta_deg, "phi_g": self.phi_deg, "eta": self.eta_deg}
+        return {k: np.deg2rad(a) for k, a in deg.items() if a is not None}
 
 
 # key -> declared type of its RunConfig field ('str', 'int', 'float' or 'list',
@@ -212,7 +221,7 @@ def _write_field(path: str, grid) -> None:
 
 def _build_operator(cfg: RunConfig):
     mat = operator_for(cfg.geometry, cfg.N, R=1.0, H=cfg.geometry_aspect())
-    return mat, gradient_matrix(mat, **cfg.direction_kwargs())
+    return mat, gradient_matrix(mat, **cfg.angles())
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -223,11 +232,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if n_out > mat.N:
         raise ConfigError(f"n_branches={n_out} exceeds the basis size {mat.N}")
     if cfg.geometry == "cylinder":
-        # B goes unused: the cylinder is swept as its disk and interval
-        # factors, which cylinder_branch_points derives from mat
-        eta = cfg.direction_kwargs().get("eta", 0.0)
-        sweep, points = cylinder_branch_points(mat, eta, cfg.g_max,
-                                               step=cfg.g_step, n_branches=n_out)
+        # B goes unused by the factor route (cylinder_branch_points); it is
+        # built all the same, as the end of set-up that perfbench times
+        sweep, points = cylinder_branch_points(
+            mat, cfg.angles().get("eta"), cfg.g_max, step=cfg.g_step, n_branches=n_out)
     else:
         sweep = run_sweep(mat, B, cfg.g_max, step=cfg.g_step)
         points = find_branch_points(mat, B, sweep, max_branch=n_out)
@@ -264,7 +272,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_signal(cfg: RunConfig) -> int:
+def cmd_signal(cfg: RunConfig, direction: tuple) -> int:
     plans = cfg.pulse_plans()
     if not plans:
         raise ConfigError("no pulse durations given (deltas_ms or tbars empty)")
@@ -274,7 +282,7 @@ def cmd_signal(cfg: RunConfig) -> int:
     walk_geometry = "sphere" if cfg.geometry == "sphere_reduced" else cfg.geometry
     walks = [WalkConfig(geometry=walk_geometry, gbar=gbar, tbar=plan.tbar,
                         walkers=cfg.walkers, aspect=cfg.geometry_aspect(),
-                        direction=_unit_direction(cfg), seed=cfg.seed)
+                        direction=direction, seed=cfg.seed)
              for plan in plans] if cfg.walkers > 0 else []
     mat, B = _build_operator(cfg)
     # only the constant mode's block has mu_j = X[j, 0] != 0
@@ -315,18 +323,6 @@ def cmd_signal(cfg: RunConfig) -> int:
         f.writelines(",".join(row) + "\n" for row in rows)
     print(f"wrote {path}")
     return 0
-
-
-def _unit_direction(cfg: RunConfig) -> tuple:
-    if cfg.geometry == "cylinder":
-        eta = np.deg2rad(cfg.eta_deg) if cfg.eta_deg is not None else 0.0
-        return (float(np.cos(eta)), 0.0, float(np.sin(eta)))
-    if cfg.geometry == "sphere":
-        th = np.deg2rad(cfg.theta_deg) if cfg.theta_deg is not None else 0.0
-        ph = np.deg2rad(cfg.phi_deg) if cfg.phi_deg is not None else 0.0
-        return (float(np.sin(th) * np.cos(ph)), float(np.sin(th) * np.sin(ph)),
-                float(np.cos(th)))
-    return (0.0, 0.0, 1.0)
 
 
 def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
@@ -412,10 +408,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
+        # decided once, before any work; both reject a key the geometry does not read
+        direction = gradient_direction(cfg.geometry, **cfg.angles())
+        cfg.geometry_aspect()
         if args.command == "sweep":
             return cmd_sweep(cfg)
         if args.command == "signal":
-            return cmd_signal(cfg)
+            return cmd_signal(cfg, direction)
         return cmd_fieldmap(cfg, args.j, _finite(args.g, "--g"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,6 +13,9 @@ separable bases, with the zeros alpha taken from the basis (BasisSet.alpha);
 the sphere's are filled from index arrays over the allowed pairs only.
 Off-diagonal denominators (alpha^2 - alpha'^2)^2 never vanish for distinct
 orders, but a floor is asserted to catch zero-table corruption.
+
+gradient_direction alone turns gradient angles into a unit vector; it weights
+the B's (gradient_matrix), the cylinder's factors and the CLI's walks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisIndex, BasisSet, build_basis
-from .errors import DomainError, MatrixAssemblyError
+from .errors import ConfigError, DomainError, MatrixAssemblyError
 
 _MIN_DENOM_SQ = 1e-12
 
@@ -254,52 +257,49 @@ def assemble_operator(basis: BasisSet) -> OperatorMatrices:
         raise DomainError(f"unknown geometry {basis.geometry!r}") from None
 
 
-def _expect(basis_or_mat, *geometries: str):
-    basis = basis_or_mat.basis if isinstance(basis_or_mat, OperatorMatrices) else basis_or_mat
+def _expect(basis: BasisSet, *geometries: str):
     if basis.geometry not in geometries:
         raise DomainError(f"expected a {' or '.join(geometries)} basis, got {basis.geometry}")
 
 
-def gradient_matrix_sphere(mat: OperatorMatrices, theta_g: float, phi_g: float) -> np.ndarray:
-    """Gradient-direction matrix sin(t)cos(p) B^x + sin(t)sin(p) B^y + cos(t) B^z."""
-    _expect(mat, "sphere")
-    st, ct = np.sin(theta_g), np.cos(theta_g)
-    return st * np.cos(phi_g) * mat.Bx + st * np.sin(phi_g) * mat.By + ct * mat.Bz
+_ANGLES_READ = {"sphere": ("theta_g", "phi_g"), "cylinder": ("eta",),
+                "disk": (), "interval": (), "sphere_reduced": ()}
 
 
-def gradient_matrix_cylinder(mat: OperatorMatrices, eta: float) -> np.ndarray:
-    """Gradient in the xz plane at angle eta from the x axis: cos(eta) B^x + sin(eta) B^z.
+def gradient_direction(geometry: str, theta_g: float | None = None,
+                       phi_g: float | None = None, eta: float | None = None) -> tuple:
+    """Unit gradient direction (x, y, z) of a geometry, from angles in radians.
 
-    Weights below 1e-15 are rounding residues of an axis direction
-    (cos(pi/2) is 6.1e-17) and are dropped, so that an axis gradient keeps
-    the exact block structure of B^x or B^z.
+    sphere: (sin(theta_g) cos(phi_g), sin(theta_g) sin(phi_g), cos(theta_g)),
+    default z.  cylinder: (cos(eta), 0, sin(eta)), default x, with components
+    below 1e-15 set to 0: they are rounding residues of an axis (cos(pi/2) is
+    6.1e-17), and an axis gradient keeps the exact blocks of B^x or B^z.
+    disk: x.  interval, reduced sphere: z.  An angle the geometry does not
+    read is a ConfigError.
     """
-    _expect(mat, "cylinder")
-    cx, cz = _cylinder_weights(eta)
-    return cx * mat.Bx + cz * mat.Bz
-
-
-def _cylinder_weights(eta: float) -> tuple[float, float]:
-    """(cos(eta), sin(eta)) with rounding residues below 1e-15 set to 0."""
-    return tuple(0.0 if abs(c) < 1e-15 else c for c in (np.cos(eta), np.sin(eta)))
+    if geometry not in _ANGLES_READ:
+        raise DomainError(f"unknown geometry {geometry!r}")
+    unread = [k for k, a in (("theta_g", theta_g), ("phi_g", phi_g), ("eta", eta))
+              if a is not None and k not in _ANGLES_READ[geometry]]
+    if unread:
+        raise ConfigError(f"a {geometry} gradient does not read {' or '.join(unread)}")
+    t, p, h = theta_g or 0.0, phi_g or 0.0, eta or 0.0
+    if geometry == "sphere":
+        e = (np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
+    elif geometry == "cylinder":
+        e = [0.0 if abs(c) < 1e-15 else c for c in (np.cos(h), 0.0, np.sin(h))]
+    else:
+        e = (1.0, 0.0, 0.0) if geometry == "disk" else (0.0, 0.0, 1.0)
+    return tuple(float(c) for c in e)
 
 
 def gradient_matrix(mat: OperatorMatrices, theta_g: float | None = None,
                     phi_g: float | None = None, eta: float | None = None) -> np.ndarray:
-    """Geometry-appropriate gradient matrix.
-
-    sphere: angles (theta_g, phi_g), default z axis.  cylinder: angle eta in
-    the xz plane, default x axis.  disk: x axis.  interval / reduced sphere:
-    the single coordinate axis.
-    """
-    g = mat.basis.geometry
-    if g == "sphere":
-        return gradient_matrix_sphere(mat, theta_g or 0.0, phi_g or 0.0)
-    if g == "cylinder":
-        return gradient_matrix_cylinder(mat, eta if eta is not None else 0.0)
-    if g == "disk":
-        return mat.Bx
-    return mat.Bz  # interval, sphere_reduced
+    """e_x B^x + e_y B^y + e_z B^z for e = gradient_direction(geometry,
+    theta_g, phi_g, eta), summed over the nonzero weights in x, y, z order."""
+    e = gradient_direction(mat.basis.geometry, theta_g, phi_g, eta)
+    first, *rest = (w * B for w, B in zip(e, (mat.Bx, mat.By, mat.Bz)) if w != 0.0)
+    return sum(rest, first)
 
 
 def operator_for(geometry: str, N: int, R: float = 1.0, H: float = 1.0) -> OperatorMatrices:

@@ -13,7 +13,7 @@ from btspec import sweep as sw
 def sphere60():
     b = bas.build_sphere_basis(60)
     m = mx.assemble_sphere(b)
-    return m, mx.gradient_matrix_sphere(m, 0.0, 0.0)
+    return m, mx.gradient_matrix(m, theta_g=0.0, phi_g=0.0)
 
 
 @pytest.fixture(scope="session")
@@ -27,14 +27,14 @@ def sphere60_sweep13(sphere60):
 def sphere100():
     b = bas.build_sphere_basis(100)
     m = mx.assemble_sphere(b)
-    return m, mx.gradient_matrix_sphere(m, 0.0, 0.0)
+    return m, mx.gradient_matrix(m, theta_g=0.0, phi_g=0.0)
 
 
 @pytest.fixture(scope="session")
 def sphere333():
     b = bas.build_sphere_basis(333)
     m = mx.assemble_sphere(b)
-    return m, mx.gradient_matrix_sphere(m, 0.0, 0.0)
+    return m, mx.gradient_matrix(m, theta_g=0.0, phi_g=0.0)
 
 
 @pytest.fixture(scope="session")

@@ -240,7 +240,7 @@ def test_criterion_6_route_equivalence(sphere60, cylinder60):
     worst = 0.0
     m, B = sphere60
     mc_cyl = cylinder60
-    Bc = mx.gradient_matrix_cylinder(mc_cyl, np.pi / 4)
+    Bc = mx.gradient_matrix(mc_cyl, eta=np.pi / 4)
     for mat, Bdir, tag in ((m, B, "sphere"), (mc_cyl, Bc, "cylinder")):
         for g in (0.0, 2.0, 15.0):
             s = sp.normalize(sp.diagonalize(mat, Bdir, g))
@@ -362,7 +362,7 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
 
     worst = 0.0
     for mat, Bd, gs in ((m, B, (0.0, 2.0, 15.0)),
-                        (mcyl, mx.gradient_matrix_cylinder(mcyl, np.pi / 4), (5.0,))):
+                        (mcyl, mx.gradient_matrix(mcyl, eta=np.pi / 4), (5.0,))):
         for g in gs:
             s = sp.normalize(sp.diagonalize(mat, Bd, g))
             ok = ~s.near_branch
@@ -422,7 +422,7 @@ def test_criterion_8_property_suite(sphere60, cylinder60):
     w_z = sp.diagonalize(m, B, 7.0, eigvals_only=True).eigenvalues
     worst = 0.0
     for th, ph in ((np.pi / 2, 0.0), (np.pi / 3, np.pi / 5)):
-        Bd = mx.gradient_matrix_sphere(m, th, ph)
+        Bd = mx.gradient_matrix(m, theta_g=th, phi_g=ph)
         w_d = sp.diagonalize(m, Bd, 7.0, eigvals_only=True).eigenvalues
         for v in w_d:
             worst = max(worst, float(np.min(np.abs(w_z - v)) / max(1.0, abs(v))))

@@ -69,7 +69,7 @@ def test_disk_branch_points(disk60):
 def test_sphere_below_three_is_empty():
     b = bas.build_sphere_basis(30)
     m = mx.assemble_sphere(b)
-    B = mx.gradient_matrix_sphere(m, 0.0, 0.0)
+    B = mx.gradient_matrix(m, theta_g=0.0, phi_g=0.0)
     s = sw.run_sweep(m, B, 3.0, step=0.1)
     assert bp.detect(s) == []
 
@@ -151,7 +151,7 @@ def test_cylinder_tuned_angle_first_point():
     eta = np.arctan(18.06 / 3.76)
     b = bas.build_cylinder_basis(150)
     m = mx.assemble_cylinder(b)
-    B = mx.gradient_matrix_cylinder(m, eta)
+    B = mx.gradient_matrix(m, eta=eta)
     s = sw.run_sweep(m, B, 19.2, step=0.1)
     points = bp.find_branch_points(m, B, s, max_branch=13)
     assert points, "no branch point detected below 19.2"
@@ -205,13 +205,13 @@ def test_cylinder_factor_route_values_are_kron_eigenvalues():
         s, points = bp.cylinder_branch_points(m, eta, 15.0, step=0.5)
         # branch j starts at basis mode j, which pins the pairing (a[j], b[j])
         assert np.array_equal(s.eigenvalues[0], m.lam)
-        cx, cz = mx._cylinder_weights(eta)
+        cx, _, cz = mx.gradient_direction("cylinder", eta=eta)
 
         def kron(g):
             return (np.kron(disk.bloch_torrey(cx * disk.Bx, g), np.eye(interval.N))
                     + np.kron(np.eye(disk.N), interval.bloch_torrey(cz * interval.Bz, g)))
 
-        B = mx.gradient_matrix_cylinder(m, eta)
+        B = mx.gradient_matrix(m, eta=eta)
         for g in (2.0, 7.0, 15.0):
             K = kron(g)
             assert np.allclose(K[np.ix_(rows, rows)], m.bloch_torrey(B, g),

@@ -282,8 +282,30 @@ def _fail_eigensolves(monkeypatch):
     ("signal", SPHERE_SI, ["--set", "walkers=200", "--set", "seed=-1"]),
     ("signal", DISK_SWEEP, ["--set", "gbar=2", "--set", "tbars=0.1",
                             "--set", "walkers=1000"]),
+    # an angle the geometry does not read
+    ("sweep", DISK_SWEEP, ["--set", "geometry=sphere", "--set", "eta_deg=30"]),
+    ("signal", DISK_SWEEP, ["--set", "geometry=sphere_reduced", "--set", "theta_deg=90",
+                            "--set", "gbar=2", "--set", "tbars=0.1"]),
+    ("sweep", DISK_SWEEP, ["--set", "geometry=cylinder", "--set", "phi_deg=30"]),
+    ("fieldmap", DISK_SWEEP, ["--set", "eta_deg=10", "--j", "1", "--g", "2"]),
+    ("sweep", DISK_SWEEP, ["--set", "geometry=interval", "--set", "theta_deg=10"]),
+    # a domain key the geometry does not read, or one that disagrees
+    ("sweep", DISK_SWEEP, ["--set", "geometry=cylinder", "--set", "H_um=3"]),
+    ("signal", SPHERE_SI, ["--set", "H_um=5"]),
+    ("sweep", DISK_SWEEP, ["--set", "geometry=interval", "--set", "R_um=1",
+                           "--set", "H_um=2"]),
+    ("signal", SPHERE_SI, ["--set", "aspect=2"]),
+    ("fieldmap", SPHERE_SI, ["--set", "geometry=sphere_reduced", "--set", "aspect=0.5",
+                             "--j", "1", "--g", "2"]),
+    ("sweep", DISK_SWEEP, ["--set", "aspect=2"]),
+    ("sweep", DISK_SWEEP, ["--set", "geometry=cylinder", "--set", "aspect=2",
+                           "--set", "R_um=1", "--set", "H_um=3"]),
 ], ids=["n_branches_above_basis", "resolution_zero", "negative_walkers",
-        "negative_seed", "disk_has_no_walker"])
+        "negative_seed", "disk_has_no_walker", "eta_on_sphere",
+        "theta_on_reduced_sphere", "phi_on_cylinder_sweep", "eta_on_disk",
+        "theta_on_interval", "H_without_R", "H_on_sphere", "H_on_interval",
+        "aspect_on_sphere", "aspect_on_reduced_sphere", "aspect_on_disk",
+        "aspect_disagrees_with_H_over_R"])
 def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
                                              cfg_text, extra):
     # a solve would end in exit 4, so exit 2 shows the check came first
@@ -292,6 +314,45 @@ def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfgp, "--out", str(out)] + extra) == 2
     assert not out.exists()
+
+
+def test_unknown_geometry_exits_3(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--set", "geometry=cube", "--set", "N=10",
+                     "--set", "g_max=1", "--set", "eta_deg=10", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_aspect_is_H_over_R_or_the_aspect_key():
+    def aspect(**kw):
+        return cli.RunConfig(N=10, **kw).geometry_aspect()
+    assert aspect(geometry="cylinder", R_um=2, H_um=3) == 1.5
+    assert aspect(geometry="cylinder", R_um=1, H_um=3, aspect=3) == 3
+    assert aspect(geometry="cylinder", aspect=2.5) == 2.5
+    assert aspect(geometry="interval", aspect=2.5) == 2.5
+    assert aspect(geometry="sphere", R_um=10) == 1
+
+
+@pytest.mark.parametrize("geometry, sets, kw", [
+    ("sphere", ["theta_deg=40", "phi_deg=30"],
+     {"theta_g": np.deg2rad(40), "phi_g": np.deg2rad(30)}),
+    ("cylinder", ["eta_deg=78.23931266613657"], {"eta": np.deg2rad(78.23931266613657)}),
+    ("cylinder", ["eta_deg=90"], {"eta": np.deg2rad(90)}),
+], ids=["tilted_sphere", "oblique_cylinder", "axial_cylinder"])
+def test_signal_walks_along_the_operators_direction(tmp_path, monkeypatch,
+                                                     geometry, sets, kw):
+    """btspec signal gives every walk gradient_direction of its config, the
+    vector its B is weighted by; at eta = 90 degrees that is exactly z, with
+    no cos(pi/2) residue in x."""
+    directions, walk_config = [], cli.WalkConfig
+
+    def recording(**fields):
+        directions.append(fields["direction"])
+        return walk_config(**fields)
+    monkeypatch.setattr(cli, "WalkConfig", recording)
+    _run("signal", [f"geometry={geometry}", "N=20", "gbar=2", "tbars=0.1, 0.2",
+                    "walkers=10", *sets], tmp_path / "out")
+    assert directions == [mx.gradient_direction(geometry, **kw)] * 2
 
 
 @pytest.mark.parametrize("command, cfg_text, extra", [

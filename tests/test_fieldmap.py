@@ -81,7 +81,7 @@ def test_projection_sidecar_fields(sphere60):
 def test_single_point_projection():
     b = bas.build_sphere_basis(10)
     m = mx.assemble_sphere(b)
-    B = mx.gradient_matrix_sphere(m, 0.0, 0.0)
+    B = mx.gradient_matrix(m, theta_g=0.0, phi_g=0.0)
     s = canonical(normalized(m, B, 0.5))
     grid = fm.export_projection(s, b, 1, resolution=1)
     assert grid.values.shape == (1, 1)
@@ -171,7 +171,7 @@ def test_cylinder_corner_localization():
     eta = np.arctan(18.06 / 3.76)
     b = bas.build_cylinder_basis(450)
     m = mx.assemble_cylinder(b)
-    B = mx.gradient_matrix_cylinder(m, eta)
+    B = mx.gradient_matrix(m, eta=eta)
     s = canonical(normalized(m, B, 100.0))
     half = b.aspect / 2
 

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -188,18 +189,59 @@ def test_reduced_first_element_value():
 
 def test_gradient_matrix_axis_cases(sphere10):
     _, m = sphere10
-    assert np.array_equal(mx.gradient_matrix_sphere(m, 0.0, 0.0), m.Bz)
-    Bx = mx.gradient_matrix_sphere(m, np.pi / 2, 0.0)
+    assert np.array_equal(mx.gradient_matrix(m, theta_g=0.0, phi_g=0.0), m.Bz)
+    Bx = mx.gradient_matrix(m, theta_g=np.pi / 2, phi_g=0.0)
     assert np.max(np.abs(Bx - m.Bx)) < 1e-15
     cyl = mx.assemble_cylinder(bas.build_cylinder_basis(9))
-    assert np.array_equal(mx.gradient_matrix_cylinder(cyl, np.pi / 2), cyl.Bz)
-    assert np.array_equal(mx.gradient_matrix_cylinder(cyl, 0.0), cyl.Bx)
+    assert np.array_equal(mx.gradient_matrix(cyl, eta=np.pi / 2), cyl.Bz)
+    assert np.array_equal(mx.gradient_matrix(cyl, eta=0.0), cyl.Bx)
 
 
 def test_gradient_matrix_hermitian_any_direction(sphere10):
     _, m = sphere10
-    B = mx.gradient_matrix_sphere(m, 1.1, 0.7)
+    B = mx.gradient_matrix(m, theta_g=1.1, phi_g=0.7)
     assert np.max(np.abs(B - np.conj(B.T))) < 1e-15
+
+
+_ANGLE = st.floats(-7.0, 7.0)
+
+
+@functools.cache
+def _operator(geometry):
+    return mx.operator_for(geometry, 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=_ANGLE, phi=_ANGLE, eta=_ANGLE)
+@example(theta=np.pi / 2, phi=np.pi / 2, eta=np.pi / 2)
+@example(theta=np.pi, phi=0.0, eta=-np.pi / 2)
+def test_gradient_matrix_is_weighted_by_gradient_direction(theta, phi, eta):
+    """gradient_direction is a unit vector, and gradient_matrix weights the
+    B's by it: all three on the sphere, and on the cylinder cos(eta) B^x +
+    sin(eta) B^z with rounding residues below 1e-15 dropped."""
+    e = mx.gradient_direction("sphere", theta_g=theta, phi_g=phi)
+    assert abs(np.linalg.norm(e) - 1.0) <= 1e-15
+    m = _operator("sphere")
+    want = (np.sin(theta) * np.cos(phi) * m.Bx + np.sin(theta) * np.sin(phi) * m.By
+            + np.cos(theta) * m.Bz)
+    assert np.array_equal(mx.gradient_matrix(m, theta_g=theta, phi_g=phi), want)
+
+    e = mx.gradient_direction("cylinder", eta=eta)
+    assert abs(np.linalg.norm(e) - 1.0) <= 1e-15
+    m = _operator("cylinder")
+    cx, cz = (0.0 if abs(c) < 1e-15 else c for c in (np.cos(eta), np.sin(eta)))
+    assert np.array_equal(mx.gradient_matrix(m, eta=eta), cx * m.Bx + cz * m.Bz)
+
+
+def test_gradient_direction_defaults():
+    assert mx.gradient_direction("sphere") == (0.0, 0.0, 1.0)
+    assert mx.gradient_direction("cylinder") == (1.0, 0.0, 0.0)
+    assert mx.gradient_direction("disk") == (1.0, 0.0, 0.0)
+    assert mx.gradient_direction("interval") == (0.0, 0.0, 1.0)
+    assert mx.gradient_direction("sphere_reduced") == (0.0, 0.0, 1.0)
+    assert mx.gradient_direction("cylinder", eta=np.pi / 2) == (0.0, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        mx.gradient_direction("cube")
 
 
 def test_cylinder_block_structure():

@@ -68,7 +68,7 @@ def test_sum_of_coefficients_is_one(sphere60, cylinder60):
         _, co = coeffs_at(m, B, g)
         assert abs(np.sum(co.C) - 1.0) < 1e-4
     mc = cylinder60
-    Bc = mx.gradient_matrix_cylinder(mc, np.pi / 4)
+    Bc = mx.gradient_matrix(mc, eta=np.pi / 4)
     _, co = coeffs_at(mc, Bc, 5.0)
     assert abs(np.sum(co.C) - 1.0) < 1e-4
 
@@ -76,7 +76,7 @@ def test_sum_of_coefficients_is_one(sphere60, cylinder60):
 def test_route_agreement(sphere60, cylinder60):
     m, B = sphere60
     mc = cylinder60
-    Bc = mx.gradient_matrix_cylinder(mc, np.pi / 4)
+    Bc = mx.gradient_matrix(mc, eta=np.pi / 4)
     for mat, Bdir in ((m, B), (mc, Bc)):
         for g in (0.0, 2.0, 15.0):
             s, co = coeffs_at(mat, Bdir, g)
@@ -105,10 +105,10 @@ def test_signal_matrix_block_matches_full_expm(case, g, sphere60, cylinder60):
         mat, B = sphere60
     elif case == "sphere-tilted":
         mat = sphere60[0]
-        B = mx.gradient_matrix_sphere(mat, 0.3, 0.2)
+        B = mx.gradient_matrix(mat, theta_g=0.3, phi_g=0.2)
     else:
         mat = cylinder60
-        B = mx.gradient_matrix_cylinder(mat, 0.9)
+        B = mx.gradient_matrix(mat, eta=0.9)
     label = sp.block_labels(mat, B)
     size = int(np.sum(label == label[0]))
     # a tilted sphere gradient couples everything into one block

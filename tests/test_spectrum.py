@@ -66,7 +66,7 @@ def test_pt_conjugation_closure(sphere60, cylinder60):
         for v in w[:30]:
             assert np.min(np.abs(w - np.conj(v))) < 1e-8 * max(1.0, abs(v))
     mc = cylinder60
-    Bc = mx.gradient_matrix_cylinder(mc, 0.9)
+    Bc = mx.gradient_matrix(mc, eta=0.9)
     w = sp.diagonalize(mc, Bc, 7.0, eigvals_only=True).eigenvalues
     for v in w[:30]:
         assert np.min(np.abs(w - np.conj(v))) < 1e-8 * max(1.0, abs(v))
@@ -94,12 +94,12 @@ def _block_case(name, sphere60, cylinder60, disk60):
         Bu[np.ix_(s1, s1)] *= 1.5
         return m, Bu, sectors, (m, Bu)
     if name == "sphere_tilted":
-        Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
+        Bt = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.2)
         return m, Bt, 1, (m, Bt)
     if name == "sphere_xz":
         # a gradient in the xz plane keeps the mirror symmetry y -> -y: the
         # cos (even) and sin (odd) modes form two blocks
-        Bt = mx.gradient_matrix_sphere(m, 0.3, 0.0)
+        Bt = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.0)
         return m, Bt, 2, (m, Bt)
     if name == "sphere_reduced":
         # the m = 0 sector of the full operator is the reduced operator, so
@@ -108,7 +108,7 @@ def _block_case(name, sphere60, cylinder60, disk60):
         red = mx.operator_for("sphere_reduced", len(m0))
         return red, mx.gradient_matrix(red), 1, (m, B)
     if name == "cylinder":
-        Bc = mx.gradient_matrix_cylinder(cylinder60, 0.9)
+        Bc = mx.gradient_matrix(cylinder60, eta=0.9)
         return cylinder60, Bc, 2, (cylinder60, Bc)
     if name == "disk":
         return disk60[0], disk60[1], 2, disk60
@@ -163,8 +163,8 @@ def test_own_blocks_restriction_is_exact(name, sphere60, cylinder60, disk60):
     blocks as the full solve, so its rows equal the full spectrum's rows of
     those blocks bit for bit (compared with ==)."""
     m, B = {"sphere_z": sphere60, "disk": disk60,
-            "cylinder": (cylinder60, mx.gradient_matrix_cylinder(cylinder60, np.pi / 4)),
-            "sphere_tilted": (sphere60[0], mx.gradient_matrix_sphere(sphere60[0], 0.3, 0.2)),
+            "cylinder": (cylinder60, mx.gradient_matrix(cylinder60, eta=np.pi / 4)),
+            "sphere_tilted": (sphere60[0], mx.gradient_matrix(sphere60[0], theta_g=0.3, phi_g=0.2)),
             }[name]
     label = sp.block_labels(m, B)
     for modes in ([0], [2], [0, 7]):
@@ -265,7 +265,7 @@ def _distinct_blocks(name, sphere60):
         return disk, np.cos(np.deg2rad(78.23931266613657)) * disk.Bx
     m, B = sphere60
     if name == "sphere_tilted":
-        B = mx.gradient_matrix_sphere(m, 0.3, 0.2)
+        B = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.2)
     return m, B
 
 
@@ -577,10 +577,10 @@ def test_truncation_robustness():
     # N=250 to N=333
     b1 = bas.build_sphere_basis(250)
     m1 = mx.assemble_sphere(b1)
-    B1 = mx.gradient_matrix_sphere(m1, 0.0, 0.0)
+    B1 = mx.gradient_matrix(m1, theta_g=0.0, phi_g=0.0)
     b2 = bas.build_sphere_basis(333)
     m2 = mx.assemble_sphere(b2)
-    B2 = mx.gradient_matrix_sphere(m2, 0.0, 0.0)
+    B2 = mx.gradient_matrix(m2, theta_g=0.0, phi_g=0.0)
     for g in (2.0, 15.0):
         w1 = np.sort_complex(sp.diagonalize(m1, B1, g, eigvals_only=True).eigenvalues)
         w2 = sp.diagonalize(m2, B2, g, eigvals_only=True).eigenvalues

@@ -166,7 +166,7 @@ def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere6
     code = ("import pickle, sys\n"
             "from btspec import basis, matrices, sweep\n"
             "m = matrices.assemble_sphere(basis.build_sphere_basis(60))\n"
-            "s = sweep.run_sweep(m, matrices.gradient_matrix_sphere(m, 0.0, 0.0), 13.0)\n"
+            "s = sweep.run_sweep(m, matrices.gradient_matrix(m, theta_g=0.0, phi_g=0.0), 13.0)\n"
             f"pickle.dump(s, open({str(out)!r}, 'wb'))\n"
             "print('scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
@@ -261,7 +261,7 @@ def test_match_through_synthetic_crossing():
 def test_sweep_grid_and_permutation_validity():
     b = bas.build_sphere_basis(30)
     m = mx.assemble_sphere(b)
-    B = mx.gradient_matrix_sphere(m, 0.0, 0.0)
+    B = mx.gradient_matrix(m, theta_g=0.0, phi_g=0.0)
     s = sw.run_sweep(m, B, 3.0, step=0.1)
     assert s.g_grid[0] == 0.0 and s.g_grid[-1] == 3.0
     assert np.all(np.diff(s.g_grid) > 0)
@@ -320,7 +320,7 @@ def test_tilted_sphere_matches_z_sweep(sphere60):
     with the degenerate m-families of gbar = 0 inside it.  Tracking them by
     eigenvector content alone must give the z-sweep branches and points."""
     m, Bz = sphere60
-    Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
+    Bt = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.2)
     assert len(set(sp.block_labels(m, Bt))) == 1
     sz = sw.run_sweep(m, Bz, 16.0, step=0.05)
     st = sw.run_sweep(m, Bt, 16.0, step=0.05)
@@ -361,7 +361,7 @@ def test_tilted_sphere_chains_few_eigenvectors(sphere60, monkeypatch):
     gradient axis, inside the tilted block) changes no value, so it is no tie: the summed order of the
     eigenvector solves stays within the whole-spectrum tracker's 2838."""
     m, _ = sphere60
-    Bt = mx.gradient_matrix_sphere(m, 0.3, 0.2)
+    Bt = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.2)
     orders = _eig_orders(monkeypatch)
     sw.run_sweep(m, Bt, 16.0, step=0.05)
     assert 0 < sum(orders) <= 2838
