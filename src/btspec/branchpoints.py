@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices, cylinder_factors, gradient_direction
@@ -166,10 +165,32 @@ def _class_conditioning(w: np.ndarray, X: np.ndarray) -> tuple[float, float | No
     cid = _degenerate_classes(w)
     classes = ([X[cid == c].T for c in np.unique(cid[cid >= 0])]
                + [x[:, None] for x in X[cid < 0]])
-    vv = min(sla.svdvals(q.T @ q).min() for q in map(sla.orth, classes))
-    angles = [sla.subspace_angles(a, b).min()
-              for i, a in enumerate(classes) for b in classes[i + 1:]]
+    qs = [_orth(a) for a in classes]
+    vv = min(np.linalg.svd(q.T @ q, compute_uv=False).min() for q in qs)
+    angles = [_min_angle(a, b) for i, a in enumerate(qs) for b in qs[i + 1:]]
     return float(vv), float(min(angles)) if angles else None
+
+
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of a: the left singular vectors
+    of the singular values above max(shape) * eps * the largest."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, :np.count_nonzero(s > s.max() * np.finfo(float).eps * max(a.shape))]
+
+
+def _min_angle(qa: np.ndarray, qb: np.ndarray) -> float:
+    """Smallest principal angle between the spans of the orthonormal columns
+    qa and qb (Bjorck and Golub, Math. Comp. 27, 579 (1973)): the arccos of
+    the largest singular value of qa^H qb, or, when that angle is at most 45
+    degrees, the arcsin of the smallest singular value of the part of one
+    basis outside the other span, which keeps a small angle accurate where
+    its cosine rounds to 1."""
+    c = qa.conj().T @ qb
+    cos = np.linalg.svd(c, compute_uv=False).max()
+    if cos * cos < 0.5:
+        return float(np.arccos(cos))
+    rest = qb - qa @ c if qa.shape[1] >= qb.shape[1] else qa - qb @ c.conj().T
+    return float(np.arcsin(min(1.0, np.linalg.svd(rest, compute_uv=False).min())))
 
 
 def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, jv, lpmv, spherical_jn
 
 from .basis import BasisSet
 from .errors import DomainError
@@ -73,17 +72,20 @@ def _mode_factors(basis: BasisSet, i: int) -> tuple:
 
 def _factor(coord: str, key, u: np.ndarray) -> np.ndarray:
     """Values of one 1-D factor at the coordinate values u."""
+    from scipy import special  # loaded by the commands that map a field
+
     if coord == "r":
         n, alpha = key
-        return beta_sphere(n, alpha) / spherical_jn(n, alpha) * spherical_jn(n, alpha * u)
+        return beta_sphere(n, alpha) / special.spherical_jn(n, alpha) \
+            * special.spherical_jn(n, alpha * u)
     if coord == "xi":  # with the sqrt(2) of a cos/sin pair member
         n, m = key
-        ratio = np.exp(gammaln(n + m + 1) - gammaln(n - m + 1))
-        return lpmv(m, n, u) / np.sqrt(2 * np.pi * ratio / (2.0 - (m == 0)))
+        ratio = np.exp(special.gammaln(n + m + 1) - special.gammaln(n - m + 1))
+        return special.lpmv(m, n, u) / np.sqrt(2 * np.pi * ratio / (2.0 - (m == 0)))
     if coord == "rho":
         n, alpha = key
-        return np.sqrt((2.0 - (n == 0)) / np.pi) * beta_disk(n, alpha) / jv(n, alpha) \
-            * jv(n, alpha * u)
+        return np.sqrt((2.0 - (n == 0)) / np.pi) * beta_disk(n, alpha) \
+            / special.jv(n, alpha) * special.jv(n, alpha * u)
     if coord == "phi":
         return np.cos(key[0] * u) if key[1] == 1 else np.sin(key[0] * u)
     m, h = key

@@ -64,9 +64,14 @@ class WalkConfig:
                 f"time step too coarse: sqrt(2 dt) = {np.sqrt(2*self.dt):.4f} "
                 f">= {_MAX_STEP_FRACTION} R")
         d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,) or not np.isfinite(d).all() or np.linalg.norm(d) == 0:
+        norm = np.linalg.norm(d)
+        if d.shape != (3,) or not np.isfinite(d).all() or norm == 0:
             raise ConfigError("direction must be a nonzero 3-vector")
-        object.__setattr__(self, "direction", tuple(d / np.linalg.norm(d)))
+        # a unit vector to rounding, such as matrices.gradient_direction's, is
+        # kept as given, so that the walks use the very weights of B
+        if abs(norm - 1.0) > 4 * np.finfo(float).eps:
+            d = d / norm
+        object.__setattr__(self, "direction", tuple(d))
 
 
 def mc_signal(cfg: WalkConfig):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigError, NumericalError
 from .matrices import OperatorMatrices
@@ -109,6 +108,8 @@ def signal_matrix(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     block partition of B but no eigendecomposition, so it stays independent
     of the eigensolver it cross-checks.
     """
+    import scipy.linalg as sla  # loaded by the commands that take a signal
+
     sub, B_sub, _ = own_blocks(mat, B, [0])
     M = sub.bloch_torrey(B_sub, gbar)
     try:

@@ -4,18 +4,28 @@ Everything downstream (basis enumeration, matrix elements, the analytic
 interval branch-point formula) reduces to three families of positive zeros:
 zeros of J_n'(z), zeros of the spherical j_n'(z), and zeros of J_{-2/3}(z).
 All tables come from one array routine over any number of orders: a
-sign-change scan of every order's grid in one ufunc call, then bisection +
-Newton on all brackets at once, so every returned zero carries a verified
+sign-change scan of every order's grid in one evaluator call, then bisection
++ Newton on all brackets at once, so every returned zero carries a verified
 bracket and is certified on return.  A basis takes the zeros of all orders
 below its cutoff from one pass (zeros_upto).
+
+The integer-order families are evaluated by three-term recurrences in
+numpy (DLMF 10.74(iv)), elementwise over arrays of (n, z).  J_n is computed
+by Miller's backward recurrence (DLMF 3.6(v)) from an order past the
+transition region, normalized by J_0 + 2 sum J_2k = 1; j_n by forward
+recurrence from its closed forms j_0 and j_1 where n < z, where that is
+stable, and by Miller's recurrence below, normalized by j_0 or j_1.  Each
+element's arithmetic depends on its own (n, z) alone, so a multi-order pass
+equals one-order scans bit for bit.  Only the fractional order -2/3 takes
+scipy.special, imported by the function that needs it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, DomainError
 
@@ -131,12 +141,116 @@ def _scan_zeros(f, orders, starts, count=None, upto=np.inf, df=None,
     return np.split(x[below], np.cumsum(np.bincount(row[below], minlength=len(n)))[:-1])
 
 
-# The two families that seed the Laplacian bases, as ufuncs f(n, z) with the
-# derivative df used for the Newton polish (None: bisection only).
-_KINDS = {
-    "dJ": (lambda n, z: special.jvp(n, z, 1), lambda n, z: special.jvp(n, z, 2)),
-    "dj_spherical": (lambda n, z: special.spherical_jn(n, z, derivative=True), None),
-}
+def _miller(n, z, half: int):
+    """(y, top): y(k) gives unnormalized values, at the order k (an int, or
+    one per column, k >= 0), of the solution of
+    y_{k-1} = (2k + half) / z_i * y_k - y_{k+1} that is recessive as k grows
+    (J_k for half = 0, DLMF 10.6.1; the spherical j_k for half = 1, DLMF
+    10.51.1), by Miller's backward recurrence (DLMF 3.6(v); Gautschi, SIAM
+    Rev. 9, 24 (1967)).  Column i starts from y = 1 at its own order
+    floor(max(n_i, z_i) + 10 + 8 z_i^(1/3)), past the transition region
+    k ~ z where the recessive solution starts to fall off, and is 0 above
+    it; top is the highest start.  Every 8 orders, a column above 2^500 is
+    scaled by 2^-500 as a whole, which is exact, so small z cannot overflow.
+    The start and the scalings depend on (n_i, z_i) alone and the columns
+    never mix, so every column is bit for bit that of a call for it alone.
+    n and z are 1-d, z > 0."""
+    start = np.floor(np.maximum(n, z) + 10.0 + 8.0 * np.cbrt(z)).astype(np.intp)
+    top = int(start.max(initial=10))  # 10: the least start, for no z
+    # row r of y holds the order start + 1 - r of each column, so that every
+    # column starts at row 1; below order 0 (c = 0) nothing is read
+    order = start + 1 - np.arange(top + 2)[:, None]
+    c = list(np.where(order >= 0, (2.0 * (order + 1) + half) * (1.0 / z), 0.0))
+    y = np.zeros((top + 2, len(z)))
+    y[1] = 1.0
+    rows = list(y)  # row views: the loop is call-bound
+    for r in range(2, top + 2):  # y_k = c_{k+1} y_{k+1} - y_{k+2}
+        np.multiply(c[r], rows[r - 1], out=rows[r])
+        np.subtract(rows[r], rows[r - 2], out=rows[r])
+        if r % 8 == 0 and (big := np.abs(rows[r]) > 2.0**500).any():
+            y[:r + 1, big] *= 2.0**-500
+    cols = np.arange(len(z))
+    return lambda k: y[np.maximum(start + 1 - np.asarray(k), 0), cols], top
+
+
+def _elementwise(f):
+    """f(n, z) on 1-d arrays lifted to broadcast arrays and scalars."""
+    @functools.wraps(f)
+    def lifted(n, z):
+        n, z = np.broadcast_arrays(np.asarray(n), np.asarray(z, dtype=float))
+        return f(n.ravel(), z.ravel()).reshape(z.shape)[()]
+    return lifted
+
+
+def _bessel_J(n, z, offsets) -> list:
+    """J_{n+o}(z) for each offset o, from one recurrence normalized by
+    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4), and J_{-m} = (-1)^m J_m."""
+    y, top = _miller(n, z, 0)
+    # cumsum adds in order, where sum may add pairwise depending on the shape
+    norm = y(0) + 2.0 * np.cumsum(y(np.arange(2, top + 2, 2)[:, None]), axis=0)[-1]
+    return [np.where((k < 0) & (k % 2 == 1), -1.0, 1.0) * y(np.abs(k)) / norm
+            for k in (n + o for o in offsets)]
+
+
+@_elementwise
+def bessel_jvp(n, z):
+    """J_n'(z) = (J_{n-1}(z) - J_{n+1}(z)) / 2 (DLMF 10.6.1), elementwise."""
+    lo, hi = _bessel_J(n, z, (-1, 1))
+    return (lo - hi) / 2.0
+
+
+@_elementwise
+def bessel_jvpp(n, z):
+    """J_n''(z) = (J_{n-2}(z) - 2 J_n(z) + J_{n+2}(z)) / 4, elementwise."""
+    lo, mid, hi = _bessel_J(n, z, (-2, 0, 2))
+    return (lo - 2.0 * mid + hi) / 4.0
+
+
+def _spherical_j(k, z) -> np.ndarray:
+    """j_k(z), elementwise on 1-d arrays.  Where k = 0 or k < z, forward
+    recurrence from j_0 = sin z / z and j_1 = (j_0 - cos z) / z (DLMF
+    10.49.3), which is stable there (j_k is the dominant solution), with
+    scipy's arithmetic; elsewhere the normalized backward recurrence
+    (_miller), scaled by j_0 or j_1, whichever is larger in magnitude: near a
+    zero of one the other is not small, and j_1's formula cancels only at
+    small z, where j_0 is the larger."""
+    out = np.empty(len(z))
+    up = (k == 0) | (k < z)
+    if up.any():
+        ku, zu = k[up], z[up]
+        j = np.empty((max(int(ku.max()), 1) + 1, len(zu)))
+        j[0] = np.sin(zu) / zu
+        j[1] = (j[0] - np.cos(zu)) / zu
+        # a column runs on past its own order, where it may overflow unread
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(2, len(j)):  # j_m = (2m - 1) / z j_{m-1} - j_{m-2}
+                np.multiply(j[m - 1], 2 * m - 1, out=j[m])
+                np.divide(j[m], zu, out=j[m])
+                np.subtract(j[m], j[m - 2], out=j[m])
+        out[up] = j[ku, np.arange(len(zu))]
+    if not up.all():
+        kd, zd = k[~up], z[~up]
+        y, _ = _miller(kd, zd, 1)
+        j0 = np.sin(zd) / zd
+        j1 = (j0 - np.cos(zd)) / zd
+        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / y(0), j1 / y(1))
+        out[~up] = scale * y(kd)
+    return out
+
+
+@_elementwise
+def spherical_jnp(n, z):
+    """j_n'(z) = j_{n-1}(z) - (n+1) j_n(z) / z, and j_0' = -j_1 (DLMF
+    10.51.2), elementwise."""
+    orders = np.concatenate([np.where(n == 0, 1, n - 1), n])  # j_{n-1} (j_1 at n = 0), j_n
+    j = _spherical_j(orders, np.concatenate([z, z]))
+    lo, hi = j[:len(z)], j[len(z):]
+    return np.where(n == 0, -lo, lo - (n + 1) * hi / z)
+
+
+# The two families that seed the Laplacian bases, as elementwise f(n, z)
+# with the derivative df used for the Newton polish (None: bisection only).
+_KINDS = {"dJ": (bessel_jvp, bessel_jvpp), "dj_spherical": (spherical_jnp, None)}
 
 
 def _scan_kind(kind: str, orders, **stop) -> list:
@@ -160,6 +274,8 @@ def zeros_J_minus_two_thirds(count: int) -> ZeroTable:
     """First `count` positive zeros of J_{-2/3}(z)."""
     if count < 1:
         raise DomainError("require count >= 1")
+    from scipy import special  # fractional order: the one scipy table
+
     # J_{-2/3} diverges like z^{-2/3} at 0+; start past the singularity.
     table = _scan_zeros(special.jv, [-2.0 / 3.0], [0.05], count=count,
                         df=lambda n, z: special.jvp(n, z, 1))[0]

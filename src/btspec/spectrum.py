@@ -17,18 +17,18 @@ inversion, so B couples only modes of opposite parity and its nonzero graph
 is bipartite: with the parity p of a 2-colouring and the phases d = i^p,
 diag(d)^-1 (Lambda + i*gbar*B) diag(d) = Lambda + gbar*K, where
 K = (p_j - p_k) B_jk is real and skew-symmetric.  Each block is solved in
-this real form by one block solve (_solve_block), which is one direct real
-LAPACK geev call (_geev) with the workspace size cached per block order and
-vector mode: bit for bit the result of scipy.linalg.eigvals / eig on the
-real matrix, without their per-call checks and workspace query.  A real
-eigenvalue comes back with Im exactly 0 and a complex one with its exact
-conjugate (PT symmetry; Bender, Rep. Prog. Phys. 70, 947 (2007)), so
-realness is decided by one rule, is_real: |Im lambda| <= REAL_TOL.  Whether
-two eigenvalues are one value (a degenerate class, a tie that is no tie, a
-shared real part) is decided by one rule too, same_value: |a - b| <=
-DEGENERATE_RTOL * max(1, |a|, |b|).  A left
-eigenvector z of the real form is the row z diag(d)^-1 of the original
-operator.  diagonalize labels each
+this real form by one block solve (_solve_block): one numpy.linalg call
+(_geev), eigvals without vectors and eig with them, which keeps no
+workspace between calls.  A real eigenvalue comes back with Im exactly 0
+and a complex one with its exact conjugate (PT symmetry; Bender, Rep. Prog.
+Phys. 70, 947 (2007)), so realness is decided by one rule, is_real:
+|Im lambda| <= REAL_TOL.  Whether two eigenvalues are one value (a
+degenerate class, a tie that is no tie, a shared real part) is decided by
+one rule too, same_value: |a - b| <= DEGENERATE_RTOL * max(1, |a|, |b|).
+Lambda + i*gbar*B is complex symmetric, so its left eigenvectors are the
+transposes of its right ones: for M v = lambda v in the real form
+M = diag(d)^-1 (Lambda + i*gbar*B) diag(d), the row d * v (elementwise) is a
+left eigenvector of the original operator.  diagonalize labels each
 eigenvalue row with its block, and each raw row of X is zero outside its
 block.  Eigenvalues of different blocks cross freely and never merge, so
 branch tracking and branch-point detection work inside one block at a time:
@@ -59,7 +59,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError
 from .matrices import OperatorMatrices
@@ -121,8 +120,9 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     The matrix is solved one independent block at a time (see the module
     docstring); twin blocks are solved once.  Rows of X are left eigenvectors
     (unit 2-norm, not yet bilinear-normalized) and are zero outside their
-    block; Spectrum.block holds each row's block label.  A LAPACK failure
-    raises NumericalError naming gbar and the size of the failing block.
+    block; Spectrum.block holds each row's block label.  An eigensolver
+    failure raises NumericalError naming gbar and the size of the failing
+    block.
     """
     N = mat.N
     w = np.empty(N, dtype=complex)
@@ -135,7 +135,7 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
             solved.append(solved[twin])
         else:
             wb, zb = _solve_block(lam_b, K, gbar, eigvals_only)
-            solved.append((wb, None if zb is None else zb / d))
+            solved.append((wb, None if zb is None else zb * d))
         wb, xb = solved[-1]
         stop = start + len(ix)
         w[start:stop] = wb
@@ -152,55 +152,42 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
 
 def _solve_block(lam_b: np.ndarray, K: np.ndarray, gbar: float,
                  eigvals_only: bool) -> tuple:
-    """Eigenvalues, sorted by (Re, Im), and left-eigenvector rows (None when
-    eigvals_only) of one exact block in its real form diag(lam_b) + gbar*K.
-    The rows are in the real form's basis: row z is the row z / d of the
-    original operator (d from _blocks).  A nonzero LAPACK return code, or a
-    non-finite gbar (refused first: LAPACK's xerbla prints to stdout),
-    raises NumericalError naming gbar and the block size."""
+    """Eigenvalues, sorted by (Re, Im), and eigenvector rows (None when
+    eigvals_only) of one exact block in its real form M = diag(lam_b) +
+    gbar*K, from one numpy.linalg call (_geev), which keeps no workspace
+    between calls.  Row z is a right eigenvector of M (unit 2-norm): the
+    operator is complex symmetric, so z * d (d from _blocks) is the
+    left-eigenvector row of the original operator.  A failed solve (_geev's
+    info != 0), or a non-finite gbar (refused first), raises NumericalError
+    naming gbar and the block size."""
     if not math.isfinite(gbar):
         raise NumericalError(f"eigensolver refused gbar={gbar} on a block of size "
                              f"{len(lam_b)}: not finite")
-    M = gbar * K  # Fortran-ordered, like K; K's diagonal is exactly zero
+    M = gbar * K  # K's diagonal is exactly zero
     np.fill_diagonal(M, lam_b)
-    w, vl, info = _geev(M, not eigvals_only)
+    w, v, info = _geev(M, not eigvals_only)
     if info != 0:
-        M = np.diag(lam_b) + gbar * K  # geev has overwritten M
         raise NumericalError(
             f"eigensolver failed at gbar={gbar} on a block of size "
             f"{len(lam_b)} (LAPACK geev info={info}, "
             f"norm={np.linalg.norm(M):.3e})")
     order = np.lexsort((w.imag, w.real))
-    return w[order], None if eigvals_only else vl.conj().T[order]
-
-
-_dgeev, _dgeev_lwork = sla.get_lapack_funcs(("geev", "geev_lwork"), dtype=float)
-# geev workspace size by (order, left vectors): queried once, as sla.eig does
-# on every call.  A different lwork can change the blocked Hessenberg
-# reduction, and with it the bits of the result.
-_lwork: dict = {}
+    return w[order], None if eigvals_only else v.T[order]
 
 
 def _geev(M: np.ndarray, vectors: bool) -> tuple:
-    """(w, vl, info) of LAPACK geev on the real Fortran-ordered matrix M,
-    which it overwrites: the complex eigenvalues wr + i*wi, the complex left
-    eigenvectors as columns (computed only when `vectors`; a conjugate pair,
-    stored by LAPACK as the real columns j, j+1 with wi[j] > 0, becomes
-    vl[:, j] +- i*vl[:, j+1]) and the return code.  It is the only LAPACK
-    call of the block solves, and the values are bit for bit those of
-    sla.eigvals(M) and sla.eig(M, left=True, right=False)."""
-    key = (len(M), vectors)
-    if key not in _lwork:
-        work, _ = _dgeev_lwork(len(M), compute_vl=vectors, compute_vr=False)
-        _lwork[key] = int(work)
-    wr, wi, vl, _, info = _dgeev(M, lwork=_lwork[key], compute_vl=vectors,
-                                 compute_vr=False, overwrite_a=True)
-    if vectors and info == 0:
-        vl = vl.astype(complex)
-        j = np.flatnonzero(wi > 0)
-        vl.imag[:, j] = vl.real[:, j + 1]
-        vl[:, j + 1] = vl[:, j].conj()
-    return wr + 1j * wi, vl, info
+    """(w, v, info) of LAPACK geev on the real matrix M, through numpy.linalg:
+    the complex eigenvalues, the right eigenvectors as columns of unit 2-norm
+    (eig, only when `vectors`; else eigvals and v None) and the return code,
+    0, or 1 when geev did not converge (numpy's LinAlgError)."""
+    try:
+        if vectors:
+            w, v = np.linalg.eig(M)
+        else:
+            w, v = np.linalg.eigvals(M), None
+    except np.linalg.LinAlgError:
+        return None, None, 1
+    return w.astype(complex, copy=False), v, 0
 
 
 def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:
@@ -244,7 +231,7 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
     pattern, sorted, and the blocks are ordered by their smallest index; twin
     is the position of the first block with bit-identical (lam[ix],
     B[ix, ix]), its own position when none precedes it.  lam_b are the
-    block's diagonal entries, K the Fortran-ordered real skew-symmetric
+    block's diagonal entries, K the real skew-symmetric
     (p_j - p_k) B_jk of its real form and d = i^p its phases, with p the
     parity of the 2-colouring of _components (all three None for a twin,
     which copies its result).  A non-finite entry, or a nonzero pattern that
@@ -272,7 +259,7 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
             blocks.append((ix, twin, None, None, None))
             continue
         p = parity[ix]
-        K = np.asfortranarray(np.subtract.outer(p, p) * B_b)
+        K = np.subtract.outer(p, p) * B_b
         blocks.append((ix, twin, lam_b, K, np.where(p == 1, 1j, 1 + 0j)))
     _partition = (lam.copy(), B.copy(), blocks)
     return blocks
@@ -323,9 +310,11 @@ def normalize(spec: Spectrum) -> Spectrum:
 
     The rows X_c of each degenerate class, of any size, become G^(-1/2) X_c
     with G = X_c X_c^T (Loewdin's symmetric orthogonalization, J. Chem. Phys.
-    18, 365 (1950), in the bilinear form): sqrtm(G) is a function of the
-    symmetric G, hence symmetric, so the new rows have Gram identity.  A
-    simple row is divided by sqrt(x . x).  A class whose Gram has a singular
+    18, 365 (1950), in the bilinear form): the principal square root of G,
+    taken through the eigendecomposition of G (diagonalizable away from a
+    branch point; the flag below catches what is near one), is a function
+    of the symmetric G, hence symmetric, so the new rows have Gram
+    identity.  A simple row is divided by sqrt(x . x).  A class whose Gram has a singular
     value below NEAR_BRANCH_TOL, and a simple row with |x . x| below it, are
     flagged and kept unit-2-norm.  The sign of each row is fixed to make the
     constant-mode projection X[j, 0] have a positive real part (falling back
@@ -346,10 +335,11 @@ def normalize(spec: Spectrum) -> Spectrum:
     for c in np.unique(cid[cid >= 0]):
         rows = cid == c
         gram = X[rows] @ X[rows].T  # bilinear: transpose, no conjugate
-        if sla.svdvals(gram).min() < NEAR_BRANCH_TOL:
+        if np.linalg.svd(gram, compute_uv=False).min() < NEAR_BRANCH_TOL:
             near[rows] = True
-        else:
-            X[rows] = sla.solve(sla.sqrtm(gram), X[rows])
+        else:  # principal G^(-1/2), through G = V diag(mu) V^-1
+            mu, V = np.linalg.eig(gram)
+            X[rows] = V @ (np.linalg.solve(V, X[rows]) / np.sqrt(mu)[:, None])
 
     for j in range(N):
         if cid[j] < 0:

@@ -81,9 +81,9 @@ def _hungarian(cost: np.ndarray) -> np.ndarray:
     solver instead, since many of its rows would search.  Every contended
     matrix of the z-sphere sweeps (N = 100, 333 and 700, and sphere_reduced
     at N = 300) has exactly one collision; a tilted sphere's have mostly 25
-    to 94.  So z-sphere sweeps never load scipy.optimize (0.13-0.19 s and
-    17 MB, imported at the first scipy call).  A non-finite cost goes to
-    scipy too, which rejects NaN and -inf."""
+    to 94.  So z-sphere sweeps never load scipy.optimize (about 0.4 s and
+    45 MB, since no other scipy module is loaded before it).  A non-finite
+    cost goes to scipy too, which rejects NaN and -inf."""
     low = cost <= cost.min(axis=1, keepdims=True)  # all False in a NaN row
     # one entry per row and per column: low is a permutation matrix
     if np.count_nonzero(low) == len(cost) and low.any(axis=0).all() \
@@ -267,7 +267,7 @@ class _Track:
 
     def solve(self, g: float, eigvals_only: bool) -> Spectrum:
         w, Z = _solve_block(self.lam, self.K, g, eigvals_only)
-        return Spectrum(gbar=g, eigenvalues=w, X=None if Z is None else Z / self.d)
+        return Spectrum(gbar=g, eigenvalues=w, X=None if Z is None else Z * self.d)
 
     def step(self, pred: np.ndarray, g_prev: float, prev: np.ndarray, g: float):
         """Values at g, tie groups and the vector state to keep on acceptance."""

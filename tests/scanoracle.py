@@ -1,13 +1,12 @@
 """Scalar reference for the zero tables of btspec.specfun.
 
 The sign-change scan and bisection + Newton polish as plain Python loops,
-one scipy.special call per grid point and per bisection step.  It is the
-slow, obviously sequential route that the array scan in specfun must match
-bit for bit (tests/test_specfun.py).
+one scalar call of the evaluator per grid point and per bisection step.  It
+is the slow, obviously sequential route that the array scan in specfun must
+match bit for bit (tests/test_specfun.py), given the same evaluator.
 """
 
 import numpy as np
-from scipy import special
 
 SCAN_STEP = 0.25
 BISECT_TOL = 1e-13
@@ -59,16 +58,15 @@ def scan_zeros(f, count, start, step=SCAN_STEP, df=None):
     return np.array(zeros)
 
 
-def zeros_dJ(n, count):
-    return scan_zeros(lambda z: special.jvp(n, z, 1), count,
-                      start=max(1e-6, 0.9 * n), df=lambda z: special.jvp(n, z, 2))
-
-
-def zeros_dj_spherical(n, count):
-    return scan_zeros(lambda z: special.spherical_jn(n, z, derivative=True),
-                      count, start=max(1e-6, 0.9 * n))
+def zeros_of_order(f, n, count, df=None):
+    """First `count` zeros of f(n, z) (df its z-derivative, or None) from the
+    start max(1e-6, 0.9 n) of specfun's scans of J_n' and j_n'."""
+    return scan_zeros(lambda z: f(n, z), count, start=max(1e-6, 0.9 * n),
+                      df=None if df is None else lambda z: df(n, z))
 
 
 def zeros_J_minus_two_thirds(count):
+    from scipy import special
+
     return scan_zeros(lambda z: special.jv(-2.0 / 3.0, z), count, start=0.05,
                       df=lambda z: special.jvp(-2.0 / 3.0, z, 1))

@@ -150,33 +150,26 @@ def test_cylinder_aspect_changes_axial_spacing():
     assert np.any(np.abs(vals - np.pi**2 / 4) < 1e-9)
 
 
-class _SpecialSpy:
-    """Stands in for scipy.special in btspec.specfun and counts the calls."""
-
-    def __init__(self, module):
-        self.module, self.calls = module, {}
-
-    def __getattr__(self, name):
-        fn = getattr(self.module, name)
-
-        def counted(*args, **kwargs):
-            self.calls[name] = self.calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return counted
-
-
 @pytest.mark.parametrize("geometry, N, calls", [
-    ("sphere", 333, {"spherical_jn": 46}),
-    ("sphere", 100, {"spherical_jn": 46}),
-    ("cylinder", 200, {"jvp": 52}),
-    ("sphere_reduced", 700, {"spherical_jn": 46}),
+    ("sphere", 333, {"dj_spherical": 46}),
+    ("sphere", 100, {"dj_spherical": 46}),
+    ("cylinder", 200, {"dJ": 52}),
+    ("sphere_reduced", 700, {"dj_spherical": 46}),
 ])
 def test_cold_set_up_special_function_calls(monkeypatch, geometry, N, calls):
     """A cold basis build plus assembly makes one multi-order zero scan: one
-    call for the starts and one for all grids, one per bisection step for all
-    brackets, the Newton steps (dJ only) and three to certify.  The per-order
-    requests they replace made 743, 529, 846 and 10,629 calls."""
-    spy = _SpecialSpy(specfun.special)
-    monkeypatch.setattr(specfun, "special", spy)
+    evaluator call for the starts and one for all grids, one per bisection
+    step for all brackets, the Newton steps (dJ only: J_n' and J_n'') and
+    three to certify.  The per-order requests they replace made 743, 529,
+    846 and 10,629 calls."""
+    counts = {}
+
+    def counted(kind, f):
+        def call(n, z):
+            counts[kind] = counts.get(kind, 0) + 1
+            return f(n, z)
+        return None if f is None else call
+    monkeypatch.setattr(specfun, "_KINDS", {kind: tuple(counted(kind, f) for f in fs)
+                                            for kind, fs in specfun._KINDS.items()})
     mx.assemble_operator(bas.build_basis(geometry, N))
-    assert spy.calls == calls
+    assert counts == calls

@@ -342,13 +342,15 @@ def test_aspect_is_H_over_R_or_the_aspect_key():
 def test_signal_walks_along_the_operators_direction(tmp_path, monkeypatch,
                                                      geometry, sets, kw):
     """btspec signal gives every walk gradient_direction of its config, the
-    vector its B is weighted by; at eta = 90 degrees that is exactly z, with
-    no cos(pi/2) residue in x."""
+    vector its B is weighted by, bit for bit (WalkConfig keeps a unit vector
+    as given); at eta = 90 degrees that is exactly z, with no cos(pi/2)
+    residue in x."""
     directions, walk_config = [], cli.WalkConfig
 
     def recording(**fields):
-        directions.append(fields["direction"])
-        return walk_config(**fields)
+        cfg = walk_config(**fields)
+        directions.append(cfg.direction)
+        return cfg
     monkeypatch.setattr(cli, "WalkConfig", recording)
     _run("signal", [f"geometry={geometry}", "N=20", "gbar=2", "tbars=0.1, 0.2",
                     "walkers=10", *sets], tmp_path / "out")
@@ -452,22 +454,50 @@ def test_readme_si_walks_draw_each_step_once(tmp_path, monkeypatch):
     assert len(fills) == 1710
 
 
-def test_import_leaves_out_scipy_optimize():
-    """scipy.optimize (0.13-0.19 s and 17 MB of peak memory) is not loaded
-    with the package: only an assignment whose row minima collide more than
-    once (a degenerate family, such as a tilted sphere's) loads it, at its
-    first call (see sweep._hungarian)."""
+def _scipy_modules(code: str) -> set:
+    """The scipy modules in sys.modules after running code in a fresh
+    interpreter on this package's source."""
     import os
     import subprocess
     import sys
 
     import btspec
     src = os.path.dirname(os.path.dirname(os.path.abspath(btspec.__file__)))
-    code = "import sys, btspec.cli; print('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    code += ("\nimport sys\n"
+             "print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split()[1:])
+
+
+def test_import_leaves_out_scipy_optimize():
+    """No scipy module (importing any costs 0.25-0.3 s, and scipy.optimize
+    17 MB of peak memory more) is loaded with the package: the commands that
+    need one import it inside the function that calls it."""
+    assert _scipy_modules("import btspec.cli") == set()
+
+
+def test_sweeps_load_no_scipy(tmp_path):
+    """btspec sweep on the z sphere, the reduced sphere, the disk, the
+    interval and the cylinder runs on numpy alone; the tilted sphere's
+    degenerate assignments load scipy.optimize and nothing else."""
+    runs = [["geometry=sphere", "N=60", "g_max=13"],
+            ["geometry=sphere_reduced", "N=40", "g_max=10"],
+            ["geometry=disk", "N=40", "g_max=10"],
+            ["geometry=interval", "N=20", "g_max=20"],
+            ["geometry=cylinder", "N=40", "eta_deg=78.23931266613657", "g_max=19.2",
+             "g_step=0.1", "n_branches=13"]]
+    calls = [["sweep", "--out", str(tmp_path / f"run{i}")]
+             + [a for item in sets for a in ("--set", item)] for i, sets in enumerate(runs)]
+    code = "from btspec import cli\n" + "".join(
+        f"assert cli.main({args!r}) == 0\n" for args in calls)
+    assert _scipy_modules(code) == set()
+    tilted = ["sweep", "--out", str(tmp_path / "tilted"), "--set", "geometry=sphere",
+              "--set", "N=60", "--set", "theta_deg=30", "--set", "phi_deg=20",
+              "--set", "g_max=13"]
+    loaded = _scipy_modules(f"from btspec import cli\nassert cli.main({tilted!r}) == 0")
+    assert "scipy.optimize" in loaded
+    assert loaded <= _scipy_modules("import scipy.optimize")
 
 
 # Restricted routes against the full-N route.  Each case is (geometry,

@@ -282,19 +282,21 @@ def test_factors_evaluated_once_per_distinct_coordinate(sphere60, monkeypatch, k
     distinct (n, k) and distinct inside radius (plus one value j_n(alpha_nk)
     for its normalization), and P_n^m once per distinct (n, m); the tilted
     row, which has every m, shares each radial factor among its m groups."""
+    import scipy.special  # fieldmap imports it at its first evaluation
+
     m, _ = sphere60
     s = canonical(normalized(m, mx.gradient_matrix(m, **kw), 5.63))
     radial, legendre = [], []
 
-    def spherical_jn(n, x, _f=fm.spherical_jn):
+    def spherical_jn(n, x, _f=scipy.special.spherical_jn):
         radial.append(np.size(x))
         return _f(n, x)
 
-    def lpmv(order, degree, x, _f=fm.lpmv):
+    def lpmv(order, degree, x, _f=scipy.special.lpmv):
         legendre.append((degree, order))
         return _f(order, degree, x)
-    monkeypatch.setattr(fm, "spherical_jn", spherical_jn)
-    monkeypatch.setattr(fm, "lpmv", lpmv)
+    monkeypatch.setattr(scipy.special, "spherical_jn", spherical_jn)
+    monkeypatch.setattr(scipy.special, "lpmv", lpmv)
     grid = fm.export_projection(s, m.basis, 1, resolution=201)
     modes = [m.basis.indices[i] for i in np.flatnonzero(np.abs(s.X[0]) > 0)]
     nk = {(ix.n, ix.k) for ix in modes}

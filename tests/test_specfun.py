@@ -135,9 +135,10 @@ def test_large_order_scan_does_not_pick_underflow_zeros():
 def test_zero_tables_equal_scalar_scan(n, count):
     # the array scan must reproduce the scalar loop bit for bit; from the
     # n = 0 start 1e-6 the running-sum grid differs from start + i * step
-    assert np.array_equal(dJ(n, count), so.zeros_dJ(n, count))
+    assert np.array_equal(dJ(n, count), so.zeros_of_order(
+        specfun.bessel_jvp, n, count, specfun.bessel_jvpp))
     assert np.array_equal(dj(n, count),
-                          so.zeros_dj_spherical(n, count))
+                          so.zeros_of_order(specfun.spherical_jnp, n, count))
 
 
 def test_J_minus_two_thirds_equals_scalar_scan():
@@ -190,18 +191,58 @@ def test_longer_table_prefix_equals_a_short_scan(kind, n, count):
 
 def test_order_arrays_equal_per_order_calls():
     # a multi-order pass evaluates each kind with an array of orders; every
-    # value must equal the call for its order alone, bit for bit
+    # value must equal the call for its order alone, bit for bit, and be
+    # finite (z far below n grows the backward recurrence the most)
     rng = np.random.default_rng(5)
     n, z = rng.integers(0, 130, 5000), rng.uniform(1e-6, 150.0, 5000)
-    for f in (lambda n, z: special.spherical_jn(n, z, derivative=True),
-              lambda n, z: special.jvp(n, z, 1), lambda n, z: special.jvp(n, z, 2)):
+    for f in (specfun.spherical_jnp, specfun.bessel_jvp, specfun.bessel_jvpp):
         one = np.array([f(int(a), float(b)) for a, b in zip(n, z)])
         assert f(n, z).tobytes() == one.tobytes()
+        assert np.isfinite(one).all()
+
+
+def test_evaluators_match_scipy():
+    """The recurrences agree with scipy.special to 1e-14 absolute over the
+    same random orders and arguments (the values are at most 1)."""
+    rng = np.random.default_rng(6)
+    n, z = rng.integers(0, 130, 5000), rng.uniform(1e-6, 150.0, 5000)
+    for f, ref in ((specfun.spherical_jnp, special.spherical_jn(n, z, derivative=True)),
+                   (specfun.bessel_jvp, special.jvp(n, z, 1)),
+                   (specfun.bessel_jvpp, special.jvp(n, z, 2))):
+        assert np.max(np.abs(f(n, z) - ref)) <= 1e-14
+
+
+# zeros_upto's cutoffs of the N = 1000 sphere, reduced sphere and cylinder
+N1000_CUTOFFS = [("dj_spherical", 24.385786094733813),
+                 ("dj_spherical", 89.49860334105779), ("dJ", 26.80061756005056)]
+
+
+@pytest.mark.parametrize("kind, zmax", N1000_CUTOFFS,
+                         ids=["sphere", "sphere_reduced", "cylinder"])
+def test_zeros_match_scipy_scans_up_to_the_N1000_cutoffs(kind, zmax):
+    """Every zero of a basis up to N = 1000 lies within 4 ulps of the same
+    scan on scipy.special's functions: the j_n' zeros are bit for bit
+    (above n the forward recurrence is scipy's arithmetic), and at most 2
+    ulps were measured on the J_n' zeros (83 of 100 bit for bit)."""
+    ref_f = {"dJ": (lambda n, z: special.jvp(n, z, 1), lambda n, z: special.jvp(n, z, 2)),
+             "dj_spherical": (lambda n, z: special.spherical_jn(n, z, derivative=True),
+                              None)}[kind]
+    ours = specfun.zeros_upto(kind, zmax)
+    orders = np.arange(len(ours) + 1)
+    ref = specfun._scan_zeros(ref_f[0], orders, np.maximum(1e-6, 0.9 * orders),
+                              upto=zmax, df=ref_f[1])
+    assert not ref[-1].size
+    for a, b in zip(ours, ref):
+        assert len(a) == len(b)
+        assert np.all(np.abs(a - b) <= 4 * np.spacing(b))
+        if kind == "dj_spherical":
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(["dJ", "dj_spherical"]), zmax=st.floats(0.5, 90.0))
 @example(kind="dJ", zmax=3.8317059702075125)  # on the first zero of J_0'
+@example(kind="dJ", zmax=1.0)  # no zero at all: the evaluators see empty arrays
 def test_multi_order_pass_equals_one_order_scans(kind, zmax):
     make = dJ if kind == "dJ" else dj
     tables = specfun.zeros_upto(kind, zmax)

@@ -234,6 +234,20 @@ def test_nonzero_geev_info_raises(monkeypatch, info):
             sp._solve_block(lam, B_b, 2.0, only)
 
 
+def test_linalg_error_raises_numerical_error(sphere60, monkeypatch):
+    """numpy's LinAlgError (geev did not converge) ends in NumericalError,
+    with and without vectors, as return code 1 of _geev."""
+    def failing(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    m, B = sphere60
+    for only in (True, False):
+        with pytest.raises(NumericalError, match=r"gbar=3\.5 on a block of size \d+ "
+                                                 r"\(LAPACK geev info=1,"):
+            sp.diagonalize(m, B, 3.5, eigvals_only=only)
+
+
 def test_nan_gbar_raises_numerical_error(sphere60):
     """A NaN gradient strength is an illegal argument to LAPACK (info < 0):
     it raises NumericalError, not scipy's ValueError."""
@@ -272,10 +286,11 @@ def _distinct_blocks(name, sphere60):
 @pytest.mark.parametrize("name", ["sphere_z", "sphere_tilted", "disk_factor"])
 def test_block_solve_is_bit_identical_to_scipy(name, sphere60):
     """On every distinct block's real form diag(lam_b) + gbar*K, at several
-    gbar, the direct real geev call gives bit for bit (tolerance 0) the
-    values and left vectors of sla.eigvals and sla.eig(left=True,
-    right=False), and diagonalize's rows of the block are those vectors
-    mapped by y = z / d, zero outside the block.  The values agree with the
+    gbar, the block solve gives bit for bit (tolerance 0) the values of
+    sla.eigvals without vectors and of sla.eig(left=True, right=False) with
+    them, and diagonalize's rows of the block are its rows mapped by
+    y = z * d, zero outside the block (the rows themselves are checked by
+    test_block_rows_are_left_eigenvectors).  The values agree with the
     complex matrix diag(lam_b) + i*gbar*B_b to 1e-11 relative (at most
     3.7e-13 was measured on random sphere and disk operators)."""
     mat, B = _distinct_blocks(name, sphere60)
@@ -291,15 +306,59 @@ def test_block_solve_is_bit_identical_to_scipy(name, sphere60):
             order = np.lexsort((ref.imag, ref.real))
             assert Z is None and np.array_equal(w, ref[order])
             w, Z = sp._solve_block(lam_b, K, g, False)
-            ref, vl = sla.eig(M, left=True, right=False, check_finite=False)
+            ref = sla.eig(M, left=True, right=False, check_finite=False)[0]
             order = np.lexsort((ref.imag, ref.real))
             assert np.array_equal(w, ref[order])
-            assert np.array_equal(Z, vl.conj().T[order])
             rows = spec.X[spec.block == k]
-            assert np.array_equal(rows[:, ix], Z / d)
+            assert np.array_equal(rows[:, ix], Z * d)
             assert np.count_nonzero(rows) == np.count_nonzero(Z)
             pool = sla.eigvals(np.diag(lam_b) + 1j * g * B[np.ix_(ix, ix)])
             assert _multiset_deviation(w, pool) <= 1e-11, (g, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=st.sampled_from(["sphere", "tilted_sphere", "disk", "interval",
+                                 "cylinder"]),
+       N=st.integers(1, 40), g=st.floats(0.0, 30.0),
+       theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi))
+def test_block_rows_are_left_eigenvectors(geometry, N, g, theta, phi):
+    """On every distinct block at a random gbar (the z sphere, a sphere
+    gradient in a random direction, the disk, the interval and the cylinder
+    at a random angle): the values without vectors are bit for bit those of
+    sla.eigvals; the rows z * d, from right eigenvectors z of the real form,
+    are left eigenvectors of the complex block diag(lam_b) + i*gbar*B_b to
+    1e-12 * ||M||; and each row of a well-separated eigenvalue (no other
+    within 1e-4 relative) equals, to 1e-9, the row made from the left
+    eigenvectors of sla.eig(left=True, right=False), as the block solve made
+    it before (conj(vl).T / d), up to a unit factor: both are unit rows,
+    and LAPACK makes the largest component real, which picks a sign (a
+    phase when two components have one magnitude, as in a pair past its
+    branch point).  Bilinear normalization removes that factor up to sign,
+    and the sign is fixed after it (spectrum._sign_fix)."""
+    m = _small_operator("sphere" if geometry == "tilted_sphere" else geometry, N)
+    direction = {"tilted_sphere": {"theta_g": theta, "phi_g": phi},
+                 "cylinder": {"eta": theta}}.get(geometry, {})
+    B = mx.gradient_matrix(m, **direction)
+    for ix, _, lam_b, K, d in sp._blocks(m.lam, B):
+        if lam_b is None:
+            continue
+        M = np.diag(lam_b) + g * K
+        w, _ = sp._solve_block(lam_b, K, g, True)
+        ref = sla.eigvals(M, check_finite=False)
+        assert np.array_equal(w, ref[np.lexsort((ref.imag, ref.real))])
+        w, Z = sp._solve_block(lam_b, K, g, False)
+        rows = Z * d
+        A = np.diag(lam_b) + 1j * g * B[np.ix_(ix, ix)]
+        scale = max(np.linalg.norm(M), 1.0)
+        assert np.linalg.norm(rows @ A - w[:, None] * rows, axis=1).max() <= 1e-12 * scale
+        ref, vl = sla.eig(M, left=True, right=False, check_finite=False)
+        old = vl.conj().T[np.lexsort((ref.imag, ref.real))] / d
+        gap = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(len(w), np.inf))
+        lone = gap.min(axis=1) > 1e-4 * np.maximum(1.0, np.abs(w))
+        phase = np.einsum("ij,ij->i", old.conj(), rows)
+        assert np.allclose(np.abs(phase[lone]), 1.0, rtol=0.0, atol=1e-9)
+        phase /= np.abs(phase)
+        assert np.all(np.abs(rows - phase[:, None] * old)[lone] <= 1e-9)
 
 
 def _multiset_deviation(w, pool):
