@@ -12,10 +12,14 @@ interval has only the last.  The sphere and the disk share the azimuthal
 factor, of phi = arctan2(y, x).
 Each factor is evaluated once, on the distinct values of its coordinate among
 the inside points, and radial factors are summed per angular group.
+The radial factors come from specfun's recurrences (bessel_j, spherical_j)
+and P_n^m from its upward recurrence in n (_legendre): a map loads numpy
+alone.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,6 +28,7 @@ import numpy as np
 from .basis import BasisSet
 from .errors import DomainError
 from .matrices import beta_disk, beta_sphere
+from .specfun import bessel_j, spherical_j
 from .spectrum import Spectrum
 
 
@@ -70,22 +75,31 @@ def _mode_factors(basis: BasisSet, i: int) -> tuple:
     return z if g == "interval" else (("rho", (ix.n, alpha)), ("phi", (ix.n, ix.l))) + z
 
 
+def _legendre(n: int, m: int, x: np.ndarray) -> np.ndarray:
+    """Ferrers' P_n^m(x), 0 <= m <= n, with the Condon-Shortley phase
+    (-1)^m as in scipy.special.lpmv: the upward recurrence in the degree
+    (k - m) P_k^m = (2k - 1) x P_{k-1}^m - (k + m - 1) P_{k-2}^m (DLMF
+    14.10.3) from P_m^m = (-1)^m (2m - 1)!! (1 - x^2)^(m/2)."""
+    p_prev = np.zeros_like(x)
+    p = (-1.0) ** m * math.prod(range(1, 2 * m, 2)) * np.sqrt((1.0 - x) * (1.0 + x)) ** m
+    for k in range(m + 1, n + 1):
+        p, p_prev = ((2 * k - 1) * x * p - (k + m - 1) * p_prev) / (k - m), p
+    return p
+
+
 def _factor(coord: str, key, u: np.ndarray) -> np.ndarray:
     """Values of one 1-D factor at the coordinate values u."""
-    from scipy import special  # loaded by the commands that map a field
-
     if coord == "r":
         n, alpha = key
-        return beta_sphere(n, alpha) / special.spherical_jn(n, alpha) \
-            * special.spherical_jn(n, alpha * u)
+        return beta_sphere(n, alpha) / spherical_j(n, alpha) * spherical_j(n, alpha * u)
     if coord == "xi":  # with the sqrt(2) of a cos/sin pair member
         n, m = key
-        ratio = np.exp(special.gammaln(n + m + 1) - special.gammaln(n - m + 1))
-        return special.lpmv(m, n, u) / np.sqrt(2 * np.pi * ratio / (2.0 - (m == 0)))
+        ratio = math.exp(math.lgamma(n + m + 1) - math.lgamma(n - m + 1))  # (n+m)!/(n-m)!
+        return _legendre(n, m, u) / np.sqrt(2 * np.pi * ratio / (2.0 - (m == 0)))
     if coord == "rho":
         n, alpha = key
         return np.sqrt((2.0 - (n == 0)) / np.pi) * beta_disk(n, alpha) \
-            / special.jv(n, alpha) * special.jv(n, alpha * u)
+            / bessel_j(n, alpha) * bessel_j(n, alpha * u)
     if coord == "phi":
         return np.cos(key[0] * u) if key[1] == 1 else np.sin(key[0] * u)
     m, h = key

@@ -4,8 +4,8 @@ Three routes are implemented and kept deliberately independent so they can
 cross-check each other:
 
 * signal_matrix: S = [exp(-tbar (Lambda + i gbar B)) exp(-tbar (Lambda - i gbar B))]_{0,0}
-  via scaling-and-squaring matrix exponentials on the exact block of the
-  constant mode (no eigendecomposition);
+  via scaling-and-squaring matrix exponentials (_expm, in numpy) on the
+  exact block of the constant mode (no eigendecomposition);
 * signal_spectral: the double sum over eigenmode pairs with coefficients
   C_{jj'} = mu_j^(-g) Gamma_{jj'} mu_j'^(g) from a normalized Spectrum;
 * one-mode / two-mode closed forms for the slowest branch.
@@ -21,6 +21,7 @@ eigenvalues R^2*lambda.  PulsePlan converts SI inputs once at the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,40 @@ from .spectrum import Spectrum, own_blocks
 
 # First zero of Ai'(z); leading constant of the high-gradient asymptotics.
 from .specfun import AIRY_DERIV_FIRST_ZERO
+
+
+# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp
+# and the 1-norm up to which it is exact to double precision (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005), Table 2.3 and eq. (2.2)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring (Higham 2005, Algorithm 2.3, degree
+    13 only): A / 2^s with ||A / 2^s||_1 <= theta_13, its [13/13] Pade
+    approximant r = (V - U)^(-1) (V + U), squared s times.  Raises
+    numpy.linalg.LinAlgError for a non-finite A or a singular V - U."""
+    norm = np.linalg.norm(A, 1)
+    if not np.isfinite(norm):
+        raise np.linalg.LinAlgError("matrix exponential of a non-finite matrix")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = A / 2.0**s
+    b, eye = _PADE13, np.eye(len(A))
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 \
+        + b[2] * A2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 @dataclass(frozen=True)
@@ -104,18 +139,17 @@ def signal_matrix(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     the block of the constant mode (basis mode 0; the m = 0 block of the
     z-gradient sphere, 35 of 333 modes).  The two expm are taken on that
     block alone (spectrum.own_blocks); a matrix with one block (tilted
-    sphere) keeps its full size.  This is still the expm route: it uses the
-    block partition of B but no eigendecomposition, so it stays independent
-    of the eigensolver it cross-checks.
+    sphere) keeps its full size.  This is still the expm route (_expm,
+    scaling and squaring): it uses the block partition of B but no
+    eigendecomposition, so it stays independent of the eigensolver it
+    cross-checks.
     """
-    import scipy.linalg as sla  # loaded by the commands that take a signal
-
     sub, B_sub, _ = own_blocks(mat, B, [0])
     M = sub.bloch_torrey(B_sub, gbar)
     try:
-        Ep = sla.expm(-tbar * M)
-        Em = sla.expm(-tbar * (2 * np.diag(sub.lam) - M))  # Lambda - i g B
-    except (ValueError, sla.LinAlgError) as exc:  # pragma: no cover
+        Ep = _expm(-tbar * M)
+        Em = _expm(-tbar * (2 * np.diag(sub.lam) - M))  # Lambda - i g B
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"matrix exponential failed (gbar={gbar}, tbar={tbar}, "
             f"norm={np.linalg.norm(M):.3e})") from exc

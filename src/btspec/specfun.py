@@ -16,8 +16,12 @@ transition region, normalized by J_0 + 2 sum J_2k = 1; j_n by forward
 recurrence from its closed forms j_0 and j_1 where n < z, where that is
 stable, and by Miller's recurrence below, normalized by j_0 or j_1.  Each
 element's arithmetic depends on its own (n, z) alone, so a multi-order pass
-equals one-order scans bit for bit.  Only the fractional order -2/3 takes
-scipy.special, imported by the function that needs it.
+equals one-order scans bit for bit.  Below |z| = 1e-8 the first term of the
+power series is the function to rounding, and exact at z = 0; negative z
+follows by parity.  The same recurrences give J_n and j_n themselves
+(bessel_j, spherical_j), which the eigenfunction maps evaluate.  Only the
+fractional order -2/3 takes scipy.special, imported by the function that
+needs it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ AIRY_DERIV_FIRST_ZERO = -1.018792971647471
 
 _SCAN_STEP = 0.25
 _BISECT_TOL = 1e-13
+# Below it the first term of the power series (_leading) is J_n and j_n to
+# rounding; Miller's recurrence would overflow on its coefficients 2k / z.
+_TINY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -173,33 +180,67 @@ def _miller(n, z, half: int):
     return lambda k: y[np.maximum(start + 1 - np.asarray(k), 0), cols], top
 
 
-def _elementwise(f):
-    """f(n, z) on 1-d arrays lifted to broadcast arrays and scalars."""
-    @functools.wraps(f)
-    def lifted(n, z):
-        n, z = np.broadcast_arrays(np.asarray(n), np.asarray(z, dtype=float))
-        return f(n.ravel(), z.ravel()).reshape(z.shape)[()]
-    return lifted
+def _elementwise(d: int):
+    """Lift f(n, z), the d-th derivative of J_n or of j_n on 1-d arrays with
+    z >= 0, to broadcast arrays and scalars of any real z by the parity
+    f(n, -z) = (-1)^(n + d) f(n, z) (DLMF 10.4.1, 10.47.14)."""
+    def lift(f):
+        @functools.wraps(f)
+        def lifted(n, z):
+            n, z = np.broadcast_arrays(np.asarray(n), np.asarray(z, dtype=float))
+            shape, n, z = z.shape, n.ravel(), z.ravel()
+            v = f(n, np.abs(z))
+            if (neg := z < 0).any():
+                v = np.where(neg & ((n + d) % 2 == 1), -v, v)
+            return v.reshape(shape)[()]
+        return lifted
+    return lift
+
+
+def _leading(k, z, half: int) -> np.ndarray:
+    """prod_{i=1..k} z / (2i + half): the first term z^k / (2^k k!) of the
+    power series of J_k (half = 0, DLMF 10.2.2) or z^k / (2k + 1)!! of j_k
+    (half = 1, DLMF 10.53.1), elementwise on 1-d arrays, k >= 0.  The next
+    term is smaller by z^2 / (4k + 4 + 2 half), so below _TINY this is the
+    function to rounding; at z = 0 it is exact: 1 at k = 0, else 0."""
+    t = np.ones(len(z))
+    for i in range(1, int(k.max(initial=0)) + 1):
+        on = k >= i
+        t[on] *= z[on] / (2 * i + half)
+    return t
 
 
 def _bessel_J(n, z, offsets) -> list:
     """J_{n+o}(z) for each offset o, from one recurrence normalized by
-    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4), and J_{-m} = (-1)^m J_m."""
-    y, top = _miller(n, z, 0)
+    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4), or below _TINY from _leading, and
+    J_{-m} = (-1)^m J_m."""
+    tiny = z < _TINY
+    y, top = _miller(n, np.where(tiny, 1.0, z), 0)  # tiny z: _leading below
     # cumsum adds in order, where sum may add pairwise depending on the shape
     norm = y(0) + 2.0 * np.cumsum(y(np.arange(2, top + 2, 2)[:, None]), axis=0)[-1]
-    return [np.where((k < 0) & (k % 2 == 1), -1.0, 1.0) * y(np.abs(k)) / norm
-            for k in (n + o for o in offsets)]
+    out = []
+    for k in (n + o for o in offsets):
+        v = y(np.abs(k)) / norm
+        if tiny.any():
+            v[tiny] = _leading(np.abs(k[tiny]), z[tiny], 0)
+        out.append(np.where((k < 0) & (k % 2 == 1), -v, v))
+    return out
 
 
-@_elementwise
+@_elementwise(0)
+def bessel_j(n, z):
+    """J_n(z), elementwise."""
+    return _bessel_J(n, z, (0,))[0]
+
+
+@_elementwise(1)
 def bessel_jvp(n, z):
     """J_n'(z) = (J_{n-1}(z) - J_{n+1}(z)) / 2 (DLMF 10.6.1), elementwise."""
     lo, hi = _bessel_J(n, z, (-1, 1))
     return (lo - hi) / 2.0
 
 
-@_elementwise
+@_elementwise(2)
 def bessel_jvpp(n, z):
     """J_n''(z) = (J_{n-2}(z) - 2 J_n(z) + J_{n+2}(z)) / 4, elementwise."""
     lo, mid, hi = _bessel_J(n, z, (-2, 0, 2))
@@ -213,8 +254,10 @@ def _spherical_j(k, z) -> np.ndarray:
     scipy's arithmetic; elsewhere the normalized backward recurrence
     (_miller), scaled by j_0 or j_1, whichever is larger in magnitude: near a
     zero of one the other is not small, and j_1's formula cancels only at
-    small z, where j_0 is the larger."""
+    small z, where j_0 is the larger.  Below _TINY, _leading."""
     out = np.empty(len(z))
+    tiny = z < _TINY
+    z, given = np.where(tiny, 1.0, z), z  # tiny z: _leading below
     up = (k == 0) | (k < z)
     if up.any():
         ku, zu = k[up], z[up]
@@ -235,17 +278,28 @@ def _spherical_j(k, z) -> np.ndarray:
         j1 = (j0 - np.cos(zd)) / zd
         scale = np.where(np.abs(j0) >= np.abs(j1), j0 / y(0), j1 / y(1))
         out[~up] = scale * y(kd)
+    if tiny.any():
+        out[tiny] = _leading(k[tiny], given[tiny], 1)
     return out
 
 
-@_elementwise
+@_elementwise(0)
+def spherical_j(n, z):
+    """j_n(z), elementwise."""
+    return _spherical_j(n, z)
+
+
+@_elementwise(1)
 def spherical_jnp(n, z):
     """j_n'(z) = j_{n-1}(z) - (n+1) j_n(z) / z, and j_0' = -j_1 (DLMF
-    10.51.2), elementwise."""
+    10.51.2), elementwise; below _TINY, where j_n / z is j_{n-1} / (2n + 1)
+    to rounding (_leading), n j_{n-1}(z) / (2n + 1), exact at z = 0."""
     orders = np.concatenate([np.where(n == 0, 1, n - 1), n])  # j_{n-1} (j_1 at n = 0), j_n
     j = _spherical_j(orders, np.concatenate([z, z]))
     lo, hi = j[:len(z)], j[len(z):]
-    return np.where(n == 0, -lo, lo - (n + 1) * hi / z)
+    tiny = z < _TINY
+    return np.where(n == 0, -lo, np.where(tiny, n * lo / (2 * n + 1),
+                                          lo - (n + 1) * hi / np.where(tiny, 1.0, z)))
 
 
 # The two families that seed the Laplacian bases, as elementwise f(n, z)

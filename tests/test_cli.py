@@ -500,6 +500,26 @@ def test_sweeps_load_no_scipy(tmp_path):
     assert loaded <= _scipy_modules("import scipy.optimize")
 
 
+def test_fieldmap_and_signal_load_no_scipy(tmp_path):
+    """btspec fieldmap on every geometry (the z and the tilted sphere, the
+    disk, the cylinder, the interval) and btspec signal with and without
+    walkers on the sphere and the cylinder run on numpy alone."""
+    fieldmap = ["fieldmap", "--j", "2", "--g", "5", "resolution=21"]
+    runs = [fieldmap + sets for sets in (
+        ["geometry=sphere", "N=40"],
+        ["geometry=sphere", "N=40", "theta_deg=30", "phi_deg=20"],
+        ["geometry=disk", "N=40"],
+        ["geometry=cylinder", "N=40", "eta_deg=40"],
+        ["geometry=interval", "N=20"])]
+    runs += [["signal", f"geometry={g}", "N=30", "gbar=3", "tbars=0.1, 0.5", f"walkers={w}"]
+             for g in ("sphere", "cylinder") for w in (0, 50)]
+    calls = [[a if a.startswith("-") or "=" not in a else f"--set={a}" for a in args]
+             + ["--out", str(tmp_path / f"run{i}")] for i, args in enumerate(runs)]
+    code = "from btspec import cli\n" + "".join(
+        f"assert cli.main({args!r}) == 0\n" for args in calls)
+    assert _scipy_modules(code) == set()
+
+
 # Restricted routes against the full-N route.  Each case is (geometry,
 # direction config keys, the same direction as gradient_matrix keywords);
 # the oracle solves and normalizes the whole operator.

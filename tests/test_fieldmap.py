@@ -1,6 +1,12 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy.special import lpmv
 
 import quadoracle as qo
 
@@ -282,21 +288,19 @@ def test_factors_evaluated_once_per_distinct_coordinate(sphere60, monkeypatch, k
     distinct (n, k) and distinct inside radius (plus one value j_n(alpha_nk)
     for its normalization), and P_n^m once per distinct (n, m); the tilted
     row, which has every m, shares each radial factor among its m groups."""
-    import scipy.special  # fieldmap imports it at its first evaluation
-
     m, _ = sphere60
     s = canonical(normalized(m, mx.gradient_matrix(m, **kw), 5.63))
     radial, legendre = [], []
 
-    def spherical_jn(n, x, _f=scipy.special.spherical_jn):
+    def spherical_j(n, x, _f=fm.spherical_j):
         radial.append(np.size(x))
         return _f(n, x)
 
-    def lpmv(order, degree, x, _f=scipy.special.lpmv):
-        legendre.append((degree, order))
-        return _f(order, degree, x)
-    monkeypatch.setattr(scipy.special, "spherical_jn", spherical_jn)
-    monkeypatch.setattr(scipy.special, "lpmv", lpmv)
+    def _legendre(n, order, x, _f=fm._legendre):
+        legendre.append((n, order))
+        return _f(n, order, x)
+    monkeypatch.setattr(fm, "spherical_j", spherical_j)
+    monkeypatch.setattr(fm, "_legendre", _legendre)
     grid = fm.export_projection(s, m.basis, 1, resolution=201)
     modes = [m.basis.indices[i] for i in np.flatnonzero(np.abs(s.X[0]) > 0)]
     nk = {(ix.n, ix.k) for ix in modes}
@@ -307,3 +311,23 @@ def test_factors_evaluated_once_per_distinct_coordinate(sphere60, monkeypatch, k
     assert sorted(legendre) == sorted({(ix.n, ix.m) for ix in modes})
     if kw:
         assert len(modes) > 2 * len(nk)  # radial factors shared by several m
+
+
+@functools.cache
+def _legendre_keys():
+    """Every (n, m) of the N = 1000 sphere and reduced sphere bases."""
+    return sorted({(ix.n, ix.m) for g in ("sphere", "sphere_reduced")
+                   for ix in bas.build_basis(g, 1000).indices})
+
+
+@settings(max_examples=40, deadline=None)
+@given(xi=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16))
+@example(xi=[-1.0, 0.0, 1.0])
+def test_legendre_recurrence_matches_lpmv(xi):
+    """The upward recurrence gives scipy's P_n^m (Condon-Shortley phase
+    included) for every (n, m) of the N = 1000 sphere bases to 1e-13 of
+    sqrt((n + m)! / (n - m)!), the size of P_n^m (1.9e-14 was measured)."""
+    x = np.array(xi)
+    for n, m in _legendre_keys():
+        scale = math.sqrt(math.factorial(n + m) / math.factorial(n - m))
+        assert np.max(np.abs(fm._legendre(n, m, x) - lpmv(m, n, x))) <= 1e-13 * scale

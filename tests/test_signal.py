@@ -1,11 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from btspec import matrices as mx
 from btspec import signal as sig
 from btspec import spectrum as sp
-from btspec.errors import ConfigError
+from btspec.errors import ConfigError, NumericalError
 
 
 def coeffs_at(m, B, g):
@@ -233,3 +237,47 @@ def test_signal_smooth_across_branch_point_with_diverging_coefficients(sphere60)
     gs = np.arange(g1 - 0.06, g1 + 0.06, 0.0025)
     S = np.array([sig.signal_matrix(m, B, g, 0.2).real for g in gs])
     assert np.max(np.abs(np.diff(S, 2))) < 1e-6
+
+
+@functools.cache
+def _own_block(geometry, N):
+    """The constant mode's exact block (Lambda, B) of a z gradient (the
+    tilted sphere's is the whole operator)."""
+    kw = {"theta_g": 0.7, "phi_g": 0.5} if geometry == "tilted_sphere" else {}
+    mat = mx.operator_for(geometry.replace("tilted_", ""), N, H=1.3)
+    sub, B_sub, _ = sp.own_blocks(mat, mx.gradient_matrix(mat, **kw), [0])
+    return sub, B_sub
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(["sphere", "tilted_sphere", "sphere_reduced", "disk",
+                                 "cylinder", "interval"]),
+       gbar=st.floats(0.0, 25.0), norm=st.floats(0.05, 100.0))
+@example(geometry="sphere", gbar=5.0, norm=1.0)  # on theta_13, to rounding
+def test_expm_matches_scipy_on_own_blocks(geometry, gbar, norm):
+    """The numpy expm of -tbar (Lambda + i gbar B) on the constant mode's
+    block equals scipy.linalg.expm to 1e-13 of max|exp| entrywise (2.9e-14 was
+    measured), with tbar set so that the 1-norm is `norm` times theta_13:
+    below it the Pade approximant alone, above it up to 7 squarings."""
+    sub, B_sub = _own_block(geometry, 12 if geometry == "interval" else 60)
+    M = sub.bloch_torrey(B_sub, gbar)
+    A = -(norm * sig._THETA13 / np.linalg.norm(M, 1)) * M
+    ref = sla.expm(A)
+    assert np.max(np.abs(sig._expm(A) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_expm_failure_raises_numerical_error(sphere60, monkeypatch):
+    """A non-finite matrix, or a singular Pade denominator, is a
+    numpy.linalg.LinAlgError in _expm and a NumericalError (exit 4) from
+    signal_matrix."""
+    m, B = sphere60
+    with pytest.raises(np.linalg.LinAlgError):
+        sig._expm(np.full((3, 3), np.nan))
+    with pytest.raises(NumericalError):
+        sig.signal_matrix(m, B, 2.0, np.nan)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalError):
+        sig.signal_matrix(m, B, 2.0, 0.1)
