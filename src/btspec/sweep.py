@@ -7,15 +7,15 @@ spectrum).  The tracker keeps one state per distinct block on a shared grid
 own: the assignment of least squared displacement from a linear
 prediction keeps identities through crossings.  When every branch has its
 own strictly nearest value, that assignment is read off directly.
-Otherwise an in-package port of scipy's shortest augmenting path solver
-(Crouse, IEEE TAES 52, 1679 (2016)) gives scipy's columns bit for bit:
-each branch in turn takes a free value among its exactly nearest ones (a
-fresh conjugate pair is an exact tie) or, when all are taken, searches for
-an augmenting path.  Only a step whose nearest values collide more than
-once, as in the degenerate families of a tilted sphere, goes to scipy's
-C solver.  The blocks are solved in their real form (see spectrum), so a
-real value has Im exactly 0 and a complex one its exact conjugate: realness
-is spectrum.is_real, sameness spectrum.same_value, and conjugacy is exact
+Otherwise, on the real line, it is the sorted one: the real values go to
+the branches in order, each non-real value to its strictly nearest
+non-real branch (a rejoining pair's branches join the real ones), and a
+fresh conjugate pair to the two adjacent real branches of least cost.  A
+step those rules do not prove optimal, as in the degenerate families of a
+tilted sphere, goes to scipy's solver.  The blocks are solved in their
+real form (see spectrum), so a real value has Im exactly 0, the test the
+rules use, and a complex one its exact conjugate: elsewhere realness is
+spectrum.is_real, sameness spectrum.same_value, and conjugacy is exact
 equality.  Ties are broken by eigenvector overlap (solving only the tied
 block with vectors); a real pair turning complex is ordered Im > 0 first,
 and a conjugate pair turning real gives its Im > 0 branch the smaller
@@ -25,6 +25,7 @@ MIN_STEP; what stays ambiguous is recorded.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,116 +67,75 @@ class BranchSweep:
         return self.eigenvalues[i]
 
 
-def _hungarian(cost: np.ndarray) -> np.ndarray:
-    """Column assigned to each row of a square cost matrix (minimal sum),
-    bit for bit the columns of scipy's linear_sum_assignment.
-
-    When every row has a strict minimum and no two rows share its column,
-    that assignment is the unique optimum and is returned as is.  Otherwise
-    _lsap runs scipy's shortest augmenting path algorithm (Crouse 2016).
-    A row whose exact minima are not all taken ends its search at the first
-    Dijkstra step (a conjugate pair is an exact tie for a real prediction);
-    a row that finds them all taken needs a full search, about 50 us per
-    row in numpy.  At that first full search, a matrix whose row minima
-    collide more than once (n - len(unique(argmin)) > 1) goes to scipy's C
-    solver instead, since many of its rows would search.  Every contended
-    matrix of the z-sphere sweeps (N = 100, 333 and 700, and sphere_reduced
-    at N = 300) has exactly one collision; a tilted sphere's have mostly 25
-    to 94.  So z-sphere sweeps never load scipy.optimize (about 0.4 s and
-    45 MB, since no other scipy module is loaded before it).  A non-finite
-    cost goes to scipy too, which rejects NaN and -inf."""
+def _assign(target: np.ndarray, values: np.ndarray,
+            cost: np.ndarray | None = None) -> np.ndarray:
+    """Index into values of each target value: least total squared
+    displacement (cost: that matrix, if computed).  A strictly nearest
+    value per target, no two the same, is the unique optimum; else
+    _closed_form's, else scipy's (which rejects a NaN cost)."""
+    if cost is None:
+        diff = np.subtract.outer(target, values)
+        cost = diff.real**2 + diff.imag**2
     low = cost <= cost.min(axis=1, keepdims=True)  # all False in a NaN row
     # one entry per row and per column: low is a permutation matrix
     if np.count_nonzero(low) == len(cost) and low.any(axis=0).all() \
             and low.any(axis=1).all():
         return low.argmax(axis=1)
-    if np.isfinite(cost).all():
-        cols = _lsap(cost, max_collisions=1)
-        if cols is not None:
-            return cols
-    import scipy.optimize
-    return scipy.optimize.linear_sum_assignment(cost)[1]
+    cols = _closed_form(target, values, cost) if np.isfinite(cost).all() else None
+    if cols is None:
+        import scipy.optimize
+        cols = scipy.optimize.linear_sum_assignment(cost)[1]
+    return cols
 
 
-def _lsap(cost: np.ndarray, max_collisions: int | None = None) -> np.ndarray | None:
-    """Column assigned to each row of a square, finite cost matrix: scipy's
-    shortest augmenting path solver (Crouse, IEEE TAES 52, 1679 (2016)) with
-    its arithmetic, scan order and tie-breaking, so the same columns bit for
-    bit.  Returns None, before any search, when that search would be needed
-    and more than max_collisions rows share a row minimum column."""
-    n = len(cost)
-    if not np.isfinite(cost).all():
-        raise ValueError("cost matrix contains non-finite entries")
-    u, v = np.zeros(n), np.zeros(n)
-    col4row, row4col, path = (np.full(n, -1) for _ in range(3))
-    free = np.ones(n, dtype=bool)
-    low = cost == cost.min(axis=1, keepdims=True)  # minima of cost - v while v = 0
-    searched = False
-    for cur in range(n):
-        # the first Dijkstra step: the lowest-index free column among the
-        # row's exact minima of cost - v ends the search at once
-        if searched:
-            r = cost[cur] - v
-            low[cur] = r == r.min()
-        j = np.argmax(low[cur] & free)
-        if low[cur, j] and free[j]:
-            u[cur] = cost[cur, j] - v[j]
-            row4col[j], col4row[cur], free[j] = cur, j, False
-            continue
-        if not searched and max_collisions is not None \
-                and n - len(np.unique(cost.argmin(axis=1))) > max_collisions:
+def _closed_form(target, values, cost) -> np.ndarray | None:
+    """A least-cost assignment by three rules, or None where they fail.
+
+    Real values (Im exactly 0) go in order to the targets sorted by real
+    part (a target's Im adds the same cost to each real value).  Each
+    non-real value takes its strictly nearest non-real target, no two the
+    same, and targets left over (a rejoin) join the real ones.  At a split
+    each non-real target takes its strictly nearest non-real value, and the
+    two left over, an exact conjugate pair x +- iy equally far from every
+    real target, go to the adjacent two of least total cost (of a < b < c,
+    a, b or b, c cost no more than a, c).  That is optimal among the
+    assignments keeping the real values and their targets apart from the
+    rest; any other pays a cross entry c_ij, so at least the sum of row
+    minima plus c_ij - min(row i), and the result must not cost more."""
+    tr, vr = target.imag == 0, values.imag == 0
+    ct, cv, rv = np.flatnonzero(~tr), np.flatnonzero(~vr), np.flatnonzero(vr)
+    cols, split = np.empty(len(cost), dtype=int), len(ct) < len(cv)
+    sub = cost[np.ix_(ct, cv)] if split else cost[np.ix_(ct, cv)].T
+    near = np.nonzero(sub == sub.min(axis=1, keepdims=True, initial=np.inf))[1]
+    if not len(near) == len(sub) == len(np.unique(near)):
+        return None  # a row without a strict minimum, or two sharing one
+    if split:
+        cols[ct], pair = cv[near], np.delete(cv, near)
+        if len(pair) != 2 or values[pair[0]] != values[pair[1]].conjugate():
             return None
-        searched = True
-        # Dijkstra over the columns from row cur, scanned as scipy scans
-        # them: from the last, a taken column swapped in for each one reached
-        remaining = np.arange(n - 1, -1, -1)
-        spc, sr, sc = np.full(n, np.inf), [], []
-        i, min_val, sink = cur, 0.0, -1
-        while sink < 0:
-            sr.append(i)
-            r = min_val + cost[i, remaining] - u[i] - v[remaining]
-            better = r < spc[remaining]
-            path[remaining[better]] = i
-            spc[remaining[better]] = r[better]
-            s = spc[remaining]
-            min_val = s.min()
-            at = s == min_val
-            sinks = np.flatnonzero(at & free[remaining])
-            # the last free column at the minimum, else the first column there
-            index = sinks[-1] if len(sinks) else np.argmax(at)
-            j = remaining[index]
-            sc.append(j)
-            if free[j]:
-                sink = j
-            else:
-                i = row4col[j]
-            remaining[index] = remaining[-1]
-            remaining = remaining[:-1]
-        # dual update and augmentation along the path
-        u[cur] += min_val
-        for i in sr[1:]:
-            u[i] += min_val - spc[col4row[i]]
-        for j in sc:
-            v[j] -= min_val - spc[j]
-        j, free[sink] = sink, False
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
-
-
-def _assign(target: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index into values of each target value: least squared displacement."""
-    diff = np.subtract.outer(target, values)
-    return _hungarian(diff.real**2 + diff.imag**2)
+        vr[pair] = True
+    else:
+        cols[ct[near]] = cv
+        tr[np.delete(ct, near)] = True
+    rt, rv = (i[np.argsort(z.real[i], kind="stable")]
+              for i, z in ((np.flatnonzero(tr), target), (rv, values)))
+    if split:  # the pair to the two adjacent targets of least total cost
+        w = cost[rt, pair[0]]
+        a, b = cost[rt[:-2], rv], cost[rt[2:], rv]
+        k = np.argmin(np.r_[0, np.cumsum(a)] + w[:-1] + w[1:]
+                      + np.r_[np.cumsum(b[::-1])[::-1], 0])
+        # Im > 0 to the smaller target
+        rv = np.r_[rv[:k], pair[np.argsort(-values.imag[pair])], rv[k:]]
+    cols[rt] = rv
+    row_min = cost.min(axis=1)
+    cross = np.where(tr[:, None] != vr, cost, np.inf).min(axis=1)
+    excess = cost[np.arange(len(cost)), cols].sum() - row_min.sum()
+    return cols if excess <= np.min(cross - row_min) else None
 
 
 def match_step(prev: Spectrum, next_: Spectrum):
     """Permutation sigma minimizing sum |lambda_prev[b] - lambda_next[sigma(b)]|^2
-    over the branches b of one exact block.
+    over the branches b of one exact block (see _assign).
 
     Returns (sigma, info).  info['tie_groups'] lists the cost-degenerate
     groups: a fresh conjugate pair is ordered Im > 0 first; other ties are
@@ -186,7 +146,7 @@ def match_step(prev: Spectrum, next_: Spectrum):
     cost = diff.real**2 + diff.imag**2
     if len(wp) == 1:  # one branch, one value: nothing to match
         return np.zeros(1, dtype=int), {"cost": float(cost[0, 0]), "tie_groups": []}
-    sigma = _hungarian(cost)
+    sigma = _assign(wp, wn, cost)
     cs = cost.take(sigma, axis=1)
     d = cs.diagonal()
     info = {"cost": float(d.sum()), "tie_groups": []}
@@ -223,9 +183,8 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
         return "conjugate_pair"
     kind = "unresolved"
     if prev.X is not None and next_.X is not None:
-        # maximize total overlap within the component (Hungarian on -|overlap|)
         ov = np.abs(prev.X[comp] @ next_.X[cols].T)
-        sigma[comp] = cols[_hungarian(-ov)]
+        sigma[comp] = cols[_max_overlap(ov)]
         # ambiguity: a row whose best and runner-up overlaps are comparable
         # while the two candidate next-values are visibly distinct
         c0, c1 = np.argsort(ov, axis=1)[:, ::-1][:, :2].T
@@ -242,6 +201,17 @@ def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
         low = cols[np.argsort(vals.real)]
         sigma[comp] = low if wp[comp[0]].imag > 0 else low[::-1]
     return kind
+
+
+def _max_overlap(ov: np.ndarray) -> np.ndarray:
+    """Column of each row maximizing the total overlap: the best of every
+    permutation up to four rows (z-sphere sweeps meet two), scipy's solver
+    beyond."""
+    if len(ov) > 4:
+        import scipy.optimize
+        return scipy.optimize.linear_sum_assignment(ov, maximize=True)[1]
+    perms = np.array(list(itertools.permutations(range(len(ov)))))
+    return perms[np.argmax(ov[np.arange(len(ov)), perms].sum(axis=1))]
 
 
 def _is_conjugate_family(vals: np.ndarray) -> bool:
@@ -306,8 +276,8 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     REFINE_DISPLACEMENT, or stay ambiguous in any block, is bisected for all
     blocks down to MIN_STEP; leftover ambiguities are logged.
     """
-    if g_max <= 0:
-        raise ValueError("g_max must be positive")
+    if not (0 < g_max < np.inf and 0 < step < np.inf):
+        raise ValueError("g_max and step must be positive and finite")
     pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
     sweep_g, rows = [pending.pop(0)], [mat.lam.astype(complex)]
     refinements, ambiguities, tracks = [], [], _tracks(mat, B)

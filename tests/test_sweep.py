@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from btspec import basis as bas
@@ -22,140 +21,133 @@ def test_match_identity():
     assert info["cost"] == 0.0
 
 
-def _assignment_cases():
-    rng = np.random.default_rng(7)
-    yield np.array([[3.5]])
-    yield np.array([[0.0, 1.0], [1.0, 0.0]])
-    yield np.array([[1.0, 0.0], [0.0, 1.0]])
-    yield np.array([[1.0, 1.0], [0.0, 2.0]])  # row 0 has no strict minimum
-    yield np.array([[0.0, 1.0], [0.0, 2.0]])  # both rows want column 0
-    for n in (2, 3, 5, 16):
-        for _ in range(100):
-            c = rng.random((n, n))
-            yield c
-            yield -c  # an overlap matrix, negated
-            near = 1 + c  # a permutation of small costs: the usual step
-            near[np.arange(n), rng.permutation(n)] = rng.random(n)
-            yield near
-            yield rng.integers(0, 3, (n, n)).astype(float)  # integer ties
-            yield -rng.integers(0, 3, (n, n)).astype(float)
-            yield _fresh_pair_cost(rng, n)
-            tied = near.copy()  # a second exact minimum in each of two rows
-            for i in rng.choice(n, min(n, 2), replace=False):
-                tied[i, rng.integers(n)] = tied[i].min()
-            yield tied
-            yield _crossing_cost(rng, n)
-
-
-def _fresh_pair_cost(rng, n, pairs=1):
-    """Squared distances from n real predictions to values of which some
-    (up to `pairs` pairs) are fresh conjugate pairs x +- iy near two
-    neighbouring predictions: both of those rows have two exactly equal
-    minima."""
-    pred = np.sort(rng.random(n)) * n
-    vals = (pred + 1e-3 * rng.standard_normal(n)).astype(complex)
-    for k in rng.choice(n - 1, min(pairs, n - 1), replace=False):
-        x, y = 0.5 * (vals[k].real + vals[k + 1].real), 1e-3 * rng.random()
-        vals[k], vals[k + 1] = x + 1j * y, x - 1j * y
-    diff = np.subtract.outer(pred, vals[rng.permutation(n)])
+def _sqdist(target, values):
+    diff = np.subtract.outer(target, values)
     return diff.real**2 + diff.imag**2
 
 
-def _crossing_cost(rng, n):
-    """Squared distances from n real predictions to values of which one
-    moved past its neighbour: two rows share their nearest value (one
-    collision), as at a contended step of a z-sphere sweep."""
-    pred = np.sort(rng.random(n)) * n
-    vals = pred + 1e-3 * rng.standard_normal(n)
-    k = rng.integers(n - 1)
-    vals[k] = pred[k + 1] + 0.1 * (pred[k + 1] - pred[k]) * rng.random()
-    return np.subtract.outer(pred, vals[rng.permutation(n)]) ** 2
+@st.composite
+def _steps(draw):
+    """A matching step (prediction, values) of one of the shapes a sweep
+    meets: all real and shuffled; real values with conjugate pairs; a fresh
+    pair from two adjacent real predictions; a rejoining pair; a crossing;
+    exact ties.  The values are in a random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["real", "pairs", "split", "rejoin", "crossing", "ties"]))
+    pairs = 0 if kind == "real" else draw(st.integers(1 if kind == "rejoin" else 0, 3))
+    real = draw(st.integers(2 if kind in ("split", "crossing") else int(not pairs), 10))
+    x, y = rng.random(pairs) * max(real, 1), 0.1 + rng.random(pairs)
+    target = np.r_[np.sort(rng.random(real)) * real, x + 1j * y, x - 1j * y]
+    if kind == "ties":  # values on a coarse lattice: exact cost ties
+        target = np.r_[rng.integers(0, 3, real), (x + 1j * y).round(), (x - 1j * y).round()]
+        return target.astype(complex), target[rng.permutation(len(target))].astype(complex)
+    moved = x + 1e-2 * rng.standard_normal(pairs) + 1j * (y + 1e-2 * rng.standard_normal(pairs))
+    values = np.r_[target[:real] + 1e-2 * rng.standard_normal(real), moved, moved.conj()]
+    k = rng.integers(max(real - 1, 1))
+    if kind == "split":  # values k and k + 1 merge into x +- iy
+        xs, ys = 0.5 * (values[k] + values[k + 1]).real, 0.05 * rng.random()
+        values[k], values[k + 1] = xs + 1j * ys, xs - 1j * ys
+    if kind == "rejoin":  # the first pair lands on the real axis
+        values[real], values[real + pairs] = moved[0].real - 0.01, moved[0].real + 0.02
+    if kind == "crossing":  # value k moves past prediction k + 1
+        values[k] = target[k + 1].real + 0.1 * rng.random()
+    return target.astype(complex), values[rng.permutation(len(values))].astype(complex)
 
 
-def _fresh_rows_fit(cost):
-    """Whether each row in turn finds a free column among its exact minima,
-    which is the first step of the augmenting path search from that row."""
-    free = np.ones(len(cost), dtype=bool)
-    for row in cost == cost.min(axis=1, keepdims=True):
-        j = np.argmax(row & free)
-        if not (row[j] and free[j]):
+def _optimum_is_unique(cost, cols):
+    """Whether every other assignment costs more: each with one of the
+    optimum's entries forbidden does."""
+    best = cost[np.arange(len(cost)), cols].sum()
+    for i in range(len(cost)):
+        c = cost.copy()
+        c[i, cols[i]] = np.inf
+        r, k = linear_sum_assignment(c)
+        if c[r, k].sum() <= best * (1 + 1e-9) + 1e-12:
             return False
-        free[j] = False
     return True
 
 
-def test_assignment_early_exit_matches_solver(monkeypatch):
-    """Every route returns exactly linear_sum_assignment's columns: a strict
-    minimum per row in distinct columns; each row in turn taking a free
-    column among its exact minima (the first step of each row's search);
-    the in-package augmenting path search, when one row minimum column is
-    shared (one collision); and scipy's solver, when more are.  More than
-    400 cases take each route, and only the last one calls scipy."""
-    import scipy.optimize
-    solved = []
-
-    def counted(cost):
-        solved.append(cost)
-        return linear_sum_assignment(cost)
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
-    kinds = {"strict": 0, "fresh_rows": 0, "search": 0, "scipy": 0}
-    for cost in _assignment_cases():
-        before = len(solved)
-        cols = sw._hungarian(cost)
-        assert np.array_equal(cols, linear_sum_assignment(cost)[1]), cost
-        low = cost == cost.min(axis=1, keepdims=True)
-        n, argmins = len(cost), len(set(cost.argmin(axis=1)))
-        strict = np.count_nonzero(low) == argmins == n
-        route = ("strict" if strict else "fresh_rows" if _fresh_rows_fit(cost)
-                 else "search" if n - argmins <= 1 else "scipy")
-        assert (len(solved) > before) == (route == "scipy"), (route, cost)
-        kinds[route] += 1
-    assert min(kinds.values()) > 400, kinds
-
-
-@st.composite
-def _cost_matrices(draw):
-    n = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["random", "ties", "negated_ties", "signed_zeros",
-                                 "conjugate_pairs", "sparse"]))
-    if kind == "sparse":  # one repeated value with a few others: hypothesis' fill
-        return draw(arrays(np.float64, (n, n), elements=st.floats(-2, 2, allow_nan=False)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "random":
-        return rng.standard_normal((n, n))
-    if kind == "conjugate_pairs":
-        return _fresh_pair_cost(rng, n, draw(st.integers(1, 20)))
-    ties = rng.integers(0, 3, (n, n)).astype(float)
-    # negated ties hold -0.0 where the ties hold 0.0
-    return {"ties": ties, "negated_ties": -ties,
-            "signed_zeros": np.where(ties == 2, -0.0, ties)}[kind]
+def _check_assignment(cost, cols, ref):
+    """cols is a permutation of least total cost (that of ref, scipy's),
+    and ref itself where the optimum is unique."""
+    n = len(cost)
+    assert np.array_equal(np.sort(cols), np.arange(n))
+    total, ref_total = cost[np.arange(n), cols].sum(), cost[np.arange(n), ref].sum()
+    assert total == pytest.approx(ref_total, rel=1e-12, abs=1e-15)
+    if len(cost) > 1 and _optimum_is_unique(cost, ref):
+        assert np.array_equal(cols, ref)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cost=_cost_matrices())
-def test_lsap_port_matches_scipy(cost):
-    """The in-package search, called without the routing rule, returns
-    linear_sum_assignment's columns bit for bit."""
-    assert np.array_equal(sw._lsap(cost), linear_sum_assignment(cost)[1])
+@given(step=_steps())
+def test_assign_is_least_squares(step):
+    """_assign, and _closed_form wherever it answers, give a least-cost
+    assignment: linear_sum_assignment's columns where the optimum is unique."""
+    target, values = step
+    cost = _sqdist(target, values)
+    ref = linear_sum_assignment(cost)[1]
+    _check_assignment(cost, sw._assign(target, values), ref)
+    cols = sw._closed_form(target, values, cost)
+    if cols is not None:
+        _check_assignment(cost, cols, ref)
+
+
+@pytest.mark.parametrize("target, values", [
+    ([0, 1, 2, 3], [3.1, 0.1, 1.6, 2.6]),  # a crossing: 1 and 2 both want 1.6
+    ([0, 1, 2, 3], [3.1, 0.2, 1.5 + 0.1j, 1.5 - 0.1j]),  # a fresh pair from 1, 2
+    ([0, 1.5 + 0.1j, 1.5 - 0.1j, 3], [1.4, 1.6, 2.9, 0.1]),  # the pair rejoins
+    ([5 + 0.1j, 5 - 0.1j, 0, 2], [5 - 0.11j, 5 + 0.11j, 1.2, 3.0]),  # 0 and 2 want 1.2
+], ids=["crossing", "split", "rejoin", "pair_and_crossing"])
+def test_closed_form_answers_contended_steps(target, values):
+    """Steps without a strictly nearest value per target are answered by
+    the rules, with scipy's columns."""
+    target, values = np.asarray(target, complex), np.asarray(values, complex)
+    cost = _sqdist(target, values)
+    low = cost == cost.min(axis=1, keepdims=True)
+    assert len(set(low.argmax(axis=1))) < len(cost) or np.count_nonzero(low) > len(cost)
+    cols = sw._closed_form(target, values, cost)
+    assert np.array_equal(cols, linear_sum_assignment(cost)[1])
+
+
+def test_closed_form_declines_a_mixed_optimum():
+    """Every target's nearest value lies in its own group, yet the optimum
+    gives the real prediction 1 a non-real value and the pair's prediction
+    1.9 - 0.05i the real value 2 (total 0.985 against the sorted 1.160):
+    the bound rejects the rules' answer and scipy's is returned."""
+    p, z = 1.9 + 0.05j, 1.9 + 0.051j
+    target, values = np.array([0, 1, p, p.conjugate()]), np.array([0.4, 2, z, z.conjugate()])
+    cost = _sqdist(target, values)
+    assert sw._closed_form(target, values, cost) is None
+    assert np.array_equal(sw._assign(target, values), [0, 3, 2, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+def test_overlap_permutations_match_solver(n, seed, ties):
+    """Up to four rows, the best permutation has the overlap total of
+    scipy's maximizing solver, and its columns where the optimum is unique."""
+    rng = np.random.default_rng(seed)
+    ov = rng.integers(0, 3, (n, n)).astype(float) if ties else rng.random((n, n))
+    ref = linear_sum_assignment(ov, maximize=True)[1]
+    _check_assignment(-ov + ov.max(), sw._max_overlap(ov), ref)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_lsap_rejects_non_finite_cost(bad):
-    """A non-finite cost raises ValueError in the in-package search; a NaN
-    one raises it from _hungarian too, as linear_sum_assignment does."""
-    cost = np.array([[1.0, 2.0], [0.5, 1.0]])
-    cost[1, 1] = bad
-    with pytest.raises(ValueError):
-        sw._lsap(cost)
-    if np.isnan(bad):
+def test_assign_rejects_non_finite(bad):
+    """A non-finite prediction or value raises ValueError from scipy's
+    solver: NaN as an invalid entry, an infinity as an infeasible row or
+    column."""
+    for where in range(2):
+        step = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+        step[where, 1] = bad
         with pytest.raises(ValueError):
-            sw._hungarian(cost)
+            sw._assign(*step)
 
 
 def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere60):
-    """The z sphere sweep at N=60 to gbar = 13 meets 33 contended steps, each
-    with one collision: it runs without loading scipy.optimize, and gives
-    the same grid, values and logs as with scipy's solver for every step."""
+    """The z sphere sweep at N=60 to gbar = 13 runs without loading
+    scipy.optimize, and gives the same grid, values and logs as with
+    scipy's solver for every step."""
     import os
     import pickle
     import subprocess
@@ -175,7 +167,8 @@ def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere6
     assert loaded.split() == ["False"]
     with open(out, "rb") as f:
         ours = pickle.load(f)
-    monkeypatch.setattr(sw, "_hungarian", lambda c: linear_sum_assignment(c)[1])
+    monkeypatch.setattr(sw, "_assign", lambda target, values, cost=None: linear_sum_assignment(
+        _sqdist(target, values) if cost is None else cost)[1])
     m, B = sphere60
     ref = sw.run_sweep(m, B, 13.0)
     assert np.array_equal(ours.g_grid, ref.g_grid)
@@ -203,6 +196,27 @@ def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["10", "False"]
+
+
+def test_tilted_sphere_scipy_fallbacks(sphere60, monkeypatch):
+    """Work counter: the tilted sphere sweep at N=60 (theta = 30, phi = 20
+    degrees, gbar <= 13) and its branch-point search call scipy's solver
+    exactly 74 times: for steps in its degenerate families that the
+    closed-form rules cannot prove, and overlap groups of more than four
+    rows."""
+    import scipy.optimize
+    calls = []
+    solve = scipy.optimize.linear_sum_assignment
+
+    def counted(cost, *args, **kwargs):
+        calls.append(len(cost))
+        return solve(cost, *args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    m, _ = sphere60
+    B = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
+    s = sw.run_sweep(m, B, 13.0)
+    assert len(bp.find_branch_points(m, B, s)) == 3
+    assert len(calls) == 74
 
 
 def test_match_conjugate_pair_formation():
@@ -489,10 +503,16 @@ def test_refinement_stability_under_step_halving(disk60):
         assert np.all(np.abs(v1 - v2) < 2 * tol)
 
 
-def test_sweep_rejects_bad_range(sphere60):
-    m, B = sphere60
-    with pytest.raises(ValueError):
-        sw.run_sweep(m, B, -1.0)
+def test_sweep_rejects_bad_range():
+    """A g_max or step that is not positive and finite raises ValueError
+    (a step of inf gave a one-point sweep, 0 a ZeroDivisionError and a
+    g_max of inf an OverflowError)."""
+    m = mx.operator_for("interval", 5)
+    B = mx.gradient_matrix(m)
+    for g_max, step in [(-1.0, 0.05), (0.0, 0.05), (np.inf, 0.05), (np.nan, 0.05),
+                        (1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan)]:
+        with pytest.raises(ValueError):
+            sw.run_sweep(m, B, g_max, step=step)
 
 
 def test_sweep_metadata_documents_tiebreak(disk60):
