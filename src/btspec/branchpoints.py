@@ -277,8 +277,8 @@ def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: fl
     """Eigenvalue and bilinear norm |<x, x>| of every tracked branch at g,
     matched from the sweep's values at its last grid point at or below g by
     the sweep's own step (match_step): a pair that splits in between meets
-    its real values as exact conjugates, an exact cost tie, and its Im > 0
-    member goes to the lower branch index, as in the sweep."""
+    its real values as exact conjugates, and the split rule gives its Im > 0
+    member the lower branch index, as in the sweep."""
     i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
     spec = diagonalize(mat, B, g)
 

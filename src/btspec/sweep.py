@@ -3,24 +3,24 @@
 Branch j starts at gbar = 0 as basis mode j and never leaves that mode's
 exact block, since the blocks of Lambda + i*gbar*B never couple (see
 spectrum).  The tracker keeps one state per distinct block on a shared grid
-(a bit-identical twin block copies its twin) and matches each block on its
-own: the assignment of least squared displacement from a linear
-prediction keeps identities through crossings.  When every branch has its
-own strictly nearest value, that assignment is read off directly.
-Otherwise, on the real line, it is the sorted one: the real values go to
-the branches in order, each non-real value to its strictly nearest
-non-real branch (a rejoining pair's branches join the real ones), and a
-fresh conjugate pair to the two adjacent real branches of least cost.  A
-step those rules do not prove optimal, as in the degenerate families of a
-tilted sphere, goes to scipy's solver.  The blocks are solved in their
-real form (see spectrum), so a real value has Im exactly 0, the test the
-rules use, and a complex one its exact conjugate: elsewhere realness is
-spectrum.is_real, sameness spectrum.same_value, and conjugacy is exact
-equality.  Ties are broken by eigenvector overlap (solving only the tied
-block with vectors); a real pair turning complex is ordered Im > 0 first,
-and a conjugate pair turning real gives its Im > 0 branch the smaller
-value.  A step ambiguous in any block is bisected for all, down to
-MIN_STEP; what stays ambiguous is recorded.
+(a bit-identical twin block copies its twin) and matches each block by
+value: the assignment of least squared displacement from a linear
+prediction (_assign: each branch's strictly nearest value, else the sorted
+real line, else scipy's solver).  The blocks are solved in their real form
+(see spectrum), so a real value has Im exactly 0 and a complex one its
+exact conjugate.
+
+Two real values of a block without hidden symmetry do not cross (von
+Neumann and Wigner); its splits and rejoins are exact conjugate ties with
+fixed rules: a fresh conjugate family goes Im > 0 to the lower branch, and
+the lower branch of a rejoining pair takes the smaller value.  Any other
+swap of two branches costing nearly the optimum is a tie: the step is
+bisected for all blocks down to MIN_STEP, and what stays tied is recorded.
+Eigenvectors are used once: a degenerate class at gbar = 0 is predicted as
+one value, so on its first step its members take the values whose vectors
+overlap their basis modes most.  Branches that are one value
+(spectrum.same_value, 1e-8 relative) before and after a step are no tie,
+so which member of such a family is which is not tracked.
 """
 
 from __future__ import annotations
@@ -31,16 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import OperatorMatrices
-from .spectrum import (Spectrum, _blocks, _components, _solve_block,
-                       block_labels, canonical_order, is_real, same_value)
+from .spectrum import (Spectrum, _blocks, _components, _degenerate_classes,
+                       _solve_block, block_labels, canonical_order, is_real,
+                       same_value)
 
 TIE_REL = 0.05
-OVERLAP_MARGIN = 0.2
-# Candidate values closer than this (relative) are numerically one value:
-# an overlap tie between them is not an ambiguity.
-DISTINCT_REL = 1e-5
 # A step is bisected, down to MIN_STEP, when a matched value moves further
-# than REFINE_DISPLACEMENT or its matching stays ambiguous.
+# than REFINE_DISPLACEMENT or its matching leaves a tie.
 MIN_STEP = 1e-5
 REFINE_DISPLACEMENT = 0.5
 
@@ -94,7 +91,9 @@ def _closed_form(target, values, cost) -> np.ndarray | None:
     Real values (Im exactly 0) go in order to the targets sorted by real
     part (a target's Im adds the same cost to each real value).  Each
     non-real value takes its strictly nearest non-real target, no two the
-    same, and targets left over (a rejoin) join the real ones.  At a split
+    same, and targets left over (a rejoin) join the real ones: the sort is
+    stable, so the lower of a rejoining pair, whose real parts are equal,
+    takes the smaller value.  At a split
     each non-real target takes its strictly nearest non-real value, and the
     two left over, an exact conjugate pair x +- iy equally far from every
     real target, go to the adjacent two of least total cost (of a < b < c,
@@ -124,8 +123,7 @@ def _closed_form(target, values, cost) -> np.ndarray | None:
         a, b = cost[rt[:-2], rv], cost[rt[2:], rv]
         k = np.argmin(np.r_[0, np.cumsum(a)] + w[:-1] + w[1:]
                       + np.r_[np.cumsum(b[::-1])[::-1], 0])
-        # Im > 0 to the smaller target
-        rv = np.r_[rv[:k], pair[np.argsort(-values.imag[pair])], rv[k:]]
+        rv = np.r_[rv[:k], pair, rv[k:]]  # ordered by match_step's split rule
     cols[rt] = rv
     row_min = cost.min(axis=1)
     cross = np.where(tr[:, None] != vr, cost, np.inf).min(axis=1)
@@ -135,18 +133,26 @@ def _closed_form(target, values, cost) -> np.ndarray | None:
 
 def match_step(prev: Spectrum, next_: Spectrum):
     """Permutation sigma minimizing sum |lambda_prev[b] - lambda_next[sigma(b)]|^2
-    over the branches b of one exact block (see _assign).
+    over the branches b of one exact block (see _assign), with each fresh
+    conjugate family (branches real in prev and non-real in next_) put in
+    canonical_order: Im > 0 to the lower branch index.
 
-    Returns (sigma, info).  info['tie_groups'] lists the cost-degenerate
-    groups: a fresh conjugate pair is ordered Im > 0 first; other ties are
-    broken by the bilinear overlap |<v_prev, v_next>| if both spectra carry
-    eigenvectors, else kind='unresolved'."""
+    Returns (sigma, info).  info['tie_groups'] lists the groups of branches
+    left tied (kind 'unresolved'): swapping two of them costs within TIE_REL
+    of the optimum, and they are neither one value both before and after
+    (spectrum.same_value) nor conjugate partners (a split or a rejoin)."""
     wp, wn = prev.eigenvalues, next_.eigenvalues
     diff = np.subtract.outer(wp, wn)
     cost = diff.real**2 + diff.imag**2
     if len(wp) == 1:  # one branch, one value: nothing to match
         return np.zeros(1, dtype=int), {"cost": float(cost[0, 0]), "tie_groups": []}
     sigma = _assign(wp, wn, cost)
+    fresh = np.flatnonzero(is_real(wp) & ~is_real(wn[sigma]))
+    if len(fresh):  # the split rule, for every route of _assign
+        z = wn[sigma[fresh]]
+        for fam in _components(same_value(z[:, None], z.conj()))[0]:
+            b = fresh[fam]
+            sigma[b] = sigma[b][canonical_order(z[fam])]
     cs = cost.take(sigma, axis=1)
     d = cs.diagonal()
     info = {"cost": float(d.sum()), "tie_groups": []}
@@ -155,58 +161,26 @@ def match_step(prev: Spectrum, next_: Spectrum):
     # The mask is symmetric with a true diagonal, so counts show pairs.
     tie = (1 - TIE_REL) * (cs + cs.T) <= (1 + TIE_REL) * np.add.outer(d, d)
     if np.count_nonzero(tie) > len(wp):
-        # two branches that are one value (spectrum.same_value) both in the
-        # prediction and at the next step are exactly degenerate (the
-        # |m| >= 1 pairs about the axis of a tilted sphere gradient; also
-        # zero costs): swapping them changes no value, so it is no tie
+        # no tie: a swap of two branches that are one value before and after
+        # (the |m| >= 1 pairs about a tilted sphere gradient; zero costs), or
+        # of conjugate partners (the split rule, or _closed_form's rejoin)
         i, j = np.nonzero(tie)
         wns = wn[sigma]
-        tie[i, j] = ~(same_value(wp[i], wp[j]) & same_value(wns[i], wns[j]))
+        one = same_value(wp[i], wp[j]) & same_value(wns[i], wns[j])
+        for w in (wp, wns):
+            one |= ~is_real(w[i]) & same_value(w[i], w[j].conj())
+        tie[i, j] = ~one
         # that clears the diagonal: walk only the branches tied to another
         tied = np.flatnonzero(tie.any(axis=1))
         for comp in _components(tie[np.ix_(tied, tied)])[0]:
-            comp = tied[comp]
-            kind = _resolve_component(comp, sigma, wp, wn, prev, next_)
-            info["tie_groups"].append({"branches": tuple(int(b) for b in comp),
-                                       "kind": kind})
+            info["tie_groups"].append({"branches": tuple(int(b) for b in tied[comp]),
+                                       "kind": "unresolved"})
     return sigma, info
-
-
-def _resolve_component(comp, sigma, wp, wn, prev, next_) -> str:
-    """Reorder sigma on one cost-tied group of branches; returns its kind."""
-    cols = sigma[comp]
-    vals = wn[cols]
-    if is_real(wp[comp]).all() and _is_conjugate_family(vals):
-        # real branches merged into conjugate pairs: deterministic order,
-        # Im > 0 to the lower branch index within each real-part group
-        sigma[comp] = cols[canonical_order(vals)]
-        return "conjugate_pair"
-    kind = "unresolved"
-    if prev.X is not None and next_.X is not None:
-        ov = np.abs(prev.X[comp] @ next_.X[cols].T)
-        sigma[comp] = cols[_max_overlap(ov)]
-        # ambiguity: a row whose best and runner-up overlaps are comparable
-        # while the two candidate next-values are visibly distinct
-        c0, c1 = np.argsort(ov, axis=1)[:, ::-1][:, :2].T
-        b0, b1 = (ov[np.arange(len(comp)), c] for c in (c0, c1))
-        close = b0 - b1 <= OVERLAP_MARGIN * (b0 + b1 + 1e-300)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        distinct = np.abs(vals[c0] - vals[c1]) > DISTINCT_REL * scale
-        kind = "unresolved" if np.any(close & distinct) else "overlap_resolved"
-    if len(comp) == 2 and is_real(vals).all() and _is_conjugate_family(wp[comp]):
-        # a conjugate pair rejoining the real axis: PT symmetry gives both
-        # members the same overlap with each real vector, so only rounding
-        # would choose.  Im > 0 goes to the smaller real value, mirroring
-        # the split rule: a pair that splits and rejoins keeps its order.
-        low = cols[np.argsort(vals.real)]
-        sigma[comp] = low if wp[comp[0]].imag > 0 else low[::-1]
-    return kind
 
 
 def _max_overlap(ov: np.ndarray) -> np.ndarray:
     """Column of each row maximizing the total overlap: the best of every
-    permutation up to four rows (z-sphere sweeps meet two), scipy's solver
-    beyond."""
+    permutation up to four rows, scipy's solver beyond."""
     if len(ov) > 4:
         import scipy.optimize
         return scipy.optimize.linear_sum_assignment(ov, maximize=True)[1]
@@ -214,56 +188,47 @@ def _max_overlap(ov: np.ndarray) -> np.ndarray:
     return perms[np.argmax(ov[np.arange(len(ov)), perms].sum(axis=1))]
 
 
-def _is_conjugate_family(vals: np.ndarray) -> bool:
-    """True when vals has a non-real member (spectrum.is_real) and its
-    non-real members are closed under exact conjugation."""
-    z = np.sort_complex(vals[~is_real(vals)])
-    return len(z) > 0 and np.array_equal(z, np.sort_complex(z.conj()))
-
-
 @dataclass
 class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
     blocks sharing its result (ix, then its twins), its real form (lam, K)
-    and phases d (see spectrum._blocks), and in vector mode the eigenvectors
-    at the last accepted point (else None)."""
+    and phases d (see spectrum._blocks), and the degenerate classes of lam
+    as lists of its branches (spectrum._degenerate_classes)."""
 
     ix: np.ndarray
     copies: list
     lam: np.ndarray
     K: np.ndarray
     d: np.ndarray
-    vec: np.ndarray | None
+    classes: list
 
     def solve(self, g: float, eigvals_only: bool) -> Spectrum:
         w, Z = _solve_block(self.lam, self.K, g, eigvals_only)
         return Spectrum(gbar=g, eigenvalues=w, X=None if Z is None else Z * self.d)
 
-    def step(self, pred: np.ndarray, g_prev: float, prev: np.ndarray, g: float):
-        """Values at g, tie groups and the vector state to keep on acceptance."""
-        if self.vec is None:
-            nxt = self.solve(g, True)
-            sigma, info = match_step(Spectrum(gbar=g, eigenvalues=pred), nxt)
-            if not info["tie_groups"]:
-                return nxt.eigenvalues[sigma], [], None
-            # vectors from g_prev, which was tie-free, so aligned by value
-            spec = self.solve(g_prev, False)
-            self.vec = spec.X[_assign(prev, spec.eigenvalues)]
-        nxt = self.solve(g, False)
-        sigma, info = match_step(Spectrum(gbar=g, eigenvalues=pred, X=self.vec), nxt)
-        ties = info["tie_groups"]
-        return nxt.eigenvalues[sigma], ties, nxt.X[sigma] if ties else None
+    def step(self, pred: np.ndarray, g: float, first: bool):
+        """Values at g in branch order, and the unresolved tie groups.  On
+        the first step out of gbar = 0 each degenerate class's members take
+        the values whose vectors overlap their basis modes e_j most, which
+        decides the ties inside a class."""
+        vectors = first and bool(self.classes)
+        nxt = self.solve(g, not vectors)
+        sigma, info = match_step(Spectrum(gbar=g, eigenvalues=pred), nxt)
+        for c in self.classes if vectors else []:
+            sigma[c] = sigma[c][_max_overlap(np.abs(nxt.X[np.ix_(sigma[c], c)]).T)]
+            info["tie_groups"] = [tie for tie in info["tie_groups"]
+                                  if not np.isin(tie["branches"], c).all()]
+        return nxt.eigenvalues[sigma], info["tie_groups"]
 
 
 def _tracks(mat: OperatorMatrices, B: np.ndarray) -> list[_Track]:
-    """One tracker per distinct exact block, in vector mode from gbar = 0 (where
-    branch j has eigenvector e_j): splitting degenerate families need it."""
-    blocks = _blocks(mat.lam, B)
-    tracks = []
+    """One tracker per distinct exact block."""
+    blocks, tracks = _blocks(mat.lam, B), []
     for k, (ix, twin, lam_b, K, d) in enumerate(blocks):
         if twin == k:
-            copies = [jx for jx, t, *_ in blocks if t == k]
-            tracks.append(_Track(ix, copies, lam_b, K, d, np.eye(len(ix), dtype=complex)))
+            cid = _degenerate_classes(lam_b)
+            tracks.append(_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K, d,
+                                 [np.flatnonzero(cid == c) for c in range(cid.max() + 1)]))
     return tracks
 
 
@@ -271,10 +236,11 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
               step: float = 0.05) -> BranchSweep:
     """Track eigenvalue branches from gbar = 0 to g_max.
 
-    Blocks are solved without eigenvectors until a tie survives their
-    slope-predicted matching.  A step whose matched values move further than
-    REFINE_DISPLACEMENT, or stay ambiguous in any block, is bisected for all
-    blocks down to MIN_STEP; leftover ambiguities are logged.
+    Blocks are matched by value from a slope prediction (eigenvectors only
+    on the first step of a block with a degenerate class; see _Track.step).
+    A step whose matched values move further than REFINE_DISPLACEMENT, or
+    leave a tie in any block, is bisected for all blocks down to MIN_STEP;
+    leftover ties are logged as ambiguities.
     """
     if not (0 < g_max < np.inf and 0 < step < np.inf):
         raise ValueError("g_max and step must be positive and finite")
@@ -287,14 +253,13 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
         if len(rows) > 1:
             slope = (pred - rows[-2]) / (sweep_g[-1] - sweep_g[-2])
             pred = pred + slope * (g_next - sweep_g[-1])
-        row, unresolved, vecs = np.empty(mat.N, dtype=complex), [], []
+        row, unresolved = np.empty(mat.N, dtype=complex), []
         for t in tracks:
-            vals, ties, vec = t.step(pred[t.ix], sweep_g[-1], rows[-1][t.ix], g_next)
-            vecs.append(vec)
+            vals, ties = t.step(pred[t.ix], g_next, sweep_g[-1] == 0.0)
             for ix in t.copies:  # report basis modes, not the block's branches
                 row[ix] = vals
                 unresolved += [dict(tie, branches=tuple(int(ix[b]) for b in tie["branches"]))
-                               for tie in ties if tie["kind"] == "unresolved"]
+                               for tie in ties]
         max_disp = float(np.max(np.abs(rows[-1] - row)))
         if (unresolved or max_disp > REFINE_DISPLACEMENT) and \
                 g_next - sweep_g[-1] > 2 * MIN_STEP:
@@ -307,14 +272,13 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                         for tie in sorted(unresolved, key=lambda tie: tie["branches"])]
         sweep_g.append(g_next)
         rows.append(row)
-        for t, vec in zip(tracks, vecs):
-            t.vec = vec
 
     return BranchSweep(
         g_grid=np.array(sweep_g), eigenvalues=np.vstack(rows),
         block=block_labels(mat, B), refinements=refinements, ambiguities=ambiguities,
         metadata={"geometry": mat.basis.geometry, "N": mat.N, "step": step,
                   "min_step": MIN_STEP,
-                  "tiebreak": "per exact block: slope-predicted squared displacement, "
-                              "eigenvector overlap on ties, Im>0 to lower index "
-                              "through branch points"})
+                  "tiebreak": "per exact block: slope-predicted squared displacement; "
+                              "Im>0 to the lower index at a split, the smaller value "
+                              "at a rejoin; other ties bisected; eigenvector overlap "
+                              "only on the first step of a degenerate class"})

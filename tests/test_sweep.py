@@ -201,9 +201,9 @@ def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
 def test_tilted_sphere_scipy_fallbacks(sphere60, monkeypatch):
     """Work counter: the tilted sphere sweep at N=60 (theta = 30, phi = 20
     degrees, gbar <= 13) and its branch-point search call scipy's solver
-    exactly 74 times: for steps in its degenerate families that the
-    closed-form rules cannot prove, and overlap groups of more than four
-    rows."""
+    exactly 72 times: 65 for steps in its degenerate families that the
+    closed-form rules cannot prove, and 7 for the first step's overlap
+    matching of the degenerate classes of more than four members."""
     import scipy.optimize
     calls = []
     solve = scipy.optimize.linear_sum_assignment
@@ -216,18 +216,18 @@ def test_tilted_sphere_scipy_fallbacks(sphere60, monkeypatch):
     B = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
     s = sw.run_sweep(m, B, 13.0)
     assert len(bp.find_branch_points(m, B, s)) == 3
-    assert len(calls) == 74
+    assert len(calls) == 72
 
 
 def test_match_conjugate_pair_formation():
+    """A fresh conjugate pair goes Im > 0 to the lower branch index (the
+    split rule), and its exact tie is decided, so no tie group is left."""
     prev = sp.Spectrum(gbar=5.0, eigenvalues=np.array([2.4, 2.6, 9.0], dtype=complex))
     nxt = sp.Spectrum(gbar=5.05, eigenvalues=np.array([2.5 - 0.2j, 2.5 + 0.2j, 9.01 + 0j]))
     sigma, info = sw.match_step(prev, nxt)
-    # Im > 0 goes to the lower branch index; the tie is recorded
     assert nxt.eigenvalues[sigma[0]].imag > 0
     assert nxt.eigenvalues[sigma[1]].imag < 0
-    kinds = [t["kind"] for t in info["tie_groups"]]
-    assert "conjugate_pair" in kinds
+    assert info["tie_groups"] == []
 
 
 def test_match_through_synthetic_crossing():
@@ -280,7 +280,7 @@ def test_sweep_grid_and_permutation_validity():
     assert s.g_grid[0] == 0.0 and s.g_grid[-1] == 3.0
     assert np.all(np.diff(s.g_grid) > 0)
     # every row is a permutation of the full spectrum, bit for bit, although
-    # the tracker solves its blocks itself and some of them with vectors
+    # the tracker solves its blocks itself
     for g, row in zip(s.g_grid[1:], s.eigenvalues[1:]):
         w = sp.diagonalize(m, B, g, eigvals_only=True).eigenvalues
         assert np.array_equal(np.sort(row), np.sort(w))
@@ -371,21 +371,23 @@ def _eig_orders(monkeypatch):
 
 
 def test_tilted_sphere_chains_few_eigenvectors(sphere60, monkeypatch):
-    """Swapping two exactly degenerate branches (the |m| >= 1 pairs about the
-    gradient axis, inside the tilted block) changes no value, so it is no tie: the summed order of the
-    eigenvector solves stays within the whole-spectrum tracker's 2838."""
+    """The tilted block (66 modes, with the degenerate m-families of
+    gbar = 0) is solved with eigenvectors once, on its first step; every
+    later step, the exactly degenerate |m| >= 1 pairs about the gradient
+    axis included, is matched by value (the whole-spectrum tracker's
+    eigenvector solves summed to order 2838)."""
     m, _ = sphere60
     Bt = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.2)
     orders = _eig_orders(monkeypatch)
     sw.run_sweep(m, Bt, 16.0, step=0.05)
-    assert 0 < sum(orders) <= 2838
+    assert orders == [66]
 
 
 def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
-    """The z sphere sweep at N=60 to gbar = 12 makes exactly these block
-    solves, by (block order, with vectors): the counts of the complex
-    solver that the real form replaced, so the real form is faster per
-    solve and does not solve less."""
+    """Work counter: the z sphere sweep at N=60 to gbar = 12 makes exactly
+    these block solves, by (block order, with vectors), one per block and
+    step of its 241 grid points, with no refinement and no ambiguity: a
+    tracker that solves, bisects or logs more fails here."""
     m, B = sphere60
     calls = Counter()
     geev = sp._geev
@@ -395,62 +397,49 @@ def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
         return geev(M, vectors)
 
     monkeypatch.setattr(sp, "_geev", counted)
-    sw.run_sweep(m, B, 12.0)
-    assert dict(calls) == {
-        (1, False): 263, (2, False): 263, (3, False): 263, (5, False): 263,
-        (7, False): 263, (9, False): 263, (12, False): 248,
-        (1, True): 1, (2, True): 1, (3, True): 1, (5, True): 1, (7, True): 1,
-        (9, True): 3, (12, True): 34}
+    s = sw.run_sweep(m, B, 12.0)
+    assert dict(calls) == {(n, False): 240 for n in (1, 2, 3, 5, 7, 9, 12)}
+    assert (len(s.g_grid), len(s.refinements), len(s.ambiguities)) == (241, 0, 0)
 
 
-def test_z_sphere_solves_only_tied_blocks_with_eigenvectors(sphere60, monkeypatch):
-    """Only a block with a tie is solved with eigenvectors: the summed order
-    of the eigenvector solves stays within the whole-spectrum tracker's 1443,
-    and no solve is wider than the widest block."""
+def test_z_sphere_sweep_solves_no_eigenvectors(sphere60, monkeypatch):
+    """No block of the z sphere has a degenerate class at gbar = 0, so its
+    sweep to gbar = 16 matches every step by value: no eigenvector solve."""
     m, B = sphere60
     orders = _eig_orders(monkeypatch)
     sw.run_sweep(m, B, 16.0, step=0.05)
-    assert 0 < sum(orders) <= 1443
-    assert max(orders) <= max(len(ix) for ix, *_ in sp._blocks(m.lam, B))
+    assert orders == []
 
 
-def test_rejoining_pair_gives_im_positive_the_smaller_value():
-    """A conjugate pair rejoining the real axis is a cost tie that overlaps
-    cannot break; the Im > 0 branch takes the smaller real value, whatever
-    the order of the values, and the step stays unresolved (bisected)."""
+def test_rejoining_pair_gives_the_lower_branch_the_smaller_value():
+    """A conjugate pair rejoining the real axis is an exact cost tie that
+    _closed_form's sorted real line decides: the lower branch takes the
+    smaller real value, whatever the order of the values and of the pair's
+    members, and no tie group is left."""
     lo, hi = 5 - 1e-4, 5 + 1e-4
     for pair in ([5 + 1e-4j, 5 - 1e-4j], [5 - 1e-4j, 5 + 1e-4j]):
         prev = sp.Spectrum(gbar=1.0, eigenvalues=np.array(pair))
         for vals in ([lo, hi], [hi, lo]):
             nxt = sp.Spectrum(gbar=1.0, eigenvalues=np.array(vals, dtype=complex))
             sigma, info = sw.match_step(prev, nxt)
-            want = [lo, hi] if pair[0].imag > 0 else [hi, lo]
-            assert nxt.eigenvalues[sigma].real.tolist() == want
-            assert [g["kind"] for g in info["tie_groups"]] == ["unresolved"]
+            assert nxt.eigenvalues[sigma].real.tolist() == [lo, hi]
+            assert info["tie_groups"] == []
 
 
-def test_overlap_resolves_a_cost_tie_on_a_cos_block(sphere60):
-    """On the m = 1 cos block of the z sphere (its sin twin copies it) the
-    overlap form is the block's own bilinear product: a cost tie is resolved
-    by eigenvector continuity, and stays unresolved without eigenvectors."""
+def test_guard_reports_a_cost_tie_on_a_cos_block(sphere60):
+    """On the m = 1 cos block of the z sphere (its sin twin copies it), two
+    real branches predicted at the midpoint of their next two values are a
+    cost tie that no rule decides: the guard reports it unresolved."""
     m, B = sphere60
     t = next(t for t in sw._tracks(m, B) if m.basis.indices[t.ix[0]].m == 1)
     assert len(t.copies) == 2
     assert [m.basis.indices[ix[0]].l for ix in t.copies] == [1, 2]
-    a, b = t.solve(2.0, False), t.solve(2.01, False)
+    b = t.solve(2.01, True)
     assert np.all(np.abs(b.eigenvalues[:2].imag) < 1e-12)
-    # the previous branches 0 and 1 carry the vectors of rows 1 and 0, and
-    # both are predicted at the midpoint of the next two values: a cost tie
-    swap = np.arange(len(t.ix))
-    swap[:2] = [1, 0]
     pred = b.eigenvalues.copy()
     pred[:2] = b.eigenvalues[:2].mean()
-    prev = sp.Spectrum(gbar=2.01, eigenvalues=pred, X=a.X[swap])
-    sigma, info = sw.match_step(prev, b)
-    assert [g["kind"] for g in info["tie_groups"]] == ["overlap_resolved"]
-    assert np.array_equal(sigma, swap)
     _, info = sw.match_step(sp.Spectrum(gbar=2.01, eigenvalues=pred), b)
-    assert [g["kind"] for g in info["tie_groups"]] == ["unresolved"]
+    assert info["tie_groups"] == [{"branches": (0, 1), "kind": "unresolved"}]
 
 
 def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
@@ -475,6 +464,21 @@ def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
     want = sorted((int(ix[0]), int(ix[2])) for ix in t.copies)
     assert len(want) == 2
     assert [(a["g"], a["branches"]) for a in s.ambiguities] == [(0.05, w) for w in want]
+
+
+@pytest.mark.parametrize("N", [60, 100])
+def test_disk_rejoin_keeps_the_pair_labels_across_truncations(N):
+    """A conjugate pair of the disk (branches 8 and 10, 0-based) rejoins the
+    real axis near gbar = 30.07: the rejoin is decided by rule, not logged,
+    so both truncations name the same branches (3, 8) for the point near
+    33.77."""
+    m = mx.operator_for("disk", N)
+    B = mx.gradient_matrix(m)
+    s = sw.run_sweep(m, B, 40.0)
+    assert s.ambiguities == []
+    (p,) = [p for p in bp.find_branch_points(m, B, s, max_branch=17)
+            if abs(p.g_star - 33.77) < 0.01]
+    assert p.branches == (3, 8)
 
 
 def test_merge_clusters_respect_m(sphere333_sweep, sphere333):
