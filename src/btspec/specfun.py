@@ -19,14 +19,15 @@ element's arithmetic depends on its own (n, z) alone, so a multi-order pass
 equals one-order scans bit for bit.  Below |z| = 1e-8 the first term of the
 power series is the function to rounding, and exact at z = 0; negative z
 follows by parity.  The same recurrences give J_n and j_n themselves
-(bessel_j, spherical_j), which the eigenfunction maps evaluate.  Only the
-fractional order -2/3 takes scipy.special, imported by the function that
-needs it.
+(bessel_j, spherical_j), which the eigenfunction maps evaluate.  The
+fractional order -2/3 takes the same backward recurrence over the orders
+-2/3 + k, normalized by Neumann's sum for (z/2)^(-2/3) (bessel_jv_frac).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,13 +149,14 @@ def _scan_zeros(f, orders, starts, count=None, upto=np.inf, df=None,
     return np.split(x[below], np.cumsum(np.bincount(row[below], minlength=len(n)))[:-1])
 
 
-def _miller(n, z, half: int):
+def _miller(n, z, half: float):
     """(y, top): y(k) gives unnormalized values, at the order k (an int, or
     one per column, k >= 0), of the solution of
     y_{k-1} = (2k + half) / z_i * y_k - y_{k+1} that is recessive as k grows
-    (J_k for half = 0, DLMF 10.6.1; the spherical j_k for half = 1, DLMF
-    10.51.1), by Miller's backward recurrence (DLMF 3.6(v); Gautschi, SIAM
-    Rev. 9, 24 (1967)).  Column i starts from y = 1 at its own order
+    (J_{k + half/2}, DLMF 10.6.1: J_k for half = 0, J_{k-2/3} for
+    half = -4/3; the spherical j_k for half = 1, DLMF 10.51.1), by Miller's
+    backward recurrence (DLMF 3.6(v); Gautschi, SIAM Rev. 9, 24 (1967)).
+    Column i starts from y = 1 at its own order
     floor(max(n_i, z_i) + 10 + 8 z_i^(1/3)), past the transition region
     k ~ z where the recessive solution starts to fall off, and is 0 above
     it; top is the highest start.  Every 8 orders, a column above 2^500 is
@@ -197,7 +199,7 @@ def _elementwise(d: int):
     return lift
 
 
-def _leading(k, z, half: int) -> np.ndarray:
+def _leading(k, z, half: float) -> np.ndarray:
     """prod_{i=1..k} z / (2i + half): the first term z^k / (2^k k!) of the
     power series of J_k (half = 0, DLMF 10.2.2) or z^k / (2k + 1)!! of j_k
     (half = 1, DLMF 10.53.1), elementwise on 1-d arrays, k >= 0.  The next
@@ -324,16 +326,32 @@ def zeros_upto(kind: str, zmax: float) -> list:
     return tables[:next(i for i, t in enumerate(tables) if i and not t.size)]
 
 
+def bessel_jv_frac(nu: float, z) -> tuple:
+    """(J_nu(z), J_{nu+1}(z)) for one non-integer order nu > -1, elementwise
+    on a 1-d z > 0: Miller's recurrence over the orders nu + k (_miller with
+    half = 2 nu), normalized by Neumann's sum, all of whose terms are
+    positive: (z/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k! J_{nu+2k}(z)
+    (DLMF §10.23).  As in _bessel_J, each element depends on its z alone."""
+    y, top = _miller(np.zeros(len(z)), z, 2.0 * nu)
+    k = np.arange(top // 2 + 1)  # Gamma(nu + k) / k! by its ratios (nu + k - 1) / k
+    a = (nu + 2 * k) * np.cumprod(np.r_[math.gamma(nu), (nu + k[:-1]) / k[1:]])
+    scale = (0.5 * z) ** nu / np.cumsum(a[:, None] * y(2 * k[:, None]), axis=0)[-1]
+    return scale * y(0), scale * y(1)
+
+
 def zeros_J_minus_two_thirds(count: int) -> ZeroTable:
-    """First `count` positive zeros of J_{-2/3}(z)."""
+    """First `count` positive zeros of J_{-2/3}(z) (bessel_jv_frac), polished
+    by Newton on J_nu' = (nu / z) J_nu - J_{nu+1} (DLMF 10.6.2)."""
     if count < 1:
         raise DomainError("require count >= 1")
-    from scipy import special  # fractional order: the one scipy table
+    nu = -2.0 / 3.0
 
+    def dJ(n, z):
+        j, j1 = bessel_jv_frac(nu, z)
+        return nu / z * j - j1
     # J_{-2/3} diverges like z^{-2/3} at 0+; start past the singularity.
-    table = _scan_zeros(special.jv, [-2.0 / 3.0], [0.05], count=count,
-                        df=lambda n, z: special.jvp(n, z, 1))[0]
-    return ZeroTable(kind="J", order=-2.0 / 3.0, zeros=table)
+    table = _scan_zeros(lambda n, z: bessel_jv_frac(nu, z)[0], [nu], [0.05], count=count, df=dJ)[0]
+    return ZeroTable(kind="J", order=nu, zeros=table)
 
 
 def interval_branch_constants(count: int) -> np.ndarray:

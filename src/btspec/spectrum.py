@@ -410,14 +410,3 @@ def slowest_pair(spec: Spectrum) -> tuple[int, int | None]:
     d[i1] = np.inf
     i2 = int(np.argmin(d))
     return (i1, i2) if w[i1].imag > 0 else (i2, i1)
-
-
-def residual(mat: OperatorMatrices, B: np.ndarray, spec: Spectrum) -> float:
-    """max_j ||X_j M - lambda_j X_j|| / ||M||, a solver quality metric."""
-    if spec.X is None:
-        raise ValueError("residual needs eigenvectors")
-    M = mat.bloch_torrey(B, spec.gbar)
-    R = spec.X @ M - spec.eigenvalues[:, None] * spec.X
-    scale = np.linalg.norm(M) or 1.0  # the zero operator (N = 1 at gbar = 0)
-    rownorm = np.linalg.norm(R, axis=1) / np.maximum(np.linalg.norm(spec.X, axis=1), 1e-300)
-    return float(np.max(rownorm) / scale)

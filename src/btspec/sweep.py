@@ -16,16 +16,16 @@ fixed rules: a fresh conjugate family goes Im > 0 to the lower branch, and
 the lower branch of a rejoining pair takes the smaller value.  Any other
 swap of two branches costing nearly the optimum is a tie: the step is
 bisected for all blocks down to MIN_STEP, and what stays tied is recorded.
-Eigenvectors are used once: a degenerate class at gbar = 0 is predicted as
-one value, so on its first step its members take the values whose vectors
-overlap their basis modes most.  Branches that are one value
-(spectrum.same_value, 1e-8 relative) before and after a step are no tie,
-so which member of such a family is which is not tracked.
+No eigenvector is solved: the members of a degenerate class of gbar = 0
+(the m-families of a tilted sphere) split as gbar^2, so their real
+predictions add that second-order term (_curvatures), which gives the lower
+branch the smaller value, as the z sphere's |m| sectors do.  Branches
+that are one value (spectrum.same_value, 1e-8 relative) before and after a
+step are no tie, so which member of such a family is which is not tracked.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,66 +178,49 @@ def match_step(prev: Spectrum, next_: Spectrum):
     return sigma, info
 
 
-def _max_overlap(ov: np.ndarray) -> np.ndarray:
-    """Column of each row maximizing the total overlap: the best of every
-    permutation up to four rows, scipy's solver beyond."""
-    if len(ov) > 4:
-        import scipy.optimize
-        return scipy.optimize.linear_sum_assignment(ov, maximize=True)[1]
-    perms = np.array(list(itertools.permutations(range(len(ov)))))
-    return perms[np.argmax(ov[np.arange(len(ov)), perms].sum(axis=1))]
-
-
 @dataclass
 class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
-    blocks sharing its result (ix, then its twins), its real form (lam, K)
-    and phases d (see spectrum._blocks), and the degenerate classes of lam
-    as lists of its branches (spectrum._degenerate_classes)."""
+    blocks sharing its result (ix, then its twins), its real form (lam, K;
+    see spectrum._blocks) and the second-order coefficient w of each branch
+    (_curvatures)."""
 
     ix: np.ndarray
     copies: list
     lam: np.ndarray
     K: np.ndarray
-    d: np.ndarray
-    classes: list
+    w: np.ndarray
 
-    def solve(self, g: float, eigvals_only: bool) -> Spectrum:
-        w, Z = _solve_block(self.lam, self.K, g, eigvals_only)
-        return Spectrum(gbar=g, eigenvalues=w, X=None if Z is None else Z * self.d)
 
-    def step(self, pred: np.ndarray, g: float, first: bool):
-        """Values at g in branch order, and the unresolved tie groups.  On
-        the first step out of gbar = 0 each degenerate class's members take
-        the values whose vectors overlap their basis modes e_j most, which
-        decides the ties inside a class."""
-        vectors = first and bool(self.classes)
-        nxt = self.solve(g, not vectors)
-        sigma, info = match_step(Spectrum(gbar=g, eigenvalues=pred), nxt)
-        for c in self.classes if vectors else []:
-            sigma[c] = sigma[c][_max_overlap(np.abs(nxt.X[np.ix_(sigma[c], c)]).T)]
-            info["tie_groups"] = [tie for tie in info["tie_groups"]
-                                  if not np.isin(tie["branches"], c).all()]
-        return nxt.eigenvalues[sigma], info["tie_groups"]
+def _curvatures(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Branch j of a degenerate class c of lam (spectrum._degenerate_classes)
+    is lam_c - gbar^2 w_j + O(gbar^4) (Kato, ch. II): K couples no two
+    members of c (B couples n only to n +- 1), so w are the eigenvalues of
+    the real symmetric W_c = K[c, r] diag(1 / (lam_c - lam_r)) K[c, r]^T over
+    the rest r of the block, largest first in branch order (the lower branch
+    takes the smaller value).  0 outside a class."""
+    cid, w = _degenerate_classes(lam), np.zeros(len(lam))
+    for c in range(cid.max() + 1):
+        cls = cid == c
+        Kc = K[np.ix_(cls, ~cls)]
+        w[cls] = np.linalg.eigvalsh((Kc / (lam[cls][0] - lam[~cls])) @ Kc.T)[::-1]
+    return w
 
 
 def _tracks(mat: OperatorMatrices, B: np.ndarray) -> list[_Track]:
     """One tracker per distinct exact block."""
-    blocks, tracks = _blocks(mat.lam, B), []
-    for k, (ix, twin, lam_b, K, d) in enumerate(blocks):
-        if twin == k:
-            cid = _degenerate_classes(lam_b)
-            tracks.append(_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K, d,
-                                 [np.flatnonzero(cid == c) for c in range(cid.max() + 1)]))
-    return tracks
+    blocks = _blocks(mat.lam, B)
+    return [_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K, _curvatures(lam_b, K))
+            for k, (ix, twin, lam_b, K, _) in enumerate(blocks) if twin == k]
 
 
 def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
               step: float = 0.05) -> BranchSweep:
     """Track eigenvalue branches from gbar = 0 to g_max.
 
-    Blocks are matched by value from a slope prediction (eigenvectors only
-    on the first step of a block with a degenerate class; see _Track.step).
+    Blocks are matched by value from a slope through the last two points
+    g0 <= g1 (g0 = g1 = 0 on the first step), whose real predictions bend by
+    -w (gbar - g1)(gbar - g0) (see _curvatures); no eigenvector is solved.
     A step whose matched values move further than REFINE_DISPLACEMENT, or
     leave a tie in any block, is bisected for all blocks down to MIN_STEP;
     leftover ties are logged as ambiguities.
@@ -247,19 +230,26 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
     sweep_g, rows = [pending.pop(0)], [mat.lam.astype(complex)]
     refinements, ambiguities, tracks = [], [], _tracks(mat, B)
+    w = np.zeros(mat.N)  # each basis mode's second-order coefficient
+    for t in tracks:
+        w[np.ravel(t.copies)] = np.tile(t.w, len(t.copies))
     while pending:
         g_next = pending.pop(0)
         pred = rows[-1]  # linear extrapolation from the last two points
         if len(rows) > 1:
             slope = (pred - rows[-2]) / (sweep_g[-1] - sweep_g[-2])
             pred = pred + slope * (g_next - sweep_g[-1])
+        if w.any():  # a conjugate pair's prediction stays exactly conjugate
+            bend = w * ((g_next - sweep_g[-1]) * (g_next - sweep_g[-2:][0]))
+            pred = np.where(is_real(pred), pred - bend, pred)
         row, unresolved = np.empty(mat.N, dtype=complex), []
-        for t in tracks:
-            vals, ties = t.step(pred[t.ix], g_next, sweep_g[-1] == 0.0)
+        for t in tracks:  # values only, matched in branch order
+            nxt = Spectrum(gbar=g_next, eigenvalues=_solve_block(t.lam, t.K, g_next, True)[0])
+            sigma, info = match_step(Spectrum(gbar=g_next, eigenvalues=pred[t.ix]), nxt)
             for ix in t.copies:  # report basis modes, not the block's branches
-                row[ix] = vals
+                row[ix] = nxt.eigenvalues[sigma]
                 unresolved += [dict(tie, branches=tuple(int(ix[b]) for b in tie["branches"]))
-                               for tie in ties]
+                               for tie in info["tie_groups"]]
         max_disp = float(np.max(np.abs(rows[-1] - row)))
         if (unresolved or max_disp > REFINE_DISPLACEMENT) and \
                 g_next - sweep_g[-1] > 2 * MIN_STEP:
@@ -280,5 +270,5 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                   "min_step": MIN_STEP,
                   "tiebreak": "per exact block: slope-predicted squared displacement; "
                               "Im>0 to the lower index at a split, the smaller value "
-                              "at a rejoin; other ties bisected; eigenvector overlap "
-                              "only on the first step of a degenerate class"})
+                              "at a rejoin; other ties bisected; a degenerate class "
+                              "predicted by its second-order splitting"})

@@ -8,6 +8,8 @@ match bit for bit (tests/test_specfun.py), given the same evaluator.
 
 import numpy as np
 
+from btspec import specfun
+
 SCAN_STEP = 0.25
 BISECT_TOL = 1e-13
 
@@ -66,7 +68,11 @@ def zeros_of_order(f, n, count, df=None):
 
 
 def zeros_J_minus_two_thirds(count):
-    from scipy import special
+    """First `count` zeros of specfun's J_{-2/3} (d = 0) from its scan start
+    0.05, polished with its J_{-2/3}' = (nu / z) J_nu - J_{nu+1} (d = 1)."""
+    nu = -2.0 / 3.0
 
-    return scan_zeros(lambda z: special.jv(-2.0 / 3.0, z), count, start=0.05,
-                      df=lambda z: special.jvp(-2.0 / 3.0, z, 1))
+    def f(z, d=0):
+        j, j1 = specfun.bessel_jv_frac(nu, np.array([z]))
+        return float((nu / z * j - j1 if d else j)[0])
+    return scan_zeros(f, count, start=0.05, df=lambda z: f(z, 1))

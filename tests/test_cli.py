@@ -479,8 +479,9 @@ def test_import_leaves_out_scipy_optimize():
 
 def test_sweeps_load_no_scipy(tmp_path):
     """btspec sweep on the z sphere, the reduced sphere, the disk, the
-    interval and the cylinder runs on numpy alone; the tilted sphere's
-    degenerate assignments load scipy.optimize and nothing else."""
+    interval and the cylinder, and the interval's closed-form points (the
+    J_{-2/3} zeros), run on numpy alone; the tilted sphere's degenerate
+    assignments load scipy.optimize and nothing else."""
     runs = [["geometry=sphere", "N=60", "g_max=13"],
             ["geometry=sphere_reduced", "N=40", "g_max=10"],
             ["geometry=disk", "N=40", "g_max=10"],
@@ -489,8 +490,9 @@ def test_sweeps_load_no_scipy(tmp_path):
              "g_step=0.1", "n_branches=13"]]
     calls = [["sweep", "--out", str(tmp_path / f"run{i}")]
              + [a for item in sets for a in ("--set", item)] for i, sets in enumerate(runs)]
-    code = "from btspec import cli\n" + "".join(
+    code = "from btspec import branchpoints, cli\n" + "".join(
         f"assert cli.main({args!r}) == 0\n" for args in calls)
+    code += "assert len(branchpoints.interval_branch_points_analytic(3)) == 3\n"
     assert _scipy_modules(code) == set()
     tilted = ["sweep", "--out", str(tmp_path / "tilted"), "--set", "geometry=sphere",
               "--set", "N=60", "--set", "theta_deg=30", "--set", "phi_deg=20",

@@ -121,17 +121,6 @@ def test_closed_form_declines_a_mixed_optimum():
     assert np.array_equal(sw._assign(target, values), [0, 3, 2, 1])
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
-def test_overlap_permutations_match_solver(n, seed, ties):
-    """Up to four rows, the best permutation has the overlap total of
-    scipy's maximizing solver, and its columns where the optimum is unique."""
-    rng = np.random.default_rng(seed)
-    ov = rng.integers(0, 3, (n, n)).astype(float) if ties else rng.random((n, n))
-    ref = linear_sum_assignment(ov, maximize=True)[1]
-    _check_assignment(-ov + ov.max(), sw._max_overlap(ov), ref)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_assign_rejects_non_finite(bad):
     """A non-finite prediction or value raises ValueError from scipy's
@@ -201,9 +190,8 @@ def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
 def test_tilted_sphere_scipy_fallbacks(sphere60, monkeypatch):
     """Work counter: the tilted sphere sweep at N=60 (theta = 30, phi = 20
     degrees, gbar <= 13) and its branch-point search call scipy's solver
-    exactly 72 times: 65 for steps in its degenerate families that the
-    closed-form rules cannot prove, and 7 for the first step's overlap
-    matching of the degenerate classes of more than four members."""
+    exactly 65 times, all for steps in its degenerate families that the
+    closed-form rules cannot prove."""
     import scipy.optimize
     calls = []
     solve = scipy.optimize.linear_sum_assignment
@@ -216,7 +204,7 @@ def test_tilted_sphere_scipy_fallbacks(sphere60, monkeypatch):
     B = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
     s = sw.run_sweep(m, B, 13.0)
     assert len(bp.find_branch_points(m, B, s)) == 3
-    assert len(calls) == 72
+    assert len(calls) == 65
 
 
 def test_match_conjugate_pair_formation():
@@ -331,29 +319,34 @@ def test_crossing_keeps_identities(sphere60):
 
 def test_tilted_sphere_matches_z_sweep(sphere60):
     """A tilted gradient is a rotation of z: one block instead of one per (m, l),
-    with the degenerate m-families of gbar = 0 inside it.  Tracking them by
-    eigenvector content alone must give the z-sweep branches and points."""
+    with the degenerate m-families of gbar = 0 inside it.  Predicting each
+    family member by its second-order splitting must give the z-sweep
+    branches, and the z sweep's points with their branch names, at 0.3/0.2
+    rad and at 30/20 and 80/20 degrees (the overlap rule this replaced
+    differed by up to 2.16 and 8.6 at the last two)."""
     m, Bz = sphere60
-    Bt = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.2)
-    assert len(set(sp.block_labels(m, Bt))) == 1
     sz = sw.run_sweep(m, Bz, 16.0, step=0.05)
-    st = sw.run_sweep(m, Bt, 16.0, step=0.05)
     gz = np.round(sz.g_grid, 12)
-    common = np.intersect1d(gz, np.round(st.g_grid, 12))
-    assert len(common) >= 321
-    iz = np.searchsorted(gz, common)
-    it = np.searchsorted(np.round(st.g_grid, 12), common)
-    assert np.max(np.abs(st.eigenvalues[it, :17] - sz.eigenvalues[iz, :17])) < 1e-8
     pz = bp.find_branch_points(m, Bz, sz, max_branch=17)
-    pt = bp.find_branch_points(m, Bt, st, max_branch=17)
-    assert len(pz) == len(pt) == 3
-    for a, b in zip(pz, pt):
-        assert abs(a.g_star - b.g_star) < 1e-6
-        assert a.order == b.order
-        # conditioning is measured per degenerate class, so it does not
-        # depend on the mixture of the tilted block's degenerate pairs
-        for key in ("vv_min", "min_principal_angle"):
-            assert b.meta[key] == pytest.approx(a.meta[key], rel=1e-3), (a, key)
+    assert len(pz) == 3
+    for theta, phi in [(0.3, 0.2), *np.deg2rad([(30.0, 20.0), (80.0, 20.0)])]:
+        Bt = mx.gradient_matrix(m, theta_g=theta, phi_g=phi)
+        assert len(set(sp.block_labels(m, Bt))) == 1
+        st = sw.run_sweep(m, Bt, 16.0, step=0.05)
+        common = np.intersect1d(gz, np.round(st.g_grid, 12))
+        assert len(common) >= 321
+        iz = np.searchsorted(gz, common)
+        it = np.searchsorted(np.round(st.g_grid, 12), common)
+        assert np.max(np.abs(st.eigenvalues[it, :17] - sz.eigenvalues[iz, :17])) < 1e-8
+        pt = bp.find_branch_points(m, Bt, st, max_branch=17)
+        assert len(pt) == 3
+        for a, b in zip(pz, pt):
+            assert abs(a.g_star - b.g_star) < 1e-6
+            assert (a.order, a.branches) == (b.order, b.branches)
+            # conditioning is measured per degenerate class, so it does not
+            # depend on the mixture of the tilted block's degenerate pairs
+            for key in ("vv_min", "min_principal_angle"):
+                assert b.meta[key] == pytest.approx(a.meta[key], rel=1e-3), (a, key)
 
 
 def _eig_orders(monkeypatch):
@@ -370,17 +363,42 @@ def _eig_orders(monkeypatch):
     return orders
 
 
-def test_tilted_sphere_chains_few_eigenvectors(sphere60, monkeypatch):
-    """The tilted block (66 modes, with the degenerate m-families of
-    gbar = 0) is solved with eigenvectors once, on its first step; every
-    later step, the exactly degenerate |m| >= 1 pairs about the gradient
-    axis included, is matched by value (the whole-spectrum tracker's
-    eigenvector solves summed to order 2838)."""
-    m, _ = sphere60
-    Bt = mx.gradient_matrix(m, theta_g=0.3, phi_g=0.2)
+@pytest.mark.parametrize("N", [60, 100])
+def test_tilted_sphere_sweep_solves_no_eigenvectors(N, monkeypatch):
+    """Work counter: the tilted block (66 or 110 modes, with the degenerate
+    m-families of gbar = 0) is matched by value on every step, its first
+    included, so the sweep at theta = 30, phi = 20 degrees to gbar = 13
+    solves no eigenvector (the overlap rule this replaced solved one
+    full-block eigenvector solve), and its families, predicted by their
+    second-order splitting, leave no tie to bisect below gbar = 0.25 (the
+    linear prediction bisected 7 or 8 times there)."""
+    m = mx.operator_for("sphere", N)
+    Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
     orders = _eig_orders(monkeypatch)
-    sw.run_sweep(m, Bt, 16.0, step=0.05)
-    assert orders == [66]
+    s = sw.run_sweep(m, Bt, 13.0)
+    assert orders == []
+    assert [r["inserted"] for r in s.refinements if r["inserted"] < 0.25] == []
+    assert s.ambiguities == []
+
+
+@pytest.mark.parametrize("N", [60, 100])
+def test_degenerate_class_splits_at_second_order(N):
+    """On the first step out of gbar = 0, each member of a degenerate class
+    of the tilted block is lam_0 - gbar^2 w (sweep._curvatures) to
+    O(gbar^4): halving gbar divides the residual by about 16 (1.9e-9 was
+    measured at gbar = 0.05 at both sizes)."""
+    m = mx.operator_for("sphere", N)
+    Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
+    (t,) = sw._tracks(m, Bt)
+    cls = sp._degenerate_classes(t.lam) >= 0
+    assert np.count_nonzero(t.w[cls]) == np.count_nonzero(cls) > 0
+    assert not t.w[~cls].any()
+    res = []
+    for g in (0.05, 0.025):
+        row = sw.run_sweep(m, Bt, g, step=g).eigenvalues[-1, t.ix]
+        res.append(np.max(np.abs(row - (t.lam - g**2 * t.w))[cls]))
+    assert res[0] < 2.5e-9
+    assert 15 < res[0] / res[1] < 17
 
 
 def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
@@ -434,7 +452,7 @@ def test_guard_reports_a_cost_tie_on_a_cos_block(sphere60):
     t = next(t for t in sw._tracks(m, B) if m.basis.indices[t.ix[0]].m == 1)
     assert len(t.copies) == 2
     assert [m.basis.indices[ix[0]].l for ix in t.copies] == [1, 2]
-    b = t.solve(2.01, True)
+    b = sp.Spectrum(gbar=2.01, eigenvalues=sp._solve_block(t.lam, t.K, 2.01, True)[0])
     assert np.all(np.abs(b.eigenvalues[:2].imag) < 1e-12)
     pred = b.eigenvalues.copy()
     pred[:2] = b.eigenvalues[:2].mean()
@@ -522,5 +540,6 @@ def test_sweep_rejects_bad_range():
 def test_sweep_metadata_documents_tiebreak(disk60):
     m, B = disk60
     s = sw.run_sweep(m, B, 1.0, step=0.1)
-    assert "overlap" in s.metadata["tiebreak"]
+    assert "second-order" in s.metadata["tiebreak"]
+    assert "overlap" not in s.metadata["tiebreak"]
     assert s.metadata["geometry"] == "disk"
