@@ -63,10 +63,15 @@ def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoin
     max_branch restricts the scan to the first branches; the top of a
     truncated spectrum is not converged and can produce spurious transitions,
     so callers interested in physical branch points should pass the number of
-    branches they trust (a few times smaller than the truncation size).
+    branches they trust (a few times smaller than the truncation size).  A
+    scanned branch that the sweep did not track (NaN, see run_sweep) raises
+    ValueError.
     """
     g = sweep.g_grid
     lam = sweep.eigenvalues[:, :max_branch]
+    if np.isnan(lam[0]).any():
+        raise ValueError(f"branch {int(np.argmax(np.isnan(lam[0])))} was not tracked: "
+                         f"pass a max_branch within the sweep's n_branches")
     real = is_real(lam)
     steps, branches = np.nonzero(real[:-1] & ~real[1:])
     points = []
@@ -217,9 +222,10 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
     is the Kronecker sum of the disk operator at gbar*e_x and the interval
     operator at gbar*e_z (Grebenkov, Rev. Mod. Phys. 79, 1077 (2007)).  Its
     eigenvalues are the sums mu_a + nu_b, exactly on this basis, and it
-    branches exactly where one factor does.  Each factor is
-    swept (run_sweep) and its points found (find_branch_points) over the same
-    gbar grid; cylinder branch j is the pair (a[j], b[j]) of
+    branches exactly where one factor does.  Each factor is swept
+    (run_sweep) and its points found (find_branch_points) over the same gbar
+    grid, both as wide as the factor branches that the first n_branches
+    cylinder branches use; cylinder branch j is the pair (a[j], b[j]) of
     matrices.cylinder_factors, valued mu_a[j] + nu_b[j] on the grid points
     both factor sweeps share.
 
@@ -235,13 +241,15 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
     a, b = a[:n], b[:n]
     cx, _, cz = gradient_direction("cylinder", eta=eta)
     factors = (("disk", disk, cx * disk.Bx, a), ("interval", interval, cz * interval.Bz, b))
-    sweeps = [run_sweep(f, B, g_max, step=step) for _, f, B, _ in factors]
+    width = [int(idx.max()) + 1 for *_, idx in factors]  # the factor branches used
+    sweeps = [run_sweep(f, B, g_max, step=step, n_branches=n_f)
+              for (_, f, B, _), n_f in zip(factors, width)]
 
     points = []
     for k, (_, f, B, idx) in enumerate(factors):
         _, f_o, B_o, idx_o = factors[1 - k]
-        for p in find_branch_points(f, B, sweeps[k], max_branch=int(idx.max()) + 1):
-            w, vv = _branch_rows(f_o, B_o, sweeps[1 - k], p.g_star)
+        for p in find_branch_points(f, B, sweeps[k], max_branch=width[k]):
+            w, vv = _branch_rows(f_o, B_o, sweeps[1 - k], p.g_star, width[1 - k])
             mine = np.isin(idx, p.branches)
             for q in np.unique(idx_o[mine]):
                 js = tuple(int(j) for j in np.flatnonzero(mine & (idx_o == q)))
@@ -273,18 +281,22 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
     return sweep, points
 
 
-def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: float):
-    """Eigenvalue and bilinear norm |<x, x>| of every tracked branch at g,
-    matched from the sweep's values at its last grid point at or below g by
-    the sweep's own step (match_step): a pair that splits in between meets
-    its real values as exact conjugates, and the split rule gives its Im > 0
-    member the lower branch index, as in the sweep."""
+def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: float,
+                 n: int):
+    """Eigenvalue and bilinear norm |<x, x>| of each of the first n branches
+    at g, tracked by the sweep, matched from the sweep's values at its last
+    grid point at or below g by the sweep's own step (match_step) on the
+    blocks of those branches (spectrum.own_blocks): a pair that splits in
+    between meets its real values as exact conjugates, and the split rule
+    gives its Im > 0 member the lower branch index, as in the sweep."""
     i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
-    spec = diagonalize(mat, B, g)
+    sub, B_sub, ix = own_blocks(mat, B, range(n))
+    spec = diagonalize(sub, B_sub, g)
 
     def match(target, values):
         return match_step(Spectrum(g, target), Spectrum(g, values))[0]
-    rows = _match_blocks(sweep.eigenvalues[i], sweep.block, spec, match)
+    rows = _match_blocks(sweep.eigenvalues[i, ix], block_labels(sub, B_sub), spec,
+                         match)[:n]
     X = spec.X[rows]
     return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X, X))
 

@@ -237,7 +237,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         sweep, points = cylinder_branch_points(
             mat, cfg.angles().get("eta"), cfg.g_max, step=cfg.g_step, n_branches=n_out)
     else:
-        sweep = run_sweep(mat, B, cfg.g_max, step=cfg.g_step)
+        sweep = run_sweep(mat, B, cfg.g_max, step=cfg.g_step, n_branches=n_out)
         points = find_branch_points(mat, B, sweep, max_branch=n_out)
 
     os.makedirs(cfg.outdir, exist_ok=True)

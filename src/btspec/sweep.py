@@ -3,8 +3,9 @@
 Branch j starts at gbar = 0 as basis mode j and never leaves that mode's
 exact block, since the blocks of Lambda + i*gbar*B never couple (see
 spectrum).  The tracker keeps one state per distinct block on a shared grid
-(a bit-identical twin block copies its twin) and matches each block by
-value: the assignment of least squared displacement from a linear
+(a bit-identical twin block copies its twin) that holds a reported branch
+(run_sweep's n_branches; the other columns are NaN), and matches each block
+by value: the assignment of least squared displacement from a linear
 prediction (_assign: each branch's strictly nearest value, else the sorted
 real line, else scipy's solver).  The blocks are solved in their real form
 (see spectrum), so a real value has Im exactly 0 and a complex one its
@@ -15,7 +16,8 @@ Neumann and Wigner); its splits and rejoins are exact conjugate ties with
 fixed rules: a fresh conjugate family goes Im > 0 to the lower branch, and
 the lower branch of a rejoining pair takes the smaller value.  Any other
 swap of two branches costing nearly the optimum is a tie: the step is
-bisected for all blocks down to MIN_STEP, and what stays tied is recorded.
+bisected for all tracked blocks down to MIN_STEP, and what stays tied is
+recorded.
 No eigenvector is solved: the members of a degenerate class of gbar = 0
 (the m-families of a tilted sphere) split as gbar^2, so their real
 predictions add that second-order term (_curvatures), which gives the lower
@@ -47,8 +49,9 @@ class BranchSweep:
     """Branch-ordered eigenvalues lambda_j(gbar) on an adaptively refined grid.
 
     eigenvalues[i, j] is branch j at g_grid[i]; branch j starts at basis mode
-    j and stays in its exact block block[j].  refinements and ambiguities log
-    the adaptive insertions and unresolved assignment ties.
+    j and stays in its exact block block[j], and is NaN on every row when
+    that block was not tracked.  refinements and ambiguities log the
+    adaptive insertions and unresolved assignment ties.
     """
 
     g_grid: np.ndarray
@@ -207,29 +210,43 @@ def _curvatures(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
     return w
 
 
-def _tracks(mat: OperatorMatrices, B: np.ndarray) -> list[_Track]:
-    """One tracker per distinct exact block."""
+def _tracks(mat: OperatorMatrices, B: np.ndarray, n: int) -> list[_Track]:
+    """One tracker per distinct exact block that holds a branch below n, in
+    itself or in a twin: blocks are ordered by their smallest mode, so a
+    block's first mode is the lowest of all its copies."""
     blocks = _blocks(mat.lam, B)
     return [_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K, _curvatures(lam_b, K))
-            for k, (ix, twin, lam_b, K, _) in enumerate(blocks) if twin == k]
+            for k, (ix, twin, lam_b, K, _) in enumerate(blocks) if twin == k and ix[0] < n]
 
 
 def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
-              step: float = 0.05) -> BranchSweep:
+              step: float = 0.05, n_branches: int | None = None) -> BranchSweep:
     """Track eigenvalue branches from gbar = 0 to g_max.
+
+    Only the distinct blocks holding a branch below n_branches (themselves
+    or through a twin) are solved; every other branch's column is NaN on
+    the whole grid.  None tracks every branch; a value outside [1, mat.N]
+    raises ValueError.
 
     Blocks are matched by value from a slope through the last two points
     g0 <= g1 (g0 = g1 = 0 on the first step), whose real predictions bend by
     -w (gbar - g1)(gbar - g0) (see _curvatures); no eigenvector is solved.
-    A step whose matched values move further than REFINE_DISPLACEMENT, or
-    leave a tie in any block, is bisected for all blocks down to MIN_STEP;
-    leftover ties are logged as ambiguities.
+    A step whose tracked values move further than REFINE_DISPLACEMENT, or
+    leave a tie in any tracked block, is bisected for all of them down to
+    MIN_STEP; leftover ties are logged as ambiguities.
     """
     if not (0 < g_max < np.inf and 0 < step < np.inf):
         raise ValueError("g_max and step must be positive and finite")
+    n = mat.N if n_branches is None else n_branches
+    if not 1 <= n <= mat.N:
+        raise ValueError(f"n_branches={n} is outside [1, {mat.N}]")
     pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
-    sweep_g, rows = [pending.pop(0)], [mat.lam.astype(complex)]
-    refinements, ambiguities, tracks = [], [], _tracks(mat, B)
+    tracks = _tracks(mat, B, n)
+    on = np.concatenate([ix for t in tracks for ix in t.copies])  # tracked columns
+    first = np.full(mat.N, np.nan, dtype=complex)
+    first[on] = mat.lam[on]
+    sweep_g, rows = [pending.pop(0)], [first]
+    refinements, ambiguities = [], []
     w = np.zeros(mat.N)  # each basis mode's second-order coefficient
     for t in tracks:
         w[np.ravel(t.copies)] = np.tile(t.w, len(t.copies))
@@ -242,7 +259,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
         if w.any():  # a conjugate pair's prediction stays exactly conjugate
             bend = w * ((g_next - sweep_g[-1]) * (g_next - sweep_g[-2:][0]))
             pred = np.where(is_real(pred), pred - bend, pred)
-        row, unresolved = np.empty(mat.N, dtype=complex), []
+        row, unresolved = np.full(mat.N, np.nan, dtype=complex), []
         for t in tracks:  # values only, matched in branch order
             nxt = Spectrum(gbar=g_next, eigenvalues=_solve_block(t.lam, t.K, g_next, True)[0])
             sigma, info = match_step(Spectrum(gbar=g_next, eigenvalues=pred[t.ix]), nxt)
@@ -250,7 +267,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                 row[ix] = nxt.eigenvalues[sigma]
                 unresolved += [dict(tie, branches=tuple(int(ix[b]) for b in tie["branches"]))
                                for tie in info["tie_groups"]]
-        max_disp = float(np.max(np.abs(rows[-1] - row)))
+        max_disp = float(np.max(np.abs(rows[-1][on] - row[on])))
         if (unresolved or max_disp > REFINE_DISPLACEMENT) and \
                 g_next - sweep_g[-1] > 2 * MIN_STEP:
             g_mid = 0.5 * (sweep_g[-1] + g_next)

@@ -47,6 +47,46 @@ def test_interval_detect_and_refine(interval40, interval_sweep):
     assert p.meta["width"] <= 1e-5
 
 
+def test_detect_refuses_a_branch_the_sweep_did_not_track(sphere60):
+    """A scan that reaches a NaN column of a tracked sweep raises
+    ValueError, in detect and in find_branch_points, where is_real(nan),
+    False, would drop that column's points; a scan below it runs."""
+    m, B = sphere60
+    s = sw.run_sweep(m, B, 1.0, step=0.1, n_branches=17)
+    j = int(np.flatnonzero(np.isnan(s.eigenvalues[0]))[0])
+    assert j >= 17
+    assert bp.detect(s, max_branch=j) == []
+    for max_branch in (j + 1, None):
+        with pytest.raises(ValueError, match="not tracked"):
+            bp.detect(s, max_branch=max_branch)
+        with pytest.raises(ValueError, match="not tracked"):
+            bp.find_branch_points(m, B, s, max_branch=max_branch)
+
+
+@pytest.mark.parametrize("n,n_points", [(17, 7), (2, 1)])
+def test_cylinder_points_are_unchanged_by_tracking(n, n_points, monkeypatch):
+    """The cylinder factor sweeps track only the factor branches the first
+    n cylinder branches use (with n = 2, disk modes 0 and 1: the disk's sin
+    block goes).  On the N = 100 cylinder at eta = 40 degrees to gbar = 25,
+    the sweep and every point are those of factor sweeps that track every
+    branch."""
+    m = mx.operator_for("cylinder", 100)
+    eta = np.deg2rad(40.0)
+    tracked = bp.cylinder_branch_points(m, eta, 25.0, n_branches=n)
+    run_sweep = sw.run_sweep
+    monkeypatch.setattr(bp, "run_sweep",
+                        lambda mat, B, g_max, step, n_branches: run_sweep(mat, B, g_max, step))
+    full = bp.cylinder_branch_points(m, eta, 25.0, n_branches=n)
+    for s in (tracked[0], full[0]):
+        assert not np.isnan(s.eigenvalues).any()
+    assert np.array_equal(tracked[0].g_grid, full[0].g_grid)
+    assert np.array_equal(tracked[0].eigenvalues, full[0].eigenvalues)
+    assert (tracked[0].refinements, tracked[0].ambiguities) \
+        == (full[0].refinements, full[0].ambiguities)
+    assert len(tracked[1]) == n_points
+    assert tracked[1] == full[1]
+
+
 def test_interval_below_first_point_is_empty(interval40):
     m, B = interval40
     s = sw.run_sweep(m, B, 3.0, step=0.1)

@@ -1,5 +1,6 @@
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -249,20 +250,34 @@ def _own_block(geometry, N):
     return sub, B_sub
 
 
+def _expm_mp(A: np.ndarray, dps: int = 40) -> np.ndarray:
+    """exp(A) from mpmath at dps digits, rounded to complex doubles."""
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.matrix(A.tolist()))
+        return np.array(E.tolist(), dtype=complex)
+
+
 @settings(max_examples=60, deadline=None)
 @given(geometry=st.sampled_from(["sphere", "tilted_sphere", "sphere_reduced", "disk",
                                  "cylinder", "interval"]),
        gbar=st.floats(0.0, 25.0), norm=st.floats(0.05, 100.0))
 @example(geometry="sphere", gbar=5.0, norm=1.0)  # on theta_13, to rounding
+# scipy is off by 3.0e-14 and 9.2e-14 of max|exp| here, _expm by 8.3e-14 and 3.3e-14
+@example(geometry="sphere", gbar=5.875, norm=59.0)
+@example(geometry="cylinder", gbar=4.0, norm=60.0)
 def test_expm_matches_scipy_on_own_blocks(geometry, gbar, norm):
     """The numpy expm of -tbar (Lambda + i gbar B) on the constant mode's
     block equals scipy.linalg.expm to 1e-13 of max|exp| entrywise (2.9e-14 was
     measured), with tbar set so that the 1-norm is `norm` times theta_13:
-    below it the Pade approximant alone, above it up to 7 squarings."""
+    below it the Pade approximant alone, above it up to 7 squarings.  Near
+    norm 60 each method's own error can approach the bound, so where the two
+    differ by more, _expm is held to it against a 40-digit mpmath reference."""
     sub, B_sub = _own_block(geometry, 12 if geometry == "interval" else 60)
     M = sub.bloch_torrey(B_sub, gbar)
     A = -(norm * sig._THETA13 / np.linalg.norm(M, 1)) * M
     ref = sla.expm(A)
+    if np.max(np.abs(sig._expm(A) - ref)) > 1e-13 * np.max(np.abs(ref)):
+        ref = _expm_mp(A)
     assert np.max(np.abs(sig._expm(A) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

@@ -389,7 +389,7 @@ def test_degenerate_class_splits_at_second_order(N):
     measured at gbar = 0.05 at both sizes)."""
     m = mx.operator_for("sphere", N)
     Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
-    (t,) = sw._tracks(m, Bt)
+    (t,) = sw._tracks(m, Bt, m.N)
     cls = sp._degenerate_classes(t.lam) >= 0
     assert np.count_nonzero(t.w[cls]) == np.count_nonzero(cls) > 0
     assert not t.w[~cls].any()
@@ -418,6 +418,61 @@ def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
     s = sw.run_sweep(m, B, 12.0)
     assert dict(calls) == {(n, False): 240 for n in (1, 2, 3, 5, 7, 9, 12)}
     assert (len(s.g_grid), len(s.refinements), len(s.ambiguities)) == (241, 0, 0)
+
+
+def test_sweep_solves_only_the_blocks_of_reported_branches(sphere60, monkeypatch):
+    """Work counter: with n_branches=17 the same sweep solves only the 4 of
+    its 7 distinct blocks that hold a branch below 17 (in themselves or a
+    twin), once per step, and every other column is NaN on the whole grid."""
+    m, B = sphere60
+    calls = Counter()
+    geev = sp._geev
+
+    def counted(M, vectors):
+        calls[len(M), vectors] += 1
+        return geev(M, vectors)
+
+    monkeypatch.setattr(sp, "_geev", counted)
+    s = sw.run_sweep(m, B, 12.0, n_branches=17)
+    assert dict(calls) == {(n, False): 240 for n in (5, 7, 9, 12)}
+    # the solved orders are those of the distinct blocks holding a branch below 17
+    blocks = sp._blocks(m.lam, B)
+    label = sp.block_labels(m, B)
+    held = {blocks[k][1] for k in label[:17]}
+    assert sorted(len(blocks[k][0]) for k in held) == [5, 7, 9, 12]
+    tracked = np.isin(label, [k for k, b in enumerate(blocks) if b[1] in held])
+    assert np.isnan(s.eigenvalues[:, ~tracked]).all()
+    assert not np.isnan(s.eigenvalues[:, tracked]).any()
+    assert (len(s.g_grid), len(s.refinements), len(s.ambiguities)) == (241, 0, 0)
+
+
+@pytest.mark.parametrize("geometry,N,g_max,n", [("sphere", 60, 13.0, 17), ("disk", 60, 40.0, 17),
+                                                ("interval", 40, 60.0, 17), ("disk", 60, 40.0, 1)])
+def test_tracked_sweep_equals_the_full_sweep(geometry, N, g_max, n, sphere60,
+                                            sphere60_sweep13):
+    """Tracking only the blocks of the first n branches keeps those columns,
+    the grid, the refinements and the ambiguities of the sweep that tracks
+    every block, bit for bit.  A refinement's max_disp reads tracked columns
+    only: on the disk with n = 1 the sin block goes, and the two refinements
+    near 39.6 keep their g and reason but log the cos block's displacement."""
+    if geometry == "sphere":
+        (m, B), full = sphere60, sphere60_sweep13
+    else:
+        m = mx.operator_for(geometry, N)
+        B = mx.gradient_matrix(m)
+        full = sw.run_sweep(m, B, g_max)
+    s = sw.run_sweep(m, B, g_max, n_branches=n)
+    assert np.array_equal(s.g_grid, full.g_grid)
+    assert np.array_equal(s.eigenvalues[:, :n], full.eigenvalues[:, :n])
+    assert s.ambiguities == full.ambiguities
+    assert s.metadata == full.metadata
+    if n > 1:
+        assert s.refinements == full.refinements
+    else:
+        assert np.isnan(s.eigenvalues[0]).sum() == 28
+        assert [(r["inserted"], r["reason"]) for r in s.refinements] \
+            == [(r["inserted"], r["reason"]) for r in full.refinements] \
+            == [(39.625, "displacement"), (39.6125, "displacement")]
 
 
 def test_z_sphere_sweep_solves_no_eigenvectors(sphere60, monkeypatch):
@@ -449,7 +504,7 @@ def test_guard_reports_a_cost_tie_on_a_cos_block(sphere60):
     real branches predicted at the midpoint of their next two values are a
     cost tie that no rule decides: the guard reports it unresolved."""
     m, B = sphere60
-    t = next(t for t in sw._tracks(m, B) if m.basis.indices[t.ix[0]].m == 1)
+    t = next(t for t in sw._tracks(m, B, m.N) if m.basis.indices[t.ix[0]].m == 1)
     assert len(t.copies) == 2
     assert [m.basis.indices[ix[0]].l for ix in t.copies] == [1, 2]
     b = sp.Spectrum(gbar=2.01, eigenvalues=sp._solve_block(t.lam, t.K, 2.01, True)[0])
@@ -465,8 +520,8 @@ def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
     reported as the basis modes of the block and of its twin, which copies
     its result."""
     m, B = sphere60
-    t = next(t for t in sw._tracks(m, B) if m.basis.indices[t.ix[0]].m == 1)
-    assert sum(len(u.ix) == len(t.ix) for u in sw._tracks(m, B)) == 1
+    t = next(t for t in sw._tracks(m, B, m.N) if m.basis.indices[t.ix[0]].m == 1)
+    assert sum(len(u.ix) == len(t.ix) for u in sw._tracks(m, B, m.N)) == 1
     match = sw.match_step
 
     def tied(prev, next_):
@@ -535,6 +590,18 @@ def test_sweep_rejects_bad_range():
                         (1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan)]:
         with pytest.raises(ValueError):
             sw.run_sweep(m, B, g_max, step=step)
+
+
+def test_sweep_rejects_n_branches_outside_the_basis():
+    """n_branches below 1 or above the basis size raises ValueError; the
+    bounds themselves are accepted."""
+    m = mx.operator_for("interval", 5)
+    B = mx.gradient_matrix(m)
+    for n in (0, -1, 6):
+        with pytest.raises(ValueError, match="n_branches"):
+            sw.run_sweep(m, B, 1.0, n_branches=n)
+    for n in (1, 5):
+        assert not np.isnan(sw.run_sweep(m, B, 1.0, n_branches=n).eigenvalues).any()
 
 
 def test_sweep_metadata_documents_tiebreak(disk60):
