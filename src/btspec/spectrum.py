@@ -19,12 +19,14 @@ diag(d)^-1 (Lambda + i*gbar*B) diag(d) = Lambda + gbar*K, where
 K = (p_j - p_k) B_jk is real and skew-symmetric.  Each block is solved in
 this real form by one block solve (_solve_block): one numpy.linalg call
 (_geev), eigvals without vectors and eig with them, which keeps no
-workspace between calls.  A real eigenvalue comes back with Im exactly 0
-and a complex one with its exact conjugate (PT symmetry; Bender, Rep. Prog.
-Phys. 70, 947 (2007)), so realness is decided by one rule, is_real:
-|Im lambda| <= REAL_TOL.  Whether two eigenvalues are one value (a
-degenerate class, a tie that is no tie, a shared real part) is decided by
-one rule too, same_value: |a - b| <= DEGENERATE_RTOL * max(1, |a|, |b|).
+workspace between calls; a sweep's grid is solved on stacks of at most
+STACK_ENTRIES matrix entries, one call per stack.  A real eigenvalue comes
+back with Im exactly 0 and a complex one with its exact conjugate (PT
+symmetry; Bender, Rep. Prog. Phys. 70, 947 (2007)), so realness is decided
+by one rule, is_real: |Im lambda| <= REAL_TOL.  Whether two eigenvalues
+are one value (a degenerate class, a tie that is no tie, a shared real
+part) is decided by one rule too, same_value:
+|a - b| <= DEGENERATE_RTOL * max(1, |a|, |b|).
 Lambda + i*gbar*B is complex symmetric, so its left eigenvectors are the
 transposes of its right ones: for M v = lambda v in the real form
 M = diag(d)^-1 (Lambda + i*gbar*B) diag(d), the row d * v (elementwise) is a
@@ -55,7 +57,6 @@ full and a restricted solve give one sign.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,6 +74,13 @@ NEAR_BRANCH_TOL = 1e-6
 # tilted sphere at most 1.6e-14 relative, and a genuine conjugate pair of
 # the swept grids |Im| >= 1e-4.
 REAL_TOL = 1e-6
+# Entries (matrices x order^2) of one stacked solve, 32 KiB of float64.
+# numpy.linalg costs 7-27 us per call on top of LAPACK's 14-36 us at orders
+# 8-16; a chunk of at least 16 such matrices leaves under 2 us of it per
+# matrix, and larger chunks were no faster on one BLAS thread.  The sphere
+# sweep's peak RSS grew with the chunk: +0.1 to 0.15 MB here, +0.25 MB at
+# 2**14, and +31 to 43 MB for whole-grid stacks of 100-wide blocks.
+STACK_ENTRIES = 2**12
 
 
 def is_real(w) -> np.ndarray:
@@ -150,19 +158,29 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     return Spectrum(gbar=float(gbar), eigenvalues=w, X=X, block=block[order])
 
 
-def _solve_block(lam_b: np.ndarray, K: np.ndarray, gbar: float,
-                 eigvals_only: bool) -> tuple:
+def _solve_block(lam_b: np.ndarray, K: np.ndarray, gbar, eigvals_only: bool) -> tuple:
     """Eigenvalues, sorted by (Re, Im), and eigenvector rows (None when
     eigvals_only) of one exact block in its real form M = diag(lam_b) +
     gbar*K, from one numpy.linalg call (_geev), which keeps no workspace
     between calls.  Row z is a right eigenvector of M (unit 2-norm): the
     operator is complex symmetric, so z * d (d from _blocks) is the
-    left-eigenvector row of the original operator.  A failed solve (_geev's
+    left-eigenvector row of the original operator.
+
+    A 1-d array gbar (eigenvalues only) gives one sorted row per gbar, bit
+    for bit the scalar solve's, from one _geev call per chunk of at most
+    _chunk_len(len(lam_b)) stacked matrices.  A failed solve (_geev's
     info != 0), or a non-finite gbar (refused first), raises NumericalError
-    naming gbar and the block size."""
-    if not math.isfinite(gbar):
-        raise NumericalError(f"eigensolver refused gbar={gbar} on a block of size "
-                             f"{len(lam_b)}: not finite")
+    naming gbar and the block size; in a failed chunk each matrix is
+    solved alone to find which."""
+    g = np.asarray(gbar, dtype=float)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        raise NumericalError(f"eigensolver refused gbar={float(g[bad].flat[0])} on a "
+                             f"block of size {len(lam_b)}: not finite")
+    if g.ndim:
+        step = _chunk_len(len(lam_b))
+        return np.concatenate([_solve_stack(lam_b, K, g[i:i + step])
+                               for i in range(0, len(g), step)]), None
     M = gbar * K  # K's diagonal is exactly zero
     np.fill_diagonal(M, lam_b)
     w, v, info = _geev(M, not eigvals_only)
@@ -175,11 +193,30 @@ def _solve_block(lam_b: np.ndarray, K: np.ndarray, gbar: float,
     return w[order], None if eigvals_only else v.T[order]
 
 
+def _chunk_len(n: int) -> int:
+    """Matrices of order n in one stacked solve: at least one."""
+    return max(1, STACK_ENTRIES // (n * n))
+
+
+def _solve_stack(lam_b: np.ndarray, K: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalue rows of diag(lam_b) + g_i*K for the finite g_i of
+    one chunk, from one _geev call on the stack; a failed call falls back
+    to scalar solves, the failing one of which raises."""
+    n = len(lam_b)
+    M = g[:, None, None] * K
+    M[:, np.arange(n), np.arange(n)] = lam_b
+    w, _, info = _geev(M, False)
+    if info != 0:
+        return np.array([_solve_block(lam_b, K, gi, True)[0] for gi in g])
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
+
+
 def _geev(M: np.ndarray, vectors: bool) -> tuple:
-    """(w, v, info) of LAPACK geev on the real matrix M, through numpy.linalg:
-    the complex eigenvalues, the right eigenvectors as columns of unit 2-norm
-    (eig, only when `vectors`; else eigvals and v None) and the return code,
-    0, or 1 when geev did not converge (numpy's LinAlgError)."""
+    """(w, v, info) of LAPACK geev on the real matrix M, or on each of a
+    stack of them (eigenvalues only), through numpy.linalg: the complex
+    eigenvalues, the right eigenvectors as columns of unit 2-norm (eig, only
+    when `vectors`; else eigvals and v None) and the return code, 0, or 1
+    when geev did not converge on some matrix (numpy's LinAlgError)."""
     try:
         if vectors:
             w, v = np.linalg.eig(M)

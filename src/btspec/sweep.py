@@ -4,15 +4,24 @@ Branch j starts at gbar = 0 as basis mode j and never leaves that mode's
 exact block, since the blocks of Lambda + i*gbar*B never couple (see
 spectrum).  The tracker keeps one state per distinct block on a shared grid
 (a bit-identical twin block copies its twin) that holds a reported branch
-(run_sweep's n_branches; the other columns are NaN), and matches each block
-by value: the assignment of least squared displacement from a linear
-prediction (_assign: each branch's strictly nearest value, else the sorted
-real line, else scipy's solver).  The blocks are solved in their real form
-(see spectrum), so a real value has Im exactly 0 and a complex one its
-exact conjugate.
+(run_sweep's n_branches; the other columns are NaN).  Each block is solved
+ahead, eigenvalues only, on stacked chunks of the pending grid points (one
+numpy.linalg call per chunk of spectrum.STACK_ENTRIES entries, each row bit
+for bit a single solve's); a refinement midpoint is a chunk of one.  The
+blocks are solved in their real form (see spectrum), so a real value has
+Im exactly 0 and a complex one its exact conjugate.
 
 Two real values of a block without hidden symmetry do not cross (von
-Neumann and Wigner); its splits and rejoins are exact conjugate ties with
+Neumann and Wigner), so such a block, one with no degenerate class at
+gbar = 0 that is not a block of the dense cylinder (a Kronecker sum, whose
+real values do cross), labels its branches by order (_by_order): on a step
+that keeps its number of exactly real values, the sorted real values go to
+its real branches in ascending order of prediction, and each non-real
+branch takes its strictly nearest non-real value.  Every other step, and
+every other block, goes through match_step, which matches by value: the
+assignment of least squared displacement from a linear prediction
+(_assign: each branch's strictly nearest value, else the sorted real line,
+else scipy's solver).  Its splits and rejoins are exact conjugate ties with
 fixed rules: a fresh conjugate family goes Im > 0 to the lower branch, and
 the lower branch of a rejoining pair takes the smaller value.  Any other
 swap of two branches costing nearly the optimum is a tie: the step is
@@ -33,9 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import OperatorMatrices
-from .spectrum import (Spectrum, _blocks, _components, _degenerate_classes,
-                       _solve_block, block_labels, canonical_order, is_real,
-                       same_value)
+from .spectrum import (Spectrum, _blocks, _chunk_len, _components,
+                       _degenerate_classes, _solve_block, block_labels,
+                       canonical_order, is_real, same_value)
 
 TIE_REL = 0.05
 # A step is bisected, down to MIN_STEP, when a matched value moves further
@@ -185,14 +194,17 @@ def match_step(prev: Spectrum, next_: Spectrum):
 class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
     blocks sharing its result (ix, then its twins), its real form (lam, K;
-    see spectrum._blocks) and the second-order coefficient w of each branch
-    (_curvatures)."""
+    see spectrum._blocks), the second-order coefficient w of each branch
+    (_curvatures), whether its real branches are labelled by order
+    (_by_order) and its solved rows by gbar, not yet on the grid."""
 
     ix: np.ndarray
     copies: list
     lam: np.ndarray
     K: np.ndarray
     w: np.ndarray
+    ranked: bool
+    rows: dict = field(default_factory=dict)
 
 
 def _curvatures(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -210,12 +222,45 @@ def _curvatures(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
     return w
 
 
+def _ranked(mat: OperatorMatrices, lam: np.ndarray) -> bool:
+    """Whether a block's real branches keep their order (_by_order): it has
+    no degenerate class at gbar = 0 and is not a block of the dense
+    cylinder, a Kronecker sum whose real values cross."""
+    return mat.basis.geometry != "cylinder" and not (_degenerate_classes(lam) >= 0).any()
+
+
+def _by_order(pred: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """Index into values, sorted by (Re, Im), of each branch of a block whose
+    real values keep their order: the real values ascending to the branches
+    predicted real, in ascending order of prediction (_assign's sorted real
+    line), and each other branch its strictly nearest non-real value.  None
+    when the numbers of exactly real predictions and values differ, or a
+    non-real branch has no strictly nearest value of its own."""
+    rp, rv = pred.imag == 0, values.imag == 0
+    rt, real = rp.nonzero()[0], rv.nonzero()[0]
+    if len(rt) != len(real):
+        return None
+    sigma = np.empty(len(pred), dtype=int)
+    sigma[rt[pred.real[rt].argsort(kind="stable")]] = real
+    if len(rt) < len(pred):
+        ct, cv = (~rp).nonzero()[0], (~rv).nonzero()[0]
+        diff = pred[ct, None] - values[cv]
+        cost = diff.real**2 + diff.imag**2
+        near = cost.argmin(axis=1)
+        if np.count_nonzero(cost <= cost.min(axis=1, keepdims=True)) != len(ct) \
+                or len(set(near.tolist())) != len(ct):
+            return None
+        sigma[ct] = cv[near]
+    return sigma
+
+
 def _tracks(mat: OperatorMatrices, B: np.ndarray, n: int) -> list[_Track]:
     """One tracker per distinct exact block that holds a branch below n, in
     itself or in a twin: blocks are ordered by their smallest mode, so a
     block's first mode is the lowest of all its copies."""
     blocks = _blocks(mat.lam, B)
-    return [_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K, _curvatures(lam_b, K))
+    return [_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K,
+                   _curvatures(lam_b, K), _ranked(mat, lam_b))
             for k, (ix, twin, lam_b, K, _) in enumerate(blocks) if twin == k and ix[0] < n]
 
 
@@ -228,12 +273,18 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     the whole grid.  None tracks every branch; a value outside [1, mat.N]
     raises ValueError.
 
-    Blocks are matched by value from a slope through the last two points
-    g0 <= g1 (g0 = g1 = 0 on the first step), whose real predictions bend by
+    When the next pending gbar has no solved row, one stacked call
+    (spectrum._solve_block) solves the missing pending points from it on,
+    up to one chunk: the uniform grid first, later a refinement midpoint as
+    a chunk of one.  Predictions are a slope through the last two points
+    g0 <= g1 (g0 = g1 = 0 on the first step), whose real values bend by
     -w (gbar - g1)(gbar - g0) (see _curvatures); no eigenvector is solved.
-    A step whose tracked values move further than REFINE_DISPLACEMENT, or
-    leave a tie in any tracked block, is bisected for all of them down to
-    MIN_STEP; leftover ties are logged as ambiguities.
+    A block labelled by order (_ranked) takes _by_order's labels on every
+    step that keeps its number of exactly real values; every other step,
+    and every other block, goes through match_step.  A step whose tracked
+    values move further than REFINE_DISPLACEMENT, or leave a tie in any
+    tracked block, is bisected for all of them down to MIN_STEP; leftover
+    ties are logged as ambiguities.
     """
     if not (0 < g_max < np.inf and 0 < step < np.inf):
         raise ValueError("g_max and step must be positive and finite")
@@ -261,12 +312,22 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
             pred = np.where(is_real(pred), pred - bend, pred)
         row, unresolved = np.full(mat.N, np.nan, dtype=complex), []
         for t in tracks:  # values only, matched in branch order
-            nxt = Spectrum(gbar=g_next, eigenvalues=_solve_block(t.lam, t.K, g_next, True)[0])
-            sigma, info = match_step(Spectrum(gbar=g_next, eigenvalues=pred[t.ix]), nxt)
-            for ix in t.copies:  # report basis modes, not the block's branches
-                row[ix] = nxt.eigenvalues[sigma]
+            if g_next not in t.rows:
+                todo = [g_next]
+                for g in pending[:_chunk_len(len(t.ix)) - 1]:
+                    if g in t.rows:
+                        break
+                    todo.append(g)
+                t.rows.update(zip(todo, _solve_block(t.lam, t.K, np.array(todo), True)[0]))
+            values = t.rows[g_next]
+            sigma = _by_order(pred[t.ix], values) if t.ranked else None
+            if sigma is None:
+                sigma, info = match_step(Spectrum(gbar=g_next, eigenvalues=pred[t.ix]),
+                                         Spectrum(gbar=g_next, eigenvalues=values))
                 unresolved += [dict(tie, branches=tuple(int(ix[b]) for b in tie["branches"]))
-                               for tie in info["tie_groups"]]
+                               for ix in t.copies for tie in info["tie_groups"]]
+            for ix in t.copies:  # report basis modes, not the block's branches
+                row[ix] = values[sigma]
         max_disp = float(np.max(np.abs(rows[-1][on] - row[on])))
         if (unresolved or max_disp > REFINE_DISPLACEMENT) and \
                 g_next - sweep_g[-1] > 2 * MIN_STEP:
@@ -277,6 +338,8 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
             continue
         ambiguities += [{"g": g_next, **tie, "note": "cost-minimal assignment kept"}
                         for tie in sorted(unresolved, key=lambda tie: tie["branches"])]
+        for t in tracks:
+            del t.rows[g_next]
         sweep_g.append(g_next)
         rows.append(row)
 

@@ -240,7 +240,7 @@ def test_cylinder_sweep_solves_factor_blocks_only(tmp_path, monkeypatch):
     sizes = []
 
     def counted(M, vectors, _geev=sp._geev):
-        sizes.append(len(M))
+        sizes.append(M.shape[-1])
         return _geev(M, vectors)
     monkeypatch.setattr(sp, "_geev", counted)
     cfgp = write_cfg(tmp_path / "c.cfg", """

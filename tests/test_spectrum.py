@@ -222,7 +222,7 @@ def test_lapack_failure_names_gbar_and_block(sphere60, monkeypatch):
 
     def failing(M, vectors):
         w, vl, info = geev(M, vectors)
-        return w, vl, 1 if len(M) == size else info
+        return w, vl, 1 if M.shape[-1] == size else info
 
     monkeypatch.setattr(sp, "_geev", failing)
     for only in (True, False):
@@ -241,6 +241,65 @@ def test_nonzero_geev_info_raises(monkeypatch, info):
         with pytest.raises(NumericalError, match=rf"gbar=2\.0 on a block of size 3 "
                                                  rf"\(LAPACK geev info={info},"):
             sp._solve_block(lam, B_b, 2.0, only)
+
+
+@settings(max_examples=30, deadline=None)
+@given(geometry=st.sampled_from(["sphere", "tilted_sphere", "disk", "interval"]),
+       N=st.integers(1, 30), entries=st.integers(1, 400),
+       g=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=40))
+def test_stacked_block_solve_is_bit_identical_to_scalar_solves(geometry, N, entries, g):
+    """On every distinct block, a 1-d array of gbar gives one row per gbar,
+    byte for byte the scalar solve's, from one _geev call per chunk of at
+    most STACK_ENTRIES entries (drawn small, so the arrays span several
+    chunks)."""
+    m = _small_operator("sphere" if geometry == "tilted_sphere" else geometry, N)
+    B = mx.gradient_matrix(m, **({"theta_g": 0.7, "phi_g": 0.4}
+                                 if geometry == "tilted_sphere" else {}))
+    g = np.array(g)
+    shapes, geev, limit = [], sp._geev, sp.STACK_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "STACK_ENTRIES", entries)
+        mp.setattr(sp, "_geev", lambda M, vectors: shapes.append(M.shape) or geev(M, vectors))
+        for _, _, lam_b, K, _ in sp._blocks(m.lam, B):
+            if lam_b is None:
+                continue
+            shapes.clear()
+            W, none = sp._solve_block(lam_b, K, g, True)
+            n, step = len(lam_b), sp._chunk_len(len(lam_b))
+            assert none is None and W.shape == (len(g), n)
+            assert [s[0] for s in shapes] == [len(g[i:i + step]) for i in range(0, len(g), step)]
+            assert all(s[0] == 1 or np.prod(s) <= entries for s in shapes)
+            for gi, row in zip(g, W):
+                assert row.tobytes() == sp._solve_block(lam_b, K, gi, True)[0].tobytes()
+    assert sp.STACK_ENTRIES == limit
+
+
+def test_failed_matrix_of_a_stack_names_its_gbar(sphere60, monkeypatch):
+    """A chunk in which one matrix fails raises NumericalError naming that
+    matrix's gbar and the block size, as a scalar solve does; a non-finite
+    gbar in the array is refused before any geev call."""
+    m, B = sphere60
+    lam_b, K = next((b[2], b[3]) for b in sp._blocks(m.lam, B) if len(b[0]) == 12)
+    g = np.linspace(0.0, 12.0, 241)
+    bad = np.diag(lam_b) + g[57] * K
+    calls, geev = [], sp._geev
+
+    def failing(M, vectors):
+        calls.append(M.shape)
+        w, v, info = geev(M, vectors)
+        hit = (M.reshape(-1, 12, 12) == bad).all(axis=(1, 2)).any()
+        return w, v, 1 if hit else info
+
+    monkeypatch.setattr(sp, "_geev", failing)
+    with pytest.raises(NumericalError, match=rf"gbar={g[57]} on a block of size 12 "
+                                             rf"\(LAPACK geev info=1,"):
+        sp._solve_block(lam_b, K, g, True)
+    assert calls[0] == (sp._chunk_len(12), 12, 12) and calls[-1] == (12, 12)
+    calls.clear()
+    for x in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match=f"gbar={x} on a block of size 12: not finite"):
+            sp._solve_block(lam_b, K, np.r_[g[:5], x, g[5:]], True)
+    assert calls == []
 
 
 def test_linalg_error_raises_numerical_error(sphere60, monkeypatch):
@@ -364,10 +423,10 @@ def test_block_rows_are_left_eigenvectors(geometry, N, g, theta, phi):
         old = vl.conj().T[np.lexsort((ref.imag, ref.real))] / d
         gap = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(len(w), np.inf))
         lone = gap.min(axis=1) > 1e-4 * np.maximum(1.0, np.abs(w))
-        phase = np.einsum("ij,ij->i", old.conj(), rows)
-        assert np.allclose(np.abs(phase[lone]), 1.0, rtol=0.0, atol=1e-9)
+        phase = np.einsum("ij,ij->i", old[lone].conj(), rows[lone])
+        assert np.allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-9)
         phase /= np.abs(phase)
-        assert np.all(np.abs(rows - phase[:, None] * old)[lone] <= 1e-9)
+        assert np.all(np.abs(rows[lone] - phase[:, None] * old[lone]) <= 1e-9)
 
 
 def _multiset_deviation(w, pool):

@@ -356,11 +356,39 @@ def _eig_orders(monkeypatch):
 
     def counted(M, vectors):
         if vectors:
-            orders.append(len(M))
+            orders.append(M.shape[-1])
         return geev(M, vectors)
 
     monkeypatch.setattr(sp, "_geev", counted)
     return orders
+
+
+def _count_solves(monkeypatch):
+    """Matrices solved by LAPACK from now on and _geev calls, each counted
+    by (order, with vectors): a stacked call of G matrices solves G."""
+    matrices, calls = Counter(), Counter()
+    geev = sp._geev
+
+    def counted(M, vectors):
+        matrices[M.shape[-1], vectors] += int(np.prod(M.shape[:-2]))
+        calls[M.shape[-1], vectors] += 1
+        return geev(M, vectors)
+
+    monkeypatch.setattr(sp, "_geev", counted)
+    return matrices, calls
+
+
+def _count_matches(monkeypatch):
+    """(gbar, block order) of every match_step call from now on."""
+    steps = []
+    match = sw.match_step
+
+    def counted(prev, next_):
+        steps.append((round(float(next_.gbar), 12), len(prev.eigenvalues)))
+        return match(prev, next_)
+
+    monkeypatch.setattr(sw, "match_step", counted)
+    return steps
 
 
 @pytest.mark.parametrize("N", [60, 100])
@@ -402,39 +430,37 @@ def test_degenerate_class_splits_at_second_order(N):
 
 
 def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
-    """Work counter: the z sphere sweep at N=60 to gbar = 12 makes exactly
-    these block solves, by (block order, with vectors), one per block and
-    step of its 241 grid points, with no refinement and no ambiguity: a
-    tracker that solves, bisects or logs more fails here."""
+    """Work counter: the z sphere sweep at N=60 to gbar = 12 solves exactly
+    these matrices, by (block order, with vectors), one per block and step
+    of its 241 grid points, with no refinement and no ambiguity: a tracker
+    that solves, bisects or logs more fails here.  They come in one _geev
+    call per chunk of spectrum.STACK_ENTRIES entries per block, and only
+    the 5 steps that change a block's number of real values (or leave a
+    non-real branch without a strictly nearest value) reach match_step."""
     m, B = sphere60
-    calls = Counter()
-    geev = sp._geev
-
-    def counted(M, vectors):
-        calls[len(M), vectors] += 1
-        return geev(M, vectors)
-
-    monkeypatch.setattr(sp, "_geev", counted)
+    matrices, calls = _count_solves(monkeypatch)
+    steps = _count_matches(monkeypatch)
     s = sw.run_sweep(m, B, 12.0)
-    assert dict(calls) == {(n, False): 240 for n in (1, 2, 3, 5, 7, 9, 12)}
+    orders = (1, 2, 3, 5, 7, 9, 12)
+    assert dict(matrices) == {(n, False): 240 for n in orders}
+    assert dict(calls) == {(n, False): -(-240 // sp._chunk_len(n)) for n in orders}
+    assert sum(calls.values()) == 22
+    assert steps == [(4.75, 12), (5.5, 12), (5.55, 12), (5.65, 12), (12.0, 9)]
     assert (len(s.g_grid), len(s.refinements), len(s.ambiguities)) == (241, 0, 0)
 
 
 def test_sweep_solves_only_the_blocks_of_reported_branches(sphere60, monkeypatch):
     """Work counter: with n_branches=17 the same sweep solves only the 4 of
     its 7 distinct blocks that hold a branch below 17 (in themselves or a
-    twin), once per step, and every other column is NaN on the whole grid."""
+    twin), once per step, in 19 stacked calls, and every other column is
+    NaN on the whole grid."""
     m, B = sphere60
-    calls = Counter()
-    geev = sp._geev
-
-    def counted(M, vectors):
-        calls[len(M), vectors] += 1
-        return geev(M, vectors)
-
-    monkeypatch.setattr(sp, "_geev", counted)
+    matrices, calls = _count_solves(monkeypatch)
+    steps = _count_matches(monkeypatch)
     s = sw.run_sweep(m, B, 12.0, n_branches=17)
-    assert dict(calls) == {(n, False): 240 for n in (5, 7, 9, 12)}
+    assert dict(matrices) == {(n, False): 240 for n in (5, 7, 9, 12)}
+    assert dict(calls) == {(5, False): 2, (7, False): 3, (9, False): 5, (12, False): 9}
+    assert len(steps) == 5
     # the solved orders are those of the distinct blocks holding a branch below 17
     blocks = sp._blocks(m.lam, B)
     label = sp.block_labels(m, B)
@@ -484,6 +510,105 @@ def test_z_sphere_sweep_solves_no_eigenvectors(sphere60, monkeypatch):
     assert orders == []
 
 
+@pytest.mark.parametrize("geometry,N,g_max", [("sphere", 60, 13.0), ("disk", 60, 40.0),
+                                               ("interval", 40, 60.0),
+                                               ("sphere_reduced", 40, 25.0)])
+def test_order_labels_equal_the_matched_sweep(geometry, N, g_max, monkeypatch):
+    """Labelling the real branches of each block by order (_by_order) keeps
+    the grid, the values, the refinements and the ambiguities of the sweep
+    that sends every step through match_step (the predicate patched off),
+    bit for bit; match_step then sees fewer than a tenth of the labelled
+    sweep's steps."""
+    m = mx.operator_for(geometry, N)
+    B = mx.gradient_matrix(m)
+    assert all(t.ranked for t in sw._tracks(m, B, m.N))
+    steps = _count_matches(monkeypatch)
+    ranked = sw.run_sweep(m, B, g_max)
+    assert 0 < len(steps) < len(ranked.g_grid) // 10
+    monkeypatch.setattr(sw, "_ranked", lambda mat, lam: False)
+    matched = sw.run_sweep(m, B, g_max)
+    assert np.array_equal(ranked.g_grid, matched.g_grid)
+    assert np.array_equal(ranked.eigenvalues, matched.eigenvalues)
+    assert ranked.refinements == matched.refinements
+    assert ranked.ambiguities == matched.ambiguities
+
+
+def _mini_cylinder():
+    """A dense cylinder in miniature: the Kronecker sum of a two-mode disk
+    factor (Lambda 0, 2; coupling 3/4) and a two-mode interval factor
+    (Lambda 0, 3/2; coupling sqrt(2)/4), one block whose middle real
+    branches, mu_d- + mu_i+ and mu_d+ + mu_i- (3/2 and 2 at gbar = 0),
+    cross at gbar = 1, where the factor gaps sqrt(4 - 9g^2/4) and
+    sqrt(9/4 - g^2/2) meet."""
+    lam = np.array([0.0, 1.5, 2.0, 3.5])
+    B = (np.kron([[0.0, 0.75], [0.75, 0.0]], np.eye(2))
+         + np.kron(np.eye(2), [[0.0, np.sqrt(2) / 4], [np.sqrt(2) / 4, 0.0]]))
+    basis = bas.BasisSet(geometry="cylinder", indices=(), eigenvalues=lam)
+    return mx.OperatorMatrices(basis, lam, None, None, None), B
+
+
+def test_guard_still_bisects_a_real_crossing_of_the_dense_cylinder(monkeypatch):
+    """The dense cylinder is a Kronecker sum, so real values of one block
+    cross: its blocks keep match_step and its guard.  A grid point on the
+    exact crossing of the miniature cylinder is a cost tie, bisected 12
+    times down to MIN_STEP and logged as tie refinements; labelled by order
+    the same block would pass it unrefined.  The tilted sphere's block, with
+    its degenerate classes at gbar = 0, keeps match_step too."""
+    sphere = mx.operator_for("sphere", 30)
+    Bt = mx.gradient_matrix(sphere, theta_g=0.3, phi_g=0.2)
+    assert [u.ranked for u in sw._tracks(sphere, Bt, sphere.N)] == [False]
+    m, B = _mini_cylinder()
+    (t,) = sw._tracks(m, B, m.N)
+    assert not t.ranked
+    w = sp.diagonalize(m, B, 1.0, eigvals_only=True).eigenvalues
+    assert w[1] == pytest.approx(w[2], abs=1e-14) and not w.imag.any()
+    steps = _count_matches(monkeypatch)
+    s = sw.run_sweep(m, B, 1.0, step=0.25)
+    assert [r["inserted"] for r in s.refinements] == [1 - 0.125 / 2**k for k in range(12)]
+    assert {r["reason"] for r in s.refinements} == {"tie"}
+    assert len(steps) == len(s.g_grid) - 1 + len(s.refinements)
+    monkeypatch.setattr(sw, "_ranked", lambda mat, lam: True)
+    assert sw.run_sweep(m, B, 1.0, step=0.25).refinements == []
+
+
+def test_order_labels():
+    """_by_order gives the real values, ascending, to the branches predicted
+    real in ascending order of prediction, and each non-real branch its
+    strictly nearest non-real value; it declines (None) a step that changes
+    the number of exactly real values, or whose non-real branches share a
+    nearest value."""
+    values = np.array([1.0, 2.0, 3.0 - 1j, 3.0 + 1j, 7.0])
+    pred = np.array([6.5, 3.1 + 0.9j, 1.2, 3.1 - 0.9j, 2.2])
+    sigma = sw._by_order(pred, values)
+    assert values[sigma].tolist() == [7.0, 3.0 + 1j, 1.0, 3.0 - 1j, 2.0]
+    assert sw._by_order(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5 - 1j, 2.5 + 1j])) is None
+    assert sw._by_order(np.array([1.0, 3 + 1j, 3 + 1.1j]), np.array([1.0, 3 - 1j, 3 + 1j])) is None
+    assert sw._by_order(np.array([1.0 + 0j]), np.array([2.0 + 0j])).tolist() == [0]
+
+
+def test_stacked_solves_stay_within_the_chunk_bound(sphere60, monkeypatch):
+    """Memory bound: on the sphere60 sweeps about z (blocks of order 1 to
+    12) and about a tilted gradient (one 66-wide block, theta = 30, phi = 20
+    degrees), and on the sphere_reduced sweep at N = 100 (one 100-wide
+    block), no stack that _geev receives holds more than
+    spectrum.STACK_ENTRIES entries, or more than one matrix of a wider
+    order."""
+    shapes = []
+    geev = sp._geev
+    monkeypatch.setattr(sp, "_geev", lambda M, vectors: shapes.append(M.shape) or geev(M, vectors))
+    m, B = sphere60
+    for Bg in (B, mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))):
+        sw.run_sweep(m, Bg, 13.0)
+    red = mx.operator_for("sphere_reduced", 100)
+    sw.run_sweep(red, mx.gradient_matrix(red), 10.0)
+    assert {s[-1] for s in shapes} == {1, 2, 3, 5, 7, 9, 12, 66, 100}
+    for s in shapes:
+        assert s[0] <= sp._chunk_len(s[-1])
+        assert np.prod(s) <= max(sp.STACK_ENTRIES, s[-1] ** 2)
+    assert max(s[0] for s in shapes if s[-1] == 12) == sp._chunk_len(12) == 28
+    assert {s[0] for s in shapes if s[-1] > 64} == {1}
+
+
 def test_rejoining_pair_gives_the_lower_branch_the_smaller_value():
     """A conjugate pair rejoining the real axis is an exact cost tie that
     _closed_form's sorted real line decides: the lower branch takes the
@@ -518,10 +643,12 @@ def test_guard_reports_a_cost_tie_on_a_cos_block(sphere60):
 def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
     """An unresolved tie of one block's branches 0 and 2 at gbar = 0.05 is
     reported as the basis modes of the block and of its twin, which copies
-    its result."""
+    its result.  The blocks go through match_step (their order labels are
+    patched off), where the tie is injected."""
     m, B = sphere60
     t = next(t for t in sw._tracks(m, B, m.N) if m.basis.indices[t.ix[0]].m == 1)
     assert sum(len(u.ix) == len(t.ix) for u in sw._tracks(m, B, m.N)) == 1
+    monkeypatch.setattr(sw, "_ranked", lambda mat, lam: False)
     match = sw.match_step
 
     def tied(prev, next_):
