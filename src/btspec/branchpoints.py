@@ -24,9 +24,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices, cylinder_factors, gradient_direction
 from .specfun import interval_branch_constants
-from .spectrum import (Spectrum, _degenerate_classes, block_labels, diagonalize,
-                       is_real, own_blocks)
-from .sweep import BranchSweep, _assign, match_step, run_sweep
+from .spectrum import _degenerate_classes, block_labels, diagonalize, is_real, own_blocks
+from .sweep import BranchSweep, _assign, _ranked, _step, run_sweep
 
 CLUSTER_RADIUS = 1e-3
 # Tighter than the 1e-5 reporting requirement, so that the square-root
@@ -75,7 +74,7 @@ def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoin
     real = is_real(lam)
     steps, branches = np.nonzero(real[:-1] & ~real[1:])
     points = []
-    for i in np.unique(steps) + 1:
+    for i in sorted({s + 1 for s in steps.tolist()}):
         bs = branches[steps == i - 1]
         v = lam[i, bs]
         # conjugate partners coincide once folded onto Im >= 0
@@ -149,15 +148,14 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
                        bracket=(lo, hi), meta=meta)
 
 
-def _match_blocks(target: np.ndarray, block: np.ndarray, spec,
-                  match=_assign) -> np.ndarray:
+def _match_blocks(target: np.ndarray, block: np.ndarray, spec) -> np.ndarray:
     """Row of spec assigned to each target value (target j in exact block
-    block[j]) by match(targets, values) -> index into values, each block on
-    its own; by default the minimal total squared displacement."""
+    block[j]) by the minimal total squared displacement (_assign), each
+    block on its own."""
     out = np.empty(len(target), dtype=int)
-    for k in np.unique(block):
+    for k in set(block.tolist()):
         r, c = np.flatnonzero(block == k), np.flatnonzero(spec.block == k)
-        out[r] = c[match(target[r], spec.eigenvalues[c])]
+        out[r] = c[_assign(target[r], spec.eigenvalues[c])]
     return out
 
 
@@ -168,7 +166,7 @@ def _class_conditioning(w: np.ndarray, X: np.ndarray) -> tuple[float, float | No
     value of a class's bilinear Gram on a Hermitian-orthonormal basis of it,
     and the smallest principal angle between two classes (None for one)."""
     cid = _degenerate_classes(w)
-    classes = ([X[cid == c].T for c in np.unique(cid[cid >= 0])]
+    classes = ([X[cid == c].T for c in range(cid.max() + 1)]
                + [x[:, None] for x in X[cid < 0]])
     qs = [_orth(a) for a in classes]
     vv = min(np.linalg.svd(q.T @ q, compute_uv=False).min() for q in qs)
@@ -251,7 +249,7 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
         for p in find_branch_points(f, B, sweeps[k], max_branch=width[k]):
             w, vv = _branch_rows(f_o, B_o, sweeps[1 - k], p.g_star, width[1 - k])
             mine = np.isin(idx, p.branches)
-            for q in np.unique(idx_o[mine]):
+            for q in sorted(set(idx_o[mine].tolist())):
                 js = tuple(int(j) for j in np.flatnonzero(mine & (idx_o == q)))
                 meta = dict(p.meta, value=p.meta["value"] + w[q],
                             vv_min=p.meta["vv_min"] * vv[q])
@@ -261,8 +259,9 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
                                           branches=js, bracket=p.bracket, meta=meta))
     points.sort(key=lambda p: (p.g_star, p.branches))
 
-    grid = np.intersect1d(sweeps[0].g_grid, sweeps[1].g_grid)
-    mu, nu = (s.eigenvalues[np.isin(s.g_grid, grid)] for s in sweeps)
+    shared = set(sweeps[0].g_grid.tolist()) & set(sweeps[1].g_grid.tolist())
+    grid = np.array(sorted(shared))
+    mu, nu = (s.eigenvalues[[g in shared for g in s.g_grid.tolist()]] for s in sweeps)
     n_int_blocks = int(sweeps[1].block.max()) + 1
     refinements, ambiguities = [], []
     for (name, _, _, idx), s in zip(factors, sweeps):
@@ -284,21 +283,20 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
 def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: float,
                  n: int):
     """Eigenvalue and bilinear norm |<x, x>| of each of the first n branches
-    at g, tracked by the sweep, matched from the sweep's values at its last
-    grid point at or below g by the sweep's own step (match_step) on the
-    blocks of those branches (spectrum.own_blocks): a pair that splits in
+    at g, tracked by the sweep, labelled from the sweep's values at its last
+    grid point at or below g by the sweep's own step (sweep._step) on each
+    block of those branches (spectrum.own_blocks): a pair that splits in
     between meets its real values as exact conjugates, and the split rule
     gives its Im > 0 member the lower branch index, as in the sweep."""
     i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
     sub, B_sub, ix = own_blocks(mat, B, range(n))
-    spec = diagonalize(sub, B_sub, g)
-
-    def match(target, values):
-        return match_step(Spectrum(g, target), Spectrum(g, values))[0]
-    rows = _match_blocks(sweep.eigenvalues[i, ix], block_labels(sub, B_sub), spec,
-                         match)[:n]
-    X = spec.X[rows]
-    return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X, X))
+    spec, block = diagonalize(sub, B_sub, g), block_labels(sub, B_sub)
+    target, rows = sweep.eigenvalues[i, ix], np.empty(len(ix), dtype=int)
+    for k in set(block.tolist()):
+        r, c = np.flatnonzero(block == k), np.flatnonzero(spec.block == k)
+        rows[r] = c[_step(g, target[r], spec.eigenvalues[c], _ranked(sub, sub.lam[r]))[0]]
+    X = spec.X[rows[:n]]
+    return spec.eigenvalues[rows[:n]], np.abs(np.einsum("ij,ij->i", X, X))
 
 
 def interval_branch_points_analytic(count: int) -> np.ndarray:

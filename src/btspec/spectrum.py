@@ -17,10 +17,10 @@ inversion, so B couples only modes of opposite parity and its nonzero graph
 is bipartite: with the parity p of a 2-colouring and the phases d = i^p,
 diag(d)^-1 (Lambda + i*gbar*B) diag(d) = Lambda + gbar*K, where
 K = (p_j - p_k) B_jk is real and skew-symmetric.  Each block is solved in
-this real form by one block solve (_solve_block): one numpy.linalg call
-(_geev), eigvals without vectors and eig with them, which keeps no
-workspace between calls; a sweep's grid is solved on stacks of at most
-STACK_ENTRIES matrix entries, one call per stack.  A real eigenvalue comes
+this real form by one block solve (_solve_block) of a stack of gbar, a
+single gbar being a stack of one: one numpy.linalg call (_geev) per stack
+of at most STACK_ENTRIES matrix entries, eigvals without vectors and eig
+with them, which keeps no workspace between calls.  A real eigenvalue comes
 back with Im exactly 0 and a complex one with its exact conjugate (PT
 symmetry; Bender, Rep. Prog. Phys. 70, 947 (2007)), so realness is decided
 by one rule, is_real: |Im lambda| <= REAL_TOL.  Whether two eigenvalues
@@ -161,36 +161,40 @@ def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
 def _solve_block(lam_b: np.ndarray, K: np.ndarray, gbar, eigvals_only: bool) -> tuple:
     """Eigenvalues, sorted by (Re, Im), and eigenvector rows (None when
     eigvals_only) of one exact block in its real form M = diag(lam_b) +
-    gbar*K, from one numpy.linalg call (_geev), which keeps no workspace
-    between calls.  Row z is a right eigenvector of M (unit 2-norm): the
-    operator is complex symmetric, so z * d (d from _blocks) is the
-    left-eigenvector row of the original operator.
+    gbar*K.  Row z is a right eigenvector of M (unit 2-norm): the operator
+    is complex symmetric, so z * d (d from _blocks) is the left-eigenvector
+    row of the original operator.
 
-    A 1-d array gbar (eigenvalues only) gives one sorted row per gbar, bit
-    for bit the scalar solve's, from one _geev call per chunk of at most
-    _chunk_len(len(lam_b)) stacked matrices.  A failed solve (_geev's
-    info != 0), or a non-finite gbar (refused first), raises NumericalError
-    naming gbar and the block size; in a failed chunk each matrix is
-    solved alone to find which."""
+    A 1-d array gbar gives one result per gbar, stacked; a scalar is a
+    stack of one.  Each chunk of at most _chunk_len(len(lam_b)) matrices is
+    one _geev call.  A failed chunk (_geev's info != 0) is solved again one
+    matrix at a time, and a failed matrix, or a non-finite gbar (refused
+    first), raises NumericalError naming gbar and the block size."""
     g = np.asarray(gbar, dtype=float)
     bad = ~np.isfinite(g)
     if bad.any():
         raise NumericalError(f"eigensolver refused gbar={float(g[bad].flat[0])} on a "
                              f"block of size {len(lam_b)}: not finite")
-    if g.ndim:
-        step = _chunk_len(len(lam_b))
-        return np.concatenate([_solve_stack(lam_b, K, g[i:i + step])
-                               for i in range(0, len(g), step)]), None
-    M = gbar * K  # K's diagonal is exactly zero
-    np.fill_diagonal(M, lam_b)
-    w, v, info = _geev(M, not eigvals_only)
-    if info != 0:
-        raise NumericalError(
-            f"eigensolver failed at gbar={gbar} on a block of size "
-            f"{len(lam_b)} (LAPACK geev info={info}, "
-            f"norm={np.linalg.norm(M):.3e})")
-    order = np.lexsort((w.imag, w.real))
-    return w[order], None if eigvals_only else v.T[order]
+    n, step, flat = len(lam_b), _chunk_len(len(lam_b)), g.reshape(-1)
+    chunks, w_out, z_out = [flat[i:i + step] for i in range(0, g.size, step)], [], []
+    while chunks:
+        c = chunks.pop(0)
+        M = c[:, None, None] * K  # K's diagonal is exactly zero
+        M[:, np.arange(n), np.arange(n)] = lam_b
+        w, v, info = _geev(M, not eigvals_only)
+        if info != 0 and len(c) > 1:  # one at a time, to name the failed one
+            chunks[:0] = list(c[:, None])
+            continue
+        if info != 0:
+            raise NumericalError(
+                f"eigensolver failed at gbar={c[0]} on a block of size {n} "
+                f"(LAPACK geev info={info}, norm={np.linalg.norm(M):.3e})")
+        order = np.lexsort((w.imag, w.real), axis=-1)
+        w_out.append(np.take_along_axis(w, order, axis=-1))
+        if not eigvals_only:
+            z_out.append(np.take_along_axis(v.swapaxes(-1, -2), order[..., None], axis=-2))
+    w, z = np.concatenate(w_out), np.concatenate(z_out) if z_out else None
+    return (w, z) if g.ndim else (w[0], None if z is None else z[0])
 
 
 def _chunk_len(n: int) -> int:
@@ -198,25 +202,12 @@ def _chunk_len(n: int) -> int:
     return max(1, STACK_ENTRIES // (n * n))
 
 
-def _solve_stack(lam_b: np.ndarray, K: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalue rows of diag(lam_b) + g_i*K for the finite g_i of
-    one chunk, from one _geev call on the stack; a failed call falls back
-    to scalar solves, the failing one of which raises."""
-    n = len(lam_b)
-    M = g[:, None, None] * K
-    M[:, np.arange(n), np.arange(n)] = lam_b
-    w, _, info = _geev(M, False)
-    if info != 0:
-        return np.array([_solve_block(lam_b, K, gi, True)[0] for gi in g])
-    return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
-
-
 def _geev(M: np.ndarray, vectors: bool) -> tuple:
-    """(w, v, info) of LAPACK geev on the real matrix M, or on each of a
-    stack of them (eigenvalues only), through numpy.linalg: the complex
-    eigenvalues, the right eigenvectors as columns of unit 2-norm (eig, only
-    when `vectors`; else eigvals and v None) and the return code, 0, or 1
-    when geev did not converge on some matrix (numpy's LinAlgError)."""
+    """(w, v, info) of LAPACK geev on each of a stack M of real matrices,
+    through numpy.linalg: the complex eigenvalues, the right eigenvectors as
+    columns of unit 2-norm (eig, only when `vectors`; else eigvals and v
+    None) and the return code, 0, or 1 when geev did not converge on some
+    matrix (numpy's LinAlgError)."""
     try:
         if vectors:
             w, v = np.linalg.eig(M)
@@ -369,7 +360,7 @@ def normalize(spec: Spectrum) -> Spectrum:
     vv_raw = np.abs(np.einsum("ik,ik->i", X, X))
     near = np.zeros(N, dtype=bool)
 
-    for c in np.unique(cid[cid >= 0]):
+    for c in range(cid.max() + 1):
         rows = cid == c
         gram = X[rows] @ X[rows].T  # bilinear: transpose, no conjugate
         if np.linalg.svd(gram, compute_uv=False).min() < NEAR_BRANCH_TOL:

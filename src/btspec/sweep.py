@@ -5,28 +5,22 @@ exact block, since the blocks of Lambda + i*gbar*B never couple (see
 spectrum).  The tracker keeps one state per distinct block on a shared grid
 (a bit-identical twin block copies its twin) that holds a reported branch
 (run_sweep's n_branches; the other columns are NaN).  Each block is solved
-ahead, eigenvalues only, on stacked chunks of the pending grid points (one
-numpy.linalg call per chunk of spectrum.STACK_ENTRIES entries, each row bit
-for bit a single solve's); a refinement midpoint is a chunk of one.  The
-blocks are solved in their real form (see spectrum), so a real value has
-Im exactly 0 and a complex one its exact conjugate.
+ahead, eigenvalues only, on stacks of the pending grid points
+(spectrum._solve_block), in its real form, so a real value has Im exactly
+0 and a complex one its exact conjugate.
 
 Two real values of a block without hidden symmetry do not cross (von
-Neumann and Wigner), so such a block, one with no degenerate class at
-gbar = 0 that is not a block of the dense cylinder (a Kronecker sum, whose
-real values do cross), labels its branches by order (_by_order): on a step
-that keeps its number of exactly real values, the sorted real values go to
-its real branches in ascending order of prediction, and each non-real
-branch takes its strictly nearest non-real value.  Every other step, and
-every other block, goes through match_step, which matches by value: the
-assignment of least squared displacement from a linear prediction
-(_assign: each branch's strictly nearest value, else the sorted real line,
-else scipy's solver).  Its splits and rejoins are exact conjugate ties with
-fixed rules: a fresh conjugate family goes Im > 0 to the lower branch, and
-the lower branch of a rejoining pair takes the smaller value.  Any other
-swap of two branches costing nearly the optimum is a tie: the step is
-bisected for all tracked blocks down to MIN_STEP, and what stays tied is
-recorded.
+Neumann and Wigner), and a split or a rejoin is a collision of two adjacent
+ones (Heiss), so such a block, one with no degenerate class at gbar = 0
+that is not a block of the dense cylinder (a Kronecker sum, whose real
+values do cross), is labelled on every step by the order rules (_by_order).
+Every other block, and a step the rules decline, goes through match_step,
+which matches by value: the assignment of least squared displacement from
+a linear prediction (_assign: each branch's strictly nearest value, else
+the order rules where a bound proves them optimal, else scipy's solver),
+then the same split rule.  Any other swap of two branches costing nearly
+the optimum is a tie: the step is bisected for all tracked blocks down to
+MIN_STEP, and what stays tied is recorded.
 No eigenvector is solved: the members of a degenerate class of gbar = 0
 (the m-families of a tilted sphere) split as gbar^2, so their real
 predictions add that second-order term (_curvatures), which gives the lower
@@ -98,56 +92,38 @@ def _assign(target: np.ndarray, values: np.ndarray,
 
 
 def _closed_form(target, values, cost) -> np.ndarray | None:
-    """A least-cost assignment by three rules, or None where they fail.
-
-    Real values (Im exactly 0) go in order to the targets sorted by real
-    part (a target's Im adds the same cost to each real value).  Each
-    non-real value takes its strictly nearest non-real target, no two the
-    same, and targets left over (a rejoin) join the real ones: the sort is
-    stable, so the lower of a rejoining pair, whose real parts are equal,
-    takes the smaller value.  At a split
-    each non-real target takes its strictly nearest non-real value, and the
-    two left over, an exact conjugate pair x +- iy equally far from every
-    real target, go to the adjacent two of least total cost (of a < b < c,
-    a, b or b, c cost no more than a, c).  That is optimal among the
-    assignments keeping the real values and their targets apart from the
-    rest; any other pays a cross entry c_ij, so at least the sum of row
-    minima plus c_ij - min(row i), and the result must not cost more."""
-    tr, vr = target.imag == 0, values.imag == 0
-    ct, cv, rv = np.flatnonzero(~tr), np.flatnonzero(~vr), np.flatnonzero(vr)
-    cols, split = np.empty(len(cost), dtype=int), len(ct) < len(cv)
-    sub = cost[np.ix_(ct, cv)] if split else cost[np.ix_(ct, cv)].T
-    near = np.nonzero(sub == sub.min(axis=1, keepdims=True, initial=np.inf))[1]
-    if not len(near) == len(sub) == len(np.unique(near)):
-        return None  # a row without a strict minimum, or two sharing one
-    if split:
-        cols[ct], pair = cv[near], np.delete(cv, near)
-        if len(pair) != 2 or values[pair[0]] != values[pair[1]].conjugate():
-            return None
-        vr[pair] = True
-    else:
-        cols[ct[near]] = cv
-        tr[np.delete(ct, near)] = True
-    rt, rv = (i[np.argsort(z.real[i], kind="stable")]
-              for i, z in ((np.flatnonzero(tr), target), (rv, values)))
-    if split:  # the pair to the two adjacent targets of least total cost
-        w = cost[rt, pair[0]]
-        a, b = cost[rt[:-2], rv], cost[rt[2:], rv]
-        k = np.argmin(np.r_[0, np.cumsum(a)] + w[:-1] + w[1:]
-                      + np.r_[np.cumsum(b[::-1])[::-1], 0])
-        rv = np.r_[rv[:k], pair, rv[k:]]  # ordered by match_step's split rule
-    cols[rt] = rv
+    """_by_order's assignment where it is least-cost, else None.  That is
+    optimal among the assignments keeping the real group (the real values,
+    a fresh pair, and the targets they take) apart from the rest; any
+    other pays a cross entry c_ij, so at least the sum of row minima plus
+    c_ij - min(row i), and the result must not cost more."""
+    by_re = values.real.argsort(kind="stable")  # _by_order's value order
+    cols = _by_order(target, values[by_re])
+    if cols is None:
+        return None
+    cols = by_re[cols]
+    tr = (target.imag == 0) | (values.imag[cols] == 0)
+    vr = tr[np.argsort(cols)]  # vr[cols] = tr
     row_min = cost.min(axis=1)
     cross = np.where(tr[:, None] != vr, cost, np.inf).min(axis=1)
     excess = cost[np.arange(len(cost)), cols].sum() - row_min.sum()
     return cols if excess <= np.min(cross - row_min) else None
 
 
+def _split_rule(pred: np.ndarray, values: np.ndarray, sigma: np.ndarray) -> None:
+    """The split rule, in place: the values that branches take fresh
+    (predicted real, now non-real; spectrum.is_real) go in canonical_order
+    within each conjugate family, Im > 0 to the lower branch index."""
+    fresh = np.flatnonzero(is_real(pred) & ~is_real(values[sigma]))
+    z = values[sigma[fresh]]
+    for fam in _components(same_value(z[:, None], z.conj()))[0]:
+        b = fresh[fam]
+        sigma[b] = sigma[b][canonical_order(z[fam])]
+
+
 def match_step(prev: Spectrum, next_: Spectrum):
     """Permutation sigma minimizing sum |lambda_prev[b] - lambda_next[sigma(b)]|^2
-    over the branches b of one exact block (see _assign), with each fresh
-    conjugate family (branches real in prev and non-real in next_) put in
-    canonical_order: Im > 0 to the lower branch index.
+    over the branches b of one exact block (see _assign), then _split_rule.
 
     Returns (sigma, info).  info['tie_groups'] lists the groups of branches
     left tied (kind 'unresolved'): swapping two of them costs within TIE_REL
@@ -156,15 +132,8 @@ def match_step(prev: Spectrum, next_: Spectrum):
     wp, wn = prev.eigenvalues, next_.eigenvalues
     diff = np.subtract.outer(wp, wn)
     cost = diff.real**2 + diff.imag**2
-    if len(wp) == 1:  # one branch, one value: nothing to match
-        return np.zeros(1, dtype=int), {"cost": float(cost[0, 0]), "tie_groups": []}
     sigma = _assign(wp, wn, cost)
-    fresh = np.flatnonzero(is_real(wp) & ~is_real(wn[sigma]))
-    if len(fresh):  # the split rule, for every route of _assign
-        z = wn[sigma[fresh]]
-        for fam in _components(same_value(z[:, None], z.conj()))[0]:
-            b = fresh[fam]
-            sigma[b] = sigma[b][canonical_order(z[fam])]
+    _split_rule(wp, wn, sigma)  # for every route of _assign
     cs = cost.take(sigma, axis=1)
     d = cs.diagonal()
     info = {"cost": float(d.sum()), "tie_groups": []}
@@ -195,8 +164,8 @@ class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
     blocks sharing its result (ix, then its twins), its real form (lam, K;
     see spectrum._blocks), the second-order coefficient w of each branch
-    (_curvatures), whether its real branches are labelled by order
-    (_by_order) and its solved rows by gbar, not yet on the grid."""
+    (_curvatures), whether its steps are labelled by order (_ranked,
+    _by_order) and its solved rows by gbar, not yet on the grid."""
 
     ix: np.ndarray
     copies: list
@@ -223,35 +192,72 @@ def _curvatures(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 
 def _ranked(mat: OperatorMatrices, lam: np.ndarray) -> bool:
-    """Whether a block's real branches keep their order (_by_order): it has
-    no degenerate class at gbar = 0 and is not a block of the dense
-    cylinder, a Kronecker sum whose real values cross."""
+    """Whether a block is labelled by order (_by_order): it has no
+    degenerate class at gbar = 0 and is not a block of the dense cylinder,
+    a Kronecker sum whose real values cross."""
     return mat.basis.geometry != "cylinder" and not (_degenerate_classes(lam) >= 0).any()
 
 
-def _by_order(pred: np.ndarray, values: np.ndarray) -> np.ndarray | None:
-    """Index into values, sorted by (Re, Im), of each branch of a block whose
-    real values keep their order: the real values ascending to the branches
-    predicted real, in ascending order of prediction (_assign's sorted real
-    line), and each other branch its strictly nearest non-real value.  None
-    when the numbers of exactly real predictions and values differ, or a
-    non-real branch has no strictly nearest value of its own."""
-    rp, rv = pred.imag == 0, values.imag == 0
-    rt, real = rp.nonzero()[0], rv.nonzero()[0]
-    if len(rt) != len(real):
-        return None
-    sigma = np.empty(len(pred), dtype=int)
-    sigma[rt[pred.real[rt].argsort(kind="stable")]] = real
-    if len(rt) < len(pred):
-        ct, cv = (~rp).nonzero()[0], (~rv).nonzero()[0]
-        diff = pred[ct, None] - values[cv]
-        cost = diff.real**2 + diff.imag**2
-        near = cost.argmin(axis=1)
-        if np.count_nonzero(cost <= cost.min(axis=1, keepdims=True)) != len(ct) \
-                or len(set(near.tolist())) != len(ct):
-            return None
-        sigma[ct] = cv[near]
-    return sigma
+def _by_order(target: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """Index into values (real ones ascending, as a solve returns them) of
+    each target (a branch's prediction) by the order rules, or None where
+    they do not apply.
+
+    Real values (Im exactly 0) go in order to the real targets sorted by
+    real part (a target's Im adds the same cost to each real value).  Each
+    non-real value takes its strictly nearest non-real target, no two the
+    same; targets left over (a rejoin) join the real ones, and the stable
+    sort gives the lower of the pair, whose real parts are equal, the
+    smaller value.  At a split each non-real target takes its strictly
+    nearest non-real value, and the two left over, an exact conjugate pair
+    x +- iy equally far from every real target, go to the adjacent two of
+    least total cost (of a < b < c, a, b or b, c cost no more than a, c),
+    Im > 0 to the lower branch index (_split_rule).  A step with neither
+    forms only the costs between non-real values and targets."""
+    tr, vr = target.imag == 0, values.imag == 0
+    cols = np.empty(len(target), dtype=int)
+    rt, rv = tr.nonzero()[0], vr.nonzero()[0]
+    split = len(rt) > len(rv)
+    if len(rt) < len(target) or split:
+        ct, cv = (~tr).nonzero()[0], (~vr).nonzero()[0]
+        d = target[ct, None] - values[cv] if split else values[cv, None] - target[ct]
+        sub = d.real**2 + d.imag**2
+        near = sub.argmin(axis=1)
+        if np.count_nonzero(sub <= sub.min(axis=1, keepdims=True)) != len(sub) \
+                or len(set(near.tolist())) != len(sub):
+            return None  # a row without a strict minimum, or two sharing one
+        if split:
+            cols[ct], pair = cv[near], np.delete(cv, near)
+            if len(pair) != 2 or values[pair[0]] != values[pair[1]].conjugate():
+                return None
+        else:
+            cols[ct[near]] = cv
+            if len(ct) > len(cv):  # a rejoin: the targets left over turn real
+                rt = np.sort(np.r_[rt, np.delete(ct, near)])
+    rt = rt[target.real[rt].argsort(kind="stable")]
+    if split:  # the pair to the two adjacent targets of least total cost
+        d = np.subtract.outer(target[rt], values[np.r_[rv, pair[0]]])
+        c, i = d.real**2 + d.imag**2, np.arange(len(rv))  # c[:, -1]: the pair's
+        w, a, b = c[:, -1], c[i, i], c[i + 2, i]
+        k = np.argmin(np.r_[0, np.cumsum(a)] + w[:-1] + w[1:]
+                      + np.r_[np.cumsum(b[::-1])[::-1], 0])
+        cols[rt] = np.r_[rv[:k], pair, rv[k:]]
+        _split_rule(target, values, cols)
+    else:
+        cols[rt] = rv
+    return cols
+
+
+def _step(g: float, pred: np.ndarray, values: np.ndarray, ranked: bool, copies=()):
+    """(sigma, tie groups) of one block's step to values at g: the order
+    rules (_by_order) where the block is labelled by order (_ranked) and
+    they apply, else match_step, its groups named by each copy's modes."""
+    sigma = _by_order(pred, values) if ranked else None
+    if sigma is not None:
+        return sigma, []
+    sigma, info = match_step(Spectrum(g, pred), Spectrum(g, values))
+    return sigma, [dict(tie, branches=tuple(int(ix[b]) for b in tie["branches"]))
+                   for ix in copies for tie in info["tie_groups"]]
 
 
 def _tracks(mat: OperatorMatrices, B: np.ndarray, n: int) -> list[_Track]:
@@ -273,18 +279,15 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     the whole grid.  None tracks every branch; a value outside [1, mat.N]
     raises ValueError.
 
-    When the next pending gbar has no solved row, one stacked call
-    (spectrum._solve_block) solves the missing pending points from it on,
-    up to one chunk: the uniform grid first, later a refinement midpoint as
-    a chunk of one.  Predictions are a slope through the last two points
+    When the next pending gbar has no solved row, one _solve_block call
+    solves the pending points from it on, up to one chunk (a refinement
+    midpoint alone).  Predictions are a slope through the last two points
     g0 <= g1 (g0 = g1 = 0 on the first step), whose real values bend by
     -w (gbar - g1)(gbar - g0) (see _curvatures); no eigenvector is solved.
-    A block labelled by order (_ranked) takes _by_order's labels on every
-    step that keeps its number of exactly real values; every other step,
-    and every other block, goes through match_step.  A step whose tracked
-    values move further than REFINE_DISPLACEMENT, or leave a tie in any
-    tracked block, is bisected for all of them down to MIN_STEP; leftover
-    ties are logged as ambiguities.
+    Each block steps by _step.  A step whose tracked values move further
+    than REFINE_DISPLACEMENT, or leave a tie in any tracked block, is
+    bisected for all of them down to MIN_STEP; leftover ties are logged as
+    ambiguities.
     """
     if not (0 < g_max < np.inf and 0 < step < np.inf):
         raise ValueError("g_max and step must be positive and finite")
@@ -320,12 +323,8 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                     todo.append(g)
                 t.rows.update(zip(todo, _solve_block(t.lam, t.K, np.array(todo), True)[0]))
             values = t.rows[g_next]
-            sigma = _by_order(pred[t.ix], values) if t.ranked else None
-            if sigma is None:
-                sigma, info = match_step(Spectrum(gbar=g_next, eigenvalues=pred[t.ix]),
-                                         Spectrum(gbar=g_next, eigenvalues=values))
-                unresolved += [dict(tie, branches=tuple(int(ix[b]) for b in tie["branches"]))
-                               for ix in t.copies for tie in info["tie_groups"]]
+            sigma, ties = _step(g_next, pred[t.ix], values, t.ranked, t.copies)
+            unresolved += ties
             for ix in t.copies:  # report basis modes, not the block's branches
                 row[ix] = values[sigma]
         max_disp = float(np.max(np.abs(rows[-1][on] - row[on])))

@@ -454,9 +454,9 @@ def test_readme_si_walks_draw_each_step_once(tmp_path, monkeypatch):
     assert len(fills) == 1710
 
 
-def _scipy_modules(code: str) -> set:
-    """The scipy modules in sys.modules after running code in a fresh
-    interpreter on this package's source."""
+def _loaded_modules(code: str) -> set:
+    """The scipy and numpy.ma modules in sys.modules after running code in
+    a fresh interpreter on this package's source."""
     import os
     import subprocess
     import sys
@@ -464,7 +464,8 @@ def _scipy_modules(code: str) -> set:
     import btspec
     src = os.path.dirname(os.path.dirname(os.path.abspath(btspec.__file__)))
     code += ("\nimport sys\n"
-             "print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+             "                   or m.split('.')[:2] == ['numpy', 'ma']))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          check=True, capture_output=True, text=True).stdout
     return set(out.splitlines()[-1].split()[1:])
@@ -474,14 +475,15 @@ def test_import_leaves_out_scipy_optimize():
     """No scipy module (importing any costs 0.25-0.3 s, and scipy.optimize
     17 MB of peak memory more) is loaded with the package: the commands that
     need one import it inside the function that calls it."""
-    assert _scipy_modules("import btspec.cli") == set()
+    assert _loaded_modules("import btspec.cli") == set()
 
 
 def test_sweeps_load_no_scipy(tmp_path):
     """btspec sweep on the z sphere, the reduced sphere, the disk, the
     interval and the cylinder, and the interval's closed-form points (the
-    J_{-2/3} zeros), run on numpy alone; the tilted sphere's degenerate
-    assignments load scipy.optimize and nothing else."""
+    J_{-2/3} zeros), run on numpy alone, without numpy.ma (which a bare
+    np.unique imports); the tilted sphere's degenerate assignments load
+    scipy.optimize and nothing else."""
     runs = [["geometry=sphere", "N=60", "g_max=13"],
             ["geometry=sphere_reduced", "N=40", "g_max=10"],
             ["geometry=disk", "N=40", "g_max=10"],
@@ -493,19 +495,20 @@ def test_sweeps_load_no_scipy(tmp_path):
     code = "from btspec import branchpoints, cli\n" + "".join(
         f"assert cli.main({args!r}) == 0\n" for args in calls)
     code += "assert len(branchpoints.interval_branch_points_analytic(3)) == 3\n"
-    assert _scipy_modules(code) == set()
+    assert _loaded_modules(code) == set()
     tilted = ["sweep", "--out", str(tmp_path / "tilted"), "--set", "geometry=sphere",
               "--set", "N=60", "--set", "theta_deg=30", "--set", "phi_deg=20",
               "--set", "g_max=13"]
-    loaded = _scipy_modules(f"from btspec import cli\nassert cli.main({tilted!r}) == 0")
+    loaded = _loaded_modules(f"from btspec import cli\nassert cli.main({tilted!r}) == 0")
     assert "scipy.optimize" in loaded
-    assert loaded <= _scipy_modules("import scipy.optimize")
+    assert loaded <= _loaded_modules("import scipy.optimize")
 
 
 def test_fieldmap_and_signal_load_no_scipy(tmp_path):
     """btspec fieldmap on every geometry (the z and the tilted sphere, the
     disk, the cylinder, the interval) and btspec signal with and without
-    walkers on the sphere and the cylinder run on numpy alone."""
+    walkers on the sphere and the cylinder run on numpy alone, without
+    numpy.ma."""
     fieldmap = ["fieldmap", "--j", "2", "--g", "5", "resolution=21"]
     runs = [fieldmap + sets for sets in (
         ["geometry=sphere", "N=40"],
@@ -519,7 +522,7 @@ def test_fieldmap_and_signal_load_no_scipy(tmp_path):
              + ["--out", str(tmp_path / f"run{i}")] for i, args in enumerate(runs)]
     code = "from btspec import cli\n" + "".join(
         f"assert cli.main({args!r}) == 0\n" for args in calls)
-    assert _scipy_modules(code) == set()
+    assert _loaded_modules(code) == set()
 
 
 # Restricted routes against the full-N route.  Each case is (geometry,

@@ -248,10 +248,12 @@ def test_nonzero_geev_info_raises(monkeypatch, info):
        N=st.integers(1, 30), entries=st.integers(1, 400),
        g=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=40))
 def test_stacked_block_solve_is_bit_identical_to_scalar_solves(geometry, N, entries, g):
-    """On every distinct block, a 1-d array of gbar gives one row per gbar,
-    byte for byte the scalar solve's, from one _geev call per chunk of at
-    most STACK_ENTRIES entries (drawn small, so the arrays span several
-    chunks)."""
+    """On every distinct block, a 1-d array of gbar gives one result per
+    gbar, from one _geev call per chunk of at most STACK_ENTRIES entries
+    (drawn small, so the arrays span several chunks).  Each eigenvalue row
+    is numpy.linalg.eigvals of that one matrix diag(lam_b) + gbar*K, sorted
+    by (Re, Im), byte for byte, and each vector stack numpy.linalg.eig's
+    columns of that matrix in the same order."""
     m = _small_operator("sphere" if geometry == "tilted_sphere" else geometry, N)
     B = mx.gradient_matrix(m, **({"theta_g": 0.7, "phi_g": 0.4}
                                  if geometry == "tilted_sphere" else {}))
@@ -263,21 +265,31 @@ def test_stacked_block_solve_is_bit_identical_to_scalar_solves(geometry, N, entr
         for _, _, lam_b, K, _ in sp._blocks(m.lam, B):
             if lam_b is None:
                 continue
-            shapes.clear()
-            W, none = sp._solve_block(lam_b, K, g, True)
             n, step = len(lam_b), sp._chunk_len(len(lam_b))
-            assert none is None and W.shape == (len(g), n)
-            assert [s[0] for s in shapes] == [len(g[i:i + step]) for i in range(0, len(g), step)]
-            assert all(s[0] == 1 or np.prod(s) <= entries for s in shapes)
-            for gi, row in zip(g, W):
-                assert row.tobytes() == sp._solve_block(lam_b, K, gi, True)[0].tobytes()
+            for only in (True, False):
+                shapes.clear()
+                W, Z = sp._solve_block(lam_b, K, g, only)
+                assert W.shape == (len(g), n) and (Z is None) == only
+                assert [s[0] for s in shapes] == [len(g[i:i + step])
+                                                  for i in range(0, len(g), step)]
+                assert all(s[0] == 1 or np.prod(s) <= entries for s in shapes)
+                for i, gi in enumerate(g):
+                    M = gi * K
+                    np.fill_diagonal(M, lam_b)
+                    w = np.linalg.eigvals(M).astype(complex)
+                    order = np.lexsort((w.imag, w.real))
+                    assert W[i].tobytes() == w[order].tobytes()
+                    if not only:
+                        w, v = np.linalg.eig(M)
+                        assert np.array_equal(Z[i], v.T[np.lexsort((w.imag, w.real))])
     assert sp.STACK_ENTRIES == limit
 
 
 def test_failed_matrix_of_a_stack_names_its_gbar(sphere60, monkeypatch):
-    """A chunk in which one matrix fails raises NumericalError naming that
-    matrix's gbar and the block size, as a scalar solve does; a non-finite
-    gbar in the array is refused before any geev call."""
+    """A chunk in which one matrix fails is solved again one matrix at a
+    time (each a stack of one), and the failing one raises NumericalError
+    naming its gbar and the block size; a non-finite gbar in the array is
+    refused before any geev call."""
     m, B = sphere60
     lam_b, K = next((b[2], b[3]) for b in sp._blocks(m.lam, B) if len(b[0]) == 12)
     g = np.linspace(0.0, 12.0, 241)
@@ -294,7 +306,7 @@ def test_failed_matrix_of_a_stack_names_its_gbar(sphere60, monkeypatch):
     with pytest.raises(NumericalError, match=rf"gbar={g[57]} on a block of size 12 "
                                              rf"\(LAPACK geev info=1,"):
         sp._solve_block(lam_b, K, g, True)
-    assert calls[0] == (sp._chunk_len(12), 12, 12) and calls[-1] == (12, 12)
+    assert calls[0] == (sp._chunk_len(12), 12, 12) and calls[-1] == (1, 12, 12)
     calls.clear()
     for x in (np.nan, np.inf):
         with pytest.raises(NumericalError, match=f"gbar={x} on a block of size 12: not finite"):

@@ -434,9 +434,8 @@ def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
     these matrices, by (block order, with vectors), one per block and step
     of its 241 grid points, with no refinement and no ambiguity: a tracker
     that solves, bisects or logs more fails here.  They come in one _geev
-    call per chunk of spectrum.STACK_ENTRIES entries per block, and only
-    the 5 steps that change a block's number of real values (or leave a
-    non-real branch without a strictly nearest value) reach match_step."""
+    call per chunk of spectrum.STACK_ENTRIES entries per block, and no step
+    reaches match_step: the order rules label the splits too."""
     m, B = sphere60
     matrices, calls = _count_solves(monkeypatch)
     steps = _count_matches(monkeypatch)
@@ -445,22 +444,22 @@ def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
     assert dict(matrices) == {(n, False): 240 for n in orders}
     assert dict(calls) == {(n, False): -(-240 // sp._chunk_len(n)) for n in orders}
     assert sum(calls.values()) == 22
-    assert steps == [(4.75, 12), (5.5, 12), (5.55, 12), (5.65, 12), (12.0, 9)]
+    assert steps == []
     assert (len(s.g_grid), len(s.refinements), len(s.ambiguities)) == (241, 0, 0)
 
 
 def test_sweep_solves_only_the_blocks_of_reported_branches(sphere60, monkeypatch):
     """Work counter: with n_branches=17 the same sweep solves only the 4 of
     its 7 distinct blocks that hold a branch below 17 (in themselves or a
-    twin), once per step, in 19 stacked calls, and every other column is
-    NaN on the whole grid."""
+    twin), once per step, in 19 stacked calls, with no match_step call, and
+    every other column is NaN on the whole grid."""
     m, B = sphere60
     matrices, calls = _count_solves(monkeypatch)
     steps = _count_matches(monkeypatch)
     s = sw.run_sweep(m, B, 12.0, n_branches=17)
     assert dict(matrices) == {(n, False): 240 for n in (5, 7, 9, 12)}
     assert dict(calls) == {(5, False): 2, (7, False): 3, (9, False): 5, (12, False): 9}
-    assert len(steps) == 5
+    assert len(steps) == 0
     # the solved orders are those of the distinct blocks holding a branch below 17
     blocks = sp._blocks(m.lam, B)
     label = sp.block_labels(m, B)
@@ -510,23 +509,29 @@ def test_z_sphere_sweep_solves_no_eigenvectors(sphere60, monkeypatch):
     assert orders == []
 
 
-@pytest.mark.parametrize("geometry,N,g_max", [("sphere", 60, 13.0), ("disk", 60, 40.0),
+@pytest.mark.parametrize("geometry,N,g_max", [("sphere", 60, 13.0), ("sphere", 100, 25.0),
+                                               ("disk", 60, 40.0), ("disk", 100, 40.0),
                                                ("interval", 40, 60.0),
                                                ("sphere_reduced", 40, 25.0)])
 def test_order_labels_equal_the_matched_sweep(geometry, N, g_max, monkeypatch):
-    """Labelling the real branches of each block by order (_by_order) keeps
-    the grid, the values, the refinements and the ambiguities of the sweep
-    that sends every step through match_step (the predicate patched off),
-    bit for bit; match_step then sees fewer than a tenth of the labelled
-    sweep's steps."""
+    """Labelling every step of each block by the order rules (_by_order),
+    splits and rejoins included, keeps the grid, the values, the
+    refinements and the ambiguities of the sweep that sends every step
+    through match_step (the predicate patched off), bit for bit, and never
+    calls match_step."""
     m = mx.operator_for(geometry, N)
     B = mx.gradient_matrix(m)
-    assert all(t.ranked for t in sw._tracks(m, B, m.N))
+    tracks = sw._tracks(m, B, m.N)
+    assert all(t.ranked for t in tracks)
     steps = _count_matches(monkeypatch)
     ranked = sw.run_sweep(m, B, g_max)
-    assert 0 < len(steps) < len(ranked.g_grid) // 10
+    assert steps == []
+    # the sweep changes the number of real values of some block
+    real = ranked.eigenvalues.imag == 0
+    assert any(np.diff(real[:, t.ix].sum(axis=1)).any() for t in tracks)
     monkeypatch.setattr(sw, "_ranked", lambda mat, lam: False)
     matched = sw.run_sweep(m, B, g_max)
+    assert len(steps) == len(tracks) * (len(matched.g_grid) - 1 + len(matched.refinements))
     assert np.array_equal(ranked.g_grid, matched.g_grid)
     assert np.array_equal(ranked.eigenvalues, matched.eigenvalues)
     assert ranked.refinements == matched.refinements
@@ -573,15 +578,27 @@ def test_guard_still_bisects_a_real_crossing_of_the_dense_cylinder(monkeypatch):
 
 def test_order_labels():
     """_by_order gives the real values, ascending, to the branches predicted
-    real in ascending order of prediction, and each non-real branch its
-    strictly nearest non-real value; it declines (None) a step that changes
-    the number of exactly real values, or whose non-real branches share a
-    nearest value."""
+    real in ascending order of prediction, and each non-real value its
+    strictly nearest non-real branch.  A fresh conjugate pair goes to the
+    two adjacent real branches of least cost, Im > 0 to the lower branch
+    index whatever their order of prediction; a rejoining pair joins the
+    real line, the lower branch taking the smaller value.  It declines
+    (None) a step whose non-real values share a nearest branch."""
     values = np.array([1.0, 2.0, 3.0 - 1j, 3.0 + 1j, 7.0])
     pred = np.array([6.5, 3.1 + 0.9j, 1.2, 3.1 - 0.9j, 2.2])
     sigma = sw._by_order(pred, values)
     assert values[sigma].tolist() == [7.0, 3.0 + 1j, 1.0, 3.0 - 1j, 2.0]
-    assert sw._by_order(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5 - 1j, 2.5 + 1j])) is None
+    split = np.array([1.0, 2.5 - 1j, 2.5 + 1j])
+    for pred, want in (([1.0, 2.0, 3.0], [1.0, 2.5 + 1j, 2.5 - 1j]),
+                       ([3.0, 2.0, 0.9], [2.5 + 1j, 2.5 - 1j, 1.0]),
+                       ([2.6, 0.9, 2.4], [2.5 + 1j, 1.0, 2.5 - 1j])):
+        assert split[sw._by_order(np.array(pred, dtype=complex), split)].tolist() == want
+    rejoin = np.array([1.0, 2.4, 2.6, 3.0])
+    for pred in ([1.0, 2.5 + 0.1j, 2.5 - 0.1j, 3.0], [2.5 - 0.1j, 3.0, 1.0, 2.5 + 0.1j]):
+        pred = np.array(pred)
+        got = rejoin[sw._by_order(pred, rejoin)]
+        assert got[pred.imag != 0].tolist() == [2.4, 2.6]
+        assert got[pred.imag == 0].tolist() == pred[pred.imag == 0].real.tolist()
     assert sw._by_order(np.array([1.0, 3 + 1j, 3 + 1.1j]), np.array([1.0, 3 - 1j, 3 + 1j])) is None
     assert sw._by_order(np.array([1.0 + 0j]), np.array([2.0 + 0j])).tolist() == [0]
 
@@ -611,7 +628,7 @@ def test_stacked_solves_stay_within_the_chunk_bound(sphere60, monkeypatch):
 
 def test_rejoining_pair_gives_the_lower_branch_the_smaller_value():
     """A conjugate pair rejoining the real axis is an exact cost tie that
-    _closed_form's sorted real line decides: the lower branch takes the
+    the order rules' sorted real line decides: the lower branch takes the
     smaller real value, whatever the order of the values and of the pair's
     members, and no tie group is left."""
     lo, hi = 5 - 1e-4, 5 + 1e-4
