@@ -25,7 +25,7 @@ from .errors import ConvergenceError
 from .matrices import OperatorMatrices, cylinder_factors, gradient_direction
 from .specfun import interval_branch_constants
 from .spectrum import _degenerate_classes, block_labels, diagonalize, is_real, own_blocks
-from .sweep import BranchSweep, _assign, _ranked, _step, run_sweep
+from .sweep import BranchSweep, _ranked, _step, run_sweep
 
 CLUSTER_RADIUS = 1e-3
 # Tighter than the 1e-5 reporting requirement, so that the square-root
@@ -94,17 +94,15 @@ def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoin
 
 
 def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
-           ref_eigs: np.ndarray) -> BranchPoint:
+           sweep: BranchSweep) -> BranchPoint:
     """Bisect the coarse bracket on whether the participating branches are
     all real (spectrum.is_real) down to BRACKET_WIDTH, then classify the
     point.  A bracket that is not real at its lower end and complex at its
     upper end raises ConvergenceError.
 
     All solves run on the branches' own exact blocks (spectrum.own_blocks),
-    whose rows are the full spectrum's rows.  ref_eigs are the branch-ordered
-    eigenvalues of every basis mode at the bracket's lower end (branch j
-    starts at basis mode j, as in run_sweep); they identify the participating
-    eigenvalues at trial points, matched inside each exact block.  One solve with eigenvectors at g_star gives the merged
+    labelled as the sweep that found the point labels its steps
+    (_sweep_rows).  One solve with eigenvectors at g_star gives the merged
     value, the order (the eigenvalues of the branches' own blocks within
     CLUSTER_RADIUS of the value) and the conditioning of the merging rows
     (_class_conditioning; no angle for a single-branch point, whose partner
@@ -112,16 +110,10 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     """
     lo, hi = point.bracket
     sub, B_sub, ix = own_blocks(mat, B, point.branches)
-    target = ref_eigs[ix]
-    block = block_labels(sub, B_sub)
     pos = np.searchsorted(ix, point.branches)
 
-    def rows_at(gval: float, eigvals_only: bool = True):
-        spec = diagonalize(sub, B_sub, gval, eigvals_only=eigvals_only)
-        return spec, _match_blocks(target, block, spec)[pos]
-
     def split(gval: float) -> bool:
-        spec, rows = rows_at(gval)
+        spec, rows = _sweep_rows(sub, B_sub, ix, pos, sweep, gval)
         return not is_real(spec.eigenvalues[rows]).all()
 
     if split(lo) or not split(hi):
@@ -134,11 +126,11 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
             lo = mid
     g_star = 0.5 * (lo + hi)
 
-    spec, rows = rows_at(g_star, eigvals_only=False)
+    spec, rows = _sweep_rows(sub, B_sub, ix, pos, sweep, g_star, eigvals_only=False)
     w, X = spec.eigenvalues, spec.X
     value = complex(np.mean(w[rows]))
     near = np.abs(w - value) <= CLUSTER_RADIUS
-    order = int(np.sum(near & np.isin(spec.block, block[pos])))
+    order = int(np.sum(near & np.isin(spec.block, spec.block[rows])))
     vv_min, angle = _class_conditioning(w[rows], X[rows])
     meta = dict(point.meta, coarse=False, value=value, width=hi - lo,
                 vv_min=vv_min, min_principal_angle=angle,
@@ -148,15 +140,22 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
                        bracket=(lo, hi), meta=meta)
 
 
-def _match_blocks(target: np.ndarray, block: np.ndarray, spec) -> np.ndarray:
-    """Row of spec assigned to each target value (target j in exact block
-    block[j]) by the minimal total squared displacement (_assign), each
-    block on its own."""
-    out = np.empty(len(target), dtype=int)
+def _sweep_rows(sub: OperatorMatrices, B_sub: np.ndarray, ix: np.ndarray, pos,
+                sweep: BranchSweep, g: float, eigvals_only: bool = True):
+    """The solve at g of own_blocks' restriction (sub, B_sub, ix) and the row
+    of the branch of each of its modes pos: the sweep's slope through its
+    last two grid rows at or below g predicts the blocks' values, and the
+    sweep's own step (sweep._step) labels each block, a split by its rule."""
+    i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
+    k = [max(i - 1, 0), i]
+    (g0, g1), (w0, w1) = sweep.g_grid[k], sweep.eigenvalues[k][:, ix]
+    pred = w1 + (w1 - w0) / (g1 - g0) * (g - g1) if i else w1
+    spec, block = diagonalize(sub, B_sub, g, eigvals_only), block_labels(sub, B_sub)
+    rows = np.empty(len(ix), dtype=int)
     for k in set(block.tolist()):
         r, c = np.flatnonzero(block == k), np.flatnonzero(spec.block == k)
-        out[r] = c[_assign(target[r], spec.eigenvalues[c])]
-    return out
+        rows[r] = c[_step(g, pred[r], spec.eigenvalues[c], _ranked(sub, sub.lam[r]))[0]]
+    return spec, rows[pos]
 
 
 def _class_conditioning(w: np.ndarray, X: np.ndarray) -> tuple[float, float | None]:
@@ -203,11 +202,7 @@ def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
     max_branch is forwarded to detect() to keep the scan off the truncation
     edge.
     """
-    out = []
-    for coarse in detect(sweep, max_branch=max_branch):
-        i_lo = int(np.argmin(np.abs(sweep.g_grid - coarse.bracket[0])))
-        out.append(refine(mat, B, coarse, ref_eigs=sweep.eigenvalues[i_lo]))
-    return out
+    return [refine(mat, B, coarse, sweep) for coarse in detect(sweep, max_branch=max_branch)]
 
 
 def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: float,
@@ -283,20 +278,12 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
 def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: float,
                  n: int):
     """Eigenvalue and bilinear norm |<x, x>| of each of the first n branches
-    at g, tracked by the sweep, labelled from the sweep's values at its last
-    grid point at or below g by the sweep's own step (sweep._step) on each
-    block of those branches (spectrum.own_blocks): a pair that splits in
-    between meets its real values as exact conjugates, and the split rule
-    gives its Im > 0 member the lower branch index, as in the sweep."""
-    i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
+    at g, labelled by the sweep that tracked them (_sweep_rows) on each
+    block of those branches (spectrum.own_blocks)."""
     sub, B_sub, ix = own_blocks(mat, B, range(n))
-    spec, block = diagonalize(sub, B_sub, g), block_labels(sub, B_sub)
-    target, rows = sweep.eigenvalues[i, ix], np.empty(len(ix), dtype=int)
-    for k in set(block.tolist()):
-        r, c = np.flatnonzero(block == k), np.flatnonzero(spec.block == k)
-        rows[r] = c[_step(g, target[r], spec.eigenvalues[c], _ranked(sub, sub.lam[r]))[0]]
-    X = spec.X[rows[:n]]
-    return spec.eigenvalues[rows[:n]], np.abs(np.einsum("ij,ij->i", X, X))
+    spec, rows = _sweep_rows(sub, B_sub, ix, np.arange(n), sweep, g, eigvals_only=False)
+    X = spec.X[rows]
+    return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X, X))
 
 
 def interval_branch_points_analytic(count: int) -> np.ndarray:

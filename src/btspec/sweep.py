@@ -17,10 +17,11 @@ values do cross), is labelled on every step by the order rules (_by_order).
 Every other block, and a step the rules decline, goes through match_step,
 which matches by value: the assignment of least squared displacement from
 a linear prediction (_assign: each branch's strictly nearest value, else
-the order rules where a bound proves them optimal, else scipy's solver),
-then the same split rule.  Any other swap of two branches costing nearly
-the optimum is a tie: the step is bisected for all tracked blocks down to
-MIN_STEP, and what stays tied is recorded.
+the order rules where a bound proves them optimal, else both on classes of
+equal values), then the same split rule.  A step that _assign cannot prove,
+and any other swap of two branches costing nearly the optimum, is a tie:
+the step is bisected for all tracked blocks down to MIN_STEP, and what
+stays tied is recorded.
 No eigenvector is solved: the members of a degenerate class of gbar = 0
 (the m-families of a tilted sphere) split as gbar^2, so their real
 predictions add that second-order term (_curvatures), which gives the lower
@@ -54,7 +55,7 @@ class BranchSweep:
     eigenvalues[i, j] is branch j at g_grid[i]; branch j starts at basis mode
     j and stays in its exact block block[j], and is NaN on every row when
     that block was not tracked.  refinements and ambiguities log the
-    adaptive insertions and unresolved assignment ties.
+    adaptive insertions and the steps left tied or unproved at MIN_STEP.
     """
 
     g_grid: np.ndarray
@@ -71,23 +72,41 @@ class BranchSweep:
 
 
 def _assign(target: np.ndarray, values: np.ndarray,
-            cost: np.ndarray | None = None) -> np.ndarray:
-    """Index into values of each target value: least total squared
-    displacement (cost: that matrix, if computed).  A strictly nearest
-    value per target, no two the same, is the unique optimum; else
-    _closed_form's, else scipy's (which rejects a NaN cost)."""
+            cost: np.ndarray | None = None) -> np.ndarray | None:
+    """Index into values of each target, of least total squared displacement
+    (cost: that matrix, if computed), where a rule proves it: each target's
+    strictly nearest value, no two the same (the unique optimum), else
+    _closed_form, else _by_class; else None.  A non-finite cost raises."""
     if cost is None:
         diff = np.subtract.outer(target, values)
         cost = diff.real**2 + diff.imag**2
-    low = cost <= cost.min(axis=1, keepdims=True)  # all False in a NaN row
+    if not np.isfinite(cost).all():
+        raise ValueError("a prediction or a value is not finite")
+    low = cost <= cost.min(axis=1, keepdims=True)
     # one entry per row and per column: low is a permutation matrix
-    if np.count_nonzero(low) == len(cost) and low.any(axis=0).all() \
-            and low.any(axis=1).all():
+    if np.count_nonzero(low) == len(cost) and low.any(axis=0).all():
         return low.argmax(axis=1)
-    cols = _closed_form(target, values, cost) if np.isfinite(cost).all() else None
-    if cols is None:
-        import scipy.optimize
-        cols = scipy.optimize.linear_sum_assignment(cost)[1]
+    cols = _closed_form(target, values, cost)
+    return _by_class(target, values) if cols is None else cols
+
+
+def _by_class(target, values) -> np.ndarray | None:
+    """_assign on the classes of equal values (spectrum.same_value, chained),
+    each one value at its mean (an exact conjugate pair's is real), a
+    target class's costs times its size, each paired with a value class of
+    its size, members in index order; else None.  Exact where a class's
+    members are equal, else up to its width (match_step too takes a class
+    as one value: which member of a degenerate family is which is moot)."""
+    ct, cv = (_components(same_value(w[:, None], w))[0] for w in (target, values))
+    if len(ct) == len(target) or len(ct) != len(cv):
+        return None  # no class, or classes that cannot pair
+    mt, mv = (np.array([w[c].mean() for c in cs]) for w, cs in ((target, ct), (values, cv)))
+    d, size = np.subtract.outer(mt, mv), np.array([len(c) for c in ct])
+    near = _assign(mt, mv, (d.real**2 + d.imag**2) * size[:, None])
+    if near is None or any(size != [len(cv[j]) for j in near]):
+        return None
+    cols = np.empty(len(target), dtype=int)
+    cols[np.concatenate(ct)] = np.concatenate([cv[j] for j in near])
     return cols
 
 
@@ -128,20 +147,28 @@ def match_step(prev: Spectrum, next_: Spectrum):
     Returns (sigma, info).  info['tie_groups'] lists the groups of branches
     left tied (kind 'unresolved'): swapping two of them costs within TIE_REL
     of the optimum, and they are neither one value both before and after
-    (spectrum.same_value) nor conjugate partners (a split or a rejoin)."""
+    (spectrum.same_value) nor conjugate partners (a split or a rejoin).
+    A step that _assign cannot prove is one group of every branch (kind
+    'unproved'), each taking its nearest value left, least displaced first."""
     wp, wn = prev.eigenvalues, next_.eigenvalues
     diff = np.subtract.outer(wp, wn)
     cost = diff.real**2 + diff.imag**2
     sigma = _assign(wp, wn, cost)
+    if unproved := sigma is None:
+        sigma, free = np.empty(len(wp), dtype=int), np.ones(len(wp), dtype=bool)
+        for b in cost.min(axis=1).argsort(kind="stable"):
+            sigma[b] = np.flatnonzero(free)[cost[b, free].argmin()]
+            free[sigma[b]] = False
     _split_rule(wp, wn, sigma)  # for every route of _assign
     cs = cost.take(sigma, axis=1)
     d = cs.diagonal()
-    info = {"cost": float(d.sum()), "tie_groups": []}
+    info = {"cost": float(d.sum()), "tie_groups": [
+        {"branches": tuple(range(len(wp))), "kind": "unproved"}] if unproved else []}
     # Swap ties: exchanging the assignments of two branches raises the cost
     # (c_swp >= c_now at the optimum) by at most TIE_REL of c_now + c_swp.
     # The mask is symmetric with a true diagonal, so counts show pairs.
     tie = (1 - TIE_REL) * (cs + cs.T) <= (1 + TIE_REL) * np.add.outer(d, d)
-    if np.count_nonzero(tie) > len(wp):
+    if not unproved and np.count_nonzero(tie) > len(wp):
         # no tie: a swap of two branches that are one value before and after
         # (the |m| >= 1 pairs about a tilted sphere gradient; zero costs), or
         # of conjugate partners (the split rule, or _closed_form's rejoin)
@@ -335,7 +362,8 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                                 else "displacement", "max_disp": max_disp})
             pending[:0] = [g_mid, g_next]
             continue
-        ambiguities += [{"g": g_next, **tie, "note": "cost-minimal assignment kept"}
+        ambiguities += [{"g": g_next, **tie, "note": "cost-minimal assignment kept"
+                         if tie["kind"] == "unresolved" else "nearest-first assignment kept"}
                         for tie in sorted(unresolved, key=lambda tie: tie["branches"])]
         for t in tracks:
             del t.rows[g_next]

@@ -168,9 +168,8 @@ def test_refine_rejects_transitionless_bracket(interval40, interval_sweep):
     for lo, hi in ((4.0, 6.0), (18.5, 19.5)):
         fake = bp.BranchPoint(g_star=0.5 * (lo + hi), order=2, branches=(0, 1),
                               bracket=(lo, hi), meta={})
-        i_lo = int(np.argmin(np.abs(interval_sweep.g_grid - lo)))
         with pytest.raises(ConvergenceError):
-            bp.refine(m, B, fake, ref_eigs=interval_sweep.eigenvalues[i_lo])
+            bp.refine(m, B, fake, interval_sweep)
 
 
 def test_detect_counts_a_value_within_the_real_tolerance_as_real():

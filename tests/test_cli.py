@@ -478,30 +478,45 @@ def test_import_leaves_out_scipy_optimize():
     assert _loaded_modules("import btspec.cli") == set()
 
 
-def test_sweeps_load_no_scipy(tmp_path):
-    """btspec sweep on the z sphere, the reduced sphere, the disk, the
-    interval and the cylinder, and the interval's closed-form points (the
-    J_{-2/3} zeros), run on numpy alone, without numpy.ma (which a bare
-    np.unique imports); the tilted sphere's degenerate assignments load
-    scipy.optimize and nothing else."""
-    runs = [["geometry=sphere", "N=60", "g_max=13"],
-            ["geometry=sphere_reduced", "N=40", "g_max=10"],
-            ["geometry=disk", "N=40", "g_max=10"],
-            ["geometry=interval", "N=20", "g_max=20"],
-            ["geometry=cylinder", "N=40", "eta_deg=78.23931266613657", "g_max=19.2",
-             "g_step=0.1", "n_branches=13"]]
-    calls = [["sweep", "--out", str(tmp_path / f"run{i}")]
-             + [a for item in sets for a in ("--set", item)] for i, sets in enumerate(runs)]
-    code = "from btspec import branchpoints, cli\n" + "".join(
+# CLI runs as --set items (a sweep) or a command and its arguments: a
+# sweep of each geometry, the sphere about z and tilted, and fieldmap and
+# signal runs.  The load tests below and the scipy-blocked test run them.
+SWEEP_RUNS = [["geometry=sphere", "N=60", "g_max=13"],
+              ["geometry=sphere", "N=60", "theta_deg=30", "phi_deg=20", "g_max=13"],
+              ["geometry=sphere_reduced", "N=40", "g_max=10"],
+              ["geometry=disk", "N=40", "g_max=10"],
+              ["geometry=interval", "N=20", "g_max=20"],
+              ["geometry=cylinder", "N=40", "eta_deg=78.23931266613657", "g_max=19.2",
+               "g_step=0.1", "n_branches=13"]]
+FIELDMAP_SIGNAL_RUNS = [["fieldmap", "--j", "2", "--g", "5", "resolution=21"] + sets for sets in (
+    ["geometry=sphere", "N=40"],
+    ["geometry=sphere", "N=40", "theta_deg=30", "phi_deg=20"],
+    ["geometry=disk", "N=40"],
+    ["geometry=cylinder", "N=40", "eta_deg=40"],
+    ["geometry=interval", "N=20"])] + [
+    ["signal", f"geometry={g}", "N=30", "gbar=3", "tbars=0.1, 0.5", f"walkers={w}"]
+    for g in ("sphere", "cylinder") for w in (0, 50)]
+
+
+def _main_code(runs, out) -> str:
+    """Code that runs cli.main on each run (a command and its --set items,
+    or the sets of a sweep) into its own directory under out, and asserts
+    exit code 0."""
+    calls = [([] if run[0] in ("fieldmap", "signal") else ["sweep"])
+             + [a if a.startswith("-") or "=" not in a else f"--set={a}" for a in run]
+             + ["--out", str(out / f"run{i}")] for i, run in enumerate(runs)]
+    return "from btspec import branchpoints, cli\n" + "".join(
         f"assert cli.main({args!r}) == 0\n" for args in calls)
+
+
+def test_sweeps_load_no_scipy(tmp_path):
+    """btspec sweep on the z and the tilted sphere, the reduced sphere, the
+    disk, the interval and the cylinder, and the interval's closed-form
+    points (the J_{-2/3} zeros), run on numpy alone, without numpy.ma
+    (which a bare np.unique imports)."""
+    code = _main_code(SWEEP_RUNS, tmp_path)
     code += "assert len(branchpoints.interval_branch_points_analytic(3)) == 3\n"
     assert _loaded_modules(code) == set()
-    tilted = ["sweep", "--out", str(tmp_path / "tilted"), "--set", "geometry=sphere",
-              "--set", "N=60", "--set", "theta_deg=30", "--set", "phi_deg=20",
-              "--set", "g_max=13"]
-    loaded = _loaded_modules(f"from btspec import cli\nassert cli.main({tilted!r}) == 0")
-    assert "scipy.optimize" in loaded
-    assert loaded <= _loaded_modules("import scipy.optimize")
 
 
 def test_fieldmap_and_signal_load_no_scipy(tmp_path):
@@ -509,20 +524,20 @@ def test_fieldmap_and_signal_load_no_scipy(tmp_path):
     disk, the cylinder, the interval) and btspec signal with and without
     walkers on the sphere and the cylinder run on numpy alone, without
     numpy.ma."""
-    fieldmap = ["fieldmap", "--j", "2", "--g", "5", "resolution=21"]
-    runs = [fieldmap + sets for sets in (
-        ["geometry=sphere", "N=40"],
-        ["geometry=sphere", "N=40", "theta_deg=30", "phi_deg=20"],
-        ["geometry=disk", "N=40"],
-        ["geometry=cylinder", "N=40", "eta_deg=40"],
-        ["geometry=interval", "N=20"])]
-    runs += [["signal", f"geometry={g}", "N=30", "gbar=3", "tbars=0.1, 0.5", f"walkers={w}"]
-             for g in ("sphere", "cylinder") for w in (0, 50)]
-    calls = [[a if a.startswith("-") or "=" not in a else f"--set={a}" for a in args]
-             + ["--out", str(tmp_path / f"run{i}")] for i, args in enumerate(runs)]
-    code = "from btspec import cli\n" + "".join(
-        f"assert cli.main({args!r}) == 0\n" for args in calls)
-    assert _loaded_modules(code) == set()
+    assert _loaded_modules(_main_code(FIELDMAP_SIGNAL_RUNS, tmp_path)) == set()
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    """With scipy made unimportable (sys.modules['scipy'] = None, so that
+    any scipy import raises ImportError), every run above, the tilted
+    sphere sweep at theta = 80 degrees and the interval's closed-form
+    points succeed: scipy is no dependency of the package."""
+    tilted80 = ["geometry=sphere", "N=60", "theta_deg=80", "phi_deg=20", "g_max=13"]
+    code = "import sys\nsys.modules['scipy'] = None\n" + _main_code(
+        SWEEP_RUNS + [tilted80] + FIELDMAP_SIGNAL_RUNS, tmp_path)
+    code += "assert len(branchpoints.interval_branch_points_analytic(3)) == 3\n"
+    # the one scipy entry is the blocking None
+    assert _loaded_modules(code) == {"scipy"}
 
 
 # Restricted routes against the full-N route.  Each case is (geometry,

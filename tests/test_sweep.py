@@ -78,18 +78,42 @@ def _check_assignment(cost, cols, ref):
         assert np.array_equal(cols, ref)
 
 
+def _strict_by_class(target, values):
+    """Whether each class of equal targets (spectrum.same_value, chained; a
+    single one is a class) has a strictly nearest class of equal values,
+    means against means, of its own size, no two the same."""
+    def classes(w):
+        cid = sp._degenerate_classes(w)
+        return [np.flatnonzero(cid == c) for c in range(cid.max() + 1)] \
+            + [[i] for i in np.flatnonzero(cid < 0)]
+    ct, cv = classes(target), classes(values)
+    d = _sqdist(np.array([target[c].mean() for c in ct]),
+                np.array([values[c].mean() for c in cv]))
+    near = d.argmin(axis=1)
+    return (np.count_nonzero(d <= d.min(axis=1, keepdims=True)) == len(ct) == len(cv)
+            and len(set(near.tolist())) == len(ct)
+            and all(len(ct[i]) == len(cv[j]) for i, j in enumerate(near)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(step=_steps())
 def test_assign_is_least_squares(step):
     """_assign, and _closed_form wherever it answers, give a least-cost
-    assignment: linear_sum_assignment's columns where the optimum is unique."""
+    assignment: linear_sum_assignment's columns where the optimum is unique.
+    _assign answers None only where _closed_form declines and the classes
+    of equal values have no strictly nearest class each."""
     target, values = step
     cost = _sqdist(target, values)
     ref = linear_sum_assignment(cost)[1]
-    _check_assignment(cost, sw._assign(target, values), ref)
     cols = sw._closed_form(target, values, cost)
     if cols is not None:
         _check_assignment(cost, cols, ref)
+    got = sw._assign(target, values)
+    if got is None:
+        assert cols is None
+        assert not _strict_by_class(target, values)
+    else:
+        _check_assignment(cost, got, ref)
 
 
 @pytest.mark.parametrize("target, values", [
@@ -113,19 +137,39 @@ def test_closed_form_declines_a_mixed_optimum():
     """Every target's nearest value lies in its own group, yet the optimum
     gives the real prediction 1 a non-real value and the pair's prediction
     1.9 - 0.05i the real value 2 (total 0.985 against the sorted 1.160):
-    the bound rejects the rules' answer and scipy's is returned."""
+    the bound rejects the rules' answer, and no two values are one class,
+    so _assign proves nothing and match_step reports the step as a tie."""
     p, z = 1.9 + 0.05j, 1.9 + 0.051j
     target, values = np.array([0, 1, p, p.conjugate()]), np.array([0.4, 2, z, z.conjugate()])
     cost = _sqdist(target, values)
     assert sw._closed_form(target, values, cost) is None
-    assert np.array_equal(sw._assign(target, values), [0, 3, 2, 1])
+    assert sw._assign(target, values) is None
+    sigma, info = sw.match_step(sp.Spectrum(1.0, target), sp.Spectrum(1.0, values))
+    assert sorted(sigma) == [0, 1, 2, 3]
+    assert info["tie_groups"] == [{"branches": (0, 1, 2, 3), "kind": "unproved"}]
+
+
+def test_assign_answers_a_degenerate_pair_by_class():
+    """A tilted sphere's exactly degenerate real pair, returned by the solver
+    as x +- 4e-15i and predicted so from its last two values: each member
+    is equally near both of the pair's next values, and _by_order takes
+    the pair for no split, so only the pass on classes of equal values
+    answers, at scipy's cost."""
+    x = 8.944755727632796
+    target = np.array([0.5, x + 4e-15j, x - 4e-15j, 3.0])
+    values = np.array([x + 1e-3 - 3e-15j, 3.01, 0.52, x + 1e-3 + 3e-15j])
+    cost = _sqdist(target, values)
+    assert np.count_nonzero(cost == cost.min(axis=1, keepdims=True)) > len(cost)
+    assert sw._closed_form(target, values, cost) is None
+    cols = sw._assign(target, values)
+    assert cols.tolist() == [2, 0, 3, 1]
+    _check_assignment(cost, cols, linear_sum_assignment(cost)[1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_assign_rejects_non_finite(bad):
-    """A non-finite prediction or value raises ValueError from scipy's
-    solver: NaN as an invalid entry, an infinity as an infeasible row or
-    column."""
+    """A non-finite prediction or value, NaN or an infinity, raises
+    ValueError from _assign."""
     for where in range(2):
         step = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
         step[where, 1] = bad
@@ -188,23 +232,26 @@ def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
 
 
 def test_tilted_sphere_scipy_fallbacks(sphere60, monkeypatch):
-    """Work counter: the tilted sphere sweep at N=60 (theta = 30, phi = 20
-    degrees, gbar <= 13) and its branch-point search call scipy's solver
-    exactly 65 times, all for steps in its degenerate families that the
-    closed-form rules cannot prove."""
-    import scipy.optimize
-    calls = []
-    solve = scipy.optimize.linear_sum_assignment
+    """Work counter: the steps of the tilted sphere sweeps at N=60 (phi = 20
+    degrees, gbar <= 13) and of their branch-point searches that _assign
+    cannot prove, which would need a general assignment solver such as
+    scipy's: none at theta = 30 degrees, and one at 80, a step that the
+    sweep bisects as a tie.  Both find the same three points."""
+    kinds, match = [], sw.match_step
 
-    def counted(cost, *args, **kwargs):
-        calls.append(len(cost))
-        return solve(cost, *args, **kwargs)
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    def counted(prev, next_):
+        sigma, info = match(prev, next_)
+        kinds.extend(tie["kind"] for tie in info["tie_groups"])
+        return sigma, info
+    monkeypatch.setattr(sw, "match_step", counted)
     m, _ = sphere60
-    B = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
-    s = sw.run_sweep(m, B, 13.0)
-    assert len(bp.find_branch_points(m, B, s)) == 3
-    assert len(calls) == 65
+    for theta, unproved in ((30.0, 0), (80.0, 1)):
+        kinds.clear()
+        B = mx.gradient_matrix(m, theta_g=np.deg2rad(theta), phi_g=np.deg2rad(20.0))
+        points = bp.find_branch_points(m, B, sw.run_sweep(m, B, 13.0))
+        assert [(p.order, p.branches) for p in points] \
+            == [(2, (9, 10)), (2, (0, 1)), (4, (2, 3, 5, 6))]
+        assert kinds.count("unproved") == unproved
 
 
 def test_match_conjugate_pair_formation():
