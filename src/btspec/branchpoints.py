@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrices import OperatorMatrices, cylinder_factors, gradient_direction
+from .matrices import OperatorMatrices, cylinder_factors, gradient_direction, gradient_matrix
 from .specfun import interval_branch_constants
-from .spectrum import _degenerate_classes, block_labels, diagonalize, is_real, own_blocks
-from .sweep import BranchSweep, _ranked, _step, run_sweep
+from .spectrum import (_degenerate_classes, _solve_block, block_labels, diagonalize, is_real,
+                       own_blocks)
+from .sweep import BranchSweep, _by_rank, _ranked, _step, _tracks, _z_labelled, run_sweep
 
 CLUSTER_RADIUS = 1e-3
 # Tighter than the 1e-5 reporting requirement, so that the square-root
@@ -109,11 +110,10 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     lies beyond the tracked branches).
     """
     lo, hi = point.bracket
-    sub, B_sub, ix = own_blocks(mat, B, point.branches)
-    pos = np.searchsorted(ix, point.branches)
+    rows_at = _sweep_rows(mat, B, point.branches, sweep)
 
     def split(gval: float) -> bool:
-        spec, rows = _sweep_rows(sub, B_sub, ix, pos, sweep, gval)
+        spec, rows = rows_at(gval)
         return not is_real(spec.eigenvalues[rows]).all()
 
     if split(lo) or not split(hi):
@@ -126,7 +126,7 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
             lo = mid
     g_star = 0.5 * (lo + hi)
 
-    spec, rows = _sweep_rows(sub, B_sub, ix, pos, sweep, g_star, eigvals_only=False)
+    spec, rows = rows_at(g_star, eigvals_only=False)
     w, X = spec.eigenvalues, spec.X
     value = complex(np.mean(w[rows]))
     near = np.abs(w - value) <= CLUSTER_RADIUS
@@ -140,22 +140,39 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
                        bracket=(lo, hi), meta=meta)
 
 
-def _sweep_rows(sub: OperatorMatrices, B_sub: np.ndarray, ix: np.ndarray, pos,
-                sweep: BranchSweep, g: float, eigvals_only: bool = True):
-    """The solve at g of own_blocks' restriction (sub, B_sub, ix) and the row
-    of the branch of each of its modes pos: the sweep's slope through its
-    last two grid rows at or below g predicts the blocks' values, and the
-    sweep's own step (sweep._step) labels each block, a split by its rule."""
-    i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
-    k = [max(i - 1, 0), i]
-    (g0, g1), (w0, w1) = sweep.g_grid[k], sweep.eigenvalues[k][:, ix]
-    pred = w1 + (w1 - w0) / (g1 - g0) * (g - g1) if i else w1
-    spec, block = diagonalize(sub, B_sub, g, eigvals_only), block_labels(sub, B_sub)
-    rows = np.empty(len(ix), dtype=int)
-    for k in set(block.tolist()):
-        r, c = np.flatnonzero(block == k), np.flatnonzero(spec.block == k)
-        rows[r] = c[_step(g, pred[r], spec.eigenvalues[c], _ranked(sub, sub.lam[r]))[0]]
-    return spec, rows[pos]
+def _sweep_rows(mat: OperatorMatrices, B: np.ndarray, modes, sweep: BranchSweep):
+    """rows(g, eigvals_only=True): the solve at g of own_blocks' restriction
+    to the blocks of modes, and the row of each mode's branch, labelled as
+    the sweep labels its steps: the slope through its last two grid rows at
+    or below g predicts, and sweep._step labels each block.  On a tilted
+    sphere (sweep._z_labelled) that labels the z solve of the same modes,
+    and each block takes its modes' z values by rank (sweep._by_rank).  The
+    blocks and the route are worked out once, not at each g."""
+    sub, B_sub, ix = own_blocks(mat, B, modes)
+    pos = np.searchsorted(ix, modes)
+    block, ranked, z = block_labels(sub, B_sub), _ranked(sub), _z_labelled(sub, B_sub)
+    groups = [(k, np.flatnonzero(block == k)) for k in set(block.tolist())]
+    z_tracks = _tracks(sub, gradient_matrix(mat)[np.ix_(ix, ix)], sub.N) if z else []
+
+    def rows_at(g: float, eigvals_only: bool = True):
+        i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
+        k = [max(i - 1, 0), i]
+        (g0, g1), (w0, w1) = sweep.g_grid[k], sweep.eigenvalues[k][:, ix]
+        pred = w1 + (w1 - w0) / (g1 - g0) * (g - g1) if i else w1
+        if z:  # predicts z values, whose real ones have Im exactly 0
+            pred = np.where(is_real(pred), pred.real, pred)
+        z_values = np.empty(len(ix), dtype=complex)
+        for t in z_tracks:
+            values = _solve_block(t.lam, t.K, g, True)[0]
+            for c in t.copies:
+                z_values[c] = values[_step(g, pred[c], values, ranked)[0]]
+        spec, rows = diagonalize(sub, B_sub, g, eigvals_only), np.empty(len(ix), dtype=int)
+        for k, r in groups:
+            c = np.flatnonzero(spec.block == k)
+            rows[r] = c[_by_rank(z_values[r], spec.eigenvalues[c]) if z
+                        else _step(g, pred[r], spec.eigenvalues[c], ranked)[0]]
+        return spec, rows[pos]
+    return rows_at
 
 
 def _class_conditioning(w: np.ndarray, X: np.ndarray) -> tuple[float, float | None]:
@@ -241,8 +258,11 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
     points = []
     for k, (_, f, B, idx) in enumerate(factors):
         _, f_o, B_o, idx_o = factors[1 - k]
+        rows_at = _sweep_rows(f_o, B_o, range(width[1 - k]), sweeps[1 - k])
         for p in find_branch_points(f, B, sweeps[k], max_branch=width[k]):
-            w, vv = _branch_rows(f_o, B_o, sweeps[1 - k], p.g_star, width[1 - k])
+            spec, rows = rows_at(p.g_star, eigvals_only=False)  # the partners' rows
+            w, X = spec.eigenvalues[rows], spec.X[rows]
+            vv = np.abs(np.einsum("ij,ij->i", X, X))
             mine = np.isin(idx, p.branches)
             for q in sorted(set(idx_o[mine].tolist())):
                 js = tuple(int(j) for j in np.flatnonzero(mine & (idx_o == q)))
@@ -273,17 +293,6 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
                   "factors": {"disk": disk.N, "interval": interval.N}},
         refinements=refinements, ambiguities=ambiguities)
     return sweep, points
-
-
-def _branch_rows(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep, g: float,
-                 n: int):
-    """Eigenvalue and bilinear norm |<x, x>| of each of the first n branches
-    at g, labelled by the sweep that tracked them (_sweep_rows) on each
-    block of those branches (spectrum.own_blocks)."""
-    sub, B_sub, ix = own_blocks(mat, B, range(n))
-    spec, rows = _sweep_rows(sub, B_sub, ix, np.arange(n), sweep, g, eigvals_only=False)
-    X = spec.X[rows]
-    return spec.eigenvalues[rows], np.abs(np.einsum("ij,ij->i", X, X))
 
 
 def interval_branch_points_analytic(count: int) -> np.ndarray:

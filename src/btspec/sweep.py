@@ -11,32 +11,28 @@ ahead, eigenvalues only, on stacks of the pending grid points
 
 Two real values of a block without hidden symmetry do not cross (von
 Neumann and Wigner), and a split or a rejoin is a collision of two adjacent
-ones (Heiss), so such a block, one with no degenerate class at gbar = 0
-that is not a block of the dense cylinder (a Kronecker sum, whose real
-values do cross), is labelled on every step by the order rules (_by_order).
-Every other block, and a step the rules decline, goes through match_step,
-which matches by value: the assignment of least squared displacement from
-a linear prediction (_assign: each branch's strictly nearest value, else
-the order rules where a bound proves them optimal, else both on classes of
-equal values), then the same split rule.  A step that _assign cannot prove,
-and any other swap of two branches costing nearly the optimum, is a tie:
-the step is bisected for all tracked blocks down to MIN_STEP, and what
-stays tied is recorded.
-No eigenvector is solved: the members of a degenerate class of gbar = 0
-(the m-families of a tilted sphere) split as gbar^2, so their real
-predictions add that second-order term (_curvatures), which gives the lower
-branch the smaller value, as the z sphere's |m| sectors do.  Branches
-that are one value (spectrum.same_value, 1e-8 relative) before and after a
-step are no tie, so which member of such a family is which is not tracked.
+ones (Heiss), so every block but the dense cylinder's (a Kronecker sum,
+whose real values do cross) is labelled on every step by the order rules
+(_by_order).  The dense cylinder's blocks, and a step the rules decline, go
+through match_step, which matches by value: the assignment of least
+squared displacement from a linear prediction (_assign: each branch's
+strictly nearest value, else the order rules where a bound proves them
+optimal), then the same split rule.  A step that _assign cannot prove, and
+any other swap of two branches costing nearly the optimum (unless they are
+one value before and after, spectrum.same_value), is a tie: the step is
+bisected for all tracked blocks down to MIN_STEP, and what stays tied is
+recorded.  A tilted sphere gradient is a rotation of z on the same basis:
+its branches take the z sweep's labels by rank (_z_labelled, _by_rank).
+No eigenvector is solved on any route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matrices import OperatorMatrices
+from .matrices import OperatorMatrices, gradient_matrix
 from .spectrum import (Spectrum, _blocks, _chunk_len, _components,
                        _degenerate_classes, _solve_block, block_labels,
                        canonical_order, is_real, same_value)
@@ -76,7 +72,7 @@ def _assign(target: np.ndarray, values: np.ndarray,
     """Index into values of each target, of least total squared displacement
     (cost: that matrix, if computed), where a rule proves it: each target's
     strictly nearest value, no two the same (the unique optimum), else
-    _closed_form, else _by_class; else None.  A non-finite cost raises."""
+    _closed_form; else None.  A non-finite cost raises."""
     if cost is None:
         diff = np.subtract.outer(target, values)
         cost = diff.real**2 + diff.imag**2
@@ -86,28 +82,7 @@ def _assign(target: np.ndarray, values: np.ndarray,
     # one entry per row and per column: low is a permutation matrix
     if np.count_nonzero(low) == len(cost) and low.any(axis=0).all():
         return low.argmax(axis=1)
-    cols = _closed_form(target, values, cost)
-    return _by_class(target, values) if cols is None else cols
-
-
-def _by_class(target, values) -> np.ndarray | None:
-    """_assign on the classes of equal values (spectrum.same_value, chained),
-    each one value at its mean (an exact conjugate pair's is real), a
-    target class's costs times its size, each paired with a value class of
-    its size, members in index order; else None.  Exact where a class's
-    members are equal, else up to its width (match_step too takes a class
-    as one value: which member of a degenerate family is which is moot)."""
-    ct, cv = (_components(same_value(w[:, None], w))[0] for w in (target, values))
-    if len(ct) == len(target) or len(ct) != len(cv):
-        return None  # no class, or classes that cannot pair
-    mt, mv = (np.array([w[c].mean() for c in cs]) for w, cs in ((target, ct), (values, cv)))
-    d, size = np.subtract.outer(mt, mv), np.array([len(c) for c in ct])
-    near = _assign(mt, mv, (d.real**2 + d.imag**2) * size[:, None])
-    if near is None or any(size != [len(cv[j]) for j in near]):
-        return None
-    cols = np.empty(len(target), dtype=int)
-    cols[np.concatenate(ct)] = np.concatenate([cv[j] for j in near])
-    return cols
+    return _closed_form(target, values, cost)
 
 
 def _closed_form(target, values, cost) -> np.ndarray | None:
@@ -170,8 +145,8 @@ def match_step(prev: Spectrum, next_: Spectrum):
     tie = (1 - TIE_REL) * (cs + cs.T) <= (1 + TIE_REL) * np.add.outer(d, d)
     if not unproved and np.count_nonzero(tie) > len(wp):
         # no tie: a swap of two branches that are one value before and after
-        # (the |m| >= 1 pairs about a tilted sphere gradient; zero costs), or
-        # of conjugate partners (the split rule, or _closed_form's rejoin)
+        # (a degenerate family; zero costs), or of conjugate partners (the
+        # split rule, or _closed_form's rejoin)
         i, j = np.nonzero(tie)
         wns = wn[sigma]
         one = same_value(wp[i], wp[j]) & same_value(wns[i], wns[j])
@@ -190,39 +165,38 @@ def match_step(prev: Spectrum, next_: Spectrum):
 class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
     blocks sharing its result (ix, then its twins), its real form (lam, K;
-    see spectrum._blocks), the second-order coefficient w of each branch
-    (_curvatures), whether its steps are labelled by order (_ranked,
-    _by_order) and its solved rows by gbar, not yet on the grid."""
+    see spectrum._blocks) and its solved rows by gbar, not yet on the grid."""
 
     ix: np.ndarray
     copies: list
     lam: np.ndarray
     K: np.ndarray
-    w: np.ndarray
-    ranked: bool
     rows: dict = field(default_factory=dict)
 
 
-def _curvatures(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Branch j of a degenerate class c of lam (spectrum._degenerate_classes)
-    is lam_c - gbar^2 w_j + O(gbar^4) (Kato, ch. II): K couples no two
-    members of c (B couples n only to n +- 1), so w are the eigenvalues of
-    the real symmetric W_c = K[c, r] diag(1 / (lam_c - lam_r)) K[c, r]^T over
-    the rest r of the block, largest first in branch order (the lower branch
-    takes the smaller value).  0 outside a class."""
-    cid, w = _degenerate_classes(lam), np.zeros(len(lam))
-    for c in range(cid.max() + 1):
-        cls = cid == c
-        Kc = K[np.ix_(cls, ~cls)]
-        w[cls] = np.linalg.eigvalsh((Kc / (lam[cls][0] - lam[~cls])) @ Kc.T)[::-1]
-    return w
+def _ranked(mat: OperatorMatrices) -> bool:
+    """Whether an operator's blocks are labelled by order (_by_order): all
+    but the dense cylinder's, a Kronecker sum whose real values cross."""
+    return mat.basis.geometry != "cylinder"
 
 
-def _ranked(mat: OperatorMatrices, lam: np.ndarray) -> bool:
-    """Whether a block is labelled by order (_by_order): it has no
-    degenerate class at gbar = 0 and is not a block of the dense cylinder,
-    a Kronecker sum whose real values cross."""
-    return mat.basis.geometry != "cylinder" and not (_degenerate_classes(lam) >= 0).any()
+def _z_labelled(mat: OperatorMatrices, B: np.ndarray) -> bool:
+    """Whether the operator's branches take the z sweep's labels (_by_rank):
+    a sphere with a degenerate class at gbar = 0 in a block, which only a
+    tilted gradient has (not the z or reduced sphere, disk, interval or
+    dense cylinder), a rotation of the z sphere on the same basis."""
+    return mat.basis.geometry == "sphere" and any(
+        (_degenerate_classes(lam_b) >= 0).any()
+        for _, _, lam_b, _, _ in _blocks(mat.lam, B) if lam_b is not None)
+
+
+def _by_rank(z: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index into values (one block's, at one gbar) of the branch of each
+    mode of the block, whose z-sweep value is z: the same rank in
+    canonical_order."""
+    cols = np.empty(len(z), dtype=int)
+    cols[canonical_order(z)] = canonical_order(values)
+    return cols
 
 
 def _by_order(target: np.ndarray, values: np.ndarray) -> np.ndarray | None:
@@ -292,8 +266,7 @@ def _tracks(mat: OperatorMatrices, B: np.ndarray, n: int) -> list[_Track]:
     itself or in a twin: blocks are ordered by their smallest mode, so a
     block's first mode is the lowest of all its copies."""
     blocks = _blocks(mat.lam, B)
-    return [_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K,
-                   _curvatures(lam_b, K), _ranked(mat, lam_b))
+    return [_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K)
             for k, (ix, twin, lam_b, K, _) in enumerate(blocks) if twin == k and ix[0] < n]
 
 
@@ -309,37 +282,50 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     When the next pending gbar has no solved row, one _solve_block call
     solves the pending points from it on, up to one chunk (a refinement
     midpoint alone).  Predictions are a slope through the last two points
-    g0 <= g1 (g0 = g1 = 0 on the first step), whose real values bend by
-    -w (gbar - g1)(gbar - g0) (see _curvatures); no eigenvector is solved.
+    (the last point alone on the first step); no eigenvector is solved.
     Each block steps by _step.  A step whose tracked values move further
     than REFINE_DISPLACEMENT, or leave a tie in any tracked block, is
     bisected for all of them down to MIN_STEP; leftover ties are logged as
     ambiguities.
+
+    A tilted sphere (_z_labelled) is swept about z (gradient_matrix(mat),
+    every block), whose grid, refinements and ambiguities it keeps; each of
+    its tracked blocks is solved stacked on that grid, and branch j takes
+    the value of the same rank as its z value (_by_rank).  A rank pair that
+    is not one value is logged, not bisected: a 'transfer' ambiguity.
     """
     if not (0 < g_max < np.inf and 0 < step < np.inf):
         raise ValueError("g_max and step must be positive and finite")
     n = mat.N if n_branches is None else n_branches
     if not 1 <= n <= mat.N:
         raise ValueError(f"n_branches={n} is outside [1, {mat.N}]")
-    pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
     tracks = _tracks(mat, B, n)
+    if _z_labelled(mat, B):
+        z = run_sweep(mat, gradient_matrix(mat), g_max, step)
+        rows, amb = np.full(z.eigenvalues.shape, np.nan, dtype=complex), list(z.ambiguities)
+        for t in tracks:
+            values = _solve_block(t.lam, t.K, z.g_grid[1:], True)[0]
+            for ix in t.copies:
+                rows[0, ix] = mat.lam[ix]
+                for i, (zi, wi) in enumerate(zip(z.eigenvalues[1:, ix], values), 1):
+                    rows[i, ix] = wi[_by_rank(zi, wi)]
+                    if not (one := same_value(zi, rows[i, ix])).all():
+                        amb.append({"g": z.g_grid[i], "branches": tuple(ix[~one].tolist()),
+                                    "kind": "transfer", "note": "rank-paired value kept"})
+        return replace(z, eigenvalues=rows, block=block_labels(mat, B),
+                       ambiguities=sorted(amb, key=lambda a: (a["g"], a["branches"])))
+    pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
     on = np.concatenate([ix for t in tracks for ix in t.copies])  # tracked columns
     first = np.full(mat.N, np.nan, dtype=complex)
     first[on] = mat.lam[on]
     sweep_g, rows = [pending.pop(0)], [first]
-    refinements, ambiguities = [], []
-    w = np.zeros(mat.N)  # each basis mode's second-order coefficient
-    for t in tracks:
-        w[np.ravel(t.copies)] = np.tile(t.w, len(t.copies))
+    refinements, ambiguities, ranked = [], [], _ranked(mat)
     while pending:
         g_next = pending.pop(0)
         pred = rows[-1]  # linear extrapolation from the last two points
         if len(rows) > 1:
             slope = (pred - rows[-2]) / (sweep_g[-1] - sweep_g[-2])
             pred = pred + slope * (g_next - sweep_g[-1])
-        if w.any():  # a conjugate pair's prediction stays exactly conjugate
-            bend = w * ((g_next - sweep_g[-1]) * (g_next - sweep_g[-2:][0]))
-            pred = np.where(is_real(pred), pred - bend, pred)
         row, unresolved = np.full(mat.N, np.nan, dtype=complex), []
         for t in tracks:  # values only, matched in branch order
             if g_next not in t.rows:
@@ -350,7 +336,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                     todo.append(g)
                 t.rows.update(zip(todo, _solve_block(t.lam, t.K, np.array(todo), True)[0]))
             values = t.rows[g_next]
-            sigma, ties = _step(g_next, pred[t.ix], values, t.ranked, t.copies)
+            sigma, ties = _step(g_next, pred[t.ix], values, ranked, t.copies)
             unresolved += ties
             for ix in t.copies:  # report basis modes, not the block's branches
                 row[ix] = values[sigma]
@@ -377,5 +363,6 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                   "min_step": MIN_STEP,
                   "tiebreak": "per exact block: slope-predicted squared displacement; "
                               "Im>0 to the lower index at a split, the smaller value "
-                              "at a rejoin; other ties bisected; a degenerate class "
-                              "predicted by its second-order splitting"})
+                              "at a rejoin; other ties bisected; a tilted sphere takes "
+                              "the z sweep's labels by rank"})
+

@@ -78,30 +78,12 @@ def _check_assignment(cost, cols, ref):
         assert np.array_equal(cols, ref)
 
 
-def _strict_by_class(target, values):
-    """Whether each class of equal targets (spectrum.same_value, chained; a
-    single one is a class) has a strictly nearest class of equal values,
-    means against means, of its own size, no two the same."""
-    def classes(w):
-        cid = sp._degenerate_classes(w)
-        return [np.flatnonzero(cid == c) for c in range(cid.max() + 1)] \
-            + [[i] for i in np.flatnonzero(cid < 0)]
-    ct, cv = classes(target), classes(values)
-    d = _sqdist(np.array([target[c].mean() for c in ct]),
-                np.array([values[c].mean() for c in cv]))
-    near = d.argmin(axis=1)
-    return (np.count_nonzero(d <= d.min(axis=1, keepdims=True)) == len(ct) == len(cv)
-            and len(set(near.tolist())) == len(ct)
-            and all(len(ct[i]) == len(cv[j]) for i, j in enumerate(near)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(step=_steps())
 def test_assign_is_least_squares(step):
     """_assign, and _closed_form wherever it answers, give a least-cost
     assignment: linear_sum_assignment's columns where the optimum is unique.
-    _assign answers None only where _closed_form declines and the classes
-    of equal values have no strictly nearest class each."""
+    _assign answers None only where _closed_form declines."""
     target, values = step
     cost = _sqdist(target, values)
     ref = linear_sum_assignment(cost)[1]
@@ -111,7 +93,6 @@ def test_assign_is_least_squares(step):
     got = sw._assign(target, values)
     if got is None:
         assert cols is None
-        assert not _strict_by_class(target, values)
     else:
         _check_assignment(cost, got, ref)
 
@@ -137,8 +118,8 @@ def test_closed_form_declines_a_mixed_optimum():
     """Every target's nearest value lies in its own group, yet the optimum
     gives the real prediction 1 a non-real value and the pair's prediction
     1.9 - 0.05i the real value 2 (total 0.985 against the sorted 1.160):
-    the bound rejects the rules' answer, and no two values are one class,
-    so _assign proves nothing and match_step reports the step as a tie."""
+    the bound rejects the rules' answer, so _assign proves nothing and
+    match_step reports the step as a tie."""
     p, z = 1.9 + 0.05j, 1.9 + 0.051j
     target, values = np.array([0, 1, p, p.conjugate()]), np.array([0.4, 2, z, z.conjugate()])
     cost = _sqdist(target, values)
@@ -147,23 +128,6 @@ def test_closed_form_declines_a_mixed_optimum():
     sigma, info = sw.match_step(sp.Spectrum(1.0, target), sp.Spectrum(1.0, values))
     assert sorted(sigma) == [0, 1, 2, 3]
     assert info["tie_groups"] == [{"branches": (0, 1, 2, 3), "kind": "unproved"}]
-
-
-def test_assign_answers_a_degenerate_pair_by_class():
-    """A tilted sphere's exactly degenerate real pair, returned by the solver
-    as x +- 4e-15i and predicted so from its last two values: each member
-    is equally near both of the pair's next values, and _by_order takes
-    the pair for no split, so only the pass on classes of equal values
-    answers, at scipy's cost."""
-    x = 8.944755727632796
-    target = np.array([0.5, x + 4e-15j, x - 4e-15j, 3.0])
-    values = np.array([x + 1e-3 - 3e-15j, 3.01, 0.52, x + 1e-3 + 3e-15j])
-    cost = _sqdist(target, values)
-    assert np.count_nonzero(cost == cost.min(axis=1, keepdims=True)) > len(cost)
-    assert sw._closed_form(target, values, cost) is None
-    cols = sw._assign(target, values)
-    assert cols.tolist() == [2, 0, 3, 1]
-    _check_assignment(cost, cols, linear_sum_assignment(cost)[1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -231,27 +195,19 @@ def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
     assert out == ["10", "False"]
 
 
-def test_tilted_sphere_scipy_fallbacks(sphere60, monkeypatch):
-    """Work counter: the steps of the tilted sphere sweeps at N=60 (phi = 20
-    degrees, gbar <= 13) and of their branch-point searches that _assign
-    cannot prove, which would need a general assignment solver such as
-    scipy's: none at theta = 30 degrees, and one at 80, a step that the
-    sweep bisects as a tie.  Both find the same three points."""
-    kinds, match = [], sw.match_step
-
-    def counted(prev, next_):
-        sigma, info = match(prev, next_)
-        kinds.extend(tie["kind"] for tie in info["tie_groups"])
-        return sigma, info
-    monkeypatch.setattr(sw, "match_step", counted)
+def test_tilted_sphere_calls_no_match_step(sphere60, monkeypatch):
+    """Work counter: the tilted sphere sweeps at N=60 (phi = 20 degrees,
+    gbar <= 13, theta = 30 and 80 degrees) and their branch-point searches
+    take the z sweep's labels, so no step and no bisection solve reaches
+    match_step.  Both find the same three points."""
+    steps = _count_matches(monkeypatch)
     m, _ = sphere60
-    for theta, unproved in ((30.0, 0), (80.0, 1)):
-        kinds.clear()
+    for theta in (30.0, 80.0):
         B = mx.gradient_matrix(m, theta_g=np.deg2rad(theta), phi_g=np.deg2rad(20.0))
         points = bp.find_branch_points(m, B, sw.run_sweep(m, B, 13.0))
         assert [(p.order, p.branches) for p in points] \
             == [(2, (9, 10)), (2, (0, 1)), (4, (2, 3, 5, 6))]
-        assert kinds.count("unproved") == unproved
+        assert steps == []
 
 
 def test_match_conjugate_pair_formation():
@@ -365,26 +321,24 @@ def test_crossing_keeps_identities(sphere60):
 
 
 def test_tilted_sphere_matches_z_sweep(sphere60):
-    """A tilted gradient is a rotation of z: one block instead of one per (m, l),
-    with the degenerate m-families of gbar = 0 inside it.  Predicting each
-    family member by its second-order splitting must give the z-sweep
-    branches, and the z sweep's points with their branch names, at 0.3/0.2
-    rad and at 30/20 and 80/20 degrees (the overlap rule this replaced
-    differed by up to 2.16 and 8.6 at the last two)."""
+    """A tilted gradient is a rotation of z: one block instead of one per (m, l)
+    (two, the cos and sin sectors, for a gradient in the xz plane), with the
+    degenerate m-families of gbar = 0 inside it.  Its sweep takes the z
+    sweep's grid and labels, and its values, from the dense tilted solve,
+    must be the z-sweep branches, with the z sweep's points and their
+    branch names, at 0.3/0.2 rad and at 30/20, 80/20 and 30/0 degrees.
+    Every rank pair is one value, so no 'transfer' ambiguity is logged."""
     m, Bz = sphere60
     sz = sw.run_sweep(m, Bz, 16.0, step=0.05)
-    gz = np.round(sz.g_grid, 12)
     pz = bp.find_branch_points(m, Bz, sz, max_branch=17)
     assert len(pz) == 3
-    for theta, phi in [(0.3, 0.2), *np.deg2rad([(30.0, 20.0), (80.0, 20.0)])]:
+    for theta, phi in [(0.3, 0.2), *np.deg2rad([(30.0, 20.0), (80.0, 20.0), (30.0, 0.0)])]:
         Bt = mx.gradient_matrix(m, theta_g=theta, phi_g=phi)
-        assert len(set(sp.block_labels(m, Bt))) == 1
+        assert len(set(sp.block_labels(m, Bt))) == (1 if phi else 2)
         st = sw.run_sweep(m, Bt, 16.0, step=0.05)
-        common = np.intersect1d(gz, np.round(st.g_grid, 12))
-        assert len(common) >= 321
-        iz = np.searchsorted(gz, common)
-        it = np.searchsorted(np.round(st.g_grid, 12), common)
-        assert np.max(np.abs(st.eigenvalues[it, :17] - sz.eigenvalues[iz, :17])) < 1e-8
+        assert np.array_equal(st.g_grid, sz.g_grid)
+        assert st.ambiguities == sz.ambiguities == []
+        assert np.max(np.abs(st.eigenvalues[:, :17] - sz.eigenvalues[:, :17])) < 1e-8
         pt = bp.find_branch_points(m, Bt, st, max_branch=17)
         assert len(pt) == 3
         for a, b in zip(pz, pt):
@@ -394,6 +348,37 @@ def test_tilted_sphere_matches_z_sweep(sphere60):
             # depend on the mixture of the tilted block's degenerate pairs
             for key in ("vv_min", "min_principal_angle"):
                 assert b.meta[key] == pytest.approx(a.meta[key], rel=1e-3), (a, key)
+
+
+def test_transfer_flags_a_block_that_is_no_rotation_of_z(tmp_path):
+    """A tilted sphere B whose nonzero entries are perturbed by 1e-3
+    relative (the same pattern, so the same blocks and degenerate classes
+    at gbar = 0, but no rotation of z) still takes the z sweep's grid and
+    labels, and each row is still the perturbed operator's spectrum; its
+    rank pairs are not one value, so every step is logged as a 'transfer'
+    ambiguity, not bisected, and branches.csv flags those rows."""
+    from btspec.cli import _write_branches
+
+    m = mx.operator_for("sphere", 30)
+    Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
+    P = np.random.default_rng(3).standard_normal(Bt.shape)
+    Bp = Bt * (1 + 1e-3 * (P + P.T))
+    assert sw._z_labelled(m, Bp)
+    s = sw.run_sweep(m, Bp, 2.0, step=0.1)
+    sz = sw.run_sweep(m, mx.gradient_matrix(m), 2.0, step=0.1)
+    assert np.array_equal(s.g_grid, sz.g_grid) and s.refinements == sz.refinements == []
+    for g, row in zip(s.g_grid[1:], s.eigenvalues[1:]):
+        w = sp.diagonalize(m, Bp, g, eigvals_only=True).eigenvalues
+        assert np.array_equal(np.sort_complex(row), np.sort_complex(w))
+    assert [a["g"] for a in s.ambiguities] == s.g_grid[1:].tolist()
+    assert {a["kind"] for a in s.ambiguities} == {"transfer"}
+    _write_branches(str(tmp_path / "branches.csv"), s, 17)
+    rows = np.genfromtxt(tmp_path / "branches.csv", delimiter=",", names=True, dtype=None,
+                         encoding="utf-8")
+    flagged = {(g, j - 1) for g, j, flag in zip(rows["g"], rows["branch_j"], rows["flags"])
+               if flag == "ambiguous"}
+    assert flagged == {(a["g"], b) for a in s.ambiguities for b in a["branches"] if b < 17}
+    assert len(flagged) > len(s.ambiguities)
 
 
 def _eig_orders(monkeypatch):
@@ -441,12 +426,11 @@ def _count_matches(monkeypatch):
 @pytest.mark.parametrize("N", [60, 100])
 def test_tilted_sphere_sweep_solves_no_eigenvectors(N, monkeypatch):
     """Work counter: the tilted block (66 or 110 modes, with the degenerate
-    m-families of gbar = 0) is matched by value on every step, its first
-    included, so the sweep at theta = 30, phi = 20 degrees to gbar = 13
-    solves no eigenvector (the overlap rule this replaced solved one
-    full-block eigenvector solve), and its families, predicted by their
-    second-order splitting, leave no tie to bisect below gbar = 0.25 (the
-    linear prediction bisected 7 or 8 times there)."""
+    m-families of gbar = 0) takes the z sweep's labels on every step, its
+    first included, so the sweep at theta = 30, phi = 20 degrees to gbar =
+    13 solves no eigenvector (the overlap rule this replaced solved one
+    full-block eigenvector solve), bisects nothing below gbar = 0.25 (the
+    linear prediction bisected 7 or 8 times there) and logs nothing."""
     m = mx.operator_for("sphere", N)
     Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
     orders = _eig_orders(monkeypatch)
@@ -459,19 +443,27 @@ def test_tilted_sphere_sweep_solves_no_eigenvectors(N, monkeypatch):
 @pytest.mark.parametrize("N", [60, 100])
 def test_degenerate_class_splits_at_second_order(N):
     """On the first step out of gbar = 0, each member of a degenerate class
-    of the tilted block is lam_0 - gbar^2 w (sweep._curvatures) to
-    O(gbar^4): halving gbar divides the residual by about 16 (1.9e-9 was
-    measured at gbar = 0.05 at both sizes)."""
+    c of the tilted block is lam_c - gbar^2 w to O(gbar^4) (Kato, ch. II):
+    w are the eigenvalues of the real symmetric
+    W_c = K[c, r] diag(1 / (lam_c - lam_r)) K[c, r]^T over the rest r of the
+    block, largest first in branch order, as the z sweep's labels give the
+    lower branch the smaller value.  Halving gbar divides the residual by
+    about 16 (1.9e-9 was measured at gbar = 0.05 at both sizes)."""
     m = mx.operator_for("sphere", N)
     Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
     (t,) = sw._tracks(m, Bt, m.N)
-    cls = sp._degenerate_classes(t.lam) >= 0
-    assert np.count_nonzero(t.w[cls]) == np.count_nonzero(cls) > 0
-    assert not t.w[~cls].any()
+    cid = sp._degenerate_classes(t.lam)
+    w = np.zeros(len(t.lam))
+    for c in range(cid.max() + 1):
+        cls = cid == c
+        Kc = t.K[np.ix_(cls, ~cls)]
+        w[cls] = np.linalg.eigvalsh((Kc / (t.lam[cls][0] - t.lam[~cls])) @ Kc.T)[::-1]
+    cls = cid >= 0
+    assert np.count_nonzero(w[cls]) == np.count_nonzero(cls) > 0
     res = []
     for g in (0.05, 0.025):
         row = sw.run_sweep(m, Bt, g, step=g).eigenvalues[-1, t.ix]
-        res.append(np.max(np.abs(row - (t.lam - g**2 * t.w))[cls]))
+        res.append(np.max(np.abs(row - (t.lam - g**2 * w))[cls]))
     assert res[0] < 2.5e-9
     assert 15 < res[0] / res[1] < 17
 
@@ -569,14 +561,14 @@ def test_order_labels_equal_the_matched_sweep(geometry, N, g_max, monkeypatch):
     m = mx.operator_for(geometry, N)
     B = mx.gradient_matrix(m)
     tracks = sw._tracks(m, B, m.N)
-    assert all(t.ranked for t in tracks)
+    assert sw._ranked(m) and not sw._z_labelled(m, B)
     steps = _count_matches(monkeypatch)
     ranked = sw.run_sweep(m, B, g_max)
     assert steps == []
     # the sweep changes the number of real values of some block
     real = ranked.eigenvalues.imag == 0
     assert any(np.diff(real[:, t.ix].sum(axis=1)).any() for t in tracks)
-    monkeypatch.setattr(sw, "_ranked", lambda mat, lam: False)
+    monkeypatch.setattr(sw, "_ranked", lambda mat: False)
     matched = sw.run_sweep(m, B, g_max)
     assert len(steps) == len(tracks) * (len(matched.g_grid) - 1 + len(matched.refinements))
     assert np.array_equal(ranked.g_grid, matched.g_grid)
@@ -605,13 +597,11 @@ def test_guard_still_bisects_a_real_crossing_of_the_dense_cylinder(monkeypatch):
     exact crossing of the miniature cylinder is a cost tie, bisected 12
     times down to MIN_STEP and logged as tie refinements; labelled by order
     the same block would pass it unrefined.  The tilted sphere's block, with
-    its degenerate classes at gbar = 0, keeps match_step too."""
+    its degenerate classes at gbar = 0, takes the z sweep's labels instead."""
     sphere = mx.operator_for("sphere", 30)
-    Bt = mx.gradient_matrix(sphere, theta_g=0.3, phi_g=0.2)
-    assert [u.ranked for u in sw._tracks(sphere, Bt, sphere.N)] == [False]
+    assert sw._z_labelled(sphere, mx.gradient_matrix(sphere, theta_g=0.3, phi_g=0.2))
     m, B = _mini_cylinder()
-    (t,) = sw._tracks(m, B, m.N)
-    assert not t.ranked
+    assert not sw._ranked(m) and not sw._z_labelled(m, B)
     w = sp.diagonalize(m, B, 1.0, eigvals_only=True).eigenvalues
     assert w[1] == pytest.approx(w[2], abs=1e-14) and not w.imag.any()
     steps = _count_matches(monkeypatch)
@@ -619,7 +609,7 @@ def test_guard_still_bisects_a_real_crossing_of_the_dense_cylinder(monkeypatch):
     assert [r["inserted"] for r in s.refinements] == [1 - 0.125 / 2**k for k in range(12)]
     assert {r["reason"] for r in s.refinements} == {"tie"}
     assert len(steps) == len(s.g_grid) - 1 + len(s.refinements)
-    monkeypatch.setattr(sw, "_ranked", lambda mat, lam: True)
+    monkeypatch.setattr(sw, "_ranked", lambda mat: True)
     assert sw.run_sweep(m, B, 1.0, step=0.25).refinements == []
 
 
@@ -712,7 +702,7 @@ def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
     m, B = sphere60
     t = next(t for t in sw._tracks(m, B, m.N) if m.basis.indices[t.ix[0]].m == 1)
     assert sum(len(u.ix) == len(t.ix) for u in sw._tracks(m, B, m.N)) == 1
-    monkeypatch.setattr(sw, "_ranked", lambda mat, lam: False)
+    monkeypatch.setattr(sw, "_ranked", lambda mat: False)
     match = sw.match_step
 
     def tied(prev, next_):
@@ -798,6 +788,7 @@ def test_sweep_rejects_n_branches_outside_the_basis():
 def test_sweep_metadata_documents_tiebreak(disk60):
     m, B = disk60
     s = sw.run_sweep(m, B, 1.0, step=0.1)
-    assert "second-order" in s.metadata["tiebreak"]
+    assert "the z sweep's labels by rank" in s.metadata["tiebreak"]
+    assert "second-order" not in s.metadata["tiebreak"]
     assert "overlap" not in s.metadata["tiebreak"]
     assert s.metadata["geometry"] == "disk"
