@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .matrices import OperatorMatrices, cylinder_factors, gradient_direction, gradient_matrix
 from .specfun import interval_branch_constants
-from .spectrum import (_degenerate_classes, _solve_block, block_labels, diagonalize, is_real,
-                       own_blocks)
+from .spectrum import _degenerate_classes, _solve_block, is_real, own_blocks, partition
 from .sweep import BranchSweep, _by_rank, _ranked, _step, _tracks, _z_labelled, run_sweep
 
 CLUSTER_RADIUS = 1e-3
@@ -147,12 +146,15 @@ def _sweep_rows(mat: OperatorMatrices, B: np.ndarray, modes, sweep: BranchSweep)
     or below g predicts, and sweep._step labels each block.  On a tilted
     sphere (sweep._z_labelled) that labels the z solve of the same modes,
     and each block takes its modes' z values by rank (sweep._by_rank).  The
-    blocks and the route are worked out once, not at each g."""
+    restriction is partitioned, and the route worked out, once, not at each
+    g."""
     sub, B_sub, ix = own_blocks(mat, B, modes)
     pos = np.searchsorted(ix, modes)
-    block, ranked, z = block_labels(sub, B_sub), _ranked(sub), _z_labelled(sub, B_sub)
-    groups = [(k, np.flatnonzero(block == k)) for k in set(block.tolist())]
-    z_tracks = _tracks(sub, gradient_matrix(mat)[np.ix_(ix, ix)], sub.N) if z else []
+    part = partition(sub.lam, B_sub)
+    ranked, z = _ranked(sub), _z_labelled(sub, part)
+    groups = [(k, np.flatnonzero(part.label == k)) for k in set(part.label.tolist())]
+    z_tracks = _tracks(partition(sub.lam, gradient_matrix(mat)[np.ix_(ix, ix)]),
+                       sub.N) if z else []
 
     def rows_at(g: float, eigvals_only: bool = True):
         i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
@@ -166,7 +168,7 @@ def _sweep_rows(mat: OperatorMatrices, B: np.ndarray, modes, sweep: BranchSweep)
             values = _solve_block(t.lam, t.K, g, True)[0]
             for c in t.copies:
                 z_values[c] = values[_step(g, pred[c], values, ranked)[0]]
-        spec, rows = diagonalize(sub, B_sub, g, eigvals_only), np.empty(len(ix), dtype=int)
+        spec, rows = part.solve(g, eigvals_only), np.empty(len(ix), dtype=int)
         for k, r in groups:
             c = np.flatnonzero(spec.block == k)
             rows[r] = c[_by_rank(z_values[r], spec.eigenvalues[c]) if z

@@ -38,8 +38,8 @@ from .matrices import gradient_direction, gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signals
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
-from .spectrum import (block_labels, canonical_order, diagonalize, normalize,
-                       own_blocks, slowest_pair, spectrum_at_negative_g)
+from .spectrum import (canonical_order, diagonalize, normalize, own_blocks, partition,
+                       slowest_pair, spectrum_at_negative_g)
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
@@ -308,8 +308,7 @@ def cmd_signal(cfg: RunConfig, direction: tuple) -> int:
         rows.append([_fmt(delta), _fmt(Sm.real), _fmt(Sm.imag),
                      _fmt(Ss.real), _fmt(Ss.imag)] + modes)
     # the walks are all alive at once (one shared stream); drop the operator
-    # and spectra first (B and its blocks stay in spectrum's one-entry
-    # partition cache)
+    # and spectra first
     del mat, B, sub, B_sub, spec, spec_m, coeffs
     mc = [(_fmt(S.real), _fmt(S.imag), _fmt(err)) for S, err in mc_signals(walks)]
     for row, cols in zip(rows, mc or [("", "", "")] * len(rows)):
@@ -337,7 +336,7 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
     # order, so canonical row r is row k of the included blocks
     w = diagonalize(mat, B, g, eigvals_only=True)
     r = canonical_order(w.eigenvalues)[j - 1]
-    labels = block_labels(mat, B)
+    labels = partition(mat.lam, B).label
     sub, B_sub, ix = own_blocks(mat, B, [0, np.argmax(labels == w.block[r])])
     k = np.count_nonzero(np.isin(w.block[:r], labels[ix]))
     raw = diagonalize(sub, B_sub, g)

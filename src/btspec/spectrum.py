@@ -37,10 +37,8 @@ branch tracking and branch-point detection work inside one block at a time:
 the branch tracker (sweep) calls the block solve directly, one distinct
 block at a time.  Blocks whose Lambda and B entries are bit-identical, such
 as the cos and sin sectors of one m of the z-gradient sphere, are solved once
-and the result is copied to the twin.  The partition, the colouring and K
-are computed at the first solve with given Lambda and B and reused while
-the arrays passed hold the same values: the cache keeps its own copies, so a
-B modified in place is partitioned anew.
+and the result is copied to the twin.  Each call of partition walks B's
+graph once; nothing is cached.
 
 own_blocks restricts the operator to the blocks that hold given modes; a
 solve of the restriction returns the full solve's rows of those blocks in the
@@ -100,7 +98,7 @@ class Spectrum:
     """Eigenvalues (dimensionless R^2 lambda_j) and coefficient rows at one gbar.
 
     X is None for an eigenvalues-only computation.  block[j] is the exact
-    block of row j in block_labels' numbering, set by diagonalize (None for
+    block of row j in Partition.label's numbering, set by diagonalize (None for
     a spectrum assembled by hand, which carries no block).  vv holds
     |<v_j, v_j>| before rescaling (the normalization 'condition number');
     near_branch marks rows whose bilinear norm collapsed; degenerate_class
@@ -123,46 +121,16 @@ class Spectrum:
 
 def diagonalize(mat: OperatorMatrices, B: np.ndarray, gbar: float,
                 eigvals_only: bool = False) -> Spectrum:
-    """Raw spectrum of Lambda + i*gbar*B, sorted by (Re, Im).
-
-    The matrix is solved one independent block at a time (see the module
-    docstring); twin blocks are solved once.  Rows of X are left eigenvectors
-    (unit 2-norm, not yet bilinear-normalized) and are zero outside their
-    block; Spectrum.block holds each row's block label.  An eigensolver
-    failure raises NumericalError naming gbar and the size of the failing
-    block.
-    """
-    N = mat.N
-    w = np.empty(N, dtype=complex)
-    block = np.empty(N, dtype=int)
-    X = None if eigvals_only else np.zeros((N, N), dtype=complex)
-    solved: list[tuple] = []
-    start = 0
-    for k, (ix, twin, lam_b, K, d) in enumerate(_blocks(mat.lam, B)):
-        if twin < k:
-            solved.append(solved[twin])
-        else:
-            wb, zb = _solve_block(lam_b, K, gbar, eigvals_only)
-            solved.append((wb, None if zb is None else zb * d))
-        wb, xb = solved[-1]
-        stop = start + len(ix)
-        w[start:stop] = wb
-        block[start:stop] = k
-        if X is not None:
-            X[start:stop, ix] = xb
-        start = stop
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    if X is not None:
-        X = X[order]
-    return Spectrum(gbar=float(gbar), eigenvalues=w, X=X, block=block[order])
+    """Raw spectrum of Lambda + i*gbar*B, sorted by (Re, Im): the solve
+    (Partition.solve) of partition(mat.lam, B)."""
+    return partition(mat.lam, B).solve(gbar, eigvals_only)
 
 
 def _solve_block(lam_b: np.ndarray, K: np.ndarray, gbar, eigvals_only: bool) -> tuple:
     """Eigenvalues, sorted by (Re, Im), and eigenvector rows (None when
     eigvals_only) of one exact block in its real form M = diag(lam_b) +
     gbar*K.  Row z is a right eigenvector of M (unit 2-norm): the operator
-    is complex symmetric, so z * d (d from _blocks) is the left-eigenvector
+    is complex symmetric, so z * d (d from Partition) is the left-eigenvector
     row of the original operator.
 
     A 1-d array gbar gives one result per gbar, stacked; a scalar is a
@@ -218,15 +186,6 @@ def _geev(M: np.ndarray, vectors: bool) -> tuple:
     return w.astype(complex, copy=False), v, 0
 
 
-def block_labels(mat: OperatorMatrices, B: np.ndarray) -> np.ndarray:
-    """Exact block of each basis function under Lambda + i*gbar*B: the
-    label that diagonalize gives the eigenvalue rows of that block."""
-    label = np.empty(mat.N, dtype=int)
-    for k, (ix, *_) in enumerate(_blocks(mat.lam, B)):
-        label[ix] = k
-    return label
-
-
 def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
     """The operator restricted to the exact blocks that hold `modes`.
 
@@ -236,9 +195,8 @@ def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
     the full solve, so its rows are the full spectrum's rows of these blocks,
     bit for bit and in the same order.
     """
-    blocks = _blocks(mat.lam, B)
-    label = block_labels(mat, B)
-    ix = np.sort(np.concatenate([blocks[k][0] for k in {label[j] for j in modes}]))
+    part = partition(mat.lam, B)
+    ix = np.sort(np.concatenate([part.blocks[k][0] for k in {part.label[j] for j in modes}]))
     basis = replace(mat.basis, indices=tuple(mat.basis.indices[i] for i in ix),
                     eigenvalues=mat.basis.eigenvalues[ix],
                     class_id=mat.basis.class_id[ix], alpha=mat.basis.alpha[ix])
@@ -246,13 +204,8 @@ def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
     return sub, B[np.ix_(ix, ix)], ix
 
 
-# One-entry cache (copies of lam and B, blocks), reused while the arrays
-# passed hold the same values: a sweep passes the same B to every solve, and
-# the partition costs about as much as the block solves.
-_partition: tuple = (None, None, [])
-
-
-def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
+@dataclass(frozen=True)
+class Partition:
     """Independent blocks of diag(lam) + i*g*B as (ix, twin, lam_b, K, d).
 
     ix holds the basis indices of one connected component of B's nonzero
@@ -262,13 +215,52 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
     block's diagonal entries, K the real skew-symmetric
     (p_j - p_k) B_jk of its real form and d = i^p its phases, with p the
     parity of the 2-colouring of _components (all three None for a twin,
-    which copies its result).  A non-finite entry, or a nonzero pattern that
-    is not bipartite, raises NumericalError.
+    which copies its result).  label[j] is the position of basis mode j's
+    block, the label that solve gives the eigenvalue rows of that block.
     """
-    global _partition
-    if _partition[0] is not None and np.array_equal(_partition[0], lam) \
-            and np.array_equal(_partition[1], B):
-        return _partition[2]
+
+    blocks: tuple
+    label: np.ndarray
+
+    def solve(self, gbar: float, eigvals_only: bool = False) -> Spectrum:
+        """Raw spectrum of Lambda + i*gbar*B, sorted by (Re, Im).
+
+        The matrix is solved one independent block at a time (see the module
+        docstring); twin blocks are solved once.  Rows of X are left
+        eigenvectors (unit 2-norm, not yet bilinear-normalized) and are zero
+        outside their block; Spectrum.block holds each row's block label.  An
+        eigensolver failure raises NumericalError naming gbar and the size of
+        the failing block.
+        """
+        N = len(self.label)
+        w = np.empty(N, dtype=complex)
+        block = np.empty(N, dtype=int)
+        X = None if eigvals_only else np.zeros((N, N), dtype=complex)
+        solved: list[tuple] = []
+        start = 0
+        for k, (ix, twin, lam_b, K, d) in enumerate(self.blocks):
+            if twin < k:
+                solved.append(solved[twin])
+            else:
+                wb, zb = _solve_block(lam_b, K, gbar, eigvals_only)
+                solved.append((wb, None if zb is None else zb * d))
+            wb, xb = solved[-1]
+            stop = start + len(ix)
+            w[start:stop] = wb
+            block[start:stop] = k
+            if X is not None:
+                X[start:stop, ix] = xb
+            start = stop
+        order = np.lexsort((w.imag, w.real))
+        w = w[order]
+        if X is not None:
+            X = X[order]
+        return Spectrum(gbar=float(gbar), eigenvalues=w, X=X, block=block[order])
+
+
+def partition(lam: np.ndarray, B: np.ndarray) -> Partition:
+    """The Partition of diag(lam) + i*g*B.  A non-finite entry, or a nonzero
+    pattern that is not bipartite, raises NumericalError."""
     nonzero = B != 0
     adj = nonzero | nonzero.T
     comps, parity = _components(adj)
@@ -277,11 +269,13 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
                              "make its blocks real")
     blocks: list[tuple] = []
     first: dict[bytes, int] = {}
+    label = np.empty(len(lam), dtype=int)
     for ix in comps:
         lam_b, B_b = lam[ix], B[np.ix_(ix, ix)]
         if not (np.isfinite(lam_b).all() and np.isfinite(B_b).all()):
             raise NumericalError(f"non-finite entries of Lambda or B on a block "
                                  f"of size {len(ix)}")
+        label[ix] = len(blocks)
         twin = first.setdefault(lam_b.tobytes() + B_b.tobytes(), len(blocks))
         if twin < len(blocks):
             blocks.append((ix, twin, None, None, None))
@@ -289,8 +283,7 @@ def _blocks(lam: np.ndarray, B: np.ndarray) -> list[tuple]:
         p = parity[ix]
         K = np.subtract.outer(p, p) * B_b
         blocks.append((ix, twin, lam_b, K, np.where(p == 1, 1j, 1 + 0j)))
-    _partition = (lam.copy(), B.copy(), blocks)
-    return blocks
+    return Partition(tuple(blocks), label)
 
 
 def _components(adj: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

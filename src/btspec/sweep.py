@@ -33,9 +33,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matrices import OperatorMatrices, gradient_matrix
-from .spectrum import (Spectrum, _blocks, _chunk_len, _components,
-                       _degenerate_classes, _solve_block, block_labels,
-                       canonical_order, is_real, same_value)
+from .spectrum import (Partition, Spectrum, _chunk_len, _components, _degenerate_classes,
+                       _solve_block, canonical_order, is_real, partition, same_value)
 
 TIE_REL = 0.05
 # A step is bisected, down to MIN_STEP, when a matched value moves further
@@ -165,7 +164,7 @@ def match_step(prev: Spectrum, next_: Spectrum):
 class _Track:
     """One distinct exact block: its modes ix (its branches), the modes of all
     blocks sharing its result (ix, then its twins), its real form (lam, K;
-    see spectrum._blocks) and its solved rows by gbar, not yet on the grid."""
+    see spectrum.Partition) and its solved rows by gbar, not yet on the grid."""
 
     ix: np.ndarray
     copies: list
@@ -180,14 +179,14 @@ def _ranked(mat: OperatorMatrices) -> bool:
     return mat.basis.geometry != "cylinder"
 
 
-def _z_labelled(mat: OperatorMatrices, B: np.ndarray) -> bool:
+def _z_labelled(mat: OperatorMatrices, part: Partition) -> bool:
     """Whether the operator's branches take the z sweep's labels (_by_rank):
     a sphere with a degenerate class at gbar = 0 in a block, which only a
     tilted gradient has (not the z or reduced sphere, disk, interval or
     dense cylinder), a rotation of the z sphere on the same basis."""
     return mat.basis.geometry == "sphere" and any(
         (_degenerate_classes(lam_b) >= 0).any()
-        for _, _, lam_b, _, _ in _blocks(mat.lam, B) if lam_b is not None)
+        for _, _, lam_b, _, _ in part.blocks if lam_b is not None)
 
 
 def _by_rank(z: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -261,11 +260,11 @@ def _step(g: float, pred: np.ndarray, values: np.ndarray, ranked: bool, copies=(
                    for ix in copies for tie in info["tie_groups"]]
 
 
-def _tracks(mat: OperatorMatrices, B: np.ndarray, n: int) -> list[_Track]:
+def _tracks(part: Partition, n: int) -> list[_Track]:
     """One tracker per distinct exact block that holds a branch below n, in
     itself or in a twin: blocks are ordered by their smallest mode, so a
     block's first mode is the lowest of all its copies."""
-    blocks = _blocks(mat.lam, B)
+    blocks = part.blocks
     return [_Track(ix, [jx for jx, t, *_ in blocks if t == k], lam_b, K)
             for k, (ix, twin, lam_b, K, _) in enumerate(blocks) if twin == k and ix[0] < n]
 
@@ -299,8 +298,9 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     n = mat.N if n_branches is None else n_branches
     if not 1 <= n <= mat.N:
         raise ValueError(f"n_branches={n} is outside [1, {mat.N}]")
-    tracks = _tracks(mat, B, n)
-    if _z_labelled(mat, B):
+    part = partition(mat.lam, B)
+    tracks = _tracks(part, n)
+    if _z_labelled(mat, part):
         z = run_sweep(mat, gradient_matrix(mat), g_max, step)
         rows, amb = np.full(z.eigenvalues.shape, np.nan, dtype=complex), list(z.ambiguities)
         for t in tracks:
@@ -312,7 +312,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                     if not (one := same_value(zi, rows[i, ix])).all():
                         amb.append({"g": z.g_grid[i], "branches": tuple(ix[~one].tolist()),
                                     "kind": "transfer", "note": "rank-paired value kept"})
-        return replace(z, eigenvalues=rows, block=block_labels(mat, B),
+        return replace(z, eigenvalues=rows, block=part.label,
                        ambiguities=sorted(amb, key=lambda a: (a["g"], a["branches"])))
     pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
     on = np.concatenate([ix for t in tracks for ix in t.copies])  # tracked columns
@@ -358,7 +358,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
 
     return BranchSweep(
         g_grid=np.array(sweep_g), eigenvalues=np.vstack(rows),
-        block=block_labels(mat, B), refinements=refinements, ambiguities=ambiguities,
+        block=part.label, refinements=refinements, ambiguities=ambiguities,
         metadata={"geometry": mat.basis.geometry, "N": mat.N, "step": step,
                   "min_step": MIN_STEP,
                   "tiebreak": "per exact block: slope-predicted squared displacement; "

@@ -120,7 +120,7 @@ def test_order_counts_own_block_cluster(disk60):
     m, B = disk60
     s = sw.run_sweep(m, B, 5.0, step=0.05)
     p = bp.find_branch_points(m, B, s)[0]
-    blocks = sp._blocks(m.lam, B)
+    blocks = sp.partition(m.lam, B).blocks
     own = np.concatenate([
         sla.eigvals(np.diag(m.lam[ix]) + 1j * p.g_star * B[np.ix_(ix, ix)])
         for ix in (blocks[k][0] for k in {s.block[b] for b in p.branches})])
@@ -133,18 +133,18 @@ def test_refine_solves_only_the_point_blocks(sphere60, sphere60_sweep13, monkeyp
     m, B = sphere60
     am = np.abs([q.m for q in m.basis.indices])
     solves = []
-    real_refine, real_diagonalize = bp.refine, bp.diagonalize
+    real_refine, real_solve = bp.refine, sp.Partition.solve
 
     def refine(*args, **kwargs):
         solves.append([])
         return real_refine(*args, **kwargs)
 
-    def diagonalize(mat, B, gbar, eigvals_only=False):
-        solves[-1].append((mat.N, eigvals_only))
-        return real_diagonalize(mat, B, gbar, eigvals_only)
+    def solve(part, gbar, eigvals_only=False):
+        solves[-1].append((len(part.label), eigvals_only))
+        return real_solve(part, gbar, eigvals_only)
 
     monkeypatch.setattr(bp, "refine", refine)
-    monkeypatch.setattr(bp, "diagonalize", diagonalize)
+    monkeypatch.setattr(sp.Partition, "solve", solve)
     points = bp.find_branch_points(m, B, sphere60_sweep13, max_branch=17)
     assert len(points) == len(solves) >= 3
     for p, calls in zip(points, solves):
@@ -152,6 +152,43 @@ def test_refine_solves_only_the_point_blocks(sphere60, sphere60_sweep13, monkeyp
         assert size < m.N
         assert {n for n, _ in calls} == {size}, p
         assert [only for _, only in calls].count(False) == 1, p
+
+
+def _count_calls(monkeypatch, name):
+    """Calls of spectrum's function `name`, through every module holding it."""
+    calls, real = [], getattr(sp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (sp, sw, bp):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("angles", [{}, {"theta_g": 0.3, "phi_g": 0.2}],
+                         ids=["z", "tilted"])
+def test_bisection_adds_solves_not_partitions(angles, monkeypatch):
+    """Each refine partitions its restriction once, whatever the bracket
+    width: a narrower BRACKET_WIDTH adds block solves at the new bisection
+    points (spectrum._solve_block) and no partition (spectrum.partition)."""
+    m = mx.operator_for("sphere", 60)
+    B = mx.gradient_matrix(m, **angles)
+    s = sw.run_sweep(m, B, 13.0, step=0.05)
+    counts = []
+    for width in (1e-4, 1e-8):
+        monkeypatch.setattr(bp, "BRACKET_WIDTH", width)
+        parts = _count_calls(monkeypatch, "partition")
+        solves = _count_calls(monkeypatch, "_solve_block")
+        points = bp.find_branch_points(m, B, s, max_branch=17)
+        counts.append((len(points), len(parts), len(solves)))
+        monkeypatch.undo()
+    (n_wide, parts_wide, solves_wide), (n_narrow, parts_narrow, solves_narrow) = counts
+    assert n_wide == n_narrow >= 3
+    assert parts_wide == parts_narrow
+    assert solves_narrow > solves_wide
 
 
 def test_crossings_are_not_branch_points(sphere333_sweep):
@@ -198,7 +235,7 @@ def test_cylinder_tuned_angle_first_point():
     assert abs(first - 18.5) < 0.1
     # every point merges branches of one exact block (or of bit-identical
     # twin blocks): branches of decoupled sectors cross, they never merge
-    blocks = sp._blocks(m.lam, B)
+    blocks = sp.partition(m.lam, B).blocks
     for p in points:
         assert p.order >= 2, p
         twins = {blocks[s.block[b]][1] for b in p.branches}

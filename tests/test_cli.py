@@ -256,7 +256,7 @@ n_branches = 13
     assert cli.main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
     disk = mx.cylinder_factors(bas.build_cylinder_basis(200))[0]
     Bd = np.cos(np.deg2rad(78.23931266613657)) * disk.Bx
-    largest = max(len(ix) for ix, *_ in sp._blocks(disk.lam, Bd))
+    largest = max(len(ix) for ix, *_ in sp.partition(disk.lam, Bd).blocks)
     assert largest == 31
     assert sizes and max(sizes) <= largest
     doc = json.loads((out / "branchpoints.json").read_text())
@@ -712,7 +712,7 @@ def test_signal_and_fieldmap_solve_only_the_blocks_they_read(tmp_path, monkeypat
     monkeypatch.setattr(sp, "_solve_block", solve)
     monkeypatch.setattr(cli, "normalize", normalize)
     mat, B = _full_operator("sphere", {}, 100)
-    labels = sp.block_labels(mat, B)
+    labels = sp.partition(mat.lam, B).label
     width = {k: np.count_nonzero(labels == k) for k in np.unique(labels)}
 
     _run("signal", ["geometry=sphere", "N=100", "gbar=8", "tbars=0.2"], tmp_path)

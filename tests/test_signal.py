@@ -114,7 +114,7 @@ def test_signal_matrix_block_matches_full_expm(case, g, sphere60, cylinder60):
     else:
         mat = cylinder60
         B = mx.gradient_matrix(mat, eta=0.9)
-    label = sp.block_labels(mat, B)
+    label = sp.partition(mat.lam, B).label
     size = int(np.sum(label == label[0]))
     # a tilted sphere gradient couples everything into one block
     assert (size == mat.N) == (case == "sphere-tilted")

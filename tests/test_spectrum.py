@@ -131,7 +131,7 @@ def _block_case(name, sphere60, cylinder60, disk60):
                                   "cylinder", "disk", "interval"])
 def test_block_solve_matches_dense(name, sphere60, cylinder60, disk60):
     m, B, n_blocks, (m_ref, B_ref) = _block_case(name, sphere60, cylinder60, disk60)
-    blocks = sp._blocks(m.lam, B)
+    blocks = sp.partition(m.lam, B).blocks
     assert len(blocks) == n_blocks
     label = np.empty(m.N, dtype=int)
     for k, (ix, *_) in enumerate(blocks):
@@ -150,7 +150,7 @@ def test_block_solve_matches_dense(name, sphere60, cylinder60, disk60):
         lead = np.argmax(np.abs(s.X), axis=1)
         assert np.all(s.X[label[None, :] != label[lead][:, None]] == 0)
         assert np.array_equal(s.block, label[lead])
-        assert np.array_equal(sp.block_labels(m, B), label)
+        assert np.array_equal(sp.partition(m.lam, B).label, label)
         if name == "sphere_z":
             # the cos and sin sectors of one m are solved once: bit-identical
             # eigenvalues
@@ -175,7 +175,7 @@ def test_own_blocks_restriction_is_exact(name, sphere60, cylinder60, disk60):
             "cylinder": (cylinder60, mx.gradient_matrix(cylinder60, eta=np.pi / 4)),
             "sphere_tilted": (sphere60[0], mx.gradient_matrix(sphere60[0], theta_g=0.3, phi_g=0.2)),
             }[name]
-    label = sp.block_labels(m, B)
+    label = sp.partition(m.lam, B).label
     for modes in ([0], [2], [0, 7]):
         sub, B_sub, ix = sp.own_blocks(m, B, modes)
         keep = np.isin(label, label[modes])
@@ -216,7 +216,7 @@ def test_point_with_a_cut_twin_pair_has_its_own_norm(sphere60, sphere60_sweep13)
 
 def test_lapack_failure_names_gbar_and_block(sphere60, monkeypatch):
     m, B = sphere60
-    size = max(len(ix) for ix, *_ in sp._blocks(m.lam, B))
+    size = max(len(ix) for ix, *_ in sp.partition(m.lam, B).blocks)
     assert size < m.N
     geev = sp._geev
 
@@ -262,7 +262,7 @@ def test_stacked_block_solve_is_bit_identical_to_scalar_solves(geometry, N, entr
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sp, "STACK_ENTRIES", entries)
         mp.setattr(sp, "_geev", lambda M, vectors: shapes.append(M.shape) or geev(M, vectors))
-        for _, _, lam_b, K, _ in sp._blocks(m.lam, B):
+        for _, _, lam_b, K, _ in sp.partition(m.lam, B).blocks:
             if lam_b is None:
                 continue
             n, step = len(lam_b), sp._chunk_len(len(lam_b))
@@ -291,7 +291,7 @@ def test_failed_matrix_of_a_stack_names_its_gbar(sphere60, monkeypatch):
     naming its gbar and the block size; a non-finite gbar in the array is
     refused before any geev call."""
     m, B = sphere60
-    lam_b, K = next((b[2], b[3]) for b in sp._blocks(m.lam, B) if len(b[0]) == 12)
+    lam_b, K = next((b[2], b[3]) for b in sp.partition(m.lam, B).blocks if len(b[0]) == 12)
     g = np.linspace(0.0, 12.0, 241)
     bad = np.diag(lam_b) + g[57] * K
     calls, geev = [], sp._geev
@@ -374,7 +374,7 @@ def test_block_solve_is_bit_identical_to_scipy(name, sphere60):
     complex matrix diag(lam_b) + i*gbar*B_b to 1e-11 relative (at most
     3.7e-13 was measured on random sphere and disk operators)."""
     mat, B = _distinct_blocks(name, sphere60)
-    blocks = [(k, blk) for k, blk in enumerate(sp._blocks(mat.lam, B))
+    blocks = [(k, blk) for k, blk in enumerate(sp.partition(mat.lam, B).blocks)
               if blk[2] is not None]
     assert len(blocks) > 1 or name == "sphere_tilted"
     for g in (0.0, 0.7, 4.73, 11.98, 25.0):
@@ -419,7 +419,7 @@ def test_block_rows_are_left_eigenvectors(geometry, N, g, theta, phi):
     direction = {"tilted_sphere": {"theta_g": theta, "phi_g": phi},
                  "cylinder": {"eta": theta}}.get(geometry, {})
     B = mx.gradient_matrix(m, **direction)
-    for ix, _, lam_b, K, d in sp._blocks(m.lam, B):
+    for ix, _, lam_b, K, d in sp.partition(m.lam, B).blocks:
         if lam_b is None:
             continue
         M = np.diag(lam_b) + g * K
@@ -500,8 +500,9 @@ def test_non_real_eigenvalues_come_with_their_exact_conjugates(geometry, N, g,
 
 
 def test_block_cache_follows_values_not_identity():
-    """B scaled in place after a solve is partitioned again: 2B at gbar = 3
-    gives the spectrum of B at gbar = 6, bit for bit."""
+    """An in-place change of B is seen by the next solve: B scaled in place
+    after a solve gives, as 2B at gbar = 3, the spectrum of B at gbar = 6,
+    bit for bit."""
     m = mx.operator_for("sphere", 60)
     B = mx.gradient_matrix(m).copy()
     want = sp.diagonalize(m, B, 6.0).eigenvalues
@@ -514,7 +515,7 @@ def test_block_cache_follows_values_not_identity():
                          ids=["triangle", "diagonal"])
 def test_odd_cycle_raises(edges):
     """A B whose nonzero graph has an odd cycle (here a triangle, or a
-    nonzero diagonal entry) has no phases that make it real: _blocks raises
+    nonzero diagonal entry) has no phases that make it real: partition raises
     NumericalError instead of solving a wrong real form."""
     lam = np.array([1.0, 2.0, 3.0, 4.0])
     B = np.zeros((4, 4))
@@ -522,7 +523,7 @@ def test_odd_cycle_raises(edges):
     for i, j in edges:
         B[i, j] = B[j, i] = 0.25
     with pytest.raises(NumericalError, match="odd cycle"):
-        sp._blocks(lam, B)
+        sp.partition(lam, B)
 
 
 def _reachable_partition(adj):
@@ -746,7 +747,7 @@ def test_sign_convention_reproducible(sphere60):
         row = np.array(row, dtype=complex)
         assert (row[1] * sp._sign_fix(row)).real > 0
     # the rows of a restriction to exact blocks are the full route's rows
-    labels = sp.block_labels(m, B)
+    labels = sp.partition(m.lam, B).label
     for k in np.unique(labels):
         sub, B_sub, ix = sp.own_blocks(m, B, [0, np.argmax(labels == k)])
         r = normalized(sub, B_sub, 3.0)

@@ -334,7 +334,7 @@ def test_tilted_sphere_matches_z_sweep(sphere60):
     assert len(pz) == 3
     for theta, phi in [(0.3, 0.2), *np.deg2rad([(30.0, 20.0), (80.0, 20.0), (30.0, 0.0)])]:
         Bt = mx.gradient_matrix(m, theta_g=theta, phi_g=phi)
-        assert len(set(sp.block_labels(m, Bt))) == (1 if phi else 2)
+        assert len(set(sp.partition(m.lam, Bt).label)) == (1 if phi else 2)
         st = sw.run_sweep(m, Bt, 16.0, step=0.05)
         assert np.array_equal(st.g_grid, sz.g_grid)
         assert st.ambiguities == sz.ambiguities == []
@@ -363,7 +363,7 @@ def test_transfer_flags_a_block_that_is_no_rotation_of_z(tmp_path):
     Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
     P = np.random.default_rng(3).standard_normal(Bt.shape)
     Bp = Bt * (1 + 1e-3 * (P + P.T))
-    assert sw._z_labelled(m, Bp)
+    assert sw._z_labelled(m, sp.partition(m.lam, Bp))
     s = sw.run_sweep(m, Bp, 2.0, step=0.1)
     sz = sw.run_sweep(m, mx.gradient_matrix(m), 2.0, step=0.1)
     assert np.array_equal(s.g_grid, sz.g_grid) and s.refinements == sz.refinements == []
@@ -451,7 +451,7 @@ def test_degenerate_class_splits_at_second_order(N):
     about 16 (1.9e-9 was measured at gbar = 0.05 at both sizes)."""
     m = mx.operator_for("sphere", N)
     Bt = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
-    (t,) = sw._tracks(m, Bt, m.N)
+    (t,) = sw._tracks(sp.partition(m.lam, Bt), m.N)
     cid = sp._degenerate_classes(t.lam)
     w = np.zeros(len(t.lam))
     for c in range(cid.max() + 1):
@@ -500,8 +500,8 @@ def test_sweep_solves_only_the_blocks_of_reported_branches(sphere60, monkeypatch
     assert dict(calls) == {(5, False): 2, (7, False): 3, (9, False): 5, (12, False): 9}
     assert len(steps) == 0
     # the solved orders are those of the distinct blocks holding a branch below 17
-    blocks = sp._blocks(m.lam, B)
-    label = sp.block_labels(m, B)
+    part = sp.partition(m.lam, B)
+    blocks, label = part.blocks, part.label
     held = {blocks[k][1] for k in label[:17]}
     assert sorted(len(blocks[k][0]) for k in held) == [5, 7, 9, 12]
     tracked = np.isin(label, [k for k, b in enumerate(blocks) if b[1] in held])
@@ -560,8 +560,9 @@ def test_order_labels_equal_the_matched_sweep(geometry, N, g_max, monkeypatch):
     calls match_step."""
     m = mx.operator_for(geometry, N)
     B = mx.gradient_matrix(m)
-    tracks = sw._tracks(m, B, m.N)
-    assert sw._ranked(m) and not sw._z_labelled(m, B)
+    part = sp.partition(m.lam, B)
+    tracks = sw._tracks(part, m.N)
+    assert sw._ranked(m) and not sw._z_labelled(m, part)
     steps = _count_matches(monkeypatch)
     ranked = sw.run_sweep(m, B, g_max)
     assert steps == []
@@ -599,9 +600,10 @@ def test_guard_still_bisects_a_real_crossing_of_the_dense_cylinder(monkeypatch):
     the same block would pass it unrefined.  The tilted sphere's block, with
     its degenerate classes at gbar = 0, takes the z sweep's labels instead."""
     sphere = mx.operator_for("sphere", 30)
-    assert sw._z_labelled(sphere, mx.gradient_matrix(sphere, theta_g=0.3, phi_g=0.2))
+    Bt = mx.gradient_matrix(sphere, theta_g=0.3, phi_g=0.2)
+    assert sw._z_labelled(sphere, sp.partition(sphere.lam, Bt))
     m, B = _mini_cylinder()
-    assert not sw._ranked(m) and not sw._z_labelled(m, B)
+    assert not sw._ranked(m) and not sw._z_labelled(m, sp.partition(m.lam, B))
     w = sp.diagonalize(m, B, 1.0, eigvals_only=True).eigenvalues
     assert w[1] == pytest.approx(w[2], abs=1e-14) and not w.imag.any()
     steps = _count_matches(monkeypatch)
@@ -683,7 +685,7 @@ def test_guard_reports_a_cost_tie_on_a_cos_block(sphere60):
     real branches predicted at the midpoint of their next two values are a
     cost tie that no rule decides: the guard reports it unresolved."""
     m, B = sphere60
-    t = next(t for t in sw._tracks(m, B, m.N) if m.basis.indices[t.ix[0]].m == 1)
+    t = next(t for t in sw._tracks(sp.partition(m.lam, B), m.N) if m.basis.indices[t.ix[0]].m == 1)
     assert len(t.copies) == 2
     assert [m.basis.indices[ix[0]].l for ix in t.copies] == [1, 2]
     b = sp.Spectrum(gbar=2.01, eigenvalues=sp._solve_block(t.lam, t.K, 2.01, True)[0])
@@ -700,8 +702,9 @@ def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
     its result.  The blocks go through match_step (their order labels are
     patched off), where the tie is injected."""
     m, B = sphere60
-    t = next(t for t in sw._tracks(m, B, m.N) if m.basis.indices[t.ix[0]].m == 1)
-    assert sum(len(u.ix) == len(t.ix) for u in sw._tracks(m, B, m.N)) == 1
+    tracks = sw._tracks(sp.partition(m.lam, B), m.N)
+    t = next(t for t in tracks if m.basis.indices[t.ix[0]].m == 1)
+    assert sum(len(u.ix) == len(t.ix) for u in tracks) == 1
     monkeypatch.setattr(sw, "_ranked", lambda mat: False)
     match = sw.match_step
 
