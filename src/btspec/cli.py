@@ -14,6 +14,7 @@ signal and fieldmap solve eigenvectors only on the exact blocks they read
 constant mode's block, the only one with mu_j = X[j, 0] != 0; a fieldmap on
 row j's block and the constant mode's block, whose column 0 the sign rule
 reads.  A one-block operator (tilted sphere, reduced sphere) is solved whole.
+Each command partitions the full operator into its blocks once.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error, 4 numerical
 failure.
@@ -38,8 +39,8 @@ from .matrices import gradient_direction, gradient_matrix, operator_for
 from .montecarlo import WalkConfig, mc_signals
 from .signal import (PulsePlan, compute_coefficients, signal_matrix,
                      signal_one_mode, signal_spectral, signal_two_mode)
-from .spectrum import (canonical_order, diagonalize, normalize, own_blocks, partition,
-                       slowest_pair, spectrum_at_negative_g)
+from .spectrum import (_own_blocks, canonical_order, diagonalize, normalize, own_blocks,
+                       partition, slowest_pair, spectrum_at_negative_g)
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
@@ -296,7 +297,7 @@ def cmd_signal(cfg: RunConfig, direction: tuple) -> int:
     rows = []
     for plan in plans:
         tb = plan.tbar
-        Sm = signal_matrix(mat, B, gbar, tb)
+        Sm = signal_matrix(sub, B_sub, gbar, tb)  # sub is its own restriction
         Ss = signal_spectral(spec, spec_m, coeffs, tb)
         if i2 is None:
             one = signal_one_mode(lam1.real, coeffs.C[i1, i1].real, tb).real
@@ -332,13 +333,13 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
             f"truncation N={cfg.N} too small for branch index {j}; "
             f"need N >= {5 * j}")
     mat, B = _build_operator(cfg)
+    part = partition(mat.lam, B)
     # rank all blocks' values; restricting keeps the full spectrum's row
     # order, so canonical row r is row k of the included blocks
-    w = diagonalize(mat, B, g, eigvals_only=True)
+    w = part.solve(g, eigvals_only=True)
     r = canonical_order(w.eigenvalues)[j - 1]
-    labels = partition(mat.lam, B).label
-    sub, B_sub, ix = own_blocks(mat, B, [0, np.argmax(labels == w.block[r])])
-    k = np.count_nonzero(np.isin(w.block[:r], labels[ix]))
+    sub, B_sub, ix = _own_blocks(mat, B, part, [0, np.argmax(part.label == w.block[r])])
+    k = np.count_nonzero(np.isin(w.block[:r], part.label[ix]))
     raw = diagonalize(sub, B_sub, g)
     spec = normalize(raw)
     grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution)

@@ -112,7 +112,12 @@ def eval_eigenfunction(x_row: np.ndarray, basis: BasisSet,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3:
         raise DomainError("points must have shape (P, 3)")
-    mask = inside_mask(basis, pts)
+    return _eval_inside(x_row, basis, pts, inside_mask(basis, pts))
+
+
+def _eval_inside(x_row: np.ndarray, basis: BasisSet, pts: np.ndarray,
+                 mask: np.ndarray) -> np.ndarray:
+    """eval_eigenfunction at the points pts (P, 3) whose inside_mask is mask."""
     x, y, z = pts[mask].T
     r = np.sqrt(x * x + y * y + z * z)
     raw = {  # coordinates, each computed only when a factor reads it
@@ -164,7 +169,8 @@ def export_projection(spec: Spectrum, basis: BasisSet, j: int,
     pts = np.zeros((ax1.size, ax2.size, 3))
     pts[..., 0], pts[..., 2 if plane == "xz" else 1] = ax1[:, None], ax2
     inside = inside_mask(basis, pts)
-    vals = eval_eigenfunction(spec.X[j - 1], basis, pts.reshape(-1, 3)).reshape(inside.shape)
+    vals = _eval_inside(spec.X[j - 1], basis, pts.reshape(-1, 3),
+                        inside.reshape(-1)).reshape(inside.shape)
     return FieldGrid(axis1=ax1, axis2=ax2, values=vals, inside=inside, plane=plane,
                      j=j, gbar=spec.gbar, eigenvalue=complex(spec.eigenvalues[j - 1]),
                      flagged=spec.near_branch is not None and bool(spec.near_branch[j - 1]),

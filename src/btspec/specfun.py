@@ -22,6 +22,12 @@ follows by parity.  The same recurrences give J_n and j_n themselves
 (bessel_j, spherical_j), which the eigenfunction maps evaluate.  The
 fractional order -2/3 takes the same backward recurrence over the orders
 -2/3 + k, normalized by Neumann's sum for (z/2)^(-2/3) (bessel_jv_frac).
+
+Both recurrences run in chunks of at most _CHUNK_ENTRIES rows x columns and
+keep only the rows their callers read: the orders they return and, for a
+normalization sum, the even orders.  Their working memory is those rows plus
+one chunk, not a table of every order by every argument, and each value is
+bit for bit that of the full table (tests/besseloracle.py).
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ _BISECT_TOL = 1e-13
 # Below it the first term of the power series (_leading) is J_n and j_n to
 # rounding; Miller's recurrence would overflow on its coefficients 2k / z.
 _TINY = 1e-8
+# Most entries (rows x columns) of one chunk of a recurrence's rows, and of
+# _miller's coefficients: a call whose whole table is smaller builds it in
+# one go.
+_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -149,9 +159,27 @@ def _scan_zeros(f, orders, starts, count=None, upto=np.inf, df=None,
     return np.split(x[below], np.cumsum(np.bincount(row[below], minlength=len(n)))[:-1])
 
 
-def _miller(n, z, half: float):
-    """(y, top): y(k) gives unnormalized values, at the order k (an int, or
-    one per column, k >= 0), of the solution of
+def _ring(rows: int, cols: int) -> np.ndarray:
+    """Zeroed rows in which a three-term recurrence of rows x cols runs in
+    chunks: all its rows, or else an even number, at least 4, of at most
+    _CHUNK_ENTRIES / cols.  With s rows, chunk t holds the rows
+    g = t s .. g + s - 1, row g + b in row b, and rows b - 1 and b - 2 (by
+    Python's wrap-around of negative indices, for b < 2) hold the two rows
+    before it, so nothing is copied between chunks."""
+    return np.zeros((min(rows, max(4, _CHUNK_ENTRIES // max(cols, 1) // 2 * 2)), cols))
+
+
+def _windows(at, size: int, rows: int) -> list:
+    """For each chunk of `size` of the `rows` rows, the columns i whose
+    row at[i] is in it."""
+    o = np.argsort(at, kind="stable")
+    cut = [0, *np.searchsorted(at[o], np.arange(size, rows, size)).tolist(), len(o)]
+    return [o[a:b] for a, b in zip(cut, cut[1:])]
+
+
+def _miller(n, z, half: float, ks, evens: bool = False) -> tuple:
+    """(vals, even_sum, top): vals[i] gives unnormalized values, at the
+    order ks[i] (an int, or one per column, >= 0), of the solution of
     y_{k-1} = (2k + half) / z_i * y_k - y_{k+1} that is recessive as k grows
     (J_{k + half/2}, DLMF 10.6.1: J_k for half = 0, J_{k-2/3} for
     half = -4/3; the spherical j_k for half = 1, DLMF 10.51.1), by Miller's
@@ -163,23 +191,82 @@ def _miller(n, z, half: float):
     scaled by 2^-500 as a whole, which is exact, so small z cannot overflow.
     The start and the scalings depend on (n_i, z_i) alone and the columns
     never mix, so every column is bit for bit that of a call for it alone.
-    n and z are 1-d, z > 0."""
+    With evens, even_sum(k, w=None) is the last row of
+    np.cumsum(w[:, None] * y(k[:, None]), axis=0) (w = 1 when None) for a
+    1-d array k of even orders >= 0; else it is None.  n and z are 1-d,
+    z > 0.
+
+    Working memory: the recurrence and its coefficients run in chunks of at
+    most _CHUNK_ENTRIES rows x columns (_ring), and only the rows read are
+    kept: one value per column for each order of ks and, with evens, the
+    even orders, half a table (cumsum adds them from low order to high, the
+    reverse of the recurrence, so they are stored).  A call whose table
+    fits one chunk builds it whole, as a full-table recurrence does.  Every
+    value is bit for bit that of the full (top + 2) x len(z) table: the
+    same rows are computed by the same operations, and a scaling applies
+    to the kept values as to the rows of the table it scales."""
+    cols = len(z)
     start = np.floor(np.maximum(n, z) + 10.0 + 8.0 * np.cbrt(z)).astype(np.intp)
     top = int(start.max(initial=10))  # 10: the least start, for no z
-    # row r of y holds the order start + 1 - r of each column, so that every
+    rows = top + 2
+    # row r holds the order start + 1 - r of each column, so that every
     # column starts at row 1; below order 0 (c = 0) nothing is read
-    order = start + 1 - np.arange(top + 2)[:, None]
-    c = list(np.where(order >= 0, (2.0 * (order + 1) + half) * (1.0 / z), 0.0))
-    y = np.zeros((top + 2, len(z)))
+    s1 = start + 1
+    at = [np.maximum(s1 - k, 0) for k in ks]
+    y = _ring(rows, cols)
     y[1] = 1.0
-    rows = list(y)  # row views: the loop is call-bound
-    for r in range(2, top + 2):  # y_k = c_{k+1} y_{k+1} - y_{k+2}
-        np.multiply(c[r], rows[r - 1], out=rows[r])
-        np.subtract(rows[r], rows[r - 2], out=rows[r])
-        if r % 8 == 0 and (big := np.abs(rows[r]) > 2.0**500).any():
-            y[:r + 1, big] *= 2.0**-500
-    cols = np.arange(len(z))
-    return lambda k: y[np.maximum(start + 1 - np.asarray(k), 0), cols], top
+    size, colix = len(y), np.arange(cols)
+    whole = size == rows
+    wins = None if whole else [_windows(a, size, rows) for a in at]
+    vals = [np.zeros(cols) for _ in ks]
+    # an even order k is in row start + 1 - k of the whole table, or else in
+    # row (start + 1 - k) // 2 of kept, whose row j holds row 2j + odd of
+    # each column and whose last row stays 0, for the orders above start + 1
+    odd = None if whole or not evens else s1 % 2 == 1
+    kept = np.zeros(((rows - 1) // 2 + 2 if odd is not None else 0, cols))
+    inv, row = 1.0 / z, list(y)  # row views: the loop is call-bound
+    for t, g in enumerate(range(0, rows, size)):
+        b0, nb = 2 if g == 0 else 0, min(size, rows - g)
+        k1 = s1 + 1 - np.arange(g + b0, g + nb)[:, None]  # the order of row b, + 1
+        c = 2.0 * k1  # c_{k+1} = (2(k + 1) + half) / z, in place; 0 below order 0
+        c += half
+        c *= inv
+        c[k1 < 1] = 0.0
+        c = list(c)
+        for b in range(b0, nb):  # y_k = c_{k+1} y_{k+1} - y_{k+2}
+            np.multiply(c[b - b0], row[b - 1], row[b])  # out by position:
+            np.subtract(row[b], row[b - 2], row[b])     # faster to parse
+            if (g + b) % 8 == 0 and (big := np.abs(row[b]) > 2.0**500).any():
+                y[:, big] *= 2.0**-500  # rows up to g + b, or not yet computed
+                for v in (*vals, kept):
+                    v[..., big] *= 2.0**-500
+        if whole:
+            continue
+        for v, a, w in zip(vals, at, wins):
+            i = w[t]
+            v[i] = y[a[i] - g, i]
+        if odd is not None:  # g is even: rows g, g + 2, ... to the ~odd columns
+            for p, new in ((~odd, y[:nb:2]), (odd, y[1:nb:2])):
+                np.copyto(kept[g // 2:][:len(new)], new, where=p)
+    if whole:
+        vals = [y[a, colix] for a in at]
+    step = max(1, _CHUNK_ENTRIES // max(cols, 1))
+
+    def even_sum(k, w=None):
+        # cumsum adds in order, where sum may add pairwise depending on the
+        # shape; a block's first row adds the sum of the blocks before it
+        s = None
+        for b in range(0, len(k), step):
+            r = s1 - k[b:b + step, None]
+            t = y[np.maximum(r, 0), colix] if odd is None else \
+                kept[np.maximum(r // 2, -1), colix]
+            if w is not None:
+                t = w[b:b + step, None] * t
+            if s is not None:
+                t[0] += s
+            s = np.cumsum(t, axis=0)[-1]
+        return s
+    return vals, even_sum if evens else None, top
 
 
 def _elementwise(d: int):
@@ -216,13 +303,14 @@ def _bessel_J(n, z, offsets) -> list:
     """J_{n+o}(z) for each offset o, from one recurrence normalized by
     J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4), or below _TINY from _leading, and
     J_{-m} = (-1)^m J_m."""
-    tiny = z < _TINY
-    y, top = _miller(n, np.where(tiny, 1.0, z), 0)  # tiny z: _leading below
-    # cumsum adds in order, where sum may add pairwise depending on the shape
-    norm = y(0) + 2.0 * np.cumsum(y(np.arange(2, top + 2, 2)[:, None]), axis=0)[-1]
+    tiny = z < _TINY  # tiny z: _leading below
+    ks = [n + o for o in offsets]
+    (y0, *ys), even_sum, top = _miller(n, np.where(tiny, 1.0, z), 0,
+                                       [0, *map(np.abs, ks)], evens=True)
+    norm = y0 + 2.0 * even_sum(np.arange(2, top + 2, 2))
     out = []
-    for k in (n + o for o in offsets):
-        v = y(np.abs(k)) / norm
+    for k, y in zip(ks, ys):
+        v = y / norm
         if tiny.any():
             v[tiny] = _leading(np.abs(k[tiny]), z[tiny], 0)
         out.append(np.where((k < 0) & (k % 2 == 1), -v, v))
@@ -263,23 +351,31 @@ def _spherical_j(k, z) -> np.ndarray:
     up = (k == 0) | (k < z)
     if up.any():
         ku, zu = k[up], z[up]
-        j = np.empty((max(int(ku.max()), 1) + 1, len(zu)))
+        rows = max(int(ku.max()), 1) + 1
+        j = _ring(rows, len(zu))  # row m of the recurrence is j_m
         j[0] = np.sin(zu) / zu
         j[1] = (j[0] - np.cos(zu)) / zu
+        size, row = len(j), list(j)  # row views, out by position: call-bound
+        win = _windows(ku, size, rows) if size < rows else None
+        ju = np.empty(len(zu))
         # a column runs on past its own order, where it may overflow unread
         with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(2, len(j)):  # j_m = (2m - 1) / z j_{m-1} - j_{m-2}
-                np.multiply(j[m - 1], 2 * m - 1, out=j[m])
-                np.divide(j[m], zu, out=j[m])
-                np.subtract(j[m], j[m - 2], out=j[m])
-        out[up] = j[ku, np.arange(len(zu))]
+            for t, g in enumerate(range(0, rows, size)):
+                for b in range(2 if g == 0 else 0, min(size, rows - g)):
+                    np.multiply(row[b - 1], 2 * (g + b) - 1, row[b])  # j_m = (2m - 1)
+                    np.divide(row[b], zu, row[b])              # / z j_{m-1} - j_{m-2}
+                    np.subtract(row[b], row[b - 2], row[b])
+                if win is not None:
+                    i = win[t]
+                    ju[i] = j[ku[i] - g, i]
+        out[up] = ju if win is not None else j[ku, np.arange(len(zu))]
     if not up.all():
         kd, zd = k[~up], z[~up]
-        y, _ = _miller(kd, zd, 1)
+        (y0, y1, yk), _, _ = _miller(kd, zd, 1, (0, 1, kd))
         j0 = np.sin(zd) / zd
         j1 = (j0 - np.cos(zd)) / zd
-        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / y(0), j1 / y(1))
-        out[~up] = scale * y(kd)
+        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / y0, j1 / y1)
+        out[~up] = scale * yk
     if tiny.any():
         out[tiny] = _leading(k[tiny], given[tiny], 1)
     return out
@@ -332,11 +428,11 @@ def bessel_jv_frac(nu: float, z) -> tuple:
     half = 2 nu), normalized by Neumann's sum, all of whose terms are
     positive: (z/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k! J_{nu+2k}(z)
     (DLMF §10.23).  As in _bessel_J, each element depends on its z alone."""
-    y, top = _miller(np.zeros(len(z)), z, 2.0 * nu)
+    (y0, y1), even_sum, top = _miller(np.zeros(len(z)), z, 2.0 * nu, (0, 1), evens=True)
     k = np.arange(top // 2 + 1)  # Gamma(nu + k) / k! by its ratios (nu + k - 1) / k
     a = (nu + 2 * k) * np.cumprod(np.r_[math.gamma(nu), (nu + k[:-1]) / k[1:]])
-    scale = (0.5 * z) ** nu / np.cumsum(a[:, None] * y(2 * k[:, None]), axis=0)[-1]
-    return scale * y(0), scale * y(1)
+    scale = (0.5 * z) ** nu / even_sum(2 * k, a)
+    return scale * y0, scale * y1
 
 
 def zeros_J_minus_two_thirds(count: int) -> ZeroTable:

@@ -195,7 +195,11 @@ def own_blocks(mat: OperatorMatrices, B: np.ndarray, modes):
     the full solve, so its rows are the full spectrum's rows of these blocks,
     bit for bit and in the same order.
     """
-    part = partition(mat.lam, B)
+    return _own_blocks(mat, B, partition(mat.lam, B), modes)
+
+
+def _own_blocks(mat: OperatorMatrices, B: np.ndarray, part: Partition, modes):
+    """own_blocks with the operator's partition `part` already built."""
     ix = np.sort(np.concatenate([part.blocks[k][0] for k in {part.label[j] for j in modes}]))
     basis = replace(mat.basis, indices=tuple(mat.basis.indices[i] for i in ix),
                     eigenvalues=mat.basis.eigenvalues[ix],

@@ -733,6 +733,24 @@ def test_signal_and_fieldmap_solve_only_the_blocks_they_read(tmp_path, monkeypat
     assert normalized_rows == [len(read)] and len(read) < mat.N // 2
 
 
+def test_signal_and_fieldmap_partition_the_full_operator_once(tmp_path, monkeypatch):
+    """Each command walks the full operator's graph (spectrum._components,
+    which partition calls) once; every other walk is on the restriction."""
+    walks = []
+
+    def components(adj, _components=sp._components):
+        walks.append(len(adj))
+        return _components(adj)
+    N = _full_operator("sphere", {}, 100)[0].N
+    monkeypatch.setattr(sp, "_components", components)
+    _run("signal", ["geometry=sphere", "N=100", "gbar=8", "tbars=0.2,0.5,1"], tmp_path)
+    assert walks[0] == N and max(walks[1:]) < N
+    walks.clear()
+    _run("fieldmap", ["geometry=sphere", "N=100", "resolution=1"], tmp_path,
+         ["--j", "4", "--g", "12"])
+    assert walks[0] == N and max(walks[1:]) < N
+
+
 def _fmt(x):
     return "%.17g" % x
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,40 @@ def test_factors_evaluated_once_per_distinct_coordinate(sphere60, monkeypatch, k
     assert sorted(legendre) == sorted({(ix.n, ix.m) for ix in modes})
     if kw:
         assert len(modes) > 2 * len(nk)  # radial factors shared by several m
+
+
+def test_inside_mask_is_computed_once(sphere60, monkeypatch):
+    """export_projection and eval_eigenfunction each compute the mask once."""
+    m, B = sphere60
+    s = canonical(normalized(m, B, 5.63))
+    calls = []
+
+    def inside_mask(basis, pts, _f=fm.inside_mask):
+        calls.append(pts.shape)
+        return _f(basis, pts)
+    monkeypatch.setattr(fm, "inside_mask", inside_mask)
+    grid = fm.export_projection(s, m.basis, 1, resolution=21)
+    assert calls == [(21, 21, 3)]
+    calls.clear()
+    v = fm.eval_eigenfunction(s.X[0], m.basis, np.zeros((4, 3)))
+    assert calls == [(4, 3)] and np.allclose(v, grid.values[10, 10])
+
+
+def test_export_projection_memory_per_grid_point(sphere333):
+    """The tracemalloc peak of export_projection at resolution 401 on the
+    N = 333 sphere (j = 1, gbar = 5.63) stays below 160 bytes per grid
+    point: 123 were measured (18.8 MB), where the full-table Bessel
+    recurrences gave 205 (31.5 MB).  What remains is the grid itself, the inside points'
+    coordinates and the complex values, not the Bessel order."""
+    m, B = sphere333
+    s = canonical(normalized(m, B, 5.63))
+    tracemalloc.start()
+    try:
+        fm.export_projection(s, m.basis, 1, resolution=401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 401**2
 
 
 @functools.cache

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import besseloracle as bo
 import scanoracle as so
 from btspec import basis, specfun
 from btspec.errors import ConvergenceError, DomainError
@@ -335,3 +337,69 @@ def test_radial_evaluators_match_scipy_on_the_N1000_bases(geometry, u):
     f, ref = ((specfun.spherical_j, special.spherical_jn) if "sphere" in geometry
               else (specfun.bessel_j, special.jv))
     assert np.max(np.abs(f(n[:, None], z) - ref(n[:, None], z))) <= 1e-14
+
+
+def _equals_full_table(n, z):
+    """Each evaluator equals the full-table recurrences of besseloracle bit for
+    bit at (n, z), and bessel_jv_frac (nu = -2/3 and 1/3) at the z >= _TINY:
+    it has no power-series path, and below about 1e-20 its recurrence
+    overflows in both routes."""
+    for name in ("bessel_j", "bessel_jvp", "bessel_jvpp", "spherical_j", "spherical_jnp"):
+        got, ref = getattr(specfun, name)(n, z), getattr(bo, name)(n, z)
+        assert np.shape(got) == np.shape(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes(), name
+    zf = np.asarray(z, dtype=float).ravel()
+    zf = zf[zf >= specfun._TINY]
+    for nu in (-2.0 / 3.0, 1.0 / 3.0):
+        for got, ref in zip(specfun.bessel_jv_frac(nu, zf), bo.bessel_jv_frac(nu, zf)):
+            assert got.tobytes() == ref.tobytes(), nu
+
+
+@settings(max_examples=60, deadline=None)
+@given(nz=st.lists(st.tuples(st.integers(0, 120),
+                             st.floats(0.0, 400.0, exclude_min=True)), min_size=1, max_size=60))
+@example(nz=[(60, 0.01), (120, 1e-3), (3, 400.0)])  # rescaled columns, see below
+@example(nz=[(0, 5e-9), (7, 1e-300), (120, 9.9e-9)])  # below _TINY
+@example(nz=[(5, 2.0)])  # one column
+def test_recurrences_equal_the_full_table(nz):
+    """The chunked recurrences keep only the rows they read; every value is
+    the full table's, bit for bit.  Up to 60 columns of start up to about
+    480 span several chunks of _CHUNK_ENTRIES entries once there are more
+    than about 34 of them.  J_60(0.01) is about 1e-220 against its
+    recurrence's start value 1, so that column is scaled by 2^-500 on the
+    way down; at (120, 1e-3) it is scaled four times."""
+    n, z = (np.array(v) for v in zip(*nz))
+    _equals_full_table(n, z)
+    _equals_full_table(n, -z)  # parity
+
+
+def test_recurrences_equal_the_full_table_at_the_edges():
+    """z = 0, empty input, a scalar, and one call of 5000 columns whose rows
+    span many chunks (5000 columns x at least 12 rows > _CHUNK_ENTRIES)."""
+    assert 1e-230 < specfun.bessel_j(60, 0.01) < 1e-210  # the rescaled column
+    _equals_full_table(np.arange(121), np.zeros(121))
+    _equals_full_table(np.zeros(0, dtype=int), np.zeros(0))
+    _equals_full_table(4, 3.5)
+    rng = np.random.default_rng(38)
+    n, z = rng.integers(0, 121, 5000), rng.uniform(0.0, 400.0, 5000)
+    z[:50] = rng.uniform(0.0, 0.05, 50)  # deep recurrences, rescaled
+    assert 5000 * 12 > specfun._CHUNK_ENTRIES
+    _equals_full_table(n, z)
+    _equals_full_table(60, z)  # one order: every column's rows shift with z
+
+
+@pytest.mark.parametrize("max_order", [10, 60])
+def test_spherical_j_memory_does_not_grow_with_the_order(max_order):
+    """The tracemalloc peak of spherical_j on 20,000 points stays below 32
+    times the input's z.nbytes at either highest order: measured 16.0 at 10
+    and 25.4 at 60 (the full tables gave 27.6 and 210.7).  What remains
+    grows with the share of columns that take Miller's recurrence, not with
+    the order."""
+    rng = np.random.default_rng(7)
+    n, z = rng.integers(0, max_order + 1, 20_000), rng.uniform(0.0, 50.0, 20_000)
+    tracemalloc.start()
+    try:
+        specfun.spherical_j(n, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * z.nbytes
