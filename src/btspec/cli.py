@@ -233,8 +233,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if n_out > mat.N:
         raise ConfigError(f"n_branches={n_out} exceeds the basis size {mat.N}")
     if cfg.geometry == "cylinder":
-        # B goes unused by the factor route (cylinder_branch_points); it is
-        # built all the same, as the end of set-up that perfbench times
+        # the factor route (cylinder_branch_points) never reads B: it is
+        # built all the same, as the end of set-up that perfbench times, and
+        # released at once
+        del B
         sweep, points = cylinder_branch_points(
             mat, cfg.angles().get("eta"), cfg.g_max, step=cfg.g_step, n_branches=n_out)
     else:
@@ -340,6 +342,8 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
     r = canonical_order(w.eigenvalues)[j - 1]
     sub, B_sub, ix = _own_blocks(mat, B, part, [0, np.argmax(part.label == w.block[r])])
     k = np.count_nonzero(np.isin(w.block[:r], part.label[ix]))
+    # the rest reads only the restriction: the full operator goes before the grid
+    del mat, B, part, w
     raw = diagonalize(sub, B_sub, g)
     spec = normalize(raw)
     grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution)

@@ -11,7 +11,10 @@ sin(n phi) on the disk, times cos(pi m (z + h/2) / h) on the cylinder; the
 interval has only the last.  The sphere and the disk share the azimuthal
 factor, of phi = arctan2(y, x).
 Each factor is evaluated once, on the distinct values of its coordinate among
-the inside points, and radial factors are summed per angular group.
+the inside points, and radial factors are summed per angular group.  A
+coordinate is kept only as its distinct values and the map of each point
+into them, and one angular group at a time is expanded to the points, so a
+section's working memory is a few point-sized arrays.
 The radial factors come from specfun's recurrences (bessel_j, spherical_j)
 and P_n^m from its upward recurrence in n (_legendre): a map loads numpy
 alone.
@@ -112,25 +115,49 @@ def eval_eigenfunction(x_row: np.ndarray, basis: BasisSet,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3:
         raise DomainError("points must have shape (P, 3)")
-    return _eval_inside(x_row, basis, pts, inside_mask(basis, pts))
+    mask = inside_mask(basis, pts)
+    return _fill(mask, _eval_inside(x_row, basis, lambda k: pts[mask, k]))
 
 
-def _eval_inside(x_row: np.ndarray, basis: BasisSet, pts: np.ndarray,
-                 mask: np.ndarray) -> np.ndarray:
-    """eval_eigenfunction at the points pts (P, 3) whose inside_mask is mask."""
-    x, y, z = pts[mask].T
-    r = np.sqrt(x * x + y * y + z * z)
-    raw = {  # coordinates, each computed only when a factor reads it
-        "r": lambda: r, "z": lambda: z, "rho": lambda: np.sqrt(x * x + y * y),
-        "phi": lambda: np.arctan2(y, x),
-        "xi": lambda: np.where(r > 0, z / np.maximum(r, 1e-300), 1.0)}
+def _fill(mask: np.ndarray, inner) -> np.ndarray:
+    """Complex array shaped like mask: inner where mask holds, NaN elsewhere."""
+    out = np.full(mask.shape, np.nan + 1j * np.nan)
+    out[mask] = inner
+    return out
+
+
+def _coordinate(c: str, point) -> np.ndarray:
+    """Coordinate c ('r', 'rho', 'phi', 'z' or 'xi') of the inside points,
+    from point(k), their cartesian coordinate k (x, y, z) as a new array."""
+    if c == "z":
+        return point(2)
+    if c == "phi":
+        return np.arctan2(point(1), point(0))
+    if c == "xi":
+        r = _coordinate("r", point)
+        return np.where(r > 0, point(2) / np.maximum(r, 1e-300), 1.0)
+    s = np.square(point(0))  # x*x + y*y (+ z*z), added left to right
+    for k in (1, 2) if c == "r" else (1,):
+        s += np.square(point(k))
+    return np.sqrt(s, out=s)
+
+
+def _eval_inside(x_row: np.ndarray, basis: BasisSet, point) -> np.ndarray | complex:
+    """v at the inside points, whose cartesian coordinate k is point(k)
+    (the scalar 0j for a zero row).
+
+    Each coordinate a factor reads is computed from fresh columns and kept
+    only as its distinct values and the map of each point into them; the
+    angular groups are expanded to the points one at a time.
+    """
     groups: dict[tuple, dict] = {}  # angular factors -> {radial factor: coefficient}
     for i in np.flatnonzero(np.abs(x_row) > 0):
         radial, *angular = _mode_factors(basis, i)
         groups.setdefault(tuple(angular), {})[radial] = x_row[i]
     uses = Counter(f for angular, terms in groups.items() for f in (*angular, *terms))
     # coordinate -> (distinct values, index of each inside point into them)
-    coords = {c: np.unique(raw[c](), return_inverse=True) for c in {c for c, _ in uses}}
+    coords = {c: np.unique(_coordinate(c, point), return_inverse=True)
+              for c in {c for c, _ in uses}}
     kept: dict[tuple, np.ndarray] = {}
 
     def factor(f):  # at the distinct values; kept until its last use
@@ -139,16 +166,16 @@ def _eval_inside(x_row: np.ndarray, basis: BasisSet, pts: np.ndarray,
         if uses[f]:
             kept[f] = vals
         return vals
-    inner = np.zeros(len(r), dtype=complex)
+    inner = 0j  # 0j + the first term is zeros + term, bit for bit
     for angular, terms in groups.items():
+        tables = [factor(f) for f in angular]  # before the group's term exists
         (coord, _), *_ = terms
         term = sum((c * factor(f) for f, c in terms.items()), 0j)[coords[coord][1]]
-        for f in angular:
-            term *= factor(f)[coords[f[0]][1]]
+        for f, table in zip(angular, tables):
+            term *= table[coords[f[0]][1]]
         inner += term
-    out = np.full(len(pts), np.nan + 1j * np.nan)
-    out[mask] = inner
-    return out
+        del term  # before the next group's tables
+    return inner
 
 
 def export_projection(spec: Spectrum, basis: BasisSet, j: int,
@@ -157,7 +184,8 @@ def export_projection(spec: Spectrum, basis: BasisSet, j: int,
 
     The grid covers the bounding box of the section; values are NaN outside
     the domain.  The eigenvalue and the near-branch-point flag travel with
-    the grid.
+    the grid.  The (n1, n2, 3) point array lives only until the mask is
+    made: the inside points' coordinates are taken from the axes.
     """
     if spec.X is None:
         raise DomainError("spectrum carries no eigenvectors")
@@ -166,11 +194,11 @@ def export_projection(spec: Spectrum, basis: BasisSet, j: int,
     if plane not in ("xz", "xy"):
         raise DomainError("plane must be 'xz' or 'xy'")
     ax1, ax2 = _section_axes(basis, resolution, plane)
-    pts = np.zeros((ax1.size, ax2.size, 3))
-    pts[..., 0], pts[..., 2 if plane == "xz" else 1] = ax1[:, None], ax2
-    inside = inside_mask(basis, pts)
-    vals = _eval_inside(spec.X[j - 1], basis, pts.reshape(-1, 3),
-                        inside.reshape(-1)).reshape(inside.shape)
+    zero = np.zeros((1, 1))
+    xyz = (ax1[:, None], zero, ax2) if plane == "xz" else (ax1[:, None], ax2, zero)
+    inside = inside_mask(basis, np.stack(np.broadcast_arrays(*xyz), axis=-1))
+    vals = _fill(inside, _eval_inside(
+        spec.X[j - 1], basis, lambda k: np.broadcast_to(xyz[k], inside.shape)[inside]))
     return FieldGrid(axis1=ax1, axis2=ax2, values=vals, inside=inside, plane=plane,
                      j=j, gbar=spec.gbar, eigenvalue=complex(spec.eigenvalues[j - 1]),
                      flagged=spec.near_branch is not None and bool(spec.near_branch[j - 1]),

@@ -165,44 +165,54 @@ def _pow2(v: np.ndarray) -> np.ndarray:
 
 
 def assemble_disk(basis: BasisSet) -> OperatorMatrices:
-    """Unit-disk operator; gradients live in the plane (B^x, B^y)."""
+    """Unit-disk operator; gradients live in the plane (B^x, B^y).
+
+    Filled, like assemble_sphere, from index arrays over the |n - n'| = 1
+    pairs by the operations of b_element_disk in the same order, so bit for
+    bit.  B^x couples cos to cos and sin to sin, B^y cos to sin; a guard
+    factor 0 zeroes the entries of an n + n' = 1 pair that would couple an
+    n = 0 sin mode, which vanishes identically (the basis has none).
+    """
     _expect(basis, "disk")
     N = len(basis)
-    idx = basis.indices
-    alphas = basis.alpha
+    n, l = (np.array([getattr(ix, q) for ix in basis.indices]) for q in "nl")
+    al = basis.alpha
+    beta = np.array([beta_disk(*p) for p in zip(n.tolist(), al.tolist())])
     Bx, By = np.zeros((N, N)), np.zeros((N, N))
-    for a in range(N):
-        for b in range(N):
-            Bx[a, b], By[a, b] = _disk_xy(idx[a], alphas[a], idx[b], alphas[b])
+    a, b = np.nonzero(np.abs(n[:, None] - n) == 1)
+    na, nb, sq = n[a], n[b], al * al
+    d = _pow2(sq[a] - sq[b])
+    if (bad := np.flatnonzero(d < _MIN_DENOM_SQ)).size:
+        _check_denom(al[a[bad[0]]], al[b[bad[0]]])  # raises, naming the pair
+    num = sq[a] + sq[b] - 2 * na * nb
+    pref = np.sqrt(1.0 + (na == 0) + (nb == 0))
+    base = pref * beta[a] * beta[b] * num / d
+    guarded = base * np.where(na + nb == 1, 0.0, 1.0)
+    la, lb = l[a], l[b]
+    x = la == lb
+    Bx[a[x], b[x]] = np.where(la == 1, base, guarded)[x]
+    # cos_n sin_(n+1) and sin_n cos_(n-1) carry +base, the other two -base
+    y = np.where(la == 1, nb == na + 1, nb == na - 1)
+    By[a[~x], b[~x]] = np.where(y, base, -guarded)[~x]
     return OperatorMatrices(basis, basis.eigenvalues.copy(), Bx, By, None)
 
 
-def _disk_xy(ia, aa, ib, ab):
-    """(B_d^x, B_d^y) entry between two disk modes (n, k, l)."""
-    na, la, nb, lb = ia.n, ia.l, ib.n, ib.l
-    if abs(na - nb) != 1:
-        return 0.0, 0.0
-    base = b_element_disk(na, aa, nb, ab)
-    guard = 0.0 if na + nb == 1 else 1.0
-    x = y = 0.0
-    if la == lb:
-        x = base if la == 1 else base * guard
-    elif la == 1 and lb == 2:
-        y = base if nb == na + 1 else -base * guard
-    elif la == 2 and lb == 1:
-        y = base if nb == na - 1 else -base * guard
-    return x, y
-
-
 def assemble_interval(basis: BasisSet) -> OperatorMatrices:
-    """Interval operator (Neumann cosine modes); the coordinate axis is z."""
+    """Interval operator (Neumann cosine modes); the coordinate axis is z.
+
+    Filled from index arrays over the pairs with m + m' odd, the only
+    nonzero elements, by the operations of b_element_interval in the same
+    order (its sign factor is -2 there), so bit for bit.
+    """
     _expect(basis, "interval")
     N = len(basis)
-    ms = [ix.m for ix in basis.indices]
+    m = np.array([ix.m for ix in basis.indices])
     B = np.zeros((N, N))
-    for a in range(N):
-        for b in range(N):
-            B[a, b] = basis.aspect * b_element_interval(ms[a], ms[b])
+    a, b = np.nonzero((m[:, None] + m) % 2 == 1)
+    ma, mb = m[a], m[b]
+    c = np.sqrt(2.0 - (ma == 0)) * np.sqrt(2.0 - (mb == 0))
+    B[a, b] = basis.aspect * (-2.0 * c * (ma * ma + mb * mb)
+                              / (np.pi**2 * (ma * ma - mb * mb) ** 2))
     return OperatorMatrices(basis, basis.eigenvalues.copy(), None, None, B)
 
 

@@ -83,8 +83,10 @@ class PulsePlan:
     R: float
 
     def __post_init__(self):
-        if min(self.delta, self.D0, self.gamma, self.R) < 0 or self.G < 0:
-            raise ConfigError("pulse plan requires non-negative physical inputs")
+        # gbar and tbar divide by D0 and R
+        if min(self.D0, self.R) <= 0 or min(self.delta, self.gamma, self.G) < 0:
+            raise ConfigError("pulse plan requires positive D0 and R and "
+                              "non-negative delta, gamma and G")
 
     @property
     def gbar(self) -> float:

@@ -2,18 +2,18 @@
 
 The bases are enumerated order by order under a cutoff that starts at 10 and
 doubles, each order's zeros requested from a table kept per (kind, order)
-and rescanned at every doubling; the sphere matrices are filled by a plain
-double loop over all (a, b) pairs, one b_element_sphere call per pair with
-|n - n'| = 1.  It is the slow, obviously sequential route that the
-multi-order zero scan and the index-array assembly must equal bit for bit
-(tests/test_matrices.py).
+and rescanned at every doubling; the sphere, disk and interval matrices are
+filled by a plain double loop over all (a, b) pairs, one scalar element call
+per pair (b_element_sphere for |n - n'| = 1, disk_xy, b_element_interval).
+It is the slow, obviously sequential route that the multi-order zero scan
+and the index-array assembly must equal bit for bit (tests/test_matrices.py).
 """
 
 import numpy as np
 
 from btspec import specfun
 from btspec.basis import BasisIndex, _cut_at_class_boundary
-from btspec.matrices import _disk_xy, b_element_interval, b_element_sphere
+from btspec.matrices import b_element_disk, b_element_interval, b_element_sphere
 
 _cache: dict = {}
 
@@ -166,6 +166,29 @@ def sphere_matrices(idx):
     return Bx, By, Bz
 
 
+def disk_xy(ia, aa, ib, ab):
+    """(B_d^x, B_d^y) entry between two disk modes (n, k, l)."""
+    na, la, nb, lb = ia.n, ia.l, ib.n, ib.l
+    if abs(na - nb) != 1:
+        return 0.0, 0.0
+    base = b_element_disk(na, aa, nb, ab)
+    guard = 0.0 if na + nb == 1 else 1.0
+    x = y = 0.0
+    if la == lb:
+        x = base if la == 1 else base * guard
+    elif la == 1 and lb == 2:
+        y = base if nb == na + 1 else -base * guard
+    elif la == 2 and lb == 1:
+        y = base if nb == na - 1 else -base * guard
+    return x, y
+
+
+def interval_matrix(ms, h):
+    """B^z of the interval of length h on the cosine orders ms, by the loop
+    over all (a, b) pairs."""
+    return np.array([[h * b_element_interval(ma, mb) for mb in ms] for ma in ms])
+
+
 def disk_matrices(idx):
     """(Bx, By) of the disk by the loop over all (a, b) pairs."""
     N = len(idx)
@@ -173,7 +196,7 @@ def disk_matrices(idx):
     Bx, By = np.zeros((N, N)), np.zeros((N, N))
     for a in range(N):
         for b in range(N):
-            Bx[a, b], By[a, b] = _disk_xy(idx[a], alphas[a], idx[b], alphas[b])
+            Bx[a, b], By[a, b] = disk_xy(idx[a], alphas[a], idx[b], alphas[b])
     return Bx, By
 
 
@@ -185,7 +208,7 @@ def cylinder_matrices(idx, h):
     for i, ia in enumerate(idx):
         for j, ib in enumerate(idx):
             if ia.m == ib.m:
-                Bx[i, j], By[i, j] = _disk_xy(ia, alphas[i], ib, alphas[j])
+                Bx[i, j], By[i, j] = disk_xy(ia, alphas[i], ib, alphas[j])
             if (ia.n, ia.k, ia.l) == (ib.n, ib.k, ib.l):
                 Bz[i, j] = h * b_element_interval(ia.m, ib.m)
     return Bx, By, Bz

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -280,6 +281,9 @@ def _fail_eigensolves(monkeypatch):
     ("fieldmap", SPHERE_SI, ["--set", "resolution=0", "--j", "1", "--g", "5.63"]),
     ("signal", SPHERE_SI, ["--set", "walkers=-5"]),
     ("signal", SPHERE_SI, ["--set", "walkers=200", "--set", "seed=-1"]),
+    # gbar and tbar divide by D0 and R
+    ("signal", SPHERE_SI, ["--set", "D0=0"]),
+    ("signal", SPHERE_SI, ["--set", "R_um=0"]),
     ("signal", DISK_SWEEP, ["--set", "gbar=2", "--set", "tbars=0.1",
                             "--set", "walkers=1000"]),
     # an angle the geometry does not read
@@ -301,7 +305,7 @@ def _fail_eigensolves(monkeypatch):
     ("sweep", DISK_SWEEP, ["--set", "geometry=cylinder", "--set", "aspect=2",
                            "--set", "R_um=1", "--set", "H_um=3"]),
 ], ids=["n_branches_above_basis", "resolution_zero", "negative_walkers",
-        "negative_seed", "disk_has_no_walker", "eta_on_sphere",
+        "negative_seed", "zero_D0", "zero_R", "disk_has_no_walker", "eta_on_sphere",
         "theta_on_reduced_sphere", "phi_on_cylinder_sweep", "eta_on_disk",
         "theta_on_interval", "H_without_R", "H_on_sphere", "H_on_interval",
         "aspect_on_sphere", "aspect_on_reduced_sphere", "aspect_on_disk",
@@ -749,6 +753,37 @@ def test_signal_and_fieldmap_partition_the_full_operator_once(tmp_path, monkeypa
     _run("fieldmap", ["geometry=sphere", "N=100", "resolution=1"], tmp_path,
          ["--j", "4", "--g", "12"])
     assert walks[0] == N and max(walks[1:]) < N
+
+
+@pytest.mark.parametrize("command, sets, extra, stage, released", [
+    ("fieldmap", ["geometry=sphere", "N=40", "resolution=11"], ["--j", "2", "--g", "3"],
+     "export_projection", ("operator_for", "gradient_matrix", "partition")),
+    ("sweep", ["geometry=cylinder", "N=30", "g_max=2", "eta_deg=40"], [],
+     "cylinder_branch_points", ("gradient_matrix",)),
+], ids=["fieldmap", "cylinder_sweep"])
+def test_commands_release_what_their_later_stages_do_not_read(
+        tmp_path, monkeypatch, command, sets, extra, stage, released):
+    """fieldmap's grid stage runs with the full operator, its B and its
+    partition gone (only the restriction is alive); the cylinder sweep's
+    factor route with the full B gone."""
+    refs = {}
+
+    def spy(name, f):
+        def wrapped(*args, **kw):
+            out = f(*args, **kw)
+            refs[name] = weakref.ref(out)
+            return out
+        return wrapped
+    for name in released:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    dead = []
+
+    def at_stage(*args, _f=getattr(cli, stage), **kw):
+        dead.append({name: ref() is None for name, ref in refs.items()})
+        return _f(*args, **kw)
+    monkeypatch.setattr(cli, stage, at_stage)
+    _run(command, sets, tmp_path, extra)
+    assert dead == [dict.fromkeys(released, True)]
 
 
 def _fmt(x):

@@ -81,11 +81,33 @@ def test_cylinder_assembly_equals_loop_reference(N, H):
     for i, ia in enumerate(idx):
         for j, ib in enumerate(idx):
             if ia.m == ib.m:
-                Bx[i, j], By[i, j] = mx._disk_xy(ia, al[i], ib, al[j])
+                Bx[i, j], By[i, j] = so.disk_xy(ia, al[i], ib, al[j])
             if (ia.n, ia.k, ia.l) == (ib.n, ib.k, ib.l):
                 Bz[i, j] = b.aspect * mx.b_element_interval(ia.m, ib.m)
     for got, ref in ((m.Bx, Bx), (m.By, By), (m.Bz, Bz)):
         assert got.tobytes() == ref.tobytes()
+
+
+def _cylinder_sweep_factors():
+    disk, interval, _, _ = mx.cylinder_factors(bas.build_cylinder_basis(200))
+    return disk, interval
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (mx.operator_for("disk", 60), mx.operator_for("interval", 12)),
+    lambda: (mx.operator_for("disk", 100), mx.operator_for("interval", 40, H=2.5)),
+    _cylinder_sweep_factors,
+], ids=["N60", "N100", "cylinder_sweep_factors"])
+def test_disk_and_interval_assembly_equal_the_scalar_loops(make):
+    """The index-array disk and interval matrices equal, bit for bit, the
+    loops of disk_xy and b_element_interval over all (a, b) pairs
+    (tests/setuporacle.py), also on the factors of the cylinder-sweep
+    (N = 200) cylinder."""
+    disk, interval = make()
+    Bx, By = so.disk_matrices(disk.basis.indices)
+    assert disk.Bx.tobytes() == Bx.tobytes() and disk.By.tobytes() == By.tobytes()
+    Bz = so.interval_matrix([ix.m for ix in interval.basis.indices], interval.basis.aspect)
+    assert interval.Bz.tobytes() == Bz.tobytes()
 
 
 def test_hermiticity_everywhere():

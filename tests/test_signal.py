@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -30,6 +31,9 @@ def test_pulse_plan_dimensionless_conversion():
     assert d.gbar == 3.0 and d.tbar == 0.25
     with pytest.raises(ConfigError):
         sig.PulsePlan(delta=-1.0, D0=1.0, gamma=1.0, G=1.0, R=1.0)
+    for zero in ({"D0": 0.0}, {"R": 0.0}):  # gbar or tbar would divide by 0
+        with pytest.raises(ConfigError):
+            replace(d, **zero)
 
 
 def test_zero_gradient_signal_is_one(sphere60):
