@@ -62,4 +62,4 @@ from .spectrum import (
     own_blocks,
     spectrum_at_negative_g,
 )
-from .sweep import BranchSweep, match_step, run_sweep
+from .sweep import BranchSweep, run_sweep

@@ -206,8 +206,10 @@ def build_cylinder_basis(N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:
                 m += 1
         return out
 
-    # Weyl: N(lam) ~ h lam^1.5 / (6 pi) for the cylinder of volume pi h
-    idxs, lams, alphas = _collect(generate, N, 10.0 + (6.0 * np.pi * N / h) ** (2 / 3))
+    # Weyl: N(lam) ~ h lam^1.5 / (6 pi) for the cylinder of volume pi h, at
+    # most the disk's cut, whose modes the m = 0 layer holds (a thin cylinder)
+    cut = min(10.0 + (6.0 * np.pi * N / h) ** (2 / 3), 10.0 + 4.0 * N)
+    idxs, lams, alphas = _collect(generate, N, cut)
     return BasisSet(geometry="cylinder", indices=idxs, eigenvalues=lams, aspect=h,
                     alpha=alphas)
 

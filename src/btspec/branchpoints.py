@@ -25,7 +25,8 @@ from .errors import ConvergenceError
 from .matrices import OperatorMatrices, cylinder_factors, gradient_direction, gradient_matrix
 from .specfun import interval_branch_constants
 from .spectrum import _degenerate_classes, _solve_block, is_real, own_blocks, partition
-from .sweep import BranchSweep, _by_rank, _ranked, _step, _tracks, _z_labelled, run_sweep
+from .sweep import (BranchSweep, _by_rank, _refuse_dense_cylinder, _step, _tracks, _z_labelled,
+                    run_sweep)
 
 CLUSTER_RADIUS = 1e-3
 # Tighter than the 1e-5 reporting requirement, so that the square-root
@@ -98,7 +99,7 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
     """Bisect the coarse bracket on whether the participating branches are
     all real (spectrum.is_real) down to BRACKET_WIDTH, then classify the
     point.  A bracket that is not real at its lower end and complex at its
-    upper end raises ConvergenceError.
+    upper end raises ConvergenceError, a dense cylinder DomainError.
 
     All solves run on the branches' own exact blocks (spectrum.own_blocks),
     labelled as the sweep that found the point labels its steps
@@ -148,10 +149,11 @@ def _sweep_rows(mat: OperatorMatrices, B: np.ndarray, modes, sweep: BranchSweep)
     and each block takes its modes' z values by rank (sweep._by_rank).  The
     restriction is partitioned, and the route worked out, once, not at each
     g."""
+    _refuse_dense_cylinder(mat)
     sub, B_sub, ix = own_blocks(mat, B, modes)
     pos = np.searchsorted(ix, modes)
     part = partition(sub.lam, B_sub)
-    ranked, z = _ranked(sub), _z_labelled(sub, part)
+    z = _z_labelled(sub, part)
     groups = [(k, np.flatnonzero(part.label == k)) for k in set(part.label.tolist())]
     z_tracks = _tracks(partition(sub.lam, gradient_matrix(mat)[np.ix_(ix, ix)]),
                        sub.N) if z else []
@@ -167,12 +169,12 @@ def _sweep_rows(mat: OperatorMatrices, B: np.ndarray, modes, sweep: BranchSweep)
         for t in z_tracks:
             values = _solve_block(t.lam, t.K, g, True)[0]
             for c in t.copies:
-                z_values[c] = values[_step(g, pred[c], values, ranked)[0]]
+                z_values[c] = values[_step(g, pred[c], values)[0]]
         spec, rows = part.solve(g, eigvals_only), np.empty(len(ix), dtype=int)
         for k, r in groups:
             c = np.flatnonzero(spec.block == k)
             rows[r] = c[_by_rank(z_values[r], spec.eigenvalues[c]) if z
-                        else _step(g, pred[r], spec.eigenvalues[c], ranked)[0]]
+                        else _step(g, pred[r], spec.eigenvalues[c])[0]]
         return spec, rows[pos]
     return rows_at
 
@@ -219,8 +221,9 @@ def find_branch_points(mat: OperatorMatrices, B: np.ndarray, sweep: BranchSweep,
     """Detect and refine all branch points of a finished sweep.
 
     max_branch is forwarded to detect() to keep the scan off the truncation
-    edge.
+    edge.  A dense cylinder raises DomainError, as in refine.
     """
+    _refuse_dense_cylinder(mat)
     return [refine(mat, B, coarse, sweep) for coarse in detect(sweep, max_branch=max_branch)]
 
 

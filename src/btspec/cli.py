@@ -44,6 +44,8 @@ from .spectrum import (_own_blocks, canonical_order, diagonalize, normalize, own
 from .sweep import run_sweep
 
 ENV_OUTDIR = "BTSPEC_OUTDIR"
+# the most grid points a sweep may start from (the README sweeps use 193 to 1,201)
+MAX_GRID_POINTS = 10**6
 
 _SI_KEYS = ("gamma", "D0", "G_mT_per_m", "deltas_ms")
 _DIMLESS_KEYS = ("gbar", "tbars")
@@ -228,6 +230,9 @@ def _build_operator(cfg: RunConfig):
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.g_max is None or cfg.g_max <= 0 or cfg.g_step <= 0:
         raise ConfigError("sweep requires positive g_max and g_step")
+    if cfg.g_max / cfg.g_step > MAX_GRID_POINTS - 1:
+        raise ConfigError(f"g_max / g_step = {cfg.g_max / cfg.g_step:.3g} gives more than "
+                          f"{MAX_GRID_POINTS} grid points")
     mat, B = _build_operator(cfg)
     n_out = cfg.n_branches or min(mat.N, 17)
     if n_out > mat.N:

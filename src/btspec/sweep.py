@@ -11,19 +11,10 @@ ahead, eigenvalues only, on stacks of the pending grid points
 
 Two real values of a block without hidden symmetry do not cross (von
 Neumann and Wigner), and a split or a rejoin is a collision of two adjacent
-ones (Heiss), so every block but the dense cylinder's (a Kronecker sum,
-whose real values do cross) is labelled on every step by the order rules
-(_by_order).  The dense cylinder's blocks, and a step the rules decline, go
-through match_step, which matches by value: the assignment of least
-squared displacement from a linear prediction (_assign: each branch's
-strictly nearest value, else the order rules where a bound proves them
-optimal), then the same split rule.  A step that _assign cannot prove, and
-any other swap of two branches costing nearly the optimum (unless they are
-one value before and after, spectrum.same_value), is a tie: the step is
-bisected for all tracked blocks down to MIN_STEP, and what stays tied is
-recorded.  A tilted sphere gradient is a rotation of z on the same basis:
-its branches take the z sweep's labels by rank (_z_labelled, _by_rank).
-No eigenvector is solved on any route.
+ones (Heiss), so every step of every block is labelled by the order rules
+(_step).  The dense cylinder, whose real values do cross, is swept on its
+factors (branchpoints.cylinder_branch_points), and a tilted sphere takes
+the z sweep's labels (_z_labelled).  No eigenvector is solved.
 """
 
 from __future__ import annotations
@@ -32,13 +23,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import DomainError, NumericalError
 from .matrices import OperatorMatrices, gradient_matrix
-from .spectrum import (Partition, Spectrum, _chunk_len, _components, _degenerate_classes,
-                       _solve_block, canonical_order, is_real, partition, same_value)
+from .spectrum import (Partition, _chunk_len, _components, _degenerate_classes, _solve_block,
+                       canonical_order, is_real, partition, same_value)
 
-TIE_REL = 0.05
-# A step is bisected, down to MIN_STEP, when a matched value moves further
-# than REFINE_DISPLACEMENT or its matching leaves a tie.
+# A step is bisected, down to MIN_STEP, when a labelled value moves further
+# than REFINE_DISPLACEMENT or the order rules decline it.
 MIN_STEP = 1e-5
 REFINE_DISPLACEMENT = 0.5
 
@@ -49,8 +40,8 @@ class BranchSweep:
 
     eigenvalues[i, j] is branch j at g_grid[i]; branch j starts at basis mode
     j and stays in its exact block block[j], and is NaN on every row when
-    that block was not tracked.  refinements and ambiguities log the
-    adaptive insertions and the steps left tied or unproved at MIN_STEP.
+    that block was not tracked.  refinements logs the adaptive insertions,
+    ambiguities the steps that the order rules still declined at MIN_STEP.
     """
 
     g_grid: np.ndarray
@@ -66,43 +57,6 @@ class BranchSweep:
         return self.eigenvalues[i]
 
 
-def _assign(target: np.ndarray, values: np.ndarray,
-            cost: np.ndarray | None = None) -> np.ndarray | None:
-    """Index into values of each target, of least total squared displacement
-    (cost: that matrix, if computed), where a rule proves it: each target's
-    strictly nearest value, no two the same (the unique optimum), else
-    _closed_form; else None.  A non-finite cost raises."""
-    if cost is None:
-        diff = np.subtract.outer(target, values)
-        cost = diff.real**2 + diff.imag**2
-    if not np.isfinite(cost).all():
-        raise ValueError("a prediction or a value is not finite")
-    low = cost <= cost.min(axis=1, keepdims=True)
-    # one entry per row and per column: low is a permutation matrix
-    if np.count_nonzero(low) == len(cost) and low.any(axis=0).all():
-        return low.argmax(axis=1)
-    return _closed_form(target, values, cost)
-
-
-def _closed_form(target, values, cost) -> np.ndarray | None:
-    """_by_order's assignment where it is least-cost, else None.  That is
-    optimal among the assignments keeping the real group (the real values,
-    a fresh pair, and the targets they take) apart from the rest; any
-    other pays a cross entry c_ij, so at least the sum of row minima plus
-    c_ij - min(row i), and the result must not cost more."""
-    by_re = values.real.argsort(kind="stable")  # _by_order's value order
-    cols = _by_order(target, values[by_re])
-    if cols is None:
-        return None
-    cols = by_re[cols]
-    tr = (target.imag == 0) | (values.imag[cols] == 0)
-    vr = tr[np.argsort(cols)]  # vr[cols] = tr
-    row_min = cost.min(axis=1)
-    cross = np.where(tr[:, None] != vr, cost, np.inf).min(axis=1)
-    excess = cost[np.arange(len(cost)), cols].sum() - row_min.sum()
-    return cols if excess <= np.min(cross - row_min) else None
-
-
 def _split_rule(pred: np.ndarray, values: np.ndarray, sigma: np.ndarray) -> None:
     """The split rule, in place: the values that branches take fresh
     (predicted real, now non-real; spectrum.is_real) go in canonical_order
@@ -112,52 +66,6 @@ def _split_rule(pred: np.ndarray, values: np.ndarray, sigma: np.ndarray) -> None
     for fam in _components(same_value(z[:, None], z.conj()))[0]:
         b = fresh[fam]
         sigma[b] = sigma[b][canonical_order(z[fam])]
-
-
-def match_step(prev: Spectrum, next_: Spectrum):
-    """Permutation sigma minimizing sum |lambda_prev[b] - lambda_next[sigma(b)]|^2
-    over the branches b of one exact block (see _assign), then _split_rule.
-
-    Returns (sigma, info).  info['tie_groups'] lists the groups of branches
-    left tied (kind 'unresolved'): swapping two of them costs within TIE_REL
-    of the optimum, and they are neither one value both before and after
-    (spectrum.same_value) nor conjugate partners (a split or a rejoin).
-    A step that _assign cannot prove is one group of every branch (kind
-    'unproved'), each taking its nearest value left, least displaced first."""
-    wp, wn = prev.eigenvalues, next_.eigenvalues
-    diff = np.subtract.outer(wp, wn)
-    cost = diff.real**2 + diff.imag**2
-    sigma = _assign(wp, wn, cost)
-    if unproved := sigma is None:
-        sigma, free = np.empty(len(wp), dtype=int), np.ones(len(wp), dtype=bool)
-        for b in cost.min(axis=1).argsort(kind="stable"):
-            sigma[b] = np.flatnonzero(free)[cost[b, free].argmin()]
-            free[sigma[b]] = False
-    _split_rule(wp, wn, sigma)  # for every route of _assign
-    cs = cost.take(sigma, axis=1)
-    d = cs.diagonal()
-    info = {"cost": float(d.sum()), "tie_groups": [
-        {"branches": tuple(range(len(wp))), "kind": "unproved"}] if unproved else []}
-    # Swap ties: exchanging the assignments of two branches raises the cost
-    # (c_swp >= c_now at the optimum) by at most TIE_REL of c_now + c_swp.
-    # The mask is symmetric with a true diagonal, so counts show pairs.
-    tie = (1 - TIE_REL) * (cs + cs.T) <= (1 + TIE_REL) * np.add.outer(d, d)
-    if not unproved and np.count_nonzero(tie) > len(wp):
-        # no tie: a swap of two branches that are one value before and after
-        # (a degenerate family; zero costs), or of conjugate partners (the
-        # split rule, or _closed_form's rejoin)
-        i, j = np.nonzero(tie)
-        wns = wn[sigma]
-        one = same_value(wp[i], wp[j]) & same_value(wns[i], wns[j])
-        for w in (wp, wns):
-            one |= ~is_real(w[i]) & same_value(w[i], w[j].conj())
-        tie[i, j] = ~one
-        # that clears the diagonal: walk only the branches tied to another
-        tied = np.flatnonzero(tie.any(axis=1))
-        for comp in _components(tie[np.ix_(tied, tied)])[0]:
-            info["tie_groups"].append({"branches": tuple(int(b) for b in tied[comp]),
-                                       "kind": "unresolved"})
-    return sigma, info
 
 
 @dataclass
@@ -173,17 +81,17 @@ class _Track:
     rows: dict = field(default_factory=dict)
 
 
-def _ranked(mat: OperatorMatrices) -> bool:
-    """Whether an operator's blocks are labelled by order (_by_order): all
-    but the dense cylinder's, a Kronecker sum whose real values cross."""
-    return mat.basis.geometry != "cylinder"
+def _refuse_dense_cylinder(mat: OperatorMatrices) -> None:
+    """DomainError for the dense cylinder: its real values cross."""
+    if mat.basis.geometry == "cylinder":
+        raise DomainError("the dense cylinder operator is not swept: its real values cross; "
+                          "use branchpoints.cylinder_branch_points, which sweeps its factors")
 
 
 def _z_labelled(mat: OperatorMatrices, part: Partition) -> bool:
     """Whether the operator's branches take the z sweep's labels (_by_rank):
     a sphere with a degenerate class at gbar = 0 in a block, which only a
-    tilted gradient has (not the z or reduced sphere, disk, interval or
-    dense cylinder), a rotation of the z sphere on the same basis."""
+    tilted gradient has, a rotation of the z sphere on the same basis."""
     return mat.basis.geometry == "sphere" and any(
         (_degenerate_classes(lam_b) >= 0).any()
         for _, _, lam_b, _, _ in part.blocks if lam_b is not None)
@@ -212,8 +120,7 @@ def _by_order(target: np.ndarray, values: np.ndarray) -> np.ndarray | None:
     nearest non-real value, and the two left over, an exact conjugate pair
     x +- iy equally far from every real target, go to the adjacent two of
     least total cost (of a < b < c, a, b or b, c cost no more than a, c),
-    Im > 0 to the lower branch index (_split_rule).  A step with neither
-    forms only the costs between non-real values and targets."""
+    Im > 0 to the lower branch index (_split_rule)."""
     tr, vr = target.imag == 0, values.imag == 0
     cols = np.empty(len(target), dtype=int)
     rt, rv = tr.nonzero()[0], vr.nonzero()[0]
@@ -248,16 +155,26 @@ def _by_order(target: np.ndarray, values: np.ndarray) -> np.ndarray | None:
     return cols
 
 
-def _step(g: float, pred: np.ndarray, values: np.ndarray, ranked: bool, copies=()):
-    """(sigma, tie groups) of one block's step to values at g: the order
-    rules (_by_order) where the block is labelled by order (_ranked) and
-    they apply, else match_step, its groups named by each copy's modes."""
-    sigma = _by_order(pred, values) if ranked else None
+def _step(g: float, pred: np.ndarray, values: np.ndarray):
+    """(sigma, declined): each branch's index into one block's values at g,
+    by the order rules (_by_order), else its nearest free value, least
+    displaced first, then the split rule.  NumericalError where not finite."""
+    if not (np.isfinite(pred).all() and np.isfinite(values).all()):
+        raise NumericalError(f"a prediction or a value is not finite at gbar={g}")
+    sigma = _by_order(pred, values)
     if sigma is not None:
-        return sigma, []
-    sigma, info = match_step(Spectrum(g, pred), Spectrum(g, values))
-    return sigma, [dict(tie, branches=tuple(int(ix[b]) for b in tie["branches"]))
-                   for ix in copies for tie in info["tie_groups"]]
+        return sigma, False
+    with np.errstate(over="ignore"):  # an overflow raises below
+        diff = np.subtract.outer(pred, values)
+        cost = diff.real**2 + diff.imag**2
+    if not np.isfinite(cost).all():
+        raise NumericalError(f"a squared displacement overflows at gbar={g}")
+    sigma, free = np.empty(len(pred), dtype=int), np.ones(len(pred), dtype=bool)
+    for b in cost.min(axis=1).argsort(kind="stable"):
+        sigma[b] = np.flatnonzero(free)[cost[b, free].argmin()]
+        free[sigma[b]] = False
+    _split_rule(pred, values, sigma)
+    return sigma, True
 
 
 def _tracks(part: Partition, n: int) -> list[_Track]:
@@ -276,16 +193,16 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     Only the distinct blocks holding a branch below n_branches (themselves
     or through a twin) are solved; every other branch's column is NaN on
     the whole grid.  None tracks every branch; a value outside [1, mat.N]
-    raises ValueError.
+    raises ValueError, and a dense cylinder DomainError.
 
     When the next pending gbar has no solved row, one _solve_block call
     solves the pending points from it on, up to one chunk (a refinement
-    midpoint alone).  Predictions are a slope through the last two points
-    (the last point alone on the first step); no eigenvector is solved.
-    Each block steps by _step.  A step whose tracked values move further
-    than REFINE_DISPLACEMENT, or leave a tie in any tracked block, is
-    bisected for all of them down to MIN_STEP; leftover ties are logged as
-    ambiguities.
+    midpoint alone).  Each block steps by _step from a slope prediction
+    through the last two points (the last point alone on the first step).
+    A step whose tracked values move further than REFINE_DISPLACEMENT, or
+    that the order rules decline in any tracked block, is bisected for all
+    of them down to MIN_STEP; a block still declined there is logged as an
+    'unproved' ambiguity of its modes and its twins'.
 
     A tilted sphere (_z_labelled) is swept about z (gradient_matrix(mat),
     every block), whose grid, refinements and ambiguities it keeps; each of
@@ -293,6 +210,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     the value of the same rank as its z value (_by_rank).  A rank pair that
     is not one value is logged, not bisected: a 'transfer' ambiguity.
     """
+    _refuse_dense_cylinder(mat)
     if not (0 < g_max < np.inf and 0 < step < np.inf):
         raise ValueError("g_max and step must be positive and finite")
     n = mat.N if n_branches is None else n_branches
@@ -319,14 +237,14 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     first = np.full(mat.N, np.nan, dtype=complex)
     first[on] = mat.lam[on]
     sweep_g, rows = [pending.pop(0)], [first]
-    refinements, ambiguities, ranked = [], [], _ranked(mat)
+    refinements, ambiguities = [], []
     while pending:
         g_next = pending.pop(0)
         pred = rows[-1]  # linear extrapolation from the last two points
         if len(rows) > 1:
             slope = (pred - rows[-2]) / (sweep_g[-1] - sweep_g[-2])
             pred = pred + slope * (g_next - sweep_g[-1])
-        row, unresolved = np.full(mat.N, np.nan, dtype=complex), []
+        row, unproved = np.full(mat.N, np.nan, dtype=complex), []
         for t in tracks:  # values only, matched in branch order
             if g_next not in t.rows:
                 todo = [g_next]
@@ -336,21 +254,19 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                     todo.append(g)
                 t.rows.update(zip(todo, _solve_block(t.lam, t.K, np.array(todo), True)[0]))
             values = t.rows[g_next]
-            sigma, ties = _step(g_next, pred[t.ix], values, ranked, t.copies)
-            unresolved += ties
+            sigma, declined = _step(g_next, pred[t.ix], values)
             for ix in t.copies:  # report basis modes, not the block's branches
                 row[ix] = values[sigma]
+                unproved += [tuple(ix.tolist())] if declined else []
         max_disp = float(np.max(np.abs(rows[-1][on] - row[on])))
-        if (unresolved or max_disp > REFINE_DISPLACEMENT) and \
-                g_next - sweep_g[-1] > 2 * MIN_STEP:
+        if (unproved or max_disp > REFINE_DISPLACEMENT) and g_next - sweep_g[-1] > 2 * MIN_STEP:
             g_mid = 0.5 * (sweep_g[-1] + g_next)
-            refinements.append({"inserted": g_mid, "reason": "tie" if unresolved
+            refinements.append({"inserted": g_mid, "reason": "tie" if unproved
                                 else "displacement", "max_disp": max_disp})
             pending[:0] = [g_mid, g_next]
             continue
-        ambiguities += [{"g": g_next, **tie, "note": "cost-minimal assignment kept"
-                         if tie["kind"] == "unresolved" else "nearest-first assignment kept"}
-                        for tie in sorted(unresolved, key=lambda tie: tie["branches"])]
+        ambiguities += [{"g": g_next, "branches": b, "kind": "unproved",
+                         "note": "nearest-first assignment kept"} for b in sorted(unproved)]
         for t in tracks:
             del t.rows[g_next]
         sweep_g.append(g_next)
@@ -361,8 +277,8 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
         block=part.label, refinements=refinements, ambiguities=ambiguities,
         metadata={"geometry": mat.basis.geometry, "N": mat.N, "step": step,
                   "min_step": MIN_STEP,
-                  "tiebreak": "per exact block: slope-predicted squared displacement; "
-                              "Im>0 to the lower index at a split, the smaller value "
-                              "at a rejoin; other ties bisected; a tilted sphere takes "
-                              "the z sweep's labels by rank"})
+                  "tiebreak": "per exact block: the order rules against a slope "
+                              "prediction, Im>0 to the lower index at a split, the "
+                              "smaller value at a rejoin; steps they decline bisected; "
+                              "a tilted sphere takes the z sweep's labels by rank"})
 

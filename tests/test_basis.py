@@ -150,6 +150,17 @@ def test_cylinder_aspect_changes_axial_spacing():
     assert np.any(np.abs(vals - np.pi**2 / 4) < 1e-9)
 
 
+@pytest.mark.parametrize("N", [20, 100])
+def test_thin_cylinder_basis_is_the_disk_basis(N):
+    """At H/R = 1e-6 the first axial mode sits at (pi/h)^2, about 1e13, so
+    the first N cylinder modes are the disk's, all with m = 0.  The zero scan
+    starts at the disk's cut, not at the 3-D Weyl cut (about 5e5 here),
+    where the build did not end within 30 s."""
+    c, d = bas.build_cylinder_basis(N, H=1e-6), bas.build_disk_basis(N)
+    assert np.array_equal(c.eigenvalues, d.eigenvalues)
+    assert all(ix.m == 0 for ix in c.indices)
+
+
 @pytest.mark.parametrize("geometry, N, calls", [
     ("sphere", 333, {"dj_spherical": 46}),
     ("sphere", 100, {"dj_spherical": 46}),

@@ -222,50 +222,40 @@ def test_detect_counts_a_value_within_the_real_tolerance_as_real():
 
 def test_cylinder_tuned_angle_first_point():
     """Gradient angle eta = atan(18.06/3.76) aligns the first disk and
-    interval branch points; the merged first point sits near 18.45 (quoted
-    as 18.5 at 3 significant digits).  Checked at tolerance +-0.1."""
+    interval branch points; the merged first point of the factor route at
+    N = 150 sits near 18.45 (quoted as 18.5 at 3 significant digits).
+    Checked at tolerance +-0.1."""
     eta = np.arctan(18.06 / 3.76)
-    b = bas.build_cylinder_basis(150)
-    m = mx.assemble_cylinder(b)
-    B = mx.gradient_matrix(m, eta=eta)
-    s = sw.run_sweep(m, B, 19.2, step=0.1)
-    points = bp.find_branch_points(m, B, s, max_branch=13)
+    m = mx.operator_for("cylinder", 150)
+    _, points = bp.cylinder_branch_points(m, eta, 19.2, step=0.1, n_branches=13)
     assert points, "no branch point detected below 19.2"
-    first = min(p.g_star for p in points)
-    assert abs(first - 18.5) < 0.1
-    # every point merges branches of one exact block (or of bit-identical
-    # twin blocks): branches of decoupled sectors cross, they never merge
-    blocks = sp.partition(m.lam, B).blocks
+    assert abs(min(p.g_star for p in points) - 18.5) < 0.1
+    # the order counts the merging eigenvalues of the point's factor's own
+    # blocks, here solved block by block with LAPACK directly: on the tensor
+    # closure of the disk blocks of the point's disk modes and the interval
+    # blocks of its interval modes, the sums mu + nu within CLUSTER_RADIUS
+    # of the point's value.  Each point is one pair, although branches of
+    # the decoupled l = 1 and l = 2 disk sectors merge within 1e-3 of each
+    # other near 18.45.
+    disk, interval, a, b = mx.cylinder_factors(m.basis)
+    cx, _, cz = mx.gradient_direction("cylinder", eta=eta)
+    factors = [(f, Bf, sp.partition(f.lam, Bf).blocks, idx)
+               for f, Bf, idx in ((disk, cx * disk.Bx, a), (interval, cz * interval.Bz, b))]
     for p in points:
         assert p.order >= 2, p
-        twins = {blocks[s.block[b]][1] for b in p.branches}
-        assert len(twins) == 1, p
-    # the order counts the merging eigenvalues of the point's own blocks,
-    # here solved block by block with LAPACK directly: each point is one
-    # pair, although branches of the decoupled l = 1 and l = 2 sectors merge
-    # within 1e-3 of each other near 18.45
-    for p in points:
         own = []
-        for k in {s.block[b] for b in p.branches}:
-            ix = blocks[k][0]
-            M = np.diag(m.lam[ix]) + 1j * p.g_star * B[np.ix_(ix, ix)]
-            own.append(sla.eigvals(M))
-        own = np.concatenate(own)
-        merging = int(np.sum(np.abs(own - p.meta["value"]) <= bp.CLUSTER_RADIUS))
+        for f, Bf, blocks, idx in factors:
+            ixs = [ix for ix, *_ in blocks if np.isin(idx[list(p.branches)], ix).any()]
+            own.append(np.concatenate([sla.eigvals(np.diag(f.lam[ix]) + 1j * p.g_star
+                                                   * Bf[np.ix_(ix, ix)]) for ix in ixs]))
+        merging = np.count_nonzero(np.abs(np.add.outer(*own) - p.meta["value"])
+                                   <= bp.CLUSTER_RADIUS)
         assert p.order == merging == 2, p
         # a single-branch point has no pair of rows to measure an angle on
         if len(p.branches) == 1:
             assert p.meta["min_principal_angle"] is None, p
         else:
             assert p.meta["min_principal_angle"] >= 0.0, p
-
-    # the factor route (disk x interval) finds the same points: the distinct
-    # g* values of both routes agree each way within 1e-3 relative
-    _, fpts = bp.cylinder_branch_points(m, eta, 19.2, step=0.1, n_branches=13)
-    gd = np.unique([p.g_star for p in points])
-    gf = np.unique([p.g_star for p in fpts])
-    for x, y in ((gd, gf), (gf, gd)):
-        assert np.max(np.min(np.abs(x[:, None] - y[None, :]), axis=1) / x) <= 1e-3
 
 
 def test_cylinder_factor_route_values_are_kron_eigenvalues():

@@ -320,6 +320,45 @@ def test_bad_config_exits_2_before_any_solve(tmp_path, monkeypatch, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sets", [["g_max=5", "g_step=1e-300"], ["g_max=1e300"]],
+                         ids=["tiny_step", "huge_g_max"])
+def test_sweep_grid_beyond_the_bound_exits_2_before_the_operator(tmp_path, monkeypatch,
+                                                                  sets):
+    """A sweep grid of more than cli.MAX_GRID_POINTS points (these ask for
+    5e300 and 2e301, where np.linspace raised ValueError) is a configuration
+    error, exit 2, before the operator is built; nothing is written."""
+    def build(*args, **kwargs):
+        raise AssertionError("the operator was built")
+    monkeypatch.setattr(cli, "operator_for", build)
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out), "--set", "geometry=sphere", "--set", "N=10"]
+    assert cli.main(argv + [a for kv in sets for a in ("--set", kv)]) == 2
+    assert not out.exists()
+
+
+def test_overflowing_sweep_exits_4_without_output(tmp_path, capsys):
+    """A sweep to gbar = 1e200 in steps of 1e199 overflows the squared
+    displacements of its first step, which the order rules decline: a
+    NumericalError, exit 4, and nothing is written."""
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), "--set", "geometry=sphere", "--set", "N=20",
+                     "--set", "g_max=1e200", "--set", "g_step=1e199"]) == 4
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_signal_exits_4_without_output(tmp_path, capsys):
+    """At gbar = 1e308 the squarings of the matrix exponential overflow:
+    signal_matrix raises NumericalError naming gbar and tbar, so the command
+    exits 4 and writes no signal.csv with a NaN signal."""
+    out = tmp_path / "out"
+    assert cli.main(["signal", "--out", str(out), "--set", "geometry=sphere", "--set", "N=20",
+                     "--set", "gbar=1e308", "--set", "tbars=1"]) == 4
+    err = capsys.readouterr().err
+    assert "gbar=1e+308" in err and "tbar=1.0" in err
+    assert not (out / "signal.csv").exists()
+
+
 def test_unknown_geometry_exits_3(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["sweep", "--set", "geometry=cube", "--set", "N=10",

@@ -2,8 +2,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from btspec import basis as bas
@@ -11,14 +9,7 @@ from btspec import branchpoints as bp
 from btspec import matrices as mx
 from btspec import spectrum as sp
 from btspec import sweep as sw
-
-
-def test_match_identity():
-    w = np.array([0.1, 1.2, 3.4], dtype=complex)
-    s = sp.Spectrum(gbar=1.0, eigenvalues=w)
-    sigma, info = sw.match_step(s, s)
-    assert np.array_equal(sigma, [0, 1, 2])
-    assert info["cost"] == 0.0
+from btspec.errors import DomainError, NumericalError
 
 
 def _sqdist(target, values):
@@ -26,125 +17,50 @@ def _sqdist(target, values):
     return diff.real**2 + diff.imag**2
 
 
-@st.composite
-def _steps(draw):
-    """A matching step (prediction, values) of one of the shapes a sweep
-    meets: all real and shuffled; real values with conjugate pairs; a fresh
-    pair from two adjacent real predictions; a rejoining pair; a crossing;
-    exact ties.  The values are in a random order."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["real", "pairs", "split", "rejoin", "crossing", "ties"]))
-    pairs = 0 if kind == "real" else draw(st.integers(1 if kind == "rejoin" else 0, 3))
-    real = draw(st.integers(2 if kind in ("split", "crossing") else int(not pairs), 10))
-    x, y = rng.random(pairs) * max(real, 1), 0.1 + rng.random(pairs)
-    target = np.r_[np.sort(rng.random(real)) * real, x + 1j * y, x - 1j * y]
-    if kind == "ties":  # values on a coarse lattice: exact cost ties
-        target = np.r_[rng.integers(0, 3, real), (x + 1j * y).round(), (x - 1j * y).round()]
-        return target.astype(complex), target[rng.permutation(len(target))].astype(complex)
-    moved = x + 1e-2 * rng.standard_normal(pairs) + 1j * (y + 1e-2 * rng.standard_normal(pairs))
-    values = np.r_[target[:real] + 1e-2 * rng.standard_normal(real), moved, moved.conj()]
-    k = rng.integers(max(real - 1, 1))
-    if kind == "split":  # values k and k + 1 merge into x +- iy
-        xs, ys = 0.5 * (values[k] + values[k + 1]).real, 0.05 * rng.random()
-        values[k], values[k + 1] = xs + 1j * ys, xs - 1j * ys
-    if kind == "rejoin":  # the first pair lands on the real axis
-        values[real], values[real + pairs] = moved[0].real - 0.01, moved[0].real + 0.02
-    if kind == "crossing":  # value k moves past prediction k + 1
-        values[k] = target[k + 1].real + 0.1 * rng.random()
-    return target.astype(complex), values[rng.permutation(len(values))].astype(complex)
-
-
-def _optimum_is_unique(cost, cols):
-    """Whether every other assignment costs more: each with one of the
-    optimum's entries forbidden does."""
-    best = cost[np.arange(len(cost)), cols].sum()
-    for i in range(len(cost)):
-        c = cost.copy()
-        c[i, cols[i]] = np.inf
-        r, k = linear_sum_assignment(c)
-        if c[r, k].sum() <= best * (1 + 1e-9) + 1e-12:
-            return False
-    return True
-
-
-def _check_assignment(cost, cols, ref):
-    """cols is a permutation of least total cost (that of ref, scipy's),
-    and ref itself where the optimum is unique."""
-    n = len(cost)
-    assert np.array_equal(np.sort(cols), np.arange(n))
-    total, ref_total = cost[np.arange(n), cols].sum(), cost[np.arange(n), ref].sum()
-    assert total == pytest.approx(ref_total, rel=1e-12, abs=1e-15)
-    if len(cost) > 1 and _optimum_is_unique(cost, ref):
-        assert np.array_equal(cols, ref)
-
-
-@settings(max_examples=300, deadline=None)
-@given(step=_steps())
-def test_assign_is_least_squares(step):
-    """_assign, and _closed_form wherever it answers, give a least-cost
-    assignment: linear_sum_assignment's columns where the optimum is unique.
-    _assign answers None only where _closed_form declines."""
-    target, values = step
-    cost = _sqdist(target, values)
-    ref = linear_sum_assignment(cost)[1]
-    cols = sw._closed_form(target, values, cost)
-    if cols is not None:
-        _check_assignment(cost, cols, ref)
-    got = sw._assign(target, values)
-    if got is None:
-        assert cols is None
-    else:
-        _check_assignment(cost, got, ref)
-
-
-@pytest.mark.parametrize("target, values", [
-    ([0, 1, 2, 3], [3.1, 0.1, 1.6, 2.6]),  # a crossing: 1 and 2 both want 1.6
-    ([0, 1, 2, 3], [3.1, 0.2, 1.5 + 0.1j, 1.5 - 0.1j]),  # a fresh pair from 1, 2
-    ([0, 1.5 + 0.1j, 1.5 - 0.1j, 3], [1.4, 1.6, 2.9, 0.1]),  # the pair rejoins
-    ([5 + 0.1j, 5 - 0.1j, 0, 2], [5 - 0.11j, 5 + 0.11j, 1.2, 3.0]),  # 0 and 2 want 1.2
-], ids=["crossing", "split", "rejoin", "pair_and_crossing"])
-def test_closed_form_answers_contended_steps(target, values):
-    """Steps without a strictly nearest value per target are answered by
-    the rules, with scipy's columns."""
-    target, values = np.asarray(target, complex), np.asarray(values, complex)
-    cost = _sqdist(target, values)
-    low = cost == cost.min(axis=1, keepdims=True)
-    assert len(set(low.argmax(axis=1))) < len(cost) or np.count_nonzero(low) > len(cost)
-    cols = sw._closed_form(target, values, cost)
-    assert np.array_equal(cols, linear_sum_assignment(cost)[1])
-
-
-def test_closed_form_declines_a_mixed_optimum():
-    """Every target's nearest value lies in its own group, yet the optimum
-    gives the real prediction 1 a non-real value and the pair's prediction
-    1.9 - 0.05i the real value 2 (total 0.985 against the sorted 1.160):
-    the bound rejects the rules' answer, so _assign proves nothing and
-    match_step reports the step as a tie."""
-    p, z = 1.9 + 0.05j, 1.9 + 0.051j
-    target, values = np.array([0, 1, p, p.conjugate()]), np.array([0.4, 2, z, z.conjugate()])
-    cost = _sqdist(target, values)
-    assert sw._closed_form(target, values, cost) is None
-    assert sw._assign(target, values) is None
-    sigma, info = sw.match_step(sp.Spectrum(1.0, target), sp.Spectrum(1.0, values))
-    assert sorted(sigma) == [0, 1, 2, 3]
-    assert info["tie_groups"] == [{"branches": (0, 1, 2, 3), "kind": "unproved"}]
+def _least_squares_labels(target, values):
+    """The reference labels of one block's step: scipy's assignment of least
+    total squared displacement, with its two exact cost ties decided by
+    rule: a rejoining conjugate pair (its predictions share their real part)
+    gives the lower branch the smaller value, and a fresh pair goes by the
+    split rule."""
+    cols = linear_sum_assignment(_sqdist(target, values))[1]
+    back = np.flatnonzero((target.imag != 0) & (values[cols].imag == 0))
+    for x in set(target.real[back].tolist()):
+        b = back[target.real[back] == x]
+        cols[b] = cols[b][np.argsort(values[cols[b]].real, kind="stable")]
+    sw._split_rule(target, values, cols)
+    return cols
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_assign_rejects_non_finite(bad):
+def test_step_rejects_non_finite(bad):
     """A non-finite prediction or value, NaN or an infinity, raises
-    ValueError from _assign."""
+    NumericalError from _step, which labels every step of a sweep."""
     for where in range(2):
-        step = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+        step = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], dtype=complex)
         step[where, 1] = bad
-        with pytest.raises(ValueError):
-            sw._assign(*step)
+        with pytest.raises(NumericalError):
+            sw._step(1.0, *step)
+
+
+def test_step_rejects_an_overflowing_displacement():
+    """Two fresh pairs from four real predictions are a step that the order
+    rules decline; at 1e200 its squared displacements overflow, and _step
+    raises NumericalError (as a sweep to gbar = 1e200 in steps of 1e199
+    does) instead of labelling by infinite costs."""
+    pred = np.arange(4.0).astype(complex)
+    z = np.array([1e200 + 1e200j, 2e200 + 1j])
+    values = np.r_[z, z.conj()]
+    assert sw._by_order(pred, values) is None
+    with pytest.raises(NumericalError, match="overflows"):
+        sw._step(1.0, pred, values)
+    assert sw._step(1.0, pred, values * 1e-190)[1]
 
 
 def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere60):
     """The z sphere sweep at N=60 to gbar = 13 runs without loading
     scipy.optimize, and gives the same grid, values and logs as with
-    scipy's solver for every step."""
+    scipy's least-squares assignment labelling every step."""
     import os
     import pickle
     import subprocess
@@ -164,8 +80,7 @@ def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere6
     assert loaded.split() == ["False"]
     with open(out, "rb") as f:
         ours = pickle.load(f)
-    monkeypatch.setattr(sw, "_assign", lambda target, values, cost=None: linear_sum_assignment(
-        _sqdist(target, values) if cost is None else cost)[1])
+    monkeypatch.setattr(sw, "_by_order", _least_squares_labels)
     m, B = sphere60
     ref = sw.run_sweep(m, B, 13.0)
     assert np.array_equal(ours.g_grid, ref.g_grid)
@@ -195,72 +110,28 @@ def test_cylinder_factor_sweep_leaves_out_scipy_optimize():
     assert out == ["10", "False"]
 
 
-def test_tilted_sphere_calls_no_match_step(sphere60, monkeypatch):
+def test_tilted_sphere_steps_are_all_labelled_by_order(sphere60, monkeypatch):
     """Work counter: the tilted sphere sweeps at N=60 (phi = 20 degrees,
     gbar <= 13, theta = 30 and 80 degrees) and their branch-point searches
-    take the z sweep's labels, so no step and no bisection solve reaches
-    match_step.  Both find the same three points."""
-    steps = _count_matches(monkeypatch)
+    take the z sweep's labels, and the order rules decline none of the z
+    steps or bisection solves.  Both find the same three points."""
+    declined = _count_declines(monkeypatch)
     m, _ = sphere60
     for theta in (30.0, 80.0):
         B = mx.gradient_matrix(m, theta_g=np.deg2rad(theta), phi_g=np.deg2rad(20.0))
         points = bp.find_branch_points(m, B, sw.run_sweep(m, B, 13.0))
         assert [(p.order, p.branches) for p in points] \
             == [(2, (9, 10)), (2, (0, 1)), (4, (2, 3, 5, 6))]
-        assert steps == []
+        assert declined == []
 
 
 def test_match_conjugate_pair_formation():
     """A fresh conjugate pair goes Im > 0 to the lower branch index (the
-    split rule), and its exact tie is decided, so no tie group is left."""
-    prev = sp.Spectrum(gbar=5.0, eigenvalues=np.array([2.4, 2.6, 9.0], dtype=complex))
-    nxt = sp.Spectrum(gbar=5.05, eigenvalues=np.array([2.5 - 0.2j, 2.5 + 0.2j, 9.01 + 0j]))
-    sigma, info = sw.match_step(prev, nxt)
-    assert nxt.eigenvalues[sigma[0]].imag > 0
-    assert nxt.eigenvalues[sigma[1]].imag < 0
-    assert info["tie_groups"] == []
-
-
-def test_match_through_synthetic_crossing():
-    """Two decoupled real branches cross; a third couples weakly to one of
-    them.  Identities must follow the analytic continuation, verified against
-    the closed-form eigenvalues of the 2x2 block + decoupled mode."""
-    eps = 0.02
-
-    def exact(t):
-        tr = t + 3.0
-        disc = np.sqrt((3.0 - t) ** 2 + 4 * eps**2)
-        lam_lo = 0.5 * (tr - disc)   # continues the branch starting near t
-        lam_hi = 0.5 * (tr + disc)   # continues the branch starting near 3
-        return np.array([lam_lo, 1.0 - t, lam_hi])
-
-    def matrix(t):
-        return np.array([[t, 0.0, eps], [0.0, 1.0 - t, 0.0], [eps, 0.0, 3.0]],
-                        dtype=complex)
-
-    ts = np.linspace(0.0, 1.0, 101)
-    prev_vals = np.linalg.eigvals(matrix(0.0))
-    prev_vals = prev_vals[np.argsort(prev_vals.real)]
-    rows = [prev_vals]
-    for t in ts[1:]:
-        w = np.linalg.eigvals(matrix(t))
-        w = w[np.argsort(w.real)]
-        if len(rows) >= 2:
-            pred = 2 * rows[-1] - rows[-2]
-        else:
-            pred = rows[-1]
-        sigma, _ = sw.match_step(sp.Spectrum(gbar=t, eigenvalues=pred),
-                                 sp.Spectrum(gbar=t, eigenvalues=w))
-        rows.append(w[sigma])
-    final = rows[-1]
-    assert np.max(np.abs(final - exact(1.0))) < 1e-10
-    # brute force: of all 6 permutations at t=1, the tracker picked the one
-    # matching the analytic continuation
-    import itertools
-    w1 = np.linalg.eigvals(matrix(1.0))
-    best = min(itertools.permutations(range(3)),
-               key=lambda p: np.sum(np.abs(w1[list(p)] - exact(1.0)) ** 2))
-    assert np.max(np.abs(w1[list(best)] - final)) < 1e-12
+    split rule), decided by the order rules: _step declines nothing."""
+    values = np.array([2.5 - 0.2j, 2.5 + 0.2j, 9.01 + 0j])
+    sigma, declined = sw._step(5.05, np.array([2.4, 2.6, 9.0], dtype=complex), values)
+    assert values[sigma].tolist() == [2.5 + 0.2j, 2.5 - 0.2j, 9.01]
+    assert not declined
 
 
 def test_sweep_grid_and_permutation_validity():
@@ -410,17 +281,19 @@ def _count_solves(monkeypatch):
     return matrices, calls
 
 
-def _count_matches(monkeypatch):
-    """(gbar, block order) of every match_step call from now on."""
-    steps = []
-    match = sw.match_step
+def _count_declines(monkeypatch):
+    """Block order of every step that the order rules decline from now on."""
+    declined = []
+    by_order = sw._by_order
 
-    def counted(prev, next_):
-        steps.append((round(float(next_.gbar), 12), len(prev.eigenvalues)))
-        return match(prev, next_)
+    def counted(target, values):
+        sigma = by_order(target, values)
+        if sigma is None:
+            declined.append(len(target))
+        return sigma
 
-    monkeypatch.setattr(sw, "match_step", counted)
-    return steps
+    monkeypatch.setattr(sw, "_by_order", counted)
+    return declined
 
 
 @pytest.mark.parametrize("N", [60, 100])
@@ -473,32 +346,32 @@ def test_sweep_solve_counts_by_block_order(sphere60, monkeypatch):
     these matrices, by (block order, with vectors), one per block and step
     of its 241 grid points, with no refinement and no ambiguity: a tracker
     that solves, bisects or logs more fails here.  They come in one _geev
-    call per chunk of spectrum.STACK_ENTRIES entries per block, and no step
-    reaches match_step: the order rules label the splits too."""
+    call per chunk of spectrum.STACK_ENTRIES entries per block, and the order
+    rules decline no step: they label the splits too."""
     m, B = sphere60
     matrices, calls = _count_solves(monkeypatch)
-    steps = _count_matches(monkeypatch)
+    declined = _count_declines(monkeypatch)
     s = sw.run_sweep(m, B, 12.0)
     orders = (1, 2, 3, 5, 7, 9, 12)
     assert dict(matrices) == {(n, False): 240 for n in orders}
     assert dict(calls) == {(n, False): -(-240 // sp._chunk_len(n)) for n in orders}
     assert sum(calls.values()) == 22
-    assert steps == []
+    assert declined == []
     assert (len(s.g_grid), len(s.refinements), len(s.ambiguities)) == (241, 0, 0)
 
 
 def test_sweep_solves_only_the_blocks_of_reported_branches(sphere60, monkeypatch):
     """Work counter: with n_branches=17 the same sweep solves only the 4 of
     its 7 distinct blocks that hold a branch below 17 (in themselves or a
-    twin), once per step, in 19 stacked calls, with no match_step call, and
-    every other column is NaN on the whole grid."""
+    twin), once per step, in 19 stacked calls, with no step declined by the
+    order rules, and every other column is NaN on the whole grid."""
     m, B = sphere60
     matrices, calls = _count_solves(monkeypatch)
-    steps = _count_matches(monkeypatch)
+    declined = _count_declines(monkeypatch)
     s = sw.run_sweep(m, B, 12.0, n_branches=17)
     assert dict(matrices) == {(n, False): 240 for n in (5, 7, 9, 12)}
     assert dict(calls) == {(5, False): 2, (7, False): 3, (9, False): 5, (12, False): 9}
-    assert len(steps) == 0
+    assert declined == []
     # the solved orders are those of the distinct blocks holding a branch below 17
     part = sp.partition(m.lam, B)
     blocks, label = part.blocks, part.label
@@ -555,21 +428,23 @@ def test_z_sphere_sweep_solves_no_eigenvectors(sphere60, monkeypatch):
 def test_order_labels_equal_the_matched_sweep(geometry, N, g_max, monkeypatch):
     """Labelling every step of each block by the order rules (_by_order),
     splits and rejoins included, keeps the grid, the values, the
-    refinements and the ambiguities of the sweep that sends every step
-    through match_step (the predicate patched off), bit for bit, and never
-    calls match_step."""
+    refinements and the ambiguities of the sweep that labels every step by
+    scipy's least-squares assignment and the split rule, bit for bit; the
+    order rules decline no step."""
     m = mx.operator_for(geometry, N)
     B = mx.gradient_matrix(m)
     part = sp.partition(m.lam, B)
     tracks = sw._tracks(part, m.N)
-    assert sw._ranked(m) and not sw._z_labelled(m, part)
-    steps = _count_matches(monkeypatch)
+    assert not sw._z_labelled(m, part)
+    declined = _count_declines(monkeypatch)
     ranked = sw.run_sweep(m, B, g_max)
-    assert steps == []
+    assert declined == []
     # the sweep changes the number of real values of some block
     real = ranked.eigenvalues.imag == 0
     assert any(np.diff(real[:, t.ix].sum(axis=1)).any() for t in tracks)
-    monkeypatch.setattr(sw, "_ranked", lambda mat: False)
+    steps = []
+    monkeypatch.setattr(sw, "_by_order", lambda target, values: steps.append(1)
+                        or _least_squares_labels(target, values))
     matched = sw.run_sweep(m, B, g_max)
     assert len(steps) == len(tracks) * (len(matched.g_grid) - 1 + len(matched.refinements))
     assert np.array_equal(ranked.g_grid, matched.g_grid)
@@ -578,41 +453,21 @@ def test_order_labels_equal_the_matched_sweep(geometry, N, g_max, monkeypatch):
     assert ranked.ambiguities == matched.ambiguities
 
 
-def _mini_cylinder():
-    """A dense cylinder in miniature: the Kronecker sum of a two-mode disk
-    factor (Lambda 0, 2; coupling 3/4) and a two-mode interval factor
-    (Lambda 0, 3/2; coupling sqrt(2)/4), one block whose middle real
-    branches, mu_d- + mu_i+ and mu_d+ + mu_i- (3/2 and 2 at gbar = 0),
-    cross at gbar = 1, where the factor gaps sqrt(4 - 9g^2/4) and
-    sqrt(9/4 - g^2/2) meet."""
-    lam = np.array([0.0, 1.5, 2.0, 3.5])
-    B = (np.kron([[0.0, 0.75], [0.75, 0.0]], np.eye(2))
-         + np.kron(np.eye(2), [[0.0, np.sqrt(2) / 4], [np.sqrt(2) / 4, 0.0]]))
-    basis = bas.BasisSet(geometry="cylinder", indices=(), eigenvalues=lam)
-    return mx.OperatorMatrices(basis, lam, None, None, None), B
-
-
-def test_guard_still_bisects_a_real_crossing_of_the_dense_cylinder(monkeypatch):
+def test_dense_cylinder_is_refused():
     """The dense cylinder is a Kronecker sum, so real values of one block
-    cross: its blocks keep match_step and its guard.  A grid point on the
-    exact crossing of the miniature cylinder is a cost tie, bisected 12
-    times down to MIN_STEP and logged as tie refinements; labelled by order
-    the same block would pass it unrefined.  The tilted sphere's block, with
-    its degenerate classes at gbar = 0, takes the z sweep's labels instead."""
-    sphere = mx.operator_for("sphere", 30)
-    Bt = mx.gradient_matrix(sphere, theta_g=0.3, phi_g=0.2)
-    assert sw._z_labelled(sphere, sp.partition(sphere.lam, Bt))
-    m, B = _mini_cylinder()
-    assert not sw._ranked(m) and not sw._z_labelled(m, sp.partition(m.lam, B))
-    w = sp.diagonalize(m, B, 1.0, eigvals_only=True).eigenvalues
-    assert w[1] == pytest.approx(w[2], abs=1e-14) and not w.imag.any()
-    steps = _count_matches(monkeypatch)
-    s = sw.run_sweep(m, B, 1.0, step=0.25)
-    assert [r["inserted"] for r in s.refinements] == [1 - 0.125 / 2**k for k in range(12)]
-    assert {r["reason"] for r in s.refinements} == {"tie"}
-    assert len(steps) == len(s.g_grid) - 1 + len(s.refinements)
-    monkeypatch.setattr(sw, "_ranked", lambda mat: True)
-    assert sw.run_sweep(m, B, 1.0, step=0.25).refinements == []
+    cross and the order rules do not label it: run_sweep, and
+    find_branch_points and refine on the factor route's sweep, raise
+    DomainError naming cylinder_branch_points, whose points stand."""
+    m = mx.operator_for("cylinder", 30)
+    B = mx.gradient_matrix(m, eta=0.9)
+    with pytest.raises(DomainError, match="cylinder_branch_points"):
+        sw.run_sweep(m, B, 5.0)
+    s, points = bp.cylinder_branch_points(m, 0.9, 15.0, step=0.5)
+    assert points
+    with pytest.raises(DomainError, match="cylinder_branch_points"):
+        bp.find_branch_points(m, B, s)
+    with pytest.raises(DomainError, match="cylinder_branch_points"):
+        bp.refine(m, B, points[0], s)
 
 
 def test_order_labels():
@@ -668,59 +523,38 @@ def test_stacked_solves_stay_within_the_chunk_bound(sphere60, monkeypatch):
 def test_rejoining_pair_gives_the_lower_branch_the_smaller_value():
     """A conjugate pair rejoining the real axis is an exact cost tie that
     the order rules' sorted real line decides: the lower branch takes the
-    smaller real value, whatever the order of the values and of the pair's
-    members, and no tie group is left."""
+    smaller real value (a solve returns real values ascending), whatever
+    the order of the pair's members, and _step declines nothing."""
     lo, hi = 5 - 1e-4, 5 + 1e-4
     for pair in ([5 + 1e-4j, 5 - 1e-4j], [5 - 1e-4j, 5 + 1e-4j]):
-        prev = sp.Spectrum(gbar=1.0, eigenvalues=np.array(pair))
-        for vals in ([lo, hi], [hi, lo]):
-            nxt = sp.Spectrum(gbar=1.0, eigenvalues=np.array(vals, dtype=complex))
-            sigma, info = sw.match_step(prev, nxt)
-            assert nxt.eigenvalues[sigma].real.tolist() == [lo, hi]
-            assert info["tie_groups"] == []
-
-
-def test_guard_reports_a_cost_tie_on_a_cos_block(sphere60):
-    """On the m = 1 cos block of the z sphere (its sin twin copies it), two
-    real branches predicted at the midpoint of their next two values are a
-    cost tie that no rule decides: the guard reports it unresolved."""
-    m, B = sphere60
-    t = next(t for t in sw._tracks(sp.partition(m.lam, B), m.N) if m.basis.indices[t.ix[0]].m == 1)
-    assert len(t.copies) == 2
-    assert [m.basis.indices[ix[0]].l for ix in t.copies] == [1, 2]
-    b = sp.Spectrum(gbar=2.01, eigenvalues=sp._solve_block(t.lam, t.K, 2.01, True)[0])
-    assert np.all(np.abs(b.eigenvalues[:2].imag) < 1e-12)
-    pred = b.eigenvalues.copy()
-    pred[:2] = b.eigenvalues[:2].mean()
-    _, info = sw.match_step(sp.Spectrum(gbar=2.01, eigenvalues=pred), b)
-    assert info["tie_groups"] == [{"branches": (0, 1), "kind": "unresolved"}]
+        values = np.array([lo, hi], dtype=complex)
+        sigma, declined = sw._step(1.0, np.array(pair), values)
+        assert values[sigma].real.tolist() == [lo, hi]
+        assert not declined
 
 
 def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
-    """An unresolved tie of one block's branches 0 and 2 at gbar = 0.05 is
-    reported as the basis modes of the block and of its twin, which copies
-    its result.  The blocks go through match_step (their order labels are
-    patched off), where the tie is injected."""
+    """A step of one block that the order rules decline at gbar = 0.05 is
+    bisected down to MIN_STEP, then kept by nearest values, which label it
+    as the rules do, and logged as an 'unproved' ambiguity of the basis
+    modes of the block and of its twin, which copies its result."""
     m, B = sphere60
     tracks = sw._tracks(sp.partition(m.lam, B), m.N)
     t = next(t for t in tracks if m.basis.indices[t.ix[0]].m == 1)
     assert sum(len(u.ix) == len(t.ix) for u in tracks) == 1
-    monkeypatch.setattr(sw, "_ranked", lambda mat: False)
-    match = sw.match_step
-
-    def tied(prev, next_):
-        sigma, info = match(prev, next_)
-        if len(prev.eigenvalues) == len(t.ix) and next_.gbar == 0.05:
-            info["tie_groups"].append({"branches": (0, 2), "kind": "unresolved"})
-        return sigma, info
-
-    monkeypatch.setattr(sw, "match_step", tied)
+    at = sp._solve_block(t.lam, t.K, np.array([0.05]), True)[0][0]
+    by_order = sw._by_order
+    monkeypatch.setattr(sw, "_by_order", lambda target, values: None
+                        if np.array_equal(values, at) else by_order(target, values))
     s = sw.run_sweep(m, B, 0.1, step=0.05)
-    # the tie at 0.05 is bisected down to MIN_STEP, then kept and logged
-    assert s.refinements and all(r["reason"] == "tie" for r in s.refinements)
-    want = sorted((int(ix[0]), int(ix[2])) for ix in t.copies)
+    # the step to 0.05 is bisected down to MIN_STEP, then kept and logged
+    assert len(s.refinements) == 12 and all(r["reason"] == "tie" for r in s.refinements)
+    want = sorted(tuple(ix.tolist()) for ix in t.copies)
     assert len(want) == 2
-    assert [(a["g"], a["branches"]) for a in s.ambiguities] == [(0.05, w) for w in want]
+    assert [(a["g"], a["branches"], a["kind"]) for a in s.ambiguities] \
+        == [(0.05, w, "unproved") for w in want]
+    monkeypatch.setattr(sw, "_by_order", by_order)
+    assert np.array_equal(s.values_at(0.05), sw.run_sweep(m, B, 0.1, step=0.05).values_at(0.05))
 
 
 @pytest.mark.parametrize("N", [60, 100])
@@ -791,7 +625,8 @@ def test_sweep_rejects_n_branches_outside_the_basis():
 def test_sweep_metadata_documents_tiebreak(disk60):
     m, B = disk60
     s = sw.run_sweep(m, B, 1.0, step=0.1)
+    assert "the order rules" in s.metadata["tiebreak"]
     assert "the z sweep's labels by rank" in s.metadata["tiebreak"]
-    assert "second-order" not in s.metadata["tiebreak"]
-    assert "overlap" not in s.metadata["tiebreak"]
+    for gone in ("second-order", "overlap", "squared displacement"):
+        assert gone not in s.metadata["tiebreak"]
     assert s.metadata["geometry"] == "disk"
