@@ -32,6 +32,7 @@ from .spectrum import (Partition, _chunk_len, _components, _degenerate_classes, 
 # than REFINE_DISPLACEMENT or the order rules decline it.
 MIN_STEP = 1e-5
 REFINE_DISPLACEMENT = 0.5
+MAX_VALUE = 1e150  # squared displacements, and their sums, stay finite below
 
 
 @dataclass
@@ -158,17 +159,16 @@ def _by_order(target: np.ndarray, values: np.ndarray) -> np.ndarray | None:
 def _step(g: float, pred: np.ndarray, values: np.ndarray):
     """(sigma, declined): each branch's index into one block's values at g,
     by the order rules (_by_order), else its nearest free value, least
-    displaced first, then the split rule.  NumericalError where not finite."""
-    if not (np.isfinite(pred).all() and np.isfinite(values).all()):
-        raise NumericalError(f"a prediction or a value is not finite at gbar={g}")
+    displaced first, then the split rule.  NumericalError unless every
+    prediction and value is within MAX_VALUE in modulus (so finite)."""
+    if not (np.abs(pred).max() <= MAX_VALUE and np.abs(values).max() <= MAX_VALUE):
+        raise NumericalError(f"a prediction or a value at gbar={g} is not finite or exceeds "
+                             f"{MAX_VALUE:g}, where squared displacements overflow")
     sigma = _by_order(pred, values)
     if sigma is not None:
         return sigma, False
-    with np.errstate(over="ignore"):  # an overflow raises below
-        diff = np.subtract.outer(pred, values)
-        cost = diff.real**2 + diff.imag**2
-    if not np.isfinite(cost).all():
-        raise NumericalError(f"a squared displacement overflows at gbar={g}")
+    diff = np.subtract.outer(pred, values)
+    cost = diff.real**2 + diff.imag**2
     sigma, free = np.empty(len(pred), dtype=int), np.ones(len(pred), dtype=bool)
     for b in cost.min(axis=1).argsort(kind="stable"):
         sigma[b] = np.flatnonzero(free)[cost[b, free].argmin()]

@@ -337,13 +337,13 @@ def test_sweep_grid_beyond_the_bound_exits_2_before_the_operator(tmp_path, monke
 
 
 def test_overflowing_sweep_exits_4_without_output(tmp_path, capsys):
-    """A sweep to gbar = 1e200 in steps of 1e199 overflows the squared
-    displacements of its first step, which the order rules decline: a
-    NumericalError, exit 4, and nothing is written."""
+    """A sweep to gbar = 1e200 in steps of 1e199 meets values beyond
+    sweep.MAX_VALUE, whose squared displacements overflow, on its first
+    step: a NumericalError, exit 4, and nothing is written."""
     out = tmp_path / "out"
     assert cli.main(["sweep", "--out", str(out), "--set", "geometry=sphere", "--set", "N=20",
                      "--set", "g_max=1e200", "--set", "g_step=1e199"]) == 4
-    assert "overflows" in capsys.readouterr().err
+    assert "squared displacements overflow" in capsys.readouterr().err
     assert not out.exists()
 
 

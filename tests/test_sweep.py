@@ -43,18 +43,22 @@ def test_step_rejects_non_finite(bad):
             sw._step(1.0, *step)
 
 
-def test_step_rejects_an_overflowing_displacement():
-    """Two fresh pairs from four real predictions are a step that the order
-    rules decline; at 1e200 its squared displacements overflow, and _step
+def test_step_rejects_values_whose_displacements_overflow():
+    """Beyond sw.MAX_VALUE a squared displacement can overflow, and _step
     raises NumericalError (as a sweep to gbar = 1e200 in steps of 1e199
-    does) instead of labelling by infinite costs."""
-    pred = np.arange(4.0).astype(complex)
+    does) instead of labelling by infinite costs: two fresh pairs from four
+    real predictions, which the order rules decline, and one fresh pair,
+    which they would place by the pair's cost to the real predictions."""
+    four = np.arange(4.0).astype(complex)
     z = np.array([1e200 + 1e200j, 2e200 + 1j])
-    values = np.r_[z, z.conj()]
-    assert sw._by_order(pred, values) is None
-    with pytest.raises(NumericalError, match="overflows"):
-        sw._step(1.0, pred, values)
-    assert sw._step(1.0, pred, values * 1e-190)[1]
+    three = np.arange(3.0).astype(complex)
+    pair = np.array([1e200, 5e199 - 1e160j, 5e199 + 1e160j])
+    for pred, values in ((four, np.r_[z, z.conj()]), (three, pair)):
+        with pytest.raises(NumericalError, match="overflow"):
+            sw._step(1.0, pred, values)
+        sigma, declined = sw._step(1.0, pred, values * 1e-60)
+        assert sorted(sigma) == list(range(len(pred)))
+        assert declined == (len(pred) == 4)
 
 
 def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere60):
