@@ -148,15 +148,15 @@ def signal_matrix(mat: OperatorMatrices, B: np.ndarray, gbar: float,
     """
     sub, B_sub, _ = own_blocks(mat, B, [0])
     M = sub.bloch_torrey(B_sub, gbar)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S raises below
+        try:
             Ep = _expm(-tbar * M)
             Em = _expm(-tbar * (2 * np.diag(sub.lam) - M))  # Lambda - i g B
-            S = complex(Ep[0] @ Em[:, 0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"matrix exponential failed (gbar={gbar}, tbar={tbar}, "
-            f"norm={np.linalg.norm(M):.3e})") from exc
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"matrix exponential failed (gbar={gbar}, tbar={tbar}, "
+                f"norm={np.linalg.norm(M):.3e})") from exc
+        S = complex(Ep[0] @ Em[:, 0])
     if not np.isfinite(S):
         raise NumericalError(f"the matrix signal is not finite (gbar={gbar}, tbar={tbar})")
     return S
