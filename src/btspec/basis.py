@@ -16,7 +16,10 @@ downstream, so it is pinned precisely:
 
 Candidates lie under an eigenvalue cutoff that starts from a Weyl estimate
 of the N-th eigenvalue and doubles only if short, each pass taking the zeros
-of all orders from one scan (specfun.zeros_upto).
+of all orders from one scan (specfun.zeros_upto).  A cylinder lists at most
+N axial orders m of each radial family, the most one family can give to the
+first N, and more only while an order left out could join the last class,
+so a tall cylinder's candidates do not grow with its aspect.
 """
 
 from __future__ import annotations
@@ -194,22 +197,35 @@ def build_cylinder_basis(N: int, R: float = 1.0, H: float = 1.0) -> BasisSet:
     if R <= 0 or H <= 0:
         raise DomainError("R > 0 and H > 0 required")
     h = H / R
+    # axial orders m listed per radial family (n, k); the first order left
+    # out of each family that has more under the cut, in the last pass
+    limit, beyond = N, []
 
     def generate(cut):
-        out = []
+        out, beyond[:] = [], []
         for n, k, a in _radial("dJ", cut):
-            base, m = a * a, 0
-            while base + (np.pi * m / h) ** 2 <= cut:
+            base = a * a
+            for m in range(limit + 1):
                 lam = base + (np.pi * m / h) ** 2
+                if lam > cut:
+                    break
+                if m == limit:  # the family's first order left out
+                    beyond.append(lam)
+                    break
                 for l in (1, 2) if n > 0 else (1,):
                     out.append((lam, (n, k, l, m), BasisIndex(n=n, k=k, l=l, m=m), a))
-                m += 1
         return out
 
     # Weyl: N(lam) ~ h lam^1.5 / (6 pi) for the cylinder of volume pi h, at
     # most the disk's cut, whose modes the m = 0 layer holds (a thin cylinder)
     cut = min(10.0 + (6.0 * np.pi * N / h) ** (2 / 3), 10.0 + 4.0 * N)
-    idxs, lams, alphas = _collect(generate, N, cut)
+    while True:
+        idxs, lams, alphas = _collect(generate, N, cut)
+        # a family's first N entries hold all it gives to the first N; the
+        # limit grows only if an order left out could join the last class
+        if all(b - lams[-1] > DEGENERACY_RTOL * max(1.0, b) for b in beyond):
+            break
+        limit *= 2
     return BasisSet(geometry="cylinder", indices=idxs, eigenvalues=lams, aspect=h,
                     alpha=alphas)
 

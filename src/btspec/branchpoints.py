@@ -2,10 +2,11 @@
 
 Below a branch point the participating eigenvalues are real (PT symmetry);
 above it they carry opposite imaginary parts.  The detector scans tracked
-branches for a real value (spectrum.is_real) followed by a non-real one.  The
-refiner bisects on whether all the point's branches are real, solving only
-the exact blocks of the point's branches, and counts how many eigenvalues of
-those blocks share the merged value at the refined location.
+branches for a real value (spectrum.is_real) followed by a non-real one.  At
+a merge the number of non-real eigenvalues of one exact block rises by
+exactly 2, or by 4 across bit-identical twin blocks (Kato; Heiss, J. Phys. A
+45, 444016 (2012)), so the refiner bisects that count over the point's own
+blocks, with no labelled solve, and names the merging rows once, at g_star.
 
 The capped cylinder is swept as its disk and interval factors
 (cylinder_branch_points): its branches are sums of factor branches and its
@@ -22,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrices import OperatorMatrices, cylinder_factors, gradient_direction, gradient_matrix
+from .matrices import OperatorMatrices, cylinder_factors, gradient_direction
 from .specfun import interval_branch_constants
-from .spectrum import _degenerate_classes, _solve_block, is_real, own_blocks, partition
-from .sweep import (BranchSweep, _by_rank, _refuse_dense_cylinder, _step, _tracks, _z_labelled,
-                    run_sweep)
+from .spectrum import _degenerate_classes, canonical_order, is_real, own_blocks, partition
+from .sweep import BranchSweep, _refuse_dense_cylinder, _step, run_sweep
 
 CLUSTER_RADIUS = 1e-3
 # Tighter than the 1e-5 reporting requirement, so that the square-root
@@ -96,42 +96,57 @@ def detect(sweep: BranchSweep, max_branch: int | None = None) -> list[BranchPoin
 
 def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
            sweep: BranchSweep) -> BranchPoint:
-    """Bisect the coarse bracket on whether the participating branches are
-    all real (spectrum.is_real) down to BRACKET_WIDTH, then classify the
-    point.  A bracket that is not real at its lower end and complex at its
-    upper end raises ConvergenceError, a dense cylinder DomainError.
+    """Bisect the coarse bracket down to BRACKET_WIDTH on whether the
+    point's own exact blocks (spectrum.own_blocks, partitioned once) hold
+    more non-real eigenvalues (spectrum.is_real) than at its lower end.
 
-    All solves run on the branches' own exact blocks (spectrum.own_blocks),
-    labelled as the sweep that found the point labels its steps
-    (_sweep_rows).  One solve with eigenvectors at g_star gives the merged
-    value, the order (the eigenvalues of the branches' own blocks within
-    CLUSTER_RADIUS of the value) and the conditioning of the merging rows
-    (_class_conditioning; no angle for a single-branch point, whose partner
-    lies beyond the tracked branches).
+    The sweep is read only at the bracket's two grid rows: ConvergenceError
+    unless the columns of the point's blocks that change realness there
+    include its branches and number exactly the final count rise, or when
+    the count does not rise; DomainError for a dense cylinder.
+
+    One solve with eigenvectors at g_star names the merging rows: the first
+    len(branches), in canonical_order, within CLUSTER_RADIUS of the mean of
+    the count rise's non-real values of least |Im| at the final upper end
+    (a single-branch point keeps its member with Im > 0 or the smaller real
+    value; fewer than that raise ConvergenceError).  They give the merged
+    value, the order (the eigenvalues within CLUSTER_RADIUS of it) and their
+    conditioning (_class_conditioning).
     """
+    _refuse_dense_cylinder(mat)
     lo, hi = point.bracket
-    rows_at = _sweep_rows(mat, B, point.branches, sweep)
+    sub, B_sub, ix = own_blocks(mat, B, point.branches)
+    part = partition(sub.lam, B_sub)
 
-    def split(gval: float) -> bool:
-        spec, rows = rows_at(gval)
-        return not is_real(spec.eigenvalues[rows]).all()
+    def count(g: float):
+        w = part.solve(g, eigvals_only=True).eigenvalues
+        return int(np.count_nonzero(~is_real(w))), w
 
-    if split(lo) or not split(hi):
+    base, (top, w_hi) = count(lo)[0], count(hi)
+    if top <= base:
         raise ConvergenceError(f"no real-to-complex transition on [{lo}, {hi}]")
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        if split(mid):
-            hi = mid
+        if (at_mid := count(mid))[0] > base:
+            hi, (top, w_hi) = mid, at_mid
         else:
             lo = mid
+    jump = top - base
+    real = is_real(sweep.eigenvalues[np.searchsorted(sweep.g_grid, point.bracket, "right") - 1])
+    changed = ix[real[0, ix] != real[1, ix]].tolist()
+    if not set(point.branches) <= set(changed) or len(changed) != jump:
+        raise ConvergenceError(f"branches {changed} change realness on {point.bracket}, "
+                               f"not {list(point.branches)} within a count rise of {jump}")
     g_star = 0.5 * (lo + hi)
-
-    spec, rows = rows_at(g_star, eigvals_only=False)
-    w, X = spec.eigenvalues, spec.X
+    w = (spec := part.solve(g_star)).eigenvalues
+    least = np.argsort(np.where(is_real(w_hi), np.inf, np.abs(w_hi.imag)), kind="stable")
+    cluster = np.flatnonzero(np.abs(w - np.mean(w_hi[least[:jump]])) <= CLUSTER_RADIUS)
+    if len(cluster) < len(point.branches):
+        raise ConvergenceError(f"the merging values at gbar={g_star} exceed CLUSTER_RADIUS")
+    rows = cluster[canonical_order(w[cluster])][:len(point.branches)]
     value = complex(np.mean(w[rows]))
-    near = np.abs(w - value) <= CLUSTER_RADIUS
-    order = int(np.sum(near & np.isin(spec.block, spec.block[rows])))
-    vv_min, angle = _class_conditioning(w[rows], X[rows])
+    order = int(np.count_nonzero(np.abs(w - value) <= CLUSTER_RADIUS))
+    vv_min, angle = _class_conditioning(w[rows], spec.X[rows])
     meta = dict(point.meta, coarse=False, value=value, width=hi - lo,
                 vv_min=vv_min, min_principal_angle=angle,
                 gap_min=float(np.min(np.abs(np.diff(np.sort(w[rows].real)))))
@@ -140,42 +155,26 @@ def refine(mat: OperatorMatrices, B: np.ndarray, point: BranchPoint,
                        bracket=(lo, hi), meta=meta)
 
 
-def _sweep_rows(mat: OperatorMatrices, B: np.ndarray, modes, sweep: BranchSweep):
-    """rows(g, eigvals_only=True): the solve at g of own_blocks' restriction
-    to the blocks of modes, and the row of each mode's branch, labelled as
-    the sweep labels its steps: the slope through its last two grid rows at
-    or below g predicts, and sweep._step labels each block.  On a tilted
-    sphere (sweep._z_labelled) that labels the z solve of the same modes,
-    and each block takes its modes' z values by rank (sweep._by_rank).  The
-    restriction is partitioned, and the route worked out, once, not at each
-    g."""
-    _refuse_dense_cylinder(mat)
-    sub, B_sub, ix = own_blocks(mat, B, modes)
-    pos = np.searchsorted(ix, modes)
+def _partner_rows(mat: OperatorMatrices, B: np.ndarray, n: int, sweep: BranchSweep):
+    """rows(g): the solve at g, with eigenvectors, of own_blocks' restriction
+    to the blocks of the first n branches, and the row of each of those
+    branches, labelled as the sweep labels its steps: the slope through its
+    last two grid rows at or below g predicts, and sweep._step labels each
+    block.  The restriction is partitioned once, not at each g."""
+    sub, B_sub, ix = own_blocks(mat, B, range(n))
     part = partition(sub.lam, B_sub)
-    z = _z_labelled(sub, part)
     groups = [(k, np.flatnonzero(part.label == k)) for k in set(part.label.tolist())]
-    z_tracks = _tracks(partition(sub.lam, gradient_matrix(mat)[np.ix_(ix, ix)]),
-                       sub.N) if z else []
 
-    def rows_at(g: float, eigvals_only: bool = True):
+    def rows_at(g: float):
         i = int(np.searchsorted(sweep.g_grid, g, side="right")) - 1
         k = [max(i - 1, 0), i]
         (g0, g1), (w0, w1) = sweep.g_grid[k], sweep.eigenvalues[k][:, ix]
         pred = w1 + (w1 - w0) / (g1 - g0) * (g - g1) if i else w1
-        if z:  # predicts z values, whose real ones have Im exactly 0
-            pred = np.where(is_real(pred), pred.real, pred)
-        z_values = np.empty(len(ix), dtype=complex)
-        for t in z_tracks:
-            values = _solve_block(t.lam, t.K, g, True)[0]
-            for c in t.copies:
-                z_values[c] = values[_step(g, pred[c], values)[0]]
-        spec, rows = part.solve(g, eigvals_only), np.empty(len(ix), dtype=int)
+        spec, rows = part.solve(g), np.empty(len(ix), dtype=int)
         for k, r in groups:
             c = np.flatnonzero(spec.block == k)
-            rows[r] = c[_by_rank(z_values[r], spec.eigenvalues[c]) if z
-                        else _step(g, pred[r], spec.eigenvalues[c])[0]]
-        return spec, rows[pos]
+            rows[r] = c[_step(g, pred[r], spec.eigenvalues[c])[0]]
+        return spec, rows[np.searchsorted(ix, range(n))]
     return rows_at
 
 
@@ -263,9 +262,9 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
     points = []
     for k, (_, f, B, idx) in enumerate(factors):
         _, f_o, B_o, idx_o = factors[1 - k]
-        rows_at = _sweep_rows(f_o, B_o, range(width[1 - k]), sweeps[1 - k])
+        rows_at = _partner_rows(f_o, B_o, width[1 - k], sweeps[1 - k])
         for p in find_branch_points(f, B, sweeps[k], max_branch=width[k]):
-            spec, rows = rows_at(p.g_star, eigvals_only=False)  # the partners' rows
+            spec, rows = rows_at(p.g_star)
             w, X = spec.eigenvalues[rows], spec.X[rows]
             vv = np.abs(np.einsum("ij,ij->i", X, X))
             mine = np.isin(idx, p.branches)

@@ -295,6 +295,10 @@ def cmd_signal(cfg: RunConfig, direction: tuple) -> int:
     mat, B = _build_operator(cfg)
     # only the constant mode's block has mu_j = X[j, 0] != 0
     sub, B_sub, _ = own_blocks(mat, B, [0])
+    if gbar > 0 and not B_sub.any():
+        raise DomainError(f"the gradient does not act on the constant mode's block of "
+                          f"{sub.N} mode(s) at N={cfg.N}: B is zero there, so the "
+                          f"signal would be 1 at every time; use a larger N")
     spec = normalize(diagonalize(sub, B_sub, gbar))
     spec_m = spectrum_at_negative_g(spec)
     coeffs = compute_coefficients(spec)

@@ -76,47 +76,13 @@ def _check_denom(a: float, a2: float) -> float:
     return d
 
 
-def b_element_sphere(n: int, a: float, n2: int, a2: float) -> float:
-    """z element B_{nk0,n'k'0} between m = 0 sphere modes; assemble_sphere
-    scales it for the other m.
-
-    Nonzero only for n' = n +- 1.  a, a2 are alpha_nk, alpha_n'k'.
-    """
-    if abs(n - n2) != 1:
-        return 0.0
-    d = _check_denom(a, a2)
-    num = a * a + a2 * a2 - n * (n2 + 1) - n2 * (n + 1) + 1
-    pref = (n + n2 + 1) / ((2 * n + 1) * (2 * n2 + 1))
-    return pref * beta_sphere(n, a) * beta_sphere(n2, a2) * num / d
-
-
-def b_element_disk(n: int, a: float, n2: int, a2: float) -> float:
-    """Disk element B^d_{nk,n'k'}; nonzero only for n' = n +- 1."""
-    if abs(n - n2) != 1:
-        return 0.0
-    d = _check_denom(a, a2)
-    num = a * a + a2 * a2 - 2 * n * n2
-    pref = np.sqrt(1.0 + (n == 0) + (n2 == 0))
-    return pref * beta_disk(n, a) * beta_disk(n2, a2) * num / d
-
-
-def b_element_interval(m: int, m2: int) -> float:
-    """Interval element B^i_{m,m'} for the unit interval (-1/2, 1/2)."""
-    if m == m2:
-        return 0.0
-    sign = (-1.0) ** (m + m2) - 1.0
-    if sign == 0.0:
-        return 0.0
-    c = np.sqrt(2.0 - (m == 0)) * np.sqrt(2.0 - (m2 == 0))
-    return sign * c * (m * m + m2 * m2) / (np.pi**2 * (m * m - m2 * m2) ** 2)
-
-
 def assemble_sphere(basis: BasisSet) -> OperatorMatrices:
     """Full sphere operator with B^x, B^y and B^z in the real cos/sin basis.
 
     Filled from index arrays over the pairs the selection rules allow
     (|n - n'| = 1, |m - m'| <= 1), by the floating-point operations of
-    b_element_sphere and its m scaling, in the same order, so bit for bit.
+    the scalar b_element_sphere and its m scaling (tests/setuporacle.py),
+    in the same order, so bit for bit.
     B^z couples modes of equal (m, l); B^x couples cos to cos and sin to sin,
     and B^y cos to sin, across m' = m +- 1, each with the m-ladder
     coefficient of the complex harmonics and a factor sqrt(2) when one mode
@@ -168,10 +134,11 @@ def assemble_disk(basis: BasisSet) -> OperatorMatrices:
     """Unit-disk operator; gradients live in the plane (B^x, B^y).
 
     Filled, like assemble_sphere, from index arrays over the |n - n'| = 1
-    pairs by the operations of b_element_disk in the same order, so bit for
-    bit.  B^x couples cos to cos and sin to sin, B^y cos to sin; a guard
-    factor 0 zeroes the entries of an n + n' = 1 pair that would couple an
-    n = 0 sin mode, which vanishes identically (the basis has none).
+    pairs by the operations of the scalar b_element_disk
+    (tests/setuporacle.py) in the same order, so bit for bit.  B^x couples
+    cos to cos and sin to sin, B^y cos to sin; a guard factor 0 zeroes the
+    entries of an n + n' = 1 pair that would couple an n = 0 sin mode,
+    which vanishes identically (the basis has none).
     """
     _expect(basis, "disk")
     N = len(basis)
@@ -201,8 +168,9 @@ def assemble_interval(basis: BasisSet) -> OperatorMatrices:
     """Interval operator (Neumann cosine modes); the coordinate axis is z.
 
     Filled from index arrays over the pairs with m + m' odd, the only
-    nonzero elements, by the operations of b_element_interval in the same
-    order (its sign factor is -2 there), so bit for bit.
+    nonzero elements, by the operations of the scalar b_element_interval
+    (tests/setuporacle.py) in the same order (its sign factor is -2 there),
+    so bit for bit.
     """
     _expect(basis, "interval")
     N = len(basis)

@@ -33,6 +33,10 @@ from .spectrum import (Partition, _chunk_len, _components, _degenerate_classes, 
 MIN_STEP = 1e-5
 REFINE_DISPLACEMENT = 0.5
 MAX_VALUE = 1e150  # squared displacements, and their sums, stay finite below
+# A sweep inserts at most MAX_REFINEMENTS points per point of its starting
+# grid, else NumericalError; the README's sweeps, in steps of 0.05 to 2,
+# insert fewer than 5.
+MAX_REFINEMENTS = 64
 
 
 @dataclass
@@ -202,7 +206,8 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     A step whose tracked values move further than REFINE_DISPLACEMENT, or
     that the order rules decline in any tracked block, is bisected for all
     of them down to MIN_STEP; a block still declined there is logged as an
-    'unproved' ambiguity of its modes and its twins'.
+    'unproved' ambiguity of its modes and its twins'.  A refinement beyond
+    MAX_REFINEMENTS per starting grid point raises NumericalError.
 
     A tilted sphere (_z_labelled) is swept about z (gradient_matrix(mat),
     every block), whose grid, refinements and ambiguities it keeps; each of
@@ -233,6 +238,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
         return replace(z, eigenvalues=rows, block=part.label,
                        ambiguities=sorted(amb, key=lambda a: (a["g"], a["branches"])))
     pending = list(np.linspace(0.0, g_max, int(np.ceil(g_max / step)) + 1))
+    cap = MAX_REFINEMENTS * len(pending)
     on = np.concatenate([ix for t in tracks for ix in t.copies])  # tracked columns
     first = np.full(mat.N, np.nan, dtype=complex)
     first[on] = mat.lam[on]
@@ -260,6 +266,9 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                 unproved += [tuple(ix.tolist())] if declined else []
         max_disp = float(np.max(np.abs(rows[-1][on] - row[on])))
         if (unproved or max_disp > REFINE_DISPLACEMENT) and g_next - sweep_g[-1] > 2 * MIN_STEP:
+            if len(refinements) == cap:
+                raise NumericalError(f"the sweep reached {cap} refinements, {MAX_REFINEMENTS} "
+                                     f"per starting grid point, at gbar={g_next}")
             g_mid = 0.5 * (sweep_g[-1] + g_next)
             refinements.append({"inserted": g_mid, "reason": "tie" if unproved
                                 else "displacement", "max_disp": max_disp})

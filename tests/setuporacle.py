@@ -4,16 +4,19 @@ The bases are enumerated order by order under a cutoff that starts at 10 and
 doubles, each order's zeros requested from a table kept per (kind, order)
 and rescanned at every doubling; the sphere, disk and interval matrices are
 filled by a plain double loop over all (a, b) pairs, one scalar element call
-per pair (b_element_sphere for |n - n'| = 1, disk_xy, b_element_interval).
-It is the slow, obviously sequential route that the multi-order zero scan
-and the index-array assembly must equal bit for bit (tests/test_matrices.py).
+per pair (b_element_sphere for |n - n'| = 1, disk_xy, b_element_interval;
+the closed-form elements live here only).  It is the slow, obviously
+sequential route that the multi-order zero scan and the index-array assembly
+must equal bit for bit (tests/test_matrices.py).  cylinder_every_order keeps
+the cylinder generator that lists every axial order under the cut
+(tests/test_basis.py).
 """
 
 import numpy as np
 
 from btspec import specfun
-from btspec.basis import BasisIndex, _cut_at_class_boundary
-from btspec.matrices import b_element_disk, b_element_interval, b_element_sphere
+from btspec.basis import BasisIndex, _collect as collect_cut, _cut_at_class_boundary, _radial
+from btspec.matrices import _check_denom, beta_disk, beta_sphere
 
 _cache: dict = {}
 
@@ -121,6 +124,25 @@ def _cylinder(N, h):
     return _collect(generate, N)
 
 
+def cylinder_every_order(N, h):
+    """(indices, eigenvalues, alphas) of the cylinder basis from candidates
+    holding every axial order m under the cut, for each radial family: the
+    generator that build_cylinder_basis bounds to the orders it can use."""
+    def generate(cut):
+        out = []
+        for n, k, a in _radial("dJ", cut):
+            base, m = a * a, 0
+            while base + (np.pi * m / h) ** 2 <= cut:
+                lam = base + (np.pi * m / h) ** 2
+                for l in (1, 2) if n > 0 else (1,):
+                    out.append((lam, (n, k, l, m), BasisIndex(n=n, k=k, l=l, m=m), a))
+                m += 1
+        return out
+
+    cut = min(10.0 + (6.0 * np.pi * N / h) ** (2 / 3), 10.0 + 4.0 * N)
+    return collect_cut(generate, N, cut)
+
+
 def build(geometry, N, h=1.0):
     """(indices, eigenvalues, alphas) of the basis, enumerated order by order."""
     if geometry in ("sphere", "sphere_reduced"):
@@ -129,6 +151,41 @@ def build(geometry, N, h=1.0):
         idx, lams = _disk(N) if geometry == "disk" else _cylinder(N, h)
     kind = "dj_spherical" if geometry.startswith("sphere") else "dJ"
     return idx, lams, np.array([alpha(kind, ix.n, ix.k) for ix in idx])
+
+
+def b_element_sphere(n: int, a: float, n2: int, a2: float) -> float:
+    """z element B_{nk0,n'k'0} between m = 0 sphere modes; assemble_sphere
+    scales it for the other m.
+
+    Nonzero only for n' = n +- 1.  a, a2 are alpha_nk, alpha_n'k'.
+    """
+    if abs(n - n2) != 1:
+        return 0.0
+    d = _check_denom(a, a2)
+    num = a * a + a2 * a2 - n * (n2 + 1) - n2 * (n + 1) + 1
+    pref = (n + n2 + 1) / ((2 * n + 1) * (2 * n2 + 1))
+    return pref * beta_sphere(n, a) * beta_sphere(n2, a2) * num / d
+
+
+def b_element_disk(n: int, a: float, n2: int, a2: float) -> float:
+    """Disk element B^d_{nk,n'k'}; nonzero only for n' = n +- 1."""
+    if abs(n - n2) != 1:
+        return 0.0
+    d = _check_denom(a, a2)
+    num = a * a + a2 * a2 - 2 * n * n2
+    pref = np.sqrt(1.0 + (n == 0) + (n2 == 0))
+    return pref * beta_disk(n, a) * beta_disk(n2, a2) * num / d
+
+
+def b_element_interval(m: int, m2: int) -> float:
+    """Interval element B^i_{m,m'} for the unit interval (-1/2, 1/2)."""
+    if m == m2:
+        return 0.0
+    sign = (-1.0) ** (m + m2) - 1.0
+    if sign == 0.0:
+        return 0.0
+    c = np.sqrt(2.0 - (m == 0)) * np.sqrt(2.0 - (m2 == 0))
+    return sign * c * (m * m + m2 * m2) / (np.pi**2 * (m * m - m2 * m2) ** 2)
 
 
 def sphere_matrices(idx):

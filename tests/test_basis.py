@@ -6,6 +6,8 @@ from btspec import matrices as mx
 from btspec import specfun
 from btspec.errors import DomainError
 
+import setuporacle as so
+
 SPHERE_17 = [0.0] + [4.33] * 3 + [11.17] * 5 + [20.19] + [20.38] * 7
 CYL_13 = [0.0, 3.39, 3.39, 9.33, 9.33, 9.87, 13.26, 13.26, 14.68,
           17.65, 17.65, 19.20, 19.20]
@@ -184,3 +186,51 @@ def test_cold_set_up_special_function_calls(monkeypatch, geometry, N, calls):
                                             for kind, fs in specfun._KINDS.items()})
     mx.assemble_operator(bas.build_basis(geometry, N))
     assert counts == calls
+
+
+def _same_basis(b, ref):
+    idx, lams, alphas = ref
+    assert b.indices == idx
+    assert b.eigenvalues.tobytes() == lams.tobytes()
+    assert b.alpha.tobytes() == alphas.tobytes()
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.3, 1.0, 2.5, 10.0, 469.567, 1e4])
+def test_cylinder_basis_equals_every_order_generator(h):
+    """Generating at most N axial orders per radial family gives the basis of
+    the generator that lists every order under the cut, bit for bit, from
+    a thin disk (h = 1e-3) to a tall tube (h = 1e4)."""
+    for N in (1, 20, 60, 200):
+        _same_basis(bas.build_cylinder_basis(N, H=h), so.cylinder_every_order(N, h))
+
+
+def test_cylinder_basis_follows_a_class_past_the_order_limit(monkeypatch):
+    """With DEGENERACY_RTOL at 1e-6, the first axial orders of the constant
+    family of an h = 1e4 cylinder (spacing 9.87e-8 (2m + 1) from m to m + 1)
+    are one class, m = 0 to 5, which runs past N = 1 and 2: the order limit
+    grows until no order left out could join it, and the basis is still the
+    every-order generator's."""
+    monkeypatch.setattr(bas, "DEGENERACY_RTOL", 1e-6)
+    for N in (1, 2):
+        b = bas.build_cylinder_basis(N, H=1e4)
+        assert [ix.m for ix in b.indices] == list(range(6))
+        _same_basis(b, so.cylinder_every_order(N, 1e4))
+
+
+def test_tall_cylinder_candidates_are_bounded(monkeypatch):
+    """At h = 1e6 the cut holds about 5.9e5 axial orders of each of its
+    three radial families; build_cylinder_basis lists at most 5 N
+    candidates (N orders of each family, l = 1, 2 for n > 0)."""
+    sizes, collect = [], bas._collect
+
+    def counted(generate, N, cut):
+        def gen(c):
+            out = generate(c)
+            sizes.append(len(out))
+            return out
+        return collect(gen, N, cut)
+
+    monkeypatch.setattr(bas, "_collect", counted)
+    b = bas.build_cylinder_basis(20, H=1e6)
+    assert len(b) == 20 and [ix.m for ix in b.indices] == list(range(20))
+    assert max(sizes) <= 5 * 20

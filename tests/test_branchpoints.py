@@ -173,12 +173,14 @@ def _count_calls(monkeypatch, name):
 def test_bisection_adds_solves_not_partitions(angles, monkeypatch):
     """Each refine partitions its restriction once, whatever the bracket
     width: a narrower BRACKET_WIDTH adds block solves at the new bisection
-    points (spectrum._solve_block) and no partition (spectrum.partition)."""
+    points (spectrum._solve_block) and no partition (spectrum.partition).
+    The wider width is 1e-6: at 1e-5 the 11.98 pair's square-root splitting
+    leaves CLUSTER_RADIUS at g_star, which refine refuses."""
     m = mx.operator_for("sphere", 60)
     B = mx.gradient_matrix(m, **angles)
     s = sw.run_sweep(m, B, 13.0, step=0.05)
     counts = []
-    for width in (1e-4, 1e-8):
+    for width in (1e-6, 1e-8):
         monkeypatch.setattr(bp, "BRACKET_WIDTH", width)
         parts = _count_calls(monkeypatch, "partition")
         solves = _count_calls(monkeypatch, "_solve_block")
@@ -191,6 +193,42 @@ def test_bisection_adds_solves_not_partitions(angles, monkeypatch):
     assert solves_narrow > solves_wide
 
 
+def test_refine_solves_only_the_tilted_blocks(monkeypatch):
+    """On a tilted sphere (30, 20 degrees) refine solves each distinct block
+    of the point's own tilted blocks exactly once per bisection point (the
+    bracket's ends, each midpoint and g_star, the last with vectors), and
+    nothing else: no z-operator block."""
+    m = mx.operator_for("sphere", 60)
+    B = mx.gradient_matrix(m, theta_g=np.deg2rad(30.0), phi_g=np.deg2rad(20.0))
+    s = sw.run_sweep(m, B, 13.0, step=0.05)
+    coarse = bp.detect(s, max_branch=17)
+    assert len(coarse) == 3
+    real = sp._solve_block
+    for c in coarse:
+        sub, B_sub, _ = sp.own_blocks(m, B, c.branches)
+        own = [K for *_, K, _ in sp.partition(sub.lam, B_sub).blocks if K is not None]
+        calls = []
+
+        def solve(lam_b, K, gbar, eigvals_only):
+            calls.append((float(gbar), eigvals_only,
+                          [i for i, Ko in enumerate(own) if np.array_equal(K, Ko)]))
+            return real(lam_b, K, gbar, eigvals_only)
+
+        for mod in (sp, sw, bp):
+            if getattr(mod, "_solve_block", None) is real:
+                monkeypatch.setattr(mod, "_solve_block", solve)
+        p = bp.refine(m, B, c, s)
+        monkeypatch.undo()
+        assert all(len(hit) == 1 for *_, hit in calls)  # an own block, never z's
+        points = list(dict.fromkeys(g for g, *_ in calls))
+        assert points[:2] == list(c.bracket) and points[-1] == p.g_star
+        assert len(points) > 3
+        for g in points:
+            assert sorted(sum((hit for gc, _, hit in calls if gc == g), [])) \
+                == list(range(len(own))), g
+        assert [only for *_, only, _ in calls].count(False) == len(own)
+
+
 def test_crossings_are_not_branch_points(sphere333_sweep):
     sweep, points = sphere333_sweep
     # no detected point near the gbar ~ 9.3 crossing
@@ -198,15 +236,26 @@ def test_crossings_are_not_branch_points(sphere333_sweep):
         assert abs(p.g_star - 9.3) > 0.3
 
 
-def test_refine_rejects_transitionless_bracket(interval40, interval_sweep):
+def test_refine_rejects_transitionless_bracket(interval40, interval_sweep, sphere100):
     """A bracket real at both ends (below the point at 18.06), and one whose
-    lower end is already complex, hold no real-to-complex transition."""
+    lower end is already complex, hold no real-to-complex transition.  On
+    the z sphere at N = 100, the grid interval around 4.73 holds the split
+    of branches (9, 10) in the m = 0 block of branches (0, 1): the block's
+    non-real count rises there, but not by the columns of (0, 1)."""
     m, B = interval40
     for lo, hi in ((4.0, 6.0), (18.5, 19.5)):
         fake = bp.BranchPoint(g_star=0.5 * (lo + hi), order=2, branches=(0, 1),
                               bracket=(lo, hi), meta={})
         with pytest.raises(ConvergenceError):
             bp.refine(m, B, fake, interval_sweep)
+    m, B = sphere100
+    s = sw.run_sweep(m, B, 5.0, step=0.05)
+    (point,) = bp.detect(s, max_branch=17)
+    assert point.branches == (9, 10) and point.bracket[0] < 4.73 < point.bracket[1]
+    assert sp.partition(m.lam, B).label[[0, 1, 9, 10]].tolist() == [0] * 4
+    fake = bp.BranchPoint(g_star=4.73, order=2, branches=(0, 1), bracket=point.bracket)
+    with pytest.raises(ConvergenceError, match="change realness"):
+        bp.refine(m, B, fake, s)
 
 
 def test_detect_counts_a_value_within_the_real_tolerance_as_real():

@@ -359,6 +359,34 @@ def test_overflowing_signal_exits_4_without_output(tmp_path, capsys):
     assert not (out / "signal.csv").exists()
 
 
+@pytest.mark.parametrize("sets", [["aspect=469.567", "gbar=1096"],
+                                  ["aspect=1e-3", "eta_deg=90", "gbar=10"]],
+                         ids=["tall_x", "thin_z"])
+def test_signal_refuses_a_block_the_gradient_cannot_act_on(tmp_path, capsys, sets):
+    """At N = 40 the constant mode's block of a tall cylinder with an x
+    gradient, and of a thin one with a z gradient, is that mode alone, and
+    B is zero on it: every signal would be exactly 1.  The command ends in
+    a DomainError (exit 3) naming the block size and writes nothing."""
+    out = tmp_path / "out"
+    args = ["signal", "--out", str(out), "--set", "geometry=cylinder", "--set", "N=40",
+            "--set", "tbars=1,5"]
+    assert cli.main(args + [a for s in sets for a in ("--set", s)]) == 3
+    assert "block of 1 mode(s)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refinements_are_capped(tmp_path, capsys):
+    """A disk sweep to gbar = 1e150 in steps of 1e149 bisects every step
+    down to REFINE_DISPLACEMENT, far past sweep.MAX_REFINEMENTS times its
+    11 starting points: a NumericalError (exit 4) at the cap, at once, and
+    nothing is written."""
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), "--set", "geometry=disk", "--set", "N=20",
+                     "--set", "g_max=1e150", "--set", "g_step=1e149"]) == 4
+    assert "refinements" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_geometry_exits_3(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["sweep", "--set", "geometry=cube", "--set", "N=10",
