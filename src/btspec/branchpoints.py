@@ -160,7 +160,8 @@ def _partner_rows(mat: OperatorMatrices, B: np.ndarray, n: int, sweep: BranchSwe
     to the blocks of the first n branches, and the row of each of those
     branches, labelled as the sweep labels its steps: the slope through its
     last two grid rows at or below g predicts, and sweep._step labels each
-    block.  The restriction is partitioned once, not at each g."""
+    block; ConvergenceError where the order rules decline a block.  The
+    restriction is partitioned once, not at each g."""
     sub, B_sub, ix = own_blocks(mat, B, range(n))
     part = partition(sub.lam, B_sub)
     groups = [(k, np.flatnonzero(part.label == k)) for k in set(part.label.tolist())]
@@ -173,7 +174,10 @@ def _partner_rows(mat: OperatorMatrices, B: np.ndarray, n: int, sweep: BranchSwe
         spec, rows = part.solve(g), np.empty(len(ix), dtype=int)
         for k, r in groups:
             c = np.flatnonzero(spec.block == k)
-            rows[r] = c[_step(g, pred[r], spec.eigenvalues[c])[0]]
+            if (sigma := _step(g, pred[r], spec.eigenvalues[c])) is None:
+                raise ConvergenceError(f"the order rules decline the partner rows at gbar={g} "
+                                       f"in the block of basis modes {ix[r].tolist()}")
+            rows[r] = c[sigma]
         return spec, rows[np.searchsorted(ix, range(n))]
     return rows_at
 
@@ -282,20 +286,14 @@ def cylinder_branch_points(mat: OperatorMatrices, eta: float | None, g_max: floa
     grid = np.array(sorted(shared))
     mu, nu = (s.eigenvalues[[g in shared for g in s.g_grid.tolist()]] for s in sweeps)
     n_int_blocks = int(sweeps[1].block.max()) + 1
-    refinements, ambiguities = [], []
-    for (name, _, _, idx), s in zip(factors, sweeps):
-        refinements += [{"factor": name, **r} for r in s.refinements]
-        for amb in s.ambiguities:
-            js = tuple(int(j) for j in np.flatnonzero(np.isin(idx, amb["branches"])))
-            if js:
-                ambiguities.append({**amb, "factor": name, "branches": js})
     sweep = BranchSweep(
         g_grid=grid, eigenvalues=mu[:, a] + nu[:, b],
         block=sweeps[0].block[a] * n_int_blocks + sweeps[1].block[b],
         metadata={**sweeps[0].metadata, "geometry": "cylinder", "N": mat.N,
                   "route": "disk x interval factors on their shared grid",
                   "factors": {"disk": disk.N, "interval": interval.N}},
-        refinements=refinements, ambiguities=ambiguities)
+        refinements=[{"factor": name, **r}
+                     for (name, *_), s in zip(factors, sweeps) for r in s.refinements])
     return sweep, points
 
 

@@ -101,6 +101,8 @@ class RunConfig:
             return [PulsePlan(delta=d * 1e-3, D0=self.D0, gamma=self.gamma,
                               G=self.G_mT_per_m * 1e-3, R=self.R_um * 1e-6)
                     for d in self.deltas_ms]
+        if self.gbar < 0 or min(self.tbars) < 0:
+            raise ConfigError("the dimensionless signal requires non-negative gbar and tbars")
         return [PulsePlan.dimensionless(self.gbar, t) for t in self.tbars]
 
     def geometry_aspect(self) -> float:
@@ -211,15 +213,17 @@ def _write_branches(path: str, sweep, n_out: int) -> None:
 
 def _write_field(path: str, grid) -> None:
     """Fieldmap CSV of a FieldGrid, one chunk per grid row; 0 outside.  The
-    axis values are formatted once, not once per cell."""
-    zs = [_fmt(z) for z in grid.axis2.tolist()]
+    header names the plane's axes; the axis values are formatted once, not
+    once per cell."""
+    second = [_fmt(a) for a in grid.axis2.tolist()]
 
     def rows(x, v, inside):
         v = np.where(inside, v, 0)
-        return zip(itertools.repeat(_fmt(x)), zs, v.real.tolist(), v.imag.tolist(),
+        return zip(itertools.repeat(_fmt(x)), second, v.real.tolist(), v.imag.tolist(),
                    inside.tolist())
     chunks = itertools.starmap(rows, zip(grid.axis1.tolist(), grid.values, grid.inside))
-    _write_csv(path, "x,z,re_v,im_v,inside_flag\n", "%s,%s,%.17g,%.17g,%d\n", chunks)
+    _write_csv(path, f"{grid.plane[0]},{grid.plane[1]},re_v,im_v,inside_flag\n",
+               "%s,%s,%.17g,%.17g,%d\n", chunks)
 
 
 def _build_operator(cfg: RunConfig):
@@ -355,7 +359,9 @@ def cmd_fieldmap(cfg: RunConfig, j: int, g: float) -> int:
     del mat, B, part, w
     raw = diagonalize(sub, B_sub, g)
     spec = normalize(raw)
-    grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution)
+    # the disk has no z: its section is its own plane
+    grid = export_projection(spec, sub.basis, k + 1, resolution=cfg.resolution,
+                             plane="xy" if cfg.geometry == "disk" else "xz")
     c = spec.degenerate_class[k]
 
     os.makedirs(cfg.outdir, exist_ok=True)

@@ -12,9 +12,11 @@ ahead, eigenvalues only, on stacks of the pending grid points
 Two real values of a block without hidden symmetry do not cross (von
 Neumann and Wigner), and a split or a rejoin is a collision of two adjacent
 ones (Heiss), so every step of every block is labelled by the order rules
-(_step).  The dense cylinder, whose real values do cross, is swept on its
-factors (branchpoints.cylinder_branch_points), and a tilted sphere takes
-the z sweep's labels (_z_labelled).  No eigenvector is solved.
+(_step), and by nothing else: a step they decline is bisected, and one
+still declined at MIN_STEP raises ConvergenceError.  The dense cylinder,
+whose real values do cross, is swept on its factors
+(branchpoints.cylinder_branch_points), and a tilted sphere takes the z
+sweep's labels (_z_labelled).  No eigenvector is solved.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .matrices import OperatorMatrices, gradient_matrix
-from .spectrum import (Partition, _chunk_len, _components, _degenerate_classes, _solve_block,
-                       canonical_order, is_real, partition, same_value)
+from .spectrum import (Partition, _chunk_len, _degenerate_classes, _solve_block, canonical_order,
+                       partition, same_value)
 
 # A step is bisected, down to MIN_STEP, when a labelled value moves further
 # than REFINE_DISPLACEMENT or the order rules decline it.
@@ -46,7 +48,8 @@ class BranchSweep:
     eigenvalues[i, j] is branch j at g_grid[i]; branch j starts at basis mode
     j and stays in its exact block block[j], and is NaN on every row when
     that block was not tracked.  refinements logs the adaptive insertions,
-    ambiguities the steps that the order rules still declined at MIN_STEP.
+    ambiguities a tilted sphere's 'transfer' steps (run_sweep); every other
+    step is labelled by the order rules.
     """
 
     g_grid: np.ndarray
@@ -60,17 +63,6 @@ class BranchSweep:
         """Branch-ordered eigenvalues at the grid point nearest to g."""
         i = int(np.argmin(np.abs(self.g_grid - g)))
         return self.eigenvalues[i]
-
-
-def _split_rule(pred: np.ndarray, values: np.ndarray, sigma: np.ndarray) -> None:
-    """The split rule, in place: the values that branches take fresh
-    (predicted real, now non-real; spectrum.is_real) go in canonical_order
-    within each conjugate family, Im > 0 to the lower branch index."""
-    fresh = np.flatnonzero(is_real(pred) & ~is_real(values[sigma]))
-    z = values[sigma[fresh]]
-    for fam in _components(same_value(z[:, None], z.conj()))[0]:
-        b = fresh[fam]
-        sigma[b] = sigma[b][canonical_order(z[fam])]
 
 
 @dataclass
@@ -125,7 +117,7 @@ def _by_order(target: np.ndarray, values: np.ndarray) -> np.ndarray | None:
     nearest non-real value, and the two left over, an exact conjugate pair
     x +- iy equally far from every real target, go to the adjacent two of
     least total cost (of a < b < c, a, b or b, c cost no more than a, c),
-    Im > 0 to the lower branch index (_split_rule)."""
+    Im > 0 to the lower branch index."""
     tr, vr = target.imag == 0, values.imag == 0
     cols = np.empty(len(target), dtype=int)
     rt, rv = tr.nonzero()[0], vr.nonzero()[0]
@@ -154,31 +146,20 @@ def _by_order(target: np.ndarray, values: np.ndarray) -> np.ndarray | None:
         k = np.argmin(np.r_[0, np.cumsum(a)] + w[:-1] + w[1:]
                       + np.r_[np.cumsum(b[::-1])[::-1], 0])
         cols[rt] = np.r_[rv[:k], pair, rv[k:]]
-        _split_rule(target, values, cols)
+        cols[np.sort(rt[k:k + 2])] = pair[np.argsort(-values[pair].imag)]
     else:
         cols[rt] = rv
     return cols
 
 
-def _step(g: float, pred: np.ndarray, values: np.ndarray):
-    """(sigma, declined): each branch's index into one block's values at g,
-    by the order rules (_by_order), else its nearest free value, least
-    displaced first, then the split rule.  NumericalError unless every
+def _step(g: float, pred: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """Each branch's index into one block's values at g by the order rules
+    (_by_order), or None where they decline.  NumericalError unless every
     prediction and value is within MAX_VALUE in modulus (so finite)."""
     if not (np.abs(pred).max() <= MAX_VALUE and np.abs(values).max() <= MAX_VALUE):
         raise NumericalError(f"a prediction or a value at gbar={g} is not finite or exceeds "
                              f"{MAX_VALUE:g}, where squared displacements overflow")
-    sigma = _by_order(pred, values)
-    if sigma is not None:
-        return sigma, False
-    diff = np.subtract.outer(pred, values)
-    cost = diff.real**2 + diff.imag**2
-    sigma, free = np.empty(len(pred), dtype=int), np.ones(len(pred), dtype=bool)
-    for b in cost.min(axis=1).argsort(kind="stable"):
-        sigma[b] = np.flatnonzero(free)[cost[b, free].argmin()]
-        free[sigma[b]] = False
-    _split_rule(pred, values, sigma)
-    return sigma, True
+    return _by_order(pred, values)
 
 
 def _tracks(part: Partition, n: int) -> list[_Track]:
@@ -205,9 +186,10 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     through the last two points (the last point alone on the first step).
     A step whose tracked values move further than REFINE_DISPLACEMENT, or
     that the order rules decline in any tracked block, is bisected for all
-    of them down to MIN_STEP; a block still declined there is logged as an
-    'unproved' ambiguity of its modes and its twins'.  A refinement beyond
-    MAX_REFINEMENTS per starting grid point raises NumericalError.
+    of them down to MIN_STEP; a block still declined there raises
+    ConvergenceError naming gbar and the modes of the block and its twins.
+    A refinement beyond MAX_REFINEMENTS per starting grid point raises
+    NumericalError.
 
     A tilted sphere (_z_labelled) is swept about z (gradient_matrix(mat),
     every block), whose grid, refinements and ambiguities it keeps; each of
@@ -243,14 +225,14 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
     first = np.full(mat.N, np.nan, dtype=complex)
     first[on] = mat.lam[on]
     sweep_g, rows = [pending.pop(0)], [first]
-    refinements, ambiguities = [], []
+    refinements = []
     while pending:
         g_next = pending.pop(0)
         pred = rows[-1]  # linear extrapolation from the last two points
         if len(rows) > 1:
             slope = (pred - rows[-2]) / (sweep_g[-1] - sweep_g[-2])
             pred = pred + slope * (g_next - sweep_g[-1])
-        row, unproved = np.full(mat.N, np.nan, dtype=complex), []
+        row, declined = np.full(mat.N, np.nan, dtype=complex), []
         for t in tracks:  # values only, matched in branch order
             if g_next not in t.rows:
                 todo = [g_next]
@@ -260,22 +242,26 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
                     todo.append(g)
                 t.rows.update(zip(todo, _solve_block(t.lam, t.K, np.array(todo), True)[0]))
             values = t.rows[g_next]
-            sigma, declined = _step(g_next, pred[t.ix], values)
+            if (sigma := _step(g_next, pred[t.ix], values)) is None:
+                declined.append([ix.tolist() for ix in t.copies])
+                continue
             for ix in t.copies:  # report basis modes, not the block's branches
                 row[ix] = values[sigma]
-                unproved += [tuple(ix.tolist())] if declined else []
-        max_disp = float(np.max(np.abs(rows[-1][on] - row[on])))
-        if (unproved or max_disp > REFINE_DISPLACEMENT) and g_next - sweep_g[-1] > 2 * MIN_STEP:
+        # fmax skips the NaN columns of a declined block
+        max_disp = float(np.fmax.reduce(np.abs(rows[-1][on] - row[on]), initial=0.0))
+        if (declined or max_disp > REFINE_DISPLACEMENT) and g_next - sweep_g[-1] > 2 * MIN_STEP:
             if len(refinements) == cap:
                 raise NumericalError(f"the sweep reached {cap} refinements, {MAX_REFINEMENTS} "
                                      f"per starting grid point, at gbar={g_next}")
             g_mid = 0.5 * (sweep_g[-1] + g_next)
-            refinements.append({"inserted": g_mid, "reason": "tie" if unproved
+            refinements.append({"inserted": g_mid, "reason": "tie" if declined
                                 else "displacement", "max_disp": max_disp})
             pending[:0] = [g_mid, g_next]
             continue
-        ambiguities += [{"g": g_next, "branches": b, "kind": "unproved",
-                         "note": "nearest-first assignment kept"} for b in sorted(unproved)]
+        if declined:
+            raise ConvergenceError(f"the order rules decline the step to gbar={g_next} at "
+                                   f"MIN_STEP; basis modes of each such block, then of its "
+                                   f"twins: {declined}")
         for t in tracks:
             del t.rows[g_next]
         sweep_g.append(g_next)
@@ -283,7 +269,7 @@ def run_sweep(mat: OperatorMatrices, B: np.ndarray, g_max: float,
 
     return BranchSweep(
         g_grid=np.array(sweep_g), eigenvalues=np.vstack(rows),
-        block=part.label, refinements=refinements, ambiguities=ambiguities,
+        block=part.label, refinements=refinements,
         metadata={"geometry": mat.basis.geometry, "N": mat.N, "step": step,
                   "min_step": MIN_STEP,
                   "tiebreak": "per exact block: the order rules against a slope "

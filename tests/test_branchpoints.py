@@ -357,6 +357,25 @@ def test_cylinder_pair_members_follow_the_split_rule():
     assert im[(1, 6)] == pytest.approx(-0.0333933, abs=1e-6)
 
 
+def test_declined_partner_step_raises(monkeypatch):
+    """The partner rows of a cylinder point are labelled by the order rules
+    alone: where they decline a partner block, cylinder_branch_points raises
+    ConvergenceError naming gbar, instead of keeping a nearest label."""
+    m = mx.operator_for("cylinder", 40)
+    swept, run, by_order = [], bp.run_sweep, sw._by_order
+
+    def counted(*args, **kwargs):
+        swept.append(run(*args, **kwargs))
+        return swept[-1]
+    monkeypatch.setattr(bp, "run_sweep", counted)
+    # both factor sweeps are labelled; every later step is declined
+    monkeypatch.setattr(sw, "_by_order", lambda target, values: None if len(swept) == 2
+                        else by_order(target, values))
+    with pytest.raises(ConvergenceError, match="partner rows at gbar="):
+        bp.cylinder_branch_points(m, np.deg2rad(45.0), 10.0, step=0.1, n_branches=13)
+    assert len(swept) == 2
+
+
 def test_principal_angle_is_exact_for_small_angles():
     """Two unit vectors at 1e-7 rad, the second times a phase, in classes of
     their own: the class angle, taken from the sine, keeps the angle to

@@ -15,6 +15,7 @@ from btspec import matrices as mx
 from btspec import montecarlo as mc
 from btspec import signal as sg
 from btspec import spectrum as sp
+from btspec import sweep as sw
 from btspec.errors import ConfigError, NumericalError
 
 
@@ -189,6 +190,31 @@ def test_fieldmap_command(tmp_path):
     assert len(lines) == 1 + 31 * 31
 
 
+def test_fieldmap_disk_is_its_xy_plane(tmp_path, monkeypatch):
+    """The disk has no z, so its fieldmap is the xy section: the CSV names
+    the axes x, y, the sidecar's plane is 'xy', and each inside value is
+    eval_eigenfunction's at (x, y, 0), which varies along y (an xz section
+    would copy the y = 0 line down every column)."""
+    seen = {}
+    export = cli.export_projection
+    monkeypatch.setattr(cli, "export_projection", lambda spec, basis, j, **kw:
+                        seen.update(spec=spec, basis=basis, j=j) or export(spec, basis, j, **kw))
+    out = tmp_path / "out"
+    assert cli.main(["fieldmap", "--set", "geometry=disk", "--set", "N=30", "--set",
+                     "resolution=5", "--j", "2", "--g", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "field_j2_g3.json").read_text())["plane"] == "xy"
+    lines = (out / "field_j2_g3.csv").read_text().split("\n")
+    assert lines[0] == "x,y,re_v,im_v,inside_flag"
+    x, y, re, im, inside = np.loadtxt(lines[1:], delimiter=",", unpack=True)
+    inside = inside == 1
+    pts = np.stack([x, y, np.zeros_like(x)], axis=1)[inside]
+    want = fm.eval_eigenfunction(seen["spec"].X[seen["j"] - 1], seen["basis"], pts)
+    got = re[inside] + 1j * im[inside]
+    assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    on_x0 = got[x[inside] == 0]
+    assert len(on_x0) == 3 and np.ptp(np.abs(on_x0)) > 0.01
+
+
 def test_fieldmap_j_out_of_range(tmp_path):
     cfgp = write_cfg(tmp_path / "s.cfg", SPHERE_SI)
     rc = cli.main(["fieldmap", "--config", cfgp, "--j", "30", "--g", "1.0",
@@ -344,6 +370,38 @@ def test_overflowing_sweep_exits_4_without_output(tmp_path, capsys):
     assert cli.main(["sweep", "--out", str(out), "--set", "geometry=sphere", "--set", "N=20",
                      "--set", "g_max=1e200", "--set", "g_step=1e199"]) == 4
     assert "squared displacements overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_declined_at_min_step_exits_4_without_output(tmp_path, capsys, monkeypatch,
+                                                          sphere60):
+    """A block whose steps the order rules decline at every bisection point
+    (here the z sphere's m = 1 block at N = 60, declined by a patched
+    sweep._by_order) is refused at MIN_STEP: a ConvergenceError naming its
+    basis modes, exit 4, and no branches.csv."""
+    m, B = sphere60
+    tracks = sw._tracks(sp.partition(m.lam, B), m.N)
+    t = next(t for t in tracks if m.basis.indices[t.ix[0]].m == 1)
+    by_order = sw._by_order
+    monkeypatch.setattr(sw, "_by_order", lambda target, values: None
+                        if len(values) == len(t.ix) else by_order(target, values))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), "--set", "geometry=sphere", "--set", "N=60",
+                     "--set", "g_max=0.1", "--set", "g_step=0.05"]) == 4
+    assert str(t.ix.tolist()) in capsys.readouterr().err
+    assert not (out / "branches.csv").exists()
+
+
+@pytest.mark.parametrize("sets", [["gbar=-2", "tbars=1"], ["gbar=2", "tbars=1,-1"]],
+                         ids=["negative_gbar", "negative_tbar"])
+def test_dimensionless_signal_errors_name_its_own_keys(tmp_path, capsys, sets):
+    """A negative gbar or tbar is a configuration error (exit 2) that names
+    gbar and tbars, not the SI keys of the pulse plan it would build."""
+    out = tmp_path / "out"
+    argv = ["signal", "--out", str(out), "--set", "geometry=sphere", "--set", "N=20"]
+    assert cli.main(argv + [a for kv in sets for a in ("--set", kv)]) == 2
+    err = capsys.readouterr().err
+    assert "gbar and tbars" in err and "D0" not in err
     assert not out.exists()
 
 

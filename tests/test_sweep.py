@@ -9,12 +9,23 @@ from btspec import branchpoints as bp
 from btspec import matrices as mx
 from btspec import spectrum as sp
 from btspec import sweep as sw
-from btspec.errors import DomainError, NumericalError
+from btspec.errors import ConvergenceError, DomainError, NumericalError
 
 
 def _sqdist(target, values):
     diff = np.subtract.outer(target, values)
     return diff.real**2 + diff.imag**2
+
+
+def _split_rule(target, values, cols):
+    """The split rule, in place: the values that branches take fresh
+    (predicted real, now non-real) go in canonical_order within each
+    conjugate family, Im > 0 to the lower branch index."""
+    fresh = np.flatnonzero(sp.is_real(target) & ~sp.is_real(values[cols]))
+    z = values[cols[fresh]]
+    for fam in sp._components(sp.same_value(z[:, None], z.conj()))[0]:
+        b = fresh[fam]
+        cols[b] = cols[b][sp.canonical_order(z[fam])]
 
 
 def _least_squares_labels(target, values):
@@ -28,7 +39,7 @@ def _least_squares_labels(target, values):
     for x in set(target.real[back].tolist()):
         b = back[target.real[back] == x]
         cols[b] = cols[b][np.argsort(values[cols[b]].real, kind="stable")]
-    sw._split_rule(target, values, cols)
+    _split_rule(target, values, cols)
     return cols
 
 
@@ -47,8 +58,9 @@ def test_step_rejects_values_whose_displacements_overflow():
     """Beyond sw.MAX_VALUE a squared displacement can overflow, and _step
     raises NumericalError (as a sweep to gbar = 1e200 in steps of 1e199
     does) instead of labelling by infinite costs: two fresh pairs from four
-    real predictions, which the order rules decline, and one fresh pair,
-    which they would place by the pair's cost to the real predictions."""
+    real predictions, which the order rules decline (None below the bound),
+    and one fresh pair, which they place by the pair's cost to the real
+    predictions."""
     four = np.arange(4.0).astype(complex)
     z = np.array([1e200 + 1e200j, 2e200 + 1j])
     three = np.arange(3.0).astype(complex)
@@ -56,9 +68,9 @@ def test_step_rejects_values_whose_displacements_overflow():
     for pred, values in ((four, np.r_[z, z.conj()]), (three, pair)):
         with pytest.raises(NumericalError, match="overflow"):
             sw._step(1.0, pred, values)
-        sigma, declined = sw._step(1.0, pred, values * 1e-60)
-        assert sorted(sigma) == list(range(len(pred)))
-        assert declined == (len(pred) == 4)
+        sigma = sw._step(1.0, pred, values * 1e-60)
+        assert (sigma is None) == (len(pred) == 4)
+        assert sigma is None or sorted(sigma) == list(range(len(pred)))
 
 
 def test_z_sphere_sweep_leaves_out_scipy_optimize(tmp_path, monkeypatch, sphere60):
@@ -133,9 +145,8 @@ def test_match_conjugate_pair_formation():
     """A fresh conjugate pair goes Im > 0 to the lower branch index (the
     split rule), decided by the order rules: _step declines nothing."""
     values = np.array([2.5 - 0.2j, 2.5 + 0.2j, 9.01 + 0j])
-    sigma, declined = sw._step(5.05, np.array([2.4, 2.6, 9.0], dtype=complex), values)
+    sigma = sw._step(5.05, np.array([2.4, 2.6, 9.0], dtype=complex), values)
     assert values[sigma].tolist() == [2.5 + 0.2j, 2.5 - 0.2j, 9.01]
-    assert not declined
 
 
 def test_sweep_grid_and_permutation_validity():
@@ -532,33 +543,29 @@ def test_rejoining_pair_gives_the_lower_branch_the_smaller_value():
     lo, hi = 5 - 1e-4, 5 + 1e-4
     for pair in ([5 + 1e-4j, 5 - 1e-4j], [5 - 1e-4j, 5 + 1e-4j]):
         values = np.array([lo, hi], dtype=complex)
-        sigma, declined = sw._step(1.0, np.array(pair), values)
+        sigma = sw._step(1.0, np.array(pair), values)
         assert values[sigma].real.tolist() == [lo, hi]
-        assert not declined
 
 
-def test_ambiguity_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
-    """A step of one block that the order rules decline at gbar = 0.05 is
-    bisected down to MIN_STEP, then kept by nearest values, which label it
-    as the rules do, and logged as an 'unproved' ambiguity of the basis
-    modes of the block and of its twin, which copies its result."""
+def test_decline_at_min_step_names_basis_modes_of_block_and_twin(sphere60, monkeypatch):
+    """A step of one block that the order rules decline at every bisection
+    point is bisected down to MIN_STEP, then refused: ConvergenceError
+    naming gbar and the basis modes of the block and of its twin, which
+    copies its result.  No step is labelled by anything but the rules."""
     m, B = sphere60
     tracks = sw._tracks(sp.partition(m.lam, B), m.N)
     t = next(t for t in tracks if m.basis.indices[t.ix[0]].m == 1)
     assert sum(len(u.ix) == len(t.ix) for u in tracks) == 1
-    at = sp._solve_block(t.lam, t.K, np.array([0.05]), True)[0][0]
     by_order = sw._by_order
     monkeypatch.setattr(sw, "_by_order", lambda target, values: None
-                        if np.array_equal(values, at) else by_order(target, values))
-    s = sw.run_sweep(m, B, 0.1, step=0.05)
-    # the step to 0.05 is bisected down to MIN_STEP, then kept and logged
-    assert len(s.refinements) == 12 and all(r["reason"] == "tie" for r in s.refinements)
-    want = sorted(tuple(ix.tolist()) for ix in t.copies)
-    assert len(want) == 2
-    assert [(a["g"], a["branches"], a["kind"]) for a in s.ambiguities] \
-        == [(0.05, w, "unproved") for w in want]
-    monkeypatch.setattr(sw, "_by_order", by_order)
-    assert np.array_equal(s.values_at(0.05), sw.run_sweep(m, B, 0.1, step=0.05).values_at(0.05))
+                        if len(values) == len(t.ix) else by_order(target, values))
+    with pytest.raises(ConvergenceError) as exc:
+        sw.run_sweep(m, B, 0.1, step=0.05)
+    msg = str(exc.value)
+    # the first step, to 0.05, is halved 12 times, to a width below 2 * MIN_STEP
+    assert f"gbar={0.05 / 2**12} at MIN_STEP" in msg
+    assert len(t.copies) == 2
+    assert f"{[ix.tolist() for ix in t.copies]}" in msg
 
 
 @pytest.mark.parametrize("N", [60, 100])
